@@ -60,13 +60,6 @@ class PlanePoint:
         """The point as an ordinary complex number x + iy (for C_j algebra)."""
         return complex(self.x, self.y)
 
-    @staticmethod
-    def of(c: complex) -> "PlanePoint":
-        return PlanePoint(c.real, c.imag)
-
-    def shifted(self, dx: float, dy: float) -> "PlanePoint":
-        return PlanePoint(self.x + dx, self.y + dy)
-
     def dist(self, other: "PlanePoint") -> float:
         return math.hypot(self.x - other.x, self.y - other.y)
 
@@ -123,6 +116,10 @@ class Bicomplex:
         """Conjugation with respect to j: u + jv -> u - jv."""
         return Bicomplex(self.sc, -self.vec)
 
+    def mul_j(self) -> "Bicomplex":
+        """j * W = -v + j u for W = u + j v."""
+        return Bicomplex(-self.vec, self.sc)
+
     @property
     def is_zero(self) -> bool:
         return self.sc == 0 and self.vec == 0
@@ -161,6 +158,11 @@ class Bicomplex:
         """(W+, W-) = (Sc W - i Vec W, Sc W + i Vec W), without compensation."""
         return self.sc - 1j * self.vec, self.sc + 1j * self.vec
 
+    @staticmethod
+    def from_idempotent_coords(plus: complex, minus: complex) -> "Bicomplex":
+        """P+ W+ + P- W-: the W with idempotent coordinates (plus, minus)."""
+        return Bicomplex(0.5 * (plus + minus), 0.5j * (plus - minus))
+
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
@@ -184,18 +186,9 @@ P_PLUS = Bicomplex(0.5, 0.5j)
 P_MINUS = Bicomplex(0.5, -0.5j)
 
 
-def from_ci(u: complex) -> Bicomplex:
-    """Embed a C_i scalar."""
-    return Bicomplex(u, 0)
-
-
 def from_cj(c: complex) -> Bicomplex:
     """Embed a C_j number a + jb given as the complex a + ib."""
     return Bicomplex(c.real, c.imag)
-
-
-def from_plane(p: PlanePoint) -> Bicomplex:
-    return Bicomplex(p.x, p.y)
 
 
 def idempotent_split(w: Bicomplex) -> IdempotentPair:
@@ -233,8 +226,7 @@ def from_idempotent(pair: IdempotentPair) -> Bicomplex:
 def bc_exp(w: Bicomplex) -> Bicomplex:
     """E[W] = P+ e^{W+} + P- e^{W-}."""
     p, m = w.idempotent()
-    ep, em = cmath.exp(p), cmath.exp(m)
-    return Bicomplex(0.5 * (ep + em), 0.5j * (ep - em))
+    return Bicomplex.from_idempotent_coords(cmath.exp(p), cmath.exp(m))
 
 
 def isclose(a: Bicomplex, b: Bicomplex, tol: float = 1e-12) -> bool:

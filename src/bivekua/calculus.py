@@ -13,7 +13,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .bicomplex import Bicomplex, PlanePoint, bc_exp, from_cj
-from .fields import Field
+from .fields import Field, d_z, d_zbar, partials
 
 
 class CalculusError(Exception):
@@ -197,42 +197,20 @@ class Path:
             while th2 >= th1:
                 th2 -= 2 * math.pi
         parts = []
-        if start.dist(PlanePoint(p1.real, p1.imag)) > 1e-14:
-            parts.append(
-                Path.polyline(
-                    [start, PlanePoint(p1.real, p1.imag)],
-                    nodes_per_segment,
-                    grade_toward=avoid,
-                )
-            )
+
+        def leg(p: complex, q: complex, gap: float) -> None:
+            if abs(q - p) > gap:
+                ends = [PlanePoint(p.real, p.imag), PlanePoint(q.real, q.imag)]
+                parts.append(Path.polyline(ends, nodes_per_segment, grade_toward=avoid))
+
         # project arc endpoints exactly onto the circle
         q1 = c + radius * cmath.exp(1j * th1)
         q2 = c + radius * cmath.exp(1j * th2)
-        if abs(q1 - p1) > 1e-13:
-            parts.append(
-                Path.polyline(
-                    [PlanePoint(p1.real, p1.imag), PlanePoint(q1.real, q1.imag)],
-                    nodes_per_segment,
-                    grade_toward=avoid,
-                )
-            )
+        leg(a, p1, 1e-14)
+        leg(p1, q1, 1e-13)
         parts.append(Path.arc(avoid, radius, th1, th2, nodes_per_segment))
-        if abs(q2 - p2) > 1e-13:
-            parts.append(
-                Path.polyline(
-                    [PlanePoint(q2.real, q2.imag), PlanePoint(p2.real, p2.imag)],
-                    nodes_per_segment,
-                    grade_toward=avoid,
-                )
-            )
-        if PlanePoint(p2.real, p2.imag).dist(end) > 1e-14:
-            parts.append(
-                Path.polyline(
-                    [PlanePoint(p2.real, p2.imag), end],
-                    nodes_per_segment,
-                    grade_toward=avoid,
-                )
-            )
+        leg(q2, p2, 1e-13)
+        leg(p2, b, 1e-14)
         return Path.join(parts)
 
     # -- integration --------------------------------------------------------
@@ -253,6 +231,15 @@ class Path:
 
 # ---------------------------------------------------------------------------
 # Region grids (for area integrals and residual scans)
+
+
+def midpoints(x0: float, x1: float, y0: float, y1: float, nx: int, ny: int) -> list[PlanePoint]:
+    """Centres of the nx-by-ny grid of equal cells over [x0, x1] x [y0, y1]."""
+    return [
+        PlanePoint(x0 + (i + 0.5) * (x1 - x0) / nx, y0 + (k + 0.5) * (y1 - y0) / ny)
+        for i in range(nx)
+        for k in range(ny)
+    ]
 
 
 @dataclass
@@ -281,30 +268,18 @@ class RegionGrid:
         )
 
     def cells(self) -> list[tuple[PlanePoint, float]]:
-        out = []
         nx = max(1, round((self.x1 - self.x0) / self.h))
         ny = max(1, round((self.y1 - self.y0) / self.h))
-        hx = (self.x1 - self.x0) / nx
-        hy = (self.y1 - self.y0) / ny
-        for i in range(nx):
-            for k in range(ny):
-                c = PlanePoint(self.x0 + (i + 0.5) * hx, self.y0 + (k + 0.5) * hy)
-                if self._included(c):
-                    out.append((c, hx * hy))
+        area = (self.x1 - self.x0) / nx * ((self.y1 - self.y0) / ny)
+        grid = midpoints(self.x0, self.x1, self.y0, self.y1, nx, ny)
+        out = [(c, area) for c in grid if self._included(c)]
         if not out:
             raise EmptyRegionError("no cells in region")
         return out
 
     def sample_points(self, n: int = 20) -> list[PlanePoint]:
-        pts = []
-        for i in range(n):
-            for k in range(n):
-                p = PlanePoint(
-                    self.x0 + (i + 0.5) * (self.x1 - self.x0) / n,
-                    self.y0 + (k + 0.5) * (self.y1 - self.y0) / n,
-                )
-                if self._included(p):
-                    pts.append(p)
+        grid = midpoints(self.x0, self.x1, self.y0, self.y1, n, n)
+        pts = [p for p in grid if self._included(p)]
         if not pts:
             raise EmptyRegionError("no sample points in region")
         return pts
@@ -321,57 +296,23 @@ class GradientSample:
     dzbar: Bicomplex
 
 
-def _partials(
-    w: Field, z: PlanePoint, h: Optional[float]
-) -> tuple[Bicomplex, Bicomplex, Bicomplex]:
-    """(value, d/dx, d/dy), exact when the field carries partials."""
-    value = w(z)
-    if w.has_exact_partials:
-        return value, w.dx(z), w.dy(z)
-    if h is None:
-        h = 1e-4 * (1 + math.hypot(z.x, z.y))
-    fx = (w(PlanePoint(z.x + h, z.y)) - w(PlanePoint(z.x - h, z.y))).scale(
-        1 / (2 * h)
-    )
-    fy = (w(PlanePoint(z.x, z.y + h)) - w(PlanePoint(z.x, z.y - h))).scale(
-        1 / (2 * h)
-    )
-    return value, fx, fy
-
-
-def _mul_j(w: Bicomplex) -> Bicomplex:
-    return Bicomplex(-w.vec, w.sc)
-
-
 def wirtinger(w: Field, z: PlanePoint, h: Optional[float] = None) -> GradientSample:
     """d_z = (1/2)(d/dx - j d/dy), d_zbar = (1/2)(d/dx + j d/dy)."""
-    value, fx, fy = _partials(w, z, h)
-    jfy = _mul_j(fy)
-    return GradientSample(
-        value=value,
-        dz=(fx - jfy).scale(0.5),
-        dzbar=(fx + jfy).scale(0.5),
-    )
-
-
-def _from_idem_coords(plus: complex, minus: complex) -> Bicomplex:
-    return Bicomplex(0.5 * (plus + minus), 0.5j * (plus - minus))
+    value, fx, fy = partials(w, z, h)
+    return GradientSample(value=value, dz=d_z(fx, fy), dzbar=d_zbar(fx, fy))
 
 
 def idempotent_factor_check(w: Field, z: PlanePoint, h: Optional[float] = None) -> float:
     """Residual of the factorization of d_zbar through the idempotent
     components: d_zbar W versus the complex Cauchy-Riemann operators
     acting on W+ (as d_z) and W- (as d_zbar)."""
-    value, fx, fy = _partials(w, z, h)
-    del value
+    _, fx, fy = partials(w, z, h)
     fxp, fxm = fx.idempotent()
     fyp, fym = fy.idempotent()
     dz_plus = 0.5 * (fxp - 1j * fyp)
     dzbar_minus = 0.5 * (fxm + 1j * fym)
-    rhs = _from_idem_coords(dz_plus, dzbar_minus)
-    jfy = _mul_j(fy)
-    lhs = (fx + jfy).scale(0.5)
-    return (lhs - rhs).norm
+    rhs = Bicomplex.from_idempotent_coords(dz_plus, dzbar_minus)
+    return (d_zbar(fx, fy) - rhs).norm
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +369,7 @@ def teodorescu(w: Field, region: RegionGrid, z: PlanePoint) -> Bicomplex:
             k = 1.0 / (zc - center.as_complex)
             acc_plus += wp * k.conjugate() * area
             acc_minus += wm * k * area
-    return _from_idem_coords(acc_plus / math.pi, acc_minus / math.pi)
+    return Bicomplex.from_idempotent_coords(acc_plus / math.pi, acc_minus / math.pi)
 
 
 def analytic_part(w: Field, a: Field, b: Field, region: RegionGrid) -> Field:
@@ -452,7 +393,7 @@ def abar_antiderivative(w: Field, path: Path) -> complex:
 
 
 def compatibility_residual(w: Field, z: PlanePoint, h: Optional[float] = None) -> float:
-    _, fx, fy = _partials(w, z, h)
+    _, fx, fy = partials(w, z, h)
     return abs(fy.sc - fx.vec)
 
 
@@ -466,8 +407,8 @@ def tf_transform(f: Field, u: Field, path: Path, h: Optional[float] = None) -> c
     """
 
     def one_form(p: PlanePoint, dz: complex) -> complex:
-        uv, ux, uy = _partials(u, p, h)
-        fv, fx, fy = _partials(f, p, h)
+        uv, ux, uy = partials(u, p, h)
+        fv, fx, fy = partials(f, p, h)
         gx = ux.sc * fv.sc - uv.sc * fx.sc
         gy = uy.sc * fv.sc - uv.sc * fy.sc
         return -gy * dz.real + gx * dz.imag

@@ -21,7 +21,7 @@ from typing import Optional
 
 from . import __version__
 from .bicomplex import Bicomplex, PlanePoint
-from .calculus import RegionGrid
+from .calculus import RegionGrid, midpoints
 from .fields import Field
 from .pairs import GeneratingSequence, make_pair, separable_pair, vekua_residual
 from .powers import (
@@ -29,6 +29,7 @@ from .powers import (
     KernelFamily,
     adjoint_kernel_transfer,
     analytic_kernel,
+    cauchy_deviations,
     counterexample_kernel,
     first_cauchy,
     formal_contour_integral,
@@ -72,6 +73,15 @@ def _require(cfg: dict, key: str, typ=None):
     if typ is not None and not isinstance(v, typ):
         raise ConfigError(f"config key '{key}' has wrong type")
     return v
+
+
+def _tol(cfg: dict) -> float:
+    tol = cfg.get("tol", 1e-6)
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
+        raise ConfigError("config key 'tol' must be a number")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError("config key 'tol' must be finite and non-negative")
+    return tol
 
 
 def _point(cfg: dict, key: str) -> PlanePoint:
@@ -153,7 +163,10 @@ def _contour(cfg: dict) -> ContourSpec:
     radius = _require(c, "radius", (int, float))
     if radius <= 0:
         raise ConfigError("contour radius must be positive")
-    return ContourSpec.circle(center, float(radius), c.get("nodes", 512))
+    nodes = c.get("nodes", 512)
+    if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 1:
+        raise ConfigError("contour nodes must be a positive integer")
+    return ContourSpec.circle(center, float(radius), nodes)
 
 
 def _grid_points(cfg: dict) -> list[PlanePoint]:
@@ -163,27 +176,23 @@ def _grid_points(cfg: dict) -> list[PlanePoint]:
     nx, ny = int(g["nx"]), int(g["ny"])
     if nx <= 0 or ny <= 0:
         raise ConfigError("grid nx/ny must be positive")
-    pts = []
-    for i in range(nx):
-        for k in range(ny):
-            pts.append(
-                PlanePoint(
-                    g["x0"] + (i + 0.5) * (g["x1"] - g["x0"]) / nx,
-                    g["y0"] + (k + 0.5) * (g["y1"] - g["y0"]) / ny,
-                )
-            )
-    return pts
+    return midpoints(g["x0"], g["x1"], g["y0"], g["y1"], nx, ny)
 
 
-def _random_point_pairs(cfg: dict, count: int, min_dist: float = 0.2):
+def _region(cfg: dict) -> RegionGrid:
     r = _require(cfg, "region", dict)
     for k in ("x0", "x1", "y0", "y1"):
         _require(r, k, (int, float))
+    return RegionGrid(r["x0"], r["x1"], r["y0"], r["y1"], r.get("h", 0.1))
+
+
+def _random_point_pairs(cfg: dict, count: int, min_dist: float = 0.2):
+    r = _region(cfg)
     rng = random.Random(cfg.get("seed", 0))
     out = []
     while len(out) < count:
-        zeta = PlanePoint(rng.uniform(r["x0"], r["x1"]), rng.uniform(r["y0"], r["y1"]))
-        z = PlanePoint(rng.uniform(r["x0"], r["x1"]), rng.uniform(r["y0"], r["y1"]))
+        zeta = PlanePoint(rng.uniform(r.x0, r.x1), rng.uniform(r.y0, r.y1))
+        z = PlanePoint(rng.uniform(r.x0, r.x1), rng.uniform(r.y0, r.y1))
         if zeta.dist(z) > min_dist:
             out.append((zeta, z))
     return out
@@ -217,7 +226,7 @@ def cmd_verify_reproducing(cfg: dict):
     fam = _build_kernel(cfg)
     pair = _build_pair(cfg)
     contour = _contour(cfg)
-    tol = cfg.get("tol", 1e-6)
+    tol = _tol(cfg)
     center = _point(_require(cfg, "contour", dict), "center")
     vc = formal_contour_integral(fam, pair.F, contour, center)
     checks = [
@@ -225,16 +234,14 @@ def cmd_verify_reproducing(cfg: dict):
             "center_integral_sc", vc.sc.real, TWO_PI * pair.F(center).sc.real, tol
         )
     ]
-    dev_in = 0.0
-    dev_out = 0.0
-    for w in (pair.F, pair.G):
-        for z0 in contour.interior:
-            got = formal_contour_integral(fam, w, contour, z0)
-            dev_in = max(dev_in, (got - w(z0).scale(TWO_PI)).norm)
-        for z0 in contour.exterior:
-            dev_out = max(
-                dev_out, formal_contour_integral(fam, w, contour, z0).norm
-            )
+    devs = [
+        cauchy_deviations(
+            lambda z0: formal_contour_integral(fam, w, contour, z0),
+            w, contour.interior, contour.exterior,
+        )
+        for w in (pair.F, pair.G)
+    ]
+    dev_in, dev_out = (max(d) for d in zip(*devs))
     checks.append(_check("interior_deviation", dev_in, 0.0, tol))
     checks.append(_check("exterior_deviation", dev_out, 0.0, tol))
     return checks, {}, {}
@@ -244,7 +251,7 @@ def cmd_build_powers(cfg: dict):
     f_expr = _require(cfg, "f", str)
     sep = _require(cfg, "separable", dict)
     n = _require(cfg, "n", int)
-    tol = cfg.get("tol", 1e-6)
+    tol = _tol(cfg)
     base = _build_kernel(cfg)
     seq = hat_sequence(
         GeneratingSequence.separable(
@@ -264,9 +271,7 @@ def cmd_build_powers(cfg: dict):
         extra["closed_form"] = f"x-negative-power:{n}"
     else:
         pair = _build_pair(cfg)
-        r = _require(cfg, "region", dict)
-        region = RegionGrid(r["x0"], r["x1"], r["y0"], r["y1"], r.get("h", 0.1))
-        rep = power_residual_scan(fam, pair, region, pairs[0][0])
+        rep = power_residual_scan(fam, pair, _region(cfg), pairs[0][0])
         checks = [_check("max_vekua_residual", rep.max_residual, 0.0, tol)]
     return checks, {}, extra
 
@@ -282,7 +287,7 @@ def cmd_build_fundamental(cfg: dict):
         z0 = _point(cfg, "z0")
     else:
         raise ConfigError("z0 must be an [x, y] pair or the string 'zeta+1'")
-    tol = cfg.get("tol", 1e-6)
+    tol = _tol(cfg)
     extra = {}
     catalog = f_expr.strip() == "x"
     if catalog:
@@ -308,12 +313,9 @@ def cmd_build_fundamental(cfg: dict):
 
 def cmd_residual_scan(cfg: dict):
     kind = cfg.get("kind", "vekua")
-    r = _require(cfg, "region", dict)
-    for k in ("x0", "x1", "y0", "y1"):
-        _require(r, k, (int, float))
-    region = RegionGrid(r["x0"], r["x1"], r["y0"], r["y1"], r.get("h", 0.1))
+    region = _region(cfg)
     samples = int(cfg.get("samples", 20))
-    tol = cfg.get("tol", 1e-6)
+    tol = _tol(cfg)
     fld = _require(cfg, "field", dict)
     rows = []
     worst = 0.0
@@ -342,7 +344,7 @@ def cmd_cauchy(cfg: dict):
     fam = _build_kernel(cfg)
     pair = _build_pair(cfg)
     contour = _contour(cfg)
-    tol = cfg.get("tol", 1e-6)
+    tol = _tol(cfg)
     formula = cfg.get("formula", "second")
     fld = cfg.get("field")
     if fld is not None:
@@ -362,10 +364,7 @@ def cmd_cauchy(cfg: dict):
         evaluate = lambda z0: first_cauchy(w, hat, contour, z0)  # noqa: E731
     else:
         raise ConfigError("formula must be 'first' or 'second'")
-    dev_in = max(
-        ((evaluate(z0) - w(z0).scale(TWO_PI)).norm for z0 in interior), default=0.0
-    )
-    dev_out = max((evaluate(z0).norm for z0 in exterior), default=0.0)
+    dev_in, dev_out = cauchy_deviations(evaluate, w, interior, exterior)
     checks = [
         _check("interior_deviation", dev_in, 0.0, tol),
         _check("exterior_deviation", dev_out, 0.0, tol),

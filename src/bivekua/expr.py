@@ -17,6 +17,7 @@ real-valued; the squared-distance expressions it exists for are real.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -121,9 +122,11 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
                     pos = mark  # the e belongs to an identifier, not here
             text = src[start:pos]
             try:
-                float(text)
+                value = float(text)
             except ValueError:
                 raise ExprSyntaxError(f"bad number {text!r}", start)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"number {text!r} is out of range", start)
             tokens.append(("num", text, start))
             continue
         if ch.isalpha() or ch == "_":
@@ -137,11 +140,17 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+# Deepest nesting of parentheses, calls and unary minus that parse accepts;
+# deeper input would exhaust the interpreter's recursion limit.
+MAX_DEPTH = 100
+
+
 class _Parser:
     def __init__(self, src: str, variables: tuple[str, ...]):
         self.tokens = _tokenize(src)
         self.pos = 0
         self.variables = variables
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -204,7 +213,14 @@ class _Parser:
         return node
 
     def parse_base(self) -> Expr:
-        kind, text, off = self.advance()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH}", self.peek()[2])
+        node = self._parse_base(*self.advance())
+        self.depth -= 1
+        return node
+
+    def _parse_base(self, kind: str, text: str, off: int) -> Expr:
         if kind == "num":
             return Num(complex(float(text)))
         if kind == "op" and text == "(":
@@ -300,6 +316,32 @@ def simplify(e: Expr) -> Expr:
         if _is_num(right, 1):
             return left
     return BinOp(op, left, right)
+
+
+ZERO = Num(0j)
+
+
+def binop(op: str, left: Expr, right: Expr) -> Expr:
+    """One simplified binary operation: simplify(BinOp(op, left, right))."""
+    return simplify(BinOp(op, left, right))
+
+
+def neg(e: Expr) -> Expr:
+    """0 - e, simplified."""
+    return binop("-", ZERO, e)
+
+
+def substitute(e: Expr, binding: dict[str, Expr]) -> Expr:
+    """Replace every variable named in ``binding`` by its expression."""
+    if isinstance(e, Var):
+        return binding.get(e.name, e)
+    if isinstance(e, BinOp):
+        return BinOp(e.op, substitute(e.left, binding), substitute(e.right, binding))
+    if isinstance(e, Pow):
+        return Pow(substitute(e.base, binding), e.exponent)
+    if isinstance(e, Call):
+        return Call(e.func, substitute(e.arg, binding))
+    return e
 
 
 def diff(e: Expr, var: str) -> Expr:
@@ -424,10 +466,6 @@ def _safe_log(v):
     return cmath.log(v)
 
 
-def _safe_sqrt(v):
-    return cmath.sqrt(v)
-
-
 def _abs2(v):
     return v * v  # real-argument semantics; see module docstring
 
@@ -439,7 +477,7 @@ _ENV = {
     "_cos": cmath.cos,
     "_sinh": cmath.sinh,
     "_cosh": cmath.cosh,
-    "_sqrt": _safe_sqrt,
+    "_sqrt": cmath.sqrt,
     "_abs2": _abs2,
     "__builtins__": {},
 }
@@ -465,7 +503,3 @@ def compile_expr(e: Expr, variables: tuple[str, ...] = ("x", "y")):
             raise EvaluationError(str(exc), args) from None
 
     return call
-
-
-def structurally_equal(a: Expr, b: Expr) -> bool:
-    return a == b

@@ -1,24 +1,25 @@
 """Bicomplex-valued fields over the plane.
 
-A Field maps plane points to bicomplex values.  Fields built from
-expression pairs carry exact symbolic partial derivatives; fields built
-from bare callables fall back to finite differences in the operators that
-need derivatives.
+A Field maps plane points to bicomplex values.  Symbolic (``SymBC``) and
+numeric (``Bicomplex``) values share one ring interface, so each formula
+written on it (``d_z``, ``d_zbar`` here; the pair and potential formulas in
+their modules) runs on either.
+
+Derivatives come from ``partials``: a Field's exact partials when it has
+them (built from expressions, or by ``Field.with_partials``), otherwise
+central differences at the caller's step ``h``.  A given ``h`` forces a
+finite difference only in ``schroedinger.schroedinger_residual``.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 from . import expr as ex
 from .bicomplex import Bicomplex, PlanePoint
-
-_ZERO = ex.Num(0j)
-
-
-def _e(op: str, left: ex.Expr, right: ex.Expr) -> ex.Expr:
-    return ex.simplify(ex.BinOp(op, left, right))
 
 
 def _as_expr(v: Union[str, ex.Expr, float, complex], variables) -> ex.Expr:
@@ -35,7 +36,7 @@ class SymBC:
 
     variables: tuple[str, ...]
     sc: ex.Expr
-    vec: ex.Expr = _ZERO
+    vec: ex.Expr = ex.ZERO
 
     @staticmethod
     def make(sc, vec=0j, variables=("x", "y")) -> "SymBC":
@@ -61,36 +62,33 @@ class SymBC:
     def _wrap(self, sc: ex.Expr, vec: ex.Expr) -> "SymBC":
         return SymBC(self.variables, ex.simplify(sc), ex.simplify(vec))
 
-    def add(self, other: "SymBC") -> "SymBC":
-        return self._wrap(_e("+", self.sc, other.sc), _e("+", self.vec, other.vec))
+    def __add__(self, other: "SymBC") -> "SymBC":
+        return self._wrap(ex.binop("+", self.sc, other.sc), ex.binop("+", self.vec, other.vec))
 
-    def sub(self, other: "SymBC") -> "SymBC":
-        return self._wrap(_e("-", self.sc, other.sc), _e("-", self.vec, other.vec))
+    def __sub__(self, other: "SymBC") -> "SymBC":
+        return self._wrap(ex.binop("-", self.sc, other.sc), ex.binop("-", self.vec, other.vec))
 
-    def mul(self, other: "SymBC") -> "SymBC":
-        sc = _e("-", _e("*", self.sc, other.sc), _e("*", self.vec, other.vec))
-        vec = _e("+", _e("*", self.sc, other.vec), _e("*", self.vec, other.sc))
+    def __mul__(self, other: "SymBC") -> "SymBC":
+        sc = ex.binop("-", ex.binop("*", self.sc, other.sc), ex.binop("*", self.vec, other.vec))
+        vec = ex.binop("+", ex.binop("*", self.sc, other.vec), ex.binop("*", self.vec, other.sc))
         return self._wrap(sc, vec)
 
-    def neg(self) -> "SymBC":
-        return self._wrap(_e("-", _ZERO, self.sc), _e("-", _ZERO, self.vec))
+    def __neg__(self) -> "SymBC":
+        return self._wrap(ex.neg(self.sc), ex.neg(self.vec))
 
     def conj(self) -> "SymBC":
-        return self._wrap(self.sc, _e("-", _ZERO, self.vec))
+        return self._wrap(self.sc, ex.neg(self.vec))
 
     def mul_j(self) -> "SymBC":
-        return self._wrap(_e("-", _ZERO, self.vec), self.sc)
+        return self._wrap(ex.neg(self.vec), self.sc)
 
     def scale(self, c: Union[complex, ex.Expr]) -> "SymBC":
         c = _as_expr(c, self.variables)
-        return self._wrap(_e("*", c, self.sc), _e("*", c, self.vec))
+        return self._wrap(ex.binop("*", c, self.sc), ex.binop("*", c, self.vec))
 
     def inv(self) -> "SymBC":
-        d = _e("+", _e("*", self.sc, self.sc), _e("*", self.vec, self.vec))
-        return self._wrap(_e("/", self.sc, d), _e("-", _ZERO, _e("/", self.vec, d)))
-
-    def div(self, other: "SymBC") -> "SymBC":
-        return self.mul(other.inv())
+        d = ex.binop("+", ex.binop("*", self.sc, self.sc), ex.binop("*", self.vec, self.vec))
+        return self._wrap(ex.binop("/", self.sc, d), ex.neg(ex.binop("/", self.vec, d)))
 
     # -- calculus ----------------------------------------------------------
 
@@ -99,27 +97,59 @@ class SymBC:
 
     def d_zbar(self) -> "SymBC":
         """(1/2)(d/dx + j d/dy) with respect to (x, y)."""
-        return self.diff("x").add(self.diff("y").mul_j()).scale(0.5)
+        return d_zbar(self.diff("x"), self.diff("y"))
 
     def d_z(self) -> "SymBC":
         """(1/2)(d/dx - j d/dy) with respect to (x, y)."""
-        return self.diff("x").sub(self.diff("y").mul_j()).scale(0.5)
+        return d_z(self.diff("x"), self.diff("y"))
 
-    def rename(self, mapping: dict[str, str], variables) -> "SymBC":
-        """Rename variables, e.g. to swap the roles of (x,y) and (xi,eta)."""
+    def substitute(self, binding: dict[str, ex.Expr], variables) -> "SymBC":
+        """Replace the bound variables by expressions, e.g. to swap the roles
+        of (x, y) and (xi, eta); the result is a function of ``variables``."""
+        return SymBC(
+            tuple(variables), ex.substitute(self.sc, binding), ex.substitute(self.vec, binding)
+        )
 
-        def walk(e: ex.Expr) -> ex.Expr:
-            if isinstance(e, ex.Var):
-                return ex.Var(mapping.get(e.name, e.name))
-            if isinstance(e, ex.BinOp):
-                return ex.BinOp(e.op, walk(e.left), walk(e.right))
-            if isinstance(e, ex.Pow):
-                return ex.Pow(walk(e.base), e.exponent)
-            if isinstance(e, ex.Call):
-                return ex.Call(e.func, walk(e.arg))
-            return e
 
-        return SymBC(tuple(variables), walk(self.sc), walk(self.vec))
+# -- formulas on the shared ring interface (Bicomplex or SymBC values) -------
+
+
+def d_z(fx, fy):
+    """d_z = (1/2)(d/dx - j d/dy), from the partials fx, fy."""
+    return (fx - fy.mul_j()).scale(0.5)
+
+
+def d_zbar(fx, fy):
+    """d_zbar = (1/2)(d/dx + j d/dy), from the partials fx, fy."""
+    return (fx + fy.mul_j()).scale(0.5)
+
+
+# -- derivatives at a point -------------------------------------------------
+
+
+def central_difference(
+    func: Callable[[PlanePoint], Bicomplex], z: PlanePoint, h: float, axis: str
+) -> Bicomplex:
+    """d func / d axis at z (axis "x" or "y"), by the central difference with
+    step h."""
+    if axis == "x":
+        plus, minus = PlanePoint(z.x + h, z.y), PlanePoint(z.x - h, z.y)
+    else:
+        plus, minus = PlanePoint(z.x, z.y + h), PlanePoint(z.x, z.y - h)
+    return (func(plus) - func(minus)).scale(1 / (2 * h))
+
+
+def partials(
+    w: "Field", z: PlanePoint, h: Optional[float] = None
+) -> tuple[Bicomplex, Bicomplex, Bicomplex]:
+    """(value, d/dx, d/dy) of w at z: exact when the field carries partials,
+    else central differences with step h, by default 1e-4 (1 + |z|)."""
+    value = w(z)
+    if w.has_exact_partials:
+        return value, w.dx(z), w.dy(z)
+    if h is None:
+        h = 1e-4 * (1 + math.hypot(z.x, z.y))
+    return value, central_difference(w, z, h, "x"), central_difference(w, z, h, "y")
 
 
 class Field:
@@ -130,26 +160,20 @@ class Field:
     and consumers fall back to finite differences.
     """
 
-    def __init__(
-        self,
-        func: Callable[[PlanePoint], Bicomplex],
-        sym: Optional[SymBC] = None,
-        continuity: str = "unknown",
-    ):
+    def __init__(self, func: Callable[[PlanePoint], Bicomplex], sym: Optional[SymBC] = None):
         self._func = func
         self.sym = sym
-        self.continuity = continuity
         self._dx: Optional["Field"] = None
         self._dy: Optional["Field"] = None
 
     @staticmethod
-    def from_sym(sym: SymBC, continuity: str = "smooth") -> "Field":
+    def from_sym(sym: SymBC) -> "Field":
         fn = sym.compiled()
-        return Field(lambda z: fn(z.x, z.y), sym=sym, continuity=continuity)
+        return Field(lambda z: fn(z.x, z.y), sym=sym)
 
     @staticmethod
-    def from_exprs(sc, vec=0j, continuity: str = "smooth") -> "Field":
-        return Field.from_sym(SymBC.make(sc, vec), continuity)
+    def from_exprs(sc, vec=0j) -> "Field":
+        return Field.from_sym(SymBC.make(sc, vec))
 
     @staticmethod
     def constant(w: Bicomplex) -> "Field":
@@ -188,41 +212,38 @@ class Field:
             self._dy = Field.from_sym(self.sym.diff("y"))
         return self._dy
 
-    # combinators keep symbolic form when both operands have one
+    # combinators keep symbolic form when every operand has one
 
-    def _combine(self, other: "Field", sym_op, func_op) -> "Field":
+    def _map(self, op) -> "Field":
+        if self.sym is not None:
+            return Field.from_sym(op(self.sym))
+        return Field(lambda z: op(self(z)))
+
+    def _combine(self, other: "Field", op) -> "Field":
         if self.sym is not None and other.sym is not None:
-            return Field.from_sym(sym_op(self.sym, other.sym))
-        return Field(lambda z: func_op(self(z), other(z)))
+            return Field.from_sym(op(self.sym, other.sym))
+        return Field(lambda z: op(self(z), other(z)))
 
     def __add__(self, other: "Field") -> "Field":
-        return self._combine(other, SymBC.add, lambda a, b: a + b)
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "Field") -> "Field":
-        return self._combine(other, SymBC.sub, lambda a, b: a - b)
+        return self._combine(other, operator.sub)
 
     def __mul__(self, other: "Field") -> "Field":
-        return self._combine(other, SymBC.mul, lambda a, b: a * b)
+        return self._combine(other, operator.mul)
 
     def conj(self) -> "Field":
-        if self.sym is not None:
-            return Field.from_sym(self.sym.conj())
-        return Field(lambda z: self(z).conj())
+        return self._map(lambda w: w.conj())
 
     def bc_inv(self) -> "Field":
-        if self.sym is not None:
-            return Field.from_sym(self.sym.inv())
-        return Field(lambda z: self(z).inv())
+        return self._map(lambda w: w.inv())
 
     def scale(self, c: complex) -> "Field":
-        if self.sym is not None:
-            return Field.from_sym(self.sym.scale(c))
-        return Field(lambda z: self(z).scale(c))
+        return self._map(lambda w: w.scale(c))
 
     def mul_j(self) -> "Field":
-        if self.sym is not None:
-            return Field.from_sym(self.sym.mul_j())
-        return Field(lambda z: Bicomplex(-self(z).vec, self(z).sc))
+        return self._map(lambda w: w.mul_j())
 
 
 KERNEL_VARS = ("xi", "eta", "x", "y")
@@ -242,35 +263,22 @@ class Kernel:
         return self.sym.compiled()(zeta.x, zeta.y, z.x, z.y)
 
     def swap_arguments(self) -> "Kernel":
-        mapping = {"xi": "x", "eta": "y", "x": "xi", "y": "eta"}
-        return Kernel(self.sym.rename(mapping, KERNEL_VARS))
+        swap = {"xi": ex.Var("x"), "eta": ex.Var("y"), "x": ex.Var("xi"), "y": ex.Var("eta")}
+        return Kernel(self.sym.substitute(swap, KERNEL_VARS))
 
     def diff_z(self, var: str) -> "Kernel":
         return Kernel(self.sym.diff(var))
 
     def field_in_z(self, zeta: PlanePoint) -> Field:
         """Freeze zeta: a symbolic Field of z with exact partials."""
-        sym = _substitute(self.sym, {"xi": zeta.x, "eta": zeta.y})
-        return Field.from_sym(sym)
+        return self._freeze({"xi": ex.Num(zeta.x), "eta": ex.Num(zeta.y)})
 
     def field_in_zeta(self, z: PlanePoint) -> Field:
         """Freeze z; the result varies in zeta, renamed to (x, y)."""
-        sym = _substitute(self.sym, {"x": z.x, "y": z.y})
-        renamed = sym.rename({"xi": "x", "eta": "y"}, ("x", "y"))
-        return Field.from_sym(renamed)
+        return self._freeze(
+            {"x": ex.Num(z.x), "y": ex.Num(z.y), "xi": ex.Var("x"), "eta": ex.Var("y")}
+        )
 
-
-def _substitute(sym: SymBC, binding: dict[str, float]) -> SymBC:
-    def walk(e: ex.Expr) -> ex.Expr:
-        if isinstance(e, ex.Var) and e.name in binding:
-            return ex.Num(complex(binding[e.name]))
-        if isinstance(e, ex.BinOp):
-            return ex.BinOp(e.op, walk(e.left), walk(e.right))
-        if isinstance(e, ex.Pow):
-            return ex.Pow(walk(e.base), e.exponent)
-        if isinstance(e, ex.Call):
-            return ex.Call(e.func, walk(e.arg))
-        return e
-
-    remaining = tuple(v for v in sym.variables if v not in binding)
-    return SymBC(remaining, ex.simplify(walk(sym.sc)), ex.simplify(walk(sym.vec)))
+    def _freeze(self, binding: dict[str, ex.Expr]) -> Field:
+        sym = self.sym.substitute(binding, ("x", "y"))
+        return Field.from_sym(sym._wrap(sym.sc, sym.vec))

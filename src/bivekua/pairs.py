@@ -5,6 +5,7 @@ period-two generating sequence for separable functions f = phi(x) psi(y).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -12,7 +13,7 @@ from typing import Callable, Optional
 from . import expr as ex
 from .bicomplex import Bicomplex, PlanePoint
 from .calculus import Path, RegionGrid, wirtinger
-from .fields import Field, SymBC
+from .fields import Field, SymBC, d_z, d_zbar
 
 
 class PairError(Exception):
@@ -27,14 +28,6 @@ class MissingSequenceError(PairError):
     """Requested index outside the representable sequence window."""
 
 
-def _dzbar_sym(s: SymBC) -> SymBC:
-    return s.d_zbar()
-
-
-def _dz_sym(s: SymBC) -> SymBC:
-    return s.d_z()
-
-
 @dataclass
 class GeneratingPair:
     """A pair (F, G) with Vec(conj_j(F) G) != 0, plus its characteristic
@@ -47,41 +40,41 @@ class GeneratingPair:
     A: Field
     B: Field
 
-    def vekua_rhs(self, z: PlanePoint, w: Bicomplex) -> Bicomplex:
-        return self.a(z) * w + self.b(z) * w.conj()
+
+# -- formulas on the shared ring interface (Bicomplex or SymBC values) -------
 
 
-def _coefficients_symbolic(F: SymBC, G: SymBC):
+def _conj_and_d_inv(F, G):
+    """conj_j(F), conj_j(G) and D^{-1}, where D = F conj_j(G) - conj_j(F) G."""
     Fc, Gc = F.conj(), G.conj()
-    D = F.mul(Gc).sub(Fc.mul(G))
-    Dinv = D.inv()
-    dzbF, dzbG = _dzbar_sym(F), _dzbar_sym(G)
-    dzF, dzG = _dz_sym(F), _dz_sym(G)
-    a = Fc.mul(dzbG).sub(Gc.mul(dzbF)).mul(Dinv).neg()
-    b = F.mul(dzbG).sub(G.mul(dzbF)).mul(Dinv)
-    A = Fc.mul(dzG).sub(Gc.mul(dzF)).mul(Dinv).neg()
-    B = F.mul(dzG).sub(G.mul(dzF)).mul(Dinv)
-    return tuple(Field.from_sym(s) for s in (a, b, A, B))
+    return Fc, Gc, (F * Gc - Fc * G).inv()
 
 
-def _coefficients_numeric(F: Field, G: Field):
-    def build(which: str) -> Field:
-        def coef(z: PlanePoint) -> Bicomplex:
-            gF = wirtinger(F, z)
-            gG = wirtinger(G, z)
-            Fv, Gv = gF.value, gG.value
-            D = Fv * Gv.conj() - Fv.conj() * Gv
-            dF = gF.dzbar if which in "ab" else gF.dz
-            dG = gG.dzbar if which in "ab" else gG.dz
-            if which in "aA":
-                num = -(Fv.conj() * dG - Gv.conj() * dF)
-            else:
-                num = Fv * dG - Gv * dF
-            return num * D.inv()
+def characteristic_coefficients(F, G, dzbF, dzbG, dzF, dzG):
+    """(a, b, A, B) of the pair from the values of F, G and their Wirtinger
+    derivatives d_zbar (dzb*) and d_z (dz*)."""
+    Fc, Gc, Dinv = _conj_and_d_inv(F, G)
+    a = -((Fc * dzbG - Gc * dzbF) * Dinv)
+    b = (F * dzbG - G * dzbF) * Dinv
+    A = -((Fc * dzG - Gc * dzF) * Dinv)
+    B = (F * dzG - G * dzF) * Dinv
+    return a, b, A, B
 
-        return Field(coef)
 
-    return build("a"), build("b"), build("A"), build("B")
+def adjoint_values(F, G):
+    """(F*, G*) = (-2 conj_j(F) / D, 2 conj_j(G) / D)."""
+    Fc, Gc, Dinv = _conj_and_d_inv(F, G)
+    return Fc.scale(-2) * Dinv, Gc.scale(2) * Dinv
+
+
+def pair_operator(d, a, b, w):
+    """d - a W - b conj_j(W).  With d = d_z W and the coefficients (A, B) it
+    is the derivative in the sense of the pair; with d = d_zbar W and (a, b)
+    it is the residual of the Vekua equation."""
+    return d - a * w - b * w.conj()
+
+
+# -- fields ------------------------------------------------------------------
 
 
 def make_pair(
@@ -94,9 +87,20 @@ def make_pair(
             if abs((F(p).conj() * G(p)).vec) < 1e-14:
                 raise DegeneratePairError(f"Vec(conj_j(F) G) = 0 at {p}")
     if F.sym is not None and G.sym is not None:
-        a, b, A, B = _coefficients_symbolic(F.sym, G.sym)
+        Fx, Fy, Gx, Gy = F.sym.diff("x"), F.sym.diff("y"), G.sym.diff("x"), G.sym.diff("y")
+        coefs = characteristic_coefficients(
+            F.sym, G.sym, d_zbar(Fx, Fy), d_zbar(Gx, Gy), d_z(Fx, Fy), d_z(Gx, Gy)
+        )
+        a, b, A, B = (Field.from_sym(c) for c in coefs)
     else:
-        a, b, A, B = _coefficients_numeric(F, G)
+
+        def at(z: PlanePoint) -> tuple[Bicomplex, ...]:
+            gF, gG = wirtinger(F, z), wirtinger(G, z)
+            return characteristic_coefficients(
+                gF.value, gG.value, gF.dzbar, gG.dzbar, gF.dz, gG.dz
+            )
+
+        a, b, A, B = (Field(lambda z, k=k: at(z)[k]) for k in range(4))
     return GeneratingPair(F, G, a, b, A, B)
 
 
@@ -105,33 +109,25 @@ def fg_derivative(
 ) -> Bicomplex:
     """The derivative in the sense of the pair: d_z W - A W - B conj_j(W)."""
     g = wirtinger(w, z, h)
-    return g.dz - pair.A(z) * g.value - pair.B(z) * g.value.conj()
+    return pair_operator(g.dz, pair.A(z), pair.B(z), g.value)
 
 
 def vekua_residual(
     w: Field, pair: GeneratingPair, z: PlanePoint, h: Optional[float] = None
 ) -> float:
     g = wirtinger(w, z, h)
-    return (g.dzbar - pair.a(z) * g.value - pair.b(z) * g.value.conj()).norm
+    return pair_operator(g.dzbar, pair.a(z), pair.b(z), g.value).norm
 
 
 def adjoint_fields(pair: GeneratingPair) -> tuple[Field, Field]:
     """(F*, G*) = (-2 conj_j(F) / D, 2 conj_j(G) / D), D = F conj_j(G) - conj_j(F) G."""
     F, G = pair.F, pair.G
     if F.sym is not None and G.sym is not None:
-        D = F.sym.mul(G.sym.conj()).sub(F.sym.conj().mul(G.sym))
-        Dinv = D.inv()
-        Fs = F.sym.conj().scale(-2).mul(Dinv)
-        Gs = G.sym.conj().scale(2).mul(Dinv)
+        Fs, Gs = adjoint_values(F.sym, G.sym)
         return Field.from_sym(Fs), Field.from_sym(Gs)
-
-    def dval(z: PlanePoint) -> Bicomplex:
-        Fv, Gv = F(z), G(z)
-        return Fv * Gv.conj() - Fv.conj() * Gv
-
     return (
-        Field(lambda z: F(z).conj().scale(-2) * dval(z).inv()),
-        Field(lambda z: G(z).conj().scale(2) * dval(z).inv()),
+        Field(lambda z: adjoint_values(F(z), G(z))[0]),
+        Field(lambda z: adjoint_values(F(z), G(z))[1]),
     )
 
 
@@ -176,27 +172,23 @@ def fg_integral(w: Field, pair: GeneratingPair, path: Path) -> Bicomplex:
 # Separable generating sequences
 
 
-def _expr_of(src, var_check: str) -> ex.Expr:
-    e = ex.parse(src, ("x", "y")) if isinstance(src, str) else src
-    return e
+def _expr_of(src) -> ex.Expr:
+    return ex.parse(src, ("x", "y")) if isinstance(src, str) else src
 
 
 def separable_pair(phi, psi, m: int) -> GeneratingPair:
     """Pair number m of the period-two sequence generated by f = phi(x) psi(y):
     (f, j/f) for even m and (psi/phi, j phi/psi) for odd m."""
-    phi_e = _expr_of(phi, "x")
-    psi_e = _expr_of(psi, "y")
-    prod = ex.simplify(ex.BinOp("*", phi_e, psi_e))
+    phi_e, psi_e = _expr_of(phi), _expr_of(psi)
+    prod = ex.binop("*", phi_e, psi_e)
     if m % 2 == 0:
-        F = Field.from_sym(SymBC(("x", "y"), prod, ex.Num(0j)))
-        G = Field.from_sym(
-            SymBC(("x", "y"), ex.Num(0j), ex.simplify(ex.BinOp("/", ex.Num(1 + 0j), prod)))
-        )
+        F = Field.from_sym(SymBC(("x", "y"), prod, ex.ZERO))
+        G = Field.from_sym(SymBC(("x", "y"), ex.ZERO, ex.binop("/", ex.Num(1 + 0j), prod)))
     else:
-        ratio = ex.simplify(ex.BinOp("/", psi_e, phi_e))
-        inv_ratio = ex.simplify(ex.BinOp("/", phi_e, psi_e))
-        F = Field.from_sym(SymBC(("x", "y"), ratio, ex.Num(0j)))
-        G = Field.from_sym(SymBC(("x", "y"), ex.Num(0j), inv_ratio))
+        ratio = ex.binop("/", psi_e, phi_e)
+        inv_ratio = ex.binop("/", phi_e, psi_e)
+        F = Field.from_sym(SymBC(("x", "y"), ratio, ex.ZERO))
+        G = Field.from_sym(SymBC(("x", "y"), ex.ZERO, inv_ratio))
     return make_pair(F, G)
 
 
@@ -218,12 +210,5 @@ class GeneratingSequence:
 
     @staticmethod
     def separable(phi, psi) -> "GeneratingSequence":
-        cache: dict[int, GeneratingPair] = {}
-
-        def get(m: int) -> GeneratingPair:
-            key = m % 2
-            if key not in cache:
-                cache[key] = separable_pair(phi, psi, key)
-            return cache[key]
-
-        return GeneratingSequence(get)
+        pair = functools.cache(lambda key: separable_pair(phi, psi, key))
+        return GeneratingSequence(lambda m: pair(m % 2))

@@ -5,10 +5,12 @@ the reproducing-kernel certification, and the negative-power algorithm.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
+from . import expr as ex
 from .bicomplex import Bicomplex, J, PlanePoint, from_cj
 from .calculus import Path
 from .fields import KERNEL_VARS, Field, Kernel, SymBC
@@ -17,7 +19,9 @@ from .pairs import (
     GeneratingSequence,
     MissingSequenceError,
     adjoint_fields,
+    fg_derivative,
     make_pair,
+    pair_operator,
     vekua_residual,
 )
 
@@ -47,7 +51,6 @@ class KernelFamily:
     sym1: Optional[Kernel] = None
     symj: Optional[Kernel] = None
     pair: Optional[GeneratingPair] = None
-    continuous_in_zeta: bool = True
 
     @staticmethod
     def from_kernels(
@@ -103,24 +106,17 @@ class ContourSpec:
     ) -> "ContourSpec":
         """Circle with default probes: 5 interior points at 0.3-0.7 radii,
         3 exterior points at 1.5-3 radii."""
-        interior = []
-        for i in range(5):
-            r = (0.3 + 0.1 * i) * radius
-            th = 2 * math.pi * i / 5 + 0.37
-            interior.append(
-                PlanePoint(
-                    center.x + r * math.cos(th), center.y + r * math.sin(th)
-                )
-            )
-        exterior = []
-        for i in range(3):
-            r = (1.5 + 0.75 * i) * radius
-            th = 2 * math.pi * i / 3 + 0.81
-            exterior.append(
-                PlanePoint(
-                    center.x + r * math.cos(th), center.y + r * math.sin(th)
-                )
-            )
+
+        def ring(count: int, r0: float, dr: float, phase: float) -> list[PlanePoint]:
+            out = []
+            for i in range(count):
+                r = (r0 + dr * i) * radius
+                th = 2 * math.pi * i / count + phase
+                out.append(PlanePoint(center.x + r * math.cos(th), center.y + r * math.sin(th)))
+            return out
+
+        interior = ring(5, 0.3, 0.1, 0.37)
+        exterior = ring(3, 1.5, 0.75, 0.81)
         return ContourSpec(Path.circle(center, radius, nodes), interior, exterior)
 
 
@@ -211,6 +207,21 @@ def formal_contour_integral(
     return acc
 
 
+def cauchy_deviations(
+    evaluate: Callable[[PlanePoint], Bicomplex],
+    w: Field,
+    interior: list[PlanePoint],
+    exterior: list[PlanePoint],
+) -> tuple[float, float]:
+    """How far a Cauchy integral formula ``evaluate`` is from reproducing W:
+    max |evaluate(z0) - 2 pi W(z0)| over the interior probes and
+    max |evaluate(z0)| over the exterior ones (0 when there are none)."""
+    two_pi = 2 * math.pi
+    dev_in = max(((evaluate(z0) - w(z0).scale(two_pi)).norm for z0 in interior), default=0.0)
+    dev_out = max((evaluate(z0).norm for z0 in exterior), default=0.0)
+    return dev_in, dev_out
+
+
 def reproducing_check(
     k: KernelFamily,
     pair: GeneratingPair,
@@ -219,16 +230,14 @@ def reproducing_check(
 ) -> bool:
     """True iff the second Cauchy formula reproduces F and G at interior
     probes (value 2*pi*W) and annihilates them at exterior probes."""
-    two_pi = 2 * math.pi
     for contour in contours:
         for w in (pair.F, pair.G):
-            for z0 in contour.interior:
-                got = formal_contour_integral(k, w, contour, z0)
-                if (got - w(z0).scale(two_pi)).norm > tol:
-                    return False
-            for z0 in contour.exterior:
-                if formal_contour_integral(k, w, contour, z0).norm > tol:
-                    return False
+            devs = cauchy_deviations(
+                lambda z0: formal_contour_integral(k, w, contour, z0),
+                w, contour.interior, contour.exterior,
+            )
+            if max(devs) > tol:
+                return False
     return True
 
 
@@ -244,15 +253,9 @@ def adjoint_kernel_transfer(k: KernelFamily) -> KernelFamily:
     if k.sym1 is not None and k.symj is not None:
         s1 = k.sym1.swap_arguments().sym
         sj = k.symj.swap_arguments().sym
-        new1 = SymBC(KERNEL_VARS, _neg_expr(s1.sc), sj.sc)
-        newj = SymBC(KERNEL_VARS, s1.vec, _neg_expr(sj.vec))
-        return KernelFamily(
-            order=k.order,
-            coef1=Kernel(new1).__call__,
-            coefj=Kernel(newj).__call__,
-            sym1=Kernel(new1),
-            symj=Kernel(newj),
-        )
+        new1 = SymBC(KERNEL_VARS, ex.neg(s1.sc), sj.sc)
+        newj = SymBC(KERNEL_VARS, s1.vec, ex.neg(sj.vec))
+        return KernelFamily.from_kernels(Kernel(new1), Kernel(newj), order=k.order)
 
     def coef1(zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
         a = k.coef1(z, zeta)
@@ -267,12 +270,6 @@ def adjoint_kernel_transfer(k: KernelFamily) -> KernelFamily:
     return KernelFamily(order=k.order, coef1=coef1, coefj=coefj)
 
 
-def _neg_expr(e):
-    from . import expr as ex
-
-    return ex.simplify(ex.BinOp("-", ex.Num(0j), e))
-
-
 # ---------------------------------------------------------------------------
 # Negative powers (Bers-derivative chain)
 
@@ -281,14 +278,10 @@ def hat_sequence(seq: GeneratingSequence) -> GeneratingSequence:
     """Sequence m -> (j F*_{-m-1}, j G*_{-m-1}) whose members govern the
     derivative chain on the adjoint side."""
 
-    cache: dict[int, GeneratingPair] = {}
-
+    @functools.cache
     def get(m: int) -> GeneratingPair:
-        if m not in cache:
-            base = seq.pair_at(-m - 1)
-            Fs, Gs = adjoint_fields(base)
-            cache[m] = make_pair(Fs.mul_j(), Gs.mul_j())
-        return cache[m]
+        Fs, Gs = adjoint_fields(seq.pair_at(-m - 1))
+        return make_pair(Fs.mul_j(), Gs.mul_j())
 
     lo = -seq.hi - 1 if math.isfinite(seq.hi) else -math.inf
     hi = -seq.lo - 1 if math.isfinite(seq.lo) else math.inf
@@ -298,34 +291,6 @@ def hat_sequence(seq: GeneratingSequence) -> GeneratingSequence:
 def _lift(sym: SymBC) -> SymBC:
     """View a (x, y) symbolic value inside the 4-variable kernel space."""
     return SymBC(KERNEL_VARS, sym.sc, sym.vec)
-
-
-def _sym_fg_derivative_kernel(kernel: Kernel, pair: GeneratingPair) -> Kernel:
-    """d_z K - A K - B conj_j(K), all exact, in the z = (x, y) variables."""
-    s = kernel.sym
-    dz = s.diff("x").sub(s.diff("y").mul_j()).scale(0.5)
-    A = _lift(pair.A.sym)
-    B = _lift(pair.B.sym)
-    return Kernel(dz.sub(A.mul(s)).sub(B.mul(s.conj())))
-
-
-def _fd_fg_derivative_eval(
-    fn: KernelEval, pair: GeneratingPair, h: float
-) -> KernelEval:
-    """Finite-difference Bers derivative in z of a kernel evaluator."""
-
-    def out(zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-        fx = (
-            fn(zeta, PlanePoint(z.x + h, z.y)) - fn(zeta, PlanePoint(z.x - h, z.y))
-        ).scale(1 / (2 * h))
-        fy = (
-            fn(zeta, PlanePoint(z.x, z.y + h)) - fn(zeta, PlanePoint(z.x, z.y - h))
-        ).scale(1 / (2 * h))
-        dz = (fx - Bicomplex(-fy.vec, fy.sc)).scale(0.5)
-        val = fn(zeta, z)
-        return dz - pair.A(z) * val - pair.B(z) * val.conj()
-
-    return out
 
 
 def negative_powers(
@@ -352,20 +317,25 @@ def negative_powers(
         adjoint_seq.pair_at(m).A.sym is not None for m in range(n - 1)
     )
     if symbolic:
-        k1, kj = hat.sym1, hat.symj
+        # exact Bers derivatives in the z = (x, y) variables
+        s1, sj = hat.sym1.sym, hat.symj.sym
         for m in range(n - 1):
             pair = adjoint_seq.pair_at(m)
-            k1 = _sym_fg_derivative_kernel(k1, pair)
-            kj = _sym_fg_derivative_kernel(kj, pair)
-        hat1 = Kernel(k1.sym.scale(complex(scale))).__call__
-        hatj = Kernel(kj.sym.scale(complex(scale))).__call__
+            A, B = _lift(pair.A.sym), _lift(pair.B.sym)
+            s1, sj = (pair_operator(s.d_z(), A, B, s) for s in (s1, sj))
+        hat1 = Kernel(s1.scale(complex(scale))).__call__
+        hatj = Kernel(sj.scale(complex(scale))).__call__
     else:
+
+        def fd_step(fn, pair: GeneratingPair, h: float):
+            """Bers derivative in z of a kernel evaluator, differences at step h."""
+            return lambda zeta, z: fg_derivative(Field(lambda p: fn(zeta, p)), pair, z, h)
+
         f1, fj = hat.coef1, hat.coefj
         for m in range(n - 1):
             pair = adjoint_seq.pair_at(m)
             h = 1e-3 * 2.0 ** (-m)
-            f1 = _fd_fg_derivative_eval(f1, pair, h)
-            fj = _fd_fg_derivative_eval(fj, pair, h)
+            f1, fj = fd_step(f1, pair, h), fd_step(fj, pair, h)
         hat1 = lambda zeta, z: f1(zeta, z).scale(scale)  # noqa: E731
         hatj = lambda zeta, z: fj(zeta, z).scale(scale)  # noqa: E731
 
@@ -419,21 +389,23 @@ def power_residual_scan(
     return ResidualReport(r1, rj)
 
 
-_RHO2 = "(x - xi)^2 + (y - eta)^2"
+# Building blocks of the closed-form kernels over (xi, eta, x, y).
+RHO2 = "(x - xi)^2 + (y - eta)^2"
+LOG_RHO = f"0.5*log({RHO2})"
 
 
 def analytic_kernel() -> KernelFamily:
     """The classical Cauchy kernels 1/(z - zeta) and j/(z - zeta)."""
-    k1 = Kernel.make(f"(x - xi)/({_RHO2})", f"-(y - eta)/({_RHO2})")
-    kj = Kernel.make(f"(y - eta)/({_RHO2})", f"(x - xi)/({_RHO2})")
+    k1 = Kernel.make(f"(x - xi)/({RHO2})", f"-(y - eta)/({RHO2})")
+    kj = Kernel.make(f"(y - eta)/({RHO2})", f"(x - xi)/({RHO2})")
     return KernelFamily.from_kernels(k1, kj)
 
 
 def counterexample_kernel() -> KernelFamily:
     """1/(z - zeta) + xi and j/(z - zeta): solves the analytic equation in z
     but fails the reproducing property (the contour integral gives pi)."""
-    k1 = Kernel.make(f"(x - xi)/({_RHO2}) + xi", f"-(y - eta)/({_RHO2})")
-    kj = Kernel.make(f"(y - eta)/({_RHO2})", f"(x - xi)/({_RHO2})")
+    k1 = Kernel.make(f"(x - xi)/({RHO2}) + xi", f"-(y - eta)/({RHO2})")
+    kj = Kernel.make(f"(y - eta)/({RHO2})", f"(x - xi)/({RHO2})")
     return KernelFamily.from_kernels(k1, kj)
 
 
@@ -443,6 +415,6 @@ def reproducing_example_kernel() -> KernelFamily:
     are chosen so their boundary contributions cancel by Green's theorem:
     for any closed contour the correction part of the reproducing integral is
     a multiple of the enclosed area with opposite signs from the two terms."""
-    k1 = Kernel.make(f"(x - xi)/({_RHO2}) - xi", f"-(y - eta)/({_RHO2})")
-    kj = Kernel.make(f"(y - eta)/({_RHO2}) + eta", f"(x - xi)/({_RHO2})")
+    k1 = Kernel.make(f"(x - xi)/({RHO2}) - xi", f"-(y - eta)/({RHO2})")
+    kj = Kernel.make(f"(y - eta)/({RHO2}) + eta", f"(x - xi)/({RHO2})")
     return KernelFamily.from_kernels(k1, kj)

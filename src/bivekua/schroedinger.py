@@ -13,24 +13,14 @@ from typing import Callable, Optional, Union
 
 from . import expr as ex
 from .bicomplex import Bicomplex, PlanePoint
-from .calculus import Path, _partials, tf_transform
-from .fields import KERNEL_VARS, Field, Kernel, SymBC
+from .calculus import Path, tf_transform
+from .fields import KERNEL_VARS, Field, Kernel, SymBC, central_difference, partials
 from .pairs import GeneratingPair, adjoint_pair, make_pair
-from .powers import KernelFamily, SingularPointError, adjoint_kernel_transfer
+from .powers import LOG_RHO, RHO2, KernelFamily, SingularPointError, adjoint_kernel_transfer
 
 
 class SchroedingerError(Exception):
     pass
-
-
-_ZERO = ex.Num(0j)
-
-
-def _e(op: str, left: ex.Expr, right: ex.Expr) -> ex.Expr:
-    return ex.simplify(ex.BinOp(op, left, right))
-
-
-_LOG_RHO = "0.5*log((x - xi)^2 + (y - eta)^2)"
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +53,7 @@ class FundamentalSolution:
         return FundamentalSolution(
             q=Field.constant(Bicomplex(0, 0)),
             regular=lambda zeta, z: 0j,
-            sym=Kernel.make(_LOG_RHO),
+            sym=Kernel.make(LOG_RHO),
         )
 
     @staticmethod
@@ -83,27 +73,38 @@ class FundamentalSolution:
 
 def _laplacian(u: Field, z: PlanePoint, h: Optional[float] = None) -> Bicomplex:
     if u.sym is not None and h is None:
-        sxx = u.sym.diff("x").diff("x")
-        syy = u.sym.diff("y").diff("y")
-        return sxx.add(syy)(z.x, z.y)
+        return u.dx.dx(z) + u.dy.dy(z)
     if h is None:
         h = 1e-4 * (1 + math.hypot(z.x, z.y))
-    center = u(z).scale(4)
-    total = (
-        u(PlanePoint(z.x + h, z.y))
-        + u(PlanePoint(z.x - h, z.y))
-        + u(PlanePoint(z.x, z.y + h))
-        + u(PlanePoint(z.x, z.y - h))
-    )
-    return (total - center).scale(1 / h**2)
+
+    def second(axis: str) -> Bicomplex:
+        # a difference of differences at step h/2: the 5-point stencil's
+        # second difference with step h
+        first = lambda p: central_difference(u, p, h / 2, axis)  # noqa: E731
+        return central_difference(first, z, h / 2, axis)
+
+    return second("x") + second("y")
+
+
+# -- formulas on the shared ring interface (Bicomplex or SymBC values) -------
+
+
+def _potential(f, lap):
+    """q = (Laplacian f) / f."""
+    return lap * f.inv()
+
+
+def _darboux_potential(f, fx, fy, q):
+    """q1 = 2((f_x)^2 + (f_y)^2) / f^2 - q."""
+    return ((fx * fx + fy * fy) * (f * f).inv()).scale(2) - q
 
 
 def potential_from_f(f: Field) -> Field:
     """The potential q = (Laplacian f)/f of the equation solved by f."""
     if f.sym is not None:
-        lap = f.sym.diff("x").diff("x").add(f.sym.diff("y").diff("y"))
-        return Field.from_sym(lap.mul(f.sym.inv()))
-    return Field(lambda z: _laplacian(f, z) * f(z).inv())
+        lap = f.sym.diff("x").diff("x") + f.sym.diff("y").diff("y")
+        return Field.from_sym(_potential(f.sym, lap))
+    return Field(lambda z: _potential(f(z), _laplacian(f, z)))
 
 
 def darboux_potential(f: Field) -> Field:
@@ -111,16 +112,8 @@ def darboux_potential(f: Field) -> Field:
     q = potential_from_f(f)
     if f.sym is not None:
         fx, fy = f.sym.diff("x"), f.sym.diff("y")
-        grad2 = fx.mul(fx).add(fy.mul(fy))
-        lead = grad2.mul(f.sym.mul(f.sym).inv()).scale(2)
-        return Field.from_sym(lead) - q
-
-    def val(z: PlanePoint) -> Bicomplex:
-        fv, fx, fy = _partials(f, z, None)
-        grad2 = fx * fx + fy * fy
-        return grad2.scale(2) * (fv * fv).inv() - q(z)
-
-    return Field(val)
+        return Field.from_sym(_darboux_potential(f.sym, fx, fy, q.sym))
+    return Field(lambda z: _darboux_potential(*partials(f, z), q(z)))
 
 
 def schroedinger_residual(
@@ -179,10 +172,10 @@ def successor_kernel_coef1(S: FundamentalSolution, f: Field) -> KernelFamily:
         s = S.sym.sym.sc
         sx, sy = ex.diff(s, "x"), ex.diff(s, "y")
         fe = f.sym.sc
-        ratio_x = _e("/", ex.diff(fe, "x"), fe)
-        ratio_y = _e("/", ex.diff(fe, "y"), fe)
-        sc = _e("-", sx, _e("*", ratio_x, s))
-        vec = _e("-", _e("*", ratio_y, s), sy)
+        ratio_x = ex.binop("/", ex.diff(fe, "x"), fe)
+        ratio_y = ex.binop("/", ex.diff(fe, "y"), fe)
+        sc = ex.binop("-", sx, ex.binop("*", ratio_x, s))
+        vec = ex.binop("-", ex.binop("*", ratio_y, s), sy)
         k = Kernel(SymBC(KERNEL_VARS, sc, vec))
         return KernelFamily(order=-1, coef1=k.__call__, coefj=_missing_coefj, sym1=k)
 
@@ -190,13 +183,10 @@ def successor_kernel_coef1(S: FundamentalSolution, f: Field) -> KernelFamily:
         if zeta.dist(z) == 0:
             raise SingularPointError(f"kernel evaluated on the diagonal at {z}")
         h = 1e-5 * (1 + math.hypot(z.x, z.y))
-        sval = S(zeta, z)
-        s_x = (S(zeta, PlanePoint(z.x + h, z.y)) - S(zeta, PlanePoint(z.x - h, z.y))) / (2 * h)
-        s_y = (S(zeta, PlanePoint(z.x, z.y + h)) - S(zeta, PlanePoint(z.x, z.y - h))) / (2 * h)
-        fv, fx, fy = _partials(f, z, None)
-        return Bicomplex(
-            s_x - fx.sc / fv.sc * sval, fy.sc / fv.sc * sval - s_y
-        )
+        s_field = Field(lambda p: Bicomplex(S(zeta, p), 0))
+        sval, s_x, s_y = (v.sc for v in partials(s_field, z, h))
+        fv, fx, fy = partials(f, z)
+        return Bicomplex(s_x - fx.sc / fv.sc * sval, fy.sc / fv.sc * sval - s_y)
 
     return KernelFamily(order=-1, coef1=coef1, coefj=_missing_coefj)
 
@@ -222,8 +212,8 @@ def successor_kernel_coefj(
         path = Path.detour(zeta0, zeta, z, side=side)
         if k1.sym1 is not None:
             base = k1.sym1.field_in_zeta(z).sym
-            u1 = Field.from_sym(SymBC(("x", "y"), _e("-", _ZERO, base.sc)))
-            u2 = Field.from_sym(SymBC(("x", "y"), _e("-", _ZERO, base.vec)))
+            u1 = Field.from_sym(SymBC(("x", "y"), ex.neg(base.sc)))
+            u2 = Field.from_sym(SymBC(("x", "y"), ex.neg(base.vec)))
         else:
             u1 = Field(lambda p: Bicomplex(-k1.coef1(p, z).sc, 0))
             u2 = Field(lambda p: Bicomplex(-k1.coef1(p, z).vec, 0))
@@ -297,18 +287,18 @@ def conjugate_pair_build(f: Field, u: Field, path_base: PlanePoint) -> Field:
     def func(z: PlanePoint) -> Bicomplex:
         return Bicomplex(u(z).sc, v_val(z))
 
-    def grads(z: PlanePoint):
-        uv, ux, uy = _partials(u, z, None)
-        fv, fx, fy = _partials(f, z, None)
+    def grads(z: PlanePoint) -> tuple[Bicomplex, Bicomplex]:
+        uv, ux, uy = partials(u, z)
+        fv, fx, fy = partials(f, z)
         v = v_val(z)
         gx = ux.sc * fv.sc - uv.sc * fx.sc
         gy = uy.sc * fv.sc - uv.sc * fy.sc
         vx = (-gy - v * fx.sc) / fv.sc
         vy = (gx - v * fy.sc) / fv.sc
-        return ux.sc, uy.sc, vx, vy
+        return Bicomplex(ux.sc, vx), Bicomplex(uy.sc, vy)
 
-    dx = Field(lambda z: Bicomplex(grads(z)[0], grads(z)[2]))
-    dy = Field(lambda z: Bicomplex(grads(z)[1], grads(z)[3]))
+    dx = Field(lambda z: grads(z)[0])
+    dy = Field(lambda z: grads(z)[1])
     return Field.with_partials(func, dx, dy)
 
 
@@ -319,10 +309,6 @@ def conjugate_pair_build(f: Field, u: Field, path_base: PlanePoint) -> Field:
 # main-equation kernels, negative powers, and Darboux fundamental solution
 # all have closed forms, used as oracles throughout the test suite.
 
-_RHO2 = "(x - xi)^2 + (y - eta)^2"
-_L = f"0.5*log({_RHO2})"
-
-
 def x_problem(region=None) -> MainVekuaProblem:
     return MainVekuaProblem.from_f(Field.from_exprs("x"), region)
 
@@ -330,12 +316,12 @@ def x_problem(region=None) -> MainVekuaProblem:
 def x_successor_family() -> KernelFamily:
     """Closed-form successor kernels for f = x (potential 0 side)."""
     k1 = Kernel.make(
-        f"(x - xi)/({_RHO2}) - ({_L})/x",
-        f"-(y - eta)/({_RHO2})",
+        f"(x - xi)/({RHO2}) - ({LOG_RHO})/x",
+        f"-(y - eta)/({RHO2})",
     )
     kj = Kernel.make(
-        f"(y - eta)/({_RHO2}) + ((y - eta)/(x*xi))*(({_L}) - 1)",
-        f"(x - xi)/({_RHO2}) + ({_L})/xi",
+        f"(y - eta)/({RHO2}) + ((y - eta)/(x*xi))*(({LOG_RHO}) - 1)",
+        f"(x - xi)/({RHO2}) + ({LOG_RHO})/xi",
     )
     return KernelFamily.from_kernels(k1, kj, order=-1)
 
@@ -343,12 +329,12 @@ def x_successor_family() -> KernelFamily:
 def x_main_family() -> KernelFamily:
     """Closed-form reproducing kernels for the main Vekua equation of f = x."""
     k1 = Kernel.make(
-        f"(x - xi)/({_RHO2}) + ({_L})/xi",
-        f"-(y - eta)/({_RHO2}) - ((y - eta)/(x*xi))*(({_L}) - 1)",
+        f"(x - xi)/({RHO2}) + ({LOG_RHO})/xi",
+        f"-(y - eta)/({RHO2}) - ((y - eta)/(x*xi))*(({LOG_RHO}) - 1)",
     )
     kj = Kernel.make(
-        f"(y - eta)/({_RHO2})",
-        f"(x - xi)/({_RHO2}) - ({_L})/x",
+        f"(y - eta)/({RHO2})",
+        f"(x - xi)/({RHO2}) - ({LOG_RHO})/x",
     )
     return KernelFamily.from_kernels(k1, kj, order=-1)
 
@@ -402,7 +388,7 @@ def x_darboux_fundamental() -> FundamentalSolution:
     """Closed-form fundamental solution of the q1 = 2/x^2 equation obtained
     from f = x with the path base point zeta + 1."""
     s1 = (
-        f"({_L}) + (({_RHO2})/(2*x*xi))*({_L})"
-        f" - (({_RHO2}) + 2*(y - eta)^2 - 1)/(4*x*xi)"
+        f"({LOG_RHO}) + (({RHO2})/(2*x*xi))*({LOG_RHO})"
+        f" - (({RHO2}) + 2*(y - eta)^2 - 1)/(4*x*xi)"
     )
     return FundamentalSolution.from_closed_form(s1, Field.from_exprs("2/x^2"))

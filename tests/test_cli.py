@@ -239,3 +239,18 @@ def test_unknown_kernel_rejected(tmp_path):
         {"kernel": "bogus", "zeta": [1, 0], "grid": {"x0": 0, "x1": 1, "y0": 0, "y1": 1, "nx": 1, "ny": 1}},
     )
     assert main(["eval-kernel", "--config", str(cfg), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("nodes", 0), ("nodes", True), ("tol", float("nan")), ("tol", -1), ("tol", "abc")],
+)
+def test_bad_tol_or_nodes_is_config_error(tmp_path, capsys, key, value):
+    cfg = {"kernel": "x-main", "f": "x", "contour": {"center": [3, 0], "radius": 1}}
+    if key == "nodes":
+        cfg["contour"]["nodes"] = value
+    else:
+        cfg["tol"] = value
+    path = _write(tmp_path, "c.json", cfg)
+    assert main(["verify-reproducing", "--config", str(path), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")

@@ -156,3 +156,14 @@ def test_extra_variables():
 def test_scientific_notation():
     f = compile_expr(parse("1e-2 * x"))
     assert math.isclose(f(3.0, 0.0).real, 0.03)
+
+
+def test_non_finite_literal_rejected():
+    with pytest.raises(ExprSyntaxError) as info:
+        parse("2 + 1e400*x")
+    assert info.value.offset == 4
+
+
+def test_deep_nesting_rejected():
+    with pytest.raises(ExprSyntaxError):
+        parse("(" * 5000 + "x" + ")" * 5000)

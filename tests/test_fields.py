@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from bivekua.bicomplex import Bicomplex, PlanePoint, isclose
 from bivekua.fields import Field, Kernel, SymBC
 
@@ -9,12 +11,25 @@ def test_symbc_eval():
     assert isclose(f(2.0, 3.0), Bicomplex(7, 6))
 
 
-def test_symbc_mul_matches_bicomplex_mul():
-    a = SymBC.make("x", "y")
-    b = SymBC.make("y", "2*x")
-    prod = a.mul(b)
+RING_OPS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "neg": lambda a, b: -a,
+    "conj": lambda a, b: a.conj(),
+    "inv": lambda a, b: a.inv(),
+    "scale": lambda a, b: a.scale(1.5 - 2j),
+    "mul_j": lambda a, b: a.mul_j(),
+}
+
+
+@pytest.mark.parametrize("name", list(RING_OPS))
+def test_symbc_ring_matches_bicomplex(name):
+    op = RING_OPS[name]
+    a = SymBC.make("x + i*y", "y")
+    b = SymBC.make("y", "2*x - i")
     z = (1.5, -0.75)
-    assert isclose(prod(*z), a(*z) * b(*z))
+    assert isclose(op(a, b)(*z), op(a(*z), b(*z)))
 
 
 def test_symbc_inv():
