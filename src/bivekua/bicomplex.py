@@ -30,6 +30,10 @@ class DivisionByZeroError(BicomplexError):
     """Attempt to invert the zero element."""
 
 
+class OutOfRangeError(BicomplexError):
+    """A component of an inverse that is not a finite double."""
+
+
 def _require_finite(c: complex) -> complex:
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise InvalidValueError(f"non-finite component: {c!r}")
@@ -102,11 +106,10 @@ class Bicomplex:
         return Bicomplex(-self.sc, -self.vec)
 
     def __mul__(self, other: "Bicomplex") -> "Bicomplex":
-        # j^2 = -1, ij = ji
-        return Bicomplex(
-            self.sc * other.sc - self.vec * other.vec,
-            self.sc * other.vec + self.vec * other.sc,
-        )
+        # (WV)+- = W+- V+-: no sum of products that can overflow or cancel
+        p, m = self.idempotent()
+        q, n = other.idempotent()
+        return Bicomplex.from_idempotent_coords(p * q, m * n)
 
     def scale(self, c: complex) -> "Bicomplex":
         """Multiplication by a C_i scalar."""
@@ -130,16 +133,23 @@ class Bicomplex:
 
     @property
     def is_zero_divisor(self) -> bool:
-        return not self.is_zero and self.times_conj() == 0
+        """Exactly one of the idempotent components W+, W- is 0."""
+        p, m = self.idempotent()
+        return (p == 0) != (m == 0)
 
     def inv(self) -> "Bicomplex":
-        """W^{-1} = conj_j(W) / (W conj_j(W))."""
+        """W^{-1} = P+/W+ + P-/W-."""
         if self.is_zero:
             raise DivisionByZeroError("inverse of zero")
-        d = self.times_conj()
-        if d == 0:
+        p, m = self.idempotent()
+        if p == 0 or m == 0:
             raise ZeroDivisorError(f"{self!r} is a zero divisor")
-        return Bicomplex(self.sc / d, -self.vec / d)
+        # halving before the sum keeps results up to the largest double finite
+        hp, hm = 0.5 / p, 0.5 / m
+        sc, vec = hp + hm, 1j * (hp - hm)
+        if not all(math.isfinite(c) for c in (sc.real, sc.imag, vec.real, vec.imag)):
+            raise OutOfRangeError(f"the inverse of {self!r} is outside the double range")
+        return Bicomplex(sc, vec)
 
     def __truediv__(self, other: "Bicomplex") -> "Bicomplex":
         return self * other.inv()

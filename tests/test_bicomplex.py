@@ -1,7 +1,8 @@
 import math
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bivekua.bicomplex import (
@@ -13,6 +14,7 @@ from bivekua.bicomplex import (
     Bicomplex,
     DivisionByZeroError,
     InvalidValueError,
+    OutOfRangeError,
     PlanePoint,
     ZeroDivisorError,
     bc_exp,
@@ -65,6 +67,27 @@ def test_inv_zero_divisor():
 def test_inv_zero():
     with pytest.raises(DivisionByZeroError):
         ZERO.inv()
+
+
+def test_inv_near_underflow():
+    w = Bicomplex(1e-200, 0)  # a unit, not a zero divisor
+    assert not w.is_zero_divisor
+    assert isclose(w.inv().scale(1e-200), ONE, tol=1e-15)
+
+
+def test_inv_near_overflow():
+    assert isclose(Bicomplex(1e200, 0).inv().scale(1e200), ONE, tol=1e-15)
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        Bicomplex(0, 3.352974370446957e-159j),
+        Bicomplex(8j, complex(8, 2.2250738585072014e-308)),
+    ],
+)
+def test_inversion_identity_at_range_edges(w):
+    assert (w * w.inv() - ONE).norm <= 1e-15
 
 
 def test_norm_examples():
@@ -161,8 +184,6 @@ def test_exp_inverse(w):
 @given(bicomplexes())
 def test_zero_divisor_classification(w):
     p, m = w.idempotent()
-    if 0 < w.norm < 1e-100:
-        return  # times_conj underflows for subnormal components
     if w.is_zero_divisor:
         assert (p == 0) != (m == 0)
     elif not w.is_zero and w.times_conj() != 0:
@@ -170,8 +191,17 @@ def test_zero_divisor_classification(w):
 
 
 @given(bicomplexes())
+@example(Bicomplex(1j, complex(1, 2.225073858507203e-309)))  # W+ ~ 2e-309
 def test_inversion_identity(w):
-    if w.is_zero or w.times_conj() == 0:
+    if w.is_zero or w.is_zero_divisor:
+        return
+    # W^-1 = 2^600 (2^600 W)^-1, and the scaled inverse is well inside the range
+    scale = 2.0**600
+    scaled = Bicomplex(w.sc * scale, w.vec * scale).inv()
+    parts = (scaled.sc.real, scaled.sc.imag, scaled.vec.real, scaled.vec.imag)
+    if max(map(abs, parts)) > sys.float_info.max / scale:
+        with pytest.raises(OutOfRangeError):
+            w.inv()
         return
     prod = w * w.inv()
     # Conditioning degrades near the zero-divisor cone; scale by it.
