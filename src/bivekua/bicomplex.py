@@ -106,7 +106,7 @@ class Bicomplex:
         return Bicomplex(-self.sc, -self.vec)
 
     def __mul__(self, other: "Bicomplex") -> "Bicomplex":
-        # (WV)+- = W+- V+-: no sum of products that can overflow or cancel
+        # (WV)+- = W+- V+-
         p, m = self.idempotent()
         q, n = other.idempotent()
         return Bicomplex.from_idempotent_coords(p * q, m * n)

@@ -317,25 +317,23 @@ def cmd_residual_scan(cfg: dict):
     samples = int(cfg.get("samples", 20))
     tol = _tol(cfg)
     fld = _require(cfg, "field", dict)
-    rows = []
-    worst = 0.0
     if kind == "vekua":
         w = Field.from_exprs(_require(fld, "sc", str), fld.get("vec", "0"))
         pair = _build_pair(cfg)
-        for p in region.sample_points(samples):
-            res = vekua_residual(w, pair, p)
-            worst = max(worst, res)
-            rows.append(f"{_fmt(p.x)},{_fmt(p.y)},{_fmt(res)}")
+        residual = lambda p: vekua_residual(w, pair, p)  # noqa: E731
     elif kind == "schroedinger":
         u = Field.from_exprs(_require(fld, "sc", str))
         q = Field.from_exprs(_require(cfg, "q", str))
         h = cfg.get("h")
-        for p in region.sample_points(samples):
-            res = schroedinger_residual(u, q, p, h)
-            worst = max(worst, res)
-            rows.append(f"{_fmt(p.x)},{_fmt(p.y)},{_fmt(res)}")
+        residual = lambda p: schroedinger_residual(u, q, p, h)  # noqa: E731
     else:
         raise ConfigError("kind must be 'vekua' or 'schroedinger'")
+    rows = []
+    worst = 0.0
+    for p in region.sample_points(samples):
+        res = residual(p)
+        worst = max(worst, res)
+        rows.append(f"{_fmt(p.x)},{_fmt(p.y)},{_fmt(res)}")
     checks = [_check("max_residual", worst, 0.0, tol)]
     return checks, {"residuals.csv": ["x,y,residual"] + rows}, {}
 

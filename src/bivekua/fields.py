@@ -124,7 +124,9 @@ def d_zbar(fx, fy):
     return (fx + fy.mul_j()).scale(0.5)
 
 
-# -- derivatives at a point -------------------------------------------------
+def default_step(z: PlanePoint) -> float:
+    """The finite-difference step when the caller gives none: 1e-4 (1 + |z|)."""
+    return 1e-4 * (1 + math.hypot(z.x, z.y))
 
 
 def central_difference(
@@ -143,12 +145,12 @@ def partials(
     w: "Field", z: PlanePoint, h: Optional[float] = None
 ) -> tuple[Bicomplex, Bicomplex, Bicomplex]:
     """(value, d/dx, d/dy) of w at z: exact when the field carries partials,
-    else central differences with step h, by default 1e-4 (1 + |z|)."""
+    else central differences with step h, by default ``default_step(z)``."""
     value = w(z)
     if w.has_exact_partials:
         return value, w.dx(z), w.dy(z)
     if h is None:
-        h = 1e-4 * (1 + math.hypot(z.x, z.y))
+        h = default_step(z)
     return value, central_difference(w, z, h, "x"), central_difference(w, z, h, "y")
 
 

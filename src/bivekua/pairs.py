@@ -74,9 +74,6 @@ def pair_operator(d, a, b, w):
     return d - a * w - b * w.conj()
 
 
-# -- fields ------------------------------------------------------------------
-
-
 def make_pair(
     F: Field, G: Field, region: Optional[RegionGrid] = None, samples: int = 20
 ) -> GeneratingPair:
@@ -182,13 +179,11 @@ def separable_pair(phi, psi, m: int) -> GeneratingPair:
     phi_e, psi_e = _expr_of(phi), _expr_of(psi)
     prod = ex.binop("*", phi_e, psi_e)
     if m % 2 == 0:
-        F = Field.from_sym(SymBC(("x", "y"), prod, ex.ZERO))
-        G = Field.from_sym(SymBC(("x", "y"), ex.ZERO, ex.binop("/", ex.Num(1 + 0j), prod)))
+        f_sc, g_vec = prod, ex.binop("/", ex.Num(1 + 0j), prod)
     else:
-        ratio = ex.binop("/", psi_e, phi_e)
-        inv_ratio = ex.binop("/", phi_e, psi_e)
-        F = Field.from_sym(SymBC(("x", "y"), ratio, ex.ZERO))
-        G = Field.from_sym(SymBC(("x", "y"), ex.ZERO, inv_ratio))
+        f_sc, g_vec = ex.binop("/", psi_e, phi_e), ex.binop("/", phi_e, psi_e)
+    F = Field.from_sym(SymBC(("x", "y"), f_sc, ex.ZERO))
+    G = Field.from_sym(SymBC(("x", "y"), ex.ZERO, g_vec))
     return make_pair(F, G)
 
 

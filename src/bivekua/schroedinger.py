@@ -14,7 +14,7 @@ from typing import Callable, Optional, Union
 from . import expr as ex
 from .bicomplex import Bicomplex, PlanePoint
 from .calculus import Path, tf_transform
-from .fields import KERNEL_VARS, Field, Kernel, SymBC, central_difference, partials
+from .fields import KERNEL_VARS, Field, Kernel, SymBC, central_difference, default_step, partials
 from .pairs import GeneratingPair, adjoint_pair, make_pair
 from .powers import LOG_RHO, RHO2, KernelFamily, SingularPointError, adjoint_kernel_transfer
 
@@ -75,7 +75,7 @@ def _laplacian(u: Field, z: PlanePoint, h: Optional[float] = None) -> Bicomplex:
     if u.sym is not None and h is None:
         return u.dx.dx(z) + u.dy.dy(z)
     if h is None:
-        h = 1e-4 * (1 + math.hypot(z.x, z.y))
+        h = default_step(z)
 
     def second(axis: str) -> Bicomplex:
         # a difference of differences at step h/2: the 5-point stencil's
