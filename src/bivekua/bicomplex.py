@@ -109,7 +109,14 @@ class Bicomplex:
         # (WV)+- = W+- V+-
         p, m = self.idempotent()
         q, n = other.idempotent()
-        return Bicomplex.from_idempotent_coords(p * q, m * n)
+        try:
+            return Bicomplex.from_idempotent_coords(p * q, m * n)
+        except InvalidValueError:
+            # W+- can pass the double range while W does not (W = 1e308 (1 - i)
+            # (1 - j)); (W/2)+- cannot, and WV = 4 (W/2)(V/2)
+            p, m = self.scale(0.5).idempotent()
+            q, n = other.scale(0.5).idempotent()
+            return Bicomplex(2 * (p * q + m * n), 2j * (p * q - m * n))
 
     def scale(self, c: complex) -> "Bicomplex":
         """Multiplication by a C_i scalar."""

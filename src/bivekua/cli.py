@@ -84,6 +84,19 @@ def _tol(cfg: dict) -> float:
     return tol
 
 
+def _int(
+    cfg: dict, key: str, minimum: Optional[int] = None, default: Optional[int] = None
+) -> int:
+    """An integer config value, not a bool, of at least ``minimum``; the key
+    is required when there is no default."""
+    v = _require(cfg, key) if default is None else cfg.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"config key '{key}' must be an integer")
+    if minimum is not None and v < minimum:
+        raise ConfigError(f"config key '{key}' must be at least {minimum}")
+    return v
+
+
 def _point(cfg: dict, key: str) -> PlanePoint:
     v = _require(cfg, key, list)
     if len(v) != 2 or not all(isinstance(c, (int, float)) for c in v):
@@ -108,7 +121,7 @@ def _build_pair(cfg: dict):
         if "separable" in p:
             s = p["separable"]
             return separable_pair(
-                _require(s, "phi", str), _require(s, "psi", str), _require(s, "m", int)
+                _require(s, "phi", str), _require(s, "psi", str), _int(s, "m")
             )
         F = Field.from_exprs(_require(p, "F_sc", str), p.get("F_vec", "0"))
         G = Field.from_exprs(_require(p, "G_sc", str), p.get("G_vec", "0"))
@@ -163,20 +176,14 @@ def _contour(cfg: dict) -> ContourSpec:
     radius = _require(c, "radius", (int, float))
     if radius <= 0:
         raise ConfigError("contour radius must be positive")
-    nodes = c.get("nodes", 512)
-    if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 1:
-        raise ConfigError("contour nodes must be a positive integer")
-    return ContourSpec.circle(center, float(radius), nodes)
+    return ContourSpec.circle(center, float(radius), _int(c, "nodes", 1, 512))
 
 
 def _grid_points(cfg: dict) -> list[PlanePoint]:
     g = _require(cfg, "grid", dict)
-    for k in ("x0", "x1", "y0", "y1", "nx", "ny"):
+    for k in ("x0", "x1", "y0", "y1"):
         _require(g, k, (int, float))
-    nx, ny = int(g["nx"]), int(g["ny"])
-    if nx <= 0 or ny <= 0:
-        raise ConfigError("grid nx/ny must be positive")
-    return midpoints(g["x0"], g["x1"], g["y0"], g["y1"], nx, ny)
+    return midpoints(g["x0"], g["x1"], g["y0"], g["y1"], _int(g, "nx", 1), _int(g, "ny", 1))
 
 
 def _region(cfg: dict) -> RegionGrid:
@@ -250,7 +257,8 @@ def cmd_verify_reproducing(cfg: dict):
 def cmd_build_powers(cfg: dict):
     f_expr = _require(cfg, "f", str)
     sep = _require(cfg, "separable", dict)
-    n = _require(cfg, "n", int)
+    n = _int(cfg, "n", 1)
+    samples = _int(cfg, "samples", 1, 20)
     tol = _tol(cfg)
     base = _build_kernel(cfg)
     seq = hat_sequence(
@@ -259,7 +267,7 @@ def cmd_build_powers(cfg: dict):
         )
     )
     fam = negative_powers(base, seq, n)
-    pairs = _random_point_pairs(cfg, int(cfg.get("samples", 20)))
+    pairs = _random_point_pairs(cfg, samples)
     extra = {}
     if f_expr.strip() == "x" and n >= 2:
         oracle = x_negative_power(n)
@@ -314,7 +322,7 @@ def cmd_build_fundamental(cfg: dict):
 def cmd_residual_scan(cfg: dict):
     kind = cfg.get("kind", "vekua")
     region = _region(cfg)
-    samples = int(cfg.get("samples", 20))
+    samples = _int(cfg, "samples", 1, 20)
     tol = _tol(cfg)
     fld = _require(cfg, "field", dict)
     if kind == "vekua":

@@ -263,28 +263,48 @@ def _negate(e: Expr) -> Expr:
 
 # ---------------------------------------------------------------------------
 # Differentiation and light simplification
+#
+# Trees share subtrees (``binop(op, e, e)`` uses ``e`` twice), and each pass
+# below visits every distinct node once.  ``simplify`` marks each BinOp, Pow
+# and Call node it returns and returns a marked node as it is; ``diff`` and
+# ``substitute`` memoise by node identity for the length of one call, so a
+# shared subtree is processed once and its result is shared in turn.
 
 
 def _is_num(e: Expr, value=None) -> bool:
     return isinstance(e, Num) and (value is None or e.value == value)
 
 
-def simplify(e: Expr) -> Expr:
-    """Constant folding and 0/1 identities; not a canonicalizer."""
-    if isinstance(e, (Num, Var)):
-        return e
+def _node(e: Expr, *kids: Expr) -> Expr:
+    """A BinOp, Pow or Call like e over kids; e itself when they are its own
+    children."""
+    if isinstance(e, BinOp):
+        left, right = kids
+        return e if left is e.left and right is e.right else BinOp(e.op, left, right)
+    (kid,) = kids
     if isinstance(e, Pow):
-        base = simplify(e.base)
+        return e if kid is e.base else Pow(kid, e.exponent)
+    return e if kid is e.arg else Call(e.func, kid)
+
+
+def _mark(e: Expr) -> Expr:
+    object.__setattr__(e, "_simplified", True)
+    return e
+
+
+def _fold(e: Expr) -> Expr:
+    """simplify of a BinOp, Pow or Call whose children are simplified."""
+    if isinstance(e, Pow):
         if e.exponent == 0:
             return Num(1 + 0j)
         if e.exponent == 1:
-            return base
-        if isinstance(base, Num):
-            return Num(base.value**e.exponent)
-        return Pow(base, e.exponent)
+            return e.base
+        if isinstance(e.base, Num):
+            return Num(e.base.value**e.exponent)
+        return _mark(e)
     if isinstance(e, Call):
-        return Call(e.func, simplify(e.arg))
-    left, right = simplify(e.left), simplify(e.right)
+        return _mark(e)
+    left, right = e.left, e.right
     op = e.op
     if isinstance(left, Num) and isinstance(right, Num):
         if op == "+":
@@ -315,10 +335,31 @@ def simplify(e: Expr) -> Expr:
             return Num(0j)
         if _is_num(right, 1):
             return left
-    return BinOp(op, left, right)
+    return _mark(e)
+
+
+def _simplify(e: Expr, memo: dict) -> Expr:
+    if isinstance(e, (Num, Var)) or "_simplified" in e.__dict__:
+        return e
+    out = memo.get(id(e))
+    if out is None:
+        if isinstance(e, BinOp):
+            node = _node(e, _simplify(e.left, memo), _simplify(e.right, memo))
+        elif isinstance(e, Pow):
+            node = _node(e, _simplify(e.base, memo))
+        else:
+            node = _node(e, _simplify(e.arg, memo))
+        out = memo[id(e)] = _fold(node)
+    return out
+
+
+def simplify(e: Expr) -> Expr:
+    """Constant folding and 0/1 identities; not a canonicalizer."""
+    return _simplify(e, {})
 
 
 ZERO = Num(0j)
+_ONE = Num(1 + 0j)
 
 
 def binop(op: str, left: Expr, right: Expr) -> Expr:
@@ -331,67 +372,91 @@ def neg(e: Expr) -> Expr:
     return binop("-", ZERO, e)
 
 
-def substitute(e: Expr, binding: dict[str, Expr]) -> Expr:
-    """Replace every variable named in ``binding`` by its expression."""
+def _substitute(e: Expr, binding: dict[str, Expr], memo: dict) -> Expr:
     if isinstance(e, Var):
         return binding.get(e.name, e)
-    if isinstance(e, BinOp):
-        return BinOp(e.op, substitute(e.left, binding), substitute(e.right, binding))
-    if isinstance(e, Pow):
-        return Pow(substitute(e.base, binding), e.exponent)
-    if isinstance(e, Call):
-        return Call(e.func, substitute(e.arg, binding))
-    return e
+    if isinstance(e, Num):
+        return e
+    out = memo.get(id(e))
+    if out is None:
+        if isinstance(e, BinOp):
+            left = _substitute(e.left, binding, memo)
+            out = _node(e, left, _substitute(e.right, binding, memo))
+        elif isinstance(e, Pow):
+            out = _node(e, _substitute(e.base, binding, memo))
+        else:
+            out = _node(e, _substitute(e.arg, binding, memo))
+        memo[id(e)] = out
+    return out
+
+
+def substitute(e: Expr, binding: dict[str, Expr]) -> Expr:
+    """Replace every variable named in ``binding`` by its expression."""
+    return _substitute(e, binding, {})
 
 
 def diff(e: Expr, var: str) -> Expr:
-    return simplify(_diff(e, var))
+    """d e / d var, simplified."""
+    return _diff(e, var, {}, {})
 
 
-def _diff(e: Expr, var: str) -> Expr:
+def _op(op: str, left: Expr, right: Expr) -> Expr:
+    return _fold(BinOp(op, left, right))
+
+
+def _diff(e: Expr, var: str, memo: dict, simple: dict) -> Expr:
+    """The derivative, built from simplified nodes, so that it equals
+    simplify of the textbook rule's tree; ``simple`` is simplify's memo."""
     if isinstance(e, Num):
-        return Num(0j)
+        return ZERO
     if isinstance(e, Var):
-        return Num(1 + 0j) if e.name == var else Num(0j)
+        return _ONE if e.name == var else ZERO
+    out = memo.get(id(e))
+    if out is not None:
+        return out
     if isinstance(e, BinOp):
-        dl, dr = _diff(e.left, var), _diff(e.right, var)
+        dl, dr = _diff(e.left, var, memo, simple), _diff(e.right, var, memo, simple)
         if e.op in "+-":
-            return BinOp(e.op, dl, dr)
-        if e.op == "*":
-            return BinOp(
-                "+", BinOp("*", dl, e.right), BinOp("*", e.left, dr)
-            )
-        # quotient rule
-        num = BinOp("-", BinOp("*", dl, e.right), BinOp("*", e.left, dr))
-        return BinOp("/", num, Pow(e.right, 2))
-    if isinstance(e, Pow):
-        db = _diff(e.base, var)
-        scaled = BinOp("*", Num(complex(e.exponent)), Pow(e.base, e.exponent - 1))
-        return BinOp("*", scaled, db)
-    if isinstance(e, Call):
-        da = _diff(e.arg, var)
-        a = e.arg
+            out = _op(e.op, dl, dr)
+        else:
+            left, right = _simplify(e.left, simple), _simplify(e.right, simple)
+            if e.op == "*":
+                out = _op("+", _op("*", dl, right), _op("*", left, dr))
+            else:  # quotient rule
+                num = _op("-", _op("*", dl, right), _op("*", left, dr))
+                out = _op("/", num, _fold(Pow(right, 2)))
+    elif isinstance(e, Pow):
+        db = _diff(e.base, var, memo, simple)
+        base = _simplify(e.base, simple)
+        scaled = _op("*", Num(complex(e.exponent)), _fold(Pow(base, e.exponent - 1)))
+        out = _op("*", scaled, db)
+    elif isinstance(e, Call):
+        da = _diff(e.arg, var, memo, simple)
+        a = _simplify(e.arg, simple)
         outer: Expr
         if e.func == "exp":
-            outer = Call("exp", a)
+            outer = _simplify(e, simple)
         elif e.func == "log":
-            outer = BinOp("/", Num(1 + 0j), a)
+            outer = _op("/", _ONE, a)
         elif e.func == "sin":
-            outer = Call("cos", a)
+            outer = _fold(Call("cos", a))
         elif e.func == "cos":
-            outer = _negate(Call("sin", a))
+            outer = _op("-", ZERO, _fold(Call("sin", a)))
         elif e.func == "sinh":
-            outer = Call("cosh", a)
+            outer = _fold(Call("cosh", a))
         elif e.func == "cosh":
-            outer = Call("sinh", a)
+            outer = _fold(Call("sinh", a))
         elif e.func == "sqrt":
-            outer = BinOp("/", Num(0.5 + 0j), Call("sqrt", a))
+            outer = _op("/", Num(0.5 + 0j), _fold(Call("sqrt", a)))
         elif e.func == "abs2":
-            outer = BinOp("*", Num(2 + 0j), a)  # real-argument semantics
+            outer = _op("*", Num(2 + 0j), a)  # real-argument semantics
         else:  # pragma: no cover
             raise ExprError(f"no derivative rule for {e.func}")
-        return BinOp("*", outer, da)
-    raise ExprError(f"unknown node {e!r}")  # pragma: no cover
+        out = _op("*", outer, da)
+    else:  # pragma: no cover
+        raise ExprError(f"unknown node {e!r}")
+    memo[id(e)] = out
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -448,16 +513,67 @@ def pretty(e: Expr) -> str:
     return _pp(e)[0]
 
 
-def _codegen(e: Expr) -> str:
-    if isinstance(e, Num):
-        return repr(e.value)
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Pow):
-        return f"({_codegen(e.base)})**({e.exponent})"
-    if isinstance(e, Call):
-        return f"_{e.func}({_codegen(e.arg)})"
-    return f"({_codegen(e.left)} {e.op} {_codegen(e.right)})"
+# Deepest inline nesting in generated code; Python's parser refuses more
+# than 200 nested parentheses, so a deeper subexpression gets a local.
+_MAX_NESTING = 50
+
+
+def _straight_line(e: Expr) -> tuple[list[str], str]:
+    """Python code for e as (assignments, result): each distinct
+    subexpression appears once, bound to a local when the walk reaches it
+    more than once (or it nests too deep) and written inline otherwise.
+    Nodes are keyed on structure, looked up through node identity."""
+    number: dict[int, int] = {}  # id(node) -> index of its structure
+    index: dict[tuple, int] = {}  # structure -> index
+    keys: list[tuple] = []  # (type, payload, *child indices), children first
+    shared: set[int] = set()  # structures reached more than once
+
+    def visit(n: Expr) -> int:
+        k = number.get(id(n))
+        if k is None:
+            if isinstance(n, BinOp):
+                key = (BinOp, n.op, visit(n.left), visit(n.right))
+            elif isinstance(n, Pow):
+                key = (Pow, n.exponent, visit(n.base))
+            elif isinstance(n, Call):
+                key = (Call, n.func, visit(n.arg))
+            elif isinstance(n, Num):
+                key = (Num, n.value)
+            else:
+                key = (Var, n.name)
+            k = index.get(key)
+            if k is None:
+                k = index[key] = len(keys)
+                keys.append(key)
+            else:
+                shared.add(k)
+            number[id(n)] = k
+        else:
+            shared.add(k)
+        return k
+
+    root = visit(e)
+    lines: list[str] = []
+    text: list[str] = []
+    depth: list[int] = []  # parentheses nested in text[k]
+    for k, key in enumerate(keys):
+        kind, payload = key[0], key[1]
+        if kind is BinOp:
+            left, right = key[2], key[3]
+            code = f"({text[left]} {payload} {text[right]})"
+            nesting = 1 + max(depth[left], depth[right])
+        elif kind is Pow:
+            code, nesting = f"({text[key[2]]})**({payload})", 1 + depth[key[2]]
+        elif kind is Call:
+            code, nesting = f"_{payload}({text[key[2]]})", 1 + depth[key[2]]
+        else:
+            code, nesting = (repr(payload) if kind is Num else payload), 0
+        if nesting and (k in shared or nesting > _MAX_NESTING):
+            lines.append(f"_t{k} = {code}")
+            code, nesting = f"_t{k}", 0
+        text.append(code)
+        depth.append(nesting)
+    return lines, text[root]
 
 
 def _safe_log(v):
@@ -486,11 +602,16 @@ _ENV = {
 def compile_expr(e: Expr, variables: tuple[str, ...] = ("x", "y")):
     """Compile to a fast positional callable over the given variables.
 
-    Division by zero and log(0) surface as EvaluationError carrying the
-    evaluation point rather than NaN/Inf.
+    The generated code computes each repeated subexpression once.  Division
+    by zero and log(0) surface as EvaluationError carrying the evaluation
+    point rather than NaN/Inf.
     """
-    source = f"lambda {', '.join(variables)}: {_codegen(e)}"
-    raw = eval(source, dict(_ENV))  # noqa: S307 - closed environment
+    lines, result = _straight_line(e)
+    body = "".join(f"    {line}\n" for line in lines)
+    source = f"def _f({', '.join(variables)}):\n{body}    return {result}\n"
+    env = dict(_ENV)
+    exec(source, env)  # noqa: S102 - closed environment
+    raw = env["_f"]
 
     def call(*args):
         try:

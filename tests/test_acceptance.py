@@ -293,6 +293,7 @@ def test_criterion_09_bridge_suite():
 
 
 def test_criterion_10_adjoint_machinery():
+    t0 = time.perf_counter()
     pts = [PlanePoint(1 + 0.2 * k, -1 + 0.37 * k) for k in range(6)]
     worst = 0.0
     for phi, psi in (("x", "1"), ("exp(x)", "cos(y) + 2")):
@@ -306,9 +307,10 @@ def test_criterion_10_adjoint_machinery():
             worst = max(worst, (star.b(z) + pair.B(z).conj()).norm)
             worst = max(worst, (star.A(z) + pair.A(z)).norm)
             worst = max(worst, (star.B(z) + pair.b(z).conj()).norm)
+    dt = time.perf_counter() - t0
     _verdict(
         10,
         "adjoint involution and coefficient identities",
-        worst <= 1e-10,
-        f"max deviation={worst:.2e} tol=1e-10 on two separable families",
+        worst <= 1e-10 and dt < 2.0,
+        f"max deviation={worst:.2e} tol=1e-10 on two separable families, {dt:.2f}s < 2s",
     )

@@ -192,6 +192,8 @@ def test_zero_divisor_classification(w):
 
 @given(bicomplexes())
 @example(Bicomplex(1j, complex(1, 2.225073858507203e-309)))  # W+ ~ 2e-309
+@example(Bicomplex(complex(2.225073858507203e-309, 2.225073858507203e-309),
+                  complex(2.225073858507203e-309, 2.225073858507203e-309)))  # (W^-1)+ > max
 def test_inversion_identity(w):
     if w.is_zero or w.is_zero_divisor:
         return

@@ -254,3 +254,57 @@ def test_bad_tol_or_nodes_is_config_error(tmp_path, capsys, key, value):
     path = _write(tmp_path, "c.json", cfg)
     assert main(["verify-reproducing", "--config", str(path), "--quiet"]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+_VALID = {
+    "build-powers": {
+        "f": "x",
+        "kernel": "x-main",
+        "separable": {"phi": "x", "psi": "1"},
+        "n": 2,
+        "region": {"x0": 1.0, "x1": 3.0, "y0": -1.0, "y1": 1.0},
+        "samples": 4,
+    },
+    "eval-kernel": {
+        "kernel": "x-main",
+        "zeta": [1, 0],
+        "grid": {"x0": 1.5, "x1": 3.0, "y0": -1.0, "y1": 1.0, "nx": 2, "ny": 2},
+    },
+    "residual-scan": {
+        "kind": "vekua",
+        "pair": {"separable": {"phi": "exp(x)", "psi": "cos(y) + 2", "m": 1}},
+        "field": {"sc": "(cos(y) + 2)/exp(x)"},
+        "region": {"x0": 1.0, "x1": 2.0, "y0": -0.5, "y1": 0.5},
+        "samples": 2,
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("build-powers", ("samples",), 0),
+        ("build-powers", ("n",), True),
+        ("build-powers", ("n",), 0),
+        ("eval-kernel", ("grid", "nx"), 2.5),
+        ("eval-kernel", ("grid", "nx"), True),
+        ("eval-kernel", ("grid", "ny"), "2"),
+        ("residual-scan", ("samples",), "abc"),
+        ("residual-scan", ("pair", "separable", "m"), True),
+    ],
+)
+def test_bad_integer_is_config_error(tmp_path, capsys, command, path, value):
+    cfg = json.loads(json.dumps(_VALID[command]))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    config = _write(tmp_path, "c.json", cfg)
+    assert main([command, "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command", sorted(_VALID))
+def test_valid_integer_configs_run(tmp_path, command):
+    config = _write(tmp_path, "c.json", _VALID[command])
+    assert main([command, "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0

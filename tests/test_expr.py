@@ -1,4 +1,6 @@
+import cmath
 import math
+import operator
 import random
 
 import pytest
@@ -12,11 +14,13 @@ from bivekua.expr import (
     Pow,
     UnknownIdentifierError,
     Var,
+    binop,
     compile_expr,
     diff,
     parse,
     pretty,
     simplify,
+    substitute,
 )
 
 
@@ -167,3 +171,82 @@ def test_non_finite_literal_rejected():
 def test_deep_nesting_rejected():
     with pytest.raises(ExprSyntaxError):
         parse("(" * 5000 + "x" + ")" * 5000)
+
+
+def _distinct_nodes(e):
+    """Node objects reachable from e, each counted once."""
+    seen = {}
+    todo = [e]
+    while todo:
+        n = todo.pop()
+        if id(n) not in seen:
+            seen[id(n)] = n
+            todo.extend(getattr(n, f) for f in ("left", "right", "base", "arg") if hasattr(n, f))
+    return len(seen)
+
+
+def _doubled(e, times=12):
+    for _ in range(times):
+        e = binop("+", e, e)
+    return e
+
+
+def test_simplify_returns_simplified_nodes_as_they_are():
+    t = binop("*", parse("sin(x)"), binop("+", Var("x"), parse("y^2")))
+    assert simplify(t) is t
+    d = diff(t, "x")
+    assert simplify(d) is d
+
+
+def test_diff_keeps_sharing():
+    e = _doubled(binop("*", Var("x"), Var("y")))
+    d = diff(e, "x")
+    assert _distinct_nodes(d) <= 2 * 12
+    assert compile_expr(d)(0.5, 1.0) == 4096
+    assert compile_expr(e)(0.5, 2.0) == 4096
+
+
+def test_substitute_keeps_sharing():
+    e = _doubled(binop("*", Var("x"), Var("y")))
+    s = substitute(e, {"x": Num(3 + 0j)})
+    assert _distinct_nodes(s) <= 2 * 12
+    assert compile_expr(s)(0.0, 1.0) == 3 * 4096
+
+
+def _walk(e, env):
+    """Test-only evaluator: walks the tree, every repeat included."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return env[e.name]
+    if isinstance(e, Pow):
+        return _walk(e.base, env) ** e.exponent
+    if isinstance(e, Call):
+        v = _walk(e.arg, env)
+        return v * v if e.func == "abs2" else getattr(cmath, e.func)(v)
+    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+    return ops[e.op](_walk(e.left, env), _walk(e.right, env))
+
+
+def test_compiled_repeats_match_tree_walk():
+    u = parse("sin(x*y) + exp(x)/(1 + y^2)")
+    v = parse("sqrt(abs2(x - 1) + abs2(y)) * log(x + 2)")
+    e = binop("*", binop("+", u, v), binop("-", u, binop("*", v, u)))
+    e = binop("+", e, binop("/", diff(e, "x"), binop("+", Num(3 + 0j), diff(e, "y"))))
+    f = compile_expr(e)
+    for x, y in _random_points(50, lo=-0.9, hi=1.9, seed=5):
+        assert f(x, y) == _walk(e, {"x": x, "y": y})
+
+
+def test_singular_shared_subterm_carries_point():
+    s = binop("/", Num(1 + 0j), binop("-", Var("x"), Var("x")))
+    e = binop("+", s, binop("*", s, Var("y")))
+    with pytest.raises(EvaluationError) as info:
+        compile_expr(e)(1.5, 2.0)
+    assert info.value.point == (1.5, 2.0)
+
+
+def test_long_chain_compiles():
+    e = parse(" + ".join(["x*y"] * 600))
+    assert compile_expr(e)(1.0, 2.0) == 1200
+    assert compile_expr(diff(e, "x"))(1.0, 2.0) == 1200
