@@ -153,6 +153,12 @@ class Bicomplex:
             raise ZeroDivisorError(f"{self!r} is a zero divisor")
         # halving before the sum keeps results up to the largest double finite
         hp, hm = 0.5 / p, 0.5 / m
+        if not (cmath.isfinite(p) and cmath.isfinite(m)):
+            # W+- can pass the double range while W does not (see __mul__);
+            # (W/2)+- cannot, and 0.5/W+- = 0.25/(W/2)+-
+            q, n = self.scale(0.5).idempotent()
+            hp = hp if cmath.isfinite(p) else 0.25 / q
+            hm = hm if cmath.isfinite(m) else 0.25 / n
         sc, vec = hp + hm, 1j * (hp - hm)
         if not all(math.isfinite(c) for c in (sc.real, sc.imag, vec.real, vec.imag)):
             raise OutOfRangeError(f"the inverse of {self!r} is outside the double range")

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -245,7 +245,7 @@ def midpoints(x0: float, x1: float, y0: float, y1: float, nx: int, ny: int) -> l
 @dataclass
 class RegionGrid:
     """Axis-aligned rectangle cut into square cells of size h, with an
-    optional inclusion predicate and punctured disks removed."""
+    optional inclusion predicate."""
 
     x0: float
     x1: float
@@ -253,19 +253,13 @@ class RegionGrid:
     y1: float
     h: float
     include: Optional[Callable[[PlanePoint], bool]] = None
-    punctures: list[PlanePoint] = field(default_factory=list)
-    puncture_radius: float = 0.0
 
     def __post_init__(self):
         if self.h <= 0:
             raise ValueError("cell size must be positive")
 
     def _included(self, p: PlanePoint) -> bool:
-        if self.include is not None and not self.include(p):
-            return False
-        return all(
-            p.dist(q) > self.puncture_radius for q in self.punctures
-        )
+        return self.include is None or self.include(p)
 
     def cells(self) -> list[tuple[PlanePoint, float]]:
         nx = max(1, round((self.x1 - self.x0) / self.h))

@@ -75,12 +75,20 @@ def _require(cfg: dict, key: str, typ=None):
     return v
 
 
+def _number(v, key: str, positive: bool = False) -> float:
+    """A finite number (an int or float, not a bool) read from config key
+    ``key``, greater than 0 when ``positive``."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"config key '{key}' must be a finite number")
+    if positive and v <= 0:
+        raise ConfigError(f"config key '{key}' must be positive")
+    return float(v)
+
+
 def _tol(cfg: dict) -> float:
-    tol = cfg.get("tol", 1e-6)
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)):
-        raise ConfigError("config key 'tol' must be a number")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ConfigError("config key 'tol' must be finite and non-negative")
+    tol = _number(cfg.get("tol", 1e-6), "tol")
+    if tol < 0:
+        raise ConfigError("config key 'tol' must be non-negative")
     return tol
 
 
@@ -97,11 +105,26 @@ def _int(
     return v
 
 
-def _point(cfg: dict, key: str) -> PlanePoint:
-    v = _require(cfg, key, list)
-    if len(v) != 2 or not all(isinstance(c, (int, float)) for c in v):
+def _as_point(v, key: str) -> PlanePoint:
+    if not isinstance(v, list) or len(v) != 2:
         raise ConfigError(f"config key '{key}' must be a [x, y] pair")
-    return PlanePoint(float(v[0]), float(v[1]))
+    return PlanePoint(_number(v[0], key), _number(v[1], key))
+
+
+def _point(cfg: dict, key: str) -> PlanePoint:
+    return _as_point(_require(cfg, key), key)
+
+
+def _points(cfg: dict, key: str) -> list[PlanePoint]:
+    """An optional list of [x, y] pairs."""
+    v = cfg.get(key, [])
+    if not isinstance(v, list):
+        raise ConfigError(f"config key '{key}' must be a list of [x, y] pairs")
+    return [_as_point(p, key) for p in v]
+
+
+def _bounds(cfg: dict) -> list[float]:
+    return [_number(_require(cfg, k), k) for k in ("x0", "x1", "y0", "y1")]
 
 
 def _check(name: str, value: float, expected: float, tol: float) -> dict:
@@ -160,10 +183,11 @@ def _build_kernel(cfg: dict) -> KernelFamily:
     if name in _STOCK_KERNELS:
         return _STOCK_KERNELS[name]()
     if name == "pipeline":
+        kind = cfg.get("kernel_kind", "main")
+        if kind not in ("main", "successor"):
+            raise ConfigError("kernel_kind must be 'main' or 'successor'")
         fam = _pipeline_successor(cfg)
-        if cfg.get("kernel_kind", "main") == "main":
-            return main_kernels(fam)
-        return fam
+        return main_kernels(fam) if kind == "main" else fam
     raise ConfigError(
         f"unknown kernel '{name}'; expected one of "
         f"{sorted(_STOCK_KERNELS)} or 'pipeline'"
@@ -173,29 +197,23 @@ def _build_kernel(cfg: dict) -> KernelFamily:
 def _contour(cfg: dict) -> ContourSpec:
     c = _require(cfg, "contour", dict)
     center = _point(c, "center")
-    radius = _require(c, "radius", (int, float))
-    if radius <= 0:
-        raise ConfigError("contour radius must be positive")
-    return ContourSpec.circle(center, float(radius), _int(c, "nodes", 1, 512))
+    radius = _number(_require(c, "radius"), "radius", positive=True)
+    return ContourSpec.circle(center, radius, _int(c, "nodes", 1, 512))
 
 
 def _grid_points(cfg: dict) -> list[PlanePoint]:
     g = _require(cfg, "grid", dict)
-    for k in ("x0", "x1", "y0", "y1"):
-        _require(g, k, (int, float))
-    return midpoints(g["x0"], g["x1"], g["y0"], g["y1"], _int(g, "nx", 1), _int(g, "ny", 1))
+    return midpoints(*_bounds(g), _int(g, "nx", 1), _int(g, "ny", 1))
 
 
 def _region(cfg: dict) -> RegionGrid:
     r = _require(cfg, "region", dict)
-    for k in ("x0", "x1", "y0", "y1"):
-        _require(r, k, (int, float))
-    return RegionGrid(r["x0"], r["x1"], r["y0"], r["y1"], r.get("h", 0.1))
+    return RegionGrid(*_bounds(r), _number(r.get("h", 0.1), "h", positive=True))
 
 
 def _random_point_pairs(cfg: dict, count: int, min_dist: float = 0.2):
     r = _region(cfg)
-    rng = random.Random(cfg.get("seed", 0))
+    rng = random.Random(_int(cfg, "seed", default=0))
     out = []
     while len(out) < count:
         zeta = PlanePoint(rng.uniform(r.x0, r.x1), rng.uniform(r.y0, r.y1))
@@ -333,6 +351,8 @@ def cmd_residual_scan(cfg: dict):
         u = Field.from_exprs(_require(fld, "sc", str))
         q = Field.from_exprs(_require(cfg, "q", str))
         h = cfg.get("h")
+        if h is not None:
+            h = _number(h, "h", positive=True)
         residual = lambda p: schroedinger_residual(u, q, p, h)  # noqa: E731
     else:
         raise ConfigError("kind must be 'vekua' or 'schroedinger'")
@@ -357,12 +377,8 @@ def cmd_cauchy(cfg: dict):
         w = Field.from_exprs(_require(fld, "sc", str), fld.get("vec", "0"))
     else:
         w = pair.F
-    interior = [
-        PlanePoint(float(p[0]), float(p[1])) for p in cfg.get("interior", [])
-    ] or contour.interior
-    exterior = [
-        PlanePoint(float(p[0]), float(p[1])) for p in cfg.get("exterior", [])
-    ] or contour.exterior
+    interior = _points(cfg, "interior") or contour.interior
+    exterior = _points(cfg, "exterior") or contour.exterior
     if formula == "second":
         evaluate = lambda z0: formal_contour_integral(fam, w, contour, z0)  # noqa: E731
     elif formula == "first":

@@ -141,8 +141,12 @@ def _tokenize(src: str) -> list[tuple[str, str, int]]:
 
 
 # Deepest nesting of parentheses, calls and unary minus that parse accepts;
-# deeper input would exhaust the interpreter's recursion limit.
+# deeper input would exhaust the interpreter's recursion limit in the parser.
 MAX_DEPTH = 100
+# Deepest tree that parse builds, counting each nesting level and each
+# operator of a chain as one level: simplify, diff and compile_expr recurse
+# once per level and exhaust the default recursion limit (1000) near 1000.
+MAX_TREE_DEPTH = 700
 
 
 class _Parser:
@@ -151,6 +155,7 @@ class _Parser:
         self.pos = 0
         self.variables = variables
         self.depth = 0
+        self.levels = 0  # tree levels above the token being parsed
 
     def peek(self):
         return self.tokens[self.pos]
@@ -166,7 +171,13 @@ class _Parser:
             raise ExprSyntaxError(f"expected {op!r}", off)
         self.advance()
 
+    def descend(self, offset: int) -> None:
+        self.levels += 1
+        if self.levels > MAX_TREE_DEPTH:
+            raise ExprSyntaxError(f"expression deeper than {MAX_TREE_DEPTH} levels", offset)
+
     def parse_expr(self) -> Expr:
+        levels = self.levels
         kind, text, _ = self.peek()
         negate = False
         if kind == "op" and text == "-":
@@ -176,23 +187,28 @@ class _Parser:
         if negate:
             node = _negate(node)
         while True:
-            kind, text, _ = self.peek()
+            kind, text, off = self.peek()
             if kind == "op" and text in "+-":
                 self.advance()
+                self.descend(off)
                 rhs = self.parse_term()
                 node = BinOp(text, node, rhs)
             else:
+                self.levels = levels
                 return node
 
     def parse_term(self) -> Expr:
+        levels = self.levels
         node = self.parse_factor()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, off = self.peek()
             if kind == "op" and text in "*/":
                 self.advance()
+                self.descend(off)
                 rhs = self.parse_factor()
                 node = BinOp(text, node, rhs)
             else:
+                self.levels = levels
                 return node
 
     def parse_factor(self) -> Expr:
@@ -216,8 +232,10 @@ class _Parser:
         self.depth += 1
         if self.depth > MAX_DEPTH:
             raise ExprSyntaxError(f"expression nested deeper than {MAX_DEPTH}", self.peek()[2])
+        self.descend(self.peek()[2])
         node = self._parse_base(*self.advance())
         self.depth -= 1
+        self.levels -= 1
         return node
 
     def _parse_base(self, kind: str, text: str, off: int) -> Expr:
@@ -586,6 +604,12 @@ def _abs2(v):
     return v * v  # real-argument semantics; see module docstring
 
 
+def _error(exc: Exception, point: tuple) -> EvaluationError:
+    """The EvaluationError for ``exc``, raised by compiled code at ``point``."""
+    message = "division by zero" if isinstance(exc, ZeroDivisionError) else str(exc)
+    return EvaluationError(message, point)
+
+
 _ENV = {
     "_exp": cmath.exp,
     "_log": _safe_log,
@@ -595,6 +619,8 @@ _ENV = {
     "_cosh": cmath.cosh,
     "_sqrt": cmath.sqrt,
     "_abs2": _abs2,
+    "_errors": (ZeroDivisionError, EvaluationError, ValueError, OverflowError),
+    "_error": _error,
     "__builtins__": {},
 }
 
@@ -607,20 +633,14 @@ def compile_expr(e: Expr, variables: tuple[str, ...] = ("x", "y")):
     point rather than NaN/Inf.
     """
     lines, result = _straight_line(e)
-    body = "".join(f"    {line}\n" for line in lines)
-    source = f"def _f({', '.join(variables)}):\n{body}    return {result}\n"
+    body = "".join(f"        {line}\n" for line in lines)
+    point = f"({''.join(f'{v}, ' for v in variables)})"
+    source = (
+        f"def _f({', '.join(variables)}):\n"
+        f"    try:\n{body}        return {result}\n"
+        f"    except _errors as exc:\n"
+        f"        raise _error(exc, {point}) from None\n"
+    )
     env = dict(_ENV)
     exec(source, env)  # noqa: S102 - closed environment
-    raw = env["_f"]
-
-    def call(*args):
-        try:
-            return raw(*args)
-        except ZeroDivisionError:
-            raise EvaluationError("division by zero", args) from None
-        except EvaluationError as exc:
-            raise EvaluationError(str(exc), args) from None
-        except (ValueError, OverflowError) as exc:
-            raise EvaluationError(str(exc), args) from None
-
-    return call
+    return env["_f"]

@@ -103,13 +103,6 @@ class SymBC:
         """(1/2)(d/dx - j d/dy) with respect to (x, y)."""
         return d_z(self.diff("x"), self.diff("y"))
 
-    def substitute(self, binding: dict[str, ex.Expr], variables) -> "SymBC":
-        """Replace the bound variables by expressions, e.g. to swap the roles
-        of (x, y) and (xi, eta); the result is a function of ``variables``."""
-        return SymBC(
-            tuple(variables), ex.substitute(self.sc, binding), ex.substitute(self.vec, binding)
-        )
-
 
 # -- formulas on the shared ring interface (Bicomplex or SymBC values) -------
 
@@ -266,21 +259,30 @@ class Kernel:
 
     def swap_arguments(self) -> "Kernel":
         swap = {"xi": ex.Var("x"), "eta": ex.Var("y"), "x": ex.Var("xi"), "y": ex.Var("eta")}
-        return Kernel(self.sym.substitute(swap, KERNEL_VARS))
+        s = self.sym
+        return Kernel(SymBC(KERNEL_VARS, ex.substitute(s.sc, swap), ex.substitute(s.vec, swap)))
 
     def diff_z(self, var: str) -> "Kernel":
-        return Kernel(self.sym.diff(var))
+        """The partial derivative kernel in ``var``, built once per kernel."""
+        cache = self.__dict__.setdefault("_partials", {})
+        if var not in cache:
+            cache[var] = Kernel(self.sym.diff(var))
+        return cache[var]
 
     def field_in_z(self, zeta: PlanePoint) -> Field:
-        """Freeze zeta: a symbolic Field of z with exact partials."""
-        return self._freeze({"xi": ex.Num(zeta.x), "eta": ex.Num(zeta.y)})
+        """Freeze zeta: a Field of z with exact first partials."""
+        return self._bind(lambda z: (zeta, z), "x", "y")
 
     def field_in_zeta(self, z: PlanePoint) -> Field:
-        """Freeze z; the result varies in zeta, renamed to (x, y)."""
-        return self._freeze(
-            {"x": ex.Num(z.x), "y": ex.Num(z.y), "xi": ex.Var("x"), "eta": ex.Var("y")}
-        )
+        """Freeze z: a Field of zeta with exact first partials."""
+        return self._bind(lambda zeta: (zeta, z), "xi", "eta")
 
-    def _freeze(self, binding: dict[str, ex.Expr]) -> Field:
-        sym = self.sym.substitute(binding, ("x", "y"))
-        return Field.from_sym(sym._wrap(sym.sc, sym.vec))
+    def _bind(self, points, dx_var: str, dy_var: str) -> Field:
+        """p -> K(*points(p)) and its partials in (dx_var, dy_var), each
+        calling a kernel's own compiled function."""
+        dx, dy = self.diff_z(dx_var), self.diff_z(dy_var)
+        return Field.with_partials(
+            lambda p: self(*points(p)),
+            Field(lambda p: dx(*points(p))),
+            Field(lambda p: dy(*points(p))),
+        )

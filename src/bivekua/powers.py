@@ -50,19 +50,15 @@ class KernelFamily:
     coefj: KernelEval
     sym1: Optional[Kernel] = None
     symj: Optional[Kernel] = None
-    pair: Optional[GeneratingPair] = None
 
     @staticmethod
-    def from_kernels(
-        k1: Kernel, kj: Kernel, order: int = -1, pair: Optional[GeneratingPair] = None
-    ) -> "KernelFamily":
+    def from_kernels(k1: Kernel, kj: Kernel, order: int = -1) -> "KernelFamily":
         return KernelFamily(
             order=order,
             coef1=k1.__call__,
             coefj=kj.__call__,
             sym1=k1,
             symj=kj,
-            pair=pair,
         )
 
     def coef1_field(self, zeta: PlanePoint) -> Field:
@@ -351,7 +347,7 @@ def negative_powers(
         v = hatj(z, zeta)
         return Bicomplex(-sign_n * u.vec, sign_n * v.vec)
 
-    return KernelFamily(order=-n, coef1=coef1, coefj=coefj, pair=base_kernel.pair)
+    return KernelFamily(order=-n, coef1=coef1, coefj=coefj)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ class FundamentalSolution:
     over (xi, eta, x, y) when available, giving exact partials downstream.
     """
 
-    q: Field
     regular: Callable[[PlanePoint, PlanePoint], complex]
     sym: Optional[Kernel] = None
 
@@ -50,21 +49,17 @@ class FundamentalSolution:
     @staticmethod
     def laplace() -> "FundamentalSolution":
         """log|z - zeta|: the fundamental solution for q = 0."""
-        return FundamentalSolution(
-            q=Field.constant(Bicomplex(0, 0)),
-            regular=lambda zeta, z: 0j,
-            sym=Kernel.make(LOG_RHO),
-        )
+        return FundamentalSolution(regular=lambda zeta, z: 0j, sym=Kernel.make(LOG_RHO))
 
     @staticmethod
-    def from_closed_form(sc: Union[str, ex.Expr], q: Field) -> "FundamentalSolution":
-        """Wrap a closed-form S(xi, eta, x, y) for the potential q."""
+    def from_closed_form(sc: Union[str, ex.Expr]) -> "FundamentalSolution":
+        """Wrap a closed-form S(xi, eta, x, y)."""
         sym = Kernel.make(sc)
 
         def regular(zeta: PlanePoint, z: PlanePoint) -> complex:
             return sym(zeta, z).sc - math.log(zeta.dist(z))
 
-        return FundamentalSolution(q=q, regular=regular, sym=sym)
+        return FundamentalSolution(regular=regular, sym=sym)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +198,10 @@ def successor_kernel_coefj(
     with the same coefficient differ by a regular solution, so the anchored
     evaluator is a Cauchy kernel whenever the coefficient-1 input is.
     """
+    if k1.sym1 is not None:
+        # -Sc Z(1) and -Vec Z(1) over (xi, eta, x, y); each point binds z
+        s = k1.sym1.sym
+        minus = [Kernel(SymBC(KERNEL_VARS, ex.neg(part))) for part in (s.sc, s.vec)]
 
     def coefj(zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
         if zeta.dist(z) == 0:
@@ -211,9 +210,7 @@ def successor_kernel_coefj(
             return Bicomplex(0, 0)
         path = Path.detour(zeta0, zeta, z, side=side)
         if k1.sym1 is not None:
-            base = k1.sym1.field_in_zeta(z).sym
-            u1 = Field.from_sym(SymBC(("x", "y"), ex.neg(base.sc)))
-            u2 = Field.from_sym(SymBC(("x", "y"), ex.neg(base.vec)))
+            u1, u2 = (k.field_in_zeta(z) for k in minus)
         else:
             u1 = Field(lambda p: Bicomplex(-k1.coef1(p, z).sc, 0))
             u2 = Field(lambda p: Bicomplex(-k1.coef1(p, z).vec, 0))
@@ -222,7 +219,7 @@ def successor_kernel_coefj(
         )
 
     return KernelFamily(
-        order=-1, coef1=k1.coef1, coefj=coefj, sym1=k1.sym1, pair=k1.pair
+        order=-1, coef1=k1.coef1, coefj=coefj, sym1=k1.sym1
     )
 
 
@@ -243,7 +240,6 @@ def darboux_fundamental(
     S1(zeta, z) = (1/f(z)) Vec ∫_{z0}^{z} f(tau) Z(j, zeta, tau) dtau.
 
     z0 may be a fixed point or a map zeta -> z0 (e.g. zeta + 1)."""
-    q1 = darboux_potential(f)
     base_of = z0 if callable(z0) else (lambda zeta: z0)
 
     def value(zeta: PlanePoint, z: PlanePoint) -> complex:
@@ -260,7 +256,7 @@ def darboux_fundamental(
     def regular(zeta: PlanePoint, z: PlanePoint) -> complex:
         return value(zeta, z) - math.log(zeta.dist(z))
 
-    return FundamentalSolution(q=q1, regular=regular)
+    return FundamentalSolution(regular=regular)
 
 
 # ---------------------------------------------------------------------------
@@ -391,4 +387,4 @@ def x_darboux_fundamental() -> FundamentalSolution:
         f"({LOG_RHO}) + (({RHO2})/(2*x*xi))*({LOG_RHO})"
         f" - (({RHO2}) + 2*(y - eta)^2 - 1)/(4*x*xi)"
     )
-    return FundamentalSolution.from_closed_form(s1, Field.from_exprs("2/x^2"))
+    return FundamentalSolution.from_closed_form(s1)

@@ -79,6 +79,16 @@ def test_inv_near_overflow():
     assert isclose(Bicomplex(1e200, 0).inv().scale(1e200), ONE, tol=1e-15)
 
 
+def test_inv_with_idempotent_components_past_the_range():
+    # W+ = 2e308 and W- = -2e308 i overflow although W is finite
+    w = Bicomplex(1e308 * (1 - 1j), -1e308 * (1 - 1j))
+    got = w.inv()
+    want = 2.5e-309 * (1 + 1j)
+    for part in (got.sc, got.vec):
+        assert abs(part.real - want.real) <= 1e-12 * abs(want.real)
+        assert abs(part.imag - want.imag) <= 1e-12 * abs(want.imag)
+
+
 @pytest.mark.parametrize(
     "w",
     [

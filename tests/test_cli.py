@@ -308,3 +308,70 @@ def test_bad_integer_is_config_error(tmp_path, capsys, command, path, value):
 def test_valid_integer_configs_run(tmp_path, command):
     config = _write(tmp_path, "c.json", _VALID[command])
     assert main([command, "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+
+
+_NUMBERS = {
+    "cauchy": {
+        "kernel": "x-main",
+        "f": "x",
+        "contour": {"center": [3, 0], "radius": 1, "nodes": 64},
+        "interior": [[3.2, 0.1]],
+    },
+    "build-powers": _VALID["build-powers"],
+    "residual-scan": {
+        "kind": "schroedinger",
+        "field": {"sc": "x"},
+        "q": "0",
+        "region": {"x0": 1.0, "x1": 2.0, "y0": -0.5, "y1": 0.5},
+        "samples": 2,
+    },
+    "eval-kernel": {
+        "kernel": "pipeline",
+        "kernel_kind": "successor",
+        "f": "x",
+        "zeta0": [0.5, 0],
+        "zeta": [1, 0],
+        "grid": {"x0": 1.9, "x1": 2.1, "y0": -0.1, "y1": 0.1, "nx": 1, "ny": 1},
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command, path, value",
+    [
+        ("cauchy", ("interior",), [[1]]),
+        ("cauchy", ("interior",), [["a", 1]]),
+        ("cauchy", ("contour", "radius"), True),
+        ("cauchy", ("contour", "center"), [True, 0]),
+        ("cauchy", ("contour", "center"), [float("nan"), 0]),
+        ("build-powers", ("region", "x0"), True),
+        ("build-powers", ("region", "h"), 0),
+        ("build-powers", ("region", "h"), "abc"),
+        ("build-powers", ("seed",), [1]),
+        ("residual-scan", ("h",), 0),
+        ("eval-kernel", ("kernel_kind",), "mian"),
+    ],
+)
+def test_bad_number_or_kind_is_config_error(tmp_path, capsys, command, path, value):
+    cfg = json.loads(json.dumps(_NUMBERS[command]))
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    config = _write(tmp_path, "c.json", cfg)
+    assert main([command, "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("command", sorted(_NUMBERS))
+def test_valid_number_configs_run(tmp_path, command):
+    config = _write(tmp_path, "c.json", _NUMBERS[command])
+    assert main([command, "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+
+
+def test_long_flat_chain_is_rejected_without_recursion_error(tmp_path, capsys):
+    cfg = dict(_VALID["residual-scan"], field={"sc": " + ".join(["x*y"] * 1200)})
+    config = _write(tmp_path, "c.json", cfg)
+    assert main(["residual-scan", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "ExprSyntaxError" in err and "RecursionError" not in err

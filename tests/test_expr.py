@@ -173,6 +173,13 @@ def test_deep_nesting_rejected():
         parse("(" * 5000 + "x" + ")" * 5000)
 
 
+def test_long_flat_chain_rejected():
+    # 1200 levels: simplify, diff and compile_expr would exhaust the
+    # recursion limit on this tree
+    with pytest.raises(ExprSyntaxError):
+        parse(" + ".join(["x*y"] * 1200))
+
+
 def _distinct_nodes(e):
     """Node objects reachable from e, each counted once."""
     seen = {}

@@ -3,7 +3,9 @@ import math
 import pytest
 
 from bivekua.bicomplex import Bicomplex, PlanePoint, isclose
+from bivekua.expr import EvaluationError
 from bivekua.fields import Field, Kernel, SymBC
+from bivekua.schroedinger import x_main_family
 
 
 def test_symbc_eval():
@@ -93,3 +95,33 @@ def test_kernel_diff_z():
     zeta, z = PlanePoint(1.0, 0.0), PlanePoint(2.5, 0.0)
     dk = k.diff_z("x")
     assert math.isclose(dk(zeta, z).sc.real, 3 * (z.x - zeta.x) ** 2)
+
+
+def test_freezing_compiles_each_kernel_once(compiles):
+    k = x_main_family().sym1
+    z = PlanePoint(2.5, -0.3)
+    for i in range(10):
+        w = k.field_in_z(PlanePoint(1.0 + 0.1 * i, 0.2))
+        w(z), w.dx(z), w.dy(z)
+    # the kernel and its two partial kernels, sc and vec each
+    assert len(compiles) <= 6
+
+
+def test_frozen_partials_are_the_partial_kernels():
+    k = Kernel.make("(x - xi)/((x - xi)^2 + (y - eta)^2) + log(x*xi)", "y*eta^2 - x*exp(eta)")
+    zeta, z = PlanePoint(1.3, -0.4), PlanePoint(2.2, 0.7)
+    in_z, in_zeta = k.field_in_z(zeta), k.field_in_zeta(z)
+    assert in_z(z) == in_zeta(zeta) == k(zeta, z)
+    assert in_z.dx(z) == k.diff_z("x")(zeta, z)
+    assert in_z.dy(z) == k.diff_z("y")(zeta, z)
+    assert in_zeta.dx(zeta) == k.diff_z("xi")(zeta, z)
+    assert in_zeta.dy(zeta) == k.diff_z("eta")(zeta, z)
+
+
+def test_singular_frozen_kernel_carries_point():
+    k = Kernel.make("1/(x - xi)")
+    w = k.field_in_z(PlanePoint(1.0, 2.0))
+    for evaluate in (w, w.dx):
+        with pytest.raises(EvaluationError) as info:
+            evaluate(PlanePoint(1.0, 5.0))
+        assert info.value.point == (1.0, 2.0, 1.0, 5.0)

@@ -135,10 +135,7 @@ def test_coef1_trivial_f():
 
 
 def test_coef1_numeric_fallback():
-    S = FundamentalSolution(
-        q=Field.constant(Bicomplex(0, 0)),
-        regular=lambda zeta, z: 0j,
-    )
+    S = FundamentalSolution(regular=lambda zeta, z: 0j)
     f = Field(lambda z: Bicomplex(z.x, 0))
     k1 = successor_kernel_coef1(S, f)
     cat = x_successor_family()
@@ -163,6 +160,20 @@ def test_coefj_matches_anchored_closed_form():
         # and the two differ by that anchored multiple of a regular solution
         anchored = cat.coefj(zeta, z) - cat.coefj(zeta0, z).scale(zeta0.x / zeta.x)
         assert (fam.coefj(zeta, z) - anchored).norm <= 1e-10
+
+
+def test_coefj_compiles_per_family_not_per_point(compiles):
+    def compiles_for(points):
+        start = len(compiles)
+        f = Field.from_exprs("x")
+        k1 = successor_kernel_coef1(FundamentalSolution.laplace(), f)
+        fam = successor_kernel_coefj(k1, f, PlanePoint(0.5, 0.0))
+        for zeta, z in points:
+            fam.coefj(zeta, z)
+        return len(compiles) - start
+
+    points = rand_pairs(5, seed=3)
+    assert compiles_for(points) <= compiles_for(points[:1])
 
 
 def test_coefj_path_independence():
