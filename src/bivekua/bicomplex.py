@@ -172,7 +172,16 @@ class Bicomplex:
     @property
     def norm(self) -> float:
         """|W| = (|W+| + |W-|)/2; sub-multiplicative with constant 2."""
-        return 0.5 * (abs(self.sc - 1j * self.vec) + abs(self.sc + 1j * self.vec))
+        p, m = self.idempotent()
+        if cmath.isfinite(p) and cmath.isfinite(m):
+            try:
+                # halving before the sum keeps norms up to the largest double finite
+                return 0.5 * abs(p) + 0.5 * abs(m)
+            except OverflowError:  # |W+-| passes the double range
+                pass
+        # W+- or |W+-| can pass the double range while W does not (see
+        # __mul__); |W| = 2 |W/2|
+        return 2 * self.scale(0.5).norm
 
     def __abs__(self) -> float:
         return self.norm

@@ -215,9 +215,14 @@ class Path:
 
     # -- integration --------------------------------------------------------
 
-    def integrate(self, fn: Callable[[PlanePoint, complex], complex]) -> complex:
-        """Sum fn(point, dz_weight) over nodes; fn applies the 1-form."""
-        return sum(fn(p, w) for p, w in self.nodes)
+    def integrate(
+        self, fn: Callable[[PlanePoint, complex], complex | Bicomplex], start=0
+    ):
+        """Sum fn(point, dz_weight) over nodes, in order, onto start; fn
+        applies the 1-form.  A Bicomplex-valued fn with start Bicomplex(0, 0)
+        integrates two complex 1-forms in one walk, each component summed
+        exactly as its complex integral alone would be."""
+        return sum((fn(p, w) for p, w in self.nodes), start)
 
     def integrate_bc(
         self, fn: Callable[[PlanePoint], Bicomplex]
@@ -391,27 +396,40 @@ def compatibility_residual(w: Field, z: PlanePoint, h: Optional[float] = None) -
     return abs(fy.sc - fx.vec)
 
 
-def tf_transform(f: Field, u: Field, path: Path, h: Optional[float] = None) -> complex:
-    """Conjugate-building transform: value of f^{-1} Abar(j f^2 d_zbar(u/f))
-    at the path endpoint.
+def _tf_density(u: complex, ux: complex, uy: complex, f: complex, fx: complex,
+                fy: complex, dz: complex) -> complex:
+    """-(f^2 d(u/f)/dy) dx + (f^2 d(u/f)/dx) dy at one node, for scalar u."""
+    gx = ux * f - u * fx
+    gy = uy * f - u * fy
+    return -gy * dz.real + gx * dz.imag
 
-    f and u are scalar (vec = 0) fields; the integrand is expanded so that
-    only first partials of f and u are needed:
+
+def tf_transform(f: Field, u: Field, path: Path, h: Optional[float] = None) -> Bicomplex:
+    """Conjugate-building transform, componentwise in u = u1 + j u2:
+    T_f(u1) + j T_f(u2), where T_f(u) is the value of
+    f^{-1} Abar(j f^2 d_zbar(u/f)) at the path endpoint.
+
+    f is a scalar (vec = 0) field; the integrand is expanded so that only
+    first partials of f and u are needed:
         f^2 d(u/f)/dx = u_x f - u f_x   (same in y).
+    One walk over the path evaluates f, u and their partials once per node
+    for both components.
     """
 
-    def one_form(p: PlanePoint, dz: complex) -> complex:
+    def one_form(p: PlanePoint, dz: complex) -> Bicomplex:
         uv, ux, uy = partials(u, p, h)
         fv, fx, fy = partials(f, p, h)
-        gx = ux.sc * fv.sc - uv.sc * fx.sc
-        gy = uy.sc * fv.sc - uv.sc * fy.sc
-        return -gy * dz.real + gx * dz.imag
+        f0, f_x, f_y = fv.sc, fx.sc, fy.sc
+        return Bicomplex(
+            _tf_density(uv.sc, ux.sc, uy.sc, f0, f_x, f_y, dz),
+            _tf_density(uv.vec, ux.vec, uy.vec, f0, f_x, f_y, dz),
+        )
 
-    total = path.integrate(one_form)
+    total = path.integrate(one_form, Bicomplex(0, 0))
     fend = f(path.end).sc
     if fend == 0:
         raise CalculusError(f"f vanishes at path endpoint {path.end}")
-    return total / fend
+    return Bicomplex(total.sc / fend, total.vec / fend)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,14 @@ def _as_expr(v: Union[str, ex.Expr, float, complex], variables) -> ex.Expr:
     return v
 
 
+def _compile(e: ex.Expr, variables: tuple[str, ...]) -> Callable[..., complex]:
+    """ex.compile_expr, except that a constant tree needs no code."""
+    if isinstance(e, ex.Num):
+        value = e.value
+        return lambda *args: value
+    return ex.compile_expr(e, variables)
+
+
 @dataclass(frozen=True)
 class SymBC:
     """A bicomplex-valued symbolic function: sc(vars) + j * vec(vars)."""
@@ -48,9 +56,14 @@ class SymBC:
     def compiled(self) -> Callable[..., Bicomplex]:
         cache = self.__dict__.get("_compiled")
         if cache is None:
-            fsc = ex.compile_expr(self.sc, self.variables)
-            fvec = ex.compile_expr(self.vec, self.variables)
-            cache = lambda *a: Bicomplex(fsc(*a), fvec(*a))  # noqa: E731
+            fsc = _compile(self.sc, self.variables)
+            if isinstance(self.vec, ex.Num):
+                # a scalar function: its constant vec needs no call either
+                vec = self.vec.value
+                cache = lambda *a: Bicomplex(fsc(*a), vec)  # noqa: E731
+            else:
+                fvec = ex.compile_expr(self.vec, self.variables)
+                cache = lambda *a: Bicomplex(fsc(*a), fvec(*a))  # noqa: E731
             object.__setattr__(self, "_compiled", cache)
         return cache
 

@@ -253,14 +253,23 @@ def adjoint_kernel_transfer(k: KernelFamily) -> KernelFamily:
         newj = SymBC(KERNEL_VARS, s1.vec, ex.neg(sj.vec))
         return KernelFamily.from_kernels(Kernel(new1), Kernel(newj), order=k.order)
 
+    last: dict[tuple[PlanePoint, PlanePoint], tuple[Bicomplex, Bicomplex]] = {}
+
+    def swapped(zeta: PlanePoint, z: PlanePoint) -> tuple[Bicomplex, Bicomplex]:
+        # both slots read Z(1, z, zeta) and Z(j, z, zeta); kernel_eval asks
+        # for both at one point pair, so the last pair is kept
+        key = (zeta, z)
+        if key not in last:
+            last.clear()
+            last[key] = (k.coef1(z, zeta), k.coefj(z, zeta))
+        return last[key]
+
     def coef1(zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-        a = k.coef1(z, zeta)
-        b = k.coefj(z, zeta)
+        a, b = swapped(zeta, z)
         return Bicomplex(-a.sc, b.sc)
 
     def coefj(zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-        a = k.coef1(z, zeta)
-        b = k.coefj(z, zeta)
+        a, b = swapped(zeta, z)
         return Bicomplex(a.vec, -b.vec)
 
     return KernelFamily(order=k.order, coef1=coef1, coefj=coefj)

@@ -199,9 +199,9 @@ def successor_kernel_coefj(
     evaluator is a Cauchy kernel whenever the coefficient-1 input is.
     """
     if k1.sym1 is not None:
-        # -Sc Z(1) and -Vec Z(1) over (xi, eta, x, y); each point binds z
+        # -Z(1) over (xi, eta, x, y); each value binds z
         s = k1.sym1.sym
-        minus = [Kernel(SymBC(KERNEL_VARS, ex.neg(part))) for part in (s.sc, s.vec)]
+        minus = Kernel(SymBC(KERNEL_VARS, ex.neg(s.sc), ex.neg(s.vec)))
 
     def coefj(zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
         if zeta.dist(z) == 0:
@@ -210,13 +210,10 @@ def successor_kernel_coefj(
             return Bicomplex(0, 0)
         path = Path.detour(zeta0, zeta, z, side=side)
         if k1.sym1 is not None:
-            u1, u2 = (k.field_in_zeta(z) for k in minus)
+            u = minus.field_in_zeta(z)
         else:
-            u1 = Field(lambda p: Bicomplex(-k1.coef1(p, z).sc, 0))
-            u2 = Field(lambda p: Bicomplex(-k1.coef1(p, z).vec, 0))
-        return Bicomplex(
-            tf_transform(f, u1, path), tf_transform(f, u2, path)
-        )
+            u = Field(lambda p: -k1.coef1(p, z))
+        return tf_transform(f, u, path)
 
     return KernelFamily(
         order=-1, coef1=k1.coef1, coefj=coefj, sym1=k1.sym1
@@ -277,7 +274,7 @@ def conjugate_pair_build(f: Field, u: Field, path_base: PlanePoint) -> Field:
             if z.dist(path_base) == 0:
                 cache[key] = 0j
             else:
-                cache[key] = tf_transform(f, u, Path.polyline([path_base, z]))
+                cache[key] = tf_transform(f, u, Path.polyline([path_base, z])).sc
         return cache[key]
 
     def func(z: PlanePoint) -> Bicomplex:

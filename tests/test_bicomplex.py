@@ -90,6 +90,26 @@ def test_inv_with_idempotent_components_past_the_range():
 
 
 @pytest.mark.parametrize(
+    "w, want",
+    [
+        # 0.5*(|W+| + |W-|) overflowed in the sum before it halved
+        (Bicomplex(1.5e308, 0), 1.5e308),
+        # W+ = 2e308 overflows; W = 1e308 (1 + ij) = 2e308 P+
+        (Bicomplex(1e308, 1e308j), 1e308),
+        # W+ = 1.5e308 (1 + i) is finite but |W+| is not; W = P+ W+
+        (Bicomplex(0.75e308 * (1 + 1j), 0.75e308 * (1j - 1)), 1.5e308 / math.sqrt(2)),
+    ],
+)
+def test_norm_near_the_largest_double(w, want):
+    assert abs(w.norm - want) <= 1e-15 * want
+
+
+def test_norm_past_the_range_is_inf():
+    # |W+| = |W-| = 2e308, so |W| = 2e308 is beyond the largest double
+    assert Bicomplex(1e308 * (1 - 1j), -1e308 * (1 - 1j)).norm == math.inf
+
+
+@pytest.mark.parametrize(
     "w",
     [
         Bicomplex(0, 3.352974370446957e-159j),

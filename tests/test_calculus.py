@@ -159,7 +159,18 @@ def test_tf_transform_harmonic_conjugate():
     u = Field.from_exprs("x", "0")
     for target in (PlanePoint(1, 1), PlanePoint(0.5, -2)):
         path = Path.segment(PlanePoint(0, 0), target)
-        assert abs(tf_transform(one, u, path) - target.y) < 1e-12
+        v = tf_transform(one, u, path)
+        assert abs(v.sc - target.y) < 1e-12
+        assert v.vec == 0
+
+
+def test_tf_transform_acts_componentwise():
+    f = Field.from_exprs("exp(x)*cos(y) + 2")
+    u1, u2 = "x^2 - y", "x*y + sin(x)"
+    path = Path.detour(PlanePoint(0.2, -0.4), PlanePoint(1.5, 0.6), PlanePoint(0.9, 0.15))
+    both = tf_transform(f, Field.from_exprs(u1, u2), path)
+    one, two = (tf_transform(f, Field.from_exprs(u), path) for u in (u1, u2))
+    assert both == Bicomplex(one.sc, two.sc)
 
 
 def test_tf_transform_path_dependence_witness():

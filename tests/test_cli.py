@@ -226,6 +226,27 @@ def test_pipeline_kernel_matches_stock_at_point(tmp_path):
     assert sc_im == vec_re == vec_im == 0.0
 
 
+def test_cauchy_with_pipeline_main_kernel(tmp_path):
+    cfg = _write(
+        tmp_path,
+        "c.json",
+        {
+            "kernel": "pipeline",
+            "f": "x",
+            "zeta0": [0.5, 0],
+            "formula": "second",
+            "contour": {"center": [2, 0], "radius": 0.3, "nodes": 16},
+            "interior": [[2.05, 0.05]],
+            "exterior": [[2.9, 0.1]],
+            "tol": 1e-6,
+        },
+    )
+    assert main(["cauchy", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    rep = _report(tmp_path)
+    assert [c["name"] for c in rep["checks"]] == ["interior_deviation", "exterior_deviation"]
+    assert all(c["pass"] for c in rep["checks"])
+
+
 def test_invalid_json_is_config_error(tmp_path):
     p = tmp_path / "c.json"
     p.write_text("not json")

@@ -107,6 +107,14 @@ def test_freezing_compiles_each_kernel_once(compiles):
     assert len(compiles) <= 6
 
 
+def test_constant_trees_are_not_compiled(compiles):
+    w = Field.from_exprs("x")
+    z = PlanePoint(2.0, 3.0)
+    assert (w(z), w.dx(z), w.dy(z)) == (Bicomplex(2, 0), Bicomplex(1, 0), Bicomplex(0, 0))
+    # only the sc "x": the vec 0 and both constant partials need no code
+    assert len(compiles) == 1
+
+
 def test_frozen_partials_are_the_partial_kernels():
     k = Kernel.make("(x - xi)/((x - xi)^2 + (y - eta)^2) + log(x*xi)", "y*eta^2 - x*exp(eta)")
     zeta, z = PlanePoint(1.3, -0.4), PlanePoint(2.2, 0.7)

@@ -5,12 +5,13 @@ import pytest
 
 from bivekua.bicomplex import Bicomplex, PlanePoint, isclose
 from bivekua.calculus import PathThroughSingularityError, RegionGrid
-from bivekua.fields import Field
+from bivekua.fields import Field, Kernel
 from bivekua.pairs import GeneratingSequence, is_successor, vekua_residual
 from bivekua.powers import (
     SingularPointError,
     asymptotics_check,
     hat_sequence,
+    kernel_eval,
     negative_powers,
     power_residual_scan,
     reproducing_check,
@@ -174,6 +175,60 @@ def test_coefj_compiles_per_family_not_per_point(compiles):
 
     points = rand_pairs(5, seed=3)
     assert compiles_for(points) <= compiles_for(points[:1])
+
+
+def test_coefj_numeric_branch_matches_symbolic():
+    # f and S without closed forms: u = -coef1 is differenced numerically
+    zeta0 = PlanePoint(0.5, 0.0)
+    S = FundamentalSolution(regular=lambda zeta, z: 0j)
+    f = Field(lambda z: Bicomplex(z.x, 0))
+    numeric = successor_kernel_coefj(successor_kernel_coef1(S, f), f, zeta0)
+    exact = successor_kernel_coefj(
+        successor_kernel_coef1(FundamentalSolution.laplace(), F_X), F_X, zeta0
+    )
+    for zeta, z in ((PlanePoint(2.4, 0.1), PlanePoint(1.5, 0.05)),
+                    (PlanePoint(1.2, -0.6), PlanePoint(2.0, 0.3))):
+        assert (numeric.coefj(zeta, z) - exact.coefj(zeta, z)).norm <= 1e-5
+
+
+def test_coefj_binds_one_kernel_per_value(monkeypatch):
+    binds = []
+    field_in_zeta = Kernel.field_in_zeta
+
+    def counted(self, z):
+        binds.append(z)
+        return field_in_zeta(self, z)
+
+    monkeypatch.setattr(Kernel, "field_in_zeta", counted)
+    k1 = successor_kernel_coef1(FundamentalSolution.laplace(), F_X)
+    fam = successor_kernel_coefj(k1, F_X, PlanePoint(0.5, 0.0))
+    fam.coefj(PlanePoint(2.4, 0.1), PlanePoint(1.5, 0.05))
+    assert len(binds) == 1
+
+
+def test_main_kernel_eval_shares_one_successor_coefj():
+    k1 = successor_kernel_coef1(FundamentalSolution.laplace(), F_X)
+    successor = successor_kernel_coefj(k1, F_X, PlanePoint(0.5, 0.0))
+    coefj, calls = successor.coefj, []
+
+    def counted(zeta, z):
+        calls.append((zeta, z))
+        return coefj(zeta, z)
+
+    successor.coefj = counted
+    main = main_kernels(successor)
+    alpha = Bicomplex(0.3 - 0.2j, -0.7 + 0.1j)
+    zeta, z = PlanePoint(2.4, 0.1), PlanePoint(1.5, 0.05)
+    got = kernel_eval(main, alpha, zeta, z)
+    assert calls == [(z, zeta)]
+    # the construction that calls the successor once per slot
+    a, b = k1.coef1(z, zeta), coefj(z, zeta)
+    want = (
+        Bicomplex(0, 0)
+        + Bicomplex(-a.sc, b.sc).scale(alpha.sc)
+        + Bicomplex(a.vec, -b.vec).scale(alpha.vec)
+    )
+    assert got == want
 
 
 def test_coefj_path_independence():
