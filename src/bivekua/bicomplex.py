@@ -31,13 +31,28 @@ class DivisionByZeroError(BicomplexError):
 
 
 class OutOfRangeError(BicomplexError):
-    """A component of an inverse that is not a finite double."""
+    """A component of an inverse or of an idempotent split that is not a
+    finite double."""
 
 
 def _require_finite(c: complex) -> complex:
     if not (math.isfinite(c.real) and math.isfinite(c.imag)):
         raise InvalidValueError(f"non-finite component: {c!r}")
     return c
+
+
+def _pow2_over(e: int, c: complex) -> complex:
+    """2**e / c for finite nonzero c.  Near either end of the double range c
+    is first scaled by a power of two, so that only the last, correctly
+    rounded step can overflow (to inf) or underflow."""
+    k = math.frexp(max(abs(c.real), abs(c.imag)))[1]
+    if abs(k) < 1000:
+        return 2.0**e / c
+    r = 1 / complex(math.ldexp(c.real, -k), math.ldexp(c.imag, -k))
+    try:
+        return complex(math.ldexp(r.real, e - k), math.ldexp(r.imag, e - k))
+    except OverflowError:
+        return complex(math.inf, math.inf)
 
 
 def _two_sum(a: float, b: float) -> tuple[float, float]:
@@ -152,13 +167,14 @@ class Bicomplex:
         if p == 0 or m == 0:
             raise ZeroDivisorError(f"{self!r} is a zero divisor")
         # halving before the sum keeps results up to the largest double finite
-        hp, hm = 0.5 / p, 0.5 / m
-        if not (cmath.isfinite(p) and cmath.isfinite(m)):
+        if cmath.isfinite(p) and cmath.isfinite(m):
+            hp, hm = _pow2_over(-1, p), _pow2_over(-1, m)
+        else:
             # W+- can pass the double range while W does not (see __mul__);
             # (W/2)+- cannot, and 0.5/W+- = 0.25/(W/2)+-
             q, n = self.scale(0.5).idempotent()
-            hp = hp if cmath.isfinite(p) else 0.25 / q
-            hm = hm if cmath.isfinite(m) else 0.25 / n
+            hp = _pow2_over(-1, p) if cmath.isfinite(p) else _pow2_over(-2, q)
+            hm = _pow2_over(-1, m) if cmath.isfinite(m) else _pow2_over(-2, n)
         sc, vec = hp + hm, 1j * (hp - hm)
         if not all(math.isfinite(c) for c in (sc.real, sc.imag, vec.real, vec.imag)):
             raise OutOfRangeError(f"the inverse of {self!r} is outside the double range")
@@ -175,8 +191,10 @@ class Bicomplex:
         p, m = self.idempotent()
         if cmath.isfinite(p) and cmath.isfinite(m):
             try:
-                # halving before the sum keeps norms up to the largest double finite
-                return 0.5 * abs(p) + 0.5 * abs(m)
+                a, b = abs(p), abs(m)
+                # halving after the sum keeps subnormal norms exact; halving
+                # before it keeps norms up to the largest double finite
+                return 0.5 * (a + b) if a + b < math.inf else 0.5 * a + 0.5 * b
             except OverflowError:  # |W+-| passes the double range
                 pass
         # W+- or |W+-| can pass the double range while W does not (see
@@ -229,6 +247,8 @@ def idempotent_split(w: Bicomplex) -> IdempotentPair:
     pi, epi = _two_sum(w.sc.imag, -w.vec.real)
     mr, emr = _two_sum(w.sc.real, -w.vec.imag)
     mi, emi = _two_sum(w.sc.imag, w.vec.real)
+    if not all(math.isfinite(c) for c in (pr, pi, mr, mi)):
+        raise OutOfRangeError(f"the idempotent components of {w!r} are outside the double range")
     return IdempotentPair(
         complex(pr, pi), complex(mr, mi), complex(epr, epi), complex(emr, emi)
     )

@@ -12,7 +12,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bicomplex import Bicomplex, PlanePoint, bc_exp, from_cj
+from .bicomplex import Bicomplex, PlanePoint, bc_exp
 from .fields import Field, d_z, d_zbar, partials
 
 
@@ -66,14 +66,13 @@ class Path:
     def polyline(
         points: Sequence[PlanePoint],
         nodes_per_segment: int = 16,
-        max_segment_length: float = 0.25,
         grade_toward: Optional[PlanePoint] = None,
     ) -> "Path":
         """Composite Gauss-Legendre quadrature over a polyline.
 
-        Segments longer than max_segment_length are subdivided; when
-        grade_toward is given, subdivision is refined geometrically near
-        that point (for integrands singular there).
+        Segments longer than 0.25 are subdivided; when grade_toward is
+        given, subdivision is refined geometrically near that point (for
+        integrands singular there).
         """
         xs, ws = _gauss_legendre(nodes_per_segment)
         nodes: list[tuple[PlanePoint, complex]] = []
@@ -86,7 +85,7 @@ class Path:
 
         def refine(a: complex, b: complex, depth: int = 0):
             length = abs(b - a)
-            limit = max_segment_length
+            limit = 0.25
             if grade_toward is not None:
                 mid = (a + b) / 2
                 dist = abs(mid - grade_toward.as_complex)
@@ -126,11 +125,11 @@ class Path:
         theta0: float,
         theta1: float,
         nodes_per_segment: int = 16,
-        max_angle: float = 0.2,
     ) -> "Path":
+        """Composite Gauss-Legendre quadrature over pieces of at most 0.2 rad."""
         xs, ws = _gauss_legendre(nodes_per_segment)
         c = center.as_complex
-        pieces = max(1, math.ceil(abs(theta1 - theta0) / max_angle))
+        pieces = max(1, math.ceil(abs(theta1 - theta0) / 0.2))
         out = []
         for k in range(pieces):
             a = theta0 + (theta1 - theta0) * k / pieces
@@ -219,19 +218,12 @@ class Path:
         self, fn: Callable[[PlanePoint, complex], complex | Bicomplex], start=0
     ):
         """Sum fn(point, dz_weight) over nodes, in order, onto start; fn
-        applies the 1-form.  A Bicomplex-valued fn with start Bicomplex(0, 0)
-        integrates two complex 1-forms in one walk, each component summed
-        exactly as its complex integral alone would be."""
+        applies the 1-form.  This is the one loop that sums over a path.
+        A Bicomplex-valued fn with start Bicomplex(0, 0) integrates two
+        complex 1-forms in one walk, each component summed exactly as its
+        complex integral alone would be; ∫ W dz with bicomplex dz = dx + j dy
+        is fn = lambda p, w: W(p) * from_cj(w)."""
         return sum((fn(p, w) for p, w in self.nodes), start)
-
-    def integrate_bc(
-        self, fn: Callable[[PlanePoint], Bicomplex]
-    ) -> Bicomplex:
-        """∫ fn(z) dz with bicomplex dz = dx + j dy."""
-        acc = Bicomplex(0, 0)
-        for p, w in self.nodes:
-            acc = acc + fn(p) * from_cj(w)
-        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -384,11 +376,12 @@ def analytic_part(w: Field, a: Field, b: Field, region: RegionGrid) -> Field:
 def abar_antiderivative(w: Field, path: Path) -> complex:
     """2 ∫ (u dx + v dy) for W = u + jv; solves d_zbar(phi) = W when the
     compatibility condition u_y = v_x holds."""
-    total = 0j
-    for p, dz in path.nodes:
+
+    def one_form(p: PlanePoint, dz: complex) -> complex:
         val = w(p)
-        total += val.sc * dz.real + val.vec * dz.imag
-    return 2 * total
+        return val.sc * dz.real + val.vec * dz.imag
+
+    return 2 * path.integrate(one_form, 0j)
 
 
 def compatibility_residual(w: Field, z: PlanePoint, h: Optional[float] = None) -> float:

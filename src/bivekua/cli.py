@@ -11,6 +11,7 @@ residual-scan, cauchy.  Exit code 0 iff every declared tolerance was met.
 from __future__ import annotations
 
 import argparse
+import difflib
 import hashlib
 import json
 import math
@@ -64,6 +65,53 @@ CSV_HEADER = "x,y,sc_re,sc_im,vec_re,vec_im"
 
 def _fmt(v: float) -> str:
     return format(v, ".17g")
+
+
+# The keys each command accepts: None for a value, a dict for a nested object.
+_BOUNDS = ("x0", "x1", "y0", "y1")
+_KERNEL = dict.fromkeys(("kernel", "kernel_kind", "f", "zeta0"))
+_PAIR = {
+    "pair": {
+        **dict.fromkeys(("F_sc", "F_vec", "G_sc", "G_vec")),
+        "separable": dict.fromkeys(("phi", "psi", "m")),
+    },
+    "f": None,
+}
+_CONTOUR = {"contour": dict.fromkeys(("center", "radius", "nodes"))}
+_GRID = {"grid": dict.fromkeys(_BOUNDS + ("nx", "ny"))}
+_REGION = {"region": dict.fromkeys(_BOUNDS + ("h",))}
+_FIELD = {"field": dict.fromkeys(("sc", "vec"))}
+CONFIG_KEYS = {
+    "eval-kernel": {**_KERNEL, **_GRID, **dict.fromkeys(("zeta", "alpha"))},
+    "verify-reproducing": {**_KERNEL, **_PAIR, **_CONTOUR, "tol": None},
+    "build-powers": {
+        **_KERNEL, **_PAIR, **_REGION,
+        "separable": dict.fromkeys(("phi", "psi")),
+        **dict.fromkeys(("n", "samples", "seed", "tol")),
+    },
+    "build-fundamental": {**_GRID, **dict.fromkeys(("f", "zeta0", "zeta", "z0", "tol"))},
+    "residual-scan": {
+        **_PAIR, **_REGION, **_FIELD, **dict.fromkeys(("kind", "samples", "q", "h", "tol")),
+    },
+    "cauchy": {
+        **_KERNEL, **_PAIR, **_CONTOUR, **_FIELD,
+        **dict.fromkeys(("formula", "interior", "exterior", "tol")),
+    },
+}
+
+
+def _check_keys(cfg: dict, accepted: dict, prefix: str = "") -> None:
+    """Refuse a key the command does not read, and a non-object where the
+    command reads an object."""
+    for key, value in cfg.items():
+        if key not in accepted:
+            hint = difflib.get_close_matches(key, accepted, n=1)
+            near = f"; did you mean '{prefix}{hint[0]}'?" if hint else ""
+            raise ConfigError(f"unknown key '{prefix}{key}'{near}")
+        if accepted[key] is not None:
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key '{prefix}{key}' must be an object")
+            _check_keys(value, accepted[key], f"{prefix}{key}.")
 
 
 def _require(cfg: dict, key: str, typ=None):
@@ -140,7 +188,7 @@ def _check(name: str, value: float, expected: float, tol: float) -> dict:
 
 def _build_pair(cfg: dict):
     if "pair" in cfg:
-        p = _require(cfg, "pair", dict)
+        p = _require(cfg, "pair")
         if "separable" in p:
             s = p["separable"]
             return separable_pair(
@@ -195,24 +243,26 @@ def _build_kernel(cfg: dict) -> KernelFamily:
 
 
 def _contour(cfg: dict) -> ContourSpec:
-    c = _require(cfg, "contour", dict)
+    c = _require(cfg, "contour")
     center = _point(c, "center")
     radius = _number(_require(c, "radius"), "radius", positive=True)
     return ContourSpec.circle(center, radius, _int(c, "nodes", 1, 512))
 
 
 def _grid_points(cfg: dict) -> list[PlanePoint]:
-    g = _require(cfg, "grid", dict)
+    g = _require(cfg, "grid")
     return midpoints(*_bounds(g), _int(g, "nx", 1), _int(g, "ny", 1))
 
 
 def _region(cfg: dict) -> RegionGrid:
-    r = _require(cfg, "region", dict)
+    r = _require(cfg, "region")
     return RegionGrid(*_bounds(r), _number(r.get("h", 0.1), "h", positive=True))
 
 
 def _random_point_pairs(cfg: dict, count: int, min_dist: float = 0.2):
     r = _region(cfg)
+    if math.hypot(r.x1 - r.x0, r.y1 - r.y0) <= min_dist:
+        raise ConfigError(f"region is too small to hold two points more than {min_dist} apart")
     rng = random.Random(_int(cfg, "seed", default=0))
     out = []
     while len(out) < count:
@@ -252,7 +302,7 @@ def cmd_verify_reproducing(cfg: dict):
     pair = _build_pair(cfg)
     contour = _contour(cfg)
     tol = _tol(cfg)
-    center = _point(_require(cfg, "contour", dict), "center")
+    center = _point(_require(cfg, "contour"), "center")
     vc = formal_contour_integral(fam, pair.F, contour, center)
     checks = [
         _check(
@@ -274,7 +324,7 @@ def cmd_verify_reproducing(cfg: dict):
 
 def cmd_build_powers(cfg: dict):
     f_expr = _require(cfg, "f", str)
-    sep = _require(cfg, "separable", dict)
+    sep = _require(cfg, "separable")
     n = _int(cfg, "n", 1)
     samples = _int(cfg, "samples", 1, 20)
     tol = _tol(cfg)
@@ -342,7 +392,7 @@ def cmd_residual_scan(cfg: dict):
     region = _region(cfg)
     samples = _int(cfg, "samples", 1, 20)
     tol = _tol(cfg)
-    fld = _require(cfg, "field", dict)
+    fld = _require(cfg, "field")
     if kind == "vekua":
         w = Field.from_exprs(_require(fld, "sc", str), fld.get("vec", "0"))
         pair = _build_pair(cfg)
@@ -418,6 +468,7 @@ def run(command: str, config_path: str, out_dir: Optional[str] = None, quiet: bo
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
+    _check_keys(cfg, CONFIG_KEYS[command])
 
     checks, artifacts, extra = _COMMANDS[command](cfg)
     report = {

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import expr as ex
-from .bicomplex import Bicomplex, PlanePoint
+from .bicomplex import Bicomplex, PlanePoint, from_cj
 from .calculus import Path, RegionGrid, wirtinger
 from .fields import Field, SymBC, d_z, d_zbar
 
@@ -74,13 +74,11 @@ def pair_operator(d, a, b, w):
     return d - a * w - b * w.conj()
 
 
-def make_pair(
-    F: Field, G: Field, region: Optional[RegionGrid] = None, samples: int = 20
-) -> GeneratingPair:
-    """Validate the pair condition on a sample grid and attach the four
-    characteristic coefficient fields (symbolic when F, G are)."""
+def make_pair(F: Field, G: Field, region: Optional[RegionGrid] = None) -> GeneratingPair:
+    """Validate the pair condition on a 20-by-20 sample grid and attach the
+    four characteristic coefficient fields (symbolic when F, G are)."""
     if region is not None:
-        for p in region.sample_points(samples):
+        for p in region.sample_points():
             if abs((F(p).conj() * G(p)).vec) < 1e-14:
                 raise DegeneratePairError(f"Vec(conj_j(F) G) = 0 at {p}")
     if F.sym is not None and G.sym is not None:
@@ -133,18 +131,13 @@ def adjoint_pair(pair: GeneratingPair, region: Optional[RegionGrid] = None) -> G
     return make_pair(Fs, Gs, region)
 
 
-def is_successor(
-    candidate: GeneratingPair,
-    base: GeneratingPair,
-    region: RegionGrid,
-    tol: float = 1e-8,
-    samples: int = 20,
-) -> bool:
-    """True iff a_candidate = a_base and b_candidate = -B_base on the grid."""
-    for p in region.sample_points(samples):
-        if (candidate.a(p) - base.a(p)).norm > tol:
+def is_successor(candidate: GeneratingPair, base: GeneratingPair, region: RegionGrid) -> bool:
+    """True iff a_candidate = a_base and b_candidate = -B_base to 1e-8 on a
+    20-by-20 sample grid."""
+    for p in region.sample_points():
+        if (candidate.a(p) - base.a(p)).norm > 1e-8:
             return False
-        if (candidate.b(p) + base.B(p)).norm > tol:
+        if (candidate.b(p) + base.B(p)).norm > 1e-8:
             return False
     return True
 
@@ -152,9 +145,12 @@ def is_successor(
 def star_integral(w: Field, pair: GeneratingPair, path: Path) -> Bicomplex:
     """Sc ∫ G* W dz + j Sc ∫ F* W dz with bicomplex dz = dx + j dy."""
     Fs, Gs = adjoint_fields(pair)
-    ig = path.integrate_bc(lambda p: Gs(p) * w(p))
-    iff = path.integrate_bc(lambda p: Fs(p) * w(p))
-    return Bicomplex(ig.sc, iff.sc)
+
+    def one_form(p: PlanePoint, dz: complex) -> Bicomplex:
+        wv, dzj = w(p), from_cj(dz)
+        return Bicomplex((Gs(p) * wv * dzj).sc, (Fs(p) * wv * dzj).sc)
+
+    return path.integrate(one_form, Bicomplex(0, 0))
 
 
 def fg_integral(w: Field, pair: GeneratingPair, path: Path) -> Bicomplex:

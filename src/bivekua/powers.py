@@ -135,11 +135,11 @@ def asymptotics_check(
     k: KernelFamily,
     zeta: PlanePoint,
     radii: list[float],
-    final_tol_scale: float = 1e-4,
 ) -> AsymptoticsReport:
     """Certify the Cauchy-kernel asymptotics at the center zeta:
     (z-zeta) Z(alpha) -> alpha, |conj_j(Z)/Z| -> 1, and log-bounded
-    deviation from the analytic kernel."""
+    deviation from the analytic kernel; at the last radius the deviation
+    must be at most 1e-4 |log r|."""
     angles = [0.3, 1.7, 2.9, 4.4]
     errors_1, errors_j, ratio_dev = [], [], []
     fitted = 0.0
@@ -161,7 +161,7 @@ def asymptotics_check(
         ratio_dev.append(rd)
     seq = [max(a, b) for a, b in zip(errors_1, errors_j)]
     monotone = all(b <= a * (1 + 1e-9) + 1e-15 for a, b in zip(seq, seq[1:]))
-    final_ok = seq[-1] <= final_tol_scale * abs(math.log(radii[-1]))
+    final_ok = seq[-1] <= 1e-4 * abs(math.log(radii[-1]))
     return AsymptoticsReport(
         list(radii), errors_1, errors_j, ratio_dev, fitted, monotone,
         monotone and final_ok,
@@ -172,21 +172,35 @@ def asymptotics_check(
 # Cauchy integral formulas
 
 
+def _contour_integral(
+    contour: ContourSpec, z0: PlanePoint, one_form: Callable[[PlanePoint, complex], Bicomplex]
+) -> Bicomplex:
+    """∫ one_form over the contour, refusing a probe z0 on a node."""
+
+    def checked(tau: PlanePoint, dz: complex) -> Bicomplex:
+        if tau.dist(z0) == 0:
+            raise SingularPointError("probe lies on the contour")
+        return one_form(tau, dz)
+
+    return contour.path.integrate(checked, Bicomplex(0, 0))
+
+
 def first_cauchy(
     w: Field, adjoint_kernels: KernelFamily, contour: ContourSpec, z0: PlanePoint
 ) -> Bicomplex:
     """Vec ∫ W Zhat(1, z0, tau) dtau - j Vec ∫ W Zhat(j, z0, tau) dtau:
-    2*pi*W(z0) inside the contour, 0 outside."""
-    for p, _ in contour.path.nodes:
-        if p.dist(z0) == 0:
-            raise SingularPointError("probe lies on the contour")
-    i1 = contour.path.integrate_bc(
-        lambda tau: w(tau) * adjoint_kernels.coef1(z0, tau)
-    )
-    ij = contour.path.integrate_bc(
-        lambda tau: w(tau) * adjoint_kernels.coefj(z0, tau)
-    )
-    return Bicomplex(i1.vec, -ij.vec)
+    2*pi*W(z0) inside the contour, 0 outside.  One walk integrates both
+    coefficients, so each node asks the family for both at one point pair."""
+
+    def one_form(tau: PlanePoint, dz: complex) -> Bicomplex:
+        wv, dzj = w(tau), from_cj(dz)
+        return Bicomplex(
+            (wv * adjoint_kernels.coef1(z0, tau) * dzj).vec,
+            (wv * adjoint_kernels.coefj(z0, tau) * dzj).vec,
+        )
+
+    total = _contour_integral(contour, z0, one_form)
+    return Bicomplex(total.sc, -total.vec)
 
 
 def formal_contour_integral(
@@ -194,13 +208,9 @@ def formal_contour_integral(
 ) -> Bicomplex:
     """∫ Z^(n)(j W(tau) dtau, tau, z0): the kernel center runs along the
     contour while the argument stays at z0."""
-    acc = Bicomplex(0, 0)
-    for tau, dz in contour.path.nodes:
-        if tau.dist(z0) == 0:
-            raise SingularPointError("probe lies on the contour")
-        alpha = J * w(tau) * from_cj(dz)
-        acc = acc + kernel_eval(k, alpha, tau, z0)
-    return acc
+    return _contour_integral(
+        contour, z0, lambda tau, dz: kernel_eval(k, J * w(tau) * from_cj(dz), tau, z0)
+    )
 
 
 def cauchy_deviations(
@@ -305,8 +315,8 @@ def negative_powers(
 
     The adjoint-side kernel is differentiated n-1 times in the sense of the
     pairs of ``adjoint_seq`` (exact when closed forms are available, nested
-    central differences otherwise), scaled by (-1)^(n-1)/(n-1)!, and the
-    components are recombined with swapped arguments."""
+    central differences otherwise), scaled by 1/(n-1)!, and carried back
+    by the base/adjoint transfer."""
     if n < 1:
         raise ValueError("order must satisfy n >= 1")
     if n == 1:
@@ -316,7 +326,7 @@ def negative_powers(
             f"need pairs 0..{n - 2} of the adjoint sequence"
         )
     hat = adjoint_kernel_transfer(base_kernel)
-    scale = (-1) ** (n - 1) / math.factorial(n - 1)
+    scale = 1 / math.factorial(n - 1)
 
     symbolic = hat.sym1 is not None and all(
         adjoint_seq.pair_at(m).A.sym is not None for m in range(n - 1)
@@ -328,8 +338,8 @@ def negative_powers(
             pair = adjoint_seq.pair_at(m)
             A, B = _lift(pair.A.sym), _lift(pair.B.sym)
             s1, sj = (pair_operator(s.d_z(), A, B, s) for s in (s1, sj))
-        hat1 = Kernel(s1.scale(complex(scale))).__call__
-        hatj = Kernel(sj.scale(complex(scale))).__call__
+        d1 = Kernel(s1.scale(complex(scale))).__call__
+        dj = Kernel(sj.scale(complex(scale))).__call__
     else:
 
         def fd_step(fn, pair: GeneratingPair, h: float):
@@ -341,22 +351,11 @@ def negative_powers(
             pair = adjoint_seq.pair_at(m)
             h = 1e-3 * 2.0 ** (-m)
             f1, fj = fd_step(f1, pair, h), fd_step(fj, pair, h)
-        hat1 = lambda zeta, z: f1(zeta, z).scale(scale)  # noqa: E731
-        hatj = lambda zeta, z: fj(zeta, z).scale(scale)  # noqa: E731
+        d1 = lambda zeta, z: f1(zeta, z).scale(scale)  # noqa: E731
+        dj = lambda zeta, z: fj(zeta, z).scale(scale)  # noqa: E731
 
-    sign_n = (-1) ** n
-
-    def coef1(zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-        u = hat1(z, zeta)
-        v = hatj(z, zeta)
-        return Bicomplex(sign_n * u.sc, -sign_n * v.sc)
-
-    def coefj(zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-        u = hat1(z, zeta)
-        v = hatj(z, zeta)
-        return Bicomplex(-sign_n * u.vec, sign_n * v.vec)
-
-    return KernelFamily(order=-n, coef1=coef1, coefj=coefj)
+    # bare evaluators: the transfer swaps and recombines values, no tree
+    return adjoint_kernel_transfer(KernelFamily(order=-n, coef1=d1, coefj=dj))
 
 
 # ---------------------------------------------------------------------------
@@ -378,16 +377,14 @@ def power_residual_scan(
     pair: GeneratingPair,
     region,
     zeta: PlanePoint,
-    samples: int = 10,
-    exclusion: float = 0.1,
 ) -> ResidualReport:
-    """Max Vekua residual of both coefficient evaluators over the region,
-    punctured around the kernel center."""
+    """Max Vekua residual of both coefficient evaluators over a 10-by-10
+    sample grid of the region, punctured within 0.1 of the kernel center."""
     f1 = k.coef1_field(zeta)
     fj = k.coefj_field(zeta)
     r1 = rj = 0.0
-    for p in region.sample_points(samples):
-        if p.dist(zeta) <= exclusion:
+    for p in region.sample_points(10):
+        if p.dist(zeta) <= 0.1:
             continue
         r1 = max(r1, vekua_residual(f1, pair, p))
         rj = max(rj, vekua_residual(fj, pair, p))

@@ -1,5 +1,5 @@
 import math
-import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,6 +12,7 @@ from bivekua.bicomplex import (
     P_PLUS,
     ZERO,
     Bicomplex,
+    BicomplexError,
     DivisionByZeroError,
     InvalidValueError,
     OutOfRangeError,
@@ -24,9 +25,7 @@ from bivekua.bicomplex import (
     isclose,
 )
 
-finite = st.floats(
-    min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
-)
+finite = st.floats(allow_nan=False, allow_infinity=False)  # every finite double
 
 
 @st.composite
@@ -34,6 +33,56 @@ def bicomplexes(draw):
     return Bicomplex(
         complex(draw(finite), draw(finite)), complex(draw(finite), draw(finite))
     )
+
+
+# Exact arithmetic: a complex number as a pair of Fractions (re, im).
+
+
+def _q(c: complex) -> tuple[Fraction, Fraction]:
+    return Fraction(c.real), Fraction(c.imag)
+
+
+def _mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _in_range(*parts: tuple[Fraction, Fraction]) -> bool:
+    """True iff every exact component rounds to a finite double."""
+    try:
+        for re, im in parts:
+            float(re), float(im)
+    except OverflowError:
+        return False
+    return True
+
+
+def _exact_split(w):
+    """(W+, W-) = (Sc W - i Vec W, Sc W + i Vec W)."""
+    (sr, si), (vr, vi) = _q(w.sc), _q(w.vec)
+    return (sr + vi, si - vr), (sr - vi, si + vr)
+
+
+def _exact_sum(w, v):
+    return tuple(
+        (a[0] + b[0], a[1] + b[1]) for a, b in ((_q(w.sc), _q(v.sc)), (_q(w.vec), _q(v.vec)))
+    )
+
+
+def _exact_product(w, v):
+    ws, wv, vs, vv = _q(w.sc), _q(w.vec), _q(v.sc), _q(v.vec)
+    ss, tt, st_, ts = _mul(ws, vs), _mul(wv, vv), _mul(ws, vv), _mul(wv, vs)
+    return (ss[0] - tt[0], ss[1] - tt[1]), (st_[0] + ts[0], st_[1] + ts[1])
+
+
+def _exact_inverse(w):
+    """W^-1 = conj_j(W) / (Sc^2 + Vec^2); W is not a zero divisor."""
+    s, v = _q(w.sc), _q(w.vec)
+    ss, vv = _mul(s, s), _mul(v, v)
+    d = (ss[0] + vv[0], ss[1] + vv[1])
+    d2 = d[0] * d[0] + d[1] * d[1]
+    dinv = (d[0] / d2, -d[1] / d2)
+    neg_v = (-v[0], -v[1])
+    return _mul(s, dinv), _mul(neg_v, dinv)
 
 
 def test_mul_orthogonal_idempotents():
@@ -87,6 +136,29 @@ def test_inv_with_idempotent_components_past_the_range():
     for part in (got.sc, got.vec):
         assert abs(part.real - want.real) <= 1e-12 * abs(want.real)
         assert abs(part.imag - want.imag) <= 1e-12 * abs(want.imag)
+
+
+def test_inv_with_components_near_the_largest_double():
+    # 0.5/W+ with W+ = 2^1023 (1 - i) divided by 2^1024 inside the complex
+    # division, which overflowed, and the inverse came out as 0
+    w = Bicomplex(0, 2.0**1023 * (1 + 1j))
+    want = complex(-(2.0**-1024), 2.0**-1024)  # Vec of -j / (2^1023 (1 + i))
+    got = w.inv()
+    assert got.sc == 0 and got.vec == want
+    assert (w * got - ONE).norm <= 1e-15
+
+
+def test_inv_whose_idempotent_inverse_passes_the_range():
+    # W+ = 5e-324 i, so 1/W+ is far past the largest double
+    w = Bicomplex(complex(2.0**1000, 5e-324), -(2.0**1000) * 1j)
+    with pytest.raises(OutOfRangeError):
+        w.inv()
+
+
+@pytest.mark.parametrize("x", [5e-324, 1.5e-323, 2.2250738585072014e-308])
+def test_norm_of_subnormals_is_exact(x):
+    # halving before the sum rounded 0.5 * 5e-324 to 0
+    assert Bicomplex(x, 0).norm == x
 
 
 @pytest.mark.parametrize(
@@ -161,27 +233,51 @@ def test_roundtrip_needs_compensation():
     assert from_idempotent(idempotent_split(w)) == w
 
 
+def test_idempotent_split_past_the_range():
+    # W+ = 2 * 8.99e307 overflows although W is finite
+    w = Bicomplex(8.98846567431158e307, 8.988465674311579e307j)
+    with pytest.raises(OutOfRangeError):
+        idempotent_split(w)
+
+
 @given(bicomplexes())
+@example(Bicomplex(8.98846567431158e307, 8.988465674311579e307j))
 def test_roundtrip_exact(w):
+    if not _in_range(*_exact_split(w)):
+        with pytest.raises(OutOfRangeError):
+            idempotent_split(w)
+        return
     assert from_idempotent(idempotent_split(w)) == w
 
 
 @given(bicomplexes(), bicomplexes())
 def test_norm_submultiplicative(w, v):
-    assert (w * v).norm <= 2 * w.norm * v.norm * (1 + 1e-12) + 1e-300
+    if not _in_range(*_exact_product(w, v)):
+        with pytest.raises(BicomplexError):
+            w * v
+        return
+    # a norm past the largest double is inf, and inf * 0 is no bound
+    bound = 2 * (w.norm * v.norm) if max(w.norm, v.norm) < math.inf else math.inf
+    assert (w * v).norm <= bound * (1 + 1e-12) + 1e-300
 
 
 @given(bicomplexes(), bicomplexes())
 def test_norm_triangle(w, v):
+    if not _in_range(*_exact_sum(w, v)):
+        with pytest.raises(BicomplexError):
+            w + v
+        return
     assert (w + v).norm <= (w.norm + v.norm) * (1 + 1e-12) + 1e-300
 
 
 @given(bicomplexes())
 def test_norm_component_bounds(w):
     slack = 1 + 1e-12
-    assert abs(w.sc) <= w.norm * slack
-    assert abs(w.vec) <= w.norm * slack
-    assert w.norm <= (abs(w.sc) + abs(w.vec)) * slack
+    # hypot is abs without the OverflowError past the largest double
+    sc, vec = math.hypot(w.sc.real, w.sc.imag), math.hypot(w.vec.real, w.vec.imag)
+    assert sc <= w.norm * slack
+    assert vec <= w.norm * slack
+    assert w.norm <= (sc + vec) * slack
 
 
 small = st.floats(min_value=-20, max_value=20, allow_nan=False)
@@ -227,11 +323,7 @@ def test_zero_divisor_classification(w):
 def test_inversion_identity(w):
     if w.is_zero or w.is_zero_divisor:
         return
-    # W^-1 = 2^600 (2^600 W)^-1, and the scaled inverse is well inside the range
-    scale = 2.0**600
-    scaled = Bicomplex(w.sc * scale, w.vec * scale).inv()
-    parts = (scaled.sc.real, scaled.sc.imag, scaled.vec.real, scaled.vec.imag)
-    if max(map(abs, parts)) > sys.float_info.max / scale:
+    if not _in_range(*_exact_inverse(w)):
         with pytest.raises(OutOfRangeError):
             w.inv()
         return

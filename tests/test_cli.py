@@ -2,11 +2,15 @@
 
 import hashlib
 import json
+import re
+import signal
+from collections import defaultdict
+from pathlib import Path
 
 import pytest
 
-from bivekua import __version__
-from bivekua.cli import ConfigError, main, run
+from bivekua import __version__, cli
+from bivekua.cli import CONFIG_KEYS, ConfigError, main, run
 
 
 def _write(tmp_path, name, cfg):
@@ -396,3 +400,162 @@ def test_long_flat_chain_is_rejected_without_recursion_error(tmp_path, capsys):
     assert main(["residual-scan", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "ExprSyntaxError" in err and "RecursionError" not in err
+
+
+@pytest.mark.parametrize(
+    "command, cfg, message",
+    [
+        (
+            "verify-reproducing",
+            {
+                "kernel": "x-main",
+                "f": "x",
+                "contour": {"center": [3, 0], "radius": 1, "node": 8},
+                "tolerance": 1e-30,
+                "fromula": "first",
+            },
+            "unknown key 'contour.node'; did you mean 'contour.nodes'?",
+        ),
+        ("eval-kernel", dict(_VALID["eval-kernel"], alfa="j"), "unknown key 'alfa'; did you mean 'alpha'?"),
+        (
+            "build-powers",
+            dict(_VALID["build-powers"], separable={"phi": "x", "psi": "1", "m": 0}),
+            "unknown key 'separable.m'",
+        ),
+        (
+            "build-fundamental",
+            {"f": "x", "zeta": [1, 0], "zeta_0": [0.5, 0], "z0": "zeta+1"},
+            "unknown key 'zeta_0'; did you mean 'zeta0'?",
+        ),
+        (
+            "residual-scan",
+            dict(_VALID["residual-scan"], field={"sc": "x", "vex": "0"}),
+            "unknown key 'field.vex'; did you mean 'field.vec'?",
+        ),
+        (
+            "cauchy",
+            dict(_NUMBERS["cauchy"], pair={"separable": {"phi": "1", "psi": "1", "mm": 0}}),
+            "unknown key 'pair.separable.mm'; did you mean 'pair.separable.m'?",
+        ),
+    ],
+)
+def test_unknown_key_is_config_error(tmp_path, capsys, command, cfg, message):
+    config = _write(tmp_path, "c.json", cfg)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(config), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()  # refused before the command started
+
+
+@pytest.mark.parametrize(
+    "command, cfg, key",
+    [
+        ("cauchy", dict(_NUMBERS["cauchy"], field=5), "field"),
+        ("cauchy", dict(_NUMBERS["cauchy"], pair={"separable": 5}), "pair.separable"),
+        ("build-powers", dict(_VALID["build-powers"], region=[1, 3, -1, 1]), "region"),
+    ],
+)
+def test_non_object_is_config_error(tmp_path, capsys, command, cfg, key):
+    config = _write(tmp_path, "c.json", cfg)
+    assert main([command, "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"config error: config key '{key}' must be an object\n"
+
+
+def test_region_too_small_for_sample_pairs_is_config_error(tmp_path, capsys):
+    # no two points of a 0.1 x 0.1 region are more than 0.2 apart, so drawing
+    # sample pairs would never end; the alarm turns a hang into a failure
+    cfg = dict(_VALID["build-powers"], region={"x0": 1.0, "x1": 1.1, "y0": 0.0, "y1": 0.1})
+    config = _write(tmp_path, "c.json", cfg)
+
+    def hang(signum, frame):
+        raise TimeoutError("build-powers did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(20)
+    try:
+        code = main(["build-powers", "--config", str(config), "--out", str(tmp_path), "--quiet"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("config error: region is too small")
+
+
+@pytest.fixture
+def successor_coefj_calls(monkeypatch):
+    """The (zeta, z) of every successor coefj value a pipeline run computes."""
+    calls = []
+    build = cli.successor_kernel_coefj
+
+    def counted_family(*args, **kwargs):
+        fam = build(*args, **kwargs)
+        coefj = fam.coefj
+        fam.coefj = lambda zeta, z: calls.append((zeta, z)) or coefj(zeta, z)
+        return fam
+
+    monkeypatch.setattr(cli, "successor_kernel_coefj", counted_family)
+    return calls
+
+
+def test_first_formula_pipeline_walks_the_contour_once(tmp_path, successor_coefj_calls):
+    cfg = {
+        "kernel": "pipeline",
+        "f": "x",
+        "zeta0": [0.5, 0],
+        "formula": "first",
+        "contour": {"center": [2, 0], "radius": 0.3, "nodes": 16},
+        "interior": [[2.05, 0.05]],
+        "exterior": [[2.9, 0.1]],
+        "tol": 1e-6,
+    }
+    config = _write(tmp_path, "c.json", cfg)
+    assert main(["cauchy", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    # one successor coefj per node and probe: 16 nodes x 2 probes
+    assert len(successor_coefj_calls) == 32
+
+
+def test_pipeline_build_powers_shares_derivatives_between_slots(tmp_path, successor_coefj_calls):
+    # the anchored pipeline kernel differs from the closed form by a regular
+    # solution, so the deviation check is not the point here (tol 1); each
+    # sample pair evaluates both slots, and both share one evaluation of
+    # each derivative: 2 samples x 2 derivatives x 5 stencil points
+    cfg = {
+        "kernel": "pipeline",
+        "f": "x",
+        "zeta0": [0.5, 0],
+        "separable": {"phi": "x", "psi": "1"},
+        "n": 2,
+        "region": {"x0": 1.0, "x1": 3.0, "y0": -1.0, "y1": 1.0},
+        "samples": 2,
+        "tol": 1,
+    }
+    config = _write(tmp_path, "c.json", cfg)
+    assert main(["build-powers", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    assert len(successor_coefj_calls) == 20
+
+
+def _readme_config_keys() -> dict[str, set[str]]:
+    """Key -> commands, from README's table under "### Config keys"."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    keys = {}
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) == 2 and cells[0].startswith("`"):
+            for key in re.findall(r"`([^`]+)`", cells[0]):
+                keys[key] = set(cells[1].split(", "))
+    return keys
+
+
+def test_readme_names_exactly_the_accepted_keys():
+    accepted = defaultdict(set)
+
+    def walk(table: dict, command: str, prefix: str = "") -> None:
+        for key, nested in table.items():
+            accepted[prefix + key].add(command)
+            if nested is not None:
+                walk(nested, command, f"{prefix}{key}.")
+
+    for command, table in CONFIG_KEYS.items():
+        walk(table, command)
+    assert _readme_config_keys() == dict(accepted)

@@ -3,13 +3,14 @@ import random
 
 import pytest
 
-from bivekua.bicomplex import Bicomplex, PlanePoint, isclose
+from bivekua.bicomplex import Bicomplex, PlanePoint, from_cj, isclose
 from bivekua.calculus import Path, RegionGrid
 from bivekua.fields import Field
 from bivekua.pairs import (
     DegeneratePairError,
     GeneratingSequence,
     MissingSequenceError,
+    adjoint_fields,
     adjoint_pair,
     fg_derivative,
     fg_integral,
@@ -138,6 +139,27 @@ def test_star_integral_successor_solution_closed():
     )
     path = Path.circle(PlanePoint(3, 0), 1.0, nodes=512)
     assert star_integral(w, MAIN_X, path).norm <= 1e-8
+
+
+def test_star_integral_is_the_two_walk_sum():
+    # one walk gives exactly Sc ∫ G* W dz + j Sc ∫ F* W dz, each integral
+    # summed over the nodes in order as a walk of its own, and evaluates W
+    # once per node
+    inner = Field.from_exprs("x*y + 2", "x - y^2")
+    calls = []
+    w = Field(lambda p: calls.append(p) or inner(p))
+    path = Path.circle(PlanePoint(1.5, 0.2), 0.3, nodes=64)
+    Fs, Gs = adjoint_fields(MAIN_X)
+
+    def walk(a: Field) -> Bicomplex:
+        acc = Bicomplex(0, 0)
+        for p, dz in path.nodes:
+            acc = acc + a(p) * inner(p) * from_cj(dz)
+        return acc
+
+    got = star_integral(w, MAIN_X, path)
+    assert got == Bicomplex(walk(Gs).sc, walk(Fs).sc)
+    assert calls == [p for p, _ in path.nodes]
 
 
 def test_fg_integral_analytic():

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from bivekua.bicomplex import Bicomplex, PlanePoint, isclose
+from bivekua.bicomplex import Bicomplex, PlanePoint, from_cj, isclose
 from bivekua.calculus import RegionGrid
 from bivekua.fields import Field
 from bivekua.pairs import GeneratingSequence, MissingSequenceError, make_pair
@@ -126,6 +126,36 @@ def test_first_cauchy_formula():
     assert first_cauchy(w, hat, UNIT, PlanePoint(2.5, 1.0)).norm <= 1e-8
 
 
+def test_first_cauchy_is_the_two_walk_sum():
+    # one walk gives exactly Vec ∫ W Zhat(1) dtau - j Vec ∫ W Zhat(j) dtau,
+    # each integral summed over the nodes in order as a walk of its own
+    hat = adjoint_kernel_transfer(as_callable_only(reproducing_example_kernel()))
+    w = Field.from_exprs("x^2 - y^2 + 3", "2*x*y - x")
+    contour = ContourSpec.circle(PlanePoint(0.2, -0.1), 0.8, nodes=64)
+    for z0 in (PlanePoint(0.4, 0.1), PlanePoint(2.5, 1.0)):
+        i1 = ij = Bicomplex(0, 0)
+        for tau, dz in contour.path.nodes:
+            i1 = i1 + w(tau) * hat.coef1(z0, tau) * from_cj(dz)
+        for tau, dz in contour.path.nodes:
+            ij = ij + w(tau) * hat.coefj(z0, tau) * from_cj(dz)
+        assert first_cauchy(w, hat, contour, z0) == Bicomplex(i1.vec, -ij.vec)
+
+
+def test_first_cauchy_asks_for_both_coefficients_at_each_node():
+    hat = adjoint_kernel_transfer(analytic_kernel())
+    calls = []
+
+    def counted(name, coef):
+        return lambda z0, tau: calls.append((name, tau)) or coef(z0, tau)
+
+    fam = KernelFamily(-1, counted("1", hat.coef1), counted("j", hat.coefj))
+    contour = ContourSpec.circle(PlanePoint(0, 0), 1.0, nodes=8)
+    first_cauchy(ONE, fam, contour, PlanePoint(0.1, 0.2))
+    # a one-entry memo keyed by the point pair (adjoint_kernel_transfer's)
+    # serves both slots only when they are asked for back to back
+    assert calls == [(slot, tau) for tau, _ in contour.path.nodes for slot in "1j"]
+
+
 def test_first_cauchy_probe_on_contour_raises():
     hat = adjoint_kernel_transfer(analytic_kernel())
     node = UNIT.path.nodes[0][0]
@@ -216,6 +246,29 @@ def test_negative_powers_fd_chain():
         e = expected_pow(zeta, z, 2)
         assert (k.coef1(zeta, z) - e).norm <= 1e-5 * max(1.0, e.norm)
         assert (k.coefj(zeta, z) - Bicomplex(0, 1) * e).norm <= 1e-5 * max(1.0, e.norm)
+
+
+def test_negative_powers_fd_chain_shares_derivatives_between_slots():
+    # both slots at one (zeta, z) read the two derivatives of the
+    # adjoint-side kernel at (z, zeta) once: the second slot costs no
+    # evaluation of the base kernel
+    base = as_callable_only(analytic_kernel())
+    calls = []
+    c1, cj = base.coef1, base.coefj
+    counted = KernelFamily(
+        -1,
+        lambda zeta, z: calls.append(1) or c1(zeta, z),
+        lambda zeta, z: calls.append(1) or cj(zeta, z),
+    )
+    k = negative_powers(counted, CONST_SEQ, 2)
+    zeta, z = PlanePoint(0.3, -0.2), PlanePoint(-0.4, 0.5)
+    v1 = k.coef1(zeta, z)
+    one_slot = len(calls)
+    vj = k.coefj(zeta, z)
+    assert one_slot > 0 and len(calls) == one_slot
+    e = expected_pow(zeta, z, 2)
+    assert (v1 - e).norm <= 1e-5 * max(1.0, e.norm)
+    assert (vj - Bicomplex(0, 1) * e).norm <= 1e-5 * max(1.0, e.norm)
 
 
 def test_negative_powers_window_enforced():
