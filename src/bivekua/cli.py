@@ -67,112 +67,169 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-# The keys each command accepts: None for a value, a dict for a nested object.
-_BOUNDS = ("x0", "x1", "y0", "y1")
-_KERNEL = dict.fromkeys(("kernel", "kernel_kind", "f", "zeta0"))
-_PAIR = {
-    "pair": {
-        **dict.fromkeys(("F_sc", "F_vec", "G_sc", "G_vec")),
-        "separable": dict.fromkeys(("phi", "psi", "m")),
-    },
-    "f": None,
-}
-_CONTOUR = {"contour": dict.fromkeys(("center", "radius", "nodes"))}
-_GRID = {"grid": dict.fromkeys(_BOUNDS + ("nx", "ny"))}
-_REGION = {"region": dict.fromkeys(_BOUNDS + ("h",))}
-_FIELD = {"field": dict.fromkeys(("sc", "vec"))}
-CONFIG_KEYS = {
-    "eval-kernel": {**_KERNEL, **_GRID, **dict.fromkeys(("zeta", "alpha"))},
-    "verify-reproducing": {**_KERNEL, **_PAIR, **_CONTOUR, "tol": None},
-    "build-powers": {
-        **_KERNEL, **_PAIR, **_REGION,
-        "separable": dict.fromkeys(("phi", "psi")),
-        **dict.fromkeys(("n", "samples", "seed", "tol")),
-    },
-    "build-fundamental": {**_GRID, **dict.fromkeys(("f", "zeta0", "zeta", "z0", "tol"))},
-    "residual-scan": {
-        **_PAIR, **_REGION, **_FIELD, **dict.fromkeys(("kind", "samples", "q", "h", "tol")),
-    },
-    "cauchy": {
-        **_KERNEL, **_PAIR, **_CONTOUR, **_FIELD,
-        **dict.fromkeys(("formula", "interior", "exterior", "tol")),
-    },
-}
+# ---------------------------------------------------------------------------
+# Config schema: each command's table maps a key to (check, default).  A check
+# is a function (value, dotted key) -> validated value, or a dict of the keys
+# of a nested object; REQUIRED marks a key without a default.  The keys of
+# contour, grid and region are the arguments of ContourSpec.circle, midpoints
+# and RegionGrid.
+
+REQUIRED = object()
 
 
-def _check_keys(cfg: dict, accepted: dict, prefix: str = "") -> None:
-    """Refuse a key the command does not read, and a non-object where the
-    command reads an object."""
-    for key, value in cfg.items():
-        if key not in accepted:
-            hint = difflib.get_close_matches(key, accepted, n=1)
-            near = f"; did you mean '{prefix}{hint[0]}'?" if hint else ""
-            raise ConfigError(f"unknown key '{prefix}{key}'{near}")
-        if accepted[key] is not None:
-            if not isinstance(value, dict):
-                raise ConfigError(f"config key '{prefix}{key}' must be an object")
-            _check_keys(value, accepted[key], f"{prefix}{key}.")
-
-
-def _require(cfg: dict, key: str, typ=None):
-    if key not in cfg:
-        raise ConfigError(f"missing required config key '{key}'")
-    v = cfg[key]
-    if typ is not None and not isinstance(v, typ):
-        raise ConfigError(f"config key '{key}' has wrong type")
+def _string(v, key: str) -> str:
+    if not isinstance(v, str):
+        raise ConfigError(f"config key '{key}' must be a string")
     return v
 
 
-def _number(v, key: str, positive: bool = False) -> float:
-    """A finite number (an int or float, not a bool) read from config key
-    ``key``, greater than 0 when ``positive``."""
+def _finite(v, key: str) -> float:
+    """An int or float (not a bool) within the double range."""
     if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
         raise ConfigError(f"config key '{key}' must be a finite number")
-    if positive and v <= 0:
+    return float(v)
+
+
+def _positive(v, key: str) -> float:
+    if _finite(v, key) <= 0:
         raise ConfigError(f"config key '{key}' must be positive")
     return float(v)
 
 
-def _tol(cfg: dict) -> float:
-    tol = _number(cfg.get("tol", 1e-6), "tol")
-    if tol < 0:
-        raise ConfigError("config key 'tol' must be non-negative")
-    return tol
+def _non_negative(v, key: str) -> float:
+    if _finite(v, key) < 0:
+        raise ConfigError(f"config key '{key}' must be non-negative")
+    return float(v)
 
 
-def _int(
-    cfg: dict, key: str, minimum: Optional[int] = None, default: Optional[int] = None
-) -> int:
-    """An integer config value, not a bool, of at least ``minimum``; the key
-    is required when there is no default."""
-    v = _require(cfg, key) if default is None else cfg.get(key, default)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"config key '{key}' must be an integer")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"config key '{key}' must be at least {minimum}")
-    return v
+def _integer(minimum: Optional[int] = None):
+    def check(v, key: str) -> int:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise ConfigError(f"config key '{key}' must be an integer")
+        if minimum is not None and v < minimum:
+            raise ConfigError(f"config key '{key}' must be at least {minimum}")
+        return v
+
+    return check
 
 
-def _as_point(v, key: str) -> PlanePoint:
+def _point(v, key: str) -> PlanePoint:
     if not isinstance(v, list) or len(v) != 2:
         raise ConfigError(f"config key '{key}' must be a [x, y] pair")
-    return PlanePoint(_number(v[0], key), _number(v[1], key))
+    return PlanePoint(_finite(v[0], key), _finite(v[1], key))
 
 
-def _point(cfg: dict, key: str) -> PlanePoint:
-    return _as_point(_require(cfg, key), key)
-
-
-def _points(cfg: dict, key: str) -> list[PlanePoint]:
-    """An optional list of [x, y] pairs."""
-    v = cfg.get(key, [])
+def _points(v, key: str) -> list[PlanePoint]:
     if not isinstance(v, list):
         raise ConfigError(f"config key '{key}' must be a list of [x, y] pairs")
-    return [_as_point(p, key) for p in v]
+    return [_point(p, key) for p in v]
 
 
-def _bounds(cfg: dict) -> list[float]:
-    return [_number(_require(cfg, k), k) for k in ("x0", "x1", "y0", "y1")]
+def _one_of(*choices: str):
+    def check(v, key: str) -> str:
+        if v not in choices:
+            raise ConfigError(f"config key '{key}' must be one of {', '.join(map(repr, choices))}")
+        return v
+
+    return check
+
+
+def _point_or_shift(v, key: str):
+    """A fixed point, or "zeta+1": the point one to the right of each zeta."""
+    if v == "zeta+1":
+        return v
+    if not isinstance(v, list):
+        raise ConfigError(f"config key '{key}' must be a [x, y] pair or 'zeta+1'")
+    return _point(v, key)
+
+
+_STOCK_KERNELS = {
+    "analytic": analytic_kernel,
+    "counterexample": counterexample_kernel,
+    "reproducing-example": reproducing_example_kernel,
+    "x-successor": x_successor_family,
+    "x-main": x_main_family,
+}
+
+_BOUNDS = {k: (_finite, REQUIRED) for k in ("x0", "x1", "y0", "y1")}
+_SEPARABLE = {"phi": (_string, REQUIRED), "psi": (_string, REQUIRED)}
+_KERNEL = {
+    "kernel": (_one_of(*_STOCK_KERNELS, "pipeline"), REQUIRED),
+    "kernel_kind": (_one_of("main", "successor"), "main"),
+    "f": (_string, None),
+    "zeta0": (_point, None),
+}
+_PAIR = {
+    "pair": ({
+        "F_sc": (_string, None), "F_vec": (_string, "0"),
+        "G_sc": (_string, None), "G_vec": (_string, "0"),
+        "separable": ({**_SEPARABLE, "m": (_integer(), REQUIRED)}, None),
+    }, None),
+    "f": (_string, None),
+}
+_CONTOUR = {"contour": (
+    {"center": (_point, REQUIRED), "radius": (_positive, REQUIRED), "nodes": (_integer(1), 512)},
+    REQUIRED,
+)}
+_GRID = {"grid": ({**_BOUNDS, "nx": (_integer(1), REQUIRED), "ny": (_integer(1), REQUIRED)}, REQUIRED)}
+_REGION = {"region": ({**_BOUNDS, "h": (_positive, 0.1)}, REQUIRED)}
+_FIELD = {"sc": (_string, REQUIRED), "vec": (_string, "0")}
+_SAMPLES = {"samples": (_integer(1), 20)}
+_TOL = {"tol": (_non_negative, 1e-6)}
+CONFIG_SCHEMA = {
+    "eval-kernel": {**_KERNEL, **_GRID, "zeta": (_point, REQUIRED), "alpha": (_one_of("1", "j"), "1")},
+    "verify-reproducing": {**_KERNEL, **_PAIR, **_CONTOUR, **_TOL},
+    "build-powers": {
+        **_KERNEL, **_PAIR, **_REGION, "f": (_string, REQUIRED), "separable": (_SEPARABLE, REQUIRED),
+        "n": (_integer(1), REQUIRED), **_SAMPLES, "seed": (_integer(), 0), **_TOL,
+    },
+    "build-fundamental": {
+        **_GRID, "f": (_string, REQUIRED), "zeta0": (_point, None), "zeta": (_point, REQUIRED),
+        "z0": (_point_or_shift, REQUIRED), **_TOL,
+    },
+    "residual-scan": {
+        **_PAIR, **_REGION, "field": (_FIELD, REQUIRED),
+        "kind": (_one_of("vekua", "schroedinger"), "vekua"), **_SAMPLES,
+        "q": (_string, None), "h": (_positive, None), **_TOL,
+    },
+    "cauchy": {
+        **_KERNEL, **_PAIR, **_CONTOUR, "field": (_FIELD, None),
+        "formula": (_one_of("first", "second"), "second"),
+        "interior": (_points, []), "exterior": (_points, []), **_TOL,
+    },
+}
+
+
+def _validate(cfg: dict, schema: dict, prefix: str = "") -> dict:
+    """The values a command reads: each key of ``cfg``, in file order, checked
+    against ``schema``, and the default of each absent key (None where the
+    key is optional and has none)."""
+    out = {}
+    for key, value in cfg.items():
+        if key not in schema:
+            hint = difflib.get_close_matches(key, schema, n=1)
+            near = f"; did you mean '{prefix}{hint[0]}'?" if hint else ""
+            raise ConfigError(f"unknown key '{prefix}{key}'{near}")
+        check, name = schema[key][0], prefix + key
+        if isinstance(check, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(f"config key '{name}' must be an object")
+            out[key] = _validate(value, check, name + ".")
+        else:
+            out[key] = check(value, name)
+    for key, (_, default) in schema.items():
+        if key not in out:
+            if default is REQUIRED:
+                raise ConfigError(f"missing required config key '{prefix}{key}'")
+            out[key] = default
+    return out
+
+
+def _need(values: dict, *keys: str, prefix: str = "") -> None:
+    """Refuse a run that reads a key the schema leaves optional (None)."""
+    for key in keys:
+        if values[key] is None:
+            raise ConfigError(f"missing required config key '{prefix}{key}'")
 
 
 def _check(name: str, value: float, expected: float, tol: float) -> dict:
@@ -187,33 +244,24 @@ def _check(name: str, value: float, expected: float, tol: float) -> dict:
 
 
 def _build_pair(cfg: dict):
-    if "pair" in cfg:
-        p = _require(cfg, "pair")
-        if "separable" in p:
-            s = p["separable"]
-            return separable_pair(
-                _require(s, "phi", str), _require(s, "psi", str), _int(s, "m")
-            )
-        F = Field.from_exprs(_require(p, "F_sc", str), p.get("F_vec", "0"))
-        G = Field.from_exprs(_require(p, "G_sc", str), p.get("G_vec", "0"))
-        return make_pair(F, G)
-    if "f" in cfg:
-        f = Field.from_exprs(_require(cfg, "f", str))
+    p = cfg["pair"]
+    if p is not None:
+        s = p["separable"]
+        if s is not None:
+            return separable_pair(s["phi"], s["psi"], s["m"])
+        _need(p, "F_sc", "G_sc", prefix="pair.")
+        return make_pair(
+            Field.from_exprs(p["F_sc"], p["F_vec"]), Field.from_exprs(p["G_sc"], p["G_vec"])
+        )
+    if cfg["f"] is not None:
+        f = Field.from_exprs(cfg["f"])
         return make_pair(f, f.bc_inv().mul_j())
     raise ConfigError("config must provide 'pair' or 'f'")
 
 
-_STOCK_KERNELS = {
-    "analytic": analytic_kernel,
-    "counterexample": counterexample_kernel,
-    "reproducing-example": reproducing_example_kernel,
-    "x-successor": x_successor_family,
-    "x-main": x_main_family,
-}
-
-
 def _pipeline_successor(cfg: dict) -> KernelFamily:
-    f = Field.from_exprs(_require(cfg, "f", str))
+    _need(cfg, "f", "zeta0")
+    f = Field.from_exprs(cfg["f"])
     q = potential_from_f(f)
     for p in (PlanePoint(1.1, 0.2), PlanePoint(1.7, -0.5)):
         if q(p).norm > 1e-10:
@@ -221,49 +269,22 @@ def _pipeline_successor(cfg: dict) -> KernelFamily:
                 "the built-in fundamental solution covers potential 0 only; "
                 f"the potential of f does not vanish at {p}"
             )
-    zeta0 = _point(cfg, "zeta0")
     k1 = successor_kernel_coef1(FundamentalSolution.laplace(), f)
-    return successor_kernel_coefj(k1, f, zeta0)
+    return successor_kernel_coefj(k1, f, cfg["zeta0"])
 
 
 def _build_kernel(cfg: dict) -> KernelFamily:
-    name = _require(cfg, "kernel", str)
-    if name in _STOCK_KERNELS:
-        return _STOCK_KERNELS[name]()
-    if name == "pipeline":
-        kind = cfg.get("kernel_kind", "main")
-        if kind not in ("main", "successor"):
-            raise ConfigError("kernel_kind must be 'main' or 'successor'")
-        fam = _pipeline_successor(cfg)
-        return main_kernels(fam) if kind == "main" else fam
-    raise ConfigError(
-        f"unknown kernel '{name}'; expected one of "
-        f"{sorted(_STOCK_KERNELS)} or 'pipeline'"
-    )
-
-
-def _contour(cfg: dict) -> ContourSpec:
-    c = _require(cfg, "contour")
-    center = _point(c, "center")
-    radius = _number(_require(c, "radius"), "radius", positive=True)
-    return ContourSpec.circle(center, radius, _int(c, "nodes", 1, 512))
-
-
-def _grid_points(cfg: dict) -> list[PlanePoint]:
-    g = _require(cfg, "grid")
-    return midpoints(*_bounds(g), _int(g, "nx", 1), _int(g, "ny", 1))
-
-
-def _region(cfg: dict) -> RegionGrid:
-    r = _require(cfg, "region")
-    return RegionGrid(*_bounds(r), _number(r.get("h", 0.1), "h", positive=True))
+    if cfg["kernel"] != "pipeline":
+        return _STOCK_KERNELS[cfg["kernel"]]()
+    fam = _pipeline_successor(cfg)
+    return main_kernels(fam) if cfg["kernel_kind"] == "main" else fam
 
 
 def _random_point_pairs(cfg: dict, count: int, min_dist: float = 0.2):
-    r = _region(cfg)
+    r = RegionGrid(**cfg["region"])
     if math.hypot(r.x1 - r.x0, r.y1 - r.y0) <= min_dist:
         raise ConfigError(f"region is too small to hold two points more than {min_dist} apart")
-    rng = random.Random(_int(cfg, "seed", default=0))
+    rng = random.Random(cfg["seed"])
     out = []
     while len(out) < count:
         zeta = PlanePoint(rng.uniform(r.x0, r.x1), rng.uniform(r.y0, r.y1))
@@ -286,12 +307,9 @@ def _value_row(p: PlanePoint, w: Bicomplex) -> str:
 
 def cmd_eval_kernel(cfg: dict):
     fam = _build_kernel(cfg)
-    zeta = _point(cfg, "zeta")
-    alpha = cfg.get("alpha", "1")
-    if alpha not in ("1", "j"):
-        raise ConfigError("alpha must be '1' or 'j'")
-    ev = fam.coef1 if alpha == "1" else fam.coefj
-    pts = [p for p in _grid_points(cfg) if p.dist(zeta) > 1e-9]
+    zeta = cfg["zeta"]
+    ev = fam.coef1 if cfg["alpha"] == "1" else fam.coefj
+    pts = [p for p in midpoints(**cfg["grid"]) if p.dist(zeta) > 1e-9]
     rows = [_value_row(p, ev(zeta, p)) for p in pts]
     checks = [_check("rows", len(rows), len(pts), 0)]
     return checks, {"kernel.csv": [CSV_HEADER] + rows}, {}
@@ -300,9 +318,9 @@ def cmd_eval_kernel(cfg: dict):
 def cmd_verify_reproducing(cfg: dict):
     fam = _build_kernel(cfg)
     pair = _build_pair(cfg)
-    contour = _contour(cfg)
-    tol = _tol(cfg)
-    center = _point(_require(cfg, "contour"), "center")
+    contour = ContourSpec.circle(**cfg["contour"])
+    tol = cfg["tol"]
+    center = cfg["contour"]["center"]
     vc = formal_contour_integral(fam, pair.F, contour, center)
     checks = [
         _check(
@@ -323,21 +341,13 @@ def cmd_verify_reproducing(cfg: dict):
 
 
 def cmd_build_powers(cfg: dict):
-    f_expr = _require(cfg, "f", str)
-    sep = _require(cfg, "separable")
-    n = _int(cfg, "n", 1)
-    samples = _int(cfg, "samples", 1, 20)
-    tol = _tol(cfg)
+    n, sep, tol = cfg["n"], cfg["separable"], cfg["tol"]
     base = _build_kernel(cfg)
-    seq = hat_sequence(
-        GeneratingSequence.separable(
-            _require(sep, "phi", str), _require(sep, "psi", str)
-        )
-    )
+    seq = hat_sequence(GeneratingSequence.separable(sep["phi"], sep["psi"]))
     fam = negative_powers(base, seq, n)
-    pairs = _random_point_pairs(cfg, samples)
+    pairs = _random_point_pairs(cfg, cfg["samples"])
     extra = {}
-    if f_expr.strip() == "x" and n >= 2:
+    if cfg["f"].strip() == "x" and n >= 2:
         oracle = x_negative_power(n)
         dev = 0.0
         for zeta, z in pairs:
@@ -347,95 +357,73 @@ def cmd_build_powers(cfg: dict):
         extra["closed_form"] = f"x-negative-power:{n}"
     else:
         pair = _build_pair(cfg)
-        rep = power_residual_scan(fam, pair, _region(cfg), pairs[0][0])
+        rep = power_residual_scan(fam, pair, RegionGrid(**cfg["region"]), pairs[0][0])
         checks = [_check("max_vekua_residual", rep.max_residual, 0.0, tol)]
     return checks, {}, extra
 
 
 def cmd_build_fundamental(cfg: dict):
-    f_expr = _require(cfg, "f", str)
-    f = Field.from_exprs(f_expr)
-    zeta = _point(cfg, "zeta")
-    z0_cfg = _require(cfg, "z0")
-    if z0_cfg == "zeta+1":
+    f = Field.from_exprs(cfg["f"])
+    zeta, z0 = cfg["zeta"], cfg["z0"]
+    catalog = cfg["f"].strip() == "x"
+    kj = x_successor_family() if catalog else _pipeline_successor(cfg)
+    # the catalog's closed form is the fundamental solution for z0 = zeta + 1
+    oracle = x_darboux_fundamental() if catalog and z0 == "zeta+1" else None
+    if z0 == "zeta+1":
         z0 = lambda zt: PlanePoint(zt.x + 1, zt.y)  # noqa: E731
-    elif isinstance(z0_cfg, list):
-        z0 = _point(cfg, "z0")
-    else:
-        raise ConfigError("z0 must be an [x, y] pair or the string 'zeta+1'")
-    tol = _tol(cfg)
-    extra = {}
-    catalog = f_expr.strip() == "x"
-    if catalog:
-        kj = x_successor_family()
-        extra["closed_form"] = "x-darboux-fundamental"
-    else:
-        kj = _pipeline_successor(cfg)
     s1 = darboux_fundamental(kj, f, z0)
-    pts = [p for p in _grid_points(cfg) if p.dist(zeta) > 1e-9]
+    pts = [p for p in midpoints(**cfg["grid"]) if p.dist(zeta) > 1e-9]
     rows = []
     dev = 0.0
-    oracle = x_darboux_fundamental() if catalog else None
     for p in pts:
         v = s1(zeta, p)
         rows.append(_value_row(p, Bicomplex(v, 0)))
-        if oracle is not None and z0_cfg == "zeta+1":
+        if oracle is not None:
             dev = max(dev, abs(v - oracle(zeta, p)))
     checks = [_check("rows", len(rows), len(pts), 0)]
-    if oracle is not None and z0_cfg == "zeta+1":
-        checks.append(_check("max_deviation_from_closed_form", dev, 0.0, tol))
+    extra = {}
+    if oracle is not None:
+        checks.append(_check("max_deviation_from_closed_form", dev, 0.0, cfg["tol"]))
+        extra["closed_form"] = "x-darboux-fundamental"
     return checks, {"fundamental.csv": [CSV_HEADER] + rows}, extra
 
 
 def cmd_residual_scan(cfg: dict):
-    kind = cfg.get("kind", "vekua")
-    region = _region(cfg)
-    samples = _int(cfg, "samples", 1, 20)
-    tol = _tol(cfg)
-    fld = _require(cfg, "field")
-    if kind == "vekua":
-        w = Field.from_exprs(_require(fld, "sc", str), fld.get("vec", "0"))
+    region = RegionGrid(**cfg["region"])
+    fld = cfg["field"]
+    if cfg["kind"] == "vekua":
+        w = Field.from_exprs(fld["sc"], fld["vec"])
         pair = _build_pair(cfg)
         residual = lambda p: vekua_residual(w, pair, p)  # noqa: E731
-    elif kind == "schroedinger":
-        u = Field.from_exprs(_require(fld, "sc", str))
-        q = Field.from_exprs(_require(cfg, "q", str))
-        h = cfg.get("h")
-        if h is not None:
-            h = _number(h, "h", positive=True)
-        residual = lambda p: schroedinger_residual(u, q, p, h)  # noqa: E731
     else:
-        raise ConfigError("kind must be 'vekua' or 'schroedinger'")
+        _need(cfg, "q")
+        u = Field.from_exprs(fld["sc"])
+        q = Field.from_exprs(cfg["q"])
+        residual = lambda p: schroedinger_residual(u, q, p, cfg["h"])  # noqa: E731
     rows = []
     worst = 0.0
-    for p in region.sample_points(samples):
+    for p in region.sample_points(cfg["samples"]):
         res = residual(p)
         worst = max(worst, res)
         rows.append(f"{_fmt(p.x)},{_fmt(p.y)},{_fmt(res)}")
-    checks = [_check("max_residual", worst, 0.0, tol)]
+    checks = [_check("max_residual", worst, 0.0, cfg["tol"])]
     return checks, {"residuals.csv": ["x,y,residual"] + rows}, {}
 
 
 def cmd_cauchy(cfg: dict):
     fam = _build_kernel(cfg)
     pair = _build_pair(cfg)
-    contour = _contour(cfg)
-    tol = _tol(cfg)
-    formula = cfg.get("formula", "second")
-    fld = cfg.get("field")
-    if fld is not None:
-        w = Field.from_exprs(_require(fld, "sc", str), fld.get("vec", "0"))
-    else:
-        w = pair.F
-    interior = _points(cfg, "interior") or contour.interior
-    exterior = _points(cfg, "exterior") or contour.exterior
-    if formula == "second":
+    contour = ContourSpec.circle(**cfg["contour"])
+    tol = cfg["tol"]
+    fld = cfg["field"]
+    w = pair.F if fld is None else Field.from_exprs(fld["sc"], fld["vec"])
+    interior = cfg["interior"] or contour.interior
+    exterior = cfg["exterior"] or contour.exterior
+    if cfg["formula"] == "second":
         evaluate = lambda z0: formal_contour_integral(fam, w, contour, z0)  # noqa: E731
-    elif formula == "first":
+    else:
         hat = adjoint_kernel_transfer(fam)
         evaluate = lambda z0: first_cauchy(w, hat, contour, z0)  # noqa: E731
-    else:
-        raise ConfigError("formula must be 'first' or 'second'")
     dev_in, dev_out = cauchy_deviations(evaluate, w, interior, exterior)
     checks = [
         _check("interior_deviation", dev_in, 0.0, tol),
@@ -468,9 +456,7 @@ def run(command: str, config_path: str, out_dir: Optional[str] = None, quiet: bo
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    _check_keys(cfg, CONFIG_KEYS[command])
-
-    checks, artifacts, extra = _COMMANDS[command](cfg)
+    checks, artifacts, extra = _COMMANDS[command](_validate(cfg, CONFIG_SCHEMA[command]))
     report = {
         "command": command,
         "config_hash": hashlib.sha256(raw).hexdigest(),

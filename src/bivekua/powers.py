@@ -338,8 +338,10 @@ def negative_powers(
             pair = adjoint_seq.pair_at(m)
             A, B = _lift(pair.A.sym), _lift(pair.B.sym)
             s1, sj = (pair_operator(s.d_z(), A, B, s) for s in (s1, sj))
-        d1 = Kernel(s1.scale(complex(scale))).__call__
-        dj = Kernel(sj.scale(complex(scale))).__call__
+        # closed forms through the transfer, so the powers keep exact partials
+        return adjoint_kernel_transfer(KernelFamily.from_kernels(
+            Kernel(s1.scale(complex(scale))), Kernel(sj.scale(complex(scale))), order=-n
+        ))
     else:
 
         def fd_step(fn, pair: GeneratingPair, h: float):

@@ -1,16 +1,18 @@
 """End-to-end tests for the command-line interface."""
 
 import hashlib
+import importlib.util
 import json
 import re
 import signal
-from collections import defaultdict
 from pathlib import Path
 
 import pytest
 
 from bivekua import __version__, cli
-from bivekua.cli import CONFIG_KEYS, ConfigError, main, run
+from bivekua.cli import CONFIG_SCHEMA, REQUIRED, ConfigError, main, run
+
+ROOT = Path(__file__).parents[1]
 
 
 def _write(tmp_path, name, cfg):
@@ -96,6 +98,27 @@ def test_build_powers_matches_closed_form(tmp_path):
     assert dev["value"] <= 1e-6
 
 
+def test_build_powers_residual_uses_exact_partials(tmp_path):
+    # the order -3 analytic powers carry closed forms; central differences
+    # of them would leave a residual of about 1e-2
+    cfg = _write(
+        tmp_path,
+        "c.json",
+        {
+            "kernel": "analytic",
+            "f": "1",
+            "separable": {"phi": "1", "psi": "1"},
+            "n": 3,
+            "region": {"x0": -1, "x1": 1, "y0": -1, "y1": 1},
+            "tol": 1e-6,
+        },
+    )
+    assert main(["build-powers", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    (check,) = _report(tmp_path)["checks"]
+    assert check["name"] == "max_vekua_residual"
+    assert check["value"] <= 1e-10
+
+
 def test_build_fundamental_catalog_match(tmp_path):
     cfg = _write(
         tmp_path,
@@ -113,6 +136,24 @@ def test_build_fundamental_catalog_match(tmp_path):
     rep = _report(tmp_path)
     assert rep["closed_form"] == "x-darboux-fundamental"
     assert (tmp_path / "fundamental.csv").exists()
+
+
+def test_build_fundamental_fixed_z0_claims_no_closed_form(tmp_path):
+    # the catalog's closed form is the solution for z0 = zeta + 1 only
+    cfg = _write(
+        tmp_path,
+        "c.json",
+        {
+            "f": "x",
+            "zeta": [2, 0],
+            "z0": [3, 0.5],
+            "grid": {"x0": 1.2, "x1": 3.0, "y0": -0.8, "y1": 0.8, "nx": 2, "ny": 2},
+        },
+    )
+    assert main(["build-fundamental", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    rep = _report(tmp_path)
+    assert "closed_form" not in rep
+    assert [c["name"] for c in rep["checks"]] == ["rows"]
 
 
 def test_residual_scan(tmp_path):
@@ -375,6 +416,9 @@ _NUMBERS = {
         ("build-powers", ("seed",), [1]),
         ("residual-scan", ("h",), 0),
         ("eval-kernel", ("kernel_kind",), "mian"),
+        # expression keys take strings only
+        ("cauchy", ("pair",), {"F_sc": "x", "F_vec": [1], "G_sc": "1"}),
+        ("cauchy", ("pair",), {"F_sc": "x", "F_vec": 2, "G_sc": "1"}),
     ],
 )
 def test_bad_number_or_kind_is_config_error(tmp_path, capsys, command, path, value):
@@ -436,6 +480,26 @@ def test_long_flat_chain_is_rejected_without_recursion_error(tmp_path, capsys):
             "cauchy",
             dict(_NUMBERS["cauchy"], pair={"separable": {"phi": "1", "psi": "1", "mm": 0}}),
             "unknown key 'pair.separable.mm'; did you mean 'pair.separable.m'?",
+        ),
+        # every value the table checks is refused before the command starts,
+        # read by the run or not, and its message names the dotted key
+        ("residual-scan", dict(_VALID["residual-scan"], q=5), "config key 'q' must be a string"),
+        ("eval-kernel", dict(_VALID["eval-kernel"], zeta0="abc"), "config key 'zeta0' must be a [x, y] pair"),
+        ("eval-kernel", dict(_VALID["eval-kernel"], f=5), "config key 'f' must be a string"),
+        (
+            "residual-scan",
+            dict(_VALID["residual-scan"], pair={"separable": {"phi": "exp(x)", "psi": "1"}}),
+            "missing required config key 'pair.separable.m'",
+        ),
+        (
+            "build-powers",
+            dict(_VALID["build-powers"], region={"x0": 1.0, "x1": 3.0, "y0": -1.0, "y1": 1.0, "h": "abc"}),
+            "config key 'region.h' must be a finite number",
+        ),
+        (
+            "cauchy",
+            dict(_NUMBERS["cauchy"], field={"sc": "x", "vec": [1]}),
+            "config key 'field.vec' must be a string",
         ),
     ],
 )
@@ -534,28 +598,45 @@ def test_pipeline_build_powers_shares_derivatives_between_slots(tmp_path, succes
     assert len(successor_coefj_calls) == 20
 
 
-def _readme_config_keys() -> dict[str, set[str]]:
-    """Key -> commands, from README's table under "### Config keys"."""
-    text = (Path(__file__).parents[1] / "README.md").read_text()
-    section = text.split("### Config keys", 1)[1].split("\n#", 1)[0]
-    keys = {}
+def _readme_config_keys() -> dict[tuple[str, str], object]:
+    """(key, command) -> default, from README's table under "### Config keys"."""
+    section = (ROOT / "README.md").read_text().split("### Config keys", 1)[1].split("\n#", 1)[0]
+    words = {"required": REQUIRED, "—": None}
+    defaults = {}
     for line in section.splitlines():
         cells = [c.strip() for c in line.strip().strip("|").split("|")]
-        if len(cells) == 2 and cells[0].startswith("`"):
+        if len(cells) == 3 and cells[0].startswith("`"):
+            default = words[cells[2]] if cells[2] in words else json.loads(cells[2].strip("`"))
             for key in re.findall(r"`([^`]+)`", cells[0]):
-                keys[key] = set(cells[1].split(", "))
-    return keys
+                for command in cells[1].split(", "):
+                    assert (key, command) not in defaults, f"{key} listed twice for {command}"
+                    defaults[key, command] = default
+    return defaults
 
 
 def test_readme_names_exactly_the_accepted_keys():
-    accepted = defaultdict(set)
+    accepted = {}
 
     def walk(table: dict, command: str, prefix: str = "") -> None:
-        for key, nested in table.items():
-            accepted[prefix + key].add(command)
-            if nested is not None:
-                walk(nested, command, f"{prefix}{key}.")
+        for key, (check, default) in table.items():
+            accepted[prefix + key, command] = default
+            if isinstance(check, dict):
+                walk(check, command, f"{prefix}{key}.")
 
-    for command, table in CONFIG_KEYS.items():
+    for command, table in CONFIG_SCHEMA.items():
         walk(table, command)
-    assert _readme_config_keys() == dict(accepted)
+    assert _readme_config_keys() == accepted
+
+
+def test_benchmark_configs_validate():
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    commands = set()
+    for workload in workloads.WORKLOADS:
+        for seed in (1, 2, 3):
+            for tiny in (False, True):
+                for _, command, cfg in workloads.generate(workload, seed, tiny):
+                    cli._validate(json.loads(json.dumps(cfg)), CONFIG_SCHEMA[command])
+                    commands.add(command)
+    assert commands == set(CONFIG_SCHEMA)
