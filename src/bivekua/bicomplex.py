@@ -63,16 +63,33 @@ def _two_sum(a: float, b: float) -> tuple[float, float]:
     return s, e
 
 
-@dataclass(frozen=True)
 class PlanePoint:
-    """A point z = x + j*y of the plane C_j."""
+    """A point z = x + j*y of the plane C_j.
 
-    x: float
-    y: float
+    An immutable value: x and y are never assigned after construction
+    (a contract, not enforced; the class is slotted for speed).  Equal
+    points hash equal, so a point can key a dict."""
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise InvalidValueError(f"non-finite plane point ({self.x}, {self.y})")
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float) -> None:
+        # false for inf and NaN; a product with 0, the test of Bicomplex,
+        # would warn on numpy scalars
+        if not (abs(x) < math.inf and abs(y) < math.inf):
+            raise InvalidValueError(f"non-finite plane point ({x}, {y})")
+        self.x = x
+        self.y = y
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.x == other.x and self.y == other.y
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.x, self.y))
+
+    def __repr__(self) -> str:
+        return f"PlanePoint(x={self.x!r}, y={self.y!r})"
 
     @property
     def as_complex(self) -> complex:
@@ -98,16 +115,36 @@ class IdempotentPair:
     err_minus: complex = 0j
 
 
-@dataclass(frozen=True)
 class Bicomplex:
-    """W = sc + j*vec with sc, vec in C_i.  Immutable value type."""
+    """W = sc + j*vec with sc, vec in C_i.
 
-    sc: complex
-    vec: complex
+    An immutable value: sc and vec are never assigned after construction
+    (a contract, not enforced; the class is slotted for speed).  Equal
+    values hash equal."""
+
+    __slots__ = ("sc", "vec")
+
+    def __init__(self, sc: complex, vec: complex) -> None:
+        self.sc = complex(sc)
+        self.vec = complex(vec)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sc", _require_finite(complex(self.sc)))
-        object.__setattr__(self, "vec", _require_finite(complex(self.vec)))
+        """The finiteness check, run by every construction (bench/tracer.py
+        wraps it to count values)."""
+        # 0j*sc + 0j*vec is 0 for finite parts and NaN as soon as a part is
+        # inf or NaN
+        if not 0j * self.sc + 0j * self.vec == 0:
+            _require_finite(self.sc)
+            _require_finite(self.vec)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.sc == other.sc and self.vec == other.vec
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.sc, self.vec))
 
     # -- ring operations -------------------------------------------------
 

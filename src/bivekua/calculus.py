@@ -32,13 +32,16 @@ class PathThroughSingularityError(CalculusError):
 # Paths and quadrature
 
 
-_GL_NODES_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_GL_NODES_CACHE: dict[int, tuple[list[float], list[float]]] = {}
 
 
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _gauss_legendre(n: int) -> tuple[list[float], list[float]]:
+    """Nodes and weights of the n-point rule mapped to [0, 1], as Python
+    floats, so that path nodes carry floats and complexes, not numpy
+    scalars."""
     if n not in _GL_NODES_CACHE:
         x, w = np.polynomial.legendre.leggauss(n)
-        _GL_NODES_CACHE[n] = ((x + 1) / 2, w / 2)  # mapped to [0, 1]
+        _GL_NODES_CACHE[n] = (((x + 1) / 2).tolist(), (w / 2).tolist())
     return _GL_NODES_CACHE[n]
 
 

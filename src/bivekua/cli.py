@@ -232,6 +232,14 @@ def _need(values: dict, *keys: str, prefix: str = "") -> None:
             raise ConfigError(f"missing required config key '{prefix}{key}'")
 
 
+def _unread(values: dict, schema: dict, *keys: str, why: str, prefix: str = "") -> None:
+    """Refuse a run that never reads a key the config sets to other than its
+    default (a key spelt out at its default is the same config)."""
+    for key in keys:
+        if values[key] != schema[key][1]:
+            raise ConfigError(f"config key '{prefix}{key}' is not read {why}")
+
+
 def _check(name: str, value: float, expected: float, tol: float) -> dict:
     value = float(value)
     return {
@@ -275,6 +283,7 @@ def _pipeline_successor(cfg: dict) -> KernelFamily:
 
 def _build_kernel(cfg: dict) -> KernelFamily:
     if cfg["kernel"] != "pipeline":
+        _unread(cfg, _KERNEL, "zeta0", "kernel_kind", why=f"by the stock kernel '{cfg['kernel']}'")
         return _STOCK_KERNELS[cfg["kernel"]]()
     fam = _pipeline_successor(cfg)
     return main_kernels(fam) if cfg["kernel_kind"] == "main" else fam
@@ -391,11 +400,15 @@ def cmd_build_fundamental(cfg: dict):
 def cmd_residual_scan(cfg: dict):
     region = RegionGrid(**cfg["region"])
     fld = cfg["field"]
+    schema, why = CONFIG_SCHEMA["residual-scan"], f"by a '{cfg['kind']}' scan"
     if cfg["kind"] == "vekua":
+        _unread(cfg, schema, "q", "h", why=why)
         w = Field.from_exprs(fld["sc"], fld["vec"])
         pair = _build_pair(cfg)
         residual = lambda p: vekua_residual(w, pair, p)  # noqa: E731
     else:
+        _unread(fld, _FIELD, "vec", why=why, prefix="field.")
+        _unread(cfg, schema, "pair", "f", why=why)
         _need(cfg, "q")
         u = Field.from_exprs(fld["sc"])
         q = Field.from_exprs(cfg["q"])

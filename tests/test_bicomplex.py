@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -216,6 +217,73 @@ def test_nan_rejected():
         Bicomplex(float("nan"), 0)
     with pytest.raises(InvalidValueError):
         PlanePoint(0.0, float("inf"))
+
+
+@pytest.mark.parametrize("box", [complex, np.complex128])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("part", range(4))
+def test_non_finite_bicomplex_part_is_refused(box, bad, part):
+    parts = [0.5, -1.0, 2.0, 0.25]
+    parts[part] = bad
+    sc, vec = complex(parts[0], parts[1]), complex(parts[2], parts[3])
+    with pytest.raises(InvalidValueError) as e:
+        Bicomplex(box(sc), box(vec))
+    assert str(e.value) == f"non-finite component: {sc if part < 2 else vec!r}"
+
+
+@pytest.mark.parametrize("kind", [float, np.float64])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("part", range(2))
+def test_non_finite_plane_point_part_is_refused(kind, bad, part):
+    x, y = (kind(bad), kind(0.5)) if part == 0 else (kind(0.5), kind(bad))
+    with pytest.raises(InvalidValueError) as e:
+        PlanePoint(x, y)
+    assert str(e.value) == f"non-finite plane point ({x}, {y})"
+
+
+@given(finite, finite, finite, finite)
+def test_finite_parts_are_accepted(a, b, c, d):
+    w = Bicomplex(complex(a, b), complex(c, d))
+    assert (w.sc, w.vec) == (complex(a, b), complex(c, d))
+    p = PlanePoint(a, b)
+    assert (p.x, p.y) == (a, b)
+
+
+def test_value_equality_and_hash():
+    assert Bicomplex(1, 0) == Bicomplex(1 + 0j, 0j)
+    assert hash(Bicomplex(1, 0)) == hash(Bicomplex(1 + 0j, 0j))
+    assert Bicomplex(0.0, -0.0) == Bicomplex(-0.0, 0.0)
+    assert hash(Bicomplex(0.0, -0.0)) == hash(Bicomplex(-0.0, 0.0))
+    assert PlanePoint(0.0, 1.5) == PlanePoint(-0.0, 1.5)
+    assert hash(PlanePoint(0.0, 1.5)) == hash(PlanePoint(-0.0, 1.5))
+    assert Bicomplex(1, 2) != Bicomplex(1, 3)
+    assert PlanePoint(1, 2) != PlanePoint(2, 1)
+    # equality holds only between values of the same class
+    assert Bicomplex(1, 2) != (1 + 0j, 2 + 0j)
+    assert PlanePoint(1.0, 2.0) != (1.0, 2.0)
+    assert Bicomplex(1, 0) != PlanePoint(1, 0)
+
+
+def test_value_repr():
+    assert repr(PlanePoint(1.1, 0.2)) == "PlanePoint(x=1.1, y=0.2)"
+    assert repr(Bicomplex(1, 2j)) == "Bicomplex((1+0j), 2j)"
+
+
+def test_post_init_runs_once_per_construction(monkeypatch):
+    seen = []
+    post_init = Bicomplex.__post_init__
+
+    def counted(w):
+        seen.append(w)
+        post_init(w)
+
+    monkeypatch.setattr(Bicomplex, "__post_init__", counted)
+    a = Bicomplex(1, 2j)
+    values = [a, a + a, a - a, -a, a * a, a.conj(), a.mul_j(), a.scale(2), a.inv()]
+    assert [id(w) for w in seen] == [id(w) for w in values]
+    with pytest.raises(InvalidValueError):
+        Bicomplex(math.nan, 0)
+    assert len(seen) == len(values) + 1
 
 
 def test_json_roundtrip():

@@ -252,3 +252,20 @@ def test_detour_winding_consistency():
     assert abs((iu - idn) - (-2j * math.pi)) < 1e-10 or abs(
         (iu - idn) - (2j * math.pi)
     ) < 1e-10
+
+
+def test_path_nodes_are_python_numbers():
+    a, b, avoid = PlanePoint(0, 0), PlanePoint(1, 0), PlanePoint(0.5, 0.0)
+    paths = [
+        Path.segment(a, b),
+        Path.polyline([a, PlanePoint(0.5, 0.4), b], grade_toward=avoid),
+        Path.arc(avoid, 0.3, 0.0, 2.0),
+        Path.circle(avoid, 0.3, nodes=16),
+        Path.detour(a, b, avoid, radius=0.2),  # around avoid
+        Path.detour(a, PlanePoint(1, 1), avoid, radius=0.2),  # straight past it
+    ]
+    paths.append(Path.join(paths[:2]))
+    for path in paths:
+        assert path.nodes
+        for p, w in path.nodes:
+            assert (type(p.x), type(p.y), type(w)) == (float, float, complex)

@@ -501,6 +501,45 @@ def test_long_flat_chain_is_rejected_without_recursion_error(tmp_path, capsys):
             dict(_NUMBERS["cauchy"], field={"sc": "x", "vec": [1]}),
             "config key 'field.vec' must be a string",
         ),
+        # a key the chosen mode never reads, set to other than its default
+        (
+            "residual-scan",
+            dict(_NUMBERS["residual-scan"], field={"sc": "x", "vec": "exp(x)*y*y"}, pair={"F_sc": "zz"}),
+            "config key 'field.vec' is not read by a 'schroedinger' scan",
+        ),
+        (
+            "residual-scan",
+            dict(_NUMBERS["residual-scan"], pair={"F_sc": "zz"}),
+            "config key 'pair' is not read by a 'schroedinger' scan",
+        ),
+        (
+            "residual-scan",
+            dict(_NUMBERS["residual-scan"], f="x"),
+            "config key 'f' is not read by a 'schroedinger' scan",
+        ),
+        ("residual-scan", dict(_VALID["residual-scan"], q="0"), "config key 'q' is not read by a 'vekua' scan"),
+        ("residual-scan", dict(_VALID["residual-scan"], h=0.01), "config key 'h' is not read by a 'vekua' scan"),
+        (
+            "eval-kernel",
+            dict(_NUMBERS["eval-kernel"], kernel="x-main"),
+            "config key 'zeta0' is not read by the stock kernel 'x-main'",
+        ),
+        (
+            "eval-kernel",
+            dict(_VALID["eval-kernel"], kernel_kind="successor"),
+            "config key 'kernel_kind' is not read by the stock kernel 'x-main'",
+        ),
+        (
+            "cauchy",
+            dict(_NUMBERS["cauchy"], zeta0=[0.5, 0]),
+            "config key 'zeta0' is not read by the stock kernel 'x-main'",
+        ),
+        # type errors come first
+        (
+            "residual-scan",
+            dict(_NUMBERS["residual-scan"], pair={"F_sc": 1}),
+            "config key 'pair.F_sc' must be a string",
+        ),
     ],
 )
 def test_unknown_key_is_config_error(tmp_path, capsys, command, cfg, message):
