@@ -57,13 +57,8 @@ class Path:
     nodes: list[tuple[PlanePoint, complex]]
     start: PlanePoint
     end: PlanePoint
-    closed: bool = False
 
     # -- constructors ------------------------------------------------------
-
-    @staticmethod
-    def segment(a: PlanePoint, b: PlanePoint, nodes_per_segment: int = 16) -> "Path":
-        return Path.polyline([a, b], nodes_per_segment)
 
     @staticmethod
     def polyline(
@@ -104,8 +99,7 @@ class Path:
         for a, b in zip(pts, pts[1:]):
             if a != b:
                 refine(a, b)
-        closed = points[0].dist(points[-1]) == 0
-        return Path(nodes, points[0], points[-1], closed)
+        return Path(nodes, points[0], points[-1])
 
     @staticmethod
     def circle(center: PlanePoint, radius: float, nodes: int = 512) -> "Path":
@@ -119,7 +113,7 @@ class Path:
             p = c + radius * e
             out.append((PlanePoint(p.real, p.imag), 1j * radius * e * dt))
         start = PlanePoint(c.real + radius, c.imag)
-        return Path(out, start, start, closed=True)
+        return Path(out, start, start)
 
     @staticmethod
     def arc(
@@ -149,8 +143,7 @@ class Path:
     @staticmethod
     def join(parts: Sequence["Path"]) -> "Path":
         nodes = [n for p in parts for n in p.nodes]
-        closed = parts[0].start.dist(parts[-1].end) == 0
-        return Path(nodes, parts[0].start, parts[-1].end, closed)
+        return Path(nodes, parts[0].start, parts[-1].end)
 
     @staticmethod
     def detour(

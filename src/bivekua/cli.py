@@ -37,12 +37,12 @@ from .powers import (
     hat_sequence,
     negative_powers,
     power_residual_scan,
+    reproducing_deviations,
     reproducing_example_kernel,
 )
 from .schroedinger import (
     FundamentalSolution,
     darboux_fundamental,
-    main_kernels,
     potential_from_f,
     schroedinger_residual,
     successor_kernel_coef1,
@@ -277,8 +277,8 @@ def _pipeline_successor(cfg: dict) -> KernelFamily:
                 "the built-in fundamental solution covers potential 0 only; "
                 f"the potential of f does not vanish at {p}"
             )
-    k1 = successor_kernel_coef1(FundamentalSolution.laplace(), f)
-    return successor_kernel_coefj(k1, f, cfg["zeta0"])
+    coef1 = successor_kernel_coef1(FundamentalSolution.laplace(), f)
+    return successor_kernel_coefj(coef1, f, cfg["zeta0"])
 
 
 def _build_kernel(cfg: dict) -> KernelFamily:
@@ -286,7 +286,19 @@ def _build_kernel(cfg: dict) -> KernelFamily:
         _unread(cfg, _KERNEL, "zeta0", "kernel_kind", why=f"by the stock kernel '{cfg['kernel']}'")
         return _STOCK_KERNELS[cfg["kernel"]]()
     fam = _pipeline_successor(cfg)
-    return main_kernels(fam) if cfg["kernel_kind"] == "main" else fam
+    # the successor equation coincides with the adjoint one, so the
+    # argument-swap recombination gives the main-equation kernels
+    return adjoint_kernel_transfer(fam) if cfg["kernel_kind"] == "main" else fam
+
+
+def _unread_f(cfg: dict) -> None:
+    """Refuse an 'f' set beside a stock kernel that builds no pair from it:
+    eval-kernel builds none, and the contour commands build the pair
+    (f, j/f) only where no 'pair' is given."""
+    builds_pair = "pair" in cfg
+    if cfg["kernel"] != "pipeline" and not (builds_pair and cfg["pair"] is None):
+        and_pair = " and 'pair'" if builds_pair else ""
+        _unread(cfg, _KERNEL, "f", why=f"by the stock kernel '{cfg['kernel']}'{and_pair}")
 
 
 def _random_point_pairs(cfg: dict, count: int, min_dist: float = 0.2):
@@ -316,6 +328,7 @@ def _value_row(p: PlanePoint, w: Bicomplex) -> str:
 
 def cmd_eval_kernel(cfg: dict):
     fam = _build_kernel(cfg)
+    _unread_f(cfg)
     zeta = cfg["zeta"]
     ev = fam.coef1 if cfg["alpha"] == "1" else fam.coefj
     pts = [p for p in midpoints(**cfg["grid"]) if p.dist(zeta) > 1e-9]
@@ -326,6 +339,7 @@ def cmd_eval_kernel(cfg: dict):
 
 def cmd_verify_reproducing(cfg: dict):
     fam = _build_kernel(cfg)
+    _unread_f(cfg)
     pair = _build_pair(cfg)
     contour = ContourSpec.circle(**cfg["contour"])
     tol = cfg["tol"]
@@ -336,14 +350,7 @@ def cmd_verify_reproducing(cfg: dict):
             "center_integral_sc", vc.sc.real, TWO_PI * pair.F(center).sc.real, tol
         )
     ]
-    devs = [
-        cauchy_deviations(
-            lambda z0: formal_contour_integral(fam, w, contour, z0),
-            w, contour.interior, contour.exterior,
-        )
-        for w in (pair.F, pair.G)
-    ]
-    dev_in, dev_out = (max(d) for d in zip(*devs))
+    dev_in, dev_out = reproducing_deviations(fam, pair, contour)
     checks.append(_check("interior_deviation", dev_in, 0.0, tol))
     checks.append(_check("exterior_deviation", dev_out, 0.0, tol))
     return checks, {}, {}
@@ -375,6 +382,8 @@ def cmd_build_fundamental(cfg: dict):
     f = Field.from_exprs(cfg["f"])
     zeta, z0 = cfg["zeta"], cfg["z0"]
     catalog = cfg["f"].strip() == "x"
+    if catalog:
+        _unread(cfg, CONFIG_SCHEMA["build-fundamental"], "zeta0", why="with the catalog f 'x'")
     kj = x_successor_family() if catalog else _pipeline_successor(cfg)
     # the catalog's closed form is the fundamental solution for z0 = zeta + 1
     oracle = x_darboux_fundamental() if catalog and z0 == "zeta+1" else None
@@ -425,6 +434,7 @@ def cmd_residual_scan(cfg: dict):
 
 def cmd_cauchy(cfg: dict):
     fam = _build_kernel(cfg)
+    _unread_f(cfg)
     pair = _build_pair(cfg)
     contour = ContourSpec.circle(**cfg["contour"])
     tol = cfg["tol"]

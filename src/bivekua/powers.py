@@ -8,7 +8,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional
+from typing import Callable
 
 from . import expr as ex
 from .bicomplex import Bicomplex, J, PlanePoint, from_cj
@@ -40,36 +40,15 @@ KernelEval = Callable[[PlanePoint, PlanePoint], Bicomplex]
 @dataclass
 class KernelFamily:
     """Formal powers Z^(order)(alpha, zeta, z) of one order, represented by
-    the two coefficient evaluators for alpha = 1 and alpha = j.
+    the two coefficient kernels for alpha = 1 and alpha = j.
 
-    sym1/symj carry closed forms over (xi, eta, x, y) when available; they
-    provide exact partials to the residual and derivative machinery."""
+    A coefficient is a closed-form ``Kernel`` over (xi, eta, x, y), whose
+    exact partials the residual and derivative machinery use, or a plain
+    evaluator (zeta, z) -> Bicomplex."""
 
     order: int
     coef1: KernelEval
     coefj: KernelEval
-    sym1: Optional[Kernel] = None
-    symj: Optional[Kernel] = None
-
-    @staticmethod
-    def from_kernels(k1: Kernel, kj: Kernel, order: int = -1) -> "KernelFamily":
-        return KernelFamily(
-            order=order,
-            coef1=k1.__call__,
-            coefj=kj.__call__,
-            sym1=k1,
-            symj=kj,
-        )
-
-    def coef1_field(self, zeta: PlanePoint) -> Field:
-        if self.sym1 is not None:
-            return self.sym1.field_in_z(zeta)
-        return Field(lambda z: self.coef1(zeta, z))
-
-    def coefj_field(self, zeta: PlanePoint) -> Field:
-        if self.symj is not None:
-            return self.symj.field_in_z(zeta)
-        return Field(lambda z: self.coefj(zeta, z))
 
 
 def kernel_eval(
@@ -228,23 +207,20 @@ def cauchy_deviations(
     return dev_in, dev_out
 
 
-def reproducing_check(
-    k: KernelFamily,
-    pair: GeneratingPair,
-    contours: list[ContourSpec],
-    tol: float = 1e-6,
-) -> bool:
-    """True iff the second Cauchy formula reproduces F and G at interior
-    probes (value 2*pi*W) and annihilates them at exterior probes."""
-    for contour in contours:
-        for w in (pair.F, pair.G):
-            devs = cauchy_deviations(
-                lambda z0: formal_contour_integral(k, w, contour, z0),
-                w, contour.interior, contour.exterior,
-            )
-            if max(devs) > tol:
-                return False
-    return True
+def reproducing_deviations(
+    k: KernelFamily, pair: GeneratingPair, contour: ContourSpec
+) -> tuple[float, float]:
+    """How far the second Cauchy formula is from reproducing F and G:
+    ``cauchy_deviations`` at the contour's probes, the max over F and G."""
+    devs = [
+        cauchy_deviations(
+            lambda z0: formal_contour_integral(k, w, contour, z0),
+            w, contour.interior, contour.exterior,
+        )
+        for w in (pair.F, pair.G)
+    ]
+    dev_in, dev_out = (max(d) for d in zip(*devs))
+    return dev_in, dev_out
 
 
 # ---------------------------------------------------------------------------
@@ -256,12 +232,12 @@ def adjoint_kernel_transfer(k: KernelFamily) -> KernelFamily:
     Zhat(1, zeta, z) = -Sc Z(1, z, zeta) + j Sc Z(j, z, zeta)
     Zhat(j, zeta, z) =  Vec Z(1, z, zeta) - j Vec Z(j, z, zeta)
     Applying the transfer twice recovers the original family."""
-    if k.sym1 is not None and k.symj is not None:
-        s1 = k.sym1.swap_arguments().sym
-        sj = k.symj.swap_arguments().sym
+    if isinstance(k.coef1, Kernel) and isinstance(k.coefj, Kernel):
+        s1 = k.coef1.swap_arguments().sym
+        sj = k.coefj.swap_arguments().sym
         new1 = SymBC(KERNEL_VARS, ex.neg(s1.sc), sj.sc)
         newj = SymBC(KERNEL_VARS, s1.vec, ex.neg(sj.vec))
-        return KernelFamily.from_kernels(Kernel(new1), Kernel(newj), order=k.order)
+        return KernelFamily(k.order, Kernel(new1), Kernel(newj))
 
     last: dict[tuple[PlanePoint, PlanePoint], tuple[Bicomplex, Bicomplex]] = {}
 
@@ -328,19 +304,20 @@ def negative_powers(
     hat = adjoint_kernel_transfer(base_kernel)
     scale = 1 / math.factorial(n - 1)
 
-    symbolic = hat.sym1 is not None and all(
+    # the transfer gives closed forms in both slots or in neither
+    symbolic = isinstance(hat.coef1, Kernel) and all(
         adjoint_seq.pair_at(m).A.sym is not None for m in range(n - 1)
     )
     if symbolic:
         # exact Bers derivatives in the z = (x, y) variables
-        s1, sj = hat.sym1.sym, hat.symj.sym
+        s1, sj = hat.coef1.sym, hat.coefj.sym
         for m in range(n - 1):
             pair = adjoint_seq.pair_at(m)
             A, B = _lift(pair.A.sym), _lift(pair.B.sym)
             s1, sj = (pair_operator(s.d_z(), A, B, s) for s in (s1, sj))
         # closed forms through the transfer, so the powers keep exact partials
-        return adjoint_kernel_transfer(KernelFamily.from_kernels(
-            Kernel(s1.scale(complex(scale))), Kernel(sj.scale(complex(scale))), order=-n
+        return adjoint_kernel_transfer(KernelFamily(
+            -n, Kernel(s1.scale(complex(scale))), Kernel(sj.scale(complex(scale)))
         ))
     else:
 
@@ -380,10 +357,16 @@ def power_residual_scan(
     region,
     zeta: PlanePoint,
 ) -> ResidualReport:
-    """Max Vekua residual of both coefficient evaluators over a 10-by-10
-    sample grid of the region, punctured within 0.1 of the kernel center."""
-    f1 = k.coef1_field(zeta)
-    fj = k.coefj_field(zeta)
+    """Max Vekua residual of both coefficients over a 10-by-10 sample grid
+    of the region, punctured within 0.1 of the kernel center; a closed-form
+    coefficient is differentiated exactly."""
+
+    def in_z(coef: KernelEval) -> Field:
+        if isinstance(coef, Kernel):
+            return coef.field_in_z(zeta)
+        return Field(lambda z: coef(zeta, z))
+
+    f1, fj = in_z(k.coef1), in_z(k.coefj)
     r1 = rj = 0.0
     for p in region.sample_points(10):
         if p.dist(zeta) <= 0.1:
@@ -402,7 +385,7 @@ def analytic_kernel() -> KernelFamily:
     """The classical Cauchy kernels 1/(z - zeta) and j/(z - zeta)."""
     k1 = Kernel.make(f"(x - xi)/({RHO2})", f"-(y - eta)/({RHO2})")
     kj = Kernel.make(f"(y - eta)/({RHO2})", f"(x - xi)/({RHO2})")
-    return KernelFamily.from_kernels(k1, kj)
+    return KernelFamily(-1, k1, kj)
 
 
 def counterexample_kernel() -> KernelFamily:
@@ -410,7 +393,7 @@ def counterexample_kernel() -> KernelFamily:
     but fails the reproducing property (the contour integral gives pi)."""
     k1 = Kernel.make(f"(x - xi)/({RHO2}) + xi", f"-(y - eta)/({RHO2})")
     kj = Kernel.make(f"(y - eta)/({RHO2})", f"(x - xi)/({RHO2})")
-    return KernelFamily.from_kernels(k1, kj)
+    return KernelFamily(-1, k1, kj)
 
 
 def reproducing_example_kernel() -> KernelFamily:
@@ -421,4 +404,4 @@ def reproducing_example_kernel() -> KernelFamily:
     a multiple of the enclosed area with opposite signs from the two terms."""
     k1 = Kernel.make(f"(x - xi)/({RHO2}) - xi", f"-(y - eta)/({RHO2})")
     kj = Kernel.make(f"(y - eta)/({RHO2}) + eta", f"(x - xi)/({RHO2})")
-    return KernelFamily.from_kernels(k1, kj)
+    return KernelFamily(-1, k1, kj)

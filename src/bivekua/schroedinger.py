@@ -16,11 +16,7 @@ from .bicomplex import Bicomplex, PlanePoint
 from .calculus import Path, tf_transform
 from .fields import KERNEL_VARS, Field, Kernel, SymBC, central_difference, default_step, partials
 from .pairs import GeneratingPair, adjoint_pair, make_pair
-from .powers import LOG_RHO, RHO2, KernelFamily, SingularPointError, adjoint_kernel_transfer
-
-
-class SchroedingerError(Exception):
-    pass
+from .powers import LOG_RHO, RHO2, KernelEval, KernelFamily, SingularPointError
 
 
 # ---------------------------------------------------------------------------
@@ -150,18 +146,12 @@ class MainVekuaProblem:
 # Kernel construction from a fundamental solution
 
 
-def _missing_coefj(zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-    raise SchroedingerError(
-        "coefficient-j evaluator not constructed; complete the family with "
-        "successor_kernel_coefj"
-    )
-
-
-def successor_kernel_coef1(S: FundamentalSolution, f: Field) -> KernelFamily:
+def successor_kernel_coef1(S: FundamentalSolution, f: Field) -> KernelEval:
     """Coefficient-1 Cauchy kernel of the successor equation of the main
     Vekua equation of f: 2(d_z S - (d_z f / f) S), derivatives in z.
 
-    The returned family is partial: only the coefficient-1 slot is filled.
+    A closed-form ``Kernel`` when S and f have closed forms, else an
+    evaluator; ``successor_kernel_coefj`` completes the family.
     """
     if S.sym is not None and f.sym is not None:
         s = S.sym.sym.sc
@@ -171,8 +161,7 @@ def successor_kernel_coef1(S: FundamentalSolution, f: Field) -> KernelFamily:
         ratio_y = ex.binop("/", ex.diff(fe, "y"), fe)
         sc = ex.binop("-", sx, ex.binop("*", ratio_x, s))
         vec = ex.binop("-", ex.binop("*", ratio_y, s), sy)
-        k = Kernel(SymBC(KERNEL_VARS, sc, vec))
-        return KernelFamily(order=-1, coef1=k.__call__, coefj=_missing_coefj, sym1=k)
+        return Kernel(SymBC(KERNEL_VARS, sc, vec))
 
     def coef1(zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
         if zeta.dist(z) == 0:
@@ -183,24 +172,25 @@ def successor_kernel_coef1(S: FundamentalSolution, f: Field) -> KernelFamily:
         fv, fx, fy = partials(f, z)
         return Bicomplex(s_x - fx.sc / fv.sc * sval, fy.sc / fv.sc * sval - s_y)
 
-    return KernelFamily(order=-1, coef1=coef1, coefj=_missing_coefj)
+    return coef1
 
 
 def successor_kernel_coefj(
-    k1: KernelFamily, f: Field, zeta0: PlanePoint, side: float = 1.0
+    coef1: KernelEval, f: Field, zeta0: PlanePoint, side: float = 1.0
 ) -> KernelFamily:
-    """Complete a successor family with the coefficient-j kernel: the
-    conjugate-building transform of -Z(1, zeta, z), acting in the center
-    variable zeta along a path from the base point zeta0 that detours
-    around z.
+    """The successor family of the coefficient-1 kernel ``coef1``, completed
+    with the coefficient-j kernel: the conjugate-building transform of
+    -Z(1, zeta, z), acting in the center variable zeta along a path from the
+    base point zeta0 that detours around z.
 
     The result is anchored: it vanishes at zeta = zeta0.  Any two kernels
     with the same coefficient differ by a regular solution, so the anchored
     evaluator is a Cauchy kernel whenever the coefficient-1 input is.
     """
-    if k1.sym1 is not None:
+    symbolic = isinstance(coef1, Kernel)
+    if symbolic:
         # -Z(1) over (xi, eta, x, y); each value binds z
-        s = k1.sym1.sym
+        s = coef1.sym
         minus = Kernel(SymBC(KERNEL_VARS, ex.neg(s.sc), ex.neg(s.vec)))
 
     def coefj(zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
@@ -209,22 +199,13 @@ def successor_kernel_coefj(
         if zeta.dist(zeta0) == 0:
             return Bicomplex(0, 0)
         path = Path.detour(zeta0, zeta, z, side=side)
-        if k1.sym1 is not None:
+        if symbolic:
             u = minus.field_in_zeta(z)
         else:
-            u = Field(lambda p: -k1.coef1(p, z))
+            u = Field(lambda p: -coef1(p, z))
         return tf_transform(f, u, path)
 
-    return KernelFamily(
-        order=-1, coef1=k1.coef1, coefj=coefj, sym1=k1.sym1
-    )
-
-
-def main_kernels(successor: KernelFamily) -> KernelFamily:
-    """Reproducing kernel family of the main Vekua equation from a complete
-    successor family, via the argument-swap component recombination (the
-    successor equation coincides with the adjoint one)."""
-    return adjoint_kernel_transfer(successor)
+    return KernelFamily(order=-1, coef1=coef1, coefj=coefj)
 
 
 def darboux_fundamental(
@@ -316,7 +297,7 @@ def x_successor_family() -> KernelFamily:
         f"(y - eta)/({RHO2}) + ((y - eta)/(x*xi))*(({LOG_RHO}) - 1)",
         f"(x - xi)/({RHO2}) + ({LOG_RHO})/xi",
     )
-    return KernelFamily.from_kernels(k1, kj, order=-1)
+    return KernelFamily(-1, k1, kj)
 
 
 def x_main_family() -> KernelFamily:
@@ -329,7 +310,7 @@ def x_main_family() -> KernelFamily:
         f"(y - eta)/({RHO2})",
         f"(x - xi)/({RHO2}) - ({LOG_RHO})/x",
     )
-    return KernelFamily.from_kernels(k1, kj, order=-1)
+    return KernelFamily(-1, k1, kj)
 
 
 def x_negative_power(n: int) -> KernelFamily:

@@ -3,6 +3,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import re
 import signal
 from pathlib import Path
@@ -126,7 +127,6 @@ def test_build_fundamental_catalog_match(tmp_path):
         {
             "f": "x",
             "zeta": [2, 0],
-            "zeta0": [0.5, 0],
             "z0": "zeta+1",
             "grid": {"x0": 1.2, "x1": 3.0, "y0": -0.8, "y1": 0.8, "nx": 5, "ny": 5},
             "tol": 1e-6,
@@ -298,6 +298,18 @@ def test_invalid_json_is_config_error(tmp_path):
     assert main(["verify-reproducing", "--config", str(p), "--quiet"]) == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [(None, "cannot read config file"), ("[1, 2]", "config root must be a JSON object")],
+)
+def test_unreadable_config_is_config_error(tmp_path, capsys, text, message):
+    p = tmp_path / "c.json"
+    if text is not None:
+        p.write_text(text)
+    assert main(["verify-reproducing", "--config", str(p), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
 def test_unknown_kernel_rejected(tmp_path):
     cfg = _write(
         tmp_path,
@@ -399,6 +411,14 @@ _NUMBERS = {
         "zeta": [1, 0],
         "grid": {"x0": 1.9, "x1": 2.1, "y0": -0.1, "y1": 0.1, "nx": 1, "ny": 1},
     },
+}
+
+
+_FUNDAMENTAL = {
+    "f": "x",
+    "zeta": [2, 0],
+    "z0": "zeta+1",
+    "grid": {"x0": 1.2, "x1": 3.0, "y0": -0.8, "y1": 0.8, "nx": 1, "ny": 1},
 }
 
 
@@ -540,6 +560,43 @@ def test_long_flat_chain_is_rejected_without_recursion_error(tmp_path, capsys):
             dict(_NUMBERS["residual-scan"], pair={"F_sc": 1}),
             "config key 'pair.F_sc' must be a string",
         ),
+        # point lists and points
+        ("cauchy", dict(_NUMBERS["cauchy"], interior=5), "config key 'interior' must be a list of [x, y] pairs"),
+        (
+            "build-fundamental",
+            dict(_FUNDAMENTAL, z0=5),
+            "config key 'z0' must be a [x, y] pair or 'zeta+1'",
+        ),
+        # f and zeta0 where nothing reads them
+        ("eval-kernel", dict(_VALID["eval-kernel"], f="exp(x)"), "config key 'f' is not read by the stock kernel 'x-main'"),
+        (
+            "build-fundamental",
+            dict(_FUNDAMENTAL, zeta0=[7, 7]),
+            "config key 'zeta0' is not read with the catalog f 'x'",
+        ),
+        (
+            "verify-reproducing",
+            {"kernel": "x-main", "f": "x", "pair": {"F_sc": "x", "G_sc": "0", "G_vec": "1/x"},
+             "contour": {"center": [3, 0], "radius": 1}},
+            "config key 'f' is not read by the stock kernel 'x-main' and 'pair'",
+        ),
+        (
+            "cauchy",
+            dict(_NUMBERS["cauchy"], pair={"F_sc": "x", "G_sc": "0", "G_vec": "1/x"}),
+            "config key 'f' is not read by the stock kernel 'x-main' and 'pair'",
+        ),
+        # refused by the command, still before it writes anything
+        (
+            "verify-reproducing",
+            {"kernel": "x-main", "contour": {"center": [3, 0], "radius": 1}},
+            "config must provide 'pair' or 'f'",
+        ),
+        (
+            "eval-kernel",
+            dict(_NUMBERS["eval-kernel"], f="exp(x)"),
+            "the built-in fundamental solution covers potential 0 only; "
+            "the potential of f does not vanish at PlanePoint(x=1.1, y=0.2)",
+        ),
     ],
 )
 def test_unknown_key_is_config_error(tmp_path, capsys, command, cfg, message):
@@ -665,6 +722,17 @@ def test_readme_names_exactly_the_accepted_keys():
     for command, table in CONFIG_SCHEMA.items():
         walk(table, command)
     assert _readme_config_keys() == accepted
+
+
+def test_readme_python_blocks_run():
+    # the quickstart and the from-scratch block, in order, in one namespace
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 2
+    ns: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), ns)
+    w, z0 = ns["w"], ns["z0"]
+    assert (ns["value"] - w(z0).scale(2 * math.pi)).norm <= 1e-6
 
 
 def test_benchmark_configs_validate():

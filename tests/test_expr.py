@@ -37,10 +37,26 @@ def test_parse_structure():
     )
 
 
-def test_parse_error_offset():
+@pytest.mark.parametrize(
+    "src, offset, message",
+    [
+        ("x +", 3, "unexpected token ''"),
+        ("1.2.3", 0, "bad number '1.2.3'"),
+        ("x $ y", 2, "unexpected character '$'"),
+        ("(x + 1", 6, "expected ')'"),
+        ("x y", 2, "trailing input 'y'"),
+    ],
+    ids=["end", "number", "character", "paren", "trailing"],
+)
+def test_parse_error_offset(src, offset, message):
     with pytest.raises(ExprSyntaxError) as exc:
-        parse("x +")
-    assert exc.value.offset == 3
+        parse(src)
+    assert exc.value.offset == offset
+    assert str(exc.value) == f"{message} (at offset {offset})"
+
+
+def test_unary_minus_in_factor_chain():
+    assert compile_expr(parse("2*-x"))(2, 0) == -4
 
 
 def test_unknown_identifier():

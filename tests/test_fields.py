@@ -98,7 +98,7 @@ def test_kernel_diff_z():
 
 
 def test_freezing_compiles_each_kernel_once(compiles):
-    k = x_main_family().sym1
+    k = x_main_family().coef1
     z = PlanePoint(2.5, -0.3)
     for i in range(10):
         w = k.field_in_z(PlanePoint(1.0 + 0.1 * i, 0.2))

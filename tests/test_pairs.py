@@ -163,7 +163,7 @@ def test_star_integral_is_the_two_walk_sum():
 
 
 def test_fg_integral_analytic():
-    path = Path.segment(PlanePoint(0, 0), PlanePoint(1, 1))
+    path = Path.polyline([PlanePoint(0, 0), PlanePoint(1, 1)])
     one = Field.constant(Bicomplex(1, 0))
     assert isclose(fg_integral(one, ANALYTIC, path), Bicomplex(1, 1))
 
@@ -175,7 +175,7 @@ def test_fg_integral_antiderivative_property():
     mid = PlanePoint(1.55, 0.02)
 
     accum = Field(
-        lambda z: fg_integral(w, MAIN_X, Path.segment(z0, z, nodes_per_segment=24))
+        lambda z: fg_integral(w, MAIN_X, Path.polyline([z0, z], nodes_per_segment=24))
     )
     d = fg_derivative(accum, MAIN_X, mid, h=1e-4)
     assert (d - w(mid)).norm <= 1e-6
