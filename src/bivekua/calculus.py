@@ -237,24 +237,26 @@ def midpoints(x0: float, x1: float, y0: float, y1: float, nx: int, ny: int) -> l
 
 @dataclass
 class RegionGrid:
-    """Axis-aligned rectangle cut into square cells of size h, with an
-    optional inclusion predicate."""
+    """Axis-aligned rectangle, cut into square cells of size h for the area
+    quadrature (``cells``), with an optional inclusion predicate."""
 
     x0: float
     x1: float
     y0: float
     y1: float
-    h: float
+    h: Optional[float] = None
     include: Optional[Callable[[PlanePoint], bool]] = None
 
     def __post_init__(self):
-        if self.h <= 0:
+        if self.h is not None and self.h <= 0:
             raise ValueError("cell size must be positive")
 
     def _included(self, p: PlanePoint) -> bool:
         return self.include is None or self.include(p)
 
     def cells(self) -> list[tuple[PlanePoint, float]]:
+        if self.h is None:
+            raise CalculusError("region has no cell size h")
         nx = max(1, round((self.x1 - self.x0) / self.h))
         ny = max(1, round((self.y1 - self.y0) / self.h))
         area = (self.x1 - self.x0) / nx * ((self.y1 - self.y0) / ny)

@@ -41,8 +41,8 @@ from .powers import (
     reproducing_example_kernel,
 )
 from .schroedinger import (
-    FundamentalSolution,
     darboux_fundamental,
+    laplace_fundamental,
     potential_from_f,
     schroedinger_residual,
     successor_kernel_coef1,
@@ -172,7 +172,7 @@ _CONTOUR = {"contour": (
     REQUIRED,
 )}
 _GRID = {"grid": ({**_BOUNDS, "nx": (_integer(1), REQUIRED), "ny": (_integer(1), REQUIRED)}, REQUIRED)}
-_REGION = {"region": ({**_BOUNDS, "h": (_positive, 0.1)}, REQUIRED)}
+_REGION = {"region": (_BOUNDS, REQUIRED)}
 _FIELD = {"sc": (_string, REQUIRED), "vec": (_string, "0")}
 _SAMPLES = {"samples": (_integer(1), 20)}
 _TOL = {"tol": (_non_negative, 1e-6)}
@@ -277,7 +277,7 @@ def _pipeline_successor(cfg: dict) -> KernelFamily:
                 "the built-in fundamental solution covers potential 0 only; "
                 f"the potential of f does not vanish at {p}"
             )
-    coef1 = successor_kernel_coef1(FundamentalSolution.laplace(), f)
+    coef1 = successor_kernel_coef1(laplace_fundamental(), f)
     return successor_kernel_coefj(coef1, f, cfg["zeta0"])
 
 
@@ -358,12 +358,18 @@ def cmd_verify_reproducing(cfg: dict):
 
 def cmd_build_powers(cfg: dict):
     n, sep, tol = cfg["n"], cfg["separable"], cfg["tol"]
+    catalog = cfg["f"].strip() == "x" and n >= 2
+    schema = CONFIG_SCHEMA["build-powers"]
+    if catalog:
+        _unread(cfg, schema, "pair", why="with the catalog f 'x'")
+    else:
+        _unread(cfg, schema, "samples", why="by the residual scan, which uses one center")
     base = _build_kernel(cfg)
     seq = hat_sequence(GeneratingSequence.separable(sep["phi"], sep["psi"]))
     fam = negative_powers(base, seq, n)
-    pairs = _random_point_pairs(cfg, cfg["samples"])
+    pairs = _random_point_pairs(cfg, cfg["samples"] if catalog else 1)
     extra = {}
-    if cfg["f"].strip() == "x" and n >= 2:
+    if catalog:
         oracle = x_negative_power(n)
         dev = 0.0
         for zeta, z in pairs:
@@ -382,11 +388,14 @@ def cmd_build_fundamental(cfg: dict):
     f = Field.from_exprs(cfg["f"])
     zeta, z0 = cfg["zeta"], cfg["z0"]
     catalog = cfg["f"].strip() == "x"
+    schema = CONFIG_SCHEMA["build-fundamental"]
     if catalog:
-        _unread(cfg, CONFIG_SCHEMA["build-fundamental"], "zeta0", why="with the catalog f 'x'")
-    kj = x_successor_family() if catalog else _pipeline_successor(cfg)
+        _unread(cfg, schema, "zeta0", why="with the catalog f 'x'")
     # the catalog's closed form is the fundamental solution for z0 = zeta + 1
     oracle = x_darboux_fundamental() if catalog and z0 == "zeta+1" else None
+    if oracle is None:
+        _unread(cfg, schema, "tol", why="without a closed-form check")
+    kj = x_successor_family() if catalog else _pipeline_successor(cfg)
     if z0 == "zeta+1":
         z0 = lambda zt: PlanePoint(zt.x + 1, zt.y)  # noqa: E731
     s1 = darboux_fundamental(kj, f, z0)
@@ -395,9 +404,9 @@ def cmd_build_fundamental(cfg: dict):
     dev = 0.0
     for p in pts:
         v = s1(zeta, p)
-        rows.append(_value_row(p, Bicomplex(v, 0)))
+        rows.append(_value_row(p, v))
         if oracle is not None:
-            dev = max(dev, abs(v - oracle(zeta, p)))
+            dev = max(dev, (v - oracle(zeta, p)).norm)
     checks = [_check("rows", len(rows), len(pts), 0)]
     extra = {}
     if oracle is not None:
@@ -412,6 +421,8 @@ def cmd_residual_scan(cfg: dict):
     schema, why = CONFIG_SCHEMA["residual-scan"], f"by a '{cfg['kind']}' scan"
     if cfg["kind"] == "vekua":
         _unread(cfg, schema, "q", "h", why=why)
+        if cfg["pair"] is not None:
+            _unread(cfg, schema, "f", why=f"{why} given a 'pair'")
         w = Field.from_exprs(fld["sc"], fld["vec"])
         pair = _build_pair(cfg)
         residual = lambda p: vekua_residual(w, pair, p)  # noqa: E731

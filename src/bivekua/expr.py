@@ -5,7 +5,7 @@ so that derivative trees round-trip through their textual form):
 
     expr   := ('-')? term (('+'|'-') term)*
     term   := factor (('*'|'/') factor)*
-    factor := base ('^' int)?
+    factor := '-' factor | base ('^' int)?
     base   := number | 'i' | 'x' | 'y' | ident '(' expr ')' | '(' expr ')'
 
 Functions: exp, log, sin, cos, sinh, cosh, sqrt, abs2.  Coefficients are
@@ -246,8 +246,8 @@ class _Parser:
             self.expect_op(")")
             return node
         if kind == "op" and text == "-":
-            # unary minus inside a factor chain, e.g. "2*-x"
-            return _negate(self.parse_base())
+            # unary minus inside a factor chain, e.g. "2*-x^2" = 2*(-(x^2))
+            return _negate(self.parse_factor())
         if kind == "ident":
             if text == "i":
                 return Num(1j)

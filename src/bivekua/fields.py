@@ -163,21 +163,23 @@ def partials(
 class Field:
     """Map PlanePoint -> Bicomplex, optionally with exact partials.
 
-    ``sym`` is set when the field was built from expressions over (x, y);
-    then ``dx``/``dy`` are exact symbolic fields, otherwise they are None
-    and consumers fall back to finite differences.
+    ``sym`` is set only by ``from_sym``, whose evaluator is that closed form
+    over (x, y) compiled; then ``dx``/``dy`` are exact symbolic fields,
+    otherwise they are None and consumers fall back to finite differences.
     """
 
-    def __init__(self, func: Callable[[PlanePoint], Bicomplex], sym: Optional[SymBC] = None):
+    def __init__(self, func: Callable[[PlanePoint], Bicomplex]):
         self._func = func
-        self.sym = sym
+        self.sym: Optional[SymBC] = None
         self._dx: Optional["Field"] = None
         self._dy: Optional["Field"] = None
 
     @staticmethod
     def from_sym(sym: SymBC) -> "Field":
         fn = sym.compiled()
-        return Field(lambda z: fn(z.x, z.y), sym=sym)
+        out = Field(lambda z: fn(z.x, z.y))
+        out.sym = sym
+        return out
 
     @staticmethod
     def from_exprs(sc, vec=0j) -> "Field":

@@ -26,36 +26,22 @@ from .powers import LOG_RHO, RHO2, KernelEval, KernelFamily, SingularPointError
 @dataclass
 class FundamentalSolution:
     """S(zeta, z) = log|z - zeta| + R(zeta, z): a fundamental solution of
-    the Schrödinger equation with potential q, singular at the center zeta.
-
-    ``regular`` evaluates R; ``sym`` carries the closed form of the full S
-    over (xi, eta, x, y) when available, giving exact partials downstream.
+    the Schrödinger equation with potential q, singular at the center zeta,
+    given by an evaluator of its regular part R.  A closed-form S is a
+    ``Kernel`` over (xi, eta, x, y) instead; both evaluate to Bicomplex(S, 0).
     """
 
     regular: Callable[[PlanePoint, PlanePoint], complex]
-    sym: Optional[Kernel] = None
 
-    def __call__(self, zeta: PlanePoint, z: PlanePoint) -> complex:
+    def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
         if zeta.dist(z) == 0:
             raise SingularPointError(f"fundamental solution evaluated at {z}")
-        if self.sym is not None:
-            return self.sym(zeta, z).sc
-        return math.log(zeta.dist(z)) + self.regular(zeta, z)
+        return Bicomplex(math.log(zeta.dist(z)) + self.regular(zeta, z), 0)
 
-    @staticmethod
-    def laplace() -> "FundamentalSolution":
-        """log|z - zeta|: the fundamental solution for q = 0."""
-        return FundamentalSolution(regular=lambda zeta, z: 0j, sym=Kernel.make(LOG_RHO))
 
-    @staticmethod
-    def from_closed_form(sc: Union[str, ex.Expr]) -> "FundamentalSolution":
-        """Wrap a closed-form S(xi, eta, x, y)."""
-        sym = Kernel.make(sc)
-
-        def regular(zeta: PlanePoint, z: PlanePoint) -> complex:
-            return sym(zeta, z).sc - math.log(zeta.dist(z))
-
-        return FundamentalSolution(regular=regular, sym=sym)
+def laplace_fundamental() -> Kernel:
+    """log|z - zeta|: the fundamental solution for q = 0."""
+    return Kernel.make(LOG_RHO)
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +132,15 @@ class MainVekuaProblem:
 # Kernel construction from a fundamental solution
 
 
-def successor_kernel_coef1(S: FundamentalSolution, f: Field) -> KernelEval:
+def successor_kernel_coef1(S: Union[Kernel, FundamentalSolution], f: Field) -> KernelEval:
     """Coefficient-1 Cauchy kernel of the successor equation of the main
     Vekua equation of f: 2(d_z S - (d_z f / f) S), derivatives in z.
 
     A closed-form ``Kernel`` when S and f have closed forms, else an
     evaluator; ``successor_kernel_coefj`` completes the family.
     """
-    if S.sym is not None and f.sym is not None:
-        s = S.sym.sym.sc
+    if isinstance(S, Kernel) and f.sym is not None:
+        s = S.sym.sc
         sx, sy = ex.diff(s, "x"), ex.diff(s, "y")
         fe = f.sym.sc
         ratio_x = ex.binop("/", ex.diff(fe, "x"), fe)
@@ -167,7 +153,7 @@ def successor_kernel_coef1(S: FundamentalSolution, f: Field) -> KernelEval:
         if zeta.dist(z) == 0:
             raise SingularPointError(f"kernel evaluated on the diagonal at {z}")
         h = 1e-5 * (1 + math.hypot(z.x, z.y))
-        s_field = Field(lambda p: Bicomplex(S(zeta, p), 0))
+        s_field = Field(lambda p: S(zeta, p))
         sval, s_x, s_y = (v.sc for v in partials(s_field, z, h))
         fv, fx, fy = partials(f, z)
         return Bicomplex(s_x - fx.sc / fv.sc * sval, fy.sc / fv.sc * sval - s_y)
@@ -217,13 +203,17 @@ def darboux_fundamental(
     """Fundamental solution of the Darboux-transformed equation:
     S1(zeta, z) = (1/f(z)) Vec ∫_{z0}^{z} f(tau) Z(j, zeta, tau) dtau.
 
-    z0 may be a fixed point or a map zeta -> z0 (e.g. zeta + 1)."""
+    z0 may be a fixed point or a map zeta -> z0 (e.g. zeta + 1); S1 is 0 at
+    z = z0, where the path is empty."""
     base_of = z0 if callable(z0) else (lambda zeta: z0)
 
     def value(zeta: PlanePoint, z: PlanePoint) -> complex:
         if zeta.dist(z) == 0:
             raise SingularPointError(f"fundamental solution evaluated at {z}")
-        path = Path.detour(base_of(zeta), z, zeta, side=side)
+        base = base_of(zeta)
+        if z.dist(base) == 0:
+            return 0j
+        path = Path.detour(base, z, zeta, side=side)
 
         def one_form(p: PlanePoint, dz: complex) -> complex:
             k = kj.coefj(zeta, p)
@@ -358,11 +348,11 @@ def x_negative_power(n: int) -> KernelFamily:
     return KernelFamily(order=-n, coef1=coef1, coefj=coefj)
 
 
-def x_darboux_fundamental() -> FundamentalSolution:
+def x_darboux_fundamental() -> Kernel:
     """Closed-form fundamental solution of the q1 = 2/x^2 equation obtained
     from f = x with the path base point zeta + 1."""
     s1 = (
         f"({LOG_RHO}) + (({RHO2})/(2*x*xi))*({LOG_RHO})"
         f" - (({RHO2}) + 2*(y - eta)^2 - 1)/(4*x*xi)"
     )
-    return FundamentalSolution.from_closed_form(s1)
+    return Kernel.make(s1)

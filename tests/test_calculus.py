@@ -4,6 +4,7 @@ import pytest
 
 from bivekua.bicomplex import Bicomplex, P_PLUS, PlanePoint, isclose
 from bivekua.calculus import (
+    CalculusError,
     EmptyRegionError,
     Path,
     PathThroughSingularityError,
@@ -106,6 +107,13 @@ def test_teodorescu_analytic_outside():
 def test_empty_region():
     region = RegionGrid(0, 1, 0, 1, 0.5, include=lambda p: False)
     with pytest.raises(EmptyRegionError):
+        region.cells()
+
+
+def test_region_without_cell_size_samples_but_has_no_cells():
+    region = RegionGrid(0, 1, 0, 1)
+    assert len(region.sample_points(2)) == 4
+    with pytest.raises(CalculusError, match="no cell size"):
         region.cells()
 
 

@@ -156,6 +156,29 @@ def test_build_fundamental_fixed_z0_claims_no_closed_form(tmp_path):
     assert [c["name"] for c in rep["checks"]] == ["rows"]
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"f": "x", "zeta": [2.0, 0.0], "z0": "zeta+1", "tol": 1e-6,
+         "grid": {"x0": 2.5, "x1": 3.5, "y0": -0.5, "y1": 0.5, "nx": 1, "ny": 1}},
+        {"f": "exp(x)*cos(y)", "zeta0": [0.5, 0.0], "zeta": [1.0, 0.0], "z0": [1.75, 0.0],
+         "grid": {"x0": 1.5, "x1": 2.0, "y0": -0.5, "y1": 0.5, "nx": 1, "ny": 1}},
+    ],
+    ids=["catalog", "pipeline"],
+)
+def test_build_fundamental_vanishes_at_path_base(tmp_path, cfg):
+    # the one grid point is z0, where S1 is 0 by definition (an empty path)
+    path = _write(tmp_path, "c.json", cfg)
+    assert main(["build-fundamental", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+    lines = (tmp_path / "fundamental.csv").read_text().splitlines()
+    assert [float(v) for v in lines[1].split(",")[2:]] == [0.0] * 4
+    rep = _report(tmp_path)
+    assert rep["pass"] is True
+    for c in rep["checks"]:
+        if c["name"] == "max_deviation_from_closed_form":
+            assert c["value"] == 0.0
+
+
 def test_residual_scan(tmp_path):
     cfg = _write(
         tmp_path,
@@ -164,7 +187,7 @@ def test_residual_scan(tmp_path):
             "kind": "vekua",
             "f": "x",
             "field": {"sc": "x", "vec": "0"},
-            "region": {"x0": 1.0, "x1": 2.0, "y0": -0.5, "y1": 0.5, "h": 0.1},
+            "region": {"x0": 1.0, "x1": 2.0, "y0": -0.5, "y1": 0.5},
             "samples": 8,
             "tol": 1e-8,
         },
@@ -431,8 +454,8 @@ _FUNDAMENTAL = {
         ("cauchy", ("contour", "center"), [True, 0]),
         ("cauchy", ("contour", "center"), [float("nan"), 0]),
         ("build-powers", ("region", "x0"), True),
-        ("build-powers", ("region", "h"), 0),
-        ("build-powers", ("region", "h"), "abc"),
+        ("build-powers", ("separable",), 0),
+        ("build-powers", ("region", "y1"), "abc"),
         ("build-powers", ("seed",), [1]),
         ("residual-scan", ("h",), 0),
         ("eval-kernel", ("kernel_kind",), "mian"),
@@ -514,7 +537,7 @@ def test_long_flat_chain_is_rejected_without_recursion_error(tmp_path, capsys):
         (
             "build-powers",
             dict(_VALID["build-powers"], region={"x0": 1.0, "x1": 3.0, "y0": -1.0, "y1": 1.0, "h": "abc"}),
-            "config key 'region.h' must be a finite number",
+            "unknown key 'region.h'",
         ),
         (
             "cauchy",
@@ -596,6 +619,28 @@ def test_long_flat_chain_is_rejected_without_recursion_error(tmp_path, capsys):
             dict(_NUMBERS["eval-kernel"], f="exp(x)"),
             "the built-in fundamental solution covers potential 0 only; "
             "the potential of f does not vanish at PlanePoint(x=1.1, y=0.2)",
+        ),
+        # keys whose value no run of the chosen mode reads
+        (
+            "residual-scan",
+            dict(_VALID["residual-scan"], f="exp(x)"),
+            "config key 'f' is not read by a 'vekua' scan given a 'pair'",
+        ),
+        (
+            "build-powers",
+            dict(_VALID["build-powers"], pair={"F_sc": "zz", "G_sc": "1"}),
+            "config key 'pair' is not read with the catalog f 'x'",
+        ),
+        (
+            "build-powers",
+            {"kernel": "analytic", "f": "1", "separable": {"phi": "1", "psi": "1"}, "n": 3,
+             "region": {"x0": -1, "x1": 1, "y0": -1, "y1": 1}, "samples": 7},
+            "config key 'samples' is not read by the residual scan, which uses one center",
+        ),
+        (
+            "build-fundamental",
+            dict(_FUNDAMENTAL, z0=[3, 0.5], tol=1e-3),
+            "config key 'tol' is not read without a closed-form check",
         ),
     ],
 )
@@ -733,6 +778,16 @@ def test_readme_python_blocks_run():
         exec(compile(block, "README.md", "exec"), ns)
     w, z0 = ns["w"], ns["z0"]
     assert (ns["value"] - w(z0).scale(2 * math.pi)).norm <= 1e-6
+
+
+def test_readme_config_example_runs(tmp_path):
+    # the ```json block after "Example" in README's command-line section
+    text = (ROOT / "README.md").read_text().split("## Command-line interface", 1)[1]
+    (block,) = re.findall(r"```json\n(.*?)```", text, re.S)
+    path = tmp_path / "config.json"
+    path.write_text(block)
+    assert main(["verify-reproducing", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+    assert _report(tmp_path)["pass"] is True
 
 
 def test_benchmark_configs_validate():

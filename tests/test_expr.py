@@ -59,6 +59,15 @@ def test_unary_minus_in_factor_chain():
     assert compile_expr(parse("2*-x"))(2, 0) == -4
 
 
+@pytest.mark.parametrize(
+    "src, value",
+    [("2*-x^2", -18), ("x*-y^2", -12), ("2/-x^2", -2 / 9), ("-x^2", -9)],
+)
+def test_unary_minus_binds_looser_than_power(src, value):
+    # the minus negates the whole factor, power included, as in Python
+    assert compile_expr(parse(src))(3, 2) == value
+
+
 def test_unknown_identifier():
     with pytest.raises(UnknownIdentifierError):
         parse("foo + x")

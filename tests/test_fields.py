@@ -3,8 +3,10 @@ import math
 import pytest
 
 from bivekua.bicomplex import Bicomplex, PlanePoint, isclose
+from bivekua.calculus import Path, PathThroughSingularityError
 from bivekua.expr import EvaluationError
 from bivekua.fields import Field, Kernel, SymBC
+from bivekua.pairs import adjoint_fields, make_pair
 from bivekua.schroedinger import x_main_family
 
 
@@ -133,3 +135,38 @@ def test_singular_frozen_kernel_carries_point():
         with pytest.raises(EvaluationError) as info:
             evaluate(PlanePoint(1.0, 5.0))
         assert info.value.point == (1.0, 2.0, 1.0, 5.0)
+
+
+# symbolic fields and their callable twins, which take the numeric branches
+TWIN_W = Field.from_exprs("x^2 + y", "x*y - 1")
+TWIN_V = Field.from_exprs("exp(x)", "y + 2")
+TWIN_OPS = {
+    "conj": lambda a, b: a.conj(),
+    "bc_inv": lambda a, b: a.bc_inv(),
+    "mul_j": lambda a, b: a.mul_j(),
+    "scale": lambda a, b: a.scale(1.5 - 2j),
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "adjoint_F": lambda a, b: adjoint_fields(make_pair(a, b))[0],
+    "adjoint_G": lambda a, b: adjoint_fields(make_pair(a, b))[1],
+}
+
+
+@pytest.mark.parametrize("name", list(TWIN_OPS))
+def test_callable_twin_matches_symbolic(name):
+    op = TWIN_OPS[name]
+    exact = op(TWIN_W, TWIN_V)
+    numeric = op(Field(lambda z: TWIN_W(z)), Field(lambda z: TWIN_V(z)))
+    assert exact.sym is not None and numeric.sym is None
+    for z in (PlanePoint(0.3, -0.7), PlanePoint(1.4, 0.2), PlanePoint(-0.9, 1.1)):
+        want = exact(z)
+        assert (numeric(z) - want).norm <= 1e-12 * want.norm
+
+
+def test_division_and_degenerate_detour():
+    a, b = Bicomplex(1 + 2j, -0.5j), Bicomplex(0.3, 1.7 - 1j)
+    assert a / b == a * b.inv()
+    p = PlanePoint(1.0, 0.5)
+    with pytest.raises(PathThroughSingularityError, match="degenerate path"):
+        Path.detour(p, p, PlanePoint(2.0, 0.0))

@@ -5,6 +5,7 @@ import pytest
 
 from bivekua.bicomplex import Bicomplex, PlanePoint, isclose
 from bivekua.calculus import PathThroughSingularityError, RegionGrid
+from bivekua.expr import EvaluationError
 from bivekua.fields import Field, Kernel
 from bivekua.pairs import GeneratingSequence, is_successor, vekua_residual
 from bivekua.powers import (
@@ -24,6 +25,7 @@ from bivekua.schroedinger import (
     conjugate_pair_build,
     darboux_fundamental,
     darboux_potential,
+    laplace_fundamental,
     potential_from_f,
     schroedinger_residual,
     successor_kernel_coef1,
@@ -101,19 +103,24 @@ def test_x_problem_pairs():
 
 
 def test_laplace_fundamental():
-    S = FundamentalSolution.laplace()
+    S = laplace_fundamental()
     zeta, z = PlanePoint(1, 0), PlanePoint(2, 1)
-    assert abs(S(zeta, z) - 0.5 * math.log(2)) <= 1e-14
-    assert S.regular(zeta, z) == 0
-    with pytest.raises(SingularPointError):
+    assert abs(S(zeta, z).sc - 0.5 * math.log(2)) <= 1e-14
+    assert S(zeta, z).vec == 0
+    with pytest.raises(EvaluationError, match="log of 0"):
         S(z, z)
+    # the same solution given by its regular part R = 0 keeps its own guard
+    R = FundamentalSolution(regular=lambda zeta, z: 0j)
+    assert (R(zeta, z) - S(zeta, z)).norm <= 1e-15
+    with pytest.raises(SingularPointError):
+        R(z, z)
 
 
 # -- successor kernels from the pipeline -------------------------------------
 
 
 def test_coef1_matches_closed_form():
-    k1 = successor_kernel_coef1(FundamentalSolution.laplace(), F_X)
+    k1 = successor_kernel_coef1(laplace_fundamental(), F_X)
     cat = x_successor_family()
     for zeta, z in rand_pairs(50):
         assert (k1(zeta, z) - cat.coef1(zeta, z)).norm <= 1e-13
@@ -121,13 +128,13 @@ def test_coef1_matches_closed_form():
 
 def test_coef1_spot_value():
     # At zeta=(1,0), z=(2,0) the log term vanishes and the kernel is 1.
-    k1 = successor_kernel_coef1(FundamentalSolution.laplace(), F_X)
+    k1 = successor_kernel_coef1(laplace_fundamental(), F_X)
     assert isclose(k1(PlanePoint(1, 0), PlanePoint(2, 0)), Bicomplex(1, 0))
 
 
 def test_coef1_trivial_f():
     k1 = successor_kernel_coef1(
-        FundamentalSolution.laplace(), Field.constant(Bicomplex(1, 0))
+        laplace_fundamental(), Field.constant(Bicomplex(1, 0))
     )
     zeta, z = PlanePoint(0.2, -0.1), PlanePoint(1.1, 0.7)
     d = complex(z.x - zeta.x, z.y - zeta.y)
@@ -146,7 +153,7 @@ def test_coef1_numeric_fallback():
 def test_coefj_matches_anchored_closed_form():
     zeta0 = PlanePoint(0.5, 0.0)
     fam = successor_kernel_coefj(
-        successor_kernel_coef1(FundamentalSolution.laplace(), F_X), F_X, zeta0
+        successor_kernel_coef1(laplace_fundamental(), F_X), F_X, zeta0
     )
     cat = x_successor_family()
     for zeta, z in rand_pairs(10, seed=3):
@@ -160,7 +167,7 @@ def test_coefj_compiles_per_family_not_per_point(compiles):
     def compiles_for(points):
         start = len(compiles)
         f = Field.from_exprs("x")
-        k1 = successor_kernel_coef1(FundamentalSolution.laplace(), f)
+        k1 = successor_kernel_coef1(laplace_fundamental(), f)
         fam = successor_kernel_coefj(k1, f, PlanePoint(0.5, 0.0))
         for zeta, z in points:
             fam.coefj(zeta, z)
@@ -177,7 +184,7 @@ def test_coefj_numeric_branch_matches_symbolic():
     f = Field(lambda z: Bicomplex(z.x, 0))
     numeric = successor_kernel_coefj(successor_kernel_coef1(S, f), f, zeta0)
     exact = successor_kernel_coefj(
-        successor_kernel_coef1(FundamentalSolution.laplace(), F_X), F_X, zeta0
+        successor_kernel_coef1(laplace_fundamental(), F_X), F_X, zeta0
     )
     for zeta, z in ((PlanePoint(2.4, 0.1), PlanePoint(1.5, 0.05)),
                     (PlanePoint(1.2, -0.6), PlanePoint(2.0, 0.3))):
@@ -193,14 +200,14 @@ def test_coefj_binds_one_kernel_per_value(monkeypatch):
         return field_in_zeta(self, z)
 
     monkeypatch.setattr(Kernel, "field_in_zeta", counted)
-    k1 = successor_kernel_coef1(FundamentalSolution.laplace(), F_X)
+    k1 = successor_kernel_coef1(laplace_fundamental(), F_X)
     fam = successor_kernel_coefj(k1, F_X, PlanePoint(0.5, 0.0))
     fam.coefj(PlanePoint(2.4, 0.1), PlanePoint(1.5, 0.05))
     assert len(binds) == 1
 
 
 def test_main_kernel_eval_shares_one_successor_coefj():
-    k1 = successor_kernel_coef1(FundamentalSolution.laplace(), F_X)
+    k1 = successor_kernel_coef1(laplace_fundamental(), F_X)
     successor = successor_kernel_coefj(k1, F_X, PlanePoint(0.5, 0.0))
     coefj, calls = successor.coefj, []
 
@@ -227,7 +234,7 @@ def test_main_kernel_eval_shares_one_successor_coefj():
 def test_coefj_path_independence():
     # univalued kernel: both detour sides give the same value
     zeta0 = PlanePoint(0.5, 0.0)
-    k1 = successor_kernel_coef1(FundamentalSolution.laplace(), F_X)
+    k1 = successor_kernel_coef1(laplace_fundamental(), F_X)
     up = successor_kernel_coefj(k1, F_X, zeta0, side=+1)
     dn = successor_kernel_coefj(k1, F_X, zeta0, side=-1)
     zeta = PlanePoint(2.4, 0.1)
@@ -238,7 +245,7 @@ def test_coefj_path_independence():
 def test_coefj_endpoint_on_singularity():
     zeta0 = PlanePoint(0.5, 0.0)
     fam = successor_kernel_coefj(
-        successor_kernel_coef1(FundamentalSolution.laplace(), F_X), F_X, zeta0
+        successor_kernel_coef1(laplace_fundamental(), F_X), F_X, zeta0
     )
     with pytest.raises(PathThroughSingularityError):
         fam.coefj(PlanePoint(2, 0), zeta0)
@@ -333,19 +340,19 @@ def test_darboux_fundamental_matches_closed_form():
     )
     cat = x_darboux_fundamental()
     for zeta, z in rand_pairs(10, seed=5, min_dist=0.3):
-        assert abs(S1(zeta, z) - cat(zeta, z)) <= 1e-9
+        assert (S1(zeta, z) - cat(zeta, z)).norm <= 1e-9
 
 
 def test_darboux_fundamental_spot_value():
     cat = x_darboux_fundamental()
-    assert abs(cat(PlanePoint(1, 0), PlanePoint(1, 1)) - (-0.5)) <= 1e-14
+    assert abs(cat(PlanePoint(1, 0), PlanePoint(1, 1)).sc - (-0.5)) <= 1e-14
 
 
 def test_darboux_fundamental_residual_convergence():
     cat = x_darboux_fundamental()
     zeta = PlanePoint(1, 0)
     q1 = Field.from_exprs("2/x^2")
-    u = Field(lambda z: Bicomplex(cat(zeta, z), 0))
+    u = Field(lambda z: cat(zeta, z))
     z = PlanePoint(2, 1)
     res = [schroedinger_residual(u, q1, z, h) for h in (1e-2, 5e-3, 2.5e-3)]
     orders = [math.log2(a / b) for a, b in zip(res, res[1:])]
