@@ -1,6 +1,10 @@
 """Analytic operator toolbox: Wirtinger operators, the area (Teodorescu)
 transform, path antiderivatives, the conjugate-building transform, and the
 similarity factorization, together with the quadrature primitives they need.
+
+A path holds its nodes and weights as numpy arrays.  A path integral
+evaluates its integrand on all nodes at once and sums the values in node
+order (``Path.integrate``).
 """
 
 from __future__ import annotations
@@ -12,8 +16,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .bicomplex import Bicomplex, PlanePoint, bc_exp
-from .fields import Field, d_z, d_zbar, partials
+from .bicomplex import Bicomplex, InvalidValueError, PlanePoint, bc_exp
+from .fields import Field, d_z, d_zbar, partials, partials_on
 
 
 class CalculusError(Exception):
@@ -32,31 +36,48 @@ class PathThroughSingularityError(CalculusError):
 # Paths and quadrature
 
 
-_GL_NODES_CACHE: dict[int, tuple[list[float], list[float]]] = {}
+_GL_NODES_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
 
-def _gauss_legendre(n: int) -> tuple[list[float], list[float]]:
-    """Nodes and weights of the n-point rule mapped to [0, 1], as Python
-    floats, so that path nodes carry floats and complexes, not numpy
-    scalars."""
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point rule mapped to [0, 1]."""
     if n not in _GL_NODES_CACHE:
         x, w = np.polynomial.legendre.leggauss(n)
-        _GL_NODES_CACHE[n] = (((x + 1) / 2).tolist(), (w / 2).tolist())
+        _GL_NODES_CACHE[n] = ((x + 1) / 2, w / 2)
     return _GL_NODES_CACHE[n]
 
 
-@dataclass
+def _on_segments(a: np.ndarray, d: np.ndarray, t: np.ndarray, w: np.ndarray):
+    """Nodes a + t d and weights w d of the rule (t, w) on every segment
+    [a, a + d], segment by segment, as flat complex arrays."""
+    return (a[:, None] + t * d[:, None]).ravel(), (w * d[:, None]).ravel()
+
+
+@dataclass(eq=False)
 class Path:
-    """A quadrature-ready path: nodes (point, dz-weight) plus endpoints.
+    """A quadrature-ready path: node coordinates xs, ys and dz weights, one
+    entry per node in path order, plus endpoints.
 
     The dz weight at a node is gamma'(t) times the quadrature weight, as a
     complex number dx + i dy; line integrals of any 1-form in dx, dy, dz
     are assembled from it.
     """
 
-    nodes: list[tuple[PlanePoint, complex]]
+    xs: np.ndarray
+    ys: np.ndarray
+    dz: np.ndarray
     start: PlanePoint
     end: PlanePoint
+
+    @staticmethod
+    def _of(points: np.ndarray, dz: np.ndarray, start: PlanePoint, end: PlanePoint) -> "Path":
+        """The path through the complex node array ``points``."""
+        return Path(points.real.copy(), points.imag.copy(), dz, start, end)
+
+    @property
+    def nodes(self) -> np.ndarray:
+        """The nodes as one complex array x + iy: its length is the node count."""
+        return self.xs + 1j * self.ys
 
     # -- constructors ------------------------------------------------------
 
@@ -72,14 +93,7 @@ class Path:
         given, subdivision is refined geometrically near that point (for
         integrands singular there).
         """
-        xs, ws = _gauss_legendre(nodes_per_segment)
-        nodes: list[tuple[PlanePoint, complex]] = []
-
-        def emit(a: complex, b: complex):
-            d = b - a
-            for t, w in zip(xs, ws):
-                p = a + t * d
-                nodes.append((PlanePoint(p.real, p.imag), w * d))
+        pieces: list[tuple[complex, complex]] = []
 
         def refine(a: complex, b: complex, depth: int = 0):
             length = abs(b - a)
@@ -89,7 +103,7 @@ class Path:
                 dist = abs(mid - grade_toward.as_complex)
                 limit = min(limit, max(0.5 * dist, 1e-6))
             if length <= limit or depth >= 40:
-                emit(a, b)
+                pieces.append((a, b))
             else:
                 mid = (a + b) / 2
                 refine(a, mid, depth + 1)
@@ -99,21 +113,20 @@ class Path:
         for a, b in zip(pts, pts[1:]):
             if a != b:
                 refine(a, b)
-        return Path(nodes, points[0], points[-1])
+        ends = np.array(pieces, dtype=complex).reshape(-1, 2)
+        nodes, dz = _on_segments(
+            ends[:, 0], ends[:, 1] - ends[:, 0], *_gauss_legendre(nodes_per_segment)
+        )
+        return Path._of(nodes, dz, points[0], points[-1])
 
     @staticmethod
     def circle(center: PlanePoint, radius: float, nodes: int = 512) -> "Path":
         """Closed circle, trapezoid rule (spectrally accurate when periodic)."""
         c = center.as_complex
-        out = []
         dt = 2 * math.pi / nodes
-        for k in range(nodes):
-            t = k * dt
-            e = cmath.exp(1j * t)
-            p = c + radius * e
-            out.append((PlanePoint(p.real, p.imag), 1j * radius * e * dt))
+        e = np.exp(1j * (np.arange(nodes) * dt))
         start = PlanePoint(c.real + radius, c.imag)
-        return Path(out, start, start)
+        return Path._of(c + radius * e, 1j * radius * e * dt, start, start)
 
     @staticmethod
     def arc(
@@ -124,26 +137,30 @@ class Path:
         nodes_per_segment: int = 16,
     ) -> "Path":
         """Composite Gauss-Legendre quadrature over pieces of at most 0.2 rad."""
-        xs, ws = _gauss_legendre(nodes_per_segment)
         c = center.as_complex
         pieces = max(1, math.ceil(abs(theta1 - theta0) / 0.2))
-        out = []
-        for k in range(pieces):
-            a = theta0 + (theta1 - theta0) * k / pieces
-            b = theta0 + (theta1 - theta0) * (k + 1) / pieces
-            for t, w in zip(xs, ws):
-                th = a + t * (b - a)
-                e = cmath.exp(1j * th)
-                p = c + radius * e
-                out.append((PlanePoint(p.real, p.imag), w * (b - a) * 1j * radius * e))
+        k = np.arange(pieces)
+        a = theta0 + (theta1 - theta0) * k / pieces
+        b = theta0 + (theta1 - theta0) * (k + 1) / pieces
+        t, w = _gauss_legendre(nodes_per_segment)
+        th, dth = _on_segments(a, b - a, t, w)
+        e = np.exp(1j * th)
         p0 = c + radius * cmath.exp(1j * theta0)
         p1 = c + radius * cmath.exp(1j * theta1)
-        return Path(out, PlanePoint(p0.real, p0.imag), PlanePoint(p1.real, p1.imag))
+        return Path._of(
+            c + radius * e, dth * 1j * radius * e,
+            PlanePoint(p0.real, p0.imag), PlanePoint(p1.real, p1.imag),
+        )
 
     @staticmethod
     def join(parts: Sequence["Path"]) -> "Path":
-        nodes = [n for p in parts for n in p.nodes]
-        return Path(nodes, parts[0].start, parts[-1].end)
+        return Path(
+            np.concatenate([p.xs for p in parts]),
+            np.concatenate([p.ys for p in parts]),
+            np.concatenate([p.dz for p in parts]),
+            parts[0].start,
+            parts[-1].end,
+        )
 
     @staticmethod
     def detour(
@@ -210,16 +227,34 @@ class Path:
 
     # -- integration --------------------------------------------------------
 
-    def integrate(
-        self, fn: Callable[[PlanePoint, complex], complex | Bicomplex], start=0
-    ):
-        """Sum fn(point, dz_weight) over nodes, in order, onto start; fn
-        applies the 1-form.  This is the one loop that sums over a path.
-        A Bicomplex-valued fn with start Bicomplex(0, 0) integrates two
-        complex 1-forms in one walk, each component summed exactly as its
-        complex integral alone would be; ∫ W dz with bicomplex dz = dx + j dy
-        is fn = lambda p, w: W(p) * from_cj(w)."""
-        return sum((fn(p, w) for p, w in self.nodes), start)
+    def integrate(self, one_form: Callable[[np.ndarray, np.ndarray, np.ndarray], object]):
+        """∫ of a 1-form over the path: one_form(xs, ys, dz) gives its values
+        at the nodes, one array, and they are summed in node order.  This is
+        the one summation over a path.
+
+        A one_form that returns a pair (sc, vec) of arrays integrates two
+        complex 1-forms in one walk, each summed exactly as its complex
+        integral alone would be, into a Bicomplex sc + j vec.  A non-finite
+        value raises InvalidValueError at the first node that has one.
+        """
+        # a fault in the 1-form's own sums and products, or in the summation,
+        # leaves a non-finite partial sum, refused by _total
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = one_form(self.xs, self.ys, self.dz)
+            parts = values if isinstance(values, tuple) else (values,)
+            # cumsum adds in node order, where sum would add pairwise
+            totals = [self._total(np.cumsum(np.broadcast_to(v, self.dz.shape))) for v in parts]
+        return Bicomplex(*totals) if isinstance(values, tuple) else totals[0]
+
+    def _total(self, partial: np.ndarray) -> complex:
+        """The last of the partial sums; a partial sum is non-finite from the
+        first non-finite value (or overflow) on, and that node is named."""
+        total = complex(partial[-1]) if partial.size else 0j
+        if not cmath.isfinite(total):
+            k = int(np.argmin(np.isfinite(partial)))
+            node = PlanePoint(float(self.xs[k]), float(self.ys[k]))
+            raise InvalidValueError(f"non-finite integral at node {node}")
+        return total
 
 
 # ---------------------------------------------------------------------------
@@ -375,11 +410,11 @@ def abar_antiderivative(w: Field, path: Path) -> complex:
     """2 ∫ (u dx + v dy) for W = u + jv; solves d_zbar(phi) = W when the
     compatibility condition u_y = v_x holds."""
 
-    def one_form(p: PlanePoint, dz: complex) -> complex:
-        val = w(p)
-        return val.sc * dz.real + val.vec * dz.imag
+    def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> np.ndarray:
+        sc, vec = w.on(xs, ys)
+        return sc * dz.real + vec * dz.imag
 
-    return 2 * path.integrate(one_form, 0j)
+    return 2 * path.integrate(one_form)
 
 
 def compatibility_residual(w: Field, z: PlanePoint, h: Optional[float] = None) -> float:
@@ -387,9 +422,9 @@ def compatibility_residual(w: Field, z: PlanePoint, h: Optional[float] = None) -
     return abs(fy.sc - fx.vec)
 
 
-def _tf_density(u: complex, ux: complex, uy: complex, f: complex, fx: complex,
-                fy: complex, dz: complex) -> complex:
-    """-(f^2 d(u/f)/dy) dx + (f^2 d(u/f)/dx) dy at one node, for scalar u."""
+def _tf_density(u, ux, uy, f, fx, fy, dz):
+    """-(f^2 d(u/f)/dy) dx + (f^2 d(u/f)/dx) dy at every node, for scalar u:
+    each argument is an array of node values."""
     gx = ux * f - u * fx
     gy = uy * f - u * fy
     return -gy * dz.real + gx * dz.imag
@@ -403,20 +438,19 @@ def tf_transform(f: Field, u: Field, path: Path, h: Optional[float] = None) -> B
     f is a scalar (vec = 0) field; the integrand is expanded so that only
     first partials of f and u are needed:
         f^2 d(u/f)/dx = u_x f - u f_x   (same in y).
-    One walk over the path evaluates f, u and their partials once per node
-    for both components.
+    One walk over the path evaluates f, u and their partials on all nodes
+    at once for both components.
     """
 
-    def one_form(p: PlanePoint, dz: complex) -> Bicomplex:
-        uv, ux, uy = partials(u, p, h)
-        fv, fx, fy = partials(f, p, h)
-        f0, f_x, f_y = fv.sc, fx.sc, fy.sc
-        return Bicomplex(
-            _tf_density(uv.sc, ux.sc, uy.sc, f0, f_x, f_y, dz),
-            _tf_density(uv.vec, ux.vec, uy.vec, f0, f_x, f_y, dz),
+    def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> tuple:
+        (u1, u2), (u1x, u2x), (u1y, u2y) = partials_on(u, xs, ys, h)
+        (f0, _), (fx, _), (fy, _) = partials_on(f, xs, ys, h)
+        return (
+            _tf_density(u1, u1x, u1y, f0, fx, fy, dz),
+            _tf_density(u2, u2x, u2y, f0, fx, fy, dz),
         )
 
-    total = path.integrate(one_form, Bicomplex(0, 0))
+    total = path.integrate(one_form)
     fend = f(path.end).sc
     if fend == 0:
         raise CalculusError(f"f vanishes at path endpoint {path.end}")

@@ -358,6 +358,8 @@ def cmd_verify_reproducing(cfg: dict):
 
 def cmd_build_powers(cfg: dict):
     n, sep, tol = cfg["n"], cfg["separable"], cfg["tol"]
+    # f is parsed even where it only selects the mode
+    Field.from_exprs(cfg["f"])
     catalog = cfg["f"].strip() == "x" and n >= 2
     schema = CONFIG_SCHEMA["build-powers"]
     if catalog:

@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 
 class ExprError(Exception):
     pass
@@ -610,7 +612,10 @@ def _error(exc: Exception, point: tuple) -> EvaluationError:
     return EvaluationError(message, point)
 
 
-_ENV = {
+# The two function tables one generated source is bound to.  Numpy code
+# catches nothing itself: its callers evaluate it under np.errstate and, on
+# a fault, re-run the cmath code point by point (see fields.Field.on).
+_CMATH = {
     "_exp": cmath.exp,
     "_log": _safe_log,
     "_sin": cmath.sin,
@@ -625,12 +630,29 @@ _ENV = {
 }
 
 
-def compile_expr(e: Expr, variables: tuple[str, ...] = ("x", "y")):
+def _of_complex(ufunc):
+    """ufunc on complex values: like cmath's functions, it takes a real
+    argument as complex with a +0 imaginary part, so real and complex values
+    flow through numpy code as they do through cmath code."""
+    return lambda v: ufunc(np.asarray(v, dtype=complex))
+
+
+_NUMPY = {
+    **_CMATH,
+    **{f"_{name}": _of_complex(getattr(np, name)) for name in FUNCTIONS if name != "abs2"},
+    "_errors": (),
+}
+
+
+def compile_expr(e: Expr, variables: tuple[str, ...] = ("x", "y"), arrays: bool = False):
     """Compile to a fast positional callable over the given variables.
 
-    The generated code computes each repeated subexpression once.  Division
-    by zero and log(0) surface as EvaluationError carrying the evaluation
-    point rather than NaN/Inf.
+    The generated code computes each repeated subexpression once.  It is
+    bound to cmath, for numbers, or with ``arrays`` to numpy, for arrays
+    (and numbers) that broadcast together; the two agree entry by entry to
+    rounding.  In the cmath code, division by zero and log(0) surface as
+    EvaluationError carrying the evaluation point rather than NaN/Inf.  The
+    numpy code leaves faults to numpy's error state.
     """
     lines, result = _straight_line(e)
     body = "".join(f"        {line}\n" for line in lines)
@@ -641,6 +663,6 @@ def compile_expr(e: Expr, variables: tuple[str, ...] = ("x", "y")):
         f"    except _errors as exc:\n"
         f"        raise _error(exc, {point}) from None\n"
     )
-    env = dict(_ENV)
+    env = dict(_NUMPY if arrays else _CMATH)
     exec(source, env)  # noqa: S102 - closed environment
     return env["_f"]

@@ -9,14 +9,21 @@ Derivatives come from ``partials``: a Field's exact partials when it has
 them (built from expressions, or by ``Field.with_partials``), otherwise
 central differences at the caller's step ``h``.  A given ``h`` forces a
 finite difference only in ``schroedinger.schroedinger_residual``.
+
+``Field.on`` (``partials_on`` for the partials) evaluates a field at every
+node of a path at once: compiled to numpy when it has closed forms, else
+point by point in ``pointwise``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
+
+import numpy as np
 
 from . import expr as ex
 from .bicomplex import Bicomplex, PlanePoint
@@ -30,12 +37,12 @@ def _as_expr(v: Union[str, ex.Expr, float, complex], variables) -> ex.Expr:
     return v
 
 
-def _compile(e: ex.Expr, variables: tuple[str, ...]) -> Callable[..., complex]:
+def _compile(e: ex.Expr, variables: tuple[str, ...], arrays: bool = False) -> Callable:
     """ex.compile_expr, except that a constant tree needs no code."""
     if isinstance(e, ex.Num):
         value = e.value
         return lambda *args: value
-    return ex.compile_expr(e, variables)
+    return ex.compile_expr(e, variables, arrays)
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,17 @@ class SymBC:
                 fvec = ex.compile_expr(self.vec, self.variables)
                 cache = lambda *a: Bicomplex(fsc(*a), fvec(*a))  # noqa: E731
             object.__setattr__(self, "_compiled", cache)
+        return cache
+
+    def compiled_arrays(self) -> Callable[..., tuple]:
+        """compiled() bound to numpy, built on first use: arrays in, the
+        (sc, vec) values out; a constant part stays a number."""
+        cache = self.__dict__.get("_compiled_arrays")
+        if cache is None:
+            fsc = _compile(self.sc, self.variables, arrays=True)
+            fvec = _compile(self.vec, self.variables, arrays=True)
+            cache = lambda *a: (fsc(*a), fvec(*a))  # noqa: E731
+            object.__setattr__(self, "_compiled_arrays", cache)
         return cache
 
     def __call__(self, *args) -> Bicomplex:
@@ -160,16 +178,66 @@ def partials(
     return value, central_difference(w, z, h, "x"), central_difference(w, z, h, "y")
 
 
+Values = tuple[np.ndarray, np.ndarray]  # (sc, vec) at every node
+
+
+def partials_on(
+    w: "Field", xs: np.ndarray, ys: np.ndarray, h: Optional[float] = None
+) -> tuple[Values, Values, Values]:
+    """``partials`` at every node (xs[k], ys[k]) at once: (value, d/dx,
+    d/dy), each as its (sc, vec) arrays."""
+    value = w.on(xs, ys)
+    if w.has_exact_partials:
+        return value, w.dx.on(xs, ys), w.dy.on(xs, ys)
+    if h is None:
+        h = 1e-4 * (1 + np.hypot(xs, ys))  # default_step at every node
+    scale = 1 / (2 * h)
+
+    def central(plus: Values, minus: Values) -> Values:
+        return (plus[0] - minus[0]) * scale, (plus[1] - minus[1]) * scale
+
+    return (
+        value,
+        central(w.on(xs + h, ys), w.on(xs - h, ys)),
+        central(w.on(xs, ys + h), w.on(xs, ys - h)),
+    )
+
+
+def _spread(values, shape: tuple) -> np.ndarray:
+    """values as a complex array of the given shape; a constant is repeated."""
+    values = np.asarray(values, dtype=complex)
+    return values if values.shape == shape else np.broadcast_to(values, shape)
+
+
+def pointwise(func: Callable[..., Bicomplex], xs: np.ndarray, ys: np.ndarray, *columns) -> Values:
+    """The (sc, vec) arrays of func(PlanePoint(x, y), *column entries), called
+    once per node in node order: the one loop that evaluates a scalar
+    callable on arrays."""
+    rows = zip(xs.tolist(), ys.tolist(), *(c.tolist() for c in columns))
+    values = [func(PlanePoint(x, y), *rest) for x, y, *rest in rows]
+    return (
+        np.array([v.sc for v in values], dtype=complex),
+        np.array([v.vec for v in values], dtype=complex),
+    )
+
+
 class Field:
     """Map PlanePoint -> Bicomplex, optionally with exact partials.
 
     ``sym`` is set only by ``from_sym``, whose evaluator is that closed form
     over (x, y) compiled; then ``dx``/``dy`` are exact symbolic fields,
     otherwise they are None and consumers fall back to finite differences.
+    ``arrays``, when given, evaluates the same values on arrays of x and y,
+    as a pair (sc, vec) (see ``on``).
     """
 
-    def __init__(self, func: Callable[[PlanePoint], Bicomplex]):
+    def __init__(
+        self,
+        func: Callable[[PlanePoint], Bicomplex],
+        arrays: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None,
+    ):
         self._func = func
+        self._arrays = arrays
         self.sym: Optional[SymBC] = None
         self._dx: Optional["Field"] = None
         self._dy: Optional["Field"] = None
@@ -177,7 +245,7 @@ class Field:
     @staticmethod
     def from_sym(sym: SymBC) -> "Field":
         fn = sym.compiled()
-        out = Field(lambda z: fn(z.x, z.y))
+        out = Field(lambda z: fn(z.x, z.y), lambda xs, ys: sym.compiled_arrays()(xs, ys))
         out.sym = sym
         return out
 
@@ -191,18 +259,39 @@ class Field:
 
     @staticmethod
     def with_partials(
-        func: Callable[[PlanePoint], Bicomplex], dx: "Field", dy: "Field"
+        func: Callable[[PlanePoint], Bicomplex], dx: "Field", dy: "Field", arrays=None
     ) -> "Field":
         """A callable field with explicitly supplied exact partials, for
         values defined by integrals whose derivatives are known in closed
         form even though the values themselves are not."""
-        out = Field(func)
+        out = Field(func, arrays)
         out._dx = dx
         out._dy = dy
         return out
 
     def __call__(self, z: PlanePoint) -> Bicomplex:
         return self._func(z)
+
+    def on(self, xs: np.ndarray, ys: np.ndarray) -> Values:
+        """The (sc, vec) arrays of the field at every node (xs[k], ys[k]).
+
+        Array code runs under np.errstate with division by zero, invalid
+        operations and overflow raising.  On such a fault, or a non-finite
+        value, and for a field without array code, the field is called node
+        by node instead, so a bad node raises the scalar call's own error
+        (EvaluationError, InvalidValueError, ...) with that node's point."""
+        if self._arrays is not None:
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                try:
+                    sc, vec = self._arrays(xs, ys)
+                    # a non-finite value makes the sum non-finite; an overflow
+                    # in the sum only sends finite values the slow way
+                    finite = cmath.isfinite(np.sum(sc) + np.sum(vec))
+                except FloatingPointError:
+                    finite = False
+            if finite:
+                return _spread(sc, xs.shape), _spread(vec, xs.shape)
+        return pointwise(self._func, xs, ys)
 
     @property
     def has_exact_partials(self) -> bool:
@@ -286,18 +375,31 @@ class Kernel:
 
     def field_in_z(self, zeta: PlanePoint) -> Field:
         """Freeze zeta: a Field of z with exact first partials."""
-        return self._bind(lambda z: (zeta, z), "x", "y")
+        return self._bind(lambda z: (zeta, z), lambda xs, ys: (zeta.x, zeta.y, xs, ys), "x", "y")
 
     def field_in_zeta(self, z: PlanePoint) -> Field:
         """Freeze z: a Field of zeta with exact first partials."""
-        return self._bind(lambda zeta: (zeta, z), "xi", "eta")
+        return self._bind(lambda zeta: (zeta, z), lambda xs, ys: (xs, ys, z.x, z.y), "xi", "eta")
 
-    def _bind(self, points, dx_var: str, dy_var: str) -> Field:
+    def _bind(self, points, arrays, dx_var: str, dy_var: str) -> Field:
         """p -> K(*points(p)) and its partials in (dx_var, dy_var), each
-        calling a kernel's own compiled function."""
+        calling a kernel's own compiled function, on numbers or, with the
+        kernel arguments arrays(xs, ys), on arrays."""
+
+        def bound(k: "Kernel") -> tuple:
+            return (
+                lambda p: k(*points(p)),
+                lambda xs, ys: k.sym.compiled_arrays()(*arrays(xs, ys)),
+            )
+
         dx, dy = self.diff_z(dx_var), self.diff_z(dy_var)
-        return Field.with_partials(
-            lambda p: self(*points(p)),
-            Field(lambda p: dx(*points(p))),
-            Field(lambda p: dy(*points(p))),
-        )
+        func, on_arrays = bound(self)
+        return Field.with_partials(func, Field(*bound(dx)), Field(*bound(dy)), on_arrays)
+
+
+def kernel_in_z(coef, zeta: PlanePoint) -> Field:
+    """z -> coef(zeta, z) as a Field: a Kernel's binding, with exact partials
+    and array code, else the plain evaluator called per point."""
+    if isinstance(coef, Kernel):
+        return coef.field_in_z(zeta)
+    return Field(lambda z: coef(zeta, z))

@@ -13,7 +13,7 @@ from typing import Callable, Optional
 from . import expr as ex
 from .bicomplex import Bicomplex, PlanePoint, from_cj
 from .calculus import Path, RegionGrid, wirtinger
-from .fields import Field, SymBC, d_z, d_zbar
+from .fields import Field, SymBC, d_z, d_zbar, pointwise
 
 
 class PairError(Exception):
@@ -150,7 +150,7 @@ def star_integral(w: Field, pair: GeneratingPair, path: Path) -> Bicomplex:
         wv, dzj = w(p), from_cj(dz)
         return Bicomplex((Gs(p) * wv * dzj).sc, (Fs(p) * wv * dzj).sc)
 
-    return path.integrate(one_form, Bicomplex(0, 0))
+    return path.integrate(lambda xs, ys, dz: pointwise(one_form, xs, ys, dz))
 
 
 def fg_integral(w: Field, pair: GeneratingPair, path: Path) -> Bicomplex:

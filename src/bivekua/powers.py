@@ -13,7 +13,7 @@ from typing import Callable
 from . import expr as ex
 from .bicomplex import Bicomplex, J, PlanePoint, from_cj
 from .calculus import Path
-from .fields import KERNEL_VARS, Field, Kernel, SymBC
+from .fields import KERNEL_VARS, Field, Kernel, SymBC, kernel_in_z, pointwise
 from .pairs import (
     GeneratingPair,
     GeneratingSequence,
@@ -154,14 +154,15 @@ def asymptotics_check(
 def _contour_integral(
     contour: ContourSpec, z0: PlanePoint, one_form: Callable[[PlanePoint, complex], Bicomplex]
 ) -> Bicomplex:
-    """∫ one_form over the contour, refusing a probe z0 on a node."""
+    """∫ one_form over the contour, one_form(tau, dz) called node by node,
+    refusing a probe z0 on a node."""
 
     def checked(tau: PlanePoint, dz: complex) -> Bicomplex:
         if tau.dist(z0) == 0:
             raise SingularPointError("probe lies on the contour")
         return one_form(tau, dz)
 
-    return contour.path.integrate(checked, Bicomplex(0, 0))
+    return contour.path.integrate(lambda xs, ys, dz: pointwise(checked, xs, ys, dz))
 
 
 def first_cauchy(
@@ -361,12 +362,7 @@ def power_residual_scan(
     of the region, punctured within 0.1 of the kernel center; a closed-form
     coefficient is differentiated exactly."""
 
-    def in_z(coef: KernelEval) -> Field:
-        if isinstance(coef, Kernel):
-            return coef.field_in_z(zeta)
-        return Field(lambda z: coef(zeta, z))
-
-    f1, fj = in_z(k.coef1), in_z(k.coefj)
+    f1, fj = kernel_in_z(k.coef1, zeta), kernel_in_z(k.coefj, zeta)
     r1 = rj = 0.0
     for p in region.sample_points(10):
         if p.dist(zeta) <= 0.1:

@@ -11,10 +11,21 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
+import numpy as np
+
 from . import expr as ex
 from .bicomplex import Bicomplex, PlanePoint
-from .calculus import Path, tf_transform
-from .fields import KERNEL_VARS, Field, Kernel, SymBC, central_difference, default_step, partials
+from .calculus import CalculusError, Path, tf_transform
+from .fields import (
+    KERNEL_VARS,
+    Field,
+    Kernel,
+    SymBC,
+    central_difference,
+    default_step,
+    kernel_in_z,
+    partials,
+)
 from .pairs import GeneratingPair, adjoint_pair, make_pair
 from .powers import LOG_RHO, RHO2, KernelEval, KernelFamily, SingularPointError
 
@@ -213,13 +224,17 @@ def darboux_fundamental(
         base = base_of(zeta)
         if z.dist(base) == 0:
             return 0j
+        fz = f(z).sc
+        if fz == 0:
+            raise CalculusError(f"f vanishes at path endpoint {z}")
         path = Path.detour(base, z, zeta, side=side)
+        kernel = kernel_in_z(kj.coefj, zeta)
 
-        def one_form(p: PlanePoint, dz: complex) -> complex:
-            k = kj.coefj(zeta, p)
-            return f(p).sc * (k.sc * dz.imag + k.vec * dz.real)
+        def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> np.ndarray:
+            k_sc, k_vec = kernel.on(xs, ys)
+            return f.on(xs, ys)[0] * (k_sc * dz.imag + k_vec * dz.real)
 
-        return path.integrate(one_form) / f(z).sc
+        return path.integrate(one_form) / fz
 
     def regular(zeta: PlanePoint, z: PlanePoint) -> complex:
         return value(zeta, z) - math.log(zeta.dist(z))

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from bivekua.bicomplex import Bicomplex, P_PLUS, PlanePoint, isclose
@@ -18,8 +19,9 @@ from bivekua.calculus import (
     tf_transform,
     wirtinger,
 )
-from bivekua.bicomplex import ZeroDivisorError
-from bivekua.fields import Field
+from bivekua.bicomplex import InvalidValueError, ZeroDivisorError
+from bivekua.expr import EvaluationError
+from bivekua.fields import Field, Kernel, partials, partials_on
 
 
 def unit_disk(h=0.05):
@@ -229,9 +231,9 @@ def test_circle_path_closes():
     c = Path.circle(PlanePoint(0, 0), 1.0, nodes=64)
     assert c.start == c.end
     # ∮ dz = 0 and ∮ dz/z = 2πi
-    total = sum(w for _, w in c.nodes)
+    total = sum(c.dz.tolist())
     assert abs(total) < 1e-12
-    val = c.integrate(lambda p, w: w / p.as_complex)
+    val = c.integrate(lambda xs, ys, dz: dz / (xs + 1j * ys))
     assert abs(val - 2j * math.pi) < 1e-12
 
 
@@ -240,7 +242,7 @@ def test_detour_avoids_point():
     path = Path.detour(PlanePoint(0, 0), PlanePoint(1, 0), avoid, radius=0.2)
     assert path.start == PlanePoint(0, 0)
     assert path.end == PlanePoint(1, 0)
-    assert all(p.dist(avoid) > 0.19 for p, _ in path.nodes)
+    assert np.all(np.hypot(path.xs - avoid.x, path.ys - avoid.y) > 0.19)
 
 
 def test_detour_endpoint_on_singularity():
@@ -255,14 +257,72 @@ def test_detour_winding_consistency():
     up = Path.detour(a, b, avoid, radius=0.2, side=+1)
     dn = Path.detour(a, b, avoid, radius=0.2, side=-1)
     c = avoid.as_complex
-    iu = up.integrate(lambda p, w: w / (p.as_complex - c))
-    idn = dn.integrate(lambda p, w: w / (p.as_complex - c))
+    iu = up.integrate(lambda xs, ys, dz: dz / (xs + 1j * ys - c))
+    idn = dn.integrate(lambda xs, ys, dz: dz / (xs + 1j * ys - c))
     assert abs((iu - idn) - (-2j * math.pi)) < 1e-10 or abs(
         (iu - idn) - (2j * math.pi)
     ) < 1e-10
 
 
-def test_path_nodes_are_python_numbers():
+def test_path_node_count_is_the_length_of_nodes():
+    a, b, avoid = PlanePoint(0, 0), PlanePoint(1, 0), PlanePoint(0.5, 0.0)
+    # four segments of 0.25, 16 nodes each
+    assert len(Path.polyline([a, b]).nodes) == 64
+    assert len(Path.arc(avoid, 0.3, 0.0, 2.0, nodes_per_segment=8).nodes) == 10 * 8
+    assert len(Path.circle(avoid, 0.3, nodes=16).nodes) == 16
+    detour = Path.detour(a, b, avoid, radius=0.2)
+    assert len(detour.nodes) == detour.xs.size == detour.dz.size > 64
+    assert np.array_equal(detour.nodes, detour.xs + 1j * detour.ys)
+
+
+@pytest.mark.parametrize("src", ["log(x)", "1/x", "y/(x*y)"])
+def test_array_fault_raises_the_scalar_error_at_its_node(src):
+    # three Gauss nodes on one segment: the middle one is x = 0
+    path = Path.polyline([PlanePoint(-0.125, 0.5), PlanePoint(0.125, 0.5)], nodes_per_segment=3)
+    assert path.xs[1] == 0.0
+    w = Field.from_exprs(src)
+    with pytest.raises(EvaluationError) as scalar:
+        w(PlanePoint(0.0, 0.5))
+    with pytest.raises(EvaluationError) as walk:
+        abar_antiderivative(w, path)
+    assert walk.value.point == scalar.value.point == (0.0, 0.5)
+    assert str(walk.value) == str(scalar.value)
+
+
+def test_kernel_fault_on_a_path_raises_at_its_node():
+    k = Kernel.make("1/(x - xi)")
+    path = Path.polyline([PlanePoint(-0.125, 0.5), PlanePoint(0.125, 0.5)], nodes_per_segment=3)
+    with pytest.raises(EvaluationError) as walk:
+        tf_transform(Field.from_exprs("1"), k.field_in_zeta(PlanePoint(0.0, 2.0)), path)
+    assert walk.value.point == (0.0, 0.5, 0.0, 2.0)
+
+
+def test_non_finite_values_on_a_path_are_refused():
+    path = Path.polyline([PlanePoint(0, 0), PlanePoint(1, 0)])
+    # a finite product in numpy overflows; the scalar call makes it a value
+    # that Bicomplex refuses
+    with pytest.raises(InvalidValueError, match="non-finite component"):
+        abar_antiderivative(Field.from_exprs("1e200*x*1e200"), path)
+    # finite node values whose sum overflows, first at the second node
+    with pytest.raises(InvalidValueError) as info:
+        path.integrate(lambda xs, ys, dz: np.full(xs.shape, 1e308 + 0j))
+    assert f"node {PlanePoint(float(path.xs[1]), 0.0)}" in str(info.value)
+
+
+def test_array_partials_match_scalar_partials():
+    exact = Field.from_exprs("exp(x)*cos(y) + i*x", "x*y^2")
+    plain = Field(lambda p: exact(p))
+    path = Path.detour(PlanePoint(0.2, -0.4), PlanePoint(1.5, 0.6), PlanePoint(0.9, 0.15))
+    points = [PlanePoint(x, y) for x, y in zip(path.xs.tolist(), path.ys.tolist())]
+    for w in (exact, plain):
+        arrays = partials_on(w, path.xs, path.ys)
+        for k, p in enumerate(points):
+            for (sc, vec), want in zip(arrays, partials(w, p)):
+                assert abs(sc[k] - want.sc) <= 1e-15 * max(1.0, abs(want.sc))
+                assert abs(vec[k] - want.vec) <= 1e-15 * max(1.0, abs(want.vec))
+
+
+def test_path_nodes_are_float_and_complex_arrays():
     a, b, avoid = PlanePoint(0, 0), PlanePoint(1, 0), PlanePoint(0.5, 0.0)
     paths = [
         Path.polyline([a, b]),
@@ -274,6 +334,7 @@ def test_path_nodes_are_python_numbers():
     ]
     paths.append(Path.join(paths[:2]))
     for path in paths:
-        assert path.nodes
-        for p, w in path.nodes:
-            assert (type(p.x), type(p.y), type(w)) == (float, float, complex)
+        assert len(path.nodes) > 0
+        dtypes = (path.xs.dtype, path.ys.dtype, path.dz.dtype)
+        assert dtypes == (np.float64, np.float64, np.complex128)
+        assert path.xs.shape == path.ys.shape == path.dz.shape == (len(path.nodes),)

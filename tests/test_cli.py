@@ -179,6 +179,31 @@ def test_build_fundamental_vanishes_at_path_base(tmp_path, cfg):
             assert c["value"] == 0.0
 
 
+def test_build_fundamental_f_vanishing_at_z_is_a_calculus_error(tmp_path, capsys):
+    # S1 divides by f(z), and f = x vanishes at the one grid point (0, 0.6)
+    cfg = _write(tmp_path, "c.json", {
+        "f": "1*x", "zeta0": [0.5, 0], "zeta": [1, 0.1], "z0": [2, 0],
+        "grid": {"x0": -0.5, "x1": 0.5, "y0": 0.5, "y1": 0.7, "nx": 1, "ny": 1},
+    })
+    assert main(["build-fundamental", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "CalculusError" in err and "f vanishes at path endpoint" in err
+    assert "ZeroDivisionError" not in err
+
+
+def test_build_powers_parses_f_that_only_selects_the_mode(tmp_path, capsys):
+    # with a stock kernel and a pair, f is read only to choose the catalog
+    # comparison, and is still an expression that must parse
+    cfg = _write(tmp_path, "c.json", {
+        "kernel": "analytic", "f": "zz", "pair": {"F_sc": "1", "G_sc": "0", "G_vec": "1"},
+        "separable": {"phi": "1", "psi": "1"}, "n": 3,
+        "region": {"x0": -1, "x1": 1, "y0": -1, "y1": 1},
+    })
+    assert main(["build-powers", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "UnknownIdentifierError" in err and "'zz'" in err
+
+
 def test_residual_scan(tmp_path):
     cfg = _write(
         tmp_path,

@@ -3,9 +3,13 @@ import math
 import operator
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from bivekua.expr import (
+    FUNCTIONS,
     BinOp,
     Call,
     EvaluationError,
@@ -276,6 +280,39 @@ def test_singular_shared_subterm_carries_point():
     with pytest.raises(EvaluationError) as info:
         compile_expr(e)(1.5, 2.0)
     assert info.value.point == (1.5, 2.0)
+
+
+# Every function, and integer powers, of a real and of a complex argument;
+# both arguments vanish at some points, where the cmath code raises.
+_ARGS = ("x*y - 0.5", "x - i*y")
+_BOUND = [
+    (compile_expr(e), compile_expr(e, arrays=True))
+    for e in map(parse, [
+        *(f"{name}({arg})" for name in FUNCTIONS for arg in _ARGS),
+        *(f"({arg})^{k}" for k in (-7, -3, -2, -1, 0, 2, 3, 5) for arg in _ARGS),
+    ])
+]
+_coordinate = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-3, 3))
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=6))
+def test_numpy_table_matches_cmath(points):
+    # the numpy binding of the one generated source gives the cmath
+    # binding's value at every entry, and faults where it raises
+    xs, ys = np.array(points).T
+    for scalar, arrays in _BOUND:
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            try:
+                want = [scalar(x, y) for x, y in points]
+            except EvaluationError:
+                with pytest.raises(FloatingPointError):
+                    arrays(xs, ys)
+                continue
+            got = np.broadcast_to(arrays(xs, ys), xs.shape).tolist()
+        for a, b in zip(got, want):
+            assert abs(a - b) <= 1e-14 * abs(b)
 
 
 def test_long_chain_compiles():

@@ -29,6 +29,10 @@ ONE = Field.constant(Bicomplex(1, 0))
 JF = Field.constant(Bicomplex(0, 1))
 ANALYTIC_PAIR = make_pair(Field.from_exprs("1", "0"), Field.from_exprs("0", "1"))
 UNIT = ContourSpec.circle(PlanePoint(0, 0), 1.0)
+
+
+def node_points(path) -> list[PlanePoint]:
+    return [PlanePoint(x, y) for x, y in zip(path.xs.tolist(), path.ys.tolist())]
 RADII = [10.0 ** (-k) for k in range(1, 7)]
 
 
@@ -132,11 +136,12 @@ def test_first_cauchy_is_the_two_walk_sum():
     hat = adjoint_kernel_transfer(as_callable_only(reproducing_example_kernel()))
     w = Field.from_exprs("x^2 - y^2 + 3", "2*x*y - x")
     contour = ContourSpec.circle(PlanePoint(0.2, -0.1), 0.8, nodes=64)
+    nodes = list(zip(node_points(contour.path), contour.path.dz.tolist()))
     for z0 in (PlanePoint(0.4, 0.1), PlanePoint(2.5, 1.0)):
         i1 = ij = Bicomplex(0, 0)
-        for tau, dz in contour.path.nodes:
+        for tau, dz in nodes:
             i1 = i1 + w(tau) * hat.coef1(z0, tau) * from_cj(dz)
-        for tau, dz in contour.path.nodes:
+        for tau, dz in nodes:
             ij = ij + w(tau) * hat.coefj(z0, tau) * from_cj(dz)
         assert first_cauchy(w, hat, contour, z0) == Bicomplex(i1.vec, -ij.vec)
 
@@ -153,12 +158,12 @@ def test_first_cauchy_asks_for_both_coefficients_at_each_node():
     first_cauchy(ONE, fam, contour, PlanePoint(0.1, 0.2))
     # a one-entry memo keyed by the point pair (adjoint_kernel_transfer's)
     # serves both slots only when they are asked for back to back
-    assert calls == [(slot, tau) for tau, _ in contour.path.nodes for slot in "1j"]
+    assert calls == [(slot, tau) for tau in node_points(contour.path) for slot in "1j"]
 
 
 def test_first_cauchy_probe_on_contour_raises():
     hat = adjoint_kernel_transfer(analytic_kernel())
-    node = UNIT.path.nodes[0][0]
+    node = node_points(UNIT.path)[0]
     with pytest.raises(SingularPointError):
         first_cauchy(ONE, hat, UNIT, node)
 
