@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -232,9 +232,9 @@ class Path:
         at the nodes, one array, and they are summed in node order.  This is
         the one summation over a path.
 
-        A one_form that returns a pair (sc, vec) of arrays integrates two
-        complex 1-forms in one walk, each summed exactly as its complex
-        integral alone would be, into a Bicomplex sc + j vec.  A non-finite
+        A one_form that returns a tuple of arrays integrates that many
+        complex 1-forms in one walk, each summed exactly as its integral
+        alone would be, into the tuple of their integrals.  A non-finite
         value raises InvalidValueError at the first node that has one.
         """
         # a fault in the 1-form's own sums and products, or in the summation,
@@ -244,7 +244,7 @@ class Path:
             parts = values if isinstance(values, tuple) else (values,)
             # cumsum adds in node order, where sum would add pairwise
             totals = [self._total(np.cumsum(np.broadcast_to(v, self.dz.shape))) for v in parts]
-        return Bicomplex(*totals) if isinstance(values, tuple) else totals[0]
+        return tuple(totals) if isinstance(values, tuple) else totals[0]
 
     def _total(self, partial: np.ndarray) -> complex:
         """The last of the partial sums; a partial sum is non-finite from the
@@ -261,13 +261,26 @@ class Path:
 # Region grids (for area integrals and residual scans)
 
 
+def _centres(a: float, b: float, n: int) -> list[float]:
+    """Centres of the n equal cells of [a, b], increasing."""
+    return [a + (i + 0.5) * (b - a) / n for i in range(n)]
+
+
+def grid_columns(
+    x0: float, x1: float, y0: float, y1: float, nx: int, ny: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The points of ``midpoints`` one column (one x, every y) at a time, as
+    arrays xs, ys, in the same order."""
+    ys = np.array(_centres(y0, y1, ny))
+    for x in _centres(x0, x1, nx):
+        yield np.full(ny, x), ys
+
+
 def midpoints(x0: float, x1: float, y0: float, y1: float, nx: int, ny: int) -> list[PlanePoint]:
-    """Centres of the nx-by-ny grid of equal cells over [x0, x1] x [y0, y1]."""
-    return [
-        PlanePoint(x0 + (i + 0.5) * (x1 - x0) / nx, y0 + (k + 0.5) * (y1 - y0) / ny)
-        for i in range(nx)
-        for k in range(ny)
-    ]
+    """Centres of the nx-by-ny grid of equal cells over [x0, x1] x [y0, y1],
+    column by column: increasing y for each x, the x increasing."""
+    ys = _centres(y0, y1, ny)
+    return [PlanePoint(x, y) for x in _centres(x0, x1, nx) for y in ys]
 
 
 @dataclass
@@ -430,7 +443,7 @@ def _tf_density(u, ux, uy, f, fx, fy, dz):
     return -gy * dz.real + gx * dz.imag
 
 
-def tf_transform(f: Field, u: Field, path: Path, h: Optional[float] = None) -> Bicomplex:
+def tf_transform(f: Field, u: Field, path: Path) -> Bicomplex:
     """Conjugate-building transform, componentwise in u = u1 + j u2:
     T_f(u1) + j T_f(u2), where T_f(u) is the value of
     f^{-1} Abar(j f^2 d_zbar(u/f)) at the path endpoint.
@@ -443,18 +456,18 @@ def tf_transform(f: Field, u: Field, path: Path, h: Optional[float] = None) -> B
     """
 
     def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> tuple:
-        (u1, u2), (u1x, u2x), (u1y, u2y) = partials_on(u, xs, ys, h)
-        (f0, _), (fx, _), (fy, _) = partials_on(f, xs, ys, h)
+        (u1, u2), (u1x, u2x), (u1y, u2y) = partials_on(u, xs, ys)
+        (f0, _), (fx, _), (fy, _) = partials_on(f, xs, ys)
         return (
             _tf_density(u1, u1x, u1y, f0, fx, fy, dz),
             _tf_density(u2, u2x, u2y, f0, fx, fy, dz),
         )
 
-    total = path.integrate(one_form)
+    t1, t2 = path.integrate(one_form)
     fend = f(path.end).sc
     if fend == 0:
         raise CalculusError(f"f vanishes at path endpoint {path.end}")
-    return Bicomplex(total.sc / fend, total.vec / fend)
+    return Bicomplex(t1 / fend, t2 / fend)
 
 
 # ---------------------------------------------------------------------------

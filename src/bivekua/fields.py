@@ -12,7 +12,8 @@ finite difference only in ``schroedinger.schroedinger_residual``.
 
 ``Field.on`` (``partials_on`` for the partials) evaluates a field at every
 node of a path at once: compiled to numpy when it has closed forms, else
-point by point in ``pointwise``.
+point by point in ``pointwise``.  ``BicomplexArray`` is the ring interface
+on such node values, so a formula written on it runs on all nodes at once.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -181,16 +182,13 @@ def partials(
 Values = tuple[np.ndarray, np.ndarray]  # (sc, vec) at every node
 
 
-def partials_on(
-    w: "Field", xs: np.ndarray, ys: np.ndarray, h: Optional[float] = None
-) -> tuple[Values, Values, Values]:
-    """``partials`` at every node (xs[k], ys[k]) at once: (value, d/dx,
-    d/dy), each as its (sc, vec) arrays."""
+def partials_on(w: "Field", xs: np.ndarray, ys: np.ndarray) -> tuple[Values, Values, Values]:
+    """``partials`` at every node (xs[k], ys[k]) at once, with the default
+    step: (value, d/dx, d/dy), each as its (sc, vec) arrays."""
     value = w.on(xs, ys)
     if w.has_exact_partials:
         return value, w.dx.on(xs, ys), w.dy.on(xs, ys)
-    if h is None:
-        h = 1e-4 * (1 + np.hypot(xs, ys))  # default_step at every node
+    h = 1e-4 * (1 + np.hypot(xs, ys))  # default_step at every node
     scale = 1 / (2 * h)
 
     def central(plus: Values, minus: Values) -> Values:
@@ -209,16 +207,97 @@ def _spread(values, shape: tuple) -> np.ndarray:
     return values if values.shape == shape else np.broadcast_to(values, shape)
 
 
-def pointwise(func: Callable[..., Bicomplex], xs: np.ndarray, ys: np.ndarray, *columns) -> Values:
-    """The (sc, vec) arrays of func(PlanePoint(x, y), *column entries), called
-    once per node in node order: the one loop that evaluates a scalar
-    callable on arrays."""
-    rows = zip(xs.tolist(), ys.tolist(), *(c.tolist() for c in columns))
-    values = [func(PlanePoint(x, y), *rest) for x, y, *rest in rows]
-    return (
-        np.array([v.sc for v in values], dtype=complex),
-        np.array([v.vec for v in values], dtype=complex),
-    )
+def _finite(sc, vec) -> bool:
+    """Every entry of sc and vec is finite.  A non-finite entry makes the sum
+    non-finite; an overflow of the sum alone only reads as not finite."""
+    return cmath.isfinite(np.sum(sc) + np.sum(vec))
+
+
+def pointwise(
+    funcs: Sequence[Callable[..., Bicomplex]], xs: np.ndarray, ys: np.ndarray, *columns
+) -> list[Values]:
+    """The (sc, vec) arrays of each func(PlanePoint(x, y), *column entries)
+    at every node: the one loop that evaluates scalar callables on arrays.
+    Node by node in node order, and at each node the funcs in turn, back
+    to back."""
+    nodes = zip(xs.tolist(), ys.tolist(), *(c.tolist() for c in columns))
+    rows = [[func(PlanePoint(x, y), *rest) for func in funcs] for x, y, *rest in nodes]
+    return [
+        (
+            np.array([row[i].sc for row in rows], dtype=complex),
+            np.array([row[i].vec for row in rows], dtype=complex),
+        )
+        for i in range(len(funcs))
+    ]
+
+
+def _product(a, b) -> np.ndarray:
+    """a * b for complex arrays or numbers, each part rounded as Python rounds
+    a complex product: numpy's own complex multiply may fuse a product into
+    the sum, which changes last bits."""
+    out = np.empty(np.broadcast_shapes(np.shape(a), np.shape(b)), dtype=complex)
+    ar, ai, br, bi = np.real(a), np.imag(a), np.real(b), np.imag(b)
+    out.real = ar * br - ai * bi
+    out.imag = ar * bi + ai * br
+    return out
+
+
+class BicomplexArray:
+    """Bicomplex values sc + j vec at many nodes at once: sc and vec are
+    complex arrays, or complex numbers that stand for every node.  The array
+    face of the ring interface ``Bicomplex`` and ``SymBC`` share.
+
+    The operations are those of ``Bicomplex``, op for op and rounded alike,
+    so each node gets the value ``Bicomplex`` arithmetic gives it: ``*``
+    forms the idempotent products as ``Bicomplex.__mul__`` does.  Where one
+    of its results is not finite it multiplies node by node as ``Bicomplex``
+    values instead, so that a product near the end of the double range, or
+    a non-finite factor, behaves as it does on one node."""
+
+    __slots__ = ("sc", "vec")
+
+    def __init__(self, sc, vec) -> None:
+        self.sc = sc
+        self.vec = vec
+
+    def __add__(self, other: "BicomplexArray") -> "BicomplexArray":
+        return BicomplexArray(self.sc + other.sc, self.vec + other.vec)
+
+    def __sub__(self, other: "BicomplexArray") -> "BicomplexArray":
+        return BicomplexArray(self.sc - other.sc, self.vec - other.vec)
+
+    def __neg__(self) -> "BicomplexArray":
+        return BicomplexArray(-self.sc, -self.vec)
+
+    def __mul__(self, other: "BicomplexArray") -> "BicomplexArray":
+        with np.errstate(over="ignore", invalid="ignore"):
+            p, m = self.sc - 1j * self.vec, self.sc + 1j * self.vec
+            q, n = other.sc - 1j * other.vec, other.sc + 1j * other.vec
+            pq, mn = _product(p, q), _product(m, n)
+            sc, vec = 0.5 * (pq + mn), 0.5j * (pq - mn)
+            finite = _finite(sc, vec)
+        if finite:
+            return BicomplexArray(sc, vec)
+        parts = np.broadcast_arrays(self.sc, self.vec, other.sc, other.vec)
+        values = [
+            Bicomplex(a, b) * Bicomplex(c, d)
+            for a, b, c, d in zip(*(np.asarray(v, dtype=complex).ravel().tolist() for v in parts))
+        ]
+        shape = parts[0].shape
+        return BicomplexArray(
+            np.array([v.sc for v in values], dtype=complex).reshape(shape),
+            np.array([v.vec for v in values], dtype=complex).reshape(shape),
+        )
+
+    def scale(self, c) -> "BicomplexArray":
+        """Multiplication by a C_i scalar, or by one at every node."""
+        return BicomplexArray(_product(c, self.sc), _product(c, self.vec))
+
+    def conj(self) -> "BicomplexArray":
+        return BicomplexArray(self.sc, -self.vec)
+
+    def mul_j(self) -> "BicomplexArray":
+        return BicomplexArray(-self.vec, self.sc)
 
 
 class Field:
@@ -284,14 +363,12 @@ class Field:
             with np.errstate(divide="raise", invalid="raise", over="raise"):
                 try:
                     sc, vec = self._arrays(xs, ys)
-                    # a non-finite value makes the sum non-finite; an overflow
-                    # in the sum only sends finite values the slow way
-                    finite = cmath.isfinite(np.sum(sc) + np.sum(vec))
+                    finite = _finite(sc, vec)
                 except FloatingPointError:
                     finite = False
             if finite:
                 return _spread(sc, xs.shape), _spread(vec, xs.shape)
-        return pointwise(self._func, xs, ys)
+        return pointwise([self._func], xs, ys)[0]
 
     @property
     def has_exact_partials(self) -> bool:

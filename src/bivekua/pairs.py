@@ -150,7 +150,7 @@ def star_integral(w: Field, pair: GeneratingPair, path: Path) -> Bicomplex:
         wv, dzj = w(p), from_cj(dz)
         return Bicomplex((Gs(p) * wv * dzj).sc, (Fs(p) * wv * dzj).sc)
 
-    return path.integrate(lambda xs, ys, dz: pointwise(one_form, xs, ys, dz))
+    return Bicomplex(*path.integrate(lambda xs, ys, dz: pointwise([one_form], xs, ys, dz)[0]))
 
 
 def fg_integral(w: Field, pair: GeneratingPair, path: Path) -> Bicomplex:

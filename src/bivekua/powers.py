@@ -8,12 +8,22 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable
+from typing import Callable, Optional, Sequence, Union
+
+import numpy as np
 
 from . import expr as ex
 from .bicomplex import Bicomplex, J, PlanePoint, from_cj
 from .calculus import Path
-from .fields import KERNEL_VARS, Field, Kernel, SymBC, kernel_in_z, pointwise
+from .fields import (
+    KERNEL_VARS,
+    BicomplexArray,
+    Field,
+    Kernel,
+    SymBC,
+    kernel_in_z,
+    pointwise,
+)
 from .pairs import (
     GeneratingPair,
     GeneratingSequence,
@@ -51,18 +61,31 @@ class KernelFamily:
     coefj: KernelEval
 
 
-def kernel_eval(
-    k: KernelFamily, alpha: Bicomplex, zeta: PlanePoint, z: PlanePoint
-) -> Bicomplex:
-    """Sc(alpha) Z(1, zeta, z) + Vec(alpha) Z(j, zeta, z)."""
-    if zeta.dist(z) == 0:
-        raise SingularPointError(f"kernel evaluated on the diagonal at {z}")
-    out = Bicomplex(0, 0)
-    if alpha.sc != 0:
-        out = out + k.coef1(zeta, z).scale(alpha.sc)
-    if alpha.vec != 0:
-        out = out + k.coefj(zeta, z).scale(alpha.vec)
-    return out
+def coefficients_on(
+    k: KernelFamily,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    zeta: Optional[PlanePoint] = None,
+    z: Optional[PlanePoint] = None,
+) -> tuple[BicomplexArray, BicomplexArray]:
+    """Z(1) and Z(j) of the family at every node (xs[k], ys[k]): the node is
+    the argument z when the center ``zeta`` is given, else the center, with
+    the argument ``z`` given.
+
+    A ``Kernel`` slot is evaluated on all nodes at once, with the other
+    point frozen.  The plain-evaluator slots are called in one loop, both
+    at one node back to back, so that a family whose slots share work at
+    one point pair (``adjoint_kernel_transfer``'s) does it once per node."""
+    if zeta is not None:
+        frozen, points = (lambda c: c.field_in_z(zeta)), (lambda p: (zeta, p))
+    else:
+        frozen, points = (lambda c: c.field_in_zeta(z)), (lambda p: (p, z))
+    slots = (k.coef1, k.coefj)
+    plain = [lambda p, c=c: c(*points(p)) for c in slots if not isinstance(c, Kernel)]
+    # the plain slots' values, in slot order
+    looped = iter(pointwise(plain, xs, ys) if plain else ())
+    z1, zj = (frozen(c).on(xs, ys) if isinstance(c, Kernel) else next(looped) for c in slots)
+    return BicomplexArray(*z1), BicomplexArray(*zj)
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +175,14 @@ def asymptotics_check(
 
 
 def _contour_integral(
-    contour: ContourSpec, z0: PlanePoint, one_form: Callable[[PlanePoint, complex], Bicomplex]
-) -> Bicomplex:
-    """∫ one_form over the contour, one_form(tau, dz) called node by node,
-    refusing a probe z0 on a node."""
-
-    def checked(tau: PlanePoint, dz: complex) -> Bicomplex:
-        if tau.dist(z0) == 0:
-            raise SingularPointError("probe lies on the contour")
-        return one_form(tau, dz)
-
-    return contour.path.integrate(lambda xs, ys, dz: pointwise(checked, xs, ys, dz))
+    contour: ContourSpec, z0: PlanePoint, one_form: Callable[..., tuple]
+) -> tuple:
+    """The integrals of the 1-forms one_form(xs, ys, dz) gives, one walk
+    over the contour, refusing a probe z0 on a node."""
+    path = contour.path
+    if np.any((path.xs == z0.x) & (path.ys == z0.y)):
+        raise SingularPointError("probe lies on the contour")
+    return path.integrate(one_form)
 
 
 def first_cauchy(
@@ -172,39 +192,64 @@ def first_cauchy(
     2*pi*W(z0) inside the contour, 0 outside.  One walk integrates both
     coefficients, so each node asks the family for both at one point pair."""
 
-    def one_form(tau: PlanePoint, dz: complex) -> Bicomplex:
-        wv, dzj = w(tau), from_cj(dz)
-        return Bicomplex(
-            (wv * adjoint_kernels.coef1(z0, tau) * dzj).vec,
-            (wv * adjoint_kernels.coefj(z0, tau) * dzj).vec,
-        )
+    def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> tuple:
+        wv, dzj = BicomplexArray(*w.on(xs, ys)), BicomplexArray(dz.real, dz.imag)
+        z1, zj = coefficients_on(adjoint_kernels, xs, ys, zeta=z0)
+        return (wv * z1 * dzj).vec, (wv * zj * dzj).vec
 
-    total = _contour_integral(contour, z0, one_form)
-    return Bicomplex(total.sc, -total.vec)
+    i1, ij = _contour_integral(contour, z0, one_form)
+    return Bicomplex(i1, -ij)
+
+
+_J = BicomplexArray(J.sc, J.vec)
 
 
 def formal_contour_integral(
-    k: KernelFamily, w: Field, contour: ContourSpec, z0: PlanePoint
-) -> Bicomplex:
-    """∫ Z^(n)(j W(tau) dtau, tau, z0): the kernel center runs along the
-    contour while the argument stays at z0."""
-    return _contour_integral(
-        contour, z0, lambda tau, dz: kernel_eval(k, J * w(tau) * from_cj(dz), tau, z0)
-    )
+    k: KernelFamily, w: Union[Field, Sequence[Field]], contour: ContourSpec, z0: PlanePoint
+) -> Union[Bicomplex, list[Bicomplex]]:
+    """∫ Z^(n)(j W(tau) dtau, tau, z0), with Z(alpha) = Sc(alpha) Z(1) +
+    Vec(alpha) Z(j): the kernel center runs along the contour while the
+    argument stays at z0.
+
+    Given a sequence of fields, one walk integrates each of them over the
+    same kernel values and the list of their integrals is returned."""
+    fields = [w] if isinstance(w, Field) else list(w)
+
+    def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> tuple:
+        z1, zj = coefficients_on(k, xs, ys, z=z0)
+        dzj = BicomplexArray(dz.real, dz.imag)
+        out = []
+        for field in fields:
+            alpha = _J * BicomplexArray(*field.on(xs, ys)) * dzj
+            value = z1.scale(alpha.sc) + zj.scale(alpha.vec)
+            out += [value.sc, value.vec]
+        return tuple(out)
+
+    totals = _contour_integral(contour, z0, one_form)
+    values = [Bicomplex(sc, vec) for sc, vec in zip(totals[::2], totals[1::2])]
+    return values[0] if isinstance(w, Field) else values
 
 
 def cauchy_deviations(
-    evaluate: Callable[[PlanePoint], Bicomplex],
-    w: Field,
+    evaluate: Callable[[PlanePoint], list[Bicomplex]],
+    fields: Sequence[Field],
     interior: list[PlanePoint],
     exterior: list[PlanePoint],
 ) -> tuple[float, float]:
-    """How far a Cauchy integral formula ``evaluate`` is from reproducing W:
-    max |evaluate(z0) - 2 pi W(z0)| over the interior probes and
-    max |evaluate(z0)| over the exterior ones (0 when there are none)."""
+    """How far a Cauchy integral formula is from reproducing each W of
+    ``fields``, where evaluate(z0) gives the formula's value for each:
+    max |value - 2 pi W(z0)| over the interior probes and max |value| over
+    the exterior ones, each the max over the fields (0 without probes)."""
     two_pi = 2 * math.pi
-    dev_in = max(((evaluate(z0) - w(z0).scale(two_pi)).norm for z0 in interior), default=0.0)
-    dev_out = max((evaluate(z0).norm for z0 in exterior), default=0.0)
+    dev_in = max(
+        (
+            (v - w(z0).scale(two_pi)).norm
+            for z0 in interior
+            for w, v in zip(fields, evaluate(z0))
+        ),
+        default=0.0,
+    )
+    dev_out = max((v.norm for z0 in exterior for v in evaluate(z0)), default=0.0)
     return dev_in, dev_out
 
 
@@ -212,16 +257,13 @@ def reproducing_deviations(
     k: KernelFamily, pair: GeneratingPair, contour: ContourSpec
 ) -> tuple[float, float]:
     """How far the second Cauchy formula is from reproducing F and G:
-    ``cauchy_deviations`` at the contour's probes, the max over F and G."""
-    devs = [
-        cauchy_deviations(
-            lambda z0: formal_contour_integral(k, w, contour, z0),
-            w, contour.interior, contour.exterior,
-        )
-        for w in (pair.F, pair.G)
-    ]
-    dev_in, dev_out = (max(d) for d in zip(*devs))
-    return dev_in, dev_out
+    ``cauchy_deviations`` at the contour's probes, one walk per probe for
+    both."""
+    fields = (pair.F, pair.G)
+    return cauchy_deviations(
+        lambda z0: formal_contour_integral(k, fields, contour, z0),
+        fields, contour.interior, contour.exterior,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +285,8 @@ def adjoint_kernel_transfer(k: KernelFamily) -> KernelFamily:
     last: dict[tuple[PlanePoint, PlanePoint], tuple[Bicomplex, Bicomplex]] = {}
 
     def swapped(zeta: PlanePoint, z: PlanePoint) -> tuple[Bicomplex, Bicomplex]:
-        # both slots read Z(1, z, zeta) and Z(j, z, zeta); kernel_eval asks
-        # for both at one point pair, so the last pair is kept
+        # both slots read Z(1, z, zeta) and Z(j, z, zeta); coefficients_on
+        # asks for both at one point pair, so the last pair is kept
         key = (zeta, z)
         if key not in last:
             last.clear()

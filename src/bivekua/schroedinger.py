@@ -7,6 +7,7 @@ reference family for f(z) = x.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
@@ -266,7 +267,9 @@ def conjugate_pair_build(f: Field, u: Field, path_base: PlanePoint) -> Field:
     def func(z: PlanePoint) -> Bicomplex:
         return Bicomplex(u(z).sc, v_val(z))
 
+    @functools.lru_cache(maxsize=1)
     def grads(z: PlanePoint) -> tuple[Bicomplex, Bicomplex]:
+        # one call serves both partials at z
         uv, ux, uy = partials(u, z)
         fv, fx, fy = partials(f, z)
         v = v_val(z)

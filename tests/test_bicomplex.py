@@ -25,6 +25,7 @@ from bivekua.bicomplex import (
     idempotent_split,
     isclose,
 )
+from bivekua.fields import BicomplexArray
 
 finite = st.floats(allow_nan=False, allow_infinity=False)  # every finite double
 
@@ -316,6 +317,28 @@ def test_roundtrip_exact(w):
             idempotent_split(w)
         return
     assert from_idempotent(idempotent_split(w)) == w
+
+
+def _on_nodes(values) -> BicomplexArray:
+    return BicomplexArray(
+        np.array([v.sc for v in values], dtype=complex),
+        np.array([v.vec for v in values], dtype=complex),
+    )
+
+
+@given(st.lists(st.tuples(bicomplexes(), bicomplexes()), min_size=1, max_size=4))
+@example([(Bicomplex(1e308 * (1 - 1j), -1e308 * (1 - 1j)), Bicomplex(0.25, 0.5j))])
+def test_array_product_is_the_bicomplex_product_at_each_node(pairs):
+    # W+- of the example passes the double range while the product does not
+    ws, vs = zip(*pairs)
+    try:
+        want = [w * v for w, v in pairs]
+    except BicomplexError as e:
+        with pytest.raises(type(e)):
+            _on_nodes(ws) * _on_nodes(vs)
+        return
+    got = _on_nodes(ws) * _on_nodes(vs)
+    assert [Bicomplex(a, b) for a, b in zip(got.sc.tolist(), got.vec.tolist())] == want
 
 
 @given(bicomplexes(), bicomplexes())

@@ -11,7 +11,10 @@ from pathlib import Path
 import pytest
 
 from bivekua import __version__, cli
+from bivekua.calculus import midpoints
 from bivekua.cli import CONFIG_SCHEMA, REQUIRED, ConfigError, main, run
+from bivekua.powers import ContourSpec, cauchy_deviations, formal_contour_integral
+from bivekua.schroedinger import x_main_family
 
 ROOT = Path(__file__).parents[1]
 
@@ -711,6 +714,28 @@ def test_region_too_small_for_sample_pairs_is_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: region is too small")
 
 
+@pytest.mark.parametrize("alpha", ["1", "j"])
+def test_eval_kernel_csv_is_the_per_point_rows(tmp_path, alpha):
+    # zeta is a grid point, which the kernel table leaves out
+    grid = {"x0": 0.5, "x1": 2.5, "y0": -1.0, "y1": 1.0, "nx": 7, "ny": 5}
+    zeta = midpoints(**grid)[12]
+    cfg = {"kernel": "x-main", "zeta": [zeta.x, zeta.y], "alpha": alpha, "grid": grid}
+    config = _write(tmp_path, "c.json", cfg)
+    assert main(["eval-kernel", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    fam = x_main_family()
+    coef = fam.coef1 if alpha == "1" else fam.coefj
+    points = [p for p in midpoints(**grid) if p != zeta]
+    assert len(points) == 34
+    header, *rows = (tmp_path / "kernel.csv").read_text().splitlines()
+    assert header == cli.CSV_HEADER
+    assert len(rows) == len(points)
+    for row, p in zip(rows, points):
+        want = [float(v) for v in cli._value_row(p, coef(zeta, p)).split(",")]
+        got = [float(v) for v in row.split(",")]
+        assert got[:2] == want[:2]
+        assert all(abs(g - v) <= 1e-15 * max(1.0, abs(v)) for g, v in zip(got, want))
+
+
 @pytest.fixture
 def successor_coefj_calls(monkeypatch):
     """The (zeta, z) of every successor coefj value a pipeline run computes."""
@@ -742,6 +767,35 @@ def test_first_formula_pipeline_walks_the_contour_once(tmp_path, successor_coefj
     assert main(["cauchy", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
     # one successor coefj per node and probe: 16 nodes x 2 probes
     assert len(successor_coefj_calls) == 32
+
+
+def test_pipeline_verify_reproducing_walks_f_and_g_together(tmp_path, successor_coefj_calls):
+    cfg = {
+        "kernel": "pipeline",
+        "f": "x",
+        "zeta0": [0.5, 0],
+        "contour": {"center": [2, 0], "radius": 0.3, "nodes": 16},
+        "tol": 1e-6,
+    }
+    config = _write(tmp_path, "c.json", cfg)
+    # 16 nodes do not reproduce to 1e-6 yet; the deviations are the point
+    assert main(["verify-reproducing", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 1
+    # one successor coefj per node for the center integral and for each of
+    # the 8 probes, where F and G share a walk: 16 x 9
+    assert len(successor_coefj_calls) == 144
+    # the deviations are those of one walk for F and another for G
+    values = cli._validate(cfg, CONFIG_SCHEMA["verify-reproducing"])
+    fam, pair = cli._build_kernel(values), cli._build_pair(values)
+    contour = ContourSpec.circle(**values["contour"])
+    devs = [
+        cauchy_deviations(
+            lambda z0: [formal_contour_integral(fam, w, contour, z0)],
+            [w], contour.interior, contour.exterior,
+        )
+        for w in (pair.F, pair.G)
+    ]
+    checks = {c["name"]: c["value"] for c in _report(tmp_path)["checks"]}
+    assert (checks["interior_deviation"], checks["exterior_deviation"]) == tuple(map(max, zip(*devs)))
 
 
 def test_pipeline_build_powers_shares_derivatives_between_slots(tmp_path, successor_coefj_calls):

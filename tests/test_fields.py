@@ -1,11 +1,13 @@
 import math
+import random
 
+import numpy as np
 import pytest
 
 from bivekua.bicomplex import Bicomplex, PlanePoint, isclose
 from bivekua.calculus import Path, PathThroughSingularityError
 from bivekua.expr import EvaluationError
-from bivekua.fields import Field, Kernel, SymBC
+from bivekua.fields import BicomplexArray, Field, Kernel, SymBC
 from bivekua.pairs import adjoint_fields, make_pair
 from bivekua.schroedinger import x_main_family
 
@@ -34,6 +36,25 @@ def test_symbc_ring_matches_bicomplex(name):
     b = SymBC.make("y", "2*x - i")
     z = (1.5, -0.75)
     assert isclose(op(a, b)(*z), op(a(*z), b(*z)))
+
+
+@pytest.mark.parametrize("name", [name for name in RING_OPS if name != "inv"])
+def test_array_ring_matches_bicomplex_at_each_node(name):
+    op = RING_OPS[name]
+    rng = random.Random(name)
+
+    def draw() -> Bicomplex:
+        parts = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(4)]
+        return Bicomplex(complex(*parts[:2]), complex(*parts[2:]))
+
+    a, b = [draw() for _ in range(50)], [draw() for _ in range(50)]
+
+    def on_nodes(values) -> BicomplexArray:
+        return BicomplexArray(np.array([v.sc for v in values]), np.array([v.vec for v in values]))
+
+    got = op(on_nodes(a), on_nodes(b))
+    for k, (u, v) in enumerate(zip(a, b)):
+        assert Bicomplex(got.sc[k], got.vec[k]) == op(u, v)
 
 
 def test_symbc_inv():

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from bivekua.bicomplex import Bicomplex, PlanePoint, from_cj, isclose
+from bivekua.bicomplex import J, Bicomplex, PlanePoint, from_cj, isclose
 from bivekua.calculus import RegionGrid
-from bivekua.fields import Field
+from bivekua.expr import EvaluationError
+from bivekua.fields import Field, Kernel
 from bivekua.pairs import GeneratingSequence, MissingSequenceError, make_pair
 from bivekua.powers import (
     ContourSpec,
@@ -18,12 +19,12 @@ from bivekua.powers import (
     first_cauchy,
     formal_contour_integral,
     hat_sequence,
-    kernel_eval,
     negative_powers,
     power_residual_scan,
     reproducing_deviations,
     reproducing_example_kernel,
 )
+from bivekua.schroedinger import x_main_family
 
 ONE = Field.constant(Bicomplex(1, 0))
 JF = Field.constant(Bicomplex(0, 1))
@@ -62,18 +63,59 @@ def rand_pairs(m, seed=7):
     return out
 
 
-def test_kernel_eval_linearity():
-    k = analytic_kernel()
-    zeta, z = PlanePoint(0.1, 0.2), PlanePoint(0.9, -0.5)
-    alpha = Bicomplex(2, 3 - 1j)
-    direct = kernel_eval(k, alpha, zeta, z)
-    parts = k.coef1(zeta, z).scale(alpha.sc) + k.coefj(zeta, z).scale(alpha.vec)
-    assert isclose(direct, parts)
+def test_contour_integrals_match_the_node_by_node_sums():
+    # both formulas against their 1-forms formed node by node in Bicomplex
+    # arithmetic: the second with Z(alpha) = Sc(alpha) Z(1) + Vec(alpha) Z(j)
+    # for alpha = j W dtau, the first with W Zhat dtau for each coefficient
+    fam = x_main_family()
+    hat = adjoint_kernel_transfer(fam)
+    w = Field.from_exprs("x^2 - y^2 + 3", "2*x*y - x")
+    contour = ContourSpec.circle(PlanePoint(3.1, 0.2), 1.0, nodes=64)
+    nodes = list(zip(node_points(contour.path), contour.path.dz.tolist()))
+    for z0 in contour.interior + contour.exterior:
+        second = first_1 = first_j = Bicomplex(0, 0)
+        for tau, dz in nodes:
+            alpha = J * w(tau) * from_cj(dz)
+            second = second + (
+                fam.coef1(tau, z0).scale(alpha.sc) + fam.coefj(tau, z0).scale(alpha.vec)
+            )
+            first_1 = first_1 + w(tau) * hat.coef1(z0, tau) * from_cj(dz)
+            first_j = first_j + w(tau) * hat.coefj(z0, tau) * from_cj(dz)
+        for got, want in (
+            (formal_contour_integral(fam, w, contour, z0), second),
+            (first_cauchy(w, hat, contour, z0), Bicomplex(first_1.vec, -first_j.vec)),
+        ):
+            assert (got - want).norm <= 1e-15 * max(1.0, want.norm)
 
 
-def test_kernel_eval_diagonal_raises():
+@pytest.mark.parametrize("callable_only", [False, True])
+def test_formal_contour_integral_probe_on_contour_raises(callable_only):
+    fam = as_callable_only(analytic_kernel()) if callable_only else analytic_kernel()
+    node = node_points(UNIT.path)[3]
     with pytest.raises(SingularPointError):
-        kernel_eval(analytic_kernel(), Bicomplex(1, 0), PlanePoint(1, 1), PlanePoint(1, 1))
+        formal_contour_integral(fam, ONE, UNIT, node)
+
+
+def test_kernel_fault_at_a_contour_node_raises_at_that_node():
+    # node 0 of the circle is (1, 0): the kernel divides by zero there, in
+    # the center for the second formula and in the argument for the first
+    contour = ContourSpec.circle(PlanePoint(0, 0), 1.0, nodes=8)
+    tau, z0 = node_points(contour.path)[0], PlanePoint(0.1, 0.2)
+    assert tau == PlanePoint(1.0, 0.0)
+    analytic = analytic_kernel()
+    second = KernelFamily(-1, Kernel.make("1/(xi - 1)"), analytic.coefj)
+    first = KernelFamily(-1, Kernel.make("1/(x - 1)"), analytic.coefj)
+    runs = [
+        (lambda: formal_contour_integral(second, ONE, contour, z0), lambda: second.coef1(tau, z0)),
+        (lambda: first_cauchy(ONE, first, contour, z0), lambda: first.coef1(z0, tau)),
+    ]
+    for walk, scalar in runs:
+        with pytest.raises(EvaluationError) as on_nodes:
+            walk()
+        with pytest.raises(EvaluationError) as at_node:
+            scalar()
+        assert str(on_nodes.value) == str(at_node.value)
+        assert on_nodes.value.point == at_node.value.point
 
 
 def test_counterexample_integral_is_pi():

@@ -1,8 +1,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+from bivekua import fields, schroedinger
 from bivekua.bicomplex import Bicomplex, PlanePoint, isclose
 from bivekua.calculus import PathThroughSingularityError, RegionGrid
 from bivekua.expr import EvaluationError
@@ -11,8 +13,8 @@ from bivekua.pairs import GeneratingSequence, is_successor, vekua_residual
 from bivekua.powers import (
     SingularPointError,
     asymptotics_check,
+    coefficients_on,
     hat_sequence,
-    kernel_eval,
     negative_powers,
     adjoint_kernel_transfer,
     power_residual_scan,
@@ -206,7 +208,7 @@ def test_coefj_binds_one_kernel_per_value(monkeypatch):
     assert len(binds) == 1
 
 
-def test_main_kernel_eval_shares_one_successor_coefj():
+def test_main_coefficients_share_one_successor_coefj():
     k1 = successor_kernel_coef1(laplace_fundamental(), F_X)
     successor = successor_kernel_coefj(k1, F_X, PlanePoint(0.5, 0.0))
     coefj, calls = successor.coefj, []
@@ -217,18 +219,12 @@ def test_main_kernel_eval_shares_one_successor_coefj():
 
     successor.coefj = counted
     main = adjoint_kernel_transfer(successor)
-    alpha = Bicomplex(0.3 - 0.2j, -0.7 + 0.1j)
     zeta, z = PlanePoint(2.4, 0.1), PlanePoint(1.5, 0.05)
-    got = kernel_eval(main, alpha, zeta, z)
+    z1, zj = coefficients_on(main, np.array([zeta.x]), np.array([zeta.y]), z=z)
     assert calls == [(z, zeta)]
-    # the construction that calls the successor once per slot
+    # the recombination of the successor values, each computed once
     a, b = k1(z, zeta), coefj(z, zeta)
-    want = (
-        Bicomplex(0, 0)
-        + Bicomplex(-a.sc, b.sc).scale(alpha.sc)
-        + Bicomplex(a.vec, -b.vec).scale(alpha.vec)
-    )
-    assert got == want
+    assert (z1.sc[0], z1.vec[0], zj.sc[0], zj.vec[0]) == (-a.sc, b.sc, a.vec, -b.vec)
 
 
 def test_coefj_path_independence():
@@ -379,6 +375,18 @@ def test_conjugate_of_f_is_f():
     W = conjugate_pair_build(F_X, F_X, PlanePoint(1, 0))
     z = PlanePoint(1.6, 0.4)
     assert (W(z) - Bicomplex(z.x, 0)).norm <= 1e-12
+
+
+def test_conjugate_partials_share_one_gradient(monkeypatch):
+    # the d/dx and d/dy fields of W read one set of partials of u and f
+    calls = []
+    partials = schroedinger.partials
+    monkeypatch.setattr(
+        schroedinger, "partials", lambda w, z, h=None: calls.append(z) or partials(w, z, h)
+    )
+    W = conjugate_pair_build(F_X, Field.from_exprs("x*y"), PlanePoint(1, 0))
+    fields.partials(W, PlanePoint(1.5, 0.3))
+    assert len(calls) == 2
 
 
 def test_conjugate_analytic_case():
