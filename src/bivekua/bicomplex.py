@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 class BicomplexError(Exception):
@@ -298,6 +297,8 @@ def _exact_half_sum(a: float, ea: float, b: float, eb: float) -> float:
     try:
         return math.fsum((a, ea, b, eb)) / 2
     except OverflowError:
+        from fractions import Fraction  # on first use: at module level, every start would import it
+
         total = Fraction(a) + Fraction(ea) + Fraction(b) + Fraction(eb)
         return float(total / 2)
 

@@ -4,7 +4,9 @@ similarity factorization, together with the quadrature primitives they need.
 
 A path holds its nodes and weights as numpy arrays.  A path integral
 evaluates its integrand on all nodes at once and sums the values in node
-order (``Path.integrate``).
+order (``Path.integrate``).  Many detour paths are built together and laid
+end to end (``detour_walks``), so that one array job evaluates and sums
+them all (``Walks.integrate``), at most ``NODE_BUDGET`` nodes at a time.
 """
 
 from __future__ import annotations
@@ -38,6 +40,10 @@ class PathThroughSingularityError(CalculusError):
 
 _GL_NODES_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
+# The most nodes one array job of ``detour_walks`` holds, so that many paths
+# at once do not raise peak memory.
+NODE_BUDGET = 1024
+
 
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights of the n-point rule mapped to [0, 1]."""
@@ -49,25 +55,210 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _on_segments(a: np.ndarray, d: np.ndarray, t: np.ndarray, w: np.ndarray):
     """Nodes a + t d and weights w d of the rule (t, w) on every segment
-    [a, a + d], segment by segment, as flat complex arrays."""
-    return (a[:, None] + t * d[:, None]).ravel(), (w * d[:, None]).ravel()
+    [a, a + d], one row per segment."""
+    return a[:, None] + t * d[:, None], w * d[:, None]
 
 
-@dataclass(eq=False)
-class Path:
+def _bisect(a: np.ndarray, b: np.ndarray, toward: Optional[np.ndarray] = None):
+    """The pieces of the segments [a[i], b[i]], each halved until it is at
+    most 0.25 long and, given ``toward``, at most half its midpoint's
+    distance from toward[i] (but not below 1e-6), or 40 times: all segments
+    a level at a time, with Python's complex rounding.  Returns the pieces'
+    starts, ends and segments, in segment order and along each segment."""
+    n = a.size
+    t = np.zeros(n, dtype=complex) if toward is None else toward
+    # one row per quantity, one column per piece still being halved
+    rows = np.array([a.real, a.imag, b.real, b.imag, t.real, t.imag, np.arange(n), np.zeros(n)])
+    pieces = [rows[:, :0]]
+    depth = 0
+    while rows.shape[1]:
+        ar, ai, br, bi, tr, ti, _, pos = rows
+        length = np.hypot(br - ar, bi - ai)  # abs(b - a)
+        sr, si = ar + br, ai + bi
+        # (a + b) / 2 as Python divides a complex number by 2
+        mr, mi = (sr + si * 0.0) / 2.0, (si - sr * 0.0) / 2.0
+        limit = 0.25
+        if toward is not None:
+            limit = np.minimum(limit, np.maximum(0.5 * np.hypot(mr - tr, mi - ti), 1e-6))
+        done = (length <= limit) | (depth >= 40)
+        pieces.append(rows[:, done])
+        go = ~done
+        depth += 1
+        left, right = rows[:, go], rows[:, go]
+        left[2], left[3] = mr[go], mi[go]
+        right[0], right[1], right[7] = mr[go], mi[go], pos[go] + 0.5**depth
+        rows = np.concatenate([left, right], axis=1)
+    ar, ai, br, bi, _, _, seg, pos = np.concatenate(pieces, axis=1)
+    order = np.lexsort((pos, seg))
+    starts, ends = ar.astype(complex), br.astype(complex)
+    starts.imag, ends.imag = ai, bi
+    return starts[order], ends[order], seg.astype(int)[order]
+
+
+def _detour_plan(a: complex, b: complex, c: complex, radius: Optional[float], side: float):
+    """The detour from a to b around c (``Path.detour``) and its radius: the
+    legs (p, q) in path order, with the arc's angles (th1, th2) in place."""
+    if abs(a - c) < 1e-12 or abs(b - c) < 1e-12:
+        raise PathThroughSingularityError(
+            "path endpoint coincides with the excluded point"
+        )
+    if radius is None:
+        radius = max(1e-3, 0.5 * abs(b - c))
+    radius = min(radius, 0.5 * abs(a - c), 0.5 * abs(b - c))
+    d = b - a
+    length = abs(d)
+    if length == 0:
+        raise PathThroughSingularityError("degenerate path")
+    t_foot = ((c - a) / d).real  # projection parameter of avoid
+    foot = abs(a + t_foot * d - c)
+    dist = foot if 0 <= t_foot <= 1 else min(abs(a - c), abs(b - c))
+    if dist >= radius:
+        return [(a, b)], radius
+    half = math.sqrt(max(radius**2 - foot**2, 0.0)) / length
+    t1 = max(0.0, t_foot - half)
+    t2 = min(1.0, t_foot + half)
+    p1 = a + t1 * d
+    p2 = a + t2 * d
+    th1 = cmath.phase(p1 - c)
+    th2 = cmath.phase(p2 - c)
+    # sweep on the requested side, never through the segment
+    if side >= 0:
+        while th2 <= th1:
+            th2 += 2 * math.pi
+        if th2 - th1 > 2 * math.pi:
+            th2 -= 2 * math.pi
+    else:
+        while th2 >= th1:
+            th2 -= 2 * math.pi
+    # project arc endpoints exactly onto the circle
+    q1 = c + radius * cmath.exp(1j * th1)
+    q2 = c + radius * cmath.exp(1j * th2)
+    legs = [(a, p1, 1e-14), (p1, q1, 1e-13), None, (q2, p2, 1e-13), (p2, b, 1e-14)]
+    plan = [(th1, th2) if leg is None else leg[:2] for leg in legs if leg is None or abs(leg[1] - leg[0]) > leg[2]]
+    return plan, radius
+
+
+class Walks:
+    """Paths laid end to end for one array job: xs, ys and dz hold the nodes
+    of each path in path order, path after path; path k has sizes[k] nodes
+    and is path index[k] of the batch it was cut from."""
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, dz: np.ndarray, sizes: np.ndarray, index: np.ndarray):
+        self.xs, self.ys, self.dz, self.sizes, self.index = xs, ys, dz, sizes, index
+
+    def integrate(self, one_form: Callable[[np.ndarray, np.ndarray, np.ndarray], object]):
+        """The integral over each path of a 1-form whose values at all nodes
+        one_form(xs, ys, dz) gives, summed in node order: one total per
+        path.  A tuple of arrays integrates that many 1-forms, each summed
+        as it would be alone.  A non-finite total raises InvalidValueError
+        at the first node of its path with a non-finite partial sum.  This
+        is the one summation over a path."""
+        # a fault in the 1-form's own sums and products, or in the summation,
+        # leaves a non-finite partial sum, refused by _totals
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = one_form(self.xs, self.ys, self.dz)
+            parts = values if isinstance(values, tuple) else (values,)
+            totals = [self._totals(np.broadcast_to(v, self.dz.shape)) for v in parts]
+        return tuple(totals) if isinstance(values, tuple) else totals[0]
+
+    def _totals(self, values: np.ndarray) -> np.ndarray:
+        """Each path's sum of ``values``, added in node order (cumsum, where
+        sum would add pairwise), from one row per path padded with zeros."""
+        rows = np.zeros((self.sizes.size, max(1, int(self.sizes.max(initial=0)))), dtype=complex)
+        rows[np.arange(rows.shape[1]) < self.sizes[:, None]] = values
+        partial = np.cumsum(rows, axis=1)
+        totals = np.where(self.sizes > 0, partial[np.arange(self.sizes.size), self.sizes - 1], 0j)
+        bad = np.flatnonzero(~np.isfinite(totals))
+        if bad.size:
+            path = bad[0]
+            k = self.sizes[:path].sum() + int(np.argmin(np.isfinite(partial[path])))
+            node = PlanePoint(float(self.xs[k]), float(self.ys[k]))
+            raise InvalidValueError(f"non-finite integral at node {node}")
+        return totals
+
+
+def detour_walks(
+    start, end, avoid, radius: Optional[float] = None, side: float = 1.0,
+    nodes_per_segment: int = 16,
+) -> Iterator[Walks]:
+    """The detour paths (``Path.detour``) from start[k] to end[k] around
+    avoid[k] (complex arrays that broadcast), cut in order into batches of
+    whole paths of at most ``NODE_BUDGET`` nodes, or one longer
+    path.  Each plan has the scalar arithmetic of one detour; then all legs
+    are halved in one bisection and each batch's lines and arcs are built
+    as arrays, bit for bit the nodes of one detour each."""
+    t, w = _gauss_legendre(nodes_per_segment)
+    columns = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (start, end, avoid)))
+    legs, arcs, parts = [], [], [0]  # parts[k]: the parts of the paths before path k
+    for a, b, c in zip(*(v.ravel().tolist() for v in columns)):
+        plan, r = _detour_plan(a, b, c, radius, side)
+        for part in plan:
+            if isinstance(part[0], complex):
+                legs.append((*part, c, len(legs) + len(arcs)))
+            else:
+                arcs.append((*part, c, r, len(legs) + len(arcs)))
+        parts.append(len(legs) + len(arcs))
+
+    def table(rows: list, dtypes: tuple) -> list[np.ndarray]:
+        return [np.array(v, dtype=d) for v, d in zip(zip(*rows) if rows else [()] * len(dtypes), dtypes)]
+
+    leg_a, leg_b, leg_c, leg_part = table(legs, (complex, complex, complex, int))
+    arc_th1, arc_th2, arc_c, arc_r, arc_part = table(arcs, (float, float, complex, float, int))
+    line_a, line_b, leg = _bisect(leg_a, leg_b, leg_c)
+    # each arc in equal pieces of at most 0.2 rad, from angle arc_a to arc_b
+    pieces = np.maximum(1, np.ceil(np.abs(arc_th2 - arc_th1) / 0.2)).astype(int)
+    arc = np.repeat(np.arange(pieces.size), pieces)
+    k = np.arange(arc.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+    span, n, th0 = (arc_th2 - arc_th1)[arc], pieces[arc], arc_th1[arc]
+    arc_a, arc_b = th0 + span * k / n, th0 + span * (k + 1) / n
+    # every piece of every path in path order: by part, then along the part
+    lines = line_a.size
+    part = np.concatenate([leg_part[leg], arc_part[arc]])
+    order = np.lexsort((np.concatenate([np.arange(lines), k]), part))
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(part, minlength=parts[-1]))])[parts]
+    sizes = np.diff(bounds) * len(t)
+    ends = np.cumsum(sizes)
+    first = 0
+    while first < sizes.size:
+        done = ends[first - 1] if first else 0
+        last = max(first + 1, int(np.searchsorted(ends, done + NODE_BUDGET, side="right")))
+        rows = order[bounds[first]:bounds[last]]
+        line = rows < lines
+        i, j = rows[line], rows[~line] - lines  # line pieces, arc pieces
+        nodes, dz = np.empty((2, rows.size, len(t)), dtype=complex)
+        nodes[line], dz[line] = _on_segments(line_a[i], line_b[i] - line_a[i], t, w)
+        th, dth = _on_segments(arc_a[j], arc_b[j] - arc_a[j], t, w)
+        e, r = np.exp(1j * th), arc_r[arc[j]][:, None]
+        nodes[~line], dz[~line] = arc_c[arc[j]][:, None] + r * e, dth * 1j * r * e
+        nodes = nodes.ravel()
+        yield Walks(nodes.real.copy(), nodes.imag.copy(), dz.ravel(), sizes[first:last], np.arange(first, last))
+        first = last
+
+
+def detour_integrals(start, end, avoid, one_form: Callable, frozen: tuple, side: float = 1.0) -> list:
+    """Per 1-form, the integrals over each detour path of ``detour_walks`` of
+    the tuple of 1-forms one_form(xs, ys, dz, *columns) gives, one array
+    job per batch: ``frozen`` holds values per path (a number for every
+    path), and ``columns`` holds them at every node."""
+    totals = []
+    for walks in detour_walks(start, end, avoid, side=side):
+        columns = [v if np.ndim(v) == 0 else np.repeat(v[walks.index], walks.sizes) for v in frozen]
+        totals.append(walks.integrate(lambda xs, ys, dz: one_form(xs, ys, dz, *columns)))
+    return [np.concatenate(t) for t in zip(*totals)]
+
+
+class Path(Walks):
     """A quadrature-ready path: node coordinates xs, ys and dz weights, one
-    entry per node in path order, plus endpoints.
+    entry per node in path order, plus endpoints: ``Walks`` of one path.
 
     The dz weight at a node is gamma'(t) times the quadrature weight, as a
     complex number dx + i dy; line integrals of any 1-form in dx, dy, dz
     are assembled from it.
     """
 
-    xs: np.ndarray
-    ys: np.ndarray
-    dz: np.ndarray
-    start: PlanePoint
-    end: PlanePoint
+    def __init__(self, xs: np.ndarray, ys: np.ndarray, dz: np.ndarray, start: PlanePoint, end: PlanePoint):
+        super().__init__(xs, ys, dz, np.array([xs.size]), np.zeros(1, dtype=int))
+        self.start, self.end = start, end
 
     @staticmethod
     def _of(points: np.ndarray, dz: np.ndarray, start: PlanePoint, end: PlanePoint) -> "Path":
@@ -93,31 +284,12 @@ class Path:
         given, subdivision is refined geometrically near that point (for
         integrands singular there).
         """
-        pieces: list[tuple[complex, complex]] = []
-
-        def refine(a: complex, b: complex, depth: int = 0):
-            length = abs(b - a)
-            limit = 0.25
-            if grade_toward is not None:
-                mid = (a + b) / 2
-                dist = abs(mid - grade_toward.as_complex)
-                limit = min(limit, max(0.5 * dist, 1e-6))
-            if length <= limit or depth >= 40:
-                pieces.append((a, b))
-            else:
-                mid = (a + b) / 2
-                refine(a, mid, depth + 1)
-                refine(mid, b, depth + 1)
-
-        pts = [p.as_complex for p in points]
-        for a, b in zip(pts, pts[1:]):
-            if a != b:
-                refine(a, b)
-        ends = np.array(pieces, dtype=complex).reshape(-1, 2)
-        nodes, dz = _on_segments(
-            ends[:, 0], ends[:, 1] - ends[:, 0], *_gauss_legendre(nodes_per_segment)
-        )
-        return Path._of(nodes, dz, points[0], points[-1])
+        pts = np.array([p.as_complex for p in points], dtype=complex)
+        a, b = pts[:-1][pts[:-1] != pts[1:]], pts[1:][pts[:-1] != pts[1:]]
+        toward = None if grade_toward is None else np.full(a.size, grade_toward.as_complex)
+        starts, ends, _ = _bisect(a, b, toward)
+        nodes, dz = _on_segments(starts, ends - starts, *_gauss_legendre(nodes_per_segment))
+        return Path._of(nodes.ravel(), dz.ravel(), points[0], points[-1])
 
     @staticmethod
     def circle(center: PlanePoint, radius: float, nodes: int = 512) -> "Path":
@@ -129,40 +301,6 @@ class Path:
         return Path._of(c + radius * e, 1j * radius * e * dt, start, start)
 
     @staticmethod
-    def arc(
-        center: PlanePoint,
-        radius: float,
-        theta0: float,
-        theta1: float,
-        nodes_per_segment: int = 16,
-    ) -> "Path":
-        """Composite Gauss-Legendre quadrature over pieces of at most 0.2 rad."""
-        c = center.as_complex
-        pieces = max(1, math.ceil(abs(theta1 - theta0) / 0.2))
-        k = np.arange(pieces)
-        a = theta0 + (theta1 - theta0) * k / pieces
-        b = theta0 + (theta1 - theta0) * (k + 1) / pieces
-        t, w = _gauss_legendre(nodes_per_segment)
-        th, dth = _on_segments(a, b - a, t, w)
-        e = np.exp(1j * th)
-        p0 = c + radius * cmath.exp(1j * theta0)
-        p1 = c + radius * cmath.exp(1j * theta1)
-        return Path._of(
-            c + radius * e, dth * 1j * radius * e,
-            PlanePoint(p0.real, p0.imag), PlanePoint(p1.real, p1.imag),
-        )
-
-    @staticmethod
-    def join(parts: Sequence["Path"]) -> "Path":
-        return Path(
-            np.concatenate([p.xs for p in parts]),
-            np.concatenate([p.ys for p in parts]),
-            np.concatenate([p.dz for p in parts]),
-            parts[0].start,
-            parts[-1].end,
-        )
-
-    @staticmethod
     def detour(
         start: PlanePoint,
         end: PlanePoint,
@@ -172,89 +310,19 @@ class Path:
         nodes_per_segment: int = 16,
     ) -> "Path":
         """Straight path from start to end with a circular-arc detour
-        around ``avoid`` when the segment passes too close to it."""
-        a, b, c = start.as_complex, end.as_complex, avoid.as_complex
-        if abs(a - c) < 1e-12 or abs(b - c) < 1e-12:
-            raise PathThroughSingularityError(
-                "path endpoint coincides with the excluded point"
-            )
-        if radius is None:
-            radius = max(1e-3, 0.5 * abs(b - c))
-        radius = min(radius, 0.5 * abs(a - c), 0.5 * abs(b - c))
-        d = b - a
-        length = abs(d)
-        if length == 0:
-            raise PathThroughSingularityError("degenerate path")
-        t_foot = ((c - a) / d).real  # projection parameter of avoid
-        dist = abs(a + t_foot * d - c) if 0 <= t_foot <= 1 else min(
-            abs(a - c), abs(b - c)
+        around ``avoid`` when the segment passes too close to it (the path
+        of ``detour_walks`` for these points)."""
+        (walks,) = detour_walks(
+            start.as_complex, end.as_complex, avoid.as_complex, radius, side, nodes_per_segment
         )
-        if dist >= radius:
-            return Path.polyline([start, end], nodes_per_segment,
-                                 grade_toward=avoid)
-        half = math.sqrt(max(radius**2 - abs(a + t_foot * d - c) ** 2, 0.0)) / length
-        t1 = max(0.0, t_foot - half)
-        t2 = min(1.0, t_foot + half)
-        p1 = a + t1 * d
-        p2 = a + t2 * d
-        th1 = cmath.phase(p1 - c)
-        th2 = cmath.phase(p2 - c)
-        # sweep on the requested side, never through the segment
-        if side >= 0:
-            while th2 <= th1:
-                th2 += 2 * math.pi
-            if th2 - th1 > 2 * math.pi:
-                th2 -= 2 * math.pi
-        else:
-            while th2 >= th1:
-                th2 -= 2 * math.pi
-        parts = []
-
-        def leg(p: complex, q: complex, gap: float) -> None:
-            if abs(q - p) > gap:
-                ends = [PlanePoint(p.real, p.imag), PlanePoint(q.real, q.imag)]
-                parts.append(Path.polyline(ends, nodes_per_segment, grade_toward=avoid))
-
-        # project arc endpoints exactly onto the circle
-        q1 = c + radius * cmath.exp(1j * th1)
-        q2 = c + radius * cmath.exp(1j * th2)
-        leg(a, p1, 1e-14)
-        leg(p1, q1, 1e-13)
-        parts.append(Path.arc(avoid, radius, th1, th2, nodes_per_segment))
-        leg(q2, p2, 1e-13)
-        leg(p2, b, 1e-14)
-        return Path.join(parts)
+        return Path(walks.xs, walks.ys, walks.dz, start, end)
 
     # -- integration --------------------------------------------------------
 
     def integrate(self, one_form: Callable[[np.ndarray, np.ndarray, np.ndarray], object]):
-        """∫ of a 1-form over the path: one_form(xs, ys, dz) gives its values
-        at the nodes, one array, and they are summed in node order.  This is
-        the one summation over a path.
-
-        A one_form that returns a tuple of arrays integrates that many
-        complex 1-forms in one walk, each summed exactly as its integral
-        alone would be, into the tuple of their integrals.  A non-finite
-        value raises InvalidValueError at the first node that has one.
-        """
-        # a fault in the 1-form's own sums and products, or in the summation,
-        # leaves a non-finite partial sum, refused by _total
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = one_form(self.xs, self.ys, self.dz)
-            parts = values if isinstance(values, tuple) else (values,)
-            # cumsum adds in node order, where sum would add pairwise
-            totals = [self._total(np.cumsum(np.broadcast_to(v, self.dz.shape))) for v in parts]
-        return tuple(totals) if isinstance(values, tuple) else totals[0]
-
-    def _total(self, partial: np.ndarray) -> complex:
-        """The last of the partial sums; a partial sum is non-finite from the
-        first non-finite value (or overflow) on, and that node is named."""
-        total = complex(partial[-1]) if partial.size else 0j
-        if not cmath.isfinite(total):
-            k = int(np.argmin(np.isfinite(partial)))
-            node = PlanePoint(float(self.xs[k]), float(self.ys[k]))
-            raise InvalidValueError(f"non-finite integral at node {node}")
-        return total
+        """∫ of a 1-form over the path: ``Walks.integrate``, its one total."""
+        totals = super().integrate(one_form)
+        return tuple(complex(t[0]) for t in totals) if isinstance(totals, tuple) else complex(totals[0])
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +337,15 @@ def _centres(a: float, b: float, n: int) -> list[float]:
 def grid_columns(
     x0: float, x1: float, y0: float, y1: float, nx: int, ny: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The points of ``midpoints`` one column (one x, every y) at a time, as
-    arrays xs, ys, in the same order."""
-    ys = np.array(_centres(y0, y1, ny))
-    for x in _centres(x0, x1, nx):
-        yield np.full(ny, x), ys
+    """The points of ``midpoints`` as arrays xs, ys, in the same order, a
+    block of whole columns (one x, every y) of at most ``NODE_BUDGET``
+    points, or one column, at a time."""
+    ys = _centres(y0, y1, ny)
+    xs = _centres(x0, x1, nx)
+    step = max(1, NODE_BUDGET // ny)
+    for k in range(0, nx, step):
+        block = xs[k:k + step]
+        yield np.repeat(block, ny), np.tile(ys, len(block))
 
 
 def midpoints(x0: float, x1: float, y0: float, y1: float, nx: int, ny: int) -> list[PlanePoint]:
@@ -435,12 +507,12 @@ def compatibility_residual(w: Field, z: PlanePoint, h: Optional[float] = None) -
     return abs(fy.sc - fx.vec)
 
 
-def _tf_density(u, ux, uy, f, fx, fy, dz):
-    """-(f^2 d(u/f)/dy) dx + (f^2 d(u/f)/dx) dy at every node, for scalar u:
-    each argument is an array of node values."""
-    gx = ux * f - u * fx
-    gy = uy * f - u * fy
-    return -gy * dz.real + gx * dz.imag
+def tf_densities(u: tuple, f: tuple, dz: np.ndarray) -> tuple:
+    """-(f^2 d(u/f)/dy) dx + (f^2 d(u/f)/dx) dy at every node for u = u1
+    and for u = u2 of u1 + j u2, u and the scalar f each a ``partials_on``
+    triple of node values."""
+    (f0, _), (fx, _), (fy, _) = f
+    return tuple(-(uy * f0 - v * fy) * dz.real + (ux * f0 - v * fx) * dz.imag for v, ux, uy in zip(*u))
 
 
 def tf_transform(f: Field, u: Field, path: Path) -> Bicomplex:
@@ -456,12 +528,7 @@ def tf_transform(f: Field, u: Field, path: Path) -> Bicomplex:
     """
 
     def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> tuple:
-        (u1, u2), (u1x, u2x), (u1y, u2y) = partials_on(u, xs, ys)
-        (f0, _), (fx, _), (fy, _) = partials_on(f, xs, ys)
-        return (
-            _tf_density(u1, u1x, u1y, f0, fx, fy, dz),
-            _tf_density(u2, u2x, u2y, f0, fx, fy, dz),
-        )
+        return tf_densities(partials_on(u, xs, ys), partials_on(f, xs, ys), dz)
 
     t1, t2 = path.integrate(one_form)
     fend = f(path.end).sc

@@ -11,7 +11,6 @@ residual-scan, cauchy.  Exit code 0 iff every declared tolerance was met.
 from __future__ import annotations
 
 import argparse
-import difflib
 import hashlib
 import json
 import math
@@ -33,6 +32,7 @@ from .powers import (
     adjoint_kernel_transfer,
     analytic_kernel,
     cauchy_deviations,
+    coefficients_at,
     counterexample_kernel,
     first_cauchy,
     formal_contour_integral,
@@ -213,6 +213,8 @@ def _validate(cfg: dict, schema: dict, prefix: str = "") -> dict:
     out = {}
     for key, value in cfg.items():
         if key not in schema:
+            import difflib  # on first use: at module level, every start would import it
+
             hint = difflib.get_close_matches(key, schema, n=1)
             near = f"; did you mean '{prefix}{hint[0]}'?" if hint else ""
             raise ConfigError(f"unknown key '{prefix}{key}'{near}")
@@ -338,7 +340,8 @@ def cmd_eval_kernel(cfg: dict):
     zeta = cfg["zeta"]
     kernel = kernel_in_z(fam.coef1 if cfg["alpha"] == "1" else fam.coefj, zeta)
     rows, points = [], 0
-    # a column at a time: arrays of the whole grid would raise peak memory
+    # a block of columns at a time: arrays of the whole grid would raise
+    # peak memory
     for xs, ys in grid_columns(**cfg["grid"]):
         off = np.hypot(xs - zeta.x, ys - zeta.y) > 1e-9
         xs, ys = xs[off], ys[off]
@@ -386,10 +389,13 @@ def cmd_build_powers(cfg: dict):
     extra = {}
     if catalog:
         oracle = x_negative_power(n)
+        # both coefficients of every pair at once, so that the slots share work
+        xi, eta, x, y = (np.array(c) for c in zip(*((a.x, a.y, b.x, b.y) for a, b in pairs)))
+        z1, zj = coefficients_at(fam, xi, eta, x, y)
         dev = 0.0
-        for zeta, z in pairs:
-            dev = max(dev, (fam.coef1(zeta, z) - oracle.coef1(zeta, z)).norm)
-            dev = max(dev, (fam.coefj(zeta, z) - oracle.coefj(zeta, z)).norm)
+        for k, (zeta, z) in enumerate(pairs):
+            dev = max(dev, (Bicomplex(z1.sc[k], z1.vec[k]) - oracle.coef1(zeta, z)).norm)
+            dev = max(dev, (Bicomplex(zj.sc[k], zj.vec[k]) - oracle.coefj(zeta, z)).norm)
         checks = [_check("max_deviation_from_closed_form", dev, 0.0, tol)]
         extra["closed_form"] = f"x-negative-power:{n}"
     else:
@@ -415,10 +421,11 @@ def cmd_build_fundamental(cfg: dict):
         z0 = lambda zt: PlanePoint(zt.x + 1, zt.y)  # noqa: E731
     s1 = darboux_fundamental(kj, f, z0)
     pts = [p for p in midpoints(**cfg["grid"]) if p.dist(zeta) > 1e-9]
+    sc, vec = s1.on(zeta.x, zeta.y, np.array([p.x for p in pts]), np.array([p.y for p in pts]))
     rows = []
     dev = 0.0
-    for p in pts:
-        v = s1(zeta, p)
+    for p, a, b in zip(pts, sc.tolist(), vec.tolist()):
+        v = Bicomplex(a, b)
         rows.append(_value_row(p, v))
         if oracle is not None:
             dev = max(dev, (v - oracle(zeta, p)).norm)

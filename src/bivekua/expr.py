@@ -538,11 +538,12 @@ def pretty(e: Expr) -> str:
 _MAX_NESTING = 50
 
 
-def _straight_line(e: Expr) -> tuple[list[str], str]:
-    """Python code for e as (assignments, result): each distinct
-    subexpression appears once, bound to a local when the walk reaches it
-    more than once (or it nests too deep) and written inline otherwise.
-    Nodes are keyed on structure, looked up through node identity."""
+def _straight_line(e: Union[Expr, tuple]) -> tuple[list[str], str]:
+    """Python code for e, or for a tuple of expressions as a tuple, as
+    (assignments, result): each distinct subexpression appears once, bound
+    to a local when the walk reaches it more than once (or it nests too
+    deep) and written inline otherwise.  Nodes are keyed on structure,
+    looked up through node identity."""
     number: dict[int, int] = {}  # id(node) -> index of its structure
     index: dict[tuple, int] = {}  # structure -> index
     keys: list[tuple] = []  # (type, payload, *child indices), children first
@@ -572,7 +573,7 @@ def _straight_line(e: Expr) -> tuple[list[str], str]:
             shared.add(k)
         return k
 
-    root = visit(e)
+    roots = [visit(r) for r in e] if isinstance(e, tuple) else visit(e)
     lines: list[str] = []
     text: list[str] = []
     depth: list[int] = []  # parentheses nested in text[k]
@@ -593,7 +594,9 @@ def _straight_line(e: Expr) -> tuple[list[str], str]:
             code, nesting = f"_t{k}", 0
         text.append(code)
         depth.append(nesting)
-    return lines, text[root]
+    if isinstance(e, tuple):
+        return lines, f"({''.join(text[r] + ', ' for r in roots)})"
+    return lines, text[roots]
 
 
 def _safe_log(v):
@@ -644,8 +647,9 @@ _NUMPY = {
 }
 
 
-def compile_expr(e: Expr, variables: tuple[str, ...] = ("x", "y"), arrays: bool = False):
-    """Compile to a fast positional callable over the given variables.
+def compile_expr(e: Union[Expr, tuple], variables: tuple[str, ...] = ("x", "y"), arrays: bool = False):
+    """Compile to a fast positional callable over the given variables; a
+    tuple of expressions to one that returns the tuple of their values.
 
     The generated code computes each repeated subexpression once.  It is
     bound to cmath, for numbers, or with ``arrays`` to numpy, for arrays

@@ -14,6 +14,10 @@ finite difference only in ``schroedinger.schroedinger_residual``.
 node of a path at once: compiled to numpy when it has closed forms, else
 point by point in ``pointwise``.  ``BicomplexArray`` is the ring interface
 on such node values, so a formula written on it runs on all nodes at once.
+
+A kernel slot with a pair face (``PairFace``) evaluates many pairs
+(zeta, z) at once by ``on``; other evaluators run pair by pair
+(``pairwise``).
 """
 
 from __future__ import annotations
@@ -185,9 +189,15 @@ Values = tuple[np.ndarray, np.ndarray]  # (sc, vec) at every node
 def partials_on(w: "Field", xs: np.ndarray, ys: np.ndarray) -> tuple[Values, Values, Values]:
     """``partials`` at every node (xs[k], ys[k]) at once, with the default
     step: (value, d/dx, d/dy), each as its (sc, vec) arrays."""
-    value = w.on(xs, ys)
     if w.has_exact_partials:
-        return value, w.dx.on(xs, ys), w.dy.on(xs, ys)
+        return w.on(xs, ys), w.dx.on(xs, ys), w.dy.on(xs, ys)
+    return _differenced(w.on, xs, ys)
+
+
+def _differenced(on: Callable[[np.ndarray, np.ndarray], Values], xs, ys) -> tuple[Values, Values, Values]:
+    """(value, d/dx, d/dy) of on(xs, ys), by central differences with the
+    default step at every node."""
+    value = on(xs, ys)
     h = 1e-4 * (1 + np.hypot(xs, ys))  # default_step at every node
     scale = 1 / (2 * h)
 
@@ -196,8 +206,8 @@ def partials_on(w: "Field", xs: np.ndarray, ys: np.ndarray) -> tuple[Values, Val
 
     return (
         value,
-        central(w.on(xs + h, ys), w.on(xs - h, ys)),
-        central(w.on(xs, ys + h), w.on(xs, ys - h)),
+        central(on(xs + h, ys), on(xs - h, ys)),
+        central(on(xs, ys + h), on(xs, ys - h)),
     )
 
 
@@ -207,10 +217,27 @@ def _spread(values, shape: tuple) -> np.ndarray:
     return values if values.shape == shape else np.broadcast_to(values, shape)
 
 
-def _finite(sc, vec) -> bool:
-    """Every entry of sc and vec is finite.  A non-finite entry makes the sum
+def _finite(*parts) -> bool:
+    """Every entry of the parts is finite.  A non-finite entry makes the sum
     non-finite; an overflow of the sum alone only reads as not finite."""
-    return cmath.isfinite(np.sum(sc) + np.sum(vec))
+    return cmath.isfinite(sum(np.sum(p) for p in parts))
+
+
+def _checked(arrays: Callable[[], tuple], scalar: Callable[[], tuple], shape: tuple) -> tuple:
+    """The arrays arrays() gives, each spread to ``shape``, computed with
+    division by zero, invalid operations and overflow raising.  On such a
+    fault, or a non-finite value, scalar() instead: the scalar code, point
+    by point, so a bad point raises the scalar call's own error
+    (EvaluationError, InvalidValueError, ...) with that point."""
+    with np.errstate(divide="raise", invalid="raise", over="raise"):
+        try:
+            parts = arrays()
+            finite = _finite(*parts)
+        except FloatingPointError:
+            finite = False
+    if finite:
+        return tuple(_spread(p, shape) for p in parts)
+    return scalar()
 
 
 def pointwise(
@@ -304,8 +331,9 @@ class Field:
     """Map PlanePoint -> Bicomplex, optionally with exact partials.
 
     ``sym`` is set only by ``from_sym``, whose evaluator is that closed form
-    over (x, y) compiled; then ``dx``/``dy`` are exact symbolic fields,
-    otherwise they are None and consumers fall back to finite differences.
+    over (x, y) compiled.  ``partial``, when given, builds the exact partial
+    field in "x" or "y", on the first ``dx``/``dy`` read; without it they
+    are None and consumers fall back to finite differences.
     ``arrays``, when given, evaluates the same values on arrays of x and y,
     as a pair (sc, vec) (see ``on``).
     """
@@ -314,17 +342,22 @@ class Field:
         self,
         func: Callable[[PlanePoint], Bicomplex],
         arrays: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None,
+        partial: Optional[Callable[[str], "Field"]] = None,
     ):
         self._func = func
         self._arrays = arrays
+        self._partial = partial
+        self._partials: dict[str, "Field"] = {}
         self.sym: Optional[SymBC] = None
-        self._dx: Optional["Field"] = None
-        self._dy: Optional["Field"] = None
 
     @staticmethod
     def from_sym(sym: SymBC) -> "Field":
         fn = sym.compiled()
-        out = Field(lambda z: fn(z.x, z.y), lambda xs, ys: sym.compiled_arrays()(xs, ys))
+        out = Field(
+            lambda z: fn(z.x, z.y),
+            lambda xs, ys: sym.compiled_arrays()(xs, ys),
+            lambda axis: Field.from_sym(sym.diff(axis)),
+        )
         out.sym = sym
         return out
 
@@ -343,50 +376,35 @@ class Field:
         """A callable field with explicitly supplied exact partials, for
         values defined by integrals whose derivatives are known in closed
         form even though the values themselves are not."""
-        out = Field(func, arrays)
-        out._dx = dx
-        out._dy = dy
-        return out
+        return Field(func, arrays, {"x": dx, "y": dy}.__getitem__)
 
     def __call__(self, z: PlanePoint) -> Bicomplex:
         return self._func(z)
 
     def on(self, xs: np.ndarray, ys: np.ndarray) -> Values:
-        """The (sc, vec) arrays of the field at every node (xs[k], ys[k]).
-
-        Array code runs under np.errstate with division by zero, invalid
-        operations and overflow raising.  On such a fault, or a non-finite
-        value, and for a field without array code, the field is called node
-        by node instead, so a bad node raises the scalar call's own error
-        (EvaluationError, InvalidValueError, ...) with that node's point."""
-        if self._arrays is not None:
-            with np.errstate(divide="raise", invalid="raise", over="raise"):
-                try:
-                    sc, vec = self._arrays(xs, ys)
-                    finite = _finite(sc, vec)
-                except FloatingPointError:
-                    finite = False
-            if finite:
-                return _spread(sc, xs.shape), _spread(vec, xs.shape)
-        return pointwise([self._func], xs, ys)[0]
+        """The (sc, vec) arrays of the field at every node (xs[k], ys[k]): its
+        array code, ``_checked``, or without any, its calls node by node."""
+        scalar = lambda: pointwise([self._func], xs, ys)[0]  # noqa: E731
+        if self._arrays is None:
+            return scalar()
+        return _checked(lambda: self._arrays(xs, ys), scalar, xs.shape)
 
     @property
     def has_exact_partials(self) -> bool:
-        return self.sym is not None or (
-            self._dx is not None and self._dy is not None
-        )
+        return self._partial is not None
+
+    def _derivative(self, axis: str) -> Optional["Field"]:
+        if axis not in self._partials and self._partial is not None:
+            self._partials[axis] = self._partial(axis)
+        return self._partials.get(axis)
 
     @property
     def dx(self) -> Optional["Field"]:
-        if self._dx is None and self.sym is not None:
-            self._dx = Field.from_sym(self.sym.diff("x"))
-        return self._dx
+        return self._derivative("x")
 
     @property
     def dy(self) -> Optional["Field"]:
-        if self._dy is None and self.sym is not None:
-            self._dy = Field.from_sym(self.sym.diff("y"))
-        return self._dy
+        return self._derivative("y")
 
     # combinators keep symbolic form when every operand has one
 
@@ -438,6 +456,30 @@ class Kernel:
     def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
         return self.sym.compiled()(zeta.x, zeta.y, z.x, z.y)
 
+    def on(self, xi, eta, x, y) -> Values:
+        """K at every pair ((xi[k], eta[k]), (x[k], y[k])) as numpy code,
+        ``_checked``; a number stands for every pair."""
+        return _checked(
+            lambda: self.sym.compiled_arrays()(xi, eta, x, y),
+            lambda: pairwise([self], xi, eta, x, y)[0],
+            _pair_shape(xi, eta, x, y),
+        )
+
+    def center_partials_on(self, xi, eta, x, y) -> tuple[Values, Values, Values]:
+        """(K, dK/dxi, dK/deta) at every pair, as ``on`` gives each, from one
+        program that computes their shared subexpressions once."""
+        kernels = (self, self.diff_z("xi"), self.diff_z("eta"))
+        program = self.__dict__.get("_center_partials")
+        if program is None:
+            trees = tuple(t for k in kernels for t in (k.sym.sc, k.sym.vec))
+            program = self.__dict__["_center_partials"] = ex.compile_expr(trees, KERNEL_VARS, True)
+        parts = _checked(
+            lambda: program(xi, eta, x, y),
+            lambda: tuple(v for k in kernels for v in k.on(xi, eta, x, y)),
+            _pair_shape(xi, eta, x, y),
+        )
+        return parts[0:2], parts[2:4], parts[4:6]
+
     def swap_arguments(self) -> "Kernel":
         swap = {"xi": ex.Var("x"), "eta": ex.Var("y"), "x": ex.Var("xi"), "y": ex.Var("eta")}
         s = self.sym
@@ -461,7 +503,8 @@ class Kernel:
     def _bind(self, points, arrays, dx_var: str, dy_var: str) -> Field:
         """p -> K(*points(p)) and its partials in (dx_var, dy_var), each
         calling a kernel's own compiled function, on numbers or, with the
-        kernel arguments arrays(xs, ys), on arrays."""
+        kernel arguments arrays(xs, ys), on arrays; a partial kernel is
+        built on the first read of its field."""
 
         def bound(k: "Kernel") -> tuple:
             return (
@@ -469,14 +512,69 @@ class Kernel:
                 lambda xs, ys: k.sym.compiled_arrays()(*arrays(xs, ys)),
             )
 
-        dx, dy = self.diff_z(dx_var), self.diff_z(dy_var)
-        func, on_arrays = bound(self)
-        return Field.with_partials(func, Field(*bound(dx)), Field(*bound(dy)), on_arrays)
+        var = {"x": dx_var, "y": dy_var}
+        return Field(*bound(self), lambda axis: Field(*bound(self.diff_z(var[axis]))))
+
+
+def _pair_shape(*columns) -> tuple:
+    """The shape of the pairs the columns give; numbers give one pair."""
+    return np.broadcast_shapes(*(np.shape(c) for c in columns)) or (1,)
+
+
+def pairwise(coefs: Sequence[Callable[..., Bicomplex]], xi, eta, x, y) -> list[Values]:
+    """The (sc, vec) arrays of each evaluator coef(zeta, z) at every pair
+    ((xi[k], eta[k]), (x[k], y[k])), a number standing for every pair:
+    ``pointwise`` over the pairs, all evaluators at one pair back to back."""
+    shape = _pair_shape(xi, eta, x, y)
+    xi, eta, x, y = (np.broadcast_to(np.asarray(c, dtype=float), shape) for c in (xi, eta, x, y))
+    funcs = [lambda p, u, v, c=c: c(p, PlanePoint(u, v)) for c in coefs]
+    return pointwise(funcs, xi, eta, x, y)
+
+
+def pairs_of(xi, eta, x, y) -> list[tuple[PlanePoint, PlanePoint]]:
+    """The pairs (zeta, z) the columns give, as points of Python floats."""
+    shape = _pair_shape(xi, eta, x, y)
+    columns = (np.broadcast_to(np.asarray(c, dtype=float), shape).ravel().tolist() for c in (xi, eta, x, y))
+    return [(PlanePoint(a, b), PlanePoint(c, d)) for a, b, c, d in zip(*columns)]
+
+
+def in_pair_order(batch: Callable[..., object], xi, eta, x, y):
+    """batch(xi, eta, x, y), a pair face's array job.  When it raises, the
+    pairs run again one at a time, in order, so that the first pair that
+    fails raises its own error, as calls pair by pair would."""
+    try:
+        return batch(xi, eta, x, y)
+    except Exception:  # any error of a pair's evaluation; always re-raised
+        pairs = pairs_of(xi, eta, x, y)
+        if len(pairs) > 1:
+            for zeta, z in pairs:
+                batch(zeta.x, zeta.y, z.x, z.y)
+        raise
+
+
+class PairFace:
+    """A kernel slot with a pair face ``on(xi, eta, x, y)``: its values at
+    every pair ((xi[k], eta[k]), (x[k], y[k])), a number standing for every
+    pair.  A call is the face at one pair, so a value is the same bit for
+    bit in any batch."""
+
+    def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
+        sc, vec = self.on(zeta.x, zeta.y, z.x, z.y)
+        return Bicomplex(sc[0], vec[0])
+
+
+def kernel_partials_on(k, xi, eta, x, y) -> tuple[Values, Values, Values]:
+    """(value, d/dxi, d/deta) of a kernel slot at every pair: exact for a
+    ``Kernel``, else by central differences as ``partials_on`` takes them."""
+    if isinstance(k, Kernel):
+        return k.center_partials_on(xi, eta, x, y)
+    return _differenced(lambda a, b: pairwise([k], a, b, x, y)[0], xi, eta)
 
 
 def kernel_in_z(coef, zeta: PlanePoint) -> Field:
     """z -> coef(zeta, z) as a Field: a Kernel's binding, with exact partials
-    and array code, else the plain evaluator called per point."""
+    and array code, else the evaluator, on arrays by its pair face if any."""
     if isinstance(coef, Kernel):
         return coef.field_in_z(zeta)
-    return Field(lambda z: coef(zeta, z))
+    arrays = (lambda xs, ys: coef.on(zeta.x, zeta.y, xs, ys)) if isinstance(coef, PairFace) else None
+    return Field(lambda z: coef(zeta, z), arrays)

@@ -10,10 +10,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import expr as ex
-from .bicomplex import Bicomplex, PlanePoint, from_cj
+from .bicomplex import Bicomplex, PlanePoint
 from .calculus import Path, RegionGrid, wirtinger
-from .fields import Field, SymBC, d_z, d_zbar, pointwise
+from .fields import BicomplexArray, Field, SymBC, d_z, d_zbar, pointwise
 
 
 class PairError(Exception):
@@ -143,14 +145,18 @@ def is_successor(candidate: GeneratingPair, base: GeneratingPair, region: Region
 
 
 def star_integral(w: Field, pair: GeneratingPair, path: Path) -> Bicomplex:
-    """Sc ∫ G* W dz + j Sc ∫ F* W dz with bicomplex dz = dx + j dy."""
+    """Sc ∫ G* W dz + j Sc ∫ F* W dz with bicomplex dz = dx + j dy, the
+    products on the array ring.  W, G* and F* are called node by node, each
+    value as its scalar code gives it (numpy's complex division rounds some
+    quotients of G* and F* differently)."""
     Fs, Gs = adjoint_fields(pair)
 
-    def one_form(p: PlanePoint, dz: complex) -> Bicomplex:
-        wv, dzj = w(p), from_cj(dz)
-        return Bicomplex((Gs(p) * wv * dzj).sc, (Fs(p) * wv * dzj).sc)
+    def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> tuple:
+        wv, gs, fs = (BicomplexArray(*v) for v in pointwise([w, Gs, Fs], xs, ys))
+        dzj = BicomplexArray(dz.real, dz.imag)
+        return (gs * wv * dzj).sc, (fs * wv * dzj).sc
 
-    return Bicomplex(*path.integrate(lambda xs, ys, dz: pointwise([one_form], xs, ys, dz)[0]))
+    return Bicomplex(*path.integrate(one_form))
 
 
 def fg_integral(w: Field, pair: GeneratingPair, path: Path) -> Bicomplex:

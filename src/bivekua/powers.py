@@ -20,9 +20,11 @@ from .fields import (
     BicomplexArray,
     Field,
     Kernel,
+    PairFace,
     SymBC,
+    Values,
     kernel_in_z,
-    pointwise,
+    pairwise,
 )
 from .pairs import (
     GeneratingPair,
@@ -70,22 +72,56 @@ def coefficients_on(
 ) -> tuple[BicomplexArray, BicomplexArray]:
     """Z(1) and Z(j) of the family at every node (xs[k], ys[k]): the node is
     the argument z when the center ``zeta`` is given, else the center, with
-    the argument ``z`` given.
+    the argument ``z`` given.  ``coefficients_at`` those pairs, with a
+    ``Kernel`` slot evaluated on all nodes at once as numpy code."""
+    xi, eta, x, y = (zeta.x, zeta.y, xs, ys) if zeta is not None else (xs, ys, z.x, z.y)
+    return coefficients_at(k, xi, eta, x, y, arrays=True)
 
-    A ``Kernel`` slot is evaluated on all nodes at once, with the other
-    point frozen.  The plain-evaluator slots are called in one loop, both
-    at one node back to back, so that a family whose slots share work at
-    one point pair (``adjoint_kernel_transfer``'s) does it once per node."""
-    if zeta is not None:
-        frozen, points = (lambda c: c.field_in_z(zeta)), (lambda p: (zeta, p))
-    else:
-        frozen, points = (lambda c: c.field_in_zeta(z)), (lambda p: (p, z))
-    slots = (k.coef1, k.coefj)
-    plain = [lambda p, c=c: c(*points(p)) for c in slots if not isinstance(c, Kernel)]
-    # the plain slots' values, in slot order
-    looped = iter(pointwise(plain, xs, ys) if plain else ())
-    z1, zj = (frozen(c).on(xs, ys) if isinstance(c, Kernel) else next(looped) for c in slots)
-    return BicomplexArray(*z1), BicomplexArray(*zj)
+
+def coefficients_at(
+    k: KernelFamily, xi, eta, x, y, arrays: bool = False
+) -> tuple[BicomplexArray, BicomplexArray]:
+    """Z(1) and Z(j) at every pair ((xi[k], eta[k]), (x[k], y[k])), a number
+    standing for every pair, as the slots' calls give them: a slot with a
+    pair face by it, both slots of one ``adjoint_kernel_transfer`` from one
+    evaluation of the family they swap, and any other slot called pair by
+    pair, both slots at one pair back to back.  With ``arrays`` a ``Kernel``
+    slot runs as numpy code, which differs from its call in last bits."""
+    c1, cj = k.coef1, k.coefj
+    if isinstance(c1, _Swapped) and isinstance(cj, _Swapped) and c1.family is cj.family:
+        swapped = coefficients_at(c1.family, x, y, xi, eta)
+        return c1.recombined(*swapped), cj.recombined(*swapped)
+
+    def face(c) -> bool:
+        return isinstance(c, PairFace) or (arrays and isinstance(c, Kernel))
+
+    called = [c for c in (c1, cj) if not face(c)]
+    looped = iter(pairwise(called, xi, eta, x, y) if called else ())
+    z1, zj = (BicomplexArray(*(c.on(xi, eta, x, y) if face(c) else next(looped))) for c in (c1, cj))
+    return z1, zj
+
+
+class _Swapped(PairFace):
+    """Slot ``slot`` (0: alpha = 1, 1: alpha = j) of the argument swap of
+    ``family`` (``adjoint_kernel_transfer``)."""
+
+    def __init__(self, family: KernelFamily, slot: int):
+        self.family, self.slot = family, slot
+
+    def recombined(self, a, b):
+        """This slot from Z(1) = a and Z(j) = b at the swapped pair(s)."""
+        return type(a)(-a.sc, b.sc) if self.slot == 0 else type(a)(a.vec, -b.vec)
+
+    def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
+        c1, cj = self.family.coef1, self.family.coefj
+        if isinstance(c1, _Swapped) or isinstance(cj, _Swapped):
+            # the face, where swapped slots share one evaluation of theirs
+            return super().__call__(zeta, z)
+        return self.recombined(c1(z, zeta), cj(z, zeta))
+
+    def on(self, xi, eta, x, y) -> Values:
+        value = self.recombined(*coefficients_at(self.family, x, y, xi, eta))
+        return value.sc, value.vec
 
 
 # ---------------------------------------------------------------------------
@@ -282,26 +318,7 @@ def adjoint_kernel_transfer(k: KernelFamily) -> KernelFamily:
         newj = SymBC(KERNEL_VARS, s1.vec, ex.neg(sj.vec))
         return KernelFamily(k.order, Kernel(new1), Kernel(newj))
 
-    last: dict[tuple[PlanePoint, PlanePoint], tuple[Bicomplex, Bicomplex]] = {}
-
-    def swapped(zeta: PlanePoint, z: PlanePoint) -> tuple[Bicomplex, Bicomplex]:
-        # both slots read Z(1, z, zeta) and Z(j, z, zeta); coefficients_on
-        # asks for both at one point pair, so the last pair is kept
-        key = (zeta, z)
-        if key not in last:
-            last.clear()
-            last[key] = (k.coef1(z, zeta), k.coefj(z, zeta))
-        return last[key]
-
-    def coef1(zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-        a, b = swapped(zeta, z)
-        return Bicomplex(-a.sc, b.sc)
-
-    def coefj(zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-        a, b = swapped(zeta, z)
-        return Bicomplex(a.vec, -b.vec)
-
-    return KernelFamily(order=k.order, coef1=coef1, coefj=coefj)
+    return KernelFamily(k.order, _Swapped(k, 0), _Swapped(k, 1))
 
 
 # ---------------------------------------------------------------------------

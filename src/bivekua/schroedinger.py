@@ -16,16 +16,22 @@ import numpy as np
 
 from . import expr as ex
 from .bicomplex import Bicomplex, PlanePoint
-from .calculus import CalculusError, Path, tf_transform
+from .calculus import CalculusError, Path, detour_integrals, tf_densities, tf_transform
 from .fields import (
     KERNEL_VARS,
     Field,
     Kernel,
+    PairFace,
     SymBC,
+    Values,
     central_difference,
     default_step,
-    kernel_in_z,
+    in_pair_order,
+    kernel_partials_on,
+    pairs_of,
+    pairwise,
     partials,
+    partials_on,
 )
 from .pairs import GeneratingPair, adjoint_pair, make_pair
 from .powers import LOG_RHO, RHO2, KernelEval, KernelFamily, SingularPointError
@@ -35,7 +41,6 @@ from .powers import LOG_RHO, RHO2, KernelEval, KernelFamily, SingularPointError
 # Fundamental solutions
 
 
-@dataclass
 class FundamentalSolution:
     """S(zeta, z) = log|z - zeta| + R(zeta, z): a fundamental solution of
     the Schrödinger equation with potential q, singular at the center zeta,
@@ -43,7 +48,8 @@ class FundamentalSolution:
     ``Kernel`` over (xi, eta, x, y) instead; both evaluate to Bicomplex(S, 0).
     """
 
-    regular: Callable[[PlanePoint, PlanePoint], complex]
+    def __init__(self, regular: Callable[[PlanePoint, PlanePoint], complex]):
+        self.regular = regular
 
     def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
         if zeta.dist(z) == 0:
@@ -177,33 +183,119 @@ def successor_kernel_coefj(
     coef1: KernelEval, f: Field, zeta0: PlanePoint, side: float = 1.0
 ) -> KernelFamily:
     """The successor family of the coefficient-1 kernel ``coef1``, completed
-    with the coefficient-j kernel: the conjugate-building transform of
-    -Z(1, zeta, z), acting in the center variable zeta along a path from the
-    base point zeta0 that detours around z.
+    with the coefficient-j kernel ``SuccessorCoefj``: the conjugate-building
+    transform of -Z(1, zeta, z), acting in the center variable zeta along a
+    path from the base point zeta0 that detours around z.
 
     The result is anchored: it vanishes at zeta = zeta0.  Any two kernels
     with the same coefficient differ by a regular solution, so the anchored
     evaluator is a Cauchy kernel whenever the coefficient-1 input is.
     """
-    symbolic = isinstance(coef1, Kernel)
-    if symbolic:
-        # -Z(1) over (xi, eta, x, y); each value binds z
+    if isinstance(coef1, Kernel):
+        # -Z(1) over (xi, eta, x, y)
         s = coef1.sym
         minus = Kernel(SymBC(KERNEL_VARS, ex.neg(s.sc), ex.neg(s.vec)))
+    else:
+        minus = lambda zeta, z: -coef1(zeta, z)  # noqa: E731
+    return KernelFamily(order=-1, coef1=coef1, coefj=SuccessorCoefj(minus, f, zeta0, side))
 
-    def coefj(zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-        if zeta.dist(z) == 0:
-            raise SingularPointError(f"kernel evaluated on the diagonal at {z}")
-        if zeta.dist(zeta0) == 0:
-            return Bicomplex(0, 0)
-        path = Path.detour(zeta0, zeta, z, side=side)
-        if symbolic:
-            u = minus.field_in_zeta(z)
-        else:
-            u = Field(lambda p: -coef1(p, z))
-        return tf_transform(f, u, path)
 
-    return KernelFamily(order=-1, coef1=coef1, coefj=coefj)
+def _per_walk(v, walk: list[int], n: int):
+    """A coordinate of each walk's frozen point, of n pairs; a number stays
+    one, as a single call freezes it."""
+    return float(v) if np.ndim(v) == 0 else np.broadcast_to(v, (n,))[walk]
+
+
+class SuccessorCoefj(PairFace):
+    """The coefficient-j kernel of a successor family: at (zeta, z), T_f of
+    u = -Z(1)(., z) (``integrand``) over the detour path from zeta0 to zeta
+    around z, componentwise in u = u1 + j u2 (``calculus.tf_transform``).
+    Its pair face runs the walks of all pairs as array jobs
+    (``detour_integrals``), each evaluating the integrand and f, with their
+    partials, on all its nodes at once."""
+
+    def __init__(self, integrand: Union[Kernel, KernelEval], f: Field, zeta0: PlanePoint, side: float = 1.0):
+        self.integrand, self.f, self.zeta0, self.side = integrand, f, zeta0, side
+
+    def on(self, xi, eta, x, y) -> Values:
+        return in_pair_order(self._batch, xi, eta, x, y)
+
+    def _batch(self, xi, eta, x, y) -> Values:
+        pairs = pairs_of(xi, eta, x, y)
+        for zeta, z in pairs:
+            if zeta.dist(z) == 0:
+                raise SingularPointError(f"kernel evaluated on the diagonal at {z}")
+        sc, vec = np.zeros((2, len(pairs)), dtype=complex)
+        walk = [k for k, (zeta, _) in enumerate(pairs) if zeta.dist(self.zeta0) != 0]
+        if not walk:
+            return sc, vec
+
+        def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray, zx, zy) -> tuple:
+            u = kernel_partials_on(self.integrand, xs, ys, zx, zy)
+            return tf_densities(u, partials_on(self.f, xs, ys), dz)
+
+        ends, avoid = (np.array([pairs[k][i].as_complex for k in walk]) for i in (0, 1))
+        frozen = (_per_walk(x, walk, len(pairs)), _per_walk(y, walk, len(pairs)))
+        t1, t2 = detour_integrals(self.zeta0.as_complex, ends, avoid, one_form, frozen, self.side)
+        for k, a, b in zip(walk, t1.tolist(), t2.tolist()):
+            zeta = pairs[k][0]
+            fend = self.f(zeta).sc
+            if fend == 0:
+                raise CalculusError(f"f vanishes at path endpoint {zeta}")
+            value = Bicomplex(a / fend, b / fend)
+            sc[k], vec[k] = value.sc, value.vec
+        return sc, vec
+
+
+class DarbouxFundamental(FundamentalSolution):
+    """S1(zeta, z) = (1/f(z)) Vec ∫_{z0}^{z} f(tau) Z(j, zeta, tau) dtau, Z(j)
+    the ``family``'s, along the detour path from base_of(zeta) to z around
+    zeta.  ``_batch`` gives the regular parts at many pairs, running their
+    walks as array jobs; the pair face ``on`` and a call add log|z - zeta|
+    to them alike."""
+
+    def __init__(self, family: KernelFamily, f: Field, base_of: Callable[[PlanePoint], PlanePoint], side: float):
+        self.family, self.f, self.base_of, self.side = family, f, base_of, side
+
+    def regular(self, zeta: PlanePoint, z: PlanePoint) -> complex:
+        (value,) = self._batch(zeta.x, zeta.y, z.x, z.y)
+        return value
+
+    def on(self, xi, eta, x, y) -> Values:
+        """S1 at every pair ((xi[k], eta[k]), (x[k], y[k]))."""
+        pairs, regular = pairs_of(xi, eta, x, y), in_pair_order(self._batch, xi, eta, x, y)
+        sc = np.array([Bicomplex(math.log(zeta.dist(z)) + r, 0).sc for (zeta, z), r in zip(pairs, regular)])
+        return sc, np.zeros(sc.shape, dtype=complex)
+
+    def _batch(self, xi, eta, x, y) -> list[complex]:
+        pairs = pairs_of(xi, eta, x, y)
+        values, walk, bases, fzs = [0j] * len(pairs), [], [], []
+        for k, (zeta, z) in enumerate(pairs):
+            if zeta.dist(z) == 0:
+                raise SingularPointError(f"fundamental solution evaluated at {z}")
+            base = self.base_of(zeta)
+            if z.dist(base) == 0:
+                continue  # the path is empty
+            fz = self.f(z).sc
+            if fz == 0:
+                raise CalculusError(f"f vanishes at path endpoint {z}")
+            walk.append(k)
+            bases.append(base.as_complex)
+            fzs.append(fz)
+
+        def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray, cx, cy) -> tuple:
+            c = self.family.coefj
+            has_on = isinstance(c, (Kernel, PairFace))
+            k_sc, k_vec = c.on(cx, cy, xs, ys) if has_on else pairwise([c], cx, cy, xs, ys)[0]
+            return (self.f.on(xs, ys)[0] * (k_sc * dz.imag + k_vec * dz.real),)
+
+        if walk:
+            ends, avoid = (np.array([pairs[k][i].as_complex for k in walk]) for i in (1, 0))
+            frozen = (_per_walk(xi, walk, len(pairs)), _per_walk(eta, walk, len(pairs)))
+            (totals,) = detour_integrals(np.array(bases), ends, avoid, one_form, frozen, self.side)
+            for k, total, fz in zip(walk, totals.tolist(), fzs):
+                values[k] = total / fz
+        return [v - math.log(zeta.dist(z)) for v, (zeta, z) in zip(values, pairs)]
 
 
 def darboux_fundamental(
@@ -211,36 +303,13 @@ def darboux_fundamental(
     f: Field,
     z0: Union[PlanePoint, Callable[[PlanePoint], PlanePoint]],
     side: float = 1.0,
-) -> FundamentalSolution:
+) -> DarbouxFundamental:
     """Fundamental solution of the Darboux-transformed equation:
     S1(zeta, z) = (1/f(z)) Vec ∫_{z0}^{z} f(tau) Z(j, zeta, tau) dtau.
 
     z0 may be a fixed point or a map zeta -> z0 (e.g. zeta + 1); S1 is 0 at
     z = z0, where the path is empty."""
-    base_of = z0 if callable(z0) else (lambda zeta: z0)
-
-    def value(zeta: PlanePoint, z: PlanePoint) -> complex:
-        if zeta.dist(z) == 0:
-            raise SingularPointError(f"fundamental solution evaluated at {z}")
-        base = base_of(zeta)
-        if z.dist(base) == 0:
-            return 0j
-        fz = f(z).sc
-        if fz == 0:
-            raise CalculusError(f"f vanishes at path endpoint {z}")
-        path = Path.detour(base, z, zeta, side=side)
-        kernel = kernel_in_z(kj.coefj, zeta)
-
-        def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> np.ndarray:
-            k_sc, k_vec = kernel.on(xs, ys)
-            return f.on(xs, ys)[0] * (k_sc * dz.imag + k_vec * dz.real)
-
-        return path.integrate(one_form) / fz
-
-    def regular(zeta: PlanePoint, z: PlanePoint) -> complex:
-        return value(zeta, z) - math.log(zeta.dist(z))
-
-    return FundamentalSolution(regular=regular)
+    return DarbouxFundamental(kj, f, z0 if callable(z0) else (lambda zeta: z0), side)
 
 
 # ---------------------------------------------------------------------------

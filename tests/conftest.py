@@ -1,6 +1,12 @@
 import pytest
+from hypothesis import settings
 
 from bivekua import expr
+
+# every run draws the same examples: a property's failure reproduces, and a
+# pass does not depend on the run
+settings.register_profile("tier1", derandomize=True, deadline=None)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from bivekua import calculus
 from bivekua.bicomplex import Bicomplex, P_PLUS, PlanePoint, isclose
 from bivekua.calculus import (
     CalculusError,
@@ -12,6 +13,7 @@ from bivekua.calculus import (
     RegionGrid,
     abar_antiderivative,
     analytic_part,
+    detour_walks,
     compatibility_residual,
     idempotent_factor_check,
     similarity_split,
@@ -268,7 +270,6 @@ def test_path_node_count_is_the_length_of_nodes():
     a, b, avoid = PlanePoint(0, 0), PlanePoint(1, 0), PlanePoint(0.5, 0.0)
     # four segments of 0.25, 16 nodes each
     assert len(Path.polyline([a, b]).nodes) == 64
-    assert len(Path.arc(avoid, 0.3, 0.0, 2.0, nodes_per_segment=8).nodes) == 10 * 8
     assert len(Path.circle(avoid, 0.3, nodes=16).nodes) == 16
     detour = Path.detour(a, b, avoid, radius=0.2)
     assert len(detour.nodes) == detour.xs.size == detour.dz.size > 64
@@ -322,17 +323,95 @@ def test_array_partials_match_scalar_partials():
                 assert abs(vec[k] - want.vec) <= 1e-15 * max(1.0, abs(want.vec))
 
 
+def test_polyline_of_one_repeated_point_is_empty():
+    p = PlanePoint(0.3, -0.2)
+    for points in ([p], [p, p]):
+        path = Path.polyline(points)
+        assert path.xs.size == 0
+        assert path.integrate(lambda xs, ys, dz: np.ones(xs.shape, dtype=complex)) == 0j
+
+
+def test_detour_walks_are_the_detours_path_by_path(monkeypatch):
+    a, b = PlanePoint(0, 0), PlanePoint(1, 0)
+    cases = [
+        (a, b, PlanePoint(0.5, 2.0)),  # far off: the straight, graded path
+        (a, b, PlanePoint(0.5, 0.0)),  # on the segment: an arc around it
+        (PlanePoint(0.2, -0.4), PlanePoint(1.5, 0.6), PlanePoint(0.9, 0.15)),
+        (PlanePoint(2.0, 0.1), PlanePoint(0.5, 0.0), PlanePoint(1.2, 0.06)),
+    ]
+    columns = [np.array([c[i].as_complex for c in cases]) for i in range(3)]
+    for side in (1.0, -1.0):
+        for budget in (10**6, 100):
+            monkeypatch.setattr(calculus, "NODE_BUDGET", budget)
+            jobs = list(detour_walks(*columns, side=side))
+            assert len(jobs) == (1 if budget > 100 else len(cases))
+            xs, ys, dz = (np.concatenate([getattr(w, k) for w in jobs]) for k in ("xs", "ys", "dz"))
+            sizes = np.concatenate([w.sizes for w in jobs])
+            cuts = np.cumsum(sizes)[:-1]
+            for (start, end, avoid), x, y, d in zip(cases, *(np.split(v, cuts) for v in (xs, ys, dz))):
+                path = Path.detour(start, end, avoid, side=side)
+                assert np.array_equal(x, path.xs) and np.array_equal(y, path.ys)
+                assert np.array_equal(d, path.dz)
+
+
+def _refined(a: complex, b: complex, toward, depth: int = 0) -> list:
+    """The pieces of [a, b] by the recursive halving polylines used before
+    the level-wise bisection: the reference it must match bit for bit."""
+    limit = 0.25
+    if toward is not None:
+        limit = min(limit, max(0.5 * abs((a + b) / 2 - toward), 1e-6))
+    if abs(b - a) <= limit or depth >= 40:
+        return [(a, b)]
+    mid = (a + b) / 2
+    return _refined(a, mid, toward, depth + 1) + _refined(mid, b, toward, depth + 1)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_polyline_pieces_are_the_recursive_halving(seed):
+    rng = np.random.default_rng(seed)
+    points = [PlanePoint(*rng.uniform(-2, 2, 2)) for _ in range(4)]
+    toward = PlanePoint(*rng.uniform(-1, 1, 2)) if seed % 2 else None
+    pieces = [
+        piece
+        for p, q in zip(points, points[1:])
+        for piece in _refined(p.as_complex, q.as_complex, toward and toward.as_complex)
+    ]
+    a = np.array([p for p, _ in pieces])
+    d = np.array([q for _, q in pieces]) - a
+    t, w = (np.polynomial.legendre.leggauss(16)[i] for i in (0, 1))
+    path = Path.polyline(points, grade_toward=toward)
+    assert np.array_equal(path.nodes, (a[:, None] + (t + 1) / 2 * d[:, None]).ravel())
+    assert np.array_equal(path.dz, (w / 2 * d[:, None]).ravel())
+
+
+def test_walk_sums_are_the_path_integrals():
+    cases = [(PlanePoint(0, 0), PlanePoint(1, 0), PlanePoint(0.5, 0.0)),
+             (PlanePoint(0.2, -0.4), PlanePoint(1.5, 0.6), PlanePoint(3.0, 3.0))]
+    (walks,) = detour_walks(*(np.array([c[i].as_complex for c in cases]) for i in range(3)))
+    one_form = lambda xs, ys, dz: (xs * ys * dz, np.exp(xs) * dz)  # noqa: E731
+    totals = walks.integrate(one_form)
+    for k, case in enumerate(cases):
+        alone = Path.detour(*case).integrate(one_form)
+        assert (totals[0][k], totals[1][k]) == alone
+    # a non-finite sum is named at the first node of the walk that has one:
+    # finite values on the second walk only, whose sum overflows first at
+    # its second node
+    second = np.arange(walks.xs.size) >= walks.sizes[0]
+    with pytest.raises(InvalidValueError) as info:
+        walks.integrate(lambda xs, ys, dz: np.where(second, 1e308, 0) + 0j)
+    node = PlanePoint(float(walks.xs[walks.sizes[0] + 1]), float(walks.ys[walks.sizes[0] + 1]))
+    assert f"node {node}" in str(info.value)
+
+
 def test_path_nodes_are_float_and_complex_arrays():
     a, b, avoid = PlanePoint(0, 0), PlanePoint(1, 0), PlanePoint(0.5, 0.0)
     paths = [
         Path.polyline([a, b]),
         Path.polyline([a, PlanePoint(0.5, 0.4), b], grade_toward=avoid),
-        Path.arc(avoid, 0.3, 0.0, 2.0),
         Path.circle(avoid, 0.3, nodes=16),
         Path.detour(a, b, avoid, radius=0.2),  # around avoid
         Path.detour(a, PlanePoint(1, 1), avoid, radius=0.2),  # straight past it
     ]
-    paths.append(Path.join(paths[:2]))
     for path in paths:
         assert len(path.nodes) > 0
         dtypes = (path.xs.dtype, path.ys.dtype, path.dz.dtype)

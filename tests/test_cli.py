@@ -10,11 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from bivekua import __version__, cli
+from bivekua import __version__, calculus, cli, expr, fields, schroedinger
 from bivekua.calculus import midpoints
 from bivekua.cli import CONFIG_SCHEMA, REQUIRED, ConfigError, main, run
 from bivekua.powers import ContourSpec, cauchy_deviations, formal_contour_integral
-from bivekua.schroedinger import x_main_family
+from bivekua.fields import pairs_of
+from bivekua.schroedinger import DarbouxFundamental, SuccessorCoefj, x_main_family
 
 ROOT = Path(__file__).parents[1]
 
@@ -738,17 +739,16 @@ def test_eval_kernel_csv_is_the_per_point_rows(tmp_path, alpha):
 
 @pytest.fixture
 def successor_coefj_calls(monkeypatch):
-    """The (zeta, z) of every successor coefj value a pipeline run computes."""
+    """The (zeta, z) of every successor coefj value a pipeline run computes:
+    each pair its pair face receives, a call being the face at one pair."""
     calls = []
-    build = cli.successor_kernel_coefj
+    on = SuccessorCoefj.on
 
-    def counted_family(*args, **kwargs):
-        fam = build(*args, **kwargs)
-        coefj = fam.coefj
-        fam.coefj = lambda zeta, z: calls.append((zeta, z)) or coefj(zeta, z)
-        return fam
+    def counted(self, xi, eta, x, y):
+        calls.extend(pairs_of(xi, eta, x, y))
+        return on(self, xi, eta, x, y)
 
-    monkeypatch.setattr(cli, "successor_kernel_coefj", counted_family)
+    monkeypatch.setattr(SuccessorCoefj, "on", counted)
     return calls
 
 
@@ -881,3 +881,77 @@ def test_benchmark_configs_validate():
                     cli._validate(json.loads(json.dumps(cfg)), CONFIG_SCHEMA[command])
                     commands.add(command)
     assert commands == set(CONFIG_SCHEMA)
+
+
+def test_closed_form_eval_kernel_builds_no_partial_kernel(tmp_path, compiles, monkeypatch):
+    # eval-kernel reads values only: no partial kernel is differentiated or
+    # compiled, only the kernel itself
+    diffs = []
+    diff = expr.diff
+    monkeypatch.setattr(expr, "diff", lambda e, var: diffs.append(var) or diff(e, var))
+    cfg = {"kernel": "x-main", "zeta": [1.0, 0.1],
+           "grid": {"x0": 1.5, "x1": 3.0, "y0": -1.0, "y1": 1.0, "nx": 3, "ny": 3}}
+    config = _write(tmp_path, "c.json", cfg)
+    assert main(["eval-kernel", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    k = x_main_family().coef1.sym
+    assert compiles and all(e in (k.sc, k.vec) for e in compiles)
+    assert diffs == []
+
+
+# the pipeline workload of the benchmark, at its smallest
+_PIPELINE_RUNS = [
+    ("cauchy", {
+        "kernel": "pipeline", "f": "x", "zeta0": [0.5, 0.0], "formula": "second",
+        "contour": {"center": [2.0, 0.0], "radius": 0.3, "nodes": 16},
+        "interior": [[2.05, 0.05]], "exterior": [[2.9, 0.1]], "tol": 1.0,
+    }),
+    ("eval-kernel", {
+        "kernel": "pipeline", "f": "x", "zeta0": [0.5, 0.0], "zeta": [1.0, 0.1],
+        "grid": {"x0": 1.5, "x1": 3.0, "y0": -1.0, "y1": 1.0, "nx": 2, "ny": 2},
+    }),
+    ("build-fundamental", {
+        "f": "exp(x)*cos(y)", "zeta0": [0.5, 0.0], "zeta": [1.0, 0.1], "z0": "zeta+1",
+        "grid": {"x0": 1.4, "x1": 2.2, "y0": -0.3, "y1": 0.5, "nx": 2, "ny": 1},
+    }),
+]
+
+
+def test_pipeline_walks_are_array_jobs(tmp_path, monkeypatch):
+    # every successor and Darboux walk is built and evaluated by a pair
+    # face's array job: no per-walk detour or transform, and no walk
+    # evaluates its nodes one by one
+    per_walk, node_by_node, depth, jobs = [], [], [0], []
+    detour = calculus.Path.detour
+
+    def counted_detour(*args, **kwargs):
+        per_walk.append(args)
+        return detour(*args, **kwargs)
+
+    monkeypatch.setattr(calculus.Path, "detour", staticmethod(counted_detour))
+    for module in (calculus, schroedinger):
+        monkeypatch.setattr(module, "tf_transform", lambda *args: per_walk.append(args))
+    for face in (SuccessorCoefj, DarbouxFundamental):
+        batch = face._batch
+
+        def inside(self, *args, batch=batch):
+            jobs.append(type(self))
+            depth[0] += 1
+            try:
+                return batch(self, *args)
+            finally:
+                depth[0] -= 1
+
+        monkeypatch.setattr(face, "_batch", inside)
+    pointwise = fields.pointwise
+
+    def counted_pointwise(*args):
+        if depth[0]:
+            node_by_node.append(args)
+        return pointwise(*args)
+
+    monkeypatch.setattr(fields, "pointwise", counted_pointwise)
+    for command, cfg in _PIPELINE_RUNS:
+        config = _write(tmp_path, "c.json", cfg)
+        assert main([command, "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    assert per_walk == [] and node_by_node == []
+    assert set(jobs) == {SuccessorCoefj, DarbouxFundamental}

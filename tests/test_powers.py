@@ -15,6 +15,7 @@ from bivekua.powers import (
     adjoint_kernel_transfer,
     analytic_kernel,
     asymptotics_check,
+    coefficients_at,
     counterexample_kernel,
     first_cauchy,
     formal_contour_integral,
@@ -296,9 +297,9 @@ def test_negative_powers_fd_chain():
 
 
 def test_negative_powers_fd_chain_shares_derivatives_between_slots():
-    # both slots at one (zeta, z) read the two derivatives of the
-    # adjoint-side kernel at (z, zeta) once: the second slot costs no
-    # evaluation of the base kernel
+    # both slots at one (zeta, z), evaluated together, read the two
+    # derivatives of the adjoint-side kernel at (z, zeta) once: the second
+    # slot costs no evaluation of the base kernel
     base = as_callable_only(analytic_kernel())
     calls = []
     c1, cj = base.coef1, base.coefj
@@ -311,8 +312,11 @@ def test_negative_powers_fd_chain_shares_derivatives_between_slots():
     zeta, z = PlanePoint(0.3, -0.2), PlanePoint(-0.4, 0.5)
     v1 = k.coef1(zeta, z)
     one_slot = len(calls)
-    vj = k.coefj(zeta, z)
+    calls.clear()
+    z1, zj = coefficients_at(k, zeta.x, zeta.y, z.x, z.y)
     assert one_slot > 0 and len(calls) == one_slot
+    vj = Bicomplex(zj.sc[0], zj.vec[0])
+    assert Bicomplex(z1.sc[0], z1.vec[0]) == v1 and vj == k.coefj(zeta, z)
     e = expected_pow(zeta, z, 2)
     assert (v1 - e).norm <= 1e-5 * max(1.0, e.norm)
     assert (vj - Bicomplex(0, 1) * e).norm <= 1e-5 * max(1.0, e.norm)

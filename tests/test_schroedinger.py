@@ -4,11 +4,11 @@ import random
 import numpy as np
 import pytest
 
-from bivekua import fields, schroedinger
+from bivekua import calculus, fields, schroedinger
 from bivekua.bicomplex import Bicomplex, PlanePoint, isclose
-from bivekua.calculus import PathThroughSingularityError, RegionGrid
+from bivekua.calculus import Path, PathThroughSingularityError, RegionGrid, detour_walks, tf_transform
 from bivekua.expr import EvaluationError
-from bivekua.fields import Field, Kernel
+from bivekua.fields import Field, Kernel, kernel_in_z
 from bivekua.pairs import GeneratingSequence, is_successor, vekua_residual
 from bivekua.powers import (
     SingularPointError,
@@ -40,7 +40,18 @@ from bivekua.schroedinger import (
 )
 
 F_X = Field.from_exprs("x")
+F_EXP = Field.from_exprs("exp(x)*cos(y)")
+ZETA0 = PlanePoint(0.5, 0.0)
 REGION_X = RegionGrid(1, 2, -1, 1, 0.1)
+
+
+def pipeline_successor(f, side=1.0):
+    return successor_kernel_coefj(successor_kernel_coef1(laplace_fundamental(), f), f, ZETA0, side)
+
+
+def columns(pairs):
+    """The (xi, eta, x, y) arrays of a list of (zeta, z) pairs."""
+    return tuple(np.array(c) for c in zip(*((a.x, a.y, b.x, b.y) for a, b in pairs)))
 
 
 def rand_pairs(m, lo=1.0, hi=3.0, seed=13, min_dist=0.2):
@@ -193,7 +204,9 @@ def test_coefj_numeric_branch_matches_symbolic():
         assert (numeric.coefj(zeta, z) - exact.coefj(zeta, z)).norm <= 1e-5
 
 
-def test_coefj_binds_one_kernel_per_value(monkeypatch):
+def test_coefj_binds_no_kernel_per_value(monkeypatch):
+    # the integrand kernel's own array code runs on the nodes of every walk
+    # at once, so no value, alone or in a batch, binds a frozen kernel
     binds = []
     field_in_zeta = Kernel.field_in_zeta
 
@@ -205,7 +218,8 @@ def test_coefj_binds_one_kernel_per_value(monkeypatch):
     k1 = successor_kernel_coef1(laplace_fundamental(), F_X)
     fam = successor_kernel_coefj(k1, F_X, PlanePoint(0.5, 0.0))
     fam.coefj(PlanePoint(2.4, 0.1), PlanePoint(1.5, 0.05))
-    assert len(binds) == 1
+    fam.coefj.on(np.array([2.4, 1.2]), np.array([0.1, -0.6]), 1.5, 0.05)
+    assert binds == []
 
 
 def test_main_coefficients_share_one_successor_coefj():
@@ -225,6 +239,102 @@ def test_main_coefficients_share_one_successor_coefj():
     # the recombination of the successor values, each computed once
     a, b = k1(z, zeta), coefj(z, zeta)
     assert (z1.sc[0], z1.vec[0], zj.sc[0], zj.vec[0]) == (-a.sc, b.sc, a.vec, -b.vec)
+
+
+# -- pair faces: many walks as one array job ----------------------------------
+
+
+@pytest.mark.parametrize("f", [F_X, F_EXP], ids=["x", "exp(x)cos(y)"])
+def test_coefj_face_is_the_per_walk_transform_bit_for_bit(f, monkeypatch):
+    fam = pipeline_successor(f)
+    pairs = rand_pairs(10, seed=11) + [(ZETA0, PlanePoint(1.5, 0.05))]
+    # a budget that cuts the batch into several array jobs
+    monkeypatch.setattr(calculus, "NODE_BUDGET", 500)
+    ends = np.array([a.as_complex for a, _ in pairs[:-1]])
+    avoid = np.array([b.as_complex for _, b in pairs[:-1]])
+    assert len(list(detour_walks(ZETA0.as_complex, ends, avoid))) >= 2
+    sc, vec = fam.coefj.on(*columns(pairs))
+    minus = fam.coefj.integrand
+    for k, (zeta, z) in enumerate(pairs):
+        one = fam.coefj(zeta, z)
+        assert (sc[k], vec[k]) == (one.sc, one.vec)
+        if zeta == ZETA0:
+            assert one == Bicomplex(0, 0)
+        else:
+            assert one == tf_transform(f, minus.field_in_zeta(z), Path.detour(ZETA0, zeta, z))
+
+
+def test_coefj_face_with_one_point_for_every_pair():
+    fam = pipeline_successor(F_EXP)
+    zeta = PlanePoint(1.0, 0.1)
+    xs, ys = np.array([1.6875, 2.0625, 2.4375]), np.array([-0.75, 0.25, 0.75])
+    # the center shared (a Darboux walk's nodes), then the argument shared
+    # (an eval-kernel grid of the main slot)
+    sc, vec = fam.coefj.on(zeta.x, zeta.y, xs, ys)
+    for k, z in enumerate(PlanePoint(x, y) for x, y in zip(xs.tolist(), ys.tolist())):
+        assert (sc[k], vec[k]) == (fam.coefj(zeta, z).sc, fam.coefj(zeta, z).vec)
+    sc, vec = fam.coefj.on(xs, ys, zeta.x, zeta.y)
+    for k, c in enumerate(PlanePoint(x, y) for x, y in zip(xs.tolist(), ys.tolist())):
+        assert (sc[k], vec[k]) == (fam.coefj(c, zeta).sc, fam.coefj(c, zeta).vec)
+
+
+def test_coefj_face_raises_the_faulty_walks_own_error():
+    # a kernel singular at one node of the second walk only
+    pairs = rand_pairs(3, seed=5)
+    zeta, z = pairs[1]
+    path = Path.detour(ZETA0, zeta, z)
+    bad = PlanePoint(float(path.xs[7]), float(path.ys[7]))
+    k1 = Kernel.make(f"log((xi - {bad.x!r})^2 + (eta - {bad.y!r})^2) + x")
+    fam = successor_kernel_coefj(k1, F_X, ZETA0)
+    assert fam.coefj(*pairs[0]) is not None
+    with pytest.raises(EvaluationError) as alone:
+        fam.coefj(zeta, z)
+    with pytest.raises(EvaluationError) as batch:
+        fam.coefj.on(*columns(pairs))
+    minus = fam.coefj.integrand
+    with pytest.raises(EvaluationError) as per_walk:
+        tf_transform(F_X, minus.field_in_zeta(z), path)
+    assert batch.value.point == alone.value.point == per_walk.value.point == (bad.x, bad.y, z.x, z.y)
+    assert str(batch.value) == str(per_walk.value)
+
+
+def test_coefj_face_refuses_pairs_in_pair_order():
+    fam = pipeline_successor(F_X)
+    good, diagonal = rand_pairs(1)[0], (PlanePoint(2.0, 0.5), PlanePoint(2.0, 0.5))
+    with pytest.raises(SingularPointError, match="diagonal"):
+        fam.coefj.on(*columns([good, diagonal]))
+    # a walk whose start is the excluded point, before the diagonal pair
+    through = (PlanePoint(2, 0), ZETA0)
+    with pytest.raises(PathThroughSingularityError):
+        fam.coefj.on(*columns([good, through, diagonal]))
+
+
+def test_main_faces_are_their_calls_bit_for_bit():
+    main = adjoint_kernel_transfer(pipeline_successor(F_X))
+    z0 = PlanePoint(2.05, 0.05)
+    taus = [PlanePoint(2 + 0.3 * math.cos(t), 0.3 * math.sin(t)) for t in (0.1, 1.9, 4.0)]
+    xs, ys = np.array([t.x for t in taus]), np.array([t.y for t in taus])
+    z1, zj = coefficients_on(main, xs, ys, z=z0)
+    grid = kernel_in_z(main.coef1, z0).on(xs, ys)
+    for k, tau in enumerate(taus):
+        a, b = main.coef1(tau, z0), main.coefj(tau, z0)
+        assert (z1.sc[k], z1.vec[k], zj.sc[k], zj.vec[k]) == (a.sc, a.vec, b.sc, b.vec)
+        assert (grid[0][k], grid[1][k]) == (main.coef1(z0, tau).sc, main.coef1(z0, tau).vec)
+
+
+@pytest.mark.parametrize("catalog", [True, False], ids=["x", "pipeline exp(x)cos(y)"])
+def test_darboux_face_is_its_calls_bit_for_bit(catalog):
+    f = F_X if catalog else F_EXP
+    kj = x_successor_family() if catalog else pipeline_successor(F_EXP)
+    S1 = darboux_fundamental(kj, f, lambda zeta: PlanePoint(zeta.x + 1, zeta.y))
+    zeta = PlanePoint(1.0, 0.1)
+    # the last point is the base point, where the path is empty
+    points = [PlanePoint(1.6, -0.1), PlanePoint(2.0, 0.3), PlanePoint(2.0, 0.1)]
+    sc, vec = S1.on(zeta.x, zeta.y, np.array([p.x for p in points]), np.array([p.y for p in points]))
+    for k, p in enumerate(points):
+        assert Bicomplex(sc[k], vec[k]) == S1(zeta, p)
+    with pytest.raises(SingularPointError):
+        S1.on(zeta.x, zeta.y, np.array([1.6, zeta.x]), np.array([0.2, zeta.y]))
 
 
 def test_coefj_path_independence():
