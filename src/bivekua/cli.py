@@ -537,12 +537,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="vekua",
         description="Bicomplex Vekua/Schrödinger pipelines with JSON reports.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--quiet", action="store_true")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", required=True)
+    parser.add_argument("--out", default=None)
+    parser.add_argument("--quiet", action="store_true")
     args = parser.parse_args(argv)
     try:
         return run(args.command, args.config, args.out, args.quiet)

@@ -54,38 +54,61 @@ class EvaluationError(ExprError):
 FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt", "abs2")
 
 
-@dataclass(frozen=True)
+# The nodes are dataclasses for their structural ==, hash and repr, with a
+# plain __init__: a frozen dataclass's __init__ costs about three times as
+# much, and the negative-power chain builds tens of thousands of nodes.
+# A node's fields are never assigned after __init__, which keeps the hash
+# valid (simplify only marks a node it returns, see _mark).
+
+
+@dataclass(init=False, unsafe_hash=True)
 class Num:
     value: complex  # real literal or the imaginary unit (and folded products)
 
-    def __post_init__(self):
+    def __init__(self, value: complex):
         # normalize away -0.0 so negation round-trips structurally
-        v = complex(self.value)
-        object.__setattr__(self, "value", complex(v.real + 0.0, v.imag + 0.0))
+        v = complex(value)
+        self.value = complex(v.real + 0.0, v.imag + 0.0)
 
 
-@dataclass(frozen=True)
+@dataclass(init=False, unsafe_hash=True)
 class Var:
     name: str  # one of the variables the expression was parsed over
 
+    def __init__(self, name: str):
+        self.name = name
 
-@dataclass(frozen=True)
+
+@dataclass(init=False, unsafe_hash=True)
 class BinOp:
     op: str  # '+', '-', '*', '/'
     left: "Expr"
     right: "Expr"
 
+    def __init__(self, op: str, left: "Expr", right: "Expr"):
+        self.op = op
+        self.left = left
+        self.right = right
 
-@dataclass(frozen=True)
+
+@dataclass(init=False, unsafe_hash=True)
 class Pow:
     base: "Expr"
     exponent: int
 
+    def __init__(self, base: "Expr", exponent: int):
+        self.base = base
+        self.exponent = exponent
 
-@dataclass(frozen=True)
+
+@dataclass(init=False, unsafe_hash=True)
 class Call:
     func: str
     arg: "Expr"
+
+    def __init__(self, func: str, arg: "Expr"):
+        self.func = func
+        self.arg = arg
 
 
 Expr = Union[Num, Var, BinOp, Pow, Call]
@@ -308,7 +331,7 @@ def _node(e: Expr, *kids: Expr) -> Expr:
 
 
 def _mark(e: Expr) -> Expr:
-    object.__setattr__(e, "_simplified", True)
+    e._simplified = True
     return e
 
 

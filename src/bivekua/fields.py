@@ -10,10 +10,13 @@ them (built from expressions, or by ``Field.with_partials``), otherwise
 central differences at the caller's step ``h``.  A given ``h`` forces a
 finite difference only in ``schroedinger.schroedinger_residual``.
 
-``Field.on`` (``partials_on`` for the partials) evaluates a field at every
-node of a path at once: compiled to numpy when it has closed forms, else
-point by point in ``pointwise``.  ``BicomplexArray`` is the ring interface
-on such node values, so a formula written on it runs on all nodes at once.
+A symbolic value is compiled on its first call, to one program for its
+(sc, vec) parts: a formula builds many fields, and few of them are ever
+evaluated.  ``Field.on`` (``partials_on`` for the partials) evaluates a
+field at every node of a path at once: compiled to numpy when it has closed
+forms, else point by point in ``pointwise``.  ``BicomplexArray`` is the
+ring interface on such node values, so a formula written on it runs on all
+nodes at once.
 
 A kernel slot with a pair face (``PairFace``) evaluates many pairs
 (zeta, z) at once by ``on``; other evaluators run pair by pair
@@ -42,14 +45,6 @@ def _as_expr(v: Union[str, ex.Expr, float, complex], variables) -> ex.Expr:
     return v
 
 
-def _compile(e: ex.Expr, variables: tuple[str, ...], arrays: bool = False) -> Callable:
-    """ex.compile_expr, except that a constant tree needs no code."""
-    if isinstance(e, ex.Num):
-        value = e.value
-        return lambda *args: value
-    return ex.compile_expr(e, variables, arrays)
-
-
 @dataclass(frozen=True)
 class SymBC:
     """A bicomplex-valued symbolic function: sc(vars) + j * vec(vars)."""
@@ -65,17 +60,20 @@ class SymBC:
 
     # -- evaluation -------------------------------------------------------
 
+    def _program(self, arrays: bool) -> Callable[..., tuple]:
+        """The (sc, vec) values as one program, which computes the parts'
+        shared subexpressions once; a constant needs no code."""
+        if isinstance(self.sc, ex.Num) and isinstance(self.vec, ex.Num):
+            value = (self.sc.value, self.vec.value)
+            return lambda *args: value
+        return ex.compile_expr((self.sc, self.vec), self.variables, arrays)
+
     def compiled(self) -> Callable[..., Bicomplex]:
+        """The value as a function of the variables, built on first use."""
         cache = self.__dict__.get("_compiled")
         if cache is None:
-            fsc = _compile(self.sc, self.variables)
-            if isinstance(self.vec, ex.Num):
-                # a scalar function: its constant vec needs no call either
-                vec = self.vec.value
-                cache = lambda *a: Bicomplex(fsc(*a), vec)  # noqa: E731
-            else:
-                fvec = ex.compile_expr(self.vec, self.variables)
-                cache = lambda *a: Bicomplex(fsc(*a), fvec(*a))  # noqa: E731
+            program = self._program(False)
+            cache = lambda *a: Bicomplex(*program(*a))  # noqa: E731
             object.__setattr__(self, "_compiled", cache)
         return cache
 
@@ -84,9 +82,7 @@ class SymBC:
         (sc, vec) values out; a constant part stays a number."""
         cache = self.__dict__.get("_compiled_arrays")
         if cache is None:
-            fsc = _compile(self.sc, self.variables, arrays=True)
-            fvec = _compile(self.vec, self.variables, arrays=True)
-            cache = lambda *a: (fsc(*a), fvec(*a))  # noqa: E731
+            cache = self._program(True)
             object.__setattr__(self, "_compiled_arrays", cache)
         return cache
 
@@ -331,9 +327,10 @@ class Field:
     """Map PlanePoint -> Bicomplex, optionally with exact partials.
 
     ``sym`` is set only by ``from_sym``, whose evaluator is that closed form
-    over (x, y) compiled.  ``partial``, when given, builds the exact partial
-    field in "x" or "y", on the first ``dx``/``dy`` read; without it they
-    are None and consumers fall back to finite differences.
+    over (x, y), compiled on its first call.  ``partial``, when given,
+    builds the exact partial field in "x" or "y", on the first ``dx``/``dy``
+    read; without it they are None and consumers fall back to finite
+    differences.
     ``arrays``, when given, evaluates the same values on arrays of x and y,
     as a pair (sc, vec) (see ``on``).
     """
@@ -352,9 +349,8 @@ class Field:
 
     @staticmethod
     def from_sym(sym: SymBC) -> "Field":
-        fn = sym.compiled()
         out = Field(
-            lambda z: fn(z.x, z.y),
+            lambda z: sym.compiled()(z.x, z.y),
             lambda xs, ys: sym.compiled_arrays()(xs, ys),
             lambda axis: Field.from_sym(sym.diff(axis)),
         )

@@ -11,7 +11,8 @@ settings.load_profile("tier1")
 
 @pytest.fixture
 def compiles(monkeypatch):
-    """The expressions handed to ``expr.compile_expr`` while the test runs."""
+    """The expressions, or tuples of them, handed to ``expr.compile_expr``
+    while the test runs."""
     seen = []
     compile_expr = expr.compile_expr
 

@@ -384,6 +384,13 @@ def test_polyline_pieces_are_the_recursive_halving(seed):
     assert np.array_equal(path.dz, (w / 2 * d[:, None]).ravel())
 
 
+def test_gauss_legendre_is_numpys_rule_bit_for_bit():
+    for n in range(1, 65):
+        t, w = calculus._gauss_legendre(n)
+        x, v = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(t, (x + 1) / 2) and np.array_equal(w, v / 2), n
+
+
 def test_walk_sums_are_the_path_integrals():
     cases = [(PlanePoint(0, 0), PlanePoint(1, 0), PlanePoint(0.5, 0.0)),
              (PlanePoint(0.2, -0.4), PlanePoint(1.5, 0.6), PlanePoint(3.0, 3.0))]

@@ -4,11 +4,12 @@ import random
 import numpy as np
 import pytest
 
+from bivekua import expr as ex
 from bivekua.bicomplex import Bicomplex, PlanePoint, isclose
 from bivekua.calculus import Path, PathThroughSingularityError
 from bivekua.expr import EvaluationError
 from bivekua.fields import BicomplexArray, Field, Kernel, SymBC
-from bivekua.pairs import adjoint_fields, make_pair
+from bivekua.pairs import adjoint_fields, make_pair, separable_pair
 from bivekua.schroedinger import x_main_family
 
 
@@ -126,15 +127,53 @@ def test_freezing_compiles_each_kernel_once(compiles):
     for i in range(10):
         w = k.field_in_z(PlanePoint(1.0 + 0.1 * i, 0.2))
         w(z), w.dx(z), w.dy(z)
-    # the kernel and its two partial kernels, sc and vec each
-    assert len(compiles) <= 6
+    # the kernel and its two partial kernels, one (sc, vec) program each
+    assert len(compiles) <= 3
+
+
+def test_building_fields_and_pairs_compiles_nothing(compiles):
+    # a field compiles on its first evaluation, not when it is built
+    w = Field.from_sym(SymBC.make("exp(x)*cos(y)", "x*y"))
+    f = Field.from_exprs("x")
+    pairs = [separable_pair("exp(x)", "cos(y) + 2", m) for m in (0, 1)]
+    pairs.append(make_pair(f, f.bc_inv().mul_j()))
+    w.dx, pairs[0].a.dy
+    assert compiles == []
+    pairs[1].A(PlanePoint(0.5, 0.25))
+    assert len(compiles) == 1
+
+
+def test_joint_program_is_the_part_programs_bit_for_bit():
+    # one (sc, vec) program per SymBC: each part's value is the one its own
+    # program gives, on numbers (cmath) and on arrays (numpy)
+    pair = separable_pair("exp(x)", "cos(y) + 2", 1)
+    syms = [pair.a.sym, pair.B.sym, *(w.sym for w in adjoint_fields(pair)), SymBC.make("x*y", "x*y + 1")]
+    rng = np.random.default_rng(7)
+    xs, ys = rng.uniform(-1.5, 1.5, 40), rng.uniform(-1.0, 1.0, 40)
+    for s in syms:
+        sc, vec = (ex.compile_expr(e, s.variables) for e in (s.sc, s.vec))
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            v = s.compiled()(x, y)
+            assert (v.sc, v.vec) == (sc(x, y), vec(x, y))
+        sc, vec = (ex.compile_expr(e, s.variables, arrays=True) for e in (s.sc, s.vec))
+        joint = s.compiled_arrays()(xs, ys)
+        assert np.array_equal(joint[0], sc(xs, ys)) and np.array_equal(joint[1], vec(xs, ys))
+
+
+def test_joint_program_division_by_zero_carries_the_point():
+    # the sc part is finite and the vec part divides by zero
+    w = Field.from_exprs("x + y", "1/(x - y)")
+    with pytest.raises(EvaluationError) as info:
+        w(PlanePoint(1.5, 1.5))
+    assert "division by zero" in str(info.value)
+    assert info.value.point == (1.5, 1.5)
 
 
 def test_constant_trees_are_not_compiled(compiles):
     w = Field.from_exprs("x")
     z = PlanePoint(2.0, 3.0)
     assert (w(z), w.dx(z), w.dy(z)) == (Bicomplex(2, 0), Bicomplex(1, 0), Bicomplex(0, 0))
-    # only the sc "x": the vec 0 and both constant partials need no code
+    # only (x, 0): both constant partials need no code
     assert len(compiles) == 1
 
 
