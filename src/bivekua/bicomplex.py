@@ -249,18 +249,6 @@ class Bicomplex:
         """P+ W+ + P- W-: the W with idempotent coordinates (plus, minus)."""
         return Bicomplex(0.5 * (plus + minus), 0.5j * (plus - minus))
 
-    # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "sc": [self.sc.real, self.sc.imag],
-            "vec": [self.vec.real, self.vec.imag],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "Bicomplex":
-        return Bicomplex(complex(*obj["sc"]), complex(*obj["vec"]))
-
     def __repr__(self) -> str:
         return f"Bicomplex({self.sc!r}, {self.vec!r})"
 

@@ -1,6 +1,6 @@
-"""Analytic operator toolbox: Wirtinger operators, the area (Teodorescu)
-transform, path antiderivatives, the conjugate-building transform, and the
-similarity factorization, together with the quadrature primitives they need.
+"""Analytic operator toolbox: Wirtinger operators, path antiderivatives and
+the conjugate-building transform, together with the path quadrature and the
+region grids they need.
 
 A path holds its nodes and weights as numpy arrays.  A path integral
 evaluates its integrand on all nodes at once and sums the values in node
@@ -18,15 +18,11 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .bicomplex import Bicomplex, InvalidValueError, PlanePoint, bc_exp
+from .bicomplex import Bicomplex, InvalidValueError, PlanePoint
 from .fields import Field, d_z, d_zbar, partials, partials_on
 
 
 class CalculusError(Exception):
-    pass
-
-
-class EmptyRegionError(CalculusError):
     pass
 
 
@@ -355,7 +351,7 @@ class Path(Walks):
 
 
 # ---------------------------------------------------------------------------
-# Region grids (for area integrals and residual scans)
+# Region grids (for pair checks, residual scans and kernel tables)
 
 
 def _centres(a: float, b: float, n: int) -> list[float]:
@@ -386,41 +382,17 @@ def midpoints(x0: float, x1: float, y0: float, y1: float, nx: int, ny: int) -> l
 
 @dataclass
 class RegionGrid:
-    """Axis-aligned rectangle, cut into square cells of size h for the area
-    quadrature (``cells``), with an optional inclusion predicate."""
+    """Axis-aligned rectangle [x0, x1] x [y0, y1]: where pairs are checked
+    and residuals sampled."""
 
     x0: float
     x1: float
     y0: float
     y1: float
-    h: Optional[float] = None
-    include: Optional[Callable[[PlanePoint], bool]] = None
-
-    def __post_init__(self):
-        if self.h is not None and self.h <= 0:
-            raise ValueError("cell size must be positive")
-
-    def _included(self, p: PlanePoint) -> bool:
-        return self.include is None or self.include(p)
-
-    def cells(self) -> list[tuple[PlanePoint, float]]:
-        if self.h is None:
-            raise CalculusError("region has no cell size h")
-        nx = max(1, round((self.x1 - self.x0) / self.h))
-        ny = max(1, round((self.y1 - self.y0) / self.h))
-        area = (self.x1 - self.x0) / nx * ((self.y1 - self.y0) / ny)
-        grid = midpoints(self.x0, self.x1, self.y0, self.y1, nx, ny)
-        out = [(c, area) for c in grid if self._included(c)]
-        if not out:
-            raise EmptyRegionError("no cells in region")
-        return out
 
     def sample_points(self, n: int = 20) -> list[PlanePoint]:
-        grid = midpoints(self.x0, self.x1, self.y0, self.y1, n, n)
-        pts = [p for p in grid if self._included(p)]
-        if not pts:
-            raise EmptyRegionError("no sample points in region")
-        return pts
+        """The centres of the n-by-n grid of equal cells (``midpoints``)."""
+        return midpoints(self.x0, self.x1, self.y0, self.y1, n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -440,82 +412,6 @@ def wirtinger(w: Field, z: PlanePoint, h: Optional[float] = None) -> GradientSam
     return GradientSample(value=value, dz=d_z(fx, fy), dzbar=d_zbar(fx, fy))
 
 
-def idempotent_factor_check(w: Field, z: PlanePoint, h: Optional[float] = None) -> float:
-    """Residual of the factorization of d_zbar through the idempotent
-    components: d_zbar W versus the complex Cauchy-Riemann operators
-    acting on W+ (as d_z) and W- (as d_zbar)."""
-    _, fx, fy = partials(w, z, h)
-    fxp, fxm = fx.idempotent()
-    fyp, fym = fy.idempotent()
-    dz_plus = 0.5 * (fxp - 1j * fyp)
-    dzbar_minus = 0.5 * (fxm + 1j * fym)
-    rhs = Bicomplex.from_idempotent_coords(dz_plus, dzbar_minus)
-    return (d_zbar(fx, fy) - rhs).norm
-
-
-# ---------------------------------------------------------------------------
-# Teodorescu-type area transform
-
-
-def _cell_integral_kernel(z: complex, cx: float, cy: float, hx: float, hy: float) -> complex:
-    """Exact ∬_cell 1/(z - zeta) dA over the rectangle centered (cx, cy),
-    for z strictly inside the cell.
-
-    Uses the boundary form conj(zeta)/(z - zeta) dzeta; since that form is
-    singular at zeta = z, Stokes applies on the punctured cell and the
-    shrinking inner loop contributes pi * conj(z)."""
-    corners = [
-        complex(cx - hx / 2, cy - hy / 2),
-        complex(cx + hx / 2, cy - hy / 2),
-        complex(cx + hx / 2, cy + hy / 2),
-        complex(cx - hx / 2, cy + hy / 2),
-    ]
-    total = 0j
-    inside = abs(z.real - cx) < hx / 2 and abs(z.imag - cy) < hy / 2
-    for p, q in zip(corners, corners[1:] + corners[:1]):
-        d = q - p
-        a = z - p
-        if a == 0 or a - d == 0:
-            raise CalculusError("evaluation point on a cell boundary")
-        ell = -cmath.log((a - d) / a)
-        total += (p.conjugate() + d.conjugate() * a / d) * ell - d.conjugate()
-    total = total / 2j
-    if inside:
-        total += math.pi * z.conjugate()
-    return total
-
-
-def teodorescu(w: Field, region: RegionGrid, z: PlanePoint) -> Bicomplex:
-    """Right inverse of d_zbar: area quadrature of the idempotent-split
-    Cauchy transforms, singular cell handled in closed form."""
-    zc = z.as_complex
-    acc_plus = 0j
-    acc_minus = 0j
-    for center, area in region.cells():
-        wp, wm = w(center).idempotent()
-        hx = hy = math.sqrt(area)
-        near = (
-            abs(z.x - center.x) <= 2.5 * hx and abs(z.y - center.y) <= 2.5 * hy
-        )
-        if near:
-            # exact rectangle integral: removes the near-field midpoint
-            # error that otherwise dominates derivative estimates of T
-            kint = _cell_integral_kernel(zc, center.x, center.y, hx, hy)
-            acc_plus += wp * kint.conjugate()
-            acc_minus += wm * kint
-        else:
-            k = 1.0 / (zc - center.as_complex)
-            acc_plus += wp * k.conjugate() * area
-            acc_minus += wm * k * area
-    return Bicomplex.from_idempotent_coords(acc_plus / math.pi, acc_minus / math.pi)
-
-
-def analytic_part(w: Field, a: Field, b: Field, region: RegionGrid) -> Field:
-    """h = W - T(aW + b conj_j W); W is pseudoanalytic iff h is analytic."""
-    integrand = a * w + b * w.conj()
-    return Field(lambda z: w(z) - teodorescu(integrand, region, z))
-
-
 # ---------------------------------------------------------------------------
 # Path antiderivative and the conjugate transform
 
@@ -529,11 +425,6 @@ def abar_antiderivative(w: Field, path: Path) -> complex:
         return sc * dz.real + vec * dz.imag
 
     return 2 * path.integrate(one_form)
-
-
-def compatibility_residual(w: Field, z: PlanePoint, h: Optional[float] = None) -> float:
-    _, fx, fy = partials(w, z, h)
-    return abs(fy.sc - fx.vec)
 
 
 def tf_densities(u: tuple, f: tuple, dz: np.ndarray) -> tuple:
@@ -564,26 +455,3 @@ def tf_transform(f: Field, u: Field, path: Path) -> Bicomplex:
     if fend == 0:
         raise CalculusError(f"f vanishes at path endpoint {path.end}")
     return Bicomplex(t1 / fend, t2 / fend)
-
-
-# ---------------------------------------------------------------------------
-# Similarity factorization
-
-
-def similarity_split(
-    w: Field, a: Field, b: Field, region: RegionGrid
-) -> tuple[Field, Field]:
-    """W = Psi * E[S] with S = T(a + (conj_j W / W) b); returns (Psi, S)."""
-
-    def integrand(z: PlanePoint) -> Bicomplex:
-        wv = w(z)
-        return a(z) + (wv.conj() * wv.inv()) * b(z)
-
-    integrand_field = Field(integrand)
-
-    def s_func(z: PlanePoint) -> Bicomplex:
-        return teodorescu(integrand_field, region, z)
-
-    s_field = Field(s_func)
-    psi_field = Field(lambda z: w(z) * bc_exp(-s_func(z)))
-    return psi_field, s_field

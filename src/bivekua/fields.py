@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -119,7 +118,14 @@ class SymBC:
         return self._wrap(ex.binop("*", c, self.sc), ex.binop("*", c, self.vec))
 
     def inv(self) -> "SymBC":
-        d = ex.binop("+", ex.binop("*", self.sc, self.sc), ex.binop("*", self.vec, self.vec))
+        d = ex.simplify(ex.binop("+", ex.binop("*", self.sc, self.sc), ex.binop("*", self.vec, self.vec)))
+        if d == ex.ZERO:
+            # d folds to the constant 0 only when both parts are constants,
+            # and sc/0 would fold to 0: invert the constant as Bicomplex.inv
+            # does (zero, a zero divisor, or a d that underflowed)
+            sc, vec = ex.simplify(self.sc), ex.simplify(self.vec)
+            w = Bicomplex(sc.value, vec.value).inv()
+            return SymBC.make(w.sc, w.vec, self.variables)
         return self._wrap(ex.binop("/", self.sc, d), ex.neg(ex.binop("/", self.vec, d)))
 
     # -- calculus ----------------------------------------------------------
@@ -402,35 +408,15 @@ class Field:
     def dy(self) -> Optional["Field"]:
         return self._derivative("y")
 
-    # combinators keep symbolic form when every operand has one
+    # maps keep the symbolic form when the field has one
 
     def _map(self, op) -> "Field":
         if self.sym is not None:
             return Field.from_sym(op(self.sym))
         return Field(lambda z: op(self(z)))
 
-    def _combine(self, other: "Field", op) -> "Field":
-        if self.sym is not None and other.sym is not None:
-            return Field.from_sym(op(self.sym, other.sym))
-        return Field(lambda z: op(self(z), other(z)))
-
-    def __add__(self, other: "Field") -> "Field":
-        return self._combine(other, operator.add)
-
-    def __sub__(self, other: "Field") -> "Field":
-        return self._combine(other, operator.sub)
-
-    def __mul__(self, other: "Field") -> "Field":
-        return self._combine(other, operator.mul)
-
-    def conj(self) -> "Field":
-        return self._map(lambda w: w.conj())
-
     def bc_inv(self) -> "Field":
         return self._map(lambda w: w.inv())
-
-    def scale(self, c: complex) -> "Field":
-        return self._map(lambda w: w.scale(c))
 
     def mul_j(self) -> "Field":
         return self._map(lambda w: w.mul_j())

@@ -1,6 +1,7 @@
-"""Generating pairs: characteristic coefficients, derivatives and integrals
-in the sense of a pair (F, G), adjoint and successor relations, and the
-period-two generating sequence for separable functions f = phi(x) psi(y).
+"""Generating pairs: characteristic coefficients, the derivative and the
+Vekua residual in the sense of a pair (F, G), adjoint and successor
+relations, and the period-two generating sequence for separable functions
+f = phi(x) psi(y).
 """
 
 from __future__ import annotations
@@ -10,12 +11,10 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import expr as ex
 from .bicomplex import Bicomplex, PlanePoint
-from .calculus import Path, RegionGrid, wirtinger
-from .fields import BicomplexArray, Field, SymBC, d_z, d_zbar, pointwise
+from .calculus import RegionGrid, wirtinger
+from .fields import Field, SymBC, d_z, d_zbar
 
 
 class PairError(Exception):
@@ -142,29 +141,6 @@ def is_successor(candidate: GeneratingPair, base: GeneratingPair, region: Region
         if (candidate.b(p) + base.B(p)).norm > 1e-8:
             return False
     return True
-
-
-def star_integral(w: Field, pair: GeneratingPair, path: Path) -> Bicomplex:
-    """Sc ∫ G* W dz + j Sc ∫ F* W dz with bicomplex dz = dx + j dy, the
-    products on the array ring.  W, G* and F* are called node by node, each
-    value as its scalar code gives it (numpy's complex division rounds some
-    quotients of G* and F* differently)."""
-    Fs, Gs = adjoint_fields(pair)
-
-    def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> tuple:
-        wv, gs, fs = (BicomplexArray(*v) for v in pointwise([w, Gs, Fs], xs, ys))
-        dzj = BicomplexArray(dz.real, dz.imag)
-        return (gs * wv * dzj).sc, (fs * wv * dzj).sc
-
-    return Bicomplex(*path.integrate(one_form))
-
-
-def fg_integral(w: Field, pair: GeneratingPair, path: Path) -> Bicomplex:
-    """F(z1) Sc ∫ G* W dz + G(z1) Sc ∫ F* W dz: the antiderivative in the
-    sense of the pair, evaluated at the path endpoint."""
-    star = star_integral(w, pair, path)
-    z1 = path.end
-    return pair.F(z1).scale(star.sc) + pair.G(z1).scale(star.vec)
 
 
 # ---------------------------------------------------------------------------

@@ -287,11 +287,6 @@ def test_post_init_runs_once_per_construction(monkeypatch):
     assert len(seen) == len(values) + 1
 
 
-def test_json_roundtrip():
-    w = Bicomplex(complex(1.5, -2.25), complex(0.125, 3))
-    assert Bicomplex.from_json(w.to_json()) == w
-
-
 def test_from_cj():
     assert from_cj(complex(2, 3)) == Bicomplex(2, 3)
 

@@ -696,23 +696,40 @@ def test_non_object_is_config_error(tmp_path, capsys, command, cfg, key):
 
 
 def test_region_too_small_for_sample_pairs_is_config_error(tmp_path, capsys):
-    # no two points of a 0.1 x 0.1 region are more than 0.2 apart, so drawing
-    # sample pairs would never end; the alarm turns a hang into a failure
-    cfg = dict(_VALID["build-powers"], region={"x0": 1.0, "x1": 1.1, "y0": 0.0, "y1": 0.1})
-    config = _write(tmp_path, "c.json", cfg)
+    # no two points of a 0.1 x 0.1 region are more than 0.2 apart, and almost
+    # no two of a region just over 0.2 across, so drawing sample pairs would
+    # never end; the alarm turns a hang into a failure
+    regions = [
+        ({"x0": 1.0, "x1": 1.1, "y0": 0.0, "y1": 0.1}, 4),
+        ({"x0": 1, "x1": 1.2000001, "y0": 0, "y1": 0}, 2),
+        ({"x0": 1, "x1": 1.1415, "y0": 0, "y1": 0.1415}, 20),
+    ]
 
     def hang(signum, frame):
         raise TimeoutError("build-powers did not return")
 
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(20)
-    try:
-        code = main(["build-powers", "--config", str(config), "--out", str(tmp_path), "--quiet"])
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
-    assert code == 2
-    assert capsys.readouterr().err.startswith("config error: region is too small")
+    for region, samples in regions:
+        cfg = dict(_VALID["build-powers"], region=region, samples=samples)
+        config = _write(tmp_path, "c.json", cfg)
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(20)
+        try:
+            code = main(["build-powers", "--config", str(config), "--out", str(tmp_path), "--quiet"])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 2, region
+        assert capsys.readouterr().err.startswith("config error: region is too small"), region
+
+
+def test_residual_scan_of_a_zero_pair_is_a_typed_error(tmp_path, capsys):
+    # f = 0 makes the pair (0, j/0): inverting its constant D = 0 raises as
+    # Bicomplex.inv does, where it once folded to 0 and gave residual 0.5
+    cfg = dict(_VALID["residual-scan"], f="0")
+    del cfg["pair"]
+    config = _write(tmp_path, "c.json", cfg)
+    assert main(["residual-scan", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 2
+    assert "DivisionByZeroError" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("alpha", ["1", "j"])

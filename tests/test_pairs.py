@@ -3,27 +3,24 @@ import random
 
 import pytest
 
-from bivekua.bicomplex import Bicomplex, PlanePoint, from_cj, isclose
-from bivekua.calculus import Path, RegionGrid
+from bivekua.bicomplex import Bicomplex, PlanePoint, isclose
+from bivekua.calculus import RegionGrid
 from bivekua.fields import Field
 from bivekua.pairs import (
     DegeneratePairError,
     GeneratingSequence,
     MissingSequenceError,
-    adjoint_fields,
     adjoint_pair,
     fg_derivative,
-    fg_integral,
     is_successor,
     make_pair,
     separable_pair,
-    star_integral,
     vekua_residual,
 )
 
 ANALYTIC = make_pair(Field.from_exprs("1", "0"), Field.from_exprs("0", "1"))
 MAIN_X = make_pair(Field.from_exprs("x", "0"), Field.from_exprs("0", "1/x"))
-REGION_X = RegionGrid(1, 2, -1, 1, 0.1)
+REGION_X = RegionGrid(1, 2, -1, 1)
 
 
 def rand_points(n, x0=1.1, x1=1.9, y0=-0.9, y1=0.9, seed=3):
@@ -50,7 +47,7 @@ def test_degenerate_pair():
         make_pair(
             Field.from_exprs("1", "0"),
             Field.from_exprs("1", "0"),
-            RegionGrid(0, 1, 0, 1, 0.1),
+            RegionGrid(0, 1, 0, 1),
         )
 
 
@@ -113,74 +110,10 @@ def test_adjoint_b_value_for_main_pair():
 
 
 def test_is_successor_examples():
-    assert is_successor(ANALYTIC, ANALYTIC, RegionGrid(0.1, 1, 0.1, 1, 0.1))
+    assert is_successor(ANALYTIC, ANALYTIC, RegionGrid(0.1, 1, 0.1, 1))
     assert not is_successor(MAIN_X, MAIN_X, REGION_X)
     succ = separable_pair("x", "1", 1)
     assert is_successor(succ, MAIN_X, REGION_X)
-
-
-def test_star_integral_zero_field():
-    path = Path.circle(PlanePoint(0, 0), 1.0)
-    assert star_integral(Field.constant(Bicomplex(0, 0)), ANALYTIC, path).is_zero
-
-
-def test_star_integral_analytic_cauchy():
-    w = Field.from_exprs("x^2 - y^2", "2*x*y")
-    path = Path.circle(PlanePoint(0, 0), 1.0)
-    assert star_integral(w, ANALYTIC, path).norm <= 1e-12
-
-
-def test_star_integral_successor_solution_closed():
-    # A solution of the successor equation of the f=x main pair, with its
-    # singular center outside the contour, integrates to zero.
-    w = Field.from_exprs(
-        "(x - 1)/((x - 1)^2 + y^2) - 0.5*log((x - 1)^2 + y^2)/x",
-        "-y/((x - 1)^2 + y^2)",
-    )
-    path = Path.circle(PlanePoint(3, 0), 1.0, nodes=512)
-    assert star_integral(w, MAIN_X, path).norm <= 1e-8
-
-
-def test_star_integral_is_the_two_walk_sum():
-    # one walk gives exactly Sc ∫ G* W dz + j Sc ∫ F* W dz, each integral
-    # summed over the nodes in order as a walk of its own, and evaluates W
-    # once per node
-    inner = Field.from_exprs("x*y + 2", "x - y^2")
-    calls = []
-    w = Field(lambda p: calls.append(p) or inner(p))
-    path = Path.circle(PlanePoint(1.5, 0.2), 0.3, nodes=64)
-    Fs, Gs = adjoint_fields(MAIN_X)
-
-    points = [PlanePoint(x, y) for x, y in zip(path.xs.tolist(), path.ys.tolist())]
-
-    def walk(a: Field) -> Bicomplex:
-        acc = Bicomplex(0, 0)
-        for p, dz in zip(points, path.dz.tolist()):
-            acc = acc + a(p) * inner(p) * from_cj(dz)
-        return acc
-
-    got = star_integral(w, MAIN_X, path)
-    assert got == Bicomplex(walk(Gs).sc, walk(Fs).sc)
-    assert calls == points
-
-
-def test_fg_integral_analytic():
-    path = Path.polyline([PlanePoint(0, 0), PlanePoint(1, 1)])
-    one = Field.constant(Bicomplex(1, 0))
-    assert isclose(fg_integral(one, ANALYTIC, path), Bicomplex(1, 1))
-
-
-def test_fg_integral_antiderivative_property():
-    succ = separable_pair("x", "1", 1)
-    w = succ.F  # solves the successor equation of MAIN_X
-    z0 = PlanePoint(1.5, 0.0)
-    mid = PlanePoint(1.55, 0.02)
-
-    accum = Field(
-        lambda z: fg_integral(w, MAIN_X, Path.polyline([z0, z], nodes_per_segment=24))
-    )
-    d = fg_derivative(accum, MAIN_X, mid, h=1e-4)
-    assert (d - w(mid)).norm <= 1e-6
 
 
 def test_separable_examples():
@@ -204,7 +137,7 @@ def test_separable_sequence_successors():
 
 def test_separable_sequence_nontrivial_psi():
     seq = GeneratingSequence.separable("exp(x)", "cos(y) + 2")
-    region = RegionGrid(-0.5, 0.5, -1, 1, 0.1)
+    region = RegionGrid(-0.5, 0.5, -1, 1)
     for m in (0, 1):
         assert is_successor(seq.pair_at(m + 1), seq.pair_at(m), region)
 

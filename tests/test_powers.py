@@ -330,7 +330,7 @@ def test_negative_powers_window_enforced():
 
 
 def test_residual_scan_analytic():
-    region = RegionGrid(-1, 1, -1, 1, 0.1)
+    region = RegionGrid(-1, 1, -1, 1)
     rep = power_residual_scan(
         analytic_kernel(), ANALYTIC_PAIR, region, PlanePoint(0.05, 0.02)
     )
@@ -344,6 +344,6 @@ def test_residual_scan_flags_nonsolution():
     k1 = Kernel.make("x - xi", "-(y - eta)")
     kj = Kernel.make("y - eta", "x - xi")
     fam = KernelFamily(-1, k1, kj)
-    region = RegionGrid(-1, 1, -1, 1, 0.1)
+    region = RegionGrid(-1, 1, -1, 1)
     rep = power_residual_scan(fam, ANALYTIC_PAIR, region, PlanePoint(0, 0))
     assert rep.max_residual_1 > 0.5

@@ -42,7 +42,7 @@ from bivekua.schroedinger import (
 F_X = Field.from_exprs("x")
 F_EXP = Field.from_exprs("exp(x)*cos(y)")
 ZETA0 = PlanePoint(0.5, 0.0)
-REGION_X = RegionGrid(1, 2, -1, 1, 0.1)
+REGION_X = RegionGrid(1, 2, -1, 1)
 
 
 def pipeline_successor(f, side=1.0):
@@ -384,7 +384,7 @@ def test_main_family_reproduces():
 def test_main_family_residual_scan():
     prob = x_problem()
     rep = power_residual_scan(
-        x_main_family(), prob.pair, RegionGrid(1, 2, -1, 1, 0.1), PlanePoint(1.5, 0)
+        x_main_family(), prob.pair, RegionGrid(1, 2, -1, 1), PlanePoint(1.5, 0)
     )
     assert rep.max_residual <= 1e-8
 
@@ -394,7 +394,7 @@ def test_successor_family_residual_scan():
     rep = power_residual_scan(
         x_successor_family(),
         prob.successor,
-        RegionGrid(1, 2, -1, 1, 0.1),
+        RegionGrid(1, 2, -1, 1),
         PlanePoint(1.5, 0),
     )
     assert rep.max_residual <= 1e-8
