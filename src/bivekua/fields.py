@@ -1,22 +1,26 @@
 """Bicomplex-valued fields over the plane.
 
 A Field maps plane points to bicomplex values.  Symbolic (``SymBC``) and
-numeric (``Bicomplex``) values share one ring interface, so each formula
-written on it (``d_z``, ``d_zbar`` here; the pair and potential formulas in
-their modules) runs on either.
+numeric (``Bicomplex``) values share one ring interface, so a formula
+written on it (``d_z``, ``d_zbar`` here, ``pairs.pair_operator``) runs on
+either.
 
-Derivatives come from ``partials``: a Field's exact partials when it has
-them (built from expressions, or by ``Field.with_partials``), otherwise
-central differences at the caller's step ``h``.  A given ``h`` forces a
-finite difference only in ``schroedinger.schroedinger_residual``.
+The fields f, the pairs and the potentials are built from expressions,
+and their partials are the exact partials of those expressions.  Two
+finite differences remain.  ``partials`` differences a field that carries
+no partials, a kernel slot without a closed form frozen at its center
+(``kernel_in_z``), at the caller's step or ``default_step``: the residual
+scans of pipeline kernels and the nested differences of
+``powers.negative_powers`` take them.  ``schroedinger.schroedinger_residual``
+differences at the step ``h`` a residual scan gives.
 
 A symbolic value is compiled on its first call, to one program for its
 (sc, vec) parts: a formula builds many fields, and few of them are ever
-evaluated.  ``Field.on`` (``partials_on`` for the partials) evaluates a
-field at every node of a path at once: compiled to numpy when it has closed
-forms, else point by point in ``pointwise``.  ``BicomplexArray`` is the
-ring interface on such node values, so a formula written on it runs on all
-nodes at once.
+evaluated.  ``Field.on`` (``partials_on`` for the exact partials)
+evaluates a field at every node of a path at once: compiled to numpy when
+it has closed forms, else point by point in ``pointwise``.
+``BicomplexArray`` is the ring interface on such node values, so a formula
+written on it runs on all nodes at once.
 
 A kernel slot with a pair face (``PairFace``) evaluates many pairs
 (zeta, z) at once by ``on``; other evaluators run pair by pair
@@ -133,10 +137,6 @@ class SymBC:
     def diff(self, var: str) -> "SymBC":
         return self._wrap(ex.diff(self.sc, var), ex.diff(self.vec, var))
 
-    def d_zbar(self) -> "SymBC":
-        """(1/2)(d/dx + j d/dy) with respect to (x, y)."""
-        return d_zbar(self.diff("x"), self.diff("y"))
-
     def d_z(self) -> "SymBC":
         """(1/2)(d/dx - j d/dy) with respect to (x, y)."""
         return d_z(self.diff("x"), self.diff("y"))
@@ -189,28 +189,9 @@ Values = tuple[np.ndarray, np.ndarray]  # (sc, vec) at every node
 
 
 def partials_on(w: "Field", xs: np.ndarray, ys: np.ndarray) -> tuple[Values, Values, Values]:
-    """``partials`` at every node (xs[k], ys[k]) at once, with the default
-    step: (value, d/dx, d/dy), each as its (sc, vec) arrays."""
-    if w.has_exact_partials:
-        return w.on(xs, ys), w.dx.on(xs, ys), w.dy.on(xs, ys)
-    return _differenced(w.on, xs, ys)
-
-
-def _differenced(on: Callable[[np.ndarray, np.ndarray], Values], xs, ys) -> tuple[Values, Values, Values]:
-    """(value, d/dx, d/dy) of on(xs, ys), by central differences with the
-    default step at every node."""
-    value = on(xs, ys)
-    h = 1e-4 * (1 + np.hypot(xs, ys))  # default_step at every node
-    scale = 1 / (2 * h)
-
-    def central(plus: Values, minus: Values) -> Values:
-        return (plus[0] - minus[0]) * scale, (plus[1] - minus[1]) * scale
-
-    return (
-        value,
-        central(on(xs + h, ys), on(xs - h, ys)),
-        central(on(xs, ys + h), on(xs, ys - h)),
-    )
+    """The exact (value, d/dx, d/dy) of w at every node (xs[k], ys[k]) at
+    once, each as its (sc, vec) arrays."""
+    return w.on(xs, ys), w.dx.on(xs, ys), w.dy.on(xs, ys)
 
 
 def _spread(values, shape: tuple) -> np.ndarray:
@@ -292,12 +273,6 @@ class BicomplexArray:
     def __add__(self, other: "BicomplexArray") -> "BicomplexArray":
         return BicomplexArray(self.sc + other.sc, self.vec + other.vec)
 
-    def __sub__(self, other: "BicomplexArray") -> "BicomplexArray":
-        return BicomplexArray(self.sc - other.sc, self.vec - other.vec)
-
-    def __neg__(self) -> "BicomplexArray":
-        return BicomplexArray(-self.sc, -self.vec)
-
     def __mul__(self, other: "BicomplexArray") -> "BicomplexArray":
         with np.errstate(over="ignore", invalid="ignore"):
             p, m = self.sc - 1j * self.vec, self.sc + 1j * self.vec
@@ -322,12 +297,6 @@ class BicomplexArray:
         """Multiplication by a C_i scalar, or by one at every node."""
         return BicomplexArray(_product(c, self.sc), _product(c, self.vec))
 
-    def conj(self) -> "BicomplexArray":
-        return BicomplexArray(self.sc, -self.vec)
-
-    def mul_j(self) -> "BicomplexArray":
-        return BicomplexArray(-self.vec, self.sc)
-
 
 class Field:
     """Map PlanePoint -> Bicomplex, optionally with exact partials.
@@ -335,8 +304,8 @@ class Field:
     ``sym`` is set only by ``from_sym``, whose evaluator is that closed form
     over (x, y), compiled on its first call.  ``partial``, when given,
     builds the exact partial field in "x" or "y", on the first ``dx``/``dy``
-    read; without it they are None and consumers fall back to finite
-    differences.
+    read; without it they are None, and only ``partials`` differences such
+    a field.
     ``arrays``, when given, evaluates the same values on arrays of x and y,
     as a pair (sc, vec) (see ``on``).
     """
@@ -372,13 +341,11 @@ class Field:
         return Field.from_sym(SymBC.make(w.sc, w.vec))
 
     @staticmethod
-    def with_partials(
-        func: Callable[[PlanePoint], Bicomplex], dx: "Field", dy: "Field", arrays=None
-    ) -> "Field":
+    def with_partials(func: Callable[[PlanePoint], Bicomplex], dx: "Field", dy: "Field") -> "Field":
         """A callable field with explicitly supplied exact partials, for
         values defined by integrals whose derivatives are known in closed
         form even though the values themselves are not."""
-        return Field(func, arrays, {"x": dx, "y": dy}.__getitem__)
+        return Field(func, partial={"x": dx, "y": dy}.__getitem__)
 
     def __call__(self, z: PlanePoint) -> Bicomplex:
         return self._func(z)
@@ -408,18 +375,11 @@ class Field:
     def dy(self) -> Optional["Field"]:
         return self._derivative("y")
 
-    # maps keep the symbolic form when the field has one
-
-    def _map(self, op) -> "Field":
-        if self.sym is not None:
-            return Field.from_sym(op(self.sym))
-        return Field(lambda z: op(self(z)))
-
     def bc_inv(self) -> "Field":
-        return self._map(lambda w: w.inv())
+        return Field.from_sym(self.sym.inv())
 
     def mul_j(self) -> "Field":
-        return self._map(lambda w: w.mul_j())
+        return Field.from_sym(self.sym.mul_j())
 
 
 KERNEL_VARS = ("xi", "eta", "x", "y")
@@ -543,14 +503,6 @@ class PairFace:
     def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
         sc, vec = self.on(zeta.x, zeta.y, z.x, z.y)
         return Bicomplex(sc[0], vec[0])
-
-
-def kernel_partials_on(k, xi, eta, x, y) -> tuple[Values, Values, Values]:
-    """(value, d/dxi, d/deta) of a kernel slot at every pair: exact for a
-    ``Kernel``, else by central differences as ``partials_on`` takes them."""
-    if isinstance(k, Kernel):
-        return k.center_partials_on(xi, eta, x, y)
-    return _differenced(lambda a, b: pairwise([k], a, b, x, y)[0], xi, eta)
 
 
 def kernel_in_z(coef, zeta: PlanePoint) -> Field:

@@ -42,7 +42,7 @@ class GeneratingPair:
     B: Field
 
 
-# -- formulas on the shared ring interface (Bicomplex or SymBC values) -------
+# -- formulas on the ring interface (SymBC; pair_operator also Bicomplex) -----
 
 
 def _conj_and_d_inv(F, G):
@@ -77,26 +77,17 @@ def pair_operator(d, a, b, w):
 
 def make_pair(F: Field, G: Field, region: Optional[RegionGrid] = None) -> GeneratingPair:
     """Validate the pair condition on a 20-by-20 sample grid and attach the
-    four characteristic coefficient fields (symbolic when F, G are)."""
+    four characteristic coefficient fields, in closed form from those of F
+    and G."""
     if region is not None:
         for p in region.sample_points():
             if abs((F(p).conj() * G(p)).vec) < 1e-14:
                 raise DegeneratePairError(f"Vec(conj_j(F) G) = 0 at {p}")
-    if F.sym is not None and G.sym is not None:
-        Fx, Fy, Gx, Gy = F.sym.diff("x"), F.sym.diff("y"), G.sym.diff("x"), G.sym.diff("y")
-        coefs = characteristic_coefficients(
-            F.sym, G.sym, d_zbar(Fx, Fy), d_zbar(Gx, Gy), d_z(Fx, Fy), d_z(Gx, Gy)
-        )
-        a, b, A, B = (Field.from_sym(c) for c in coefs)
-    else:
-
-        def at(z: PlanePoint) -> tuple[Bicomplex, ...]:
-            gF, gG = wirtinger(F, z), wirtinger(G, z)
-            return characteristic_coefficients(
-                gF.value, gG.value, gF.dzbar, gG.dzbar, gF.dz, gG.dz
-            )
-
-        a, b, A, B = (Field(lambda z, k=k: at(z)[k]) for k in range(4))
+    Fx, Fy, Gx, Gy = F.sym.diff("x"), F.sym.diff("y"), G.sym.diff("x"), G.sym.diff("y")
+    coefs = characteristic_coefficients(
+        F.sym, G.sym, d_zbar(Fx, Fy), d_zbar(Gx, Gy), d_z(Fx, Fy), d_z(Gx, Gy)
+    )
+    a, b, A, B = (Field.from_sym(c) for c in coefs)
     return GeneratingPair(F, G, a, b, A, B)
 
 
@@ -117,14 +108,8 @@ def vekua_residual(
 
 def adjoint_fields(pair: GeneratingPair) -> tuple[Field, Field]:
     """(F*, G*) = (-2 conj_j(F) / D, 2 conj_j(G) / D), D = F conj_j(G) - conj_j(F) G."""
-    F, G = pair.F, pair.G
-    if F.sym is not None and G.sym is not None:
-        Fs, Gs = adjoint_values(F.sym, G.sym)
-        return Field.from_sym(Fs), Field.from_sym(Gs)
-    return (
-        Field(lambda z: adjoint_values(F(z), G(z))[0]),
-        Field(lambda z: adjoint_values(F(z), G(z))[1]),
-    )
+    Fs, Gs = adjoint_values(pair.F.sym, pair.G.sym)
+    return Field.from_sym(Fs), Field.from_sym(Gs)
 
 
 def adjoint_pair(pair: GeneratingPair, region: Optional[RegionGrid] = None) -> GeneratingPair:

@@ -365,10 +365,7 @@ def negative_powers(
     scale = 1 / math.factorial(n - 1)
 
     # the transfer gives closed forms in both slots or in neither
-    symbolic = isinstance(hat.coef1, Kernel) and all(
-        adjoint_seq.pair_at(m).A.sym is not None for m in range(n - 1)
-    )
-    if symbolic:
+    if isinstance(hat.coef1, Kernel):
         # exact Bers derivatives in the z = (x, y) variables
         s1, sj = hat.coef1.sym, hat.coefj.sym
         for m in range(n - 1):

@@ -3,6 +3,12 @@ kernels built from fundamental solutions of the two-dimensional Schrödinger
 equation, reproducing kernels for the associated main Vekua equation, and
 Darboux-transformed fundamental solutions, together with the closed-form
 reference family for f(z) = x.
+
+f, the potentials q and q1 and the fundamental solution S come from
+expressions, so the successor Z(1) is a closed-form ``Kernel``; Z(j) and
+the Darboux S1 are path integrals of closed-form integrands with exact
+partials.  The one finite difference here is the 5-point Laplacian that
+``schroedinger_residual`` takes at a given step h.
 """
 
 from __future__ import annotations
@@ -25,36 +31,18 @@ from .fields import (
     SymBC,
     Values,
     central_difference,
-    default_step,
     in_pair_order,
-    kernel_partials_on,
     pairs_of,
     pairwise,
     partials,
     partials_on,
 )
 from .pairs import GeneratingPair, adjoint_pair, make_pair
-from .powers import LOG_RHO, RHO2, KernelEval, KernelFamily, SingularPointError
+from .powers import LOG_RHO, RHO2, KernelFamily, SingularPointError
 
 
 # ---------------------------------------------------------------------------
 # Fundamental solutions
-
-
-class FundamentalSolution:
-    """S(zeta, z) = log|z - zeta| + R(zeta, z): a fundamental solution of
-    the Schrödinger equation with potential q, singular at the center zeta,
-    given by an evaluator of its regular part R.  A closed-form S is a
-    ``Kernel`` over (xi, eta, x, y) instead; both evaluate to Bicomplex(S, 0).
-    """
-
-    def __init__(self, regular: Callable[[PlanePoint, PlanePoint], complex]):
-        self.regular = regular
-
-    def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-        if zeta.dist(z) == 0:
-            raise SingularPointError(f"fundamental solution evaluated at {z}")
-        return Bicomplex(math.log(zeta.dist(z)) + self.regular(zeta, z), 0)
 
 
 def laplace_fundamental() -> Kernel:
@@ -67,10 +55,9 @@ def laplace_fundamental() -> Kernel:
 
 
 def _laplacian(u: Field, z: PlanePoint, h: Optional[float] = None) -> Bicomplex:
-    if u.sym is not None and h is None:
-        return u.dx.dx(z) + u.dy.dy(z)
+    """Laplacian u at z: exact without a step, else the 5-point stencil."""
     if h is None:
-        h = default_step(z)
+        return u.dx.dx(z) + u.dy.dy(z)
 
     def second(axis: str) -> Bicomplex:
         # a difference of differences at step h/2: the 5-point stencil's
@@ -81,41 +68,24 @@ def _laplacian(u: Field, z: PlanePoint, h: Optional[float] = None) -> Bicomplex:
     return second("x") + second("y")
 
 
-# -- formulas on the shared ring interface (Bicomplex or SymBC values) -------
-
-
-def _potential(f, lap):
-    """q = (Laplacian f) / f."""
-    return lap * f.inv()
-
-
-def _darboux_potential(f, fx, fy, q):
-    """q1 = 2((f_x)^2 + (f_y)^2) / f^2 - q."""
-    return ((fx * fx + fy * fy) * (f * f).inv()).scale(2) - q
-
-
 def potential_from_f(f: Field) -> Field:
     """The potential q = (Laplacian f)/f of the equation solved by f."""
-    if f.sym is not None:
-        lap = f.sym.diff("x").diff("x") + f.sym.diff("y").diff("y")
-        return Field.from_sym(_potential(f.sym, lap))
-    return Field(lambda z: _potential(f(z), _laplacian(f, z)))
+    lap = f.sym.diff("x").diff("x") + f.sym.diff("y").diff("y")
+    return Field.from_sym(lap * f.sym.inv())
 
 
 def darboux_potential(f: Field) -> Field:
     """The transformed potential q1 = 2((f_x)^2 + (f_y)^2)/f^2 - q."""
-    q = potential_from_f(f)
-    if f.sym is not None:
-        fx, fy = f.sym.diff("x"), f.sym.diff("y")
-        return Field.from_sym(_darboux_potential(f.sym, fx, fy, q.sym))
-    return Field(lambda z: _darboux_potential(*partials(f, z), q(z)))
+    fx, fy = f.sym.diff("x"), f.sym.diff("y")
+    q = potential_from_f(f).sym
+    return Field.from_sym(((fx * fx + fy * fy) * (f.sym * f.sym).inv()).scale(2) - q)
 
 
 def schroedinger_residual(
     u: Field, q: Field, z: PlanePoint, h: Optional[float] = None
 ) -> float:
-    """|Laplacian u - q u| at z, exact when u is symbolic and no step is
-    forced, else via the 5-point stencil with step h."""
+    """|Laplacian u - q u| at z, exact from the partials of u when no step
+    is given, else via the 5-point stencil with step h."""
     return (_laplacian(u, z, h) - q(z) * u(z)).norm
 
 
@@ -150,38 +120,23 @@ class MainVekuaProblem:
 # Kernel construction from a fundamental solution
 
 
-def successor_kernel_coef1(S: Union[Kernel, FundamentalSolution], f: Field) -> KernelEval:
+def successor_kernel_coef1(S: Kernel, f: Field) -> Kernel:
     """Coefficient-1 Cauchy kernel of the successor equation of the main
-    Vekua equation of f: 2(d_z S - (d_z f / f) S), derivatives in z.
-
-    A closed-form ``Kernel`` when S and f have closed forms, else an
-    evaluator; ``successor_kernel_coefj`` completes the family.
+    Vekua equation of f: 2(d_z S - (d_z f / f) S), derivatives in z, in
+    closed form from those of S and f.  ``successor_kernel_coefj``
+    completes the family.
     """
-    if isinstance(S, Kernel) and f.sym is not None:
-        s = S.sym.sc
-        sx, sy = ex.diff(s, "x"), ex.diff(s, "y")
-        fe = f.sym.sc
-        ratio_x = ex.binop("/", ex.diff(fe, "x"), fe)
-        ratio_y = ex.binop("/", ex.diff(fe, "y"), fe)
-        sc = ex.binop("-", sx, ex.binop("*", ratio_x, s))
-        vec = ex.binop("-", ex.binop("*", ratio_y, s), sy)
-        return Kernel(SymBC(KERNEL_VARS, sc, vec))
-
-    def coef1(zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-        if zeta.dist(z) == 0:
-            raise SingularPointError(f"kernel evaluated on the diagonal at {z}")
-        h = 1e-5 * (1 + math.hypot(z.x, z.y))
-        s_field = Field(lambda p: S(zeta, p))
-        sval, s_x, s_y = (v.sc for v in partials(s_field, z, h))
-        fv, fx, fy = partials(f, z)
-        return Bicomplex(s_x - fx.sc / fv.sc * sval, fy.sc / fv.sc * sval - s_y)
-
-    return coef1
+    s = S.sym.sc
+    sx, sy = ex.diff(s, "x"), ex.diff(s, "y")
+    fe = f.sym.sc
+    ratio_x = ex.binop("/", ex.diff(fe, "x"), fe)
+    ratio_y = ex.binop("/", ex.diff(fe, "y"), fe)
+    sc = ex.binop("-", sx, ex.binop("*", ratio_x, s))
+    vec = ex.binop("-", ex.binop("*", ratio_y, s), sy)
+    return Kernel(SymBC(KERNEL_VARS, sc, vec))
 
 
-def successor_kernel_coefj(
-    coef1: KernelEval, f: Field, zeta0: PlanePoint, side: float = 1.0
-) -> KernelFamily:
+def successor_kernel_coefj(coef1: Kernel, f: Field, zeta0: PlanePoint, side: float = 1.0) -> KernelFamily:
     """The successor family of the coefficient-1 kernel ``coef1``, completed
     with the coefficient-j kernel ``SuccessorCoefj``: the conjugate-building
     transform of -Z(1, zeta, z), acting in the center variable zeta along a
@@ -191,12 +146,8 @@ def successor_kernel_coefj(
     with the same coefficient differ by a regular solution, so the anchored
     evaluator is a Cauchy kernel whenever the coefficient-1 input is.
     """
-    if isinstance(coef1, Kernel):
-        # -Z(1) over (xi, eta, x, y)
-        s = coef1.sym
-        minus = Kernel(SymBC(KERNEL_VARS, ex.neg(s.sc), ex.neg(s.vec)))
-    else:
-        minus = lambda zeta, z: -coef1(zeta, z)  # noqa: E731
+    s = coef1.sym
+    minus = Kernel(SymBC(KERNEL_VARS, ex.neg(s.sc), ex.neg(s.vec)))  # -Z(1) over (xi, eta, x, y)
     return KernelFamily(order=-1, coef1=coef1, coefj=SuccessorCoefj(minus, f, zeta0, side))
 
 
@@ -214,7 +165,7 @@ class SuccessorCoefj(PairFace):
     (``detour_integrals``), each evaluating the integrand and f, with their
     partials, on all its nodes at once."""
 
-    def __init__(self, integrand: Union[Kernel, KernelEval], f: Field, zeta0: PlanePoint, side: float = 1.0):
+    def __init__(self, integrand: Kernel, f: Field, zeta0: PlanePoint, side: float = 1.0):
         self.integrand, self.f, self.zeta0, self.side = integrand, f, zeta0, side
 
     def on(self, xi, eta, x, y) -> Values:
@@ -231,7 +182,7 @@ class SuccessorCoefj(PairFace):
             return sc, vec
 
         def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray, zx, zy) -> tuple:
-            u = kernel_partials_on(self.integrand, xs, ys, zx, zy)
+            u = self.integrand.center_partials_on(xs, ys, zx, zy)
             return tf_densities(u, partials_on(self.f, xs, ys), dz)
 
         ends, avoid = (np.array([pairs[k][i].as_complex for k in walk]) for i in (0, 1))
@@ -247,15 +198,20 @@ class SuccessorCoefj(PairFace):
         return sc, vec
 
 
-class DarbouxFundamental(FundamentalSolution):
+class DarbouxFundamental:
     """S1(zeta, z) = (1/f(z)) Vec ∫_{z0}^{z} f(tau) Z(j, zeta, tau) dtau, Z(j)
     the ``family``'s, along the detour path from base_of(zeta) to z around
-    zeta.  ``_batch`` gives the regular parts at many pairs, running their
-    walks as array jobs; the pair face ``on`` and a call add log|z - zeta|
-    to them alike."""
+    zeta: log|z - zeta| plus a regular part R.  ``_batch`` gives the
+    regular parts at many pairs, running their walks as array jobs; the
+    pair face ``on`` and a call add log|z - zeta| to them alike."""
 
     def __init__(self, family: KernelFamily, f: Field, base_of: Callable[[PlanePoint], PlanePoint], side: float):
         self.family, self.f, self.base_of, self.side = family, f, base_of, side
+
+    def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
+        if zeta.dist(z) == 0:
+            raise SingularPointError(f"fundamental solution evaluated at {z}")
+        return Bicomplex(math.log(zeta.dist(z)) + self.regular(zeta, z), 0)
 
     def regular(self, zeta: PlanePoint, z: PlanePoint) -> complex:
         (value,) = self._batch(zeta.x, zeta.y, z.x, z.y)

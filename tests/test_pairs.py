@@ -1,4 +1,3 @@
-import math
 import random
 
 import pytest
@@ -154,12 +153,3 @@ def test_sequence_window():
     seq.pair_at(0)
     with pytest.raises(MissingSequenceError):
         seq.pair_at(2)
-
-
-def test_coefficients_numeric_fallback():
-    F = Field(lambda z: Bicomplex(z.x, 0))
-    G = Field(lambda z: Bicomplex(0, 1 / z.x))
-    pair = make_pair(F, G)
-    z = PlanePoint(1.5, 0.3)
-    assert (pair.b(z) - Bicomplex(1 / (2 * z.x), 0)).norm <= 1e-6
-    assert pair.a(z).norm <= 1e-6

@@ -22,7 +22,6 @@ from bivekua.powers import (
     ContourSpec,
 )
 from bivekua.schroedinger import (
-    FundamentalSolution,
     MainVekuaProblem,
     conjugate_pair_build,
     darboux_fundamental,
@@ -82,13 +81,6 @@ def test_darboux_potential_examples():
     assert isclose(darboux_potential(Field.from_exprs("exp(x)"))(z), Bicomplex(1, 0))
 
 
-def test_potential_numeric_fallback():
-    f = Field(lambda z: Bicomplex(math.exp(z.x), 0))
-    z = PlanePoint(0.3, -0.2)
-    assert (potential_from_f(f)(z) - Bicomplex(1, 0)).norm <= 1e-6
-    assert (darboux_potential(f)(z) - Bicomplex(1, 0)).norm <= 1e-5
-
-
 def test_schroedinger_residual_examples():
     z = PlanePoint(1.5, 0.5)
     assert schroedinger_residual(F_X, potential_from_f(F_X), z) <= 1e-14
@@ -122,11 +114,6 @@ def test_laplace_fundamental():
     assert S(zeta, z).vec == 0
     with pytest.raises(EvaluationError, match="log of 0"):
         S(z, z)
-    # the same solution given by its regular part R = 0 keeps its own guard
-    R = FundamentalSolution(regular=lambda zeta, z: 0j)
-    assert (R(zeta, z) - S(zeta, z)).norm <= 1e-15
-    with pytest.raises(SingularPointError):
-        R(z, z)
 
 
 # -- successor kernels from the pipeline -------------------------------------
@@ -154,15 +141,6 @@ def test_coef1_trivial_f():
     assert (k1(zeta, z) - Bicomplex((1 / d).real, (1 / d).imag)).norm <= 1e-13
 
 
-def test_coef1_numeric_fallback():
-    S = FundamentalSolution(regular=lambda zeta, z: 0j)
-    f = Field(lambda z: Bicomplex(z.x, 0))
-    k1 = successor_kernel_coef1(S, f)
-    cat = x_successor_family()
-    zeta, z = PlanePoint(1.3, -0.4), PlanePoint(2.2, 0.7)
-    assert (k1(zeta, z) - cat.coef1(zeta, z)).norm <= 1e-7
-
-
 def test_coefj_matches_anchored_closed_form():
     zeta0 = PlanePoint(0.5, 0.0)
     fam = successor_kernel_coefj(
@@ -188,20 +166,6 @@ def test_coefj_compiles_per_family_not_per_point(compiles):
 
     points = rand_pairs(5, seed=3)
     assert compiles_for(points) <= compiles_for(points[:1])
-
-
-def test_coefj_numeric_branch_matches_symbolic():
-    # f and S without closed forms: u = -coef1 is differenced numerically
-    zeta0 = PlanePoint(0.5, 0.0)
-    S = FundamentalSolution(regular=lambda zeta, z: 0j)
-    f = Field(lambda z: Bicomplex(z.x, 0))
-    numeric = successor_kernel_coefj(successor_kernel_coef1(S, f), f, zeta0)
-    exact = successor_kernel_coefj(
-        successor_kernel_coef1(laplace_fundamental(), F_X), F_X, zeta0
-    )
-    for zeta, z in ((PlanePoint(2.4, 0.1), PlanePoint(1.5, 0.05)),
-                    (PlanePoint(1.2, -0.6), PlanePoint(2.0, 0.3))):
-        assert (numeric.coefj(zeta, z) - exact.coefj(zeta, z)).norm <= 1e-5
 
 
 def test_coefj_binds_no_kernel_per_value(monkeypatch):
