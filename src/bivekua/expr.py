@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -56,7 +56,8 @@ FUNCTIONS = ("exp", "log", "sin", "cos", "sinh", "cosh", "sqrt", "abs2")
 
 # The nodes are dataclasses for their structural ==, hash and repr, with a
 # plain __init__: a frozen dataclass's __init__ costs about three times as
-# much, and the negative-power chain builds tens of thousands of nodes.
+# much, and a formula builds many: the pairs and the hat kernel of an
+# order -3 power take about 1,500 nodes.
 # A node's fields are never assigned after __init__, which keeps the hash
 # valid (simplify only marks a node it returns, see _mark).
 
@@ -503,57 +504,7 @@ def _diff(e: Expr, var: str, memo: dict, simple: dict) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# Pretty-printing (parseable output) and compilation
-
-
-def _fmt_num(value: complex) -> str:
-    if value.imag == 0:
-        re = value.real
-        if re == int(re) and abs(re) < 1e15:
-            body = str(int(abs(re)))
-        else:
-            body = repr(abs(re))
-        return ("-" if re < 0 else "") + body
-    if value.real == 0:
-        if value.imag == 1:
-            return "i"
-        if value.imag == -1:
-            return "-i"
-        return f"{_fmt_num(complex(value.imag))}*i"
-    return f"({_fmt_num(complex(value.real))}+{_fmt_num(complex(value.imag))}*i)"
-
-
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "pow": 3, "atom": 4}
-
-
-def _pp(e: Expr) -> tuple[str, int]:
-    if isinstance(e, Num):
-        text = _fmt_num(e.value)
-        return text, (1 if text.startswith("-") or "+" in text[1:] else 4)
-    if isinstance(e, Var):
-        return e.name, 4
-    if isinstance(e, Call):
-        return f"{e.func}({_pp(e.arg)[0]})", 4
-    if isinstance(e, Pow):
-        base, prec = _pp(e.base)
-        if prec < 4:
-            base = f"({base})"
-        exp = str(e.exponent) if e.exponent >= 0 else f"-{-e.exponent}"
-        return f"{base}^{exp}", 3
-    left, lp = _pp(e.left)
-    right, rp = _pp(e.right)
-    my = _PREC[e.op]
-    if lp < my:
-        left = f"({left})"
-    # parenthesize equal precedence on the right so reparsing (which is
-    # left-associative) rebuilds the identical tree
-    if rp <= my:
-        right = f"({right})"
-    return f"{left} {e.op} {right}", my
-
-
-def pretty(e: Expr) -> str:
-    return _pp(e)[0]
+# Compilation
 
 
 # Deepest inline nesting in generated code; Python's parser refuses more
@@ -670,7 +621,12 @@ _NUMPY = {
 }
 
 
-def compile_expr(e: Union[Expr, tuple], variables: tuple[str, ...] = ("x", "y"), arrays: bool = False):
+def compile_expr(
+    e: Union[Expr, tuple],
+    variables: tuple[str, ...] = ("x", "y"),
+    arrays: bool = False,
+    table: Optional[dict] = None,
+):
     """Compile to a fast positional callable over the given variables; a
     tuple of expressions to one that returns the tuple of their values.
 
@@ -679,7 +635,8 @@ def compile_expr(e: Union[Expr, tuple], variables: tuple[str, ...] = ("x", "y"),
     (and numbers) that broadcast together; the two agree entry by entry to
     rounding.  In the cmath code, division by zero and log(0) surface as
     EvaluationError carrying the evaluation point rather than NaN/Inf.  The
-    numpy code leaves faults to numpy's error state.
+    numpy code leaves faults to numpy's error state.  A ``table`` binds the
+    same source to other values (``jets.TABLE``: Taylor jets).
     """
     lines, result = _straight_line(e)
     body = "".join(f"        {line}\n" for line in lines)
@@ -690,6 +647,6 @@ def compile_expr(e: Union[Expr, tuple], variables: tuple[str, ...] = ("x", "y"),
         f"    except _errors as exc:\n"
         f"        raise _error(exc, {point}) from None\n"
     )
-    env = dict(_NUMPY if arrays else _CMATH)
+    env = dict(table if table is not None else _NUMPY if arrays else _CMATH)
     exec(source, env)  # noqa: S102 - closed environment
     return env["_f"]

@@ -11,8 +11,9 @@ finite differences remain.  ``partials`` differences a field that carries
 no partials, a kernel slot without a closed form frozen at its center
 (``kernel_in_z``), at the caller's step or ``default_step``: the residual
 scans of pipeline kernels and the nested differences of
-``powers.negative_powers`` take them.  ``schroedinger.schroedinger_residual``
-differences at the step ``h`` a residual scan gives.
+``powers.negative_powers`` of a plain evaluator take them.
+``schroedinger.schroedinger_residual`` differences at the step ``h`` a
+residual scan gives.
 
 A symbolic value is compiled on its first call, to one program for its
 (sc, vec) parts: a formula builds many fields, and few of them are ever
@@ -136,10 +137,6 @@ class SymBC:
 
     def diff(self, var: str) -> "SymBC":
         return self._wrap(ex.diff(self.sc, var), ex.diff(self.vec, var))
-
-    def d_z(self) -> "SymBC":
-        """(1/2)(d/dx - j d/dy) with respect to (x, y)."""
-        return d_z(self.diff("x"), self.diff("y"))
 
 
 # -- formulas on the shared ring interface (Bicomplex or SymBC values) -------
@@ -407,17 +404,22 @@ class Kernel:
             _pair_shape(xi, eta, x, y),
         )
 
+    def center_trees(self) -> tuple:
+        """The (sc, vec) trees of K, dK/dxi and dK/deta, in that order."""
+        return tuple(t for k in self._center_kernels() for t in (k.sym.sc, k.sym.vec))
+
+    def _center_kernels(self) -> tuple:
+        return self, self.diff_z("xi"), self.diff_z("eta")
+
     def center_partials_on(self, xi, eta, x, y) -> tuple[Values, Values, Values]:
         """(K, dK/dxi, dK/deta) at every pair, as ``on`` gives each, from one
         program that computes their shared subexpressions once."""
-        kernels = (self, self.diff_z("xi"), self.diff_z("eta"))
         program = self.__dict__.get("_center_partials")
         if program is None:
-            trees = tuple(t for k in kernels for t in (k.sym.sc, k.sym.vec))
-            program = self.__dict__["_center_partials"] = ex.compile_expr(trees, KERNEL_VARS, True)
+            program = self.__dict__["_center_partials"] = ex.compile_expr(self.center_trees(), KERNEL_VARS, True)
         parts = _checked(
             lambda: program(xi, eta, x, y),
-            lambda: tuple(v for k in kernels for v in k.on(xi, eta, x, y)),
+            lambda: tuple(v for k in self._center_kernels() for v in k.on(xi, eta, x, y)),
             _pair_shape(xi, eta, x, y),
         )
         return parts[0:2], parts[2:4], parts[4:6]

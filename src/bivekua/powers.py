@@ -23,8 +23,12 @@ from .fields import (
     PairFace,
     SymBC,
     Values,
+    d_z,
+    d_zbar,
+    in_pair_order,
     kernel_in_z,
     pairwise,
+    partials,
 )
 from .pairs import (
     GeneratingPair,
@@ -34,7 +38,6 @@ from .pairs import (
     fg_derivative,
     make_pair,
     pair_operator,
-    vekua_residual,
 )
 
 
@@ -55,8 +58,10 @@ class KernelFamily:
     the two coefficient kernels for alpha = 1 and alpha = j.
 
     A coefficient is a closed-form ``Kernel`` over (xi, eta, x, y), whose
-    exact partials the residual and derivative machinery use, or a plain
-    evaluator (zeta, z) -> Bicomplex."""
+    exact partials the residual and derivative machinery use; a pair face
+    (``PairFace``), such as a slot of the Taylor-jet Bers chain of
+    ``negative_powers``, whose partials in z that chain gives exactly; or a
+    plain evaluator (zeta, z) -> Bicomplex."""
 
     order: int
     coef1: KernelEval
@@ -82,15 +87,17 @@ def coefficients_at(
     k: KernelFamily, xi, eta, x, y, arrays: bool = False
 ) -> tuple[BicomplexArray, BicomplexArray]:
     """Z(1) and Z(j) at every pair ((xi[k], eta[k]), (x[k], y[k])), a number
-    standing for every pair, as the slots' calls give them: a slot with a
-    pair face by it, both slots of one ``adjoint_kernel_transfer`` from one
-    evaluation of the family they swap, and any other slot called pair by
-    pair, both slots at one pair back to back.  With ``arrays`` a ``Kernel``
-    slot runs as numpy code, which differs from its call in last bits."""
+    standing for every pair, as the slots' calls give them: two slots of one
+    source (``_Slot``: the two slots of one ``adjoint_kernel_transfer``, of
+    one Bers chain) from one evaluation of it, a slot with a pair face by
+    it, and any other slot called pair by pair, both slots at one pair back
+    to back.  With ``arrays`` a ``Kernel`` slot runs as numpy code, which
+    differs from its call in last bits."""
     c1, cj = k.coef1, k.coefj
-    if isinstance(c1, _Swapped) and isinstance(cj, _Swapped) and c1.family is cj.family:
-        swapped = coefficients_at(c1.family, x, y, xi, eta)
-        return c1.recombined(*swapped), cj.recombined(*swapped)
+    source = _shared_source(k)
+    if source is not None:
+        both = source.both(xi, eta, x, y)
+        return both[c1.slot], both[cj.slot]
 
     def face(c) -> bool:
         return isinstance(c, PairFace) or (arrays and isinstance(c, Kernel))
@@ -101,27 +108,52 @@ def coefficients_at(
     return z1, zj
 
 
-class _Swapped(PairFace):
-    """Slot ``slot`` (0: alpha = 1, 1: alpha = j) of the argument swap of
-    ``family`` (``adjoint_kernel_transfer``)."""
+class _Slot(PairFace):
+    """Slot ``slot`` (0: alpha = 1, 1: alpha = j) of ``source``, whose
+    ``both(xi, eta, x, y)`` gives Z(1) and Z(j) at every pair at once."""
 
-    def __init__(self, family: KernelFamily, slot: int):
-        self.family, self.slot = family, slot
-
-    def recombined(self, a, b):
-        """This slot from Z(1) = a and Z(j) = b at the swapped pair(s)."""
-        return type(a)(-a.sc, b.sc) if self.slot == 0 else type(a)(a.vec, -b.vec)
-
-    def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-        c1, cj = self.family.coef1, self.family.coefj
-        if isinstance(c1, _Swapped) or isinstance(cj, _Swapped):
-            # the face, where swapped slots share one evaluation of theirs
-            return super().__call__(zeta, z)
-        return self.recombined(c1(z, zeta), cj(z, zeta))
+    def __init__(self, source, slot: int):
+        self.source, self.slot = source, slot
 
     def on(self, xi, eta, x, y) -> Values:
-        value = self.recombined(*coefficients_at(self.family, x, y, xi, eta))
+        value = self.source.both(xi, eta, x, y)[self.slot]
         return value.sc, value.vec
+
+
+def _shared_source(k: KernelFamily):
+    """The source both slots of k are ``_Slot``s of, if there is one."""
+    c1, cj = k.coef1, k.coefj
+    if isinstance(c1, _Slot) and isinstance(cj, _Slot) and c1.source is cj.source:
+        return c1.source
+    return None
+
+
+class _Swap:
+    """The argument swap of ``family`` (``adjoint_kernel_transfer``)."""
+
+    def __init__(self, family: KernelFamily):
+        self.family = family
+
+    def both(self, xi, eta, x, y) -> tuple[BicomplexArray, BicomplexArray]:
+        swapped = coefficients_at(self.family, x, y, xi, eta)
+        return _recombined(0, *swapped), _recombined(1, *swapped)
+
+
+def _recombined(slot: int, a, b):
+    """Slot ``slot`` of the swap from Z(1) = a and Z(j) = b at the swapped
+    pair(s)."""
+    return type(a)(-a.sc, b.sc) if slot == 0 else type(a)(a.vec, -b.vec)
+
+
+class _Swapped(_Slot):
+    """A slot of a ``_Swap``."""
+
+    def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
+        family = self.source.family
+        if _shared_source(family) is not None:
+            # the face, where the swapped slots share one evaluation of theirs
+            return super().__call__(zeta, z)
+        return _recombined(self.slot, family.coef1(z, zeta), family.coefj(z, zeta))
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +350,8 @@ def adjoint_kernel_transfer(k: KernelFamily) -> KernelFamily:
         newj = SymBC(KERNEL_VARS, s1.vec, ex.neg(sj.vec))
         return KernelFamily(k.order, Kernel(new1), Kernel(newj))
 
-    return KernelFamily(k.order, _Swapped(k, 0), _Swapped(k, 1))
+    swap = _Swap(k)
+    return KernelFamily(k.order, _Swapped(swap, 0), _Swapped(swap, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -339,20 +372,16 @@ def hat_sequence(seq: GeneratingSequence) -> GeneratingSequence:
     return GeneratingSequence(get, lo, hi)
 
 
-def _lift(sym: SymBC) -> SymBC:
-    """View a (x, y) symbolic value inside the 4-variable kernel space."""
-    return SymBC(KERNEL_VARS, sym.sc, sym.vec)
-
-
 def negative_powers(
     base_kernel: KernelFamily, adjoint_seq: GeneratingSequence, n: int
 ) -> KernelFamily:
     """Formal powers of order -n from the order -1 Cauchy kernel.
 
     The adjoint-side kernel is differentiated n-1 times in the sense of the
-    pairs of ``adjoint_seq`` (exact when closed forms are available, nested
-    central differences otherwise), scaled by 1/(n-1)!, and carried back
-    by the base/adjoint transfer."""
+    pairs of ``adjoint_seq``, scaled by 1/(n-1)!, and carried back by the
+    base/adjoint transfer.  A closed-form kernel is differentiated exactly,
+    by Taylor jets (``_BersChain``: the slots share one chain run per batch
+    of pairs); a plain evaluator by nested central differences."""
     if n < 1:
         raise ValueError("order must satisfy n >= 1")
     if n == 1:
@@ -362,36 +391,94 @@ def negative_powers(
             f"need pairs 0..{n - 2} of the adjoint sequence"
         )
     hat = adjoint_kernel_transfer(base_kernel)
-    scale = 1 / math.factorial(n - 1)
-
     # the transfer gives closed forms in both slots or in neither
     if isinstance(hat.coef1, Kernel):
-        # exact Bers derivatives in the z = (x, y) variables
-        s1, sj = hat.coef1.sym, hat.coefj.sym
-        for m in range(n - 1):
-            pair = adjoint_seq.pair_at(m)
-            A, B = _lift(pair.A.sym), _lift(pair.B.sym)
-            s1, sj = (pair_operator(s.d_z(), A, B, s) for s in (s1, sj))
-        # closed forms through the transfer, so the powers keep exact partials
-        return adjoint_kernel_transfer(KernelFamily(
-            -n, Kernel(s1.scale(complex(scale))), Kernel(sj.scale(complex(scale)))
-        ))
-    else:
+        chain = _BersChain(hat, adjoint_seq, n)
+        return adjoint_kernel_transfer(KernelFamily(-n, _Slot(chain, 0), _Slot(chain, 1)))
 
-        def fd_step(fn, pair: GeneratingPair, h: float):
-            """Bers derivative in z of a kernel evaluator, differences at step h."""
-            return lambda zeta, z: fg_derivative(Field(lambda p: fn(zeta, p)), pair, z, h)
+    scale = 1 / math.factorial(n - 1)
 
-        f1, fj = hat.coef1, hat.coefj
-        for m in range(n - 1):
-            pair = adjoint_seq.pair_at(m)
-            h = 1e-3 * 2.0 ** (-m)
-            f1, fj = fd_step(f1, pair, h), fd_step(fj, pair, h)
-        d1 = lambda zeta, z: f1(zeta, z).scale(scale)  # noqa: E731
-        dj = lambda zeta, z: fj(zeta, z).scale(scale)  # noqa: E731
+    def fd_step(fn, pair: GeneratingPair, h: float):
+        """Bers derivative in z of a kernel evaluator, differences at step h."""
+        return lambda zeta, z: fg_derivative(Field(lambda p: fn(zeta, p)), pair, z, h)
 
+    f1, fj = hat.coef1, hat.coefj
+    for m in range(n - 1):
+        pair = adjoint_seq.pair_at(m)
+        h = 1e-3 * 2.0 ** (-m)
+        f1, fj = fd_step(f1, pair, h), fd_step(fj, pair, h)
+    d1 = lambda zeta, z: f1(zeta, z).scale(scale)  # noqa: E731
+    dj = lambda zeta, z: fj(zeta, z).scale(scale)  # noqa: E731
     # bare evaluators: the transfer swaps and recombines values, no tree
     return adjoint_kernel_transfer(KernelFamily(order=-n, coef1=d1, coefj=dj))
+
+
+class _BersChain:
+    """The order -n family on the adjoint side, 1/(n-1)! times the n-1 Bers
+    derivatives in z of the closed-form kernels ``hat``, in the sense of
+    the pairs 0..n-2 of ``seq``, at many pairs at once (``both``).
+
+    Each kernel program runs once on the Taylor jets of z, of degree n-1,
+    at every pair; so do the A and B programs of each pair, at the degree
+    their step needs.  The chain then takes n-1 Bers steps on the jets,
+    each one degree lower, on all kernels and pairs at once: no expression
+    tree grows with n.  The chain is linear in the kernel, and A and B do
+    not depend on the center, so the same chain of the center partials of
+    ``hat`` gives the center partials of the family (``center_partials``).
+
+    The jets hold numpy's extended precision (a 64-bit significand on
+    x86-64), and the values are rounded to doubles once, at the end: the
+    chain's own rounding stays below that of the double result.
+    """
+
+    def __init__(self, hat: KernelFamily, seq: GeneratingSequence, n: int):
+        self.kernels, self.seq, self.n = (hat.coef1, hat.coefj), seq, n
+        self._programs: dict = {}
+
+    def _program(self, key, trees: Callable[[], tuple], variables: tuple[str, ...], table: dict):
+        """The program of trees() bound to ``table``, compiled on first use."""
+        program = self._programs.get(key)
+        if program is None:
+            program = self._programs[key] = ex.compile_expr(trees(), variables, table=table)
+        return program
+
+    def both(self, xi, eta, x, y) -> tuple[BicomplexArray, BicomplexArray]:
+        """Z(1) and Z(j) at every pair, a number standing for every pair."""
+        trees = lambda: tuple(t for k in self.kernels for t in (k.sym.sc, k.sym.vec))  # noqa: E731
+        return tuple(in_pair_order(lambda *pair: self._run("values", trees, *pair), xi, eta, x, y))
+
+    def center_partials(self, xi, eta, x, y) -> list[BicomplexArray]:
+        """Z(1), dZ(1)/dxi, dZ(1)/deta, Z(j), dZ(j)/dxi, dZ(j)/deta at every
+        pair, from one chain run on the three-kernel programs of
+        ``Kernel.center_trees``."""
+        trees = lambda: tuple(t for k in self.kernels for t in k.center_trees())  # noqa: E731
+        return in_pair_order(lambda *pair: self._run("center", trees, *pair), xi, eta, x, y)
+
+    def _run(self, key: str, trees, xi, eta, x, y) -> list[BicomplexArray]:
+        """The chain of each kernel whose (sc, vec) trees trees() gives, at
+        every pair; a fault raises ``EvaluationError``, with the pair when
+        there is one."""
+        from . import jets  # on first use: at module level, every start would compile it
+
+        n = self.n
+        xi, eta, x, y = (np.atleast_1d(c).astype(np.longdouble) for c in np.broadcast_arrays(xi, eta, x, y))
+        try:
+            with np.errstate(divide="raise", invalid="raise", over="raise"):
+                zx, zy = jets.Jet.variable(x, 0, n - 1), jets.Jet.variable(y, 1, n - 1)
+                w = jets.BicomplexJet.stack(self._program(key, trees, KERNEL_VARS, jets.TABLE)(xi, eta, zx, zy), zx)
+                for m in range(n - 1):
+                    pair = self.seq.pair_at(m)
+                    coefs = lambda: (pair.A.sym.sc, pair.A.sym.vec, pair.B.sym.sc, pair.B.sym.vec)  # noqa: E731
+                    zx, zy = zx.truncated(n - 2 - m), zy.truncated(n - 2 - m)
+                    ab = jets.BicomplexJet.stack(self._program(m, coefs, ("x", "y"), jets.TABLE)(zx, zy), zx)
+                    a, b = (jets.BicomplexJet(c, ab.degree) for c in (ab.c[:, :, :1], ab.c[:, :, 1:]))
+                    w = pair_operator(d_z(w.partial(0), w.partial(1)), a, b, w)
+                sc, vec = (v[0] / math.factorial(n - 1) for v in w.parts())
+        except (FloatingPointError, ZeroDivisionError, ex.EvaluationError) as exc:
+            message = "division by zero" if isinstance(exc, ZeroDivisionError) else str(exc)
+            point = tuple(float(c[0]) for c in (xi, eta, x, y)) if xi.size == 1 else None
+            raise ex.EvaluationError(message, point) from None
+        return [BicomplexArray(*parts) for parts in zip(sc.astype(complex), vec.astype(complex))]
 
 
 # ---------------------------------------------------------------------------
@@ -416,16 +503,36 @@ def power_residual_scan(
 ) -> ResidualReport:
     """Max Vekua residual of both coefficients over a 10-by-10 sample grid
     of the region, punctured within 0.1 of the kernel center; a closed-form
-    coefficient is differentiated exactly."""
-
-    f1, fj = kernel_in_z(k.coef1, zeta), kernel_in_z(k.coefj, zeta)
-    r1 = rj = 0.0
-    for p in region.sample_points(10):
-        if p.dist(zeta) <= 0.1:
-            continue
-        r1 = max(r1, vekua_residual(f1, pair, p))
-        rj = max(rj, vekua_residual(fj, pair, p))
+    coefficient, or a Bers chain of one, is differentiated exactly."""
+    points = [p for p in region.sample_points(10) if p.dist(zeta) > 0.1]
+    r1, rj = (
+        max(
+            (pair_operator(d_zbar(fx, fy), pair.a(p), pair.b(p), w).norm for p, (w, fx, fy) in zip(points, slot)),
+            default=0.0,
+        )
+        for slot in _z_partials(k, zeta, points)
+    )
     return ResidualReport(r1, rj)
+
+
+def _z_partials(k: KernelFamily, zeta: PlanePoint, points: list[PlanePoint]) -> list[list[tuple]]:
+    """For each slot of k, (value, d/dx, d/dy) in z at each point, the
+    center frozen at zeta: the transfer of a Bers chain from one run of the
+    chain on the center partials (z is the chain's center), any other slot
+    by ``partials`` of ``kernel_in_z`` (exact for a ``Kernel``, else
+    central differences)."""
+    swap = _shared_source(k)
+    chain = _shared_source(swap.family) if isinstance(swap, _Swap) else None
+    if not isinstance(chain, _BersChain):
+        fields = [kernel_in_z(c, zeta) for c in (k.coef1, k.coefj)]
+        return [[partials(f, p) for p in points] for f in fields]
+    xs, ys = np.array([p.x for p in points]), np.array([p.y for p in points])
+    z1, z1x, z1y, zj, zjx, zjy = chain.center_partials(xs, ys, zeta.x, zeta.y)
+    out = []
+    for c in (k.coef1, k.coefj):
+        parts = [_recombined(c.slot, a, b) for a, b in ((z1, zj), (z1x, zjx), (z1y, zjy))]
+        out.append([tuple(Bicomplex(v.sc[i], v.vec[i]) for v in parts) for i in range(len(points))])
+    return out
 
 
 # Building blocks of the closed-form kernels over (xi, eta, x, y).

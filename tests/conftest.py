@@ -16,9 +16,9 @@ def compiles(monkeypatch):
     seen = []
     compile_expr = expr.compile_expr
 
-    def counted(e, *args):
+    def counted(e, *args, **kwargs):
         seen.append(e)
-        return compile_expr(e, *args)
+        return compile_expr(e, *args, **kwargs)
 
     monkeypatch.setattr(expr, "compile_expr", counted)
     return seen

@@ -103,9 +103,43 @@ def test_build_powers_matches_closed_form(tmp_path):
     assert dev["value"] <= 1e-6
 
 
-def test_build_powers_residual_uses_exact_partials(tmp_path):
-    # the order -3 analytic powers carry closed forms; central differences
-    # of them would leave a residual of about 1e-2
+@pytest.fixture
+def central_differences(monkeypatch):
+    """The axis of every ``fields.central_difference`` taken while the test
+    runs."""
+    axes = []
+    central_difference = fields.central_difference
+
+    def counted(func, z, h, axis):
+        axes.append(axis)
+        return central_difference(func, z, h, axis)
+
+    monkeypatch.setattr(fields, "central_difference", counted)
+    return axes
+
+
+def test_catalog_build_powers_takes_no_differences(tmp_path, central_differences):
+    # order -7 by the Taylor-jet Bers chain of the stock x-main kernels
+    cfg = {
+        "f": "x",
+        "kernel": "x-main",
+        "separable": {"phi": "x", "psi": "1"},
+        "n": 7,
+        "region": {"x0": 1.0, "x1": 3.0, "y0": -1.0, "y1": 1.0},
+        "tol": 1e-6,
+    }
+    config = _write(tmp_path, "c.json", cfg)
+    assert main(["build-powers", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    (check,) = _report(tmp_path)["checks"]
+    assert check["name"] == "max_deviation_from_closed_form"
+    assert check["value"] <= 1e-10
+    assert central_differences == []
+
+
+def test_build_powers_residual_uses_exact_partials(tmp_path, central_differences):
+    # the order -3 analytic powers are a Taylor-jet chain of closed forms,
+    # which gives their partials in z exactly; central differences of them
+    # would leave a residual of about 1e-2
     cfg = _write(
         tmp_path,
         "c.json",
@@ -122,6 +156,7 @@ def test_build_powers_residual_uses_exact_partials(tmp_path):
     (check,) = _report(tmp_path)["checks"]
     assert check["name"] == "max_vekua_residual"
     assert check["value"] <= 1e-10
+    assert central_differences == []
 
 
 def test_build_fundamental_catalog_match(tmp_path):
@@ -907,8 +942,9 @@ def test_benchmark_configs_validate():
 
 
 def test_symbolic_build_powers_compiles_only_what_it_evaluates(tmp_path, compiles):
-    # n = 3 powers by the Bers-derivative chain build dozens of symbolic
-    # fields; a field compiles on its first call, and few are ever called
+    # n = 3 powers by the Taylor-jet Bers chain compile one jet program of
+    # the hat kernels and one of A and B for each of the two pairs; the
+    # pairs' other fields compile on a first call, which never comes
     (cfg,) = [c for _, command, c in _workloads().generate("symbolic", 1) if command == "build-powers"]
     config = _write(tmp_path, "p.json", cfg)
     assert main(["build-powers", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0

