@@ -310,9 +310,9 @@ def _negate(e: Expr) -> Expr:
 #
 # Trees share subtrees (``binop(op, e, e)`` uses ``e`` twice), and each pass
 # below visits every distinct node once.  ``simplify`` marks each BinOp, Pow
-# and Call node it returns and returns a marked node as it is; ``diff`` and
-# ``substitute`` memoise by node identity for the length of one call, so a
-# shared subtree is processed once and its result is shared in turn.
+# and Call node it returns and returns a marked node as it is; ``diff``
+# memoises by node identity for the length of one call, so a shared subtree
+# is processed once and its result is shared in turn.
 
 
 def _is_num(e: Expr, value=None) -> bool:
@@ -343,7 +343,8 @@ def _fold(e: Expr) -> Expr:
             return Num(1 + 0j)
         if e.exponent == 1:
             return e.base
-        if isinstance(e.base, Num):
+        if isinstance(e.base, Num) and (e.base.value != 0 or e.exponent > 0):
+            # 0 to a negative power stays, as c/0 does: its evaluation raises
             return Num(e.base.value**e.exponent)
         return _mark(e)
     if isinstance(e, Call):
@@ -414,29 +415,6 @@ def binop(op: str, left: Expr, right: Expr) -> Expr:
 def neg(e: Expr) -> Expr:
     """0 - e, simplified."""
     return binop("-", ZERO, e)
-
-
-def _substitute(e: Expr, binding: dict[str, Expr], memo: dict) -> Expr:
-    if isinstance(e, Var):
-        return binding.get(e.name, e)
-    if isinstance(e, Num):
-        return e
-    out = memo.get(id(e))
-    if out is None:
-        if isinstance(e, BinOp):
-            left = _substitute(e.left, binding, memo)
-            out = _node(e, left, _substitute(e.right, binding, memo))
-        elif isinstance(e, Pow):
-            out = _node(e, _substitute(e.base, binding, memo))
-        else:
-            out = _node(e, _substitute(e.arg, binding, memo))
-        memo[id(e)] = out
-    return out
-
-
-def substitute(e: Expr, binding: dict[str, Expr]) -> Expr:
-    """Replace every variable named in ``binding`` by its expression."""
-    return _substitute(e, binding, {})
 
 
 def diff(e: Expr, var: str) -> Expr:

@@ -206,14 +206,15 @@ def _finite(*parts) -> bool:
 def _checked(arrays: Callable[[], tuple], scalar: Callable[[], tuple], shape: tuple) -> tuple:
     """The arrays arrays() gives, each spread to ``shape``, computed with
     division by zero, invalid operations and overflow raising.  On such a
-    fault, or a non-finite value, scalar() instead: the scalar code, point
-    by point, so a bad point raises the scalar call's own error
+    fault (a constant 0 to a negative power raises ZeroDivisionError in
+    Python arithmetic), or a non-finite value, scalar() instead: the scalar
+    code, point by point, so a bad point raises the scalar call's own error
     (EvaluationError, InvalidValueError, ...) with that point."""
     with np.errstate(divide="raise", invalid="raise", over="raise"):
         try:
             parts = arrays()
             finite = _finite(*parts)
-        except FloatingPointError:
+        except (FloatingPointError, ZeroDivisionError):
             finite = False
     if finite:
         return tuple(_spread(p, shape) for p in parts)
@@ -404,12 +405,13 @@ class Kernel:
             _pair_shape(xi, eta, x, y),
         )
 
-    def center_trees(self) -> tuple:
-        """The (sc, vec) trees of K, dK/dxi and dK/deta, in that order."""
-        return tuple(t for k in self._center_kernels() for t in (k.sym.sc, k.sym.vec))
+    def center_trees(self, variables: tuple[str, str] = ("xi", "eta")) -> tuple:
+        """The (sc, vec) trees of K and of its partials in the two
+        ``variables``, in that order: by default the center's."""
+        return tuple(t for k in self._center_kernels(variables) for t in (k.sym.sc, k.sym.vec))
 
-    def _center_kernels(self) -> tuple:
-        return self, self.diff_z("xi"), self.diff_z("eta")
+    def _center_kernels(self, variables: tuple[str, str]) -> tuple:
+        return (self,) + tuple(self.diff_z(v) for v in variables)
 
     def center_partials_on(self, xi, eta, x, y) -> tuple[Values, Values, Values]:
         """(K, dK/dxi, dK/deta) at every pair, as ``on`` gives each, from one
@@ -419,15 +421,10 @@ class Kernel:
             program = self.__dict__["_center_partials"] = ex.compile_expr(self.center_trees(), KERNEL_VARS, True)
         parts = _checked(
             lambda: program(xi, eta, x, y),
-            lambda: tuple(v for k in self._center_kernels() for v in k.on(xi, eta, x, y)),
+            lambda: tuple(v for k in self._center_kernels(("xi", "eta")) for v in k.on(xi, eta, x, y)),
             _pair_shape(xi, eta, x, y),
         )
         return parts[0:2], parts[2:4], parts[4:6]
-
-    def swap_arguments(self) -> "Kernel":
-        swap = {"xi": ex.Var("x"), "eta": ex.Var("y"), "x": ex.Var("xi"), "y": ex.Var("eta")}
-        s = self.sym
-        return Kernel(SymBC(KERNEL_VARS, ex.substitute(s.sc, swap), ex.substitute(s.vec, swap)))
 
     def diff_z(self, var: str) -> "Kernel":
         """The partial derivative kernel in ``var``, built once per kernel."""

@@ -29,10 +29,11 @@ class MissingSequenceError(PairError):
     """Requested index outside the representable sequence window."""
 
 
-@dataclass
+@dataclass(eq=False)
 class GeneratingPair:
     """A pair (F, G) with Vec(conj_j(F) G) != 0, plus its characteristic
-    coefficient fields a, b (for d_zbar) and A, B (for d_z)."""
+    coefficient fields a, b (for d_zbar) and A, B (for d_z).  A pair is
+    equal only to itself, and hashes so: it can key a cache."""
 
     F: Field
     G: Field

@@ -5,7 +5,6 @@ the reproducing-kernel certification, and the negative-power algorithm.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional, Sequence, Union
@@ -21,7 +20,6 @@ from .fields import (
     Field,
     Kernel,
     PairFace,
-    SymBC,
     Values,
     d_z,
     d_zbar,
@@ -68,44 +66,27 @@ class KernelFamily:
     coefj: KernelEval
 
 
-def coefficients_on(
-    k: KernelFamily,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    zeta: Optional[PlanePoint] = None,
-    z: Optional[PlanePoint] = None,
-) -> tuple[BicomplexArray, BicomplexArray]:
-    """Z(1) and Z(j) of the family at every node (xs[k], ys[k]): the node is
-    the argument z when the center ``zeta`` is given, else the center, with
-    the argument ``z`` given.  ``coefficients_at`` those pairs, with a
-    ``Kernel`` slot evaluated on all nodes at once as numpy code."""
-    xi, eta, x, y = (zeta.x, zeta.y, xs, ys) if zeta is not None else (xs, ys, z.x, z.y)
-    return coefficients_at(k, xi, eta, x, y, arrays=True)
-
-
-def coefficients_at(
-    k: KernelFamily, xi, eta, x, y, arrays: bool = False
-) -> tuple[BicomplexArray, BicomplexArray]:
+def coefficients_at(k: KernelFamily, xi, eta, x, y) -> tuple[BicomplexArray, BicomplexArray]:
     """Z(1) and Z(j) at every pair ((xi[k], eta[k]), (x[k], y[k])), a number
-    standing for every pair, as the slots' calls give them: two slots of one
-    source (``_Slot``: the two slots of one ``adjoint_kernel_transfer``, of
-    one Bers chain) from one evaluation of it, a slot with a pair face by
-    it, and any other slot called pair by pair, both slots at one pair back
-    to back.  With ``arrays`` a ``Kernel`` slot runs as numpy code, which
-    differs from its call in last bits."""
+    standing for every pair: two slots of one source (``_Slot``: the two
+    slots of one ``adjoint_kernel_transfer``, of one Bers chain) from one
+    evaluation of it, a slot with a face by it (a ``Kernel`` as numpy code,
+    which differs from its call in last bits, a ``PairFace`` as its call
+    gives it), and any other slot called pair by pair, both slots at one
+    pair back to back."""
     c1, cj = k.coef1, k.coefj
     source = _shared_source(k)
     if source is not None:
         both = source.both(xi, eta, x, y)
         return both[c1.slot], both[cj.slot]
-
-    def face(c) -> bool:
-        return isinstance(c, PairFace) or (arrays and isinstance(c, Kernel))
-
-    called = [c for c in (c1, cj) if not face(c)]
+    called = [c for c in (c1, cj) if not _has_face(c)]
     looped = iter(pairwise(called, xi, eta, x, y) if called else ())
-    z1, zj = (BicomplexArray(*(c.on(xi, eta, x, y) if face(c) else next(looped))) for c in (c1, cj))
+    z1, zj = (BicomplexArray(*(c.on(xi, eta, x, y) if _has_face(c) else next(looped))) for c in (c1, cj))
     return z1, zj
+
+
+def _has_face(c) -> bool:
+    return isinstance(c, (Kernel, PairFace))
 
 
 class _Slot(PairFace):
@@ -150,8 +131,8 @@ class _Swapped(_Slot):
 
     def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
         family = self.source.family
-        if _shared_source(family) is not None:
-            # the face, where the swapped slots share one evaluation of theirs
+        if any(_has_face(c) for c in (family.coef1, family.coefj)):
+            # the face, so that a call is the batch's value bit for bit
             return super().__call__(zeta, z)
         return _recombined(self.slot, family.coef1(z, zeta), family.coefj(z, zeta))
 
@@ -262,7 +243,7 @@ def first_cauchy(
 
     def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> tuple:
         wv, dzj = BicomplexArray(*w.on(xs, ys)), BicomplexArray(dz.real, dz.imag)
-        z1, zj = coefficients_on(adjoint_kernels, xs, ys, zeta=z0)
+        z1, zj = coefficients_at(adjoint_kernels, z0.x, z0.y, xs, ys)
         return (wv * z1 * dzj).vec, (wv * zj * dzj).vec
 
     i1, ij = _contour_integral(contour, z0, one_form)
@@ -284,7 +265,7 @@ def formal_contour_integral(
     fields = [w] if isinstance(w, Field) else list(w)
 
     def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> tuple:
-        z1, zj = coefficients_on(k, xs, ys, z=z0)
+        z1, zj = coefficients_at(k, xs, ys, z0.x, z0.y)
         dzj = BicomplexArray(dz.real, dz.imag)
         out = []
         for field in fields:
@@ -342,14 +323,8 @@ def adjoint_kernel_transfer(k: KernelFamily) -> KernelFamily:
     """Swap arguments and recombine components:
     Zhat(1, zeta, z) = -Sc Z(1, z, zeta) + j Sc Z(j, z, zeta)
     Zhat(j, zeta, z) =  Vec Z(1, z, zeta) - j Vec Z(j, z, zeta)
-    Applying the transfer twice recovers the original family."""
-    if isinstance(k.coef1, Kernel) and isinstance(k.coefj, Kernel):
-        s1 = k.coef1.swap_arguments().sym
-        sj = k.coefj.swap_arguments().sym
-        new1 = SymBC(KERNEL_VARS, ex.neg(s1.sc), sj.sc)
-        newj = SymBC(KERNEL_VARS, s1.vec, ex.neg(sj.vec))
-        return KernelFamily(k.order, Kernel(new1), Kernel(newj))
-
+    Applying the transfer twice recovers the original family.  The two
+    slots swap values, not expressions: they share one evaluation of k."""
     swap = _Swap(k)
     return KernelFamily(k.order, _Swapped(swap, 0), _Swapped(swap, 1))
 
@@ -360,12 +335,16 @@ def adjoint_kernel_transfer(k: KernelFamily) -> KernelFamily:
 
 def hat_sequence(seq: GeneratingSequence) -> GeneratingSequence:
     """Sequence m -> (j F*_{-m-1}, j G*_{-m-1}) whose members govern the
-    derivative chain on the adjoint side."""
+    derivative chain on the adjoint side; one member is built per distinct
+    pair of ``seq`` (two for a separable sequence)."""
+    hats: dict[GeneratingPair, GeneratingPair] = {}
 
-    @functools.cache
     def get(m: int) -> GeneratingPair:
-        Fs, Gs = adjoint_fields(seq.pair_at(-m - 1))
-        return make_pair(Fs.mul_j(), Gs.mul_j())
+        pair = seq.pair_at(-m - 1)
+        if pair not in hats:
+            Fs, Gs = adjoint_fields(pair)
+            hats[pair] = make_pair(Fs.mul_j(), Gs.mul_j())
+        return hats[pair]
 
     lo = -seq.hi - 1 if math.isfinite(seq.hi) else -math.inf
     hi = -seq.lo - 1 if math.isfinite(seq.lo) else math.inf
@@ -377,11 +356,12 @@ def negative_powers(
 ) -> KernelFamily:
     """Formal powers of order -n from the order -1 Cauchy kernel.
 
-    The adjoint-side kernel is differentiated n-1 times in the sense of the
-    pairs of ``adjoint_seq``, scaled by 1/(n-1)!, and carried back by the
-    base/adjoint transfer.  A closed-form kernel is differentiated exactly,
-    by Taylor jets (``_BersChain``: the slots share one chain run per batch
-    of pairs); a plain evaluator by nested central differences."""
+    The adjoint-side kernel (the base/adjoint transfer of the base) is
+    differentiated n-1 times in the sense of the pairs of ``adjoint_seq``,
+    scaled by 1/(n-1)!, and carried back by the transfer.  Closed-form base
+    kernels are differentiated exactly, by Taylor jets (``_BersChain``: the
+    slots share one chain run per batch of pairs); any other base by nested
+    central differences."""
     if n < 1:
         raise ValueError("order must satisfy n >= 1")
     if n == 1:
@@ -390,12 +370,11 @@ def negative_powers(
         raise MissingSequenceError(
             f"need pairs 0..{n - 2} of the adjoint sequence"
         )
-    hat = adjoint_kernel_transfer(base_kernel)
-    # the transfer gives closed forms in both slots or in neither
-    if isinstance(hat.coef1, Kernel):
-        chain = _BersChain(hat, adjoint_seq, n)
+    if isinstance(base_kernel.coef1, Kernel) and isinstance(base_kernel.coefj, Kernel):
+        chain = _BersChain(base_kernel, adjoint_seq, n)
         return adjoint_kernel_transfer(KernelFamily(-n, _Slot(chain, 0), _Slot(chain, 1)))
 
+    hat = adjoint_kernel_transfer(base_kernel)
     scale = 1 / math.factorial(n - 1)
 
     def fd_step(fn, pair: GeneratingPair, h: float):
@@ -415,28 +394,34 @@ def negative_powers(
 
 class _BersChain:
     """The order -n family on the adjoint side, 1/(n-1)! times the n-1 Bers
-    derivatives in z of the closed-form kernels ``hat``, in the sense of
-    the pairs 0..n-2 of ``seq``, at many pairs at once (``both``).
+    derivatives in z of the adjoint-side kernels of the closed-form family
+    ``base``, in the sense of the pairs 0..n-2 of ``seq``, at many pairs at
+    once (``both``).
 
-    Each kernel program runs once on the Taylor jets of z, of degree n-1,
-    at every pair; so do the A and B programs of each pair, at the degree
-    their step needs.  The chain then takes n-1 Bers steps on the jets,
-    each one degree lower, on all kernels and pairs at once: no expression
-    tree grows with n.  The chain is linear in the kernel, and A and B do
-    not depend on the center, so the same chain of the center partials of
-    ``hat`` gives the center partials of the family (``center_partials``).
+    The adjoint-side kernels at (zeta, z) are the base kernels at (z, zeta),
+    recombined (``adjoint_kernel_transfer``).  So the base kernels' one
+    program runs on the Taylor jets of z, of degree n-1, put in the center
+    places (xi, eta), at every pair, and its four parts are recombined as
+    ``_recombined`` does.  The A and B programs of each distinct pair run at
+    the degree their step needs.  The chain then takes n-1 Bers steps on
+    the jets, each one degree lower, on all kernels and pairs at once: no
+    expression tree grows with n.  The chain is linear in the kernel, and A
+    and B do not depend on the center, so the same chain of the base
+    kernels' partials in their argument (x, y), the adjoint side's center,
+    gives the center partials of the family (``center_partials``).
 
     The jets hold numpy's extended precision (a 64-bit significand on
     x86-64), and the values are rounded to doubles once, at the end: the
     chain's own rounding stays below that of the double result.
     """
 
-    def __init__(self, hat: KernelFamily, seq: GeneratingSequence, n: int):
-        self.kernels, self.seq, self.n = (hat.coef1, hat.coefj), seq, n
+    def __init__(self, base: KernelFamily, seq: GeneratingSequence, n: int):
+        self.kernels, self.seq, self.n = (base.coef1, base.coefj), seq, n
         self._programs: dict = {}
 
     def _program(self, key, trees: Callable[[], tuple], variables: tuple[str, ...], table: dict):
-        """The program of trees() bound to ``table``, compiled on first use."""
+        """The program of trees() bound to ``table``, compiled on first use
+        of ``key``: a kind of kernel trees, or a pair."""
         program = self._programs.get(key)
         if program is None:
             program = self._programs[key] = ex.compile_expr(trees(), variables, table=table)
@@ -449,14 +434,15 @@ class _BersChain:
 
     def center_partials(self, xi, eta, x, y) -> list[BicomplexArray]:
         """Z(1), dZ(1)/dxi, dZ(1)/deta, Z(j), dZ(j)/dxi, dZ(j)/deta at every
-        pair, from one chain run on the three-kernel programs of
-        ``Kernel.center_trees``."""
-        trees = lambda: tuple(t for k in self.kernels for t in k.center_trees())  # noqa: E731
+        pair, from one chain run on the base kernels' trees of
+        ``Kernel.center_trees`` in (x, y)."""
+        trees = lambda: tuple(t for k in self.kernels for t in k.center_trees(("x", "y")))  # noqa: E731
         return in_pair_order(lambda *pair: self._run("center", trees, *pair), xi, eta, x, y)
 
     def _run(self, key: str, trees, xi, eta, x, y) -> list[BicomplexArray]:
-        """The chain of each kernel whose (sc, vec) trees trees() gives, at
-        every pair; a fault raises ``EvaluationError``, with the pair when
+        """The chain of each adjoint-side kernel, the recombination of the
+        base kernels' (sc, vec) trees trees() gives (Z(1)'s, then Z(j)'s),
+        at every pair; a fault raises ``EvaluationError``, with the pair when
         there is one."""
         from . import jets  # on first use: at module level, every start would compile it
 
@@ -465,12 +451,17 @@ class _BersChain:
         try:
             with np.errstate(divide="raise", invalid="raise", over="raise"):
                 zx, zy = jets.Jet.variable(x, 0, n - 1), jets.Jet.variable(y, 1, n - 1)
-                w = jets.BicomplexJet.stack(self._program(key, trees, KERNEL_VARS, jets.TABLE)(xi, eta, zx, zy), zx)
+                # the base kernels at (z, zeta): the jets of z in the center places
+                parts = self._program(key, trees, KERNEL_VARS, jets.TABLE)(zx, zy, xi, eta)
+                values = [BicomplexArray(*parts[i : i + 2]) for i in range(0, len(parts), 2)]
+                ones, js = values[: len(values) // 2], values[len(values) // 2 :]
+                hat = [_recombined(slot, a, b) for slot in (0, 1) for a, b in zip(ones, js)]
+                w = jets.BicomplexJet.stack(tuple(p for h in hat for p in (h.sc, h.vec)), zx)
                 for m in range(n - 1):
                     pair = self.seq.pair_at(m)
                     coefs = lambda: (pair.A.sym.sc, pair.A.sym.vec, pair.B.sym.sc, pair.B.sym.vec)  # noqa: E731
                     zx, zy = zx.truncated(n - 2 - m), zy.truncated(n - 2 - m)
-                    ab = jets.BicomplexJet.stack(self._program(m, coefs, ("x", "y"), jets.TABLE)(zx, zy), zx)
+                    ab = jets.BicomplexJet.stack(self._program(pair, coefs, ("x", "y"), jets.TABLE)(zx, zy), zx)
                     a, b = (jets.BicomplexJet(c, ab.degree) for c in (ab.c[:, :, :1], ab.c[:, :, 1:]))
                     w = pair_operator(d_z(w.partial(0), w.partial(1)), a, b, w)
                 sc, vec = (v[0] / math.factorial(n - 1) for v in w.parts())
@@ -517,22 +508,35 @@ def power_residual_scan(
 
 def _z_partials(k: KernelFamily, zeta: PlanePoint, points: list[PlanePoint]) -> list[list[tuple]]:
     """For each slot of k, (value, d/dx, d/dy) in z at each point, the
-    center frozen at zeta: the transfer of a Bers chain from one run of the
-    chain on the center partials (z is the chain's center), any other slot
-    by ``partials`` of ``kernel_in_z`` (exact for a ``Kernel``, else
-    central differences)."""
+    center frozen at zeta: the transfer of a family with exact center
+    partials (``_center_partials``) from those (z is that family's center),
+    any other slot by ``partials`` of ``kernel_in_z`` (exact for a
+    ``Kernel``, else central differences)."""
     swap = _shared_source(k)
-    chain = _shared_source(swap.family) if isinstance(swap, _Swap) else None
-    if not isinstance(chain, _BersChain):
+    center = _center_partials(swap.family) if isinstance(swap, _Swap) else None
+    if center is None:
         fields = [kernel_in_z(c, zeta) for c in (k.coef1, k.coefj)]
         return [[partials(f, p) for p in points] for f in fields]
     xs, ys = np.array([p.x for p in points]), np.array([p.y for p in points])
-    z1, z1x, z1y, zj, zjx, zjy = chain.center_partials(xs, ys, zeta.x, zeta.y)
+    z1, z1x, z1y, zj, zjx, zjy = center(xs, ys, zeta.x, zeta.y)
     out = []
     for c in (k.coef1, k.coefj):
         parts = [_recombined(c.slot, a, b) for a, b in ((z1, zj), (z1x, zjx), (z1y, zjy))]
         out.append([tuple(Bicomplex(v.sc[i], v.vec[i]) for v in parts) for i in range(len(points))])
     return out
+
+
+def _center_partials(k: KernelFamily) -> Optional[Callable[..., list[BicomplexArray]]]:
+    """The exact Z(1), dZ(1)/dxi, dZ(1)/deta, Z(j), dZ(j)/dxi, dZ(j)/deta
+    of k at every pair (xi, eta, x, y), for a Bers chain or two closed-form
+    kernels; None for any other family."""
+    chain = _shared_source(k)
+    if isinstance(chain, _BersChain):
+        return chain.center_partials
+    if isinstance(k.coef1, Kernel) and isinstance(k.coefj, Kernel):
+        kernels = (k.coef1, k.coefj)
+        return lambda *pair: [BicomplexArray(*v) for c in kernels for v in c.center_partials_on(*pair)]
+    return None
 
 
 # Building blocks of the closed-form kernels over (xi, eta, x, y).

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from bivekua import expr
+from bivekua import expr, fields
 
 # every run draws the same examples: a property's failure reproduces, and a
 # pass does not depend on the run
@@ -22,3 +22,18 @@ def compiles(monkeypatch):
 
     monkeypatch.setattr(expr, "compile_expr", counted)
     return seen
+
+
+@pytest.fixture
+def central_differences(monkeypatch):
+    """The axis of every ``fields.central_difference`` taken while the test
+    runs."""
+    axes = []
+    central_difference = fields.central_difference
+
+    def counted(func, z, h, axis):
+        axes.append(axis)
+        return central_difference(func, z, h, axis)
+
+    monkeypatch.setattr(fields, "central_difference", counted)
+    return axes

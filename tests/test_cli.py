@@ -103,21 +103,6 @@ def test_build_powers_matches_closed_form(tmp_path):
     assert dev["value"] <= 1e-6
 
 
-@pytest.fixture
-def central_differences(monkeypatch):
-    """The axis of every ``fields.central_difference`` taken while the test
-    runs."""
-    axes = []
-    central_difference = fields.central_difference
-
-    def counted(func, z, h, axis):
-        axes.append(axis)
-        return central_difference(func, z, h, axis)
-
-    monkeypatch.setattr(fields, "central_difference", counted)
-    return axes
-
-
 def test_catalog_build_powers_takes_no_differences(tmp_path, central_differences):
     # order -7 by the Taylor-jet Bers chain of the stock x-main kernels
     cfg = {
@@ -551,6 +536,28 @@ def test_long_flat_chain_is_rejected_without_recursion_error(tmp_path, capsys):
     assert main(["residual-scan", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert "ExprSyntaxError" in err and "RecursionError" not in err
+
+
+@pytest.mark.parametrize(
+    "command, cfg",
+    [
+        (
+            "verify-reproducing",
+            {"kernel": "x-main", "f": "(1 - 1)^-1*x", "contour": {"center": [3, 0], "radius": 1, "nodes": 16}},
+        ),
+        (
+            "residual-scan",
+            {"f": "(1-1)^-1 + x", "field": {"sc": "x"}, "region": {"x0": 1.0, "x1": 2.0, "y0": -0.5, "y1": 0.5}},
+        ),
+    ],
+)
+def test_constant_zero_to_a_negative_power_is_an_evaluation_error(tmp_path, capsys, command, cfg):
+    # the constant (1 - 1)^-1 is kept, not folded, and its first evaluation
+    # raises at its point
+    config = _write(tmp_path, "c.json", cfg)
+    assert main([command, "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "EvaluationError: division by zero at (" in err and "ZeroDivisionError" not in err
 
 
 @pytest.mark.parametrize(

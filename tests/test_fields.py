@@ -105,12 +105,6 @@ def test_field_partials_match_fd():
     assert (f.dx(z) - fd_x).norm < 1e-8
 
 
-def test_kernel_swap():
-    k = Kernel.make("x - xi", "y - eta")
-    zeta, z = PlanePoint(1.0, 2.0), PlanePoint(3.0, 5.0)
-    assert isclose(k.swap_arguments()(zeta, z), k(z, zeta))
-
-
 def test_kernel_freeze():
     k = Kernel.make("(x - xi)^2", "y*eta")
     zeta, z = PlanePoint(1.0, 2.0), PlanePoint(3.0, 5.0)

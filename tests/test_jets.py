@@ -64,7 +64,7 @@ def test_jet_coefficients_are_the_partials_over_factorials(src, points):
     with np.errstate(all="ignore"):
         try:
             want = _partials_over_factorials(src, xs, ys)
-        except ZeroDivisionError:  # diff folds a constant 0 to a negative power
+        except ZeroDivisionError:  # a constant 0 to a negative power, kept by simplify
             assume(False)
     assume(np.all(np.isfinite(want)) and np.max(np.abs(want)) < 1e8)
     with np.errstate(divide="raise", invalid="raise", over="raise"):

@@ -4,13 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from bivekua import expr, jets
+from bivekua import expr, jets, powers
 
 from bivekua.bicomplex import J, Bicomplex, PlanePoint, from_cj, isclose
 from bivekua.calculus import RegionGrid
 from bivekua.expr import EvaluationError
 from bivekua.fields import KERNEL_VARS, Field, Kernel
-from bivekua.pairs import GeneratingSequence, MissingSequenceError, make_pair
+from bivekua.pairs import GeneratingSequence, MissingSequenceError, make_pair, separable_pair
 from bivekua.powers import (
     ContourSpec,
     KernelFamily,
@@ -202,8 +202,7 @@ def test_first_cauchy_asks_for_both_coefficients_at_each_node():
     fam = KernelFamily(-1, counted("1", hat.coef1), counted("j", hat.coefj))
     contour = ContourSpec.circle(PlanePoint(0, 0), 1.0, nodes=8)
     first_cauchy(ONE, fam, contour, PlanePoint(0.1, 0.2))
-    # a one-entry memo keyed by the point pair (adjoint_kernel_transfer's)
-    # serves both slots only when they are asked for back to back
+    # coefficients_at calls the two plain slots back to back at each node
     assert calls == [(slot, tau) for tau in node_points(contour.path) for slot in "1j"]
 
 
@@ -376,6 +375,36 @@ def test_negative_powers_jet_chain_matches_catalog_at_high_orders(n):
     for i, (zeta, z) in enumerate(pairs):
         assert (Bicomplex(z1.sc[i], z1.vec[i]) - oracle.coef1(zeta, z)).norm <= 1e-10
         assert (Bicomplex(zj.sc[i], zj.vec[i]) - oracle.coefj(zeta, z)).norm <= 1e-10
+
+
+def test_hat_sequence_builds_one_member_per_distinct_pair(monkeypatch):
+    # the separable sequence of (x, 1) has period two: the order -7 chain
+    # builds two hat pairs and compiles their jet programs once each, where
+    # a sequence of fresh pairs costs six, and the values are the same bit
+    # for bit
+    built, jet_programs = [], []
+    make, compile_expr = powers.make_pair, expr.compile_expr
+
+    def counted(e, variables=("x", "y"), arrays=False, table=None):
+        if table is jets.TABLE:
+            jet_programs.append(variables)
+        return compile_expr(e, variables, arrays, table)
+
+    monkeypatch.setattr(powers, "make_pair", lambda *args: built.append(1) or make(*args))
+    monkeypatch.setattr(expr, "compile_expr", counted)
+    pairs = [(PlanePoint(1.2 + 0.3 * i, 0.1 * i), PlanePoint(2.6 - 0.2 * i, 0.5 - 0.2 * i)) for i in range(4)]
+    xi, eta, x, y = (np.array(c) for c in zip(*((a.x, a.y, b.x, b.y) for a, b in pairs)))
+
+    def run(seq) -> tuple[int, int, list[bytes]]:
+        built.clear()
+        jet_programs.clear()
+        z1, zj = coefficients_at(negative_powers(x_main_family(), hat_sequence(seq), 7), xi, eta, x, y)
+        return len(built), len(jet_programs), [v.tobytes() for v in (z1.sc, z1.vec, zj.sc, zj.vec)]
+
+    shared = run(GeneratingSequence.separable("x", "1"))
+    fresh = run(GeneratingSequence(lambda m: separable_pair("x", "1", m % 2)))
+    assert shared[:2] == (2, 3) and fresh[:2] == (6, 7)
+    assert shared[2] == fresh[2]
 
 
 def test_negative_powers_jet_chain_fault_raises_at_its_pair():

@@ -13,7 +13,7 @@ from bivekua.pairs import GeneratingSequence, is_successor, vekua_residual
 from bivekua.powers import (
     SingularPointError,
     asymptotics_check,
-    coefficients_on,
+    coefficients_at,
     hat_sequence,
     negative_powers,
     adjoint_kernel_transfer,
@@ -198,7 +198,7 @@ def test_main_coefficients_share_one_successor_coefj():
     successor.coefj = counted
     main = adjoint_kernel_transfer(successor)
     zeta, z = PlanePoint(2.4, 0.1), PlanePoint(1.5, 0.05)
-    z1, zj = coefficients_on(main, np.array([zeta.x]), np.array([zeta.y]), z=z)
+    z1, zj = coefficients_at(main, np.array([zeta.x]), np.array([zeta.y]), z.x, z.y)
     assert calls == [(z, zeta)]
     # the recombination of the successor values, each computed once
     a, b = k1(z, zeta), coefj(z, zeta)
@@ -273,12 +273,17 @@ def test_coefj_face_refuses_pairs_in_pair_order():
         fam.coefj.on(*columns([good, through, diagonal]))
 
 
-def test_main_faces_are_their_calls_bit_for_bit():
-    main = adjoint_kernel_transfer(pipeline_successor(F_X))
+@pytest.mark.parametrize(
+    "successor", [lambda: pipeline_successor(F_X), x_successor_family], ids=["pipeline", "closed-form"]
+)
+def test_main_faces_are_their_calls_bit_for_bit(successor):
+    # the transfer swaps the successor's values, a closed form's too, so a
+    # main slot's call is its face at one pair
+    main = adjoint_kernel_transfer(successor())
     z0 = PlanePoint(2.05, 0.05)
     taus = [PlanePoint(2 + 0.3 * math.cos(t), 0.3 * math.sin(t)) for t in (0.1, 1.9, 4.0)]
     xs, ys = np.array([t.x for t in taus]), np.array([t.y for t in taus])
-    z1, zj = coefficients_on(main, xs, ys, z=z0)
+    z1, zj = coefficients_at(main, xs, ys, z0.x, z0.y)
     grid = kernel_in_z(main.coef1, z0).on(xs, ys)
     for k, tau in enumerate(taus):
         a, b = main.coef1(tau, z0), main.coefj(tau, z0)
@@ -351,6 +356,16 @@ def test_main_family_residual_scan():
         x_main_family(), prob.pair, RegionGrid(1, 2, -1, 1), PlanePoint(1.5, 0)
     )
     assert rep.max_residual <= 1e-8
+
+
+def test_transferred_main_family_residual_scan_is_exact(central_differences):
+    # the transfer of closed-form kernels takes its partials in z from their
+    # exact center partials
+    rep = power_residual_scan(
+        adjoint_kernel_transfer(x_main_family()), x_problem().successor, REGION_X, PlanePoint(1.5, 0)
+    )
+    assert central_differences == []
+    assert rep.max_residual <= 1e-12
 
 
 def test_successor_family_residual_scan():

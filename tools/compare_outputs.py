@@ -3,8 +3,10 @@
 Runs seeds 1-3 of the three benchmark workloads (bench/workloads.py)
 through the `vekua` CLI, once under each tree, and prints for every
 report.json and CSV either "byte-identical" or the largest absolute and
-relative difference of any number in it.  Exits 1 if any check's pass/fail,
-or any run's exit code, differs between the trees.
+relative difference of any number in it, and an artifact that only the head
+writes.  Ends with one summary line: how many of the base's artifacts are
+byte-identical, and the largest relative difference.  Exits 1 if any
+check's pass/fail, or any run's exit code, differs between the trees.
 
     python3 tools/compare_outputs.py --base /path/to/base/src --head src
 """
@@ -62,16 +64,18 @@ def numbers(path: Path) -> list[float]:
     return [float(cell) for row in rows[1:] for cell in row]
 
 
-def difference(a: Path, b: Path) -> str:
-    """How far artifact b is from artifact a."""
+def difference(a: Path, b: Path) -> tuple[str, float]:
+    """How far artifact b is from artifact a, and the largest relative
+    difference of its numbers (0 when byte-identical, inf when the shapes
+    differ)."""
     if a.read_bytes() == b.read_bytes():
-        return "byte-identical"
+        return "byte-identical", 0.0
     x, y = numbers(a), numbers(b)
     if len(x) != len(y):
-        return f"differs in shape ({len(x)} vs {len(y)} numbers)"
+        return f"differs in shape ({len(x)} vs {len(y)} numbers)", float("inf")
     worst_abs = max((abs(u - v) for u, v in zip(x, y)), default=0.0)
     worst_rel = max((abs(u - v) / max(abs(u), abs(v)) for u, v in zip(x, y) if u != v), default=0.0)
-    return f"max abs diff {worst_abs:.3g}, max rel diff {worst_rel:.3g}"
+    return f"max abs diff {worst_abs:.3g}, max rel diff {worst_rel:.3g}", worst_rel
 
 
 def verdicts(report: Path) -> list:
@@ -88,6 +92,8 @@ def main() -> int:
     parser.add_argument("--head", required=True, type=Path, help="the src/ tree under test")
     args = parser.parse_args()
     changed = False
+    total = identical = 0
+    worst_rel = 0.0
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         for workload in sorted(workloads.WORKLOADS):
@@ -107,12 +113,18 @@ def main() -> int:
                         changed = True
                         print(f"{workload} seed {seed} {name}: check pass/fail changed")
                     for artifact in sorted(p.name for p in base.glob("*")):
+                        total += 1
                         if not (head / artifact).exists():
                             changed = True
                             print(f"{workload} seed {seed} {name}/{artifact}: missing")
                             continue
-                        print(f"{workload} seed {seed} {name}/{artifact}: "
-                              f"{difference(base / artifact, head / artifact)}")
+                        text, rel = difference(base / artifact, head / artifact)
+                        identical += text == "byte-identical"
+                        worst_rel = max(worst_rel, rel)
+                        print(f"{workload} seed {seed} {name}/{artifact}: {text}")
+                    for artifact in sorted(p.name for p in head.glob("*") if not (base / p.name).exists()):
+                        print(f"{workload} seed {seed} {name}/{artifact}: written by the head only")
+    print(f"{identical} of {total} artifacts byte-identical, max rel diff {worst_rel:.3g}")
     if changed:
         print("a check's pass/fail or a run's exit code changed")
     return 1 if changed else 0
