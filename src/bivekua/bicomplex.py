@@ -305,8 +305,3 @@ def bc_exp(w: Bicomplex) -> Bicomplex:
     """E[W] = P+ e^{W+} + P- e^{W-}."""
     p, m = w.idempotent()
     return Bicomplex.from_idempotent_coords(cmath.exp(p), cmath.exp(m))
-
-
-def isclose(a: Bicomplex, b: Bicomplex, tol: float = 1e-12) -> bool:
-    """Tolerance scaled by max(1, |a|, |b|)."""
-    return (a - b).norm <= tol * max(1.0, a.norm, b.norm)

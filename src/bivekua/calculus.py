@@ -1,6 +1,6 @@
-"""Analytic operator toolbox: Wirtinger operators, path antiderivatives and
-the conjugate-building transform, together with the path quadrature and the
-region grids they need.
+"""Analytic operator toolbox: Wirtinger operators and the conjugate-building
+transform, together with the path quadrature and the region grids they
+need.
 
 A path holds its nodes and weights as numpy arrays.  A path integral
 evaluates its integrand on all nodes at once and sums the values in node
@@ -325,23 +325,6 @@ class Path(Walks):
         start = PlanePoint(c.real + radius, c.imag)
         return Path._of(c + radius * e, 1j * radius * e * dt, start, start)
 
-    @staticmethod
-    def detour(
-        start: PlanePoint,
-        end: PlanePoint,
-        avoid: PlanePoint,
-        radius: Optional[float] = None,
-        side: float = 1.0,
-        nodes_per_segment: int = 16,
-    ) -> "Path":
-        """Straight path from start to end with a circular-arc detour
-        around ``avoid`` when the segment passes too close to it (the path
-        of ``detour_walks`` for these points)."""
-        (walks,) = detour_walks(
-            start.as_complex, end.as_complex, avoid.as_complex, radius, side, nodes_per_segment
-        )
-        return Path(walks.xs, walks.ys, walks.dz, start, end)
-
     # -- integration --------------------------------------------------------
 
     def integrate(self, one_form: Callable[[np.ndarray, np.ndarray, np.ndarray], object]):
@@ -413,18 +396,7 @@ def wirtinger(w: Field, z: PlanePoint, h: Optional[float] = None) -> GradientSam
 
 
 # ---------------------------------------------------------------------------
-# Path antiderivative and the conjugate transform
-
-
-def abar_antiderivative(w: Field, path: Path) -> complex:
-    """2 ∫ (u dx + v dy) for W = u + jv; solves d_zbar(phi) = W when the
-    compatibility condition u_y = v_x holds."""
-
-    def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> np.ndarray:
-        sc, vec = w.on(xs, ys)
-        return sc * dz.real + vec * dz.imag
-
-    return 2 * path.integrate(one_form)
+# The conjugate transform
 
 
 def tf_densities(u: tuple, f: tuple, dz: np.ndarray) -> tuple:

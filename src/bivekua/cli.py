@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bicomplex import Bicomplex, PlanePoint
-from .calculus import RegionGrid, grid_columns, midpoints
+from .calculus import RegionGrid, grid_columns
 from .fields import Field, kernel_in_z
 from .pairs import GeneratingSequence, make_pair, separable_pair, vekua_residual
 from .powers import (
@@ -65,11 +65,7 @@ TWO_PI = 2 * math.pi
 CSV_HEADER = "x,y,sc_re,sc_im,vec_re,vec_im"
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
-
-
-# a CSV_HEADER row, each number as _fmt writes it
+# a CSV_HEADER row, each number with 17 significant digits
 _ROW = ",".join(["%.17g"] * 6)
 
 
@@ -77,7 +73,7 @@ _ROW = ",".join(["%.17g"] * 6)
 # Config schema: each command's table maps a key to (check, default).  A check
 # is a function (value, dotted key) -> validated value, or a dict of the keys
 # of a nested object; REQUIRED marks a key without a default.  The keys of
-# contour, grid and region are the arguments of ContourSpec.circle, midpoints
+# contour, grid and region are the arguments of ContourSpec.circle, grid_columns
 # and RegionGrid.
 
 REQUIRED = object()
@@ -331,11 +327,22 @@ def _random_point_pairs(cfg: dict, count: int, min_dist: float = 0.2):
     raise ConfigError(too_small)
 
 
-def _value_row(p: PlanePoint, w: Bicomplex) -> str:
-    return ",".join(
-        _fmt(v)
-        for v in (p.x, p.y, w.sc.real, w.sc.imag, w.vec.real, w.vec.imag)
-    )
+def _grid_csv(two_point, zeta: PlanePoint, grid: dict, seen=None) -> tuple[list[str], int]:
+    """The CSV lines of z -> two_point(zeta, z), by its face, at the grid's
+    points off zeta, and the number of those points: a block of columns
+    (``grid_columns``) at a time, as arrays of the whole grid would raise
+    peak memory.  seen(xs, ys, sc, vec), when given, sees each block."""
+    field, lines, points = kernel_in_z(two_point, zeta), [CSV_HEADER], 0
+    for xs, ys in grid_columns(**grid):
+        off = np.hypot(xs - zeta.x, ys - zeta.y) > 1e-9
+        xs, ys = xs[off], ys[off]
+        sc, vec = field.on(xs, ys)
+        if seen is not None:
+            seen(xs, ys, sc, vec)
+        table = np.stack([xs, ys, sc.real, sc.imag, vec.real, vec.imag], axis=1)
+        lines += [_ROW % tuple(row) for row in table.tolist()]
+        points += xs.size
+    return lines, points
 
 
 # ---------------------------------------------------------------------------
@@ -345,20 +352,9 @@ def _value_row(p: PlanePoint, w: Bicomplex) -> str:
 def cmd_eval_kernel(cfg: dict):
     fam = _build_kernel(cfg)
     _unread_f(cfg)
-    zeta = cfg["zeta"]
-    kernel = kernel_in_z(fam.coef1 if cfg["alpha"] == "1" else fam.coefj, zeta)
-    rows, points = [], 0
-    # a block of columns at a time: arrays of the whole grid would raise
-    # peak memory
-    for xs, ys in grid_columns(**cfg["grid"]):
-        off = np.hypot(xs - zeta.x, ys - zeta.y) > 1e-9
-        xs, ys = xs[off], ys[off]
-        sc, vec = kernel.on(xs, ys)
-        table = np.stack([xs, ys, sc.real, sc.imag, vec.real, vec.imag], axis=1)
-        rows += [_ROW % tuple(row) for row in table.tolist()]
-        points += xs.size
-    checks = [_check("rows", len(rows), points, 0)]
-    return checks, {"kernel.csv": [CSV_HEADER] + rows}, {}
+    lines, points = _grid_csv(fam.coef1 if cfg["alpha"] == "1" else fam.coefj, cfg["zeta"], cfg["grid"])
+    checks = [_check("rows", len(lines) - 1, points, 0)]
+    return checks, {"kernel.csv": lines}, {}
 
 
 def cmd_verify_reproducing(cfg: dict):
@@ -427,22 +423,21 @@ def cmd_build_fundamental(cfg: dict):
     kj = x_successor_family() if catalog else _pipeline_successor(cfg)
     if z0 == "zeta+1":
         z0 = lambda zt: PlanePoint(zt.x + 1, zt.y)  # noqa: E731
-    s1 = darboux_fundamental(kj, f, z0)
-    pts = [p for p in midpoints(**cfg["grid"]) if p.dist(zeta) > 1e-9]
-    sc, vec = s1.on(zeta.x, zeta.y, np.array([p.x for p in pts]), np.array([p.y for p in pts]))
-    rows = []
     dev = 0.0
-    for p, a, b in zip(pts, sc.tolist(), vec.tolist()):
-        v = Bicomplex(a, b)
-        rows.append(_value_row(p, v))
-        if oracle is not None:
-            dev = max(dev, (v - oracle(zeta, p)).norm)
-    checks = [_check("rows", len(rows), len(pts), 0)]
+
+    def deviation(xs, ys, sc, vec) -> None:
+        nonlocal dev
+        for x, y, a, b in zip(xs.tolist(), ys.tolist(), sc.tolist(), vec.tolist()):
+            dev = max(dev, (Bicomplex(a, b) - oracle(zeta, PlanePoint(x, y))).norm)
+
+    s1 = darboux_fundamental(kj, f, z0)
+    lines, points = _grid_csv(s1, zeta, cfg["grid"], None if oracle is None else deviation)
+    checks = [_check("rows", len(lines) - 1, points, 0)]
     extra = {}
     if oracle is not None:
         checks.append(_check("max_deviation_from_closed_form", dev, 0.0, cfg["tol"]))
         extra["closed_form"] = "x-darboux-fundamental"
-    return checks, {"fundamental.csv": [CSV_HEADER] + rows}, extra
+    return checks, {"fundamental.csv": lines}, extra
 
 
 def cmd_residual_scan(cfg: dict):
@@ -468,7 +463,7 @@ def cmd_residual_scan(cfg: dict):
     for p in region.sample_points(cfg["samples"]):
         res = residual(p)
         worst = max(worst, res)
-        rows.append(f"{_fmt(p.x)},{_fmt(p.y)},{_fmt(res)}")
+        rows.append("%.17g,%.17g,%.17g" % (p.x, p.y, res))
     checks = [_check("max_residual", worst, 0.0, cfg["tol"])]
     return checks, {"residuals.csv": ["x,y,residual"] + rows}, {}
 

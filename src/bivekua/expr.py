@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -343,23 +344,15 @@ def _fold(e: Expr) -> Expr:
             return Num(1 + 0j)
         if e.exponent == 1:
             return e.base
-        if isinstance(e.base, Num) and (e.base.value != 0 or e.exponent > 0):
-            # 0 to a negative power stays, as c/0 does: its evaluation raises
-            return Num(e.base.value**e.exponent)
+        if isinstance(e.base, Num):
+            return _constant(e, operator.pow, e.base.value, e.exponent)
         return _mark(e)
     if isinstance(e, Call):
         return _mark(e)
     left, right = e.left, e.right
     op = e.op
     if isinstance(left, Num) and isinstance(right, Num):
-        if op == "+":
-            return Num(left.value + right.value)
-        if op == "-":
-            return Num(left.value - right.value)
-        if op == "*":
-            return Num(left.value * right.value)
-        if op == "/" and right.value != 0:
-            return Num(left.value / right.value)
+        return _constant(e, _ARITHMETIC[op], left.value, right.value)
     if op == "+":
         if _is_num(left, 0):
             return right
@@ -381,6 +374,19 @@ def _fold(e: Expr) -> Expr:
         if _is_num(right, 1):
             return left
     return _mark(e)
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _constant(e: Expr, op, a: complex, b) -> Expr:
+    """op(a, b) as a Num, or e unfolded when that is no finite double (0 to a
+    negative power, c/0, an overflow), so that its evaluation raises."""
+    try:
+        v = op(a, b)
+    except (ZeroDivisionError, OverflowError):
+        return _mark(e)
+    return Num(v) if cmath.isfinite(v) else _mark(e)
 
 
 def _simplify(e: Expr, memo: dict) -> Expr:
@@ -567,10 +573,11 @@ def _error(exc: Exception, point: tuple) -> EvaluationError:
     return EvaluationError(message, point)
 
 
-# The two function tables one generated source is bound to.  Numpy code
-# catches nothing itself: its callers evaluate it under np.errstate and, on
-# a fault, re-run the cmath code point by point (see fields.Field.on).
-_CMATH = {
+# The function tables one generated source is bound to (``jets.TABLE`` binds
+# it to Taylor jets).  Numpy code catches nothing itself: its callers
+# evaluate it under np.errstate and, on a fault, re-run the cmath code point
+# by point (see fields.Field.on).
+CMATH = {
     "_exp": cmath.exp,
     "_log": _safe_log,
     "_sin": cmath.sin,
@@ -592,29 +599,24 @@ def _of_complex(ufunc):
     return lambda v: ufunc(np.asarray(v, dtype=complex))
 
 
-_NUMPY = {
-    **_CMATH,
+NUMPY = {
+    **CMATH,
     **{f"_{name}": _of_complex(getattr(np, name)) for name in FUNCTIONS if name != "abs2"},
     "_errors": (),
 }
 
 
-def compile_expr(
-    e: Union[Expr, tuple],
-    variables: tuple[str, ...] = ("x", "y"),
-    arrays: bool = False,
-    table: Optional[dict] = None,
-):
+def compile_expr(e: Union[Expr, tuple], variables: tuple[str, ...] = ("x", "y"), table: dict = CMATH):
     """Compile to a fast positional callable over the given variables; a
     tuple of expressions to one that returns the tuple of their values.
 
     The generated code computes each repeated subexpression once.  It is
-    bound to cmath, for numbers, or with ``arrays`` to numpy, for arrays
-    (and numbers) that broadcast together; the two agree entry by entry to
-    rounding.  In the cmath code, division by zero and log(0) surface as
+    bound to the function ``table``: cmath, for numbers, by default;
+    ``NUMPY``, for arrays (and numbers) that broadcast together, which
+    agrees with it entry by entry to rounding; ``jets.TABLE``, for Taylor
+    jets.  In the cmath code, division by zero and log(0) surface as
     EvaluationError carrying the evaluation point rather than NaN/Inf.  The
-    numpy code leaves faults to numpy's error state.  A ``table`` binds the
-    same source to other values (``jets.TABLE``: Taylor jets).
+    numpy code leaves faults to numpy's error state.
     """
     lines, result = _straight_line(e)
     body = "".join(f"        {line}\n" for line in lines)
@@ -625,6 +627,6 @@ def compile_expr(
         f"    except _errors as exc:\n"
         f"        raise _error(exc, {point}) from None\n"
     )
-    env = dict(table if table is not None else _NUMPY if arrays else _CMATH)
+    env = dict(table)
     exec(source, env)  # noqa: S102 - closed environment
     return env["_f"]

@@ -7,13 +7,12 @@ either.
 
 The fields f, the pairs and the potentials are built from expressions,
 and their partials are the exact partials of those expressions.  Two
-finite differences remain.  ``partials`` differences a field that carries
-no partials, a kernel slot without a closed form frozen at its center
-(``kernel_in_z``), at the caller's step or ``default_step``: the residual
-scans of pipeline kernels and the nested differences of
-``powers.negative_powers`` of a plain evaluator take them.
-``schroedinger.schroedinger_residual`` differences at the step ``h`` a
-residual scan gives.
+finite differences remain here.  ``partials`` differences a field that
+carries no partials, a kernel slot without a closed form frozen at its
+center (``kernel_in_z``), at the caller's step or ``default_step``: the
+residual scans of pipeline kernels take them.  ``schroedinger_residual``
+differences at the step ``h`` a residual scan gives.
+``powers.negative_powers`` of a plain evaluator takes its own, on arrays.
 
 A symbolic value is compiled on its first call, to one program for its
 (sc, vec) parts: a formula builds many fields, and few of them are ever
@@ -23,9 +22,9 @@ it has closed forms, else point by point in ``pointwise``.
 ``BicomplexArray`` is the ring interface on such node values, so a formula
 written on it runs on all nodes at once.
 
-A kernel slot with a pair face (``PairFace``) evaluates many pairs
-(zeta, z) at once by ``on``; other evaluators run pair by pair
-(``pairwise``).
+A two-point function with a pair face (``PairFace``: a ``Kernel``, a path
+kernel, a slot of a transfer or of a chain) evaluates many pairs (zeta, z)
+at once by ``on``; other evaluators run pair by pair (``pairwise``).
 """
 
 from __future__ import annotations
@@ -64,19 +63,19 @@ class SymBC:
 
     # -- evaluation -------------------------------------------------------
 
-    def _program(self, arrays: bool) -> Callable[..., tuple]:
-        """The (sc, vec) values as one program, which computes the parts'
-        shared subexpressions once; a constant needs no code."""
+    def _program(self, table: dict) -> Callable[..., tuple]:
+        """The (sc, vec) values as one program bound to ``table``, computing
+        the parts' shared subexpressions once; a constant needs no code."""
         if isinstance(self.sc, ex.Num) and isinstance(self.vec, ex.Num):
             value = (self.sc.value, self.vec.value)
             return lambda *args: value
-        return ex.compile_expr((self.sc, self.vec), self.variables, arrays)
+        return ex.compile_expr((self.sc, self.vec), self.variables, table)
 
     def compiled(self) -> Callable[..., Bicomplex]:
         """The value as a function of the variables, built on first use."""
         cache = self.__dict__.get("_compiled")
         if cache is None:
-            program = self._program(False)
+            program = self._program(ex.CMATH)
             cache = lambda *a: Bicomplex(*program(*a))  # noqa: E731
             object.__setattr__(self, "_compiled", cache)
         return cache
@@ -86,7 +85,7 @@ class SymBC:
         (sc, vec) values out; a constant part stays a number."""
         cache = self.__dict__.get("_compiled_arrays")
         if cache is None:
-            cache = self._program(True)
+            cache = self._program(ex.NUMPY)
             object.__setattr__(self, "_compiled_arrays", cache)
         return cache
 
@@ -271,6 +270,9 @@ class BicomplexArray:
     def __add__(self, other: "BicomplexArray") -> "BicomplexArray":
         return BicomplexArray(self.sc + other.sc, self.vec + other.vec)
 
+    def __sub__(self, other: "BicomplexArray") -> "BicomplexArray":
+        return BicomplexArray(self.sc - other.sc, self.vec - other.vec)
+
     def __mul__(self, other: "BicomplexArray") -> "BicomplexArray":
         with np.errstate(over="ignore", invalid="ignore"):
             p, m = self.sc - 1j * self.vec, self.sc + 1j * self.vec
@@ -294,6 +296,12 @@ class BicomplexArray:
     def scale(self, c) -> "BicomplexArray":
         """Multiplication by a C_i scalar, or by one at every node."""
         return BicomplexArray(_product(c, self.sc), _product(c, self.vec))
+
+    def conj(self) -> "BicomplexArray":
+        return BicomplexArray(self.sc, -self.vec)
+
+    def mul_j(self) -> "BicomplexArray":
+        return BicomplexArray(-self.vec, self.sc)
 
 
 class Field:
@@ -383,8 +391,20 @@ class Field:
 KERNEL_VARS = ("xi", "eta", "x", "y")
 
 
+class PairFace:
+    """A two-point function with a pair face ``on(xi, eta, x, y)``: its
+    values at every pair ((xi[k], eta[k]), (x[k], y[k])), a number standing
+    for every pair.  A call is the face at one pair, so a value is the same
+    bit for bit in any batch (a ``Kernel``'s call is its cmath program, to
+    which its face falls back on a fault)."""
+
+    def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
+        sc, vec = self.on(zeta.x, zeta.y, z.x, z.y)
+        return Bicomplex(sc[0], vec[0])
+
+
 @dataclass
-class Kernel:
+class Kernel(PairFace):
     """A two-point symbolic function K(zeta, z) over (xi, eta, x, y)."""
 
     sym: SymBC
@@ -418,7 +438,7 @@ class Kernel:
         program that computes their shared subexpressions once."""
         program = self.__dict__.get("_center_partials")
         if program is None:
-            program = self.__dict__["_center_partials"] = ex.compile_expr(self.center_trees(), KERNEL_VARS, True)
+            program = self.__dict__["_center_partials"] = ex.compile_expr(self.center_trees(), KERNEL_VARS, ex.NUMPY)
         parts = _checked(
             lambda: program(xi, eta, x, y),
             lambda: tuple(v for k in self._center_kernels(("xi", "eta")) for v in k.on(xi, eta, x, y)),
@@ -491,17 +511,6 @@ def in_pair_order(batch: Callable[..., object], xi, eta, x, y):
             for zeta, z in pairs:
                 batch(zeta.x, zeta.y, z.x, z.y)
         raise
-
-
-class PairFace:
-    """A kernel slot with a pair face ``on(xi, eta, x, y)``: its values at
-    every pair ((xi[k], eta[k]), (x[k], y[k])), a number standing for every
-    pair.  A call is the face at one pair, so a value is the same bit for
-    bit in any batch."""
-
-    def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-        sc, vec = self.on(zeta.x, zeta.y, z.x, z.y)
-        return Bicomplex(sc[0], vec[0])
 
 
 def kernel_in_z(coef, zeta: PlanePoint) -> Field:

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .expr import _NUMPY, EvaluationError
+from .expr import NUMPY, EvaluationError
 
 
 def size(degree: int) -> int:
@@ -270,4 +270,4 @@ def _on_jets(name: str):
 
 # The function table ``expr.compile_expr`` binds its generated source to;
 # abs2, v * v, is numpy's, which jets share.
-TABLE = {**_NUMPY, **{f"_{name}": _on_jets(name) for name in _SERIES}}
+TABLE = {**NUMPY, **{f"_{name}": _on_jets(name) for name in _SERIES}}

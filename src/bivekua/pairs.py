@@ -118,17 +118,6 @@ def adjoint_pair(pair: GeneratingPair, region: Optional[RegionGrid] = None) -> G
     return make_pair(Fs, Gs, region)
 
 
-def is_successor(candidate: GeneratingPair, base: GeneratingPair, region: RegionGrid) -> bool:
-    """True iff a_candidate = a_base and b_candidate = -B_base to 1e-8 on a
-    20-by-20 sample grid."""
-    for p in region.sample_points():
-        if (candidate.a(p) - base.a(p)).norm > 1e-8:
-            return False
-        if (candidate.b(p) + base.B(p)).norm > 1e-8:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Separable generating sequences
 

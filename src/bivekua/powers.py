@@ -33,7 +33,6 @@ from .pairs import (
     GeneratingSequence,
     MissingSequenceError,
     adjoint_fields,
-    fg_derivative,
     make_pair,
     pair_operator,
 )
@@ -68,25 +67,20 @@ class KernelFamily:
 
 def coefficients_at(k: KernelFamily, xi, eta, x, y) -> tuple[BicomplexArray, BicomplexArray]:
     """Z(1) and Z(j) at every pair ((xi[k], eta[k]), (x[k], y[k])), a number
-    standing for every pair: two slots of one source (``_Slot``: the two
-    slots of one ``adjoint_kernel_transfer``, of one Bers chain) from one
-    evaluation of it, a slot with a face by it (a ``Kernel`` as numpy code,
-    which differs from its call in last bits, a ``PairFace`` as its call
-    gives it), and any other slot called pair by pair, both slots at one
-    pair back to back."""
+    standing for every pair: the two ``_Slot``s of one source (a transfer,
+    a chain of ``negative_powers``) from one evaluation of it, a slot with a
+    ``PairFace`` by its face (a ``Kernel`` as numpy code, which differs from
+    its call in last bits), and any other slot called pair by pair, both
+    slots at one pair back to back."""
     c1, cj = k.coef1, k.coefj
     source = _shared_source(k)
     if source is not None:
         both = source.both(xi, eta, x, y)
         return both[c1.slot], both[cj.slot]
-    called = [c for c in (c1, cj) if not _has_face(c)]
+    called = [c for c in (c1, cj) if not isinstance(c, PairFace)]
     looped = iter(pairwise(called, xi, eta, x, y) if called else ())
-    z1, zj = (BicomplexArray(*(c.on(xi, eta, x, y) if _has_face(c) else next(looped))) for c in (c1, cj))
-    return z1, zj
-
-
-def _has_face(c) -> bool:
-    return isinstance(c, (Kernel, PairFace))
+    on = [c.on(xi, eta, x, y) if isinstance(c, PairFace) else next(looped) for c in (c1, cj)]
+    return BicomplexArray(*on[0]), BicomplexArray(*on[1])
 
 
 class _Slot(PairFace):
@@ -124,17 +118,6 @@ def _recombined(slot: int, a, b):
     """Slot ``slot`` of the swap from Z(1) = a and Z(j) = b at the swapped
     pair(s)."""
     return type(a)(-a.sc, b.sc) if slot == 0 else type(a)(a.vec, -b.vec)
-
-
-class _Swapped(_Slot):
-    """A slot of a ``_Swap``."""
-
-    def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-        family = self.source.family
-        if any(_has_face(c) for c in (family.coef1, family.coefj)):
-            # the face, so that a call is the batch's value bit for bit
-            return super().__call__(zeta, z)
-        return _recombined(self.slot, family.coef1(z, zeta), family.coefj(z, zeta))
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +309,7 @@ def adjoint_kernel_transfer(k: KernelFamily) -> KernelFamily:
     Applying the transfer twice recovers the original family.  The two
     slots swap values, not expressions: they share one evaluation of k."""
     swap = _Swap(k)
-    return KernelFamily(k.order, _Swapped(swap, 0), _Swapped(swap, 1))
+    return KernelFamily(k.order, _Slot(swap, 0), _Slot(swap, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +342,9 @@ def negative_powers(
     The adjoint-side kernel (the base/adjoint transfer of the base) is
     differentiated n-1 times in the sense of the pairs of ``adjoint_seq``,
     scaled by 1/(n-1)!, and carried back by the transfer.  Closed-form base
-    kernels are differentiated exactly, by Taylor jets (``_BersChain``: the
-    slots share one chain run per batch of pairs); any other base by nested
-    central differences."""
+    kernels are differentiated exactly, by Taylor jets (``_BersChain``); any
+    other base by nested central differences (``_Differences``).  Either
+    way the two slots share one run per batch of pairs."""
     if n < 1:
         raise ValueError("order must satisfy n >= 1")
     if n == 1:
@@ -371,25 +354,48 @@ def negative_powers(
             f"need pairs 0..{n - 2} of the adjoint sequence"
         )
     if isinstance(base_kernel.coef1, Kernel) and isinstance(base_kernel.coefj, Kernel):
-        chain = _BersChain(base_kernel, adjoint_seq, n)
-        return adjoint_kernel_transfer(KernelFamily(-n, _Slot(chain, 0), _Slot(chain, 1)))
+        source = _BersChain(base_kernel, adjoint_seq, n)
+    else:
+        source = _Differences(adjoint_kernel_transfer(base_kernel), adjoint_seq, n)
+    return adjoint_kernel_transfer(KernelFamily(-n, _Slot(source, 0), _Slot(source, 1)))
 
-    hat = adjoint_kernel_transfer(base_kernel)
-    scale = 1 / math.factorial(n - 1)
 
-    def fd_step(fn, pair: GeneratingPair, h: float):
-        """Bers derivative in z of a kernel evaluator, differences at step h."""
-        return lambda zeta, z: fg_derivative(Field(lambda p: fn(zeta, p)), pair, z, h)
+class _Differences:
+    """The order -n family on the adjoint side of a base without closed
+    forms, at many pairs at once (``both``): 1/(n-1)! times the n-1 nested
+    Bers derivatives in z of the adjoint-side kernels ``hat``, in the sense
+    of the pairs 0..n-2 of ``seq``, the one of pair m by central
+    differences of step 1e-3 2^-m.
 
-    f1, fj = hat.coef1, hat.coefj
-    for m in range(n - 1):
-        pair = adjoint_seq.pair_at(m)
-        h = 1e-3 * 2.0 ** (-m)
-        f1, fj = fd_step(f1, pair, h), fd_step(fj, pair, h)
-    d1 = lambda zeta, z: f1(zeta, z).scale(scale)  # noqa: E731
-    dj = lambda zeta, z: fj(zeta, z).scale(scale)  # noqa: E731
-    # bare evaluators: the transfer swaps and recombines values, no tree
-    return adjoint_kernel_transfer(KernelFamily(order=-n, coef1=d1, coefj=dj))
+    A level evaluates the level below at the five-point stencil of every
+    pair: z, then z + h and z - h in x, then in y, both slots in one
+    ``coefficients_at`` batch of all the stencils' points.  Its arithmetic
+    rounds as ``pairs.fg_derivative`` on ``Bicomplex`` values does; A and B
+    run as numpy code."""
+
+    def __init__(self, hat: KernelFamily, seq: GeneratingSequence, n: int):
+        self.hat, self.seq, self.n = hat, seq, n
+
+    def both(self, xi, eta, x, y) -> tuple[BicomplexArray, BicomplexArray]:
+        """Z(1) and Z(j) at every pair, a number standing for every pair."""
+        columns = np.broadcast_arrays(*(np.atleast_1d(np.asarray(c, dtype=float)) for c in (xi, eta, x, y)))
+        w = self._level(self.n - 1, *columns).scale(1 / math.factorial(self.n - 1))
+        return BicomplexArray(w.sc[0], w.vec[0]), BicomplexArray(w.sc[1], w.vec[1])
+
+    def _level(self, m: int, xi, eta, x, y) -> BicomplexArray:
+        """The m-th derivatives at every pair, of Z(1) and of Z(j) on the
+        first axis: both slots in each array operation."""
+        if m == 0:
+            z1, zj = coefficients_at(self.hat, xi, eta, x, y)
+            return BicomplexArray(np.stack([z1.sc, zj.sc]), np.stack([z1.vec, zj.vec]))
+        pair, h = self.seq.pair_at(m - 1), 1e-3 * 2.0 ** (1 - m)
+        stencil = (np.concatenate([x, x + h, x - h, x, x]), np.concatenate([y, y, y, y + h, y - h]))
+        w = self._level(m - 1, np.tile(xi, 5), np.tile(eta, 5), *stencil)
+        points = zip(*(p.reshape(2, 5, -1).swapaxes(0, 1) for p in (w.sc, w.vec)))
+        value, xp, xm, yp, ym = (BicomplexArray(sc, vec) for sc, vec in points)
+        fx, fy = ((p - q).scale(1 / (2 * h)) for p, q in ((xp, xm), (yp, ym)))
+        a, b = (BicomplexArray(*c.on(x, y)) for c in (pair.A, pair.B))
+        return pair_operator(d_z(fx, fy), a, b, value)
 
 
 class _BersChain:
@@ -466,9 +472,8 @@ class _BersChain:
                     w = pair_operator(d_z(w.partial(0), w.partial(1)), a, b, w)
                 sc, vec = (v[0] / math.factorial(n - 1) for v in w.parts())
         except (FloatingPointError, ZeroDivisionError, ex.EvaluationError) as exc:
-            message = "division by zero" if isinstance(exc, ZeroDivisionError) else str(exc)
             point = tuple(float(c[0]) for c in (xi, eta, x, y)) if xi.size == 1 else None
-            raise ex.EvaluationError(message, point) from None
+            raise ex._error(exc, point) from None
         return [BicomplexArray(*parts) for parts in zip(sc.astype(complex), vec.astype(complex))]
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from . import expr as ex
-from .bicomplex import Bicomplex, PlanePoint
+from .bicomplex import Bicomplex, InvalidValueError, PlanePoint
 from .calculus import CalculusError, Path, detour_integrals, tf_densities, tf_transform
 from .fields import (
     KERNEL_VARS,
@@ -157,13 +157,46 @@ def _per_walk(v, walk: list[int], n: int):
     return float(v) if np.ndim(v) == 0 else np.broadcast_to(v, (n,))[walk]
 
 
+def _walks(face, start, end: int, forms: int, one_form, xi, eta, x, y) -> np.ndarray:
+    """Per 1-form of one_form(xs, ys, dz, *other), ``other`` the coordinates
+    of each pair's other point at every node, the row of its integrals over
+    the detour path from start(zeta) to the pair's point ``end`` (0: zeta,
+    1: z) around the other point, divided by face.f there, 0 where the path
+    is empty: ``forms`` rows, all paths run as array jobs
+    (``detour_integrals``, face.side).  A pair on the diagonal, f = 0 at a
+    path end or a value past the double range raises."""
+    pairs = pairs_of(xi, eta, x, y)
+    walked = []  # (pair index, path start, f at the path end) of each path
+    for k, pair in enumerate(pairs):
+        if pair[0].dist(pair[1]) == 0:
+            raise SingularPointError(f"two-point function evaluated on the diagonal at {pair[1]}")
+        a, b = start(pair[0]), pair[end]
+        if b.dist(a) != 0:
+            fend = face.f(b).sc
+            if fend == 0:
+                raise CalculusError(f"f vanishes at path endpoint {b}")
+            walked.append((k, a.as_complex, fend))
+    out = np.zeros((forms, len(pairs)), dtype=complex)
+    if walked:
+        walk, starts, fends = map(list, zip(*walked))
+        ends, avoid = (np.array([pairs[k][i].as_complex for k in walk]) for i in (end, 1 - end))
+        frozen = tuple(_per_walk(v, walk, len(pairs)) for v in ((x, y), (xi, eta))[end])
+        totals = detour_integrals(np.array(starts), ends, avoid, one_form, frozen, face.side)
+        # Python's complex division, which rounds unlike numpy's
+        out[:, walk] = [[t / fend for t, fend in zip(row.tolist(), fends)] for row in totals]
+        # not .all(): its reduction loop alone adds 0.1 MB of resident memory
+        if np.count_nonzero(~np.isfinite(out)):
+            raise InvalidValueError("a path integral over f is outside the double range")
+    return out
+
+
 class SuccessorCoefj(PairFace):
     """The coefficient-j kernel of a successor family: at (zeta, z), T_f of
     u = -Z(1)(., z) (``integrand``) over the detour path from zeta0 to zeta
     around z, componentwise in u = u1 + j u2 (``calculus.tf_transform``).
-    Its pair face runs the walks of all pairs as array jobs
-    (``detour_integrals``), each evaluating the integrand and f, with their
-    partials, on all its nodes at once."""
+    Its pair face runs the walks of all pairs as array jobs (``_walks``),
+    each evaluating the integrand and f, with their partials, on all its
+    nodes at once."""
 
     def __init__(self, integrand: Kernel, f: Field, zeta0: PlanePoint, side: float = 1.0):
         self.integrand, self.f, self.zeta0, self.side = integrand, f, zeta0, side
@@ -172,46 +205,22 @@ class SuccessorCoefj(PairFace):
         return in_pair_order(self._batch, xi, eta, x, y)
 
     def _batch(self, xi, eta, x, y) -> Values:
-        pairs = pairs_of(xi, eta, x, y)
-        for zeta, z in pairs:
-            if zeta.dist(z) == 0:
-                raise SingularPointError(f"kernel evaluated on the diagonal at {z}")
-        sc, vec = np.zeros((2, len(pairs)), dtype=complex)
-        walk = [k for k, (zeta, _) in enumerate(pairs) if zeta.dist(self.zeta0) != 0]
-        if not walk:
-            return sc, vec
-
         def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray, zx, zy) -> tuple:
             u = self.integrand.center_partials_on(xs, ys, zx, zy)
             return tf_densities(u, partials_on(self.f, xs, ys), dz)
 
-        ends, avoid = (np.array([pairs[k][i].as_complex for k in walk]) for i in (0, 1))
-        frozen = (_per_walk(x, walk, len(pairs)), _per_walk(y, walk, len(pairs)))
-        t1, t2 = detour_integrals(self.zeta0.as_complex, ends, avoid, one_form, frozen, self.side)
-        for k, a, b in zip(walk, t1.tolist(), t2.tolist()):
-            zeta = pairs[k][0]
-            fend = self.f(zeta).sc
-            if fend == 0:
-                raise CalculusError(f"f vanishes at path endpoint {zeta}")
-            value = Bicomplex(a / fend, b / fend)
-            sc[k], vec[k] = value.sc, value.vec
-        return sc, vec
+        return tuple(_walks(self, lambda zeta: self.zeta0, 0, 2, one_form, xi, eta, x, y))
 
 
-class DarbouxFundamental:
+class DarbouxFundamental(PairFace):
     """S1(zeta, z) = (1/f(z)) Vec ∫_{z0}^{z} f(tau) Z(j, zeta, tau) dtau, Z(j)
     the ``family``'s, along the detour path from base_of(zeta) to z around
     zeta: log|z - zeta| plus a regular part R.  ``_batch`` gives the
-    regular parts at many pairs, running their walks as array jobs; the
-    pair face ``on`` and a call add log|z - zeta| to them alike."""
+    regular parts at many pairs, running their walks as array jobs
+    (``_walks``); the pair face ``on`` adds log|z - zeta| to them."""
 
     def __init__(self, family: KernelFamily, f: Field, base_of: Callable[[PlanePoint], PlanePoint], side: float):
         self.family, self.f, self.base_of, self.side = family, f, base_of, side
-
-    def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-        if zeta.dist(z) == 0:
-            raise SingularPointError(f"fundamental solution evaluated at {z}")
-        return Bicomplex(math.log(zeta.dist(z)) + self.regular(zeta, z), 0)
 
     def regular(self, zeta: PlanePoint, z: PlanePoint) -> complex:
         (value,) = self._batch(zeta.x, zeta.y, z.x, z.y)
@@ -220,38 +229,17 @@ class DarbouxFundamental:
     def on(self, xi, eta, x, y) -> Values:
         """S1 at every pair ((xi[k], eta[k]), (x[k], y[k]))."""
         pairs, regular = pairs_of(xi, eta, x, y), in_pair_order(self._batch, xi, eta, x, y)
-        sc = np.array([Bicomplex(math.log(zeta.dist(z)) + r, 0).sc for (zeta, z), r in zip(pairs, regular)])
+        sc = np.array([math.log(zeta.dist(z)) + r for (zeta, z), r in zip(pairs, regular)], dtype=complex)
         return sc, np.zeros(sc.shape, dtype=complex)
 
     def _batch(self, xi, eta, x, y) -> list[complex]:
-        pairs = pairs_of(xi, eta, x, y)
-        values, walk, bases, fzs = [0j] * len(pairs), [], [], []
-        for k, (zeta, z) in enumerate(pairs):
-            if zeta.dist(z) == 0:
-                raise SingularPointError(f"fundamental solution evaluated at {z}")
-            base = self.base_of(zeta)
-            if z.dist(base) == 0:
-                continue  # the path is empty
-            fz = self.f(z).sc
-            if fz == 0:
-                raise CalculusError(f"f vanishes at path endpoint {z}")
-            walk.append(k)
-            bases.append(base.as_complex)
-            fzs.append(fz)
-
         def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray, cx, cy) -> tuple:
             c = self.family.coefj
-            has_on = isinstance(c, (Kernel, PairFace))
-            k_sc, k_vec = c.on(cx, cy, xs, ys) if has_on else pairwise([c], cx, cy, xs, ys)[0]
+            k_sc, k_vec = c.on(cx, cy, xs, ys) if isinstance(c, PairFace) else pairwise([c], cx, cy, xs, ys)[0]
             return (self.f.on(xs, ys)[0] * (k_sc * dz.imag + k_vec * dz.real),)
 
-        if walk:
-            ends, avoid = (np.array([pairs[k][i].as_complex for k in walk]) for i in (1, 0))
-            frozen = (_per_walk(xi, walk, len(pairs)), _per_walk(eta, walk, len(pairs)))
-            (totals,) = detour_integrals(np.array(bases), ends, avoid, one_form, frozen, self.side)
-            for k, total, fz in zip(walk, totals.tolist(), fzs):
-                values[k] = total / fz
-        return [v - math.log(zeta.dist(z)) for v, (zeta, z) in zip(values, pairs)]
+        (values,) = _walks(self, self.base_of, 1, 1, one_form, xi, eta, x, y).tolist()
+        return [v - math.log(zeta.dist(z)) for v, (zeta, z) in zip(values, pairs_of(xi, eta, x, y))]
 
 
 def darboux_fundamental(
@@ -315,10 +303,6 @@ def conjugate_pair_build(f: Field, u: Field, path_base: PlanePoint) -> Field:
 # The scalar coordinate f = x solves the Laplace equation; its successor and
 # main-equation kernels, negative powers, and Darboux fundamental solution
 # all have closed forms, used as oracles throughout the test suite.
-
-def x_problem(region=None) -> MainVekuaProblem:
-    return MainVekuaProblem.from_f(Field.from_exprs("x"), region)
-
 
 def x_successor_family() -> KernelFamily:
     """Closed-form successor kernels for f = x (potential 0 side)."""

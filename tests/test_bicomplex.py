@@ -23,9 +23,9 @@ from bivekua.bicomplex import (
     from_cj,
     from_idempotent,
     idempotent_split,
-    isclose,
 )
 from bivekua.fields import BicomplexArray
+from oracles import isclose
 
 finite = st.floats(allow_nan=False, allow_infinity=False)  # every finite double
 

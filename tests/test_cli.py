@@ -203,6 +203,30 @@ def test_build_fundamental_vanishes_at_path_base(tmp_path, cfg):
             assert c["value"] == 0.0
 
 
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        {"f": "x", "zeta": [2.0, 0.1], "z0": "zeta+1", "tol": 1e-6,
+         "grid": {"x0": 1.2, "x1": 3.0, "y0": -0.8, "y1": 0.8, "nx": 5, "ny": 4}},
+        {"f": "exp(x)*cos(y)", "zeta0": [0.5, 0.0], "zeta": [1.0, 0.1], "z0": "zeta+1",
+         "grid": {"x0": 1.4, "x1": 2.2, "y0": -0.3, "y1": 0.5, "nx": 3, "ny": 1}},
+    ],
+    ids=["catalog", "pipeline"],
+)
+def test_build_fundamental_table_is_the_same_in_any_blocks(tmp_path, monkeypatch, cfg):
+    # a node budget of 1 cuts the table into blocks of one column each, and
+    # every walk into its own array job
+    config = _write(tmp_path, "c.json", cfg)
+    artifacts = []
+    for budget, out in ((calculus.NODE_BUDGET, tmp_path / "one"), (1, tmp_path / "many")):
+        monkeypatch.setattr(calculus, "NODE_BUDGET", budget)
+        blocks = list(calculus.grid_columns(**cfg["grid"]))
+        assert len(blocks) == (1 if budget > 1 else cfg["grid"]["nx"])
+        assert main(["build-fundamental", "--config", str(config), "--out", str(out), "--quiet"]) == 0
+        artifacts.append([(out / name).read_bytes() for name in ("fundamental.csv", "report.json")])
+    assert artifacts[0] == artifacts[1]
+
+
 def test_build_fundamental_f_vanishing_at_z_is_a_calculus_error(tmp_path, capsys):
     # S1 divides by f(z), and f = x vanishes at the one grid point (0, 0.6)
     cfg = _write(tmp_path, "c.json", {
@@ -561,6 +585,20 @@ def test_constant_zero_to_a_negative_power_is_an_evaluation_error(tmp_path, caps
 
 
 @pytest.mark.parametrize(
+    "f, error",
+    [("(1e200)^2 + x", "EvaluationError: complex exponentiation at ("), ("1e200*1e200 + x", "InvalidValueError")],
+)
+def test_constant_past_the_double_range_is_a_typed_error(tmp_path, capsys, f, error):
+    # the constant is kept, not folded to a value no double holds, and its
+    # evaluation raises a typed error
+    cfg = {"f": f, "field": {"sc": "x"}, "region": {"x0": 1.0, "x1": 2.0, "y0": -0.5, "y1": 0.5}}
+    config = _write(tmp_path, "c.json", cfg)
+    assert main(["residual-scan", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert error in err and "OverflowError" not in err and "NameError" not in err
+
+
+@pytest.mark.parametrize(
     "command, cfg, message",
     [
         (
@@ -790,7 +828,8 @@ def test_eval_kernel_csv_is_the_per_point_rows(tmp_path, alpha):
     assert header == cli.CSV_HEADER
     assert len(rows) == len(points)
     for row, p in zip(rows, points):
-        want = [float(v) for v in cli._value_row(p, coef(zeta, p)).split(",")]
+        w = coef(zeta, p)
+        want = [p.x, p.y, w.sc.real, w.sc.imag, w.vec.real, w.vec.imag]
         got = [float(v) for v in row.split(",")]
         assert got[:2] == want[:2]
         assert all(abs(g - v) <= 1e-15 * max(1.0, abs(v)) for g, v in zip(got, want))
@@ -860,8 +899,8 @@ def test_pipeline_verify_reproducing_walks_f_and_g_together(tmp_path, successor_
 def test_pipeline_build_powers_shares_derivatives_between_slots(tmp_path, successor_coefj_calls):
     # the anchored pipeline kernel differs from the closed form by a regular
     # solution, so the deviation check is not the point here (tol 1); each
-    # sample pair evaluates both slots, and both share one evaluation of
-    # each derivative: 2 samples x 2 derivatives x 5 stencil points
+    # sample pair evaluates both slots, and both share one five-point
+    # stencil of the derivative: 2 samples x 5 stencil points
     cfg = {
         "kernel": "pipeline",
         "f": "x",
@@ -874,7 +913,7 @@ def test_pipeline_build_powers_shares_derivatives_between_slots(tmp_path, succes
     }
     config = _write(tmp_path, "c.json", cfg)
     assert main(["build-powers", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
-    assert len(successor_coefj_calls) == 20
+    assert len(successor_coefj_calls) == 10
 
 
 def _readme_config_keys() -> dict[tuple[str, str], object]:
@@ -1001,16 +1040,9 @@ _PIPELINE_RUNS = [
 
 def test_pipeline_walks_are_array_jobs(tmp_path, monkeypatch):
     # every successor and Darboux walk is built and evaluated by a pair
-    # face's array job: no per-walk detour or transform, and no walk
-    # evaluates its nodes one by one
+    # face's array job: no per-walk transform (the library builds no single
+    # detour path), and no walk evaluates its nodes one by one
     per_walk, node_by_node, depth, jobs = [], [], [0], []
-    detour = calculus.Path.detour
-
-    def counted_detour(*args, **kwargs):
-        per_walk.append(args)
-        return detour(*args, **kwargs)
-
-    monkeypatch.setattr(calculus.Path, "detour", staticmethod(counted_detour))
     for module in (calculus, schroedinger):
         monkeypatch.setattr(module, "tf_transform", lambda *args: per_walk.append(args))
     for face in (SuccessorCoefj, DarbouxFundamental):

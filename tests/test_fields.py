@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from bivekua import expr as ex
-from bivekua.bicomplex import Bicomplex, BicomplexError, PlanePoint, isclose
-from bivekua.calculus import Path, PathThroughSingularityError
+from bivekua.bicomplex import Bicomplex, BicomplexError, PlanePoint
+from bivekua.calculus import PathThroughSingularityError
 from bivekua.expr import EvaluationError
 from bivekua.fields import BicomplexArray, Field, Kernel, SymBC, d_z, d_zbar
 from bivekua.pairs import adjoint_fields, make_pair, separable_pair
 from bivekua.schroedinger import x_main_family
+from oracles import detour_path, isclose
 
 
 def test_symbc_eval():
@@ -157,7 +158,7 @@ def test_joint_program_is_the_part_programs_bit_for_bit():
         for x, y in zip(xs.tolist(), ys.tolist()):
             v = s.compiled()(x, y)
             assert (v.sc, v.vec) == (sc(x, y), vec(x, y))
-        sc, vec = (ex.compile_expr(e, s.variables, arrays=True) for e in (s.sc, s.vec))
+        sc, vec = (ex.compile_expr(e, s.variables, table=ex.NUMPY) for e in (s.sc, s.vec))
         joint = s.compiled_arrays()(xs, ys)
         assert np.array_equal(joint[0], sc(xs, ys)) and np.array_equal(joint[1], vec(xs, ys))
 
@@ -204,4 +205,4 @@ def test_division_and_degenerate_detour():
     assert a / b == a * b.inv()
     p = PlanePoint(1.0, 0.5)
     with pytest.raises(PathThroughSingularityError, match="degenerate path"):
-        Path.detour(p, p, PlanePoint(2.0, 0.0))
+        detour_path(p, p, PlanePoint(2.0, 0.0))

@@ -30,3 +30,32 @@ def test_every_imported_name_is_used():
         if names:
             unused[str(path.relative_to(ROOT))] = sorted(names)
     assert unused == {}
+
+
+def _private_top_level_names(tree: ast.Module) -> set[str]:
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def test_every_private_name_is_used():
+    # a private helper that nothing in the package reads any more is a
+    # leftover of deleted code
+    trees = [ast.parse(path.read_text(), str(path)) for path in MODULES]
+    read = set()
+    for tree in trees:
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    unused = {
+        str(path.relative_to(ROOT)): sorted(_private_top_level_names(tree) - read)
+        for path, tree in zip(MODULES, trees)
+    }
+    assert {k: v for k, v in unused.items() if v} == {}

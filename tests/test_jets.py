@@ -30,7 +30,7 @@ def _partials_over_factorials(src, xs, ys, degree=DEGREE):
         for var, count in (("x", a), ("y", b)):
             for _ in range(count):
                 d = ex.diff(d, var)
-        values = ex.compile_expr(d, ("x", "y"), arrays=True)(xs, ys)
+        values = ex.compile_expr(d, ("x", "y"), table=ex.NUMPY)(xs, ys)
         out.append(np.broadcast_to(values, xs.shape) / (math.factorial(a) * math.factorial(b)))
     return np.array(out)
 

@@ -6,7 +6,7 @@ import pytest
 
 from bivekua import expr, jets, powers
 
-from bivekua.bicomplex import J, Bicomplex, PlanePoint, from_cj, isclose
+from bivekua.bicomplex import J, Bicomplex, PlanePoint, from_cj
 from bivekua.calculus import RegionGrid
 from bivekua.expr import EvaluationError
 from bivekua.fields import KERNEL_VARS, Field, Kernel
@@ -29,6 +29,7 @@ from bivekua.powers import (
     reproducing_example_kernel,
 )
 from bivekua.schroedinger import x_main_family, x_negative_power
+from oracles import isclose
 
 ONE = Field.constant(Bicomplex(1, 0))
 JF = Field.constant(Bicomplex(0, 1))
@@ -331,8 +332,8 @@ def test_negative_powers_jet_chain_shares_one_run_between_slots(monkeypatch):
     runs = []
     compile_expr = expr.compile_expr
 
-    def counted(e, variables=("x", "y"), arrays=False, table=None):
-        program = compile_expr(e, variables, arrays, table)
+    def counted(e, variables=("x", "y"), table=expr.CMATH):
+        program = compile_expr(e, variables, table)
         if table is not jets.TABLE or variables != KERNEL_VARS:
             return program
         return lambda *args: runs.append(1) or program(*args)
@@ -385,10 +386,10 @@ def test_hat_sequence_builds_one_member_per_distinct_pair(monkeypatch):
     built, jet_programs = [], []
     make, compile_expr = powers.make_pair, expr.compile_expr
 
-    def counted(e, variables=("x", "y"), arrays=False, table=None):
+    def counted(e, variables=("x", "y"), table=expr.CMATH):
         if table is jets.TABLE:
             jet_programs.append(variables)
-        return compile_expr(e, variables, arrays, table)
+        return compile_expr(e, variables, table)
 
     monkeypatch.setattr(powers, "make_pair", lambda *args: built.append(1) or make(*args))
     monkeypatch.setattr(expr, "compile_expr", counted)

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from bivekua import calculus, fields, schroedinger
-from bivekua.bicomplex import Bicomplex, PlanePoint, isclose
-from bivekua.calculus import Path, PathThroughSingularityError, RegionGrid, detour_walks, tf_transform
+from bivekua.bicomplex import Bicomplex, PlanePoint
+from bivekua.calculus import PathThroughSingularityError, RegionGrid, detour_walks, tf_transform
 from bivekua.expr import EvaluationError
 from bivekua.fields import Field, Kernel, kernel_in_z
-from bivekua.pairs import GeneratingSequence, is_successor, vekua_residual
+from bivekua.pairs import GeneratingSequence, vekua_residual
 from bivekua.powers import (
     SingularPointError,
     asymptotics_check,
@@ -34,9 +34,9 @@ from bivekua.schroedinger import (
     x_darboux_fundamental,
     x_main_family,
     x_negative_power,
-    x_problem,
     x_successor_family,
 )
+from oracles import detour_path, is_successor, isclose, x_problem
 
 F_X = Field.from_exprs("x")
 F_EXP = Field.from_exprs("exp(x)*cos(y)")
@@ -225,7 +225,7 @@ def test_coefj_face_is_the_per_walk_transform_bit_for_bit(f, monkeypatch):
         if zeta == ZETA0:
             assert one == Bicomplex(0, 0)
         else:
-            assert one == tf_transform(f, minus.field_in_zeta(z), Path.detour(ZETA0, zeta, z))
+            assert one == tf_transform(f, minus.field_in_zeta(z), detour_path(ZETA0, zeta, z))
 
 
 def test_coefj_face_with_one_point_for_every_pair():
@@ -246,7 +246,7 @@ def test_coefj_face_raises_the_faulty_walks_own_error():
     # a kernel singular at one node of the second walk only
     pairs = rand_pairs(3, seed=5)
     zeta, z = pairs[1]
-    path = Path.detour(ZETA0, zeta, z)
+    path = detour_path(ZETA0, zeta, z)
     bad = PlanePoint(float(path.xs[7]), float(path.ys[7]))
     k1 = Kernel.make(f"log((xi - {bad.x!r})^2 + (eta - {bad.y!r})^2) + x")
     fam = successor_kernel_coefj(k1, F_X, ZETA0)
