@@ -389,9 +389,9 @@ class GradientSample:
     dzbar: Bicomplex
 
 
-def wirtinger(w: Field, z: PlanePoint, h: Optional[float] = None) -> GradientSample:
+def wirtinger(w: Field, z: PlanePoint) -> GradientSample:
     """d_z = (1/2)(d/dx - j d/dy), d_zbar = (1/2)(d/dx + j d/dy)."""
-    value, fx, fy = partials(w, z, h)
+    value, fx, fy = partials(w, z)
     return GradientSample(value=value, dz=d_z(fx, fy), dzbar=d_zbar(fx, fy))
 
 

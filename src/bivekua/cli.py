@@ -305,22 +305,23 @@ def _unread_f(cfg: dict) -> None:
         _unread(cfg, _KERNEL, "f", why=f"by the stock kernel '{cfg['kernel']}'{and_pair}")
 
 
-# the most draws per sample pair before a region counts as too small: a
-# region just over min_dist across would otherwise be drawn from forever
+# sample pairs keep more than _SEPARATION apart; without a cap on draws, a
+# region just over _SEPARATION across would be drawn from forever
+_SEPARATION = 0.2
 _DRAWS_PER_PAIR = 1000
 
 
-def _random_point_pairs(cfg: dict, count: int, min_dist: float = 0.2):
+def _random_point_pairs(cfg: dict, count: int):
     r = RegionGrid(**cfg["region"])
-    too_small = f"region is too small to hold two points more than {min_dist} apart"
-    if math.hypot(r.x1 - r.x0, r.y1 - r.y0) <= min_dist:
+    too_small = f"region is too small to hold two points more than {_SEPARATION} apart"
+    if math.hypot(r.x1 - r.x0, r.y1 - r.y0) <= _SEPARATION:
         raise ConfigError(too_small)
     rng = random.Random(cfg["seed"])
     out = []
     for _ in range(_DRAWS_PER_PAIR * count):
         zeta = PlanePoint(rng.uniform(r.x0, r.x1), rng.uniform(r.y0, r.y1))
         z = PlanePoint(rng.uniform(r.x0, r.x1), rng.uniform(r.y0, r.y1))
-        if zeta.dist(z) > min_dist:
+        if zeta.dist(z) > _SEPARATION:
             out.append((zeta, z))
             if len(out) == count:
                 return out

@@ -6,13 +6,11 @@ written on it (``d_z``, ``d_zbar`` here, ``pairs.pair_operator``) runs on
 either.
 
 The fields f, the pairs and the potentials are built from expressions,
-and their partials are the exact partials of those expressions.  Two
-finite differences remain here.  ``partials`` differences a field that
-carries no partials, a kernel slot without a closed form frozen at its
-center (``kernel_in_z``), at the caller's step or ``default_step``: the
-residual scans of pipeline kernels take them.  ``schroedinger_residual``
-differences at the step ``h`` a residual scan gives.
-``powers.negative_powers`` of a plain evaluator takes its own, on arrays.
+and their partials are the exact partials of those expressions;
+``partials`` reads exact partials only.  ``central_difference`` remains
+for ``schroedinger_residual``, which differences at the step ``h`` a
+residual scan gives.  A two-point function without exact partials is
+differenced in ``powers``, by one five-point stencil on arrays.
 
 A symbolic value is compiled on its first call, to one program for its
 (sc, vec) parts: a formula builds many fields, and few of them are ever
@@ -30,7 +28,6 @@ at once by ``on``; other evaluators run pair by pair (``pairwise``).
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -151,11 +148,6 @@ def d_zbar(fx, fy):
     return (fx + fy.mul_j()).scale(0.5)
 
 
-def default_step(z: PlanePoint) -> float:
-    """The finite-difference step when the caller gives none: 1e-4 (1 + |z|)."""
-    return 1e-4 * (1 + math.hypot(z.x, z.y))
-
-
 def central_difference(
     func: Callable[[PlanePoint], Bicomplex], z: PlanePoint, h: float, axis: str
 ) -> Bicomplex:
@@ -168,17 +160,9 @@ def central_difference(
     return (func(plus) - func(minus)).scale(1 / (2 * h))
 
 
-def partials(
-    w: "Field", z: PlanePoint, h: Optional[float] = None
-) -> tuple[Bicomplex, Bicomplex, Bicomplex]:
-    """(value, d/dx, d/dy) of w at z: exact when the field carries partials,
-    else central differences with step h, by default ``default_step(z)``."""
-    value = w(z)
-    if w.has_exact_partials:
-        return value, w.dx(z), w.dy(z)
-    if h is None:
-        h = default_step(z)
-    return value, central_difference(w, z, h, "x"), central_difference(w, z, h, "y")
+def partials(w: "Field", z: PlanePoint) -> tuple[Bicomplex, Bicomplex, Bicomplex]:
+    """The exact (value, d/dx, d/dy) of w at z."""
+    return w(z), w.dx(z), w.dy(z)
 
 
 Values = tuple[np.ndarray, np.ndarray]  # (sc, vec) at every node
@@ -310,8 +294,7 @@ class Field:
     ``sym`` is set only by ``from_sym``, whose evaluator is that closed form
     over (x, y), compiled on its first call.  ``partial``, when given,
     builds the exact partial field in "x" or "y", on the first ``dx``/``dy``
-    read; without it they are None, and only ``partials`` differences such
-    a field.
+    read; without it they are None.
     ``arrays``, when given, evaluates the same values on arrays of x and y,
     as a pair (sc, vec) (see ``on``).
     """
@@ -363,10 +346,6 @@ class Field:
         if self._arrays is None:
             return scalar()
         return _checked(lambda: self._arrays(xs, ys), scalar, xs.shape)
-
-    @property
-    def has_exact_partials(self) -> bool:
-        return self._partial is not None
 
     def _derivative(self, axis: str) -> Optional["Field"]:
         if axis not in self._partials and self._partial is not None:

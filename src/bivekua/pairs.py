@@ -7,7 +7,6 @@ f = phi(x) psi(y).
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,10 +22,6 @@ class PairError(Exception):
 
 class DegeneratePairError(PairError):
     """Vec(conj_j(F) G) vanished at a sampled point."""
-
-
-class MissingSequenceError(PairError):
-    """Requested index outside the representable sequence window."""
 
 
 @dataclass(eq=False)
@@ -92,18 +87,14 @@ def make_pair(F: Field, G: Field, region: Optional[RegionGrid] = None) -> Genera
     return GeneratingPair(F, G, a, b, A, B)
 
 
-def fg_derivative(
-    w: Field, pair: GeneratingPair, z: PlanePoint, h: Optional[float] = None
-) -> Bicomplex:
+def fg_derivative(w: Field, pair: GeneratingPair, z: PlanePoint) -> Bicomplex:
     """The derivative in the sense of the pair: d_z W - A W - B conj_j(W)."""
-    g = wirtinger(w, z, h)
+    g = wirtinger(w, z)
     return pair_operator(g.dz, pair.A(z), pair.B(z), g.value)
 
 
-def vekua_residual(
-    w: Field, pair: GeneratingPair, z: PlanePoint, h: Optional[float] = None
-) -> float:
-    g = wirtinger(w, z, h)
+def vekua_residual(w: Field, pair: GeneratingPair, z: PlanePoint) -> float:
+    g = wirtinger(w, z)
     return pair_operator(g.dzbar, pair.a(z), pair.b(z), g.value).norm
 
 
@@ -142,18 +133,11 @@ def separable_pair(phi, psi, m: int) -> GeneratingPair:
 
 @dataclass
 class GeneratingSequence:
-    """An indexed family m -> GeneratingPair over a finite window (or the
-    whole of the integers for periodic families)."""
+    """An indexed family m -> GeneratingPair over the integers."""
 
     pair_fn: Callable[[int], GeneratingPair]
-    lo: float = -math.inf
-    hi: float = math.inf
 
     def pair_at(self, m: int) -> GeneratingPair:
-        if not (self.lo <= m <= self.hi):
-            raise MissingSequenceError(
-                f"index {m} outside sequence window [{self.lo}, {self.hi}]"
-            )
         return self.pair_fn(m)
 
     @staticmethod

@@ -24,14 +24,12 @@ from .fields import (
     d_z,
     d_zbar,
     in_pair_order,
-    kernel_in_z,
     pairwise,
     partials,
 )
 from .pairs import (
     GeneratingPair,
     GeneratingSequence,
-    MissingSequenceError,
     adjoint_fields,
     make_pair,
     pair_operator,
@@ -329,9 +327,7 @@ def hat_sequence(seq: GeneratingSequence) -> GeneratingSequence:
             hats[pair] = make_pair(Fs.mul_j(), Gs.mul_j())
         return hats[pair]
 
-    lo = -seq.hi - 1 if math.isfinite(seq.hi) else -math.inf
-    hi = -seq.lo - 1 if math.isfinite(seq.lo) else math.inf
-    return GeneratingSequence(get, lo, hi)
+    return GeneratingSequence(get)
 
 
 def negative_powers(
@@ -349,10 +345,6 @@ def negative_powers(
         raise ValueError("order must satisfy n >= 1")
     if n == 1:
         return base_kernel
-    if not (adjoint_seq.lo <= 0 and adjoint_seq.hi >= n - 2):
-        raise MissingSequenceError(
-            f"need pairs 0..{n - 2} of the adjoint sequence"
-        )
     if isinstance(base_kernel.coef1, Kernel) and isinstance(base_kernel.coefj, Kernel):
         source = _BersChain(base_kernel, adjoint_seq, n)
     else:
@@ -367,11 +359,10 @@ class _Differences:
     of the pairs 0..n-2 of ``seq``, the one of pair m by central
     differences of step 1e-3 2^-m.
 
-    A level evaluates the level below at the five-point stencil of every
-    pair: z, then z + h and z - h in x, then in y, both slots in one
-    ``coefficients_at`` batch of all the stencils' points.  Its arithmetic
-    rounds as ``pairs.fg_derivative`` on ``Bicomplex`` values does; A and B
-    run as numpy code."""
+    A level takes the partials of the level below by ``_five_point``, both
+    slots in one batch of all the stencils' points.  Its arithmetic rounds
+    as ``pairs.fg_derivative`` on ``Bicomplex`` values does; A and B run as
+    numpy code."""
 
     def __init__(self, hat: KernelFamily, seq: GeneratingSequence, n: int):
         self.hat, self.seq, self.n = hat, seq, n
@@ -386,16 +377,33 @@ class _Differences:
         """The m-th derivatives at every pair, of Z(1) and of Z(j) on the
         first axis: both slots in each array operation."""
         if m == 0:
-            z1, zj = coefficients_at(self.hat, xi, eta, x, y)
-            return BicomplexArray(np.stack([z1.sc, zj.sc]), np.stack([z1.vec, zj.vec]))
+            return _stacked(self.hat, xi, eta, x, y)
         pair, h = self.seq.pair_at(m - 1), 1e-3 * 2.0 ** (1 - m)
-        stencil = (np.concatenate([x, x + h, x - h, x, x]), np.concatenate([y, y, y, y + h, y - h]))
-        w = self._level(m - 1, np.tile(xi, 5), np.tile(eta, 5), *stencil)
-        points = zip(*(p.reshape(2, 5, -1).swapaxes(0, 1) for p in (w.sc, w.vec)))
-        value, xp, xm, yp, ym = (BicomplexArray(sc, vec) for sc, vec in points)
-        fx, fy = ((p - q).scale(1 / (2 * h)) for p, q in ((xp, xm), (yp, ym)))
+        value, fx, fy = _five_point(lambda *stencil: self._level(m - 1, *stencil), xi, eta, x, y, h)
         a, b = (BicomplexArray(*c.on(x, y)) for c in (pair.A, pair.B))
         return pair_operator(d_z(fx, fy), a, b, value)
+
+
+def _stacked(k: KernelFamily, xi, eta, x, y) -> BicomplexArray:
+    """Z(1) and Z(j) of k at every pair (``coefficients_at``), stacked on
+    the first axis."""
+    z1, zj = coefficients_at(k, xi, eta, x, y)
+    return BicomplexArray(np.stack([z1.sc, zj.sc]), np.stack([z1.vec, zj.vec]))
+
+
+def _five_point(values, xi, eta, x, y, h) -> tuple[BicomplexArray, BicomplexArray, BicomplexArray]:
+    """The value and the partials in x and y, by central differences of
+    step h, of both slots at every pair, where values(xi, eta, x, y) gives
+    both slots stacked on the first axis: one call of it at the five-point
+    stencil of every pair (z, then z + h and z - h in x, then in y).  The
+    differences round as ``fields.central_difference`` on ``Bicomplex``
+    values does."""
+    stencil = (np.concatenate([x, x + h, x - h, x, x]), np.concatenate([y, y, y, y + h, y - h]))
+    w = values(np.tile(xi, 5), np.tile(eta, 5), *stencil)
+    points = zip(*(p.reshape(2, 5, -1).swapaxes(0, 1) for p in (w.sc, w.vec)))
+    value, xp, xm, yp, ym = (BicomplexArray(sc, vec) for sc, vec in points)
+    fx, fy = ((p - q).scale(1 / (2 * h)) for p, q in ((xp, xm), (yp, ym)))
+    return value, fx, fy
 
 
 class _BersChain:
@@ -515,13 +523,26 @@ def _z_partials(k: KernelFamily, zeta: PlanePoint, points: list[PlanePoint]) -> 
     """For each slot of k, (value, d/dx, d/dy) in z at each point, the
     center frozen at zeta: the transfer of a family with exact center
     partials (``_center_partials``) from those (z is that family's center),
-    any other slot by ``partials`` of ``kernel_in_z`` (exact for a
-    ``Kernel``, else central differences)."""
+    a ``Kernel`` slot by ``partials`` of ``Kernel.field_in_z``, and any other
+    slot by central differences of step 1e-4 (1 + |z|), both slots at a
+    point from one ``_five_point`` call."""
     swap = _shared_source(k)
     center = _center_partials(swap.family) if isinstance(swap, _Swap) else None
     if center is None:
-        fields = [kernel_in_z(c, zeta) for c in (k.coef1, k.coefj)]
-        return [[partials(f, p) for p in points] for f in fields]
+        fields = [c.field_in_z(zeta) if isinstance(c, Kernel) else None for c in (k.coef1, k.coefj)]
+        differenced = [] if None not in fields else [
+            _five_point(
+                lambda *stencil: _stacked(k, *stencil),
+                *(np.array([c]) for c in (zeta.x, zeta.y, p.x, p.y)),
+                1e-4 * (1 + math.hypot(p.x, p.y)),
+            )
+            for p in points
+        ]
+        return [
+            [partials(f, p) for p in points] if f is not None
+            else [tuple(Bicomplex(v.sc[i, 0], v.vec[i, 0]) for v in parts) for parts in differenced]
+            for i, f in enumerate(fields)
+        ]
     xs, ys = np.array([p.x for p in points]), np.array([p.y for p in points])
     z1, z1x, z1y, zj, zjx, zjy = center(xs, ys, zeta.x, zeta.y)
     out = []

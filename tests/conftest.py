@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import settings
 
-from bivekua import expr, fields
+from bivekua import expr, fields, powers
 
 # every run draws the same examples: a property's failure reproduces, and a
 # pass does not depend on the run
@@ -27,13 +27,18 @@ def compiles(monkeypatch):
 @pytest.fixture
 def central_differences(monkeypatch):
     """The axis of every ``fields.central_difference`` taken while the test
-    runs."""
+    runs, and "five-point" for every ``powers._five_point`` stencil."""
     axes = []
-    central_difference = fields.central_difference
+    central_difference, five_point = fields.central_difference, powers._five_point
 
     def counted(func, z, h, axis):
         axes.append(axis)
         return central_difference(func, z, h, axis)
 
+    def counted_stencil(*args):
+        axes.append("five-point")
+        return five_point(*args)
+
     monkeypatch.setattr(fields, "central_difference", counted)
+    monkeypatch.setattr(powers, "_five_point", counted_stencil)
     return axes

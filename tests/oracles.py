@@ -9,8 +9,8 @@ import numpy as np
 
 from bivekua.bicomplex import Bicomplex, PlanePoint
 from bivekua.calculus import Path, RegionGrid, detour_walks
-from bivekua.fields import Field
-from bivekua.pairs import GeneratingPair
+from bivekua.fields import Field, central_difference, d_zbar
+from bivekua.pairs import GeneratingPair, pair_operator
 from bivekua.schroedinger import MainVekuaProblem
 
 
@@ -45,6 +45,13 @@ def abar_antiderivative(w: Field, path: Path) -> complex:
         return sc * dz.real + vec * dz.imag
 
     return 2 * path.integrate(one_form)
+
+
+def differenced_vekua_residual(w: Field, pair: GeneratingPair, z: PlanePoint, h: float) -> float:
+    """|d_zbar W - a W - b conj_j(W)| at z, the partials of W by central
+    differences of step h: the Vekua residual of a field without partials."""
+    fx, fy = (central_difference(w, z, h, axis) for axis in "xy")
+    return pair_operator(d_zbar(fx, fy), pair.a(z), pair.b(z), w(z)).norm
 
 
 def is_successor(candidate: GeneratingPair, base: GeneratingPair, region: RegionGrid) -> bool:

@@ -40,13 +40,6 @@ def test_wirtinger_x_squared():
     assert isclose(g.dzbar, Bicomplex(1, 0))
 
 
-def test_wirtinger_finite_difference_fallback():
-    f = Field(lambda z: Bicomplex(z.x**2, 0))
-    g = wirtinger(f, PlanePoint(1, 0))
-    assert (g.dz - Bicomplex(1, 0)).norm < 1e-6
-    assert (g.dzbar - Bicomplex(1, 0)).norm < 1e-6
-
-
 def test_abar_constant():
     path = Path.polyline([PlanePoint(0, 0), PlanePoint(1, 0)])
     assert abs(abar_antiderivative(Field.constant(Bicomplex(1, 0)), path) - 2) < 1e-12

@@ -916,6 +916,28 @@ def test_pipeline_build_powers_shares_derivatives_between_slots(tmp_path, succes
     assert len(successor_coefj_calls) == 10
 
 
+def test_pipeline_residual_scan_shares_one_stencil_per_point(tmp_path, monkeypatch, successor_coefj_calls):
+    # the order -1 main kernels are differenced at each of the 97 scan
+    # points by one successor coefj face call, for both slots at the
+    # point's five stencil points
+    cfg = {
+        "kernel": "pipeline",
+        "f": "1*x",
+        "zeta0": [0.5, 0],
+        "separable": {"phi": "x", "psi": "1"},
+        "n": 1,
+        "region": {"x0": 1.5, "x1": 2.5, "y0": -0.5, "y1": 0.5},
+        "tol": 1e-6,
+    }
+    faces = []
+    on = SuccessorCoefj.on
+    monkeypatch.setattr(SuccessorCoefj, "on", lambda self, *pair: faces.append(pair) or on(self, *pair))
+    config = _write(tmp_path, "c.json", cfg)
+    # the anchored kernel's differenced residual is about 1e-3
+    assert main(["build-powers", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 1
+    assert (len(faces), len(successor_coefj_calls)) == (97, 485)
+
+
 def _readme_config_keys() -> dict[tuple[str, str], object]:
     """(key, command) -> default, from README's table under "### Config keys"."""
     section = (ROOT / "README.md").read_text().split("### Config keys", 1)[1].split("\n#", 1)[0]

@@ -8,7 +8,6 @@ from bivekua.fields import Field
 from bivekua.pairs import (
     DegeneratePairError,
     GeneratingSequence,
-    MissingSequenceError,
     adjoint_pair,
     fg_derivative,
     make_pair,
@@ -146,10 +145,3 @@ def test_adjoint_successor_property():
     seq = GeneratingSequence.separable("x", "1")
     pred, base = seq.pair_at(-1), seq.pair_at(0)
     assert is_successor(adjoint_pair(pred), adjoint_pair(base), REGION_X)
-
-
-def test_sequence_window():
-    seq = GeneratingSequence(lambda m: ANALYTIC, lo=-1, hi=1)
-    seq.pair_at(0)
-    with pytest.raises(MissingSequenceError):
-        seq.pair_at(2)

@@ -10,7 +10,7 @@ from bivekua.bicomplex import J, Bicomplex, PlanePoint, from_cj
 from bivekua.calculus import RegionGrid
 from bivekua.expr import EvaluationError
 from bivekua.fields import KERNEL_VARS, Field, Kernel
-from bivekua.pairs import GeneratingSequence, MissingSequenceError, make_pair, separable_pair
+from bivekua.pairs import GeneratingSequence, make_pair, separable_pair
 from bivekua.powers import (
     ContourSpec,
     KernelFamily,
@@ -419,13 +419,6 @@ def test_negative_powers_jet_chain_fault_raises_at_its_pair():
         coefficients_at(k, np.array([good.x, bad.x]), np.array([good.y, bad.y]), bad.x, bad.y)
     assert alone.value.point == batch.value.point == (bad.x, bad.y, bad.x, bad.y)
     assert str(alone.value) == str(batch.value)
-
-
-def test_negative_powers_window_enforced():
-    seq = GeneratingSequence(lambda m: ANALYTIC_PAIR, lo=0, hi=0)
-    negative_powers(analytic_kernel(), seq, 2)  # needs pairs 0..0 only
-    with pytest.raises(MissingSequenceError):
-        negative_powers(analytic_kernel(), seq, 3)
 
 
 def test_residual_scan_analytic():

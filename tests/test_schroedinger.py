@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from bivekua import calculus, fields, schroedinger
+from bivekua import calculus, fields, powers, schroedinger
 from bivekua.bicomplex import Bicomplex, PlanePoint
 from bivekua.calculus import PathThroughSingularityError, RegionGrid, detour_walks, tf_transform
 from bivekua.expr import EvaluationError
@@ -36,7 +36,7 @@ from bivekua.schroedinger import (
     x_negative_power,
     x_successor_family,
 )
-from oracles import detour_path, is_successor, isclose, x_problem
+from oracles import detour_path, differenced_vekua_residual, is_successor, isclose, x_problem
 
 F_X = Field.from_exprs("x")
 F_EXP = Field.from_exprs("exp(x)*cos(y)")
@@ -368,6 +368,20 @@ def test_transferred_main_family_residual_scan_is_exact(central_differences):
     assert rep.max_residual <= 1e-12
 
 
+def test_pipeline_residual_partials_are_the_scalar_differences_bit_for_bit():
+    # one five-point stencil of both slots at a point gives each slot's
+    # value and its scalar central differences at the step 1e-4 (1 + |z|)
+    main = adjoint_kernel_transfer(pipeline_successor(F_X))
+    zeta = PlanePoint(1.8, 0.1)
+    points = [PlanePoint(1.6, -0.3), PlanePoint(2.2, 0.4), PlanePoint(2.45, 0.05)]
+    for slot, got in zip((main.coef1, main.coefj), powers._z_partials(main, zeta, points)):
+        field = kernel_in_z(slot, zeta)
+        for p, values in zip(points, got):
+            h = 1e-4 * (1 + math.hypot(p.x, p.y))
+            want = (field(p), *(fields.central_difference(field, p, h, axis) for axis in "xy"))
+            assert [(v.sc, v.vec) for v in values] == [(v.sc, v.vec) for v in want]
+
+
 def test_successor_family_residual_scan():
     prob = x_problem(REGION_X)
     rep = power_residual_scan(
@@ -407,8 +421,8 @@ def test_negative_power_catalog_solves_equation():
         f1 = Field(lambda z, c=cat: c.coef1(zeta, z))
         fj = Field(lambda z, c=cat: c.coefj(zeta, z))
         for p in probes:
-            assert vekua_residual(f1, prob.pair, p, h=1e-5) <= 1e-7
-            assert vekua_residual(fj, prob.pair, p, h=1e-5) <= 1e-7
+            assert differenced_vekua_residual(f1, prob.pair, p, 1e-5) <= 1e-7
+            assert differenced_vekua_residual(fj, prob.pair, p, 1e-5) <= 1e-7
 
 
 def test_negative_power_catalog_rejects_low_order():
@@ -471,7 +485,7 @@ def test_conjugate_partials_share_one_gradient(monkeypatch):
     calls = []
     partials = schroedinger.partials
     monkeypatch.setattr(
-        schroedinger, "partials", lambda w, z, h=None: calls.append(z) or partials(w, z, h)
+        schroedinger, "partials", lambda w, z: calls.append(z) or partials(w, z)
     )
     W = conjugate_pair_build(F_X, Field.from_exprs("x*y"), PlanePoint(1, 0))
     fields.partials(W, PlanePoint(1.5, 0.3))
