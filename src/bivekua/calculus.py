@@ -1,6 +1,5 @@
-"""Analytic operator toolbox: Wirtinger operators and the conjugate-building
-transform, together with the path quadrature and the region grids they
-need.
+"""Analytic operator toolbox: the conjugate-building transform, together
+with the path quadrature and the region grids it and the checks need.
 
 A path holds its nodes and weights as numpy arrays.  A path integral
 evaluates its integrand on all nodes at once and sums the values in node
@@ -13,13 +12,12 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
 from .bicomplex import Bicomplex, InvalidValueError, PlanePoint
-from .fields import Field, d_z, d_zbar, partials, partials_on
+from .fields import Field, partials_on
 
 
 class CalculusError(Exception):
@@ -345,8 +343,9 @@ def _centres(a: float, b: float, n: int) -> list[float]:
 def grid_columns(
     x0: float, x1: float, y0: float, y1: float, nx: int, ny: int
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The points of ``midpoints`` as arrays xs, ys, in the same order, a
-    block of whole columns (one x, every y) of at most ``NODE_BUDGET``
+    """The centres of the nx-by-ny grid of equal cells over [x0, x1] x
+    [y0, y1] as arrays xs, ys, column by column (increasing y for each x,
+    the x increasing), a block of whole columns of at most ``NODE_BUDGET``
     points, or one column, at a time."""
     ys = _centres(y0, y1, ny)
     xs = _centres(x0, x1, nx)
@@ -356,43 +355,18 @@ def grid_columns(
         yield np.repeat(block, ny), np.tile(ys, len(block))
 
 
-def midpoints(x0: float, x1: float, y0: float, y1: float, nx: int, ny: int) -> list[PlanePoint]:
-    """Centres of the nx-by-ny grid of equal cells over [x0, x1] x [y0, y1],
-    column by column: increasing y for each x, the x increasing."""
-    ys = _centres(y0, y1, ny)
-    return [PlanePoint(x, y) for x in _centres(x0, x1, nx) for y in ys]
-
-
-@dataclass
 class RegionGrid:
     """Axis-aligned rectangle [x0, x1] x [y0, y1]: where pairs are checked
     and residuals sampled."""
 
-    x0: float
-    x1: float
-    y0: float
-    y1: float
+    def __init__(self, x0: float, x1: float, y0: float, y1: float):
+        self.x0, self.x1, self.y0, self.y1 = x0, x1, y0, y1
 
-    def sample_points(self, n: int = 20) -> list[PlanePoint]:
-        """The centres of the n-by-n grid of equal cells (``midpoints``)."""
-        return midpoints(self.x0, self.x1, self.y0, self.y1, n, n)
-
-
-# ---------------------------------------------------------------------------
-# Wirtinger operators
-
-
-@dataclass(frozen=True)
-class GradientSample:
-    value: Bicomplex
-    dz: Bicomplex
-    dzbar: Bicomplex
-
-
-def wirtinger(w: Field, z: PlanePoint) -> GradientSample:
-    """d_z = (1/2)(d/dx - j d/dy), d_zbar = (1/2)(d/dx + j d/dy)."""
-    value, fx, fy = partials(w, z)
-    return GradientSample(value=value, dz=d_z(fx, fy), dzbar=d_zbar(fx, fy))
+    def sample_columns(self, n: int = 20) -> tuple[np.ndarray, np.ndarray]:
+        """The centres of the n-by-n grid of equal cells as arrays xs, ys,
+        in the order of ``grid_columns``."""
+        xs, ys = zip(*grid_columns(self.x0, self.x1, self.y0, self.y1, n, n))
+        return np.concatenate(xs), np.concatenate(ys)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,10 @@ either.
 
 The fields f, the pairs and the potentials are built from expressions,
 and their partials are the exact partials of those expressions;
-``partials`` reads exact partials only.  ``central_difference`` remains
-for ``schroedinger_residual``, which differences at the step ``h`` a
-residual scan gives.  A two-point function without exact partials is
-differenced in ``powers``, by one five-point stencil on arrays.
+``partials`` reads exact partials only.  ``central_difference`` differences
+on arrays, for the Laplacian ``schroedinger_residual`` takes at a given
+step ``h``.  A two-point function without exact partials is differenced in
+``powers``, by one five-point stencil on arrays.
 
 A symbolic value is compiled on its first call, to one program for its
 (sc, vec) parts: a formula builds many fields, and few of them are ever
@@ -18,7 +18,9 @@ evaluated.  ``Field.on`` (``partials_on`` for the exact partials)
 evaluates a field at every node of a path at once: compiled to numpy when
 it has closed forms, else point by point in ``pointwise``.
 ``BicomplexArray`` is the ring interface on such node values, so a formula
-written on it runs on all nodes at once.
+written on it runs on all nodes at once: the checks (``pairs.vekua_residual``,
+``schroedinger.schroedinger_residual``) do, at one point as at many
+(``at_nodes``).
 
 A two-point function with a pair face (``PairFace``: a ``Kernel``, a path
 kernel, a slot of a transfer or of a chain) evaluates many pairs (zeta, z)
@@ -149,15 +151,16 @@ def d_zbar(fx, fy):
 
 
 def central_difference(
-    func: Callable[[PlanePoint], Bicomplex], z: PlanePoint, h: float, axis: str
-) -> Bicomplex:
-    """d func / d axis at z (axis "x" or "y"), by the central difference with
-    step h."""
+    values: Callable[[np.ndarray, np.ndarray], "BicomplexArray"], xs: np.ndarray, ys: np.ndarray, h: float, axis: str
+) -> "BicomplexArray":
+    """d/d axis (axis "x" or "y") at every node (xs[k], ys[k]), by the
+    central difference with step h of the values values(xs, ys) gives
+    there; it rounds as the same difference of ``Bicomplex`` values."""
     if axis == "x":
-        plus, minus = PlanePoint(z.x + h, z.y), PlanePoint(z.x - h, z.y)
+        plus, minus = values(xs + h, ys), values(xs - h, ys)
     else:
-        plus, minus = PlanePoint(z.x, z.y + h), PlanePoint(z.x, z.y - h)
-    return (func(plus) - func(minus)).scale(1 / (2 * h))
+        plus, minus = values(xs, ys + h), values(xs, ys - h)
+    return (plus - minus).scale(1 / (2 * h))
 
 
 def partials(w: "Field", z: PlanePoint) -> tuple[Bicomplex, Bicomplex, Bicomplex]:
@@ -172,6 +175,15 @@ def partials_on(w: "Field", xs: np.ndarray, ys: np.ndarray) -> tuple[Values, Val
     """The exact (value, d/dx, d/dy) of w at every node (xs[k], ys[k]) at
     once, each as its (sc, vec) arrays."""
     return w.on(xs, ys), w.dx.on(xs, ys), w.dy.on(xs, ys)
+
+
+def at_nodes(check: Callable[[np.ndarray, np.ndarray], np.ndarray], z) -> Union[float, np.ndarray]:
+    """check(xs, ys), one number at every node (xs[k], ys[k]), at the
+    columns z = (xs, ys); at a point z, the one number there, as a float:
+    a check at one point is the same code at one node."""
+    if isinstance(z, PlanePoint):
+        return float(check(np.array([z.x]), np.array([z.y]))[0])
+    return check(*z)
 
 
 def _spread(values, shape: tuple) -> np.ndarray:
@@ -189,15 +201,16 @@ def _finite(*parts) -> bool:
 def _checked(arrays: Callable[[], tuple], scalar: Callable[[], tuple], shape: tuple) -> tuple:
     """The arrays arrays() gives, each spread to ``shape``, computed with
     division by zero, invalid operations and overflow raising.  On such a
-    fault (a constant 0 to a negative power raises ZeroDivisionError in
-    Python arithmetic), or a non-finite value, scalar() instead: the scalar
-    code, point by point, so a bad point raises the scalar call's own error
-    (EvaluationError, InvalidValueError, ...) with that point."""
+    fault (a constant 0 to a negative power raises ZeroDivisionError, and a
+    constant past the double range OverflowError, in Python arithmetic), or
+    a non-finite value, scalar() instead: the scalar code, point by point,
+    so a bad point raises the scalar call's own error (EvaluationError,
+    InvalidValueError, ...) with that point."""
     with np.errstate(divide="raise", invalid="raise", over="raise"):
         try:
             parts = arrays()
             finite = _finite(*parts)
-        except (FloatingPointError, ZeroDivisionError):
+        except (FloatingPointError, ZeroDivisionError, OverflowError):
             finite = False
     if finite:
         return tuple(_spread(p, shape) for p in parts)
@@ -286,6 +299,21 @@ class BicomplexArray:
 
     def mul_j(self) -> "BicomplexArray":
         return BicomplexArray(-self.vec, self.sc)
+
+    @property
+    def norm(self) -> np.ndarray:
+        """|W| = (|W+| + |W-|)/2 at every node, as ``Bicomplex.norm`` gives
+        it; where that passes the double range on the way (a W+- or |W+-|
+        past it), node by node as ``Bicomplex`` values."""
+        sc, vec = np.broadcast_arrays(np.asarray(self.sc, dtype=complex), np.asarray(self.vec, dtype=complex))
+        with np.errstate(over="ignore", invalid="ignore"):
+            # hypot, as abs of a Python complex: numpy's complex abs differs
+            # from it in last bits
+            a, b = (np.hypot(p.real, p.imag) for p in (sc - 1j * vec, sc + 1j * vec))
+            out = np.where(a + b < np.inf, 0.5 * (a + b), 0.5 * a + 0.5 * b)
+        edge = ~np.isfinite(out)
+        out[edge] = [Bicomplex(*parts).norm for parts in zip(sc[edge].tolist(), vec[edge].tolist())]
+        return out
 
 
 class Field:

@@ -2,18 +2,23 @@
 Vekua residual in the sense of a pair (F, G), adjoint and successor
 relations, and the period-two generating sequence for separable functions
 f = phi(x) psi(y).
+
+A pair's coefficient fields are closed forms, built from those of F and G
+on their first read.  The residual runs on arrays: at every node of a scan
+at once, or at one point as one node.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
+
+import numpy as np
 
 from . import expr as ex
 from .bicomplex import Bicomplex, PlanePoint
-from .calculus import RegionGrid, wirtinger
-from .fields import Field, SymBC, d_z, d_zbar
+from .calculus import RegionGrid
+from .fields import BicomplexArray, Field, SymBC, at_nodes, d_z, d_zbar, partials, partials_on
 
 
 class PairError(Exception):
@@ -24,44 +29,34 @@ class DegeneratePairError(PairError):
     """Vec(conj_j(F) G) vanished at a sampled point."""
 
 
-@dataclass(eq=False)
 class GeneratingPair:
-    """A pair (F, G) with Vec(conj_j(F) G) != 0, plus its characteristic
-    coefficient fields a, b (for d_zbar) and A, B (for d_z).  A pair is
-    equal only to itself, and hashes so: it can key a cache."""
+    """A pair (F, G) with Vec(conj_j(F) G) != 0, and its characteristic
+    coefficient fields a, b (for d_zbar) and A, B (for d_z), in closed form
+    from those of F and G.  A pair is equal only to itself, and hashes so:
+    it can key a cache."""
 
-    F: Field
-    G: Field
-    a: Field
-    b: Field
-    A: Field
-    B: Field
+    def __init__(self, F: Field, G: Field):
+        self.F, self.G = F, G
 
+    @functools.cached_property
+    def _conj_and_d_inv(self) -> tuple[SymBC, SymBC, SymBC]:
+        """conj_j(F), conj_j(G) and D^{-1}, where D = F conj_j(G) - conj_j(F) G."""
+        F, G = self.F.sym, self.G.sym
+        Fc, Gc = F.conj(), G.conj()
+        return Fc, Gc, (F * Gc - Fc * G).inv()
 
-# -- formulas on the ring interface (SymBC; pair_operator also Bicomplex) -----
-
-
-def _conj_and_d_inv(F, G):
-    """conj_j(F), conj_j(G) and D^{-1}, where D = F conj_j(G) - conj_j(F) G."""
-    Fc, Gc = F.conj(), G.conj()
-    return Fc, Gc, (F * Gc - Fc * G).inv()
-
-
-def characteristic_coefficients(F, G, dzbF, dzbG, dzF, dzG):
-    """(a, b, A, B) of the pair from the values of F, G and their Wirtinger
-    derivatives d_zbar (dzb*) and d_z (dz*)."""
-    Fc, Gc, Dinv = _conj_and_d_inv(F, G)
-    a = -((Fc * dzbG - Gc * dzbF) * Dinv)
-    b = (F * dzbG - G * dzbF) * Dinv
-    A = -((Fc * dzG - Gc * dzF) * Dinv)
-    B = (F * dzG - G * dzF) * Dinv
-    return a, b, A, B
-
-
-def adjoint_values(F, G):
-    """(F*, G*) = (-2 conj_j(F) / D, 2 conj_j(G) / D)."""
-    Fc, Gc, Dinv = _conj_and_d_inv(F, G)
-    return Fc.scale(-2) * Dinv, Gc.scale(2) * Dinv
+    def __getattr__(self, name: str) -> Field:
+        """a, b, A or B: its half, (a, b) or (A, B), built on the first read
+        of either of its fields, both halves from one ``_conj_and_d_inv``."""
+        if name not in ("a", "b", "A", "B"):
+            raise AttributeError(name)
+        d, half = (d_zbar, "ab") if name in "ab" else (d_z, "AB")
+        Fc, Gc, Dinv = self._conj_and_d_inv
+        dF, dG = (d(w.dx.sym, w.dy.sym) for w in (self.F, self.G))
+        F, G = self.F.sym, self.G.sym
+        coefficients = -((Fc * dG - Gc * dF) * Dinv), (F * dG - G * dF) * Dinv
+        self.__dict__.update(zip(half, map(Field.from_sym, coefficients)))
+        return self.__dict__[name]
 
 
 def pair_operator(d, a, b, w):
@@ -72,36 +67,45 @@ def pair_operator(d, a, b, w):
 
 
 def make_pair(F: Field, G: Field, region: Optional[RegionGrid] = None) -> GeneratingPair:
-    """Validate the pair condition on a 20-by-20 sample grid and attach the
-    four characteristic coefficient fields, in closed form from those of F
-    and G."""
+    """The pair (F, G), given a region validated on a 20-by-20 sample grid
+    of it: Vec(conj_j(F) G) != 0 at every sample point."""
     if region is not None:
-        for p in region.sample_points():
-            if abs((F(p).conj() * G(p)).vec) < 1e-14:
-                raise DegeneratePairError(f"Vec(conj_j(F) G) = 0 at {p}")
-    Fx, Fy, Gx, Gy = F.sym.diff("x"), F.sym.diff("y"), G.sym.diff("x"), G.sym.diff("y")
-    coefs = characteristic_coefficients(
-        F.sym, G.sym, d_zbar(Fx, Fy), d_zbar(Gx, Gy), d_z(Fx, Fy), d_z(Gx, Gy)
-    )
-    a, b, A, B = (Field.from_sym(c) for c in coefs)
-    return GeneratingPair(F, G, a, b, A, B)
+        xs, ys = region.sample_columns()
+        product = BicomplexArray(*F.on(xs, ys)).conj() * BicomplexArray(*G.on(xs, ys))
+        bad = np.flatnonzero(np.hypot(product.vec.real, product.vec.imag) < 1e-14)
+        if bad.size:
+            raise DegeneratePairError(f"Vec(conj_j(F) G) = 0 at {PlanePoint(float(xs[bad[0]]), float(ys[bad[0]]))}")
+    return GeneratingPair(F, G)
 
 
 def fg_derivative(w: Field, pair: GeneratingPair, z: PlanePoint) -> Bicomplex:
     """The derivative in the sense of the pair: d_z W - A W - B conj_j(W)."""
-    g = wirtinger(w, z)
-    return pair_operator(g.dz, pair.A(z), pair.B(z), g.value)
+    value, fx, fy = partials(w, z)
+    return pair_operator(d_z(fx, fy), pair.A(z), pair.B(z), value)
 
 
-def vekua_residual(w: Field, pair: GeneratingPair, z: PlanePoint) -> float:
-    g = wirtinger(w, z)
-    return pair_operator(g.dzbar, pair.a(z), pair.b(z), g.value).norm
+def vekua_residual(w: Field, pair: GeneratingPair, z) -> Union[float, np.ndarray]:
+    """|d_zbar W - a W - b conj_j(W)| from the exact partials of W: at the
+    point z, or at every node of the columns z = (xs, ys) at once
+    (``fields.at_nodes``)."""
+
+    def residual(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return vekua_residual_of(pair, xs, ys, *(BicomplexArray(*v) for v in partials_on(w, xs, ys)))
+
+    return at_nodes(residual, z)
+
+
+def vekua_residual_of(pair: GeneratingPair, xs: np.ndarray, ys: np.ndarray, w, wx, wy) -> np.ndarray:
+    """|d_zbar W - a W - b conj_j(W)| at every node (xs[k], ys[k]), from the
+    ``BicomplexArray``s of W, dW/dx and dW/dy there."""
+    a, b = (BicomplexArray(*c.on(xs, ys)) for c in (pair.a, pair.b))
+    return pair_operator(d_zbar(wx, wy), a, b, w).norm
 
 
 def adjoint_fields(pair: GeneratingPair) -> tuple[Field, Field]:
     """(F*, G*) = (-2 conj_j(F) / D, 2 conj_j(G) / D), D = F conj_j(G) - conj_j(F) G."""
-    Fs, Gs = adjoint_values(pair.F.sym, pair.G.sym)
-    return Field.from_sym(Fs), Field.from_sym(Gs)
+    Fc, Gc, Dinv = pair._conj_and_d_inv
+    return Field.from_sym(Fc.scale(-2) * Dinv), Field.from_sym(Gc.scale(2) * Dinv)
 
 
 def adjoint_pair(pair: GeneratingPair, region: Optional[RegionGrid] = None) -> GeneratingPair:
@@ -131,14 +135,11 @@ def separable_pair(phi, psi, m: int) -> GeneratingPair:
     return make_pair(F, G)
 
 
-@dataclass
 class GeneratingSequence:
     """An indexed family m -> GeneratingPair over the integers."""
 
-    pair_fn: Callable[[int], GeneratingPair]
-
-    def pair_at(self, m: int) -> GeneratingPair:
-        return self.pair_fn(m)
+    def __init__(self, pair_at: Callable[[int], GeneratingPair]):
+        self.pair_at = pair_at
 
     @staticmethod
     def separable(phi, psi) -> "GeneratingSequence":

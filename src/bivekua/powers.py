@@ -22,10 +22,9 @@ from .fields import (
     PairFace,
     Values,
     d_z,
-    d_zbar,
     in_pair_order,
     pairwise,
-    partials,
+    partials_on,
 )
 from .pairs import (
     GeneratingPair,
@@ -33,6 +32,7 @@ from .pairs import (
     adjoint_fields,
     make_pair,
     pair_operator,
+    vekua_residual_of,
 )
 
 
@@ -396,8 +396,8 @@ def _five_point(values, xi, eta, x, y, h) -> tuple[BicomplexArray, BicomplexArra
     step h, of both slots at every pair, where values(xi, eta, x, y) gives
     both slots stacked on the first axis: one call of it at the five-point
     stencil of every pair (z, then z + h and z - h in x, then in y).  The
-    differences round as ``fields.central_difference`` on ``Bicomplex``
-    values does."""
+    differences round as ``fields.central_difference``, and the same
+    differences of ``Bicomplex`` values, do."""
     stencil = (np.concatenate([x, x + h, x - h, x, x]), np.concatenate([y, y, y, y + h, y - h]))
     w = values(np.tile(xi, 5), np.tile(eta, 5), *stencil)
     points = zip(*(p.reshape(2, 5, -1).swapaxes(0, 1) for p in (w.sc, w.vec)))
@@ -489,14 +489,15 @@ class _BersChain:
 # Residual scan and the stock kernel families
 
 
-@dataclass
 class ResidualReport:
-    max_residual_1: float
-    max_residual_j: float
+    """The max Vekua residuals of the two coefficients of a family, and the
+    larger of them."""
 
-    @property
-    def max_residual(self) -> float:
-        return max(self.max_residual_1, self.max_residual_j)
+    __slots__ = ("max_residual_1", "max_residual_j", "max_residual")
+
+    def __init__(self, max_residual_1: float, max_residual_j: float):
+        self.max_residual_1, self.max_residual_j = max_residual_1, max_residual_j
+        self.max_residual = max(max_residual_1, max_residual_j)
 
 
 def power_residual_scan(
@@ -506,50 +507,52 @@ def power_residual_scan(
     zeta: PlanePoint,
 ) -> ResidualReport:
     """Max Vekua residual of both coefficients over a 10-by-10 sample grid
-    of the region, punctured within 0.1 of the kernel center; a closed-form
-    coefficient, or a Bers chain of one, is differentiated exactly."""
-    points = [p for p in region.sample_points(10) if p.dist(zeta) > 0.1]
-    r1, rj = (
-        max(
-            (pair_operator(d_zbar(fx, fy), pair.a(p), pair.b(p), w).norm for p, (w, fx, fy) in zip(points, slot)),
-            default=0.0,
-        )
-        for slot in _z_partials(k, zeta, points)
-    )
+    of the region, punctured within 0.1 of the kernel center, on arrays; a
+    closed-form coefficient, or a Bers chain of one, is differentiated
+    exactly."""
+    xs, ys = region.sample_columns(10)
+    keep = np.hypot(xs - zeta.x, ys - zeta.y) > 0.1
+    if not keep.any():
+        return ResidualReport(0.0, 0.0)
+    xs, ys = xs[keep], ys[keep]
+    r1, rj = (float(vekua_residual_of(pair, xs, ys, *slot).max()) for slot in _z_partials(k, zeta, xs, ys))
     return ResidualReport(r1, rj)
 
 
-def _z_partials(k: KernelFamily, zeta: PlanePoint, points: list[PlanePoint]) -> list[list[tuple]]:
-    """For each slot of k, (value, d/dx, d/dy) in z at each point, the
-    center frozen at zeta: the transfer of a family with exact center
-    partials (``_center_partials``) from those (z is that family's center),
-    a ``Kernel`` slot by ``partials`` of ``Kernel.field_in_z``, and any other
-    slot by central differences of step 1e-4 (1 + |z|), both slots at a
-    point from one ``_five_point`` call."""
+def _z_partials(k: KernelFamily, zeta: PlanePoint, xs: np.ndarray, ys: np.ndarray) -> list[tuple]:
+    """For each slot of k, the ``BicomplexArray``s of its value, d/dx and
+    d/dy in z at every node (xs[k], ys[k]), the center frozen at zeta: the
+    transfer of a family with exact center partials (``_center_partials``)
+    from those (z is that family's center), a ``Kernel`` slot by
+    ``partials_on`` of ``Kernel.field_in_z``, and any other slot by central
+    differences of step 1e-4 (1 + |z|), both slots at a node from one
+    ``_five_point`` call."""
     swap = _shared_source(k)
     center = _center_partials(swap.family) if isinstance(swap, _Swap) else None
-    if center is None:
-        fields = [c.field_in_z(zeta) if isinstance(c, Kernel) else None for c in (k.coef1, k.coefj)]
-        differenced = [] if None not in fields else [
+    if center is not None:
+        z1, z1x, z1y, zj, zjx, zjy = center(xs, ys, zeta.x, zeta.y)
+        parts = ((z1, zj), (z1x, zjx), (z1y, zjy))
+        return [tuple(_recombined(c.slot, a, b) for a, b in parts) for c in (k.coef1, k.coefj)]
+    slots = (k.coef1, k.coefj)
+    if not all(isinstance(c, Kernel) for c in slots):
+        stencils = [
             _five_point(
                 lambda *stencil: _stacked(k, *stencil),
-                *(np.array([c]) for c in (zeta.x, zeta.y, p.x, p.y)),
-                1e-4 * (1 + math.hypot(p.x, p.y)),
+                *(np.array([c]) for c in (zeta.x, zeta.y, x, y)),
+                1e-4 * (1 + math.hypot(x, y)),
             )
-            for p in points
+            for x, y in zip(xs.tolist(), ys.tolist())
         ]
-        return [
-            [partials(f, p) for p in points] if f is not None
-            else [tuple(Bicomplex(v.sc[i, 0], v.vec[i, 0]) for v in parts) for parts in differenced]
-            for i, f in enumerate(fields)
+        # value, d/dx and d/dy: both slots on the first axis, the nodes on the second
+        differenced = [
+            BicomplexArray(np.concatenate([v.sc for v in part], 1), np.concatenate([v.vec for v in part], 1))
+            for part in zip(*stencils)
         ]
-    xs, ys = np.array([p.x for p in points]), np.array([p.y for p in points])
-    z1, z1x, z1y, zj, zjx, zjy = center(xs, ys, zeta.x, zeta.y)
-    out = []
-    for c in (k.coef1, k.coefj):
-        parts = [_recombined(c.slot, a, b) for a, b in ((z1, zj), (z1x, zjx), (z1y, zjy))]
-        out.append([tuple(Bicomplex(v.sc[i], v.vec[i]) for v in parts) for i in range(len(points))])
-    return out
+    return [
+        tuple(BicomplexArray(*v) for v in partials_on(c.field_in_z(zeta), xs, ys)) if isinstance(c, Kernel)
+        else tuple(BicomplexArray(v.sc[i], v.vec[i]) for v in differenced)
+        for i, c in enumerate(slots)
+    ]
 
 
 def _center_partials(k: KernelFamily) -> Optional[Callable[..., list[BicomplexArray]]]:

@@ -7,8 +7,9 @@ reference family for f(z) = x.
 f, the potentials q and q1 and the fundamental solution S come from
 expressions, so the successor Z(1) is a closed-form ``Kernel``; Z(j) and
 the Darboux S1 are path integrals of closed-form integrands with exact
-partials.  The one finite difference here is the 5-point Laplacian that
-``schroedinger_residual`` takes at a given step h.
+partials.  ``schroedinger_residual`` runs on arrays, at every node of a
+scan at once or at one point as one node; the one finite difference here
+is the 5-point Laplacian it takes at a given step h.
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ from .bicomplex import Bicomplex, InvalidValueError, PlanePoint
 from .calculus import CalculusError, Path, detour_integrals, tf_densities, tf_transform
 from .fields import (
     KERNEL_VARS,
+    BicomplexArray,
     Field,
     Kernel,
     PairFace,
     SymBC,
     Values,
+    at_nodes,
     central_difference,
     in_pair_order,
     pairs_of,
@@ -54,16 +57,18 @@ def laplace_fundamental() -> Kernel:
 # Potentials
 
 
-def _laplacian(u: Field, z: PlanePoint, h: Optional[float] = None) -> Bicomplex:
-    """Laplacian u at z: exact without a step, else the 5-point stencil."""
+def _laplacian(u: Field, xs: np.ndarray, ys: np.ndarray, h: Optional[float]) -> BicomplexArray:
+    """Laplacian u at every node (xs[k], ys[k]): exact without a step, else
+    the 5-point stencil."""
     if h is None:
-        return u.dx.dx(z) + u.dy.dy(z)
+        return BicomplexArray(*u.dx.dx.on(xs, ys)) + BicomplexArray(*u.dy.dy.on(xs, ys))
+    values = lambda xs, ys: BicomplexArray(*u.on(xs, ys))  # noqa: E731
 
-    def second(axis: str) -> Bicomplex:
+    def second(axis: str) -> BicomplexArray:
         # a difference of differences at step h/2: the 5-point stencil's
         # second difference with step h
-        first = lambda p: central_difference(u, p, h / 2, axis)  # noqa: E731
-        return central_difference(first, z, h / 2, axis)
+        first = lambda xs, ys: central_difference(values, xs, ys, h / 2, axis)  # noqa: E731
+        return central_difference(first, xs, ys, h / 2, axis)
 
     return second("x") + second("y")
 
@@ -82,11 +87,16 @@ def darboux_potential(f: Field) -> Field:
 
 
 def schroedinger_residual(
-    u: Field, q: Field, z: PlanePoint, h: Optional[float] = None
-) -> float:
-    """|Laplacian u - q u| at z, exact from the partials of u when no step
-    is given, else via the 5-point stencil with step h."""
-    return (_laplacian(u, z, h) - q(z) * u(z)).norm
+    u: Field, q: Field, z, h: Optional[float] = None
+) -> Union[float, np.ndarray]:
+    """|Laplacian u - q u|, exact from the partials of u when no step is
+    given, else via the 5-point stencil with step h: at the point z, or at
+    every node of the columns z = (xs, ys) at once (``fields.at_nodes``)."""
+
+    def residual(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+        return (_laplacian(u, xs, ys, h) - BicomplexArray(*q.on(xs, ys)) * BicomplexArray(*u.on(xs, ys))).norm
+
+    return at_nodes(residual, z)
 
 
 # ---------------------------------------------------------------------------
@@ -330,49 +340,38 @@ def x_main_family() -> KernelFamily:
     return KernelFamily(-1, k1, kj)
 
 
+class _Formula(PairFace):
+    """A two-point function given by its pair face, the numpy function on."""
+
+    def __init__(self, on: Callable[..., Values]):
+        self.on = on
+
+
 def x_negative_power(n: int) -> KernelFamily:
     """Closed-form negative formal powers of order -n for the main Vekua
-    equation of f = x (n >= 2)."""
+    equation of f = x (n >= 2), as pair faces on numpy arrays."""
     if n < 2:
         raise ValueError("closed forms start at order -2")
 
-    def parts(zeta: PlanePoint, z: PlanePoint):
-        d = complex(z.x - zeta.x, z.y - zeta.y)
-        return d, z.x, zeta.x
+    def parts(xi, eta, x, y):
+        d = np.atleast_1d(np.subtract(x, xi) + 1j * np.subtract(y, eta))
+        return d, 1 / d**n, 1 / d ** (n - 1), 1 / d ** (n - 2)
 
-    def coef1(zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-        d, x, xi = parts(zeta, z)
-        dn = 1 / d**n
-        dn1 = 1 / d ** (n - 1)
+    def coef1(xi, eta, x, y) -> Values:
+        d, dn, dn1, dn2 = parts(xi, eta, x, y)
         if n % 2 == 0:
-            return Bicomplex(dn.real, dn.imag + dn1.imag / ((n - 1) * x))
-        dn2 = 1 / d ** (n - 2)
+            return dn.real, dn.imag + dn1.imag / ((n - 1) * x)
         c = -dn1.imag + dn2.imag / ((n - 2) * xi)
-        return Bicomplex(
-            dn.real - dn1.real / ((n - 1) * xi),
-            dn.imag - dn1.imag / ((n - 1) * xi) - c / ((n - 1) * x),
-        )
+        return dn.real - dn1.real / ((n - 1) * xi), dn.imag - dn1.imag / ((n - 1) * xi) - c / ((n - 1) * x)
 
-    def coefj(zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-        d, x, xi = parts(zeta, z)
-        dn = 1 / d**n
-        dn1 = 1 / d ** (n - 1)
+    def coefj(xi, eta, x, y) -> Values:
+        d, dn, dn1, dn2 = parts(xi, eta, x, y)
         if n % 2 == 1:
-            return Bicomplex(-dn.imag, dn.real + dn1.real / ((n - 1) * x))
-        if n == 2:
-            ell = math.log(abs(d))
-            return Bicomplex(
-                -dn.imag + dn1.imag / xi,
-                dn.real - dn1.real / xi + (dn1.real + ell / xi) / x,
-            )
-        dn2 = 1 / d ** (n - 2)
-        c = dn1.real - dn2.real / ((n - 2) * xi)
-        return Bicomplex(
-            -dn.imag + dn1.imag / ((n - 1) * xi),
-            dn.real - dn1.real / ((n - 1) * xi) + c / ((n - 1) * x),
-        )
+            return -dn.imag, dn.real + dn1.real / ((n - 1) * x)
+        c = dn1.real + np.log(np.hypot(d.real, d.imag)) / xi if n == 2 else dn1.real - dn2.real / ((n - 2) * xi)
+        return -dn.imag + dn1.imag / ((n - 1) * xi), dn.real - dn1.real / ((n - 1) * xi) + c / ((n - 1) * x)
 
-    return KernelFamily(order=-n, coef1=coef1, coefj=coefj)
+    return KernelFamily(order=-n, coef1=_Formula(coef1), coefj=_Formula(coefj))
 
 
 def x_darboux_fundamental() -> Kernel:

@@ -25,15 +25,31 @@ def compiles(monkeypatch):
 
 
 @pytest.fixture
+def cmath_calls(monkeypatch):
+    """The arguments of every call of a cmath-bound program (the programs
+    ``SymBC.compiled`` gives, behind every field and kernel call) while the
+    test runs."""
+    calls = []
+    compiled = fields.SymBC.compiled
+
+    def counted(self):
+        program = compiled(self)
+        return lambda *args: calls.append(args) or program(*args)
+
+    monkeypatch.setattr(fields.SymBC, "compiled", counted)
+    return calls
+
+
+@pytest.fixture
 def central_differences(monkeypatch):
     """The axis of every ``fields.central_difference`` taken while the test
     runs, and "five-point" for every ``powers._five_point`` stencil."""
     axes = []
     central_difference, five_point = fields.central_difference, powers._five_point
 
-    def counted(func, z, h, axis):
+    def counted(values, xs, ys, h, axis):
         axes.append(axis)
-        return central_difference(func, z, h, axis)
+        return central_difference(values, xs, ys, h, axis)
 
     def counted_stencil(*args):
         axes.append("five-point")

@@ -8,8 +8,8 @@ from typing import Optional
 import numpy as np
 
 from bivekua.bicomplex import Bicomplex, PlanePoint
-from bivekua.calculus import Path, RegionGrid, detour_walks
-from bivekua.fields import Field, central_difference, d_zbar
+from bivekua.calculus import Path, RegionGrid, detour_walks, grid_columns
+from bivekua.fields import Field, d_zbar
 from bivekua.pairs import GeneratingPair, pair_operator
 from bivekua.schroedinger import MainVekuaProblem
 
@@ -47,17 +47,59 @@ def abar_antiderivative(w: Field, path: Path) -> complex:
     return 2 * path.integrate(one_form)
 
 
-def differenced_vekua_residual(w: Field, pair: GeneratingPair, z: PlanePoint, h: float) -> float:
-    """|d_zbar W - a W - b conj_j(W)| at z, the partials of W by central
-    differences of step h: the Vekua residual of a field without partials."""
-    fx, fy = (central_difference(w, z, h, axis) for axis in "xy")
-    return pair_operator(d_zbar(fx, fy), pair.a(z), pair.b(z), w(z)).norm
+def midpoints(x0: float, x1: float, y0: float, y1: float, nx: int, ny: int) -> list[PlanePoint]:
+    """The points of ``grid_columns``, in its order."""
+    columns = grid_columns(x0, x1, y0, y1, nx, ny)
+    return [PlanePoint(x, y) for xs, ys in columns for x, y in zip(xs.tolist(), ys.tolist())]
+
+
+def central_difference(func, z: PlanePoint, h: float, axis: str) -> Bicomplex:
+    """d func / d axis at z (axis "x" or "y"), by the central difference of
+    ``Bicomplex`` values with step h."""
+    if axis == "x":
+        plus, minus = PlanePoint(z.x + h, z.y), PlanePoint(z.x - h, z.y)
+    else:
+        plus, minus = PlanePoint(z.x, z.y + h), PlanePoint(z.x, z.y - h)
+    return (func(plus) - func(minus)).scale(1 / (2 * h))
+
+
+def at_point(w: Field, z: PlanePoint) -> Bicomplex:
+    """w at z by its array face at one node: the value a check on arrays
+    sees there (a cmath call of a closed form rounds otherwise)."""
+    sc, vec = w.on(np.array([z.x]), np.array([z.y]))
+    return Bicomplex(sc[0], vec[0])
+
+
+def scalar_vekua_residual(w: Field, pair: GeneratingPair, z: PlanePoint, h: Optional[float] = None) -> float:
+    """|d_zbar W - a W - b conj_j(W)| at z, point by point on ``Bicomplex``
+    values (``at_point``): from the exact partials of W, or given a step h,
+    from its central differences, for a field without partials."""
+    w_at = lambda p: at_point(w, p)  # noqa: E731
+    fx, fy = (at_point(w.dx, z), at_point(w.dy, z)) if h is None else (central_difference(w_at, z, h, a) for a in "xy")
+    return pair_operator(d_zbar(fx, fy), at_point(pair.a, z), at_point(pair.b, z), w_at(z)).norm
+
+
+def scalar_schroedinger_residual(u: Field, q: Field, z: PlanePoint, h: Optional[float] = None) -> float:
+    """|Laplacian u - q u| at z, point by point on ``Bicomplex`` values
+    (``at_point``): exact from the partials of u, or given a step h, by
+    second differences at step h/2, nested as the library nests them."""
+    u_at = lambda p: at_point(u, p)  # noqa: E731
+    if h is None:
+        laplacian = at_point(u.dx.dx, z) + at_point(u.dy.dy, z)
+    else:
+
+        def second(axis: str) -> Bicomplex:
+            first = lambda p: central_difference(u_at, p, h / 2, axis)  # noqa: E731
+            return central_difference(first, z, h / 2, axis)
+
+        laplacian = second("x") + second("y")
+    return (laplacian - at_point(q, z) * u_at(z)).norm
 
 
 def is_successor(candidate: GeneratingPair, base: GeneratingPair, region: RegionGrid) -> bool:
     """True iff a_candidate = a_base and b_candidate = -B_base to 1e-8 on a
     20-by-20 sample grid."""
-    for p in region.sample_points():
+    for p in midpoints(region.x0, region.x1, region.y0, region.y1, 20, 20):
         if (candidate.a(p) - base.a(p)).norm > 1e-8:
             return False
         if (candidate.b(p) + base.B(p)).norm > 1e-8:

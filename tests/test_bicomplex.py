@@ -336,6 +336,16 @@ def test_array_product_is_the_bicomplex_product_at_each_node(pairs):
     assert [Bicomplex(a, b) for a, b in zip(got.sc.tolist(), got.vec.tolist())] == want
 
 
+@given(st.lists(bicomplexes(), min_size=1, max_size=4))
+@example([Bicomplex(1.5e308, 0), Bicomplex(1e308, 1e308j), Bicomplex(5e-324, 0)])
+@example([Bicomplex(0.75e308 * (1 + 1j), 0.75e308 * (1j - 1)), Bicomplex(1e308 * (1 - 1j), -1e308 * (1 - 1j))])
+def test_array_norm_is_the_bicomplex_norm_at_each_node(ws):
+    # the examples take each range-edge branch of Bicomplex.norm: a sum of
+    # |W+-| past the range, W+ past it, |W+| past it, and the norm past it
+    got = _on_nodes(ws).norm
+    assert [v.hex() for v in got.tolist()] == [w.norm.hex() for w in ws]
+
+
 @given(bicomplexes(), bicomplexes())
 def test_norm_submultiplicative(w, v):
     if not _in_range(*_exact_product(w, v)):

@@ -11,11 +11,12 @@ from pathlib import Path
 import pytest
 
 from bivekua import __version__, calculus, cli, expr, fields, schroedinger
-from bivekua.calculus import midpoints
 from bivekua.cli import CONFIG_SCHEMA, REQUIRED, ConfigError, main, run
 from bivekua.powers import ContourSpec, cauchy_deviations, formal_contour_integral
-from bivekua.fields import pairs_of
+from bivekua.bicomplex import PlanePoint
+from bivekua.fields import Field, pairs_of
 from bivekua.schroedinger import DarbouxFundamental, SuccessorCoefj, x_main_family
+from oracles import midpoints, scalar_schroedinger_residual, scalar_vekua_residual
 
 ROOT = Path(__file__).parents[1]
 
@@ -598,6 +599,22 @@ def test_constant_past_the_double_range_is_a_typed_error(tmp_path, capsys, f, er
     assert error in err and "OverflowError" not in err and "NameError" not in err
 
 
+@pytest.mark.parametrize("command", ["verify-reproducing", "cauchy"])
+@pytest.mark.parametrize(
+    "f, error",
+    [("(1e200)^2 + x", "EvaluationError: complex exponentiation at ("), ("1e200*1e200 + x", "InvalidValueError")],
+)
+def test_contour_commands_refuse_a_constant_past_the_double_range(tmp_path, capsys, command, f, error):
+    # the pair (f, j/f) runs as numpy code on the contour's nodes; the
+    # constant's fault there re-runs the scalar code, which raises its
+    # typed error at its point
+    cfg = {"kernel": "x-main", "f": f, "contour": {"center": [3, 0], "radius": 1, "nodes": 16}}
+    config = _write(tmp_path, "c.json", cfg)
+    assert main([command, "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert error in err and "OverflowError" not in err and "NameError" not in err
+
+
 @pytest.mark.parametrize(
     "command, cfg, message",
     [
@@ -1017,6 +1034,28 @@ def test_symbolic_build_powers_compiles_only_what_it_evaluates(tmp_path, compile
     config = _write(tmp_path, "p.json", cfg)
     assert main(["build-powers", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
     assert len(compiles) <= 4
+
+
+@pytest.mark.parametrize("name", ["residual-scan-m0", "residual-scan-m1", "residual-scan-schroedinger"])
+def test_symbolic_residual_scan_is_one_array_check(tmp_path, cmath_calls, name):
+    # the scan runs no cmath program, and each row is the point-by-point
+    # residual of Bicomplex values to rounding
+    cfg = {run: c for run, _, c in _workloads().generate("symbolic", 1)}[name]
+    config = _write(tmp_path, "r.json", cfg)
+    assert main(["residual-scan", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    assert cmath_calls == []
+    values = cli._validate(cfg, CONFIG_SCHEMA["residual-scan"])
+    if values["kind"] == "vekua":
+        w, pair = Field.from_exprs(values["field"]["sc"]), cli._build_pair(values)
+        oracle = lambda p: scalar_vekua_residual(w, pair, p)  # noqa: E731
+    else:
+        u, q = Field.from_exprs(values["field"]["sc"]), Field.from_exprs(values["q"])
+        oracle = lambda p: scalar_schroedinger_residual(u, q, p, values["h"])  # noqa: E731
+    header, *rows = (tmp_path / "residuals.csv").read_text().splitlines()
+    assert header == "x,y,residual" and len(rows) == values["samples"] ** 2
+    for row in rows:
+        x, y, residual = map(float, row.split(","))
+        assert abs(residual - oracle(PlanePoint(x, y))) <= 1e-15
 
 
 @pytest.mark.parametrize("argv", [["no-such-command", "--config", "c.json"], ["cauchy", "--quiet"]])

@@ -5,8 +5,11 @@ through the `vekua` CLI, once under each tree, and prints for every
 report.json and CSV either "byte-identical" or the largest absolute and
 relative difference of any number in it, and an artifact that only the head
 writes.  Ends with one summary line: how many of the base's artifacts are
-byte-identical, and the largest relative difference.  Exits 1 if any
-check's pass/fail, or any run's exit code, differs between the trees.
+byte-identical, and the largest relative difference.  For each workload and seed it also prints
+the benchmark's ``margin_digits`` (the least margin of any run) under each
+tree, so that a change to the rounding of a checked result shows before
+the benchmark runs.  Exits 1 if any check's pass/fail, or any run's exit
+code, differs between the trees.
 
     python3 tools/compare_outputs.py --base /path/to/base/src --head src
 """
@@ -17,6 +20,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -86,6 +90,34 @@ def verdicts(report: Path) -> list:
     return [c["pass"] for c in data["checks"]] + [data["pass"]]
 
 
+def margin_digits(checks) -> float | None:
+    """Min over checks with tol > 0 of log10(tol / max(|value - expected|,
+    1e-16 tol)): bench/one_pass.margin_digits (that module imports the
+    program when it loads, so it is not imported here)."""
+    out = None
+    for c in checks:
+        tol = c.get("tol", 0)
+        err = abs(c.get("value", math.nan) - c.get("expected", math.nan))
+        if not tol > 0 or not math.isfinite(err):
+            continue
+        m = math.log10(tol / max(err, 1e-16 * tol))
+        out = m if out is None else min(out, m)
+    return out
+
+
+def least_margin(out: Path, manifest: list[dict]) -> float | None:
+    """The least ``margin_digits`` of the manifest's runs written to out, as
+    the benchmark takes a pass's margin."""
+    margins = []
+    for run in manifest:
+        report = out / run["name"] / "report.json"
+        if report.exists():
+            margin = margin_digits(json.loads(report.read_text()).get("checks", []))
+            if margin is not None:
+                margins.append(margin)
+    return min(margins, default=None)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, type=Path, help="the src/ tree compared against")
@@ -124,6 +156,9 @@ def main() -> int:
                         print(f"{workload} seed {seed} {name}/{artifact}: {text}")
                     for artifact in sorted(p.name for p in head.glob("*") if not (base / p.name).exists()):
                         print(f"{workload} seed {seed} {name}/{artifact}: written by the head only")
+                margins = [least_margin(case / tree, manifest) for tree in ("base", "head")]
+                print(f"{workload} seed {seed} margin_digits: "
+                      + " -> ".join("none" if m is None else f"{m:.4f}" for m in margins))
     print(f"{identical} of {total} artifacts byte-identical, max rel diff {worst_rel:.3g}")
     if changed:
         print("a check's pass/fail or a run's exit code changed")
