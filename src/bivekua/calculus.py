@@ -335,8 +335,8 @@ class Path(Walks):
 # Region grids (for pair checks, residual scans and kernel tables)
 
 
-def _centres(a: float, b: float, n: int) -> list[float]:
-    """Centres of the n equal cells of [a, b], increasing."""
+def cell_centres(a: float, b: float, n: int) -> list[float]:
+    """Centres of the n equal cells of [a, b], from a to b."""
     return [a + (i + 0.5) * (b - a) / n for i in range(n)]
 
 
@@ -347,8 +347,8 @@ def grid_columns(
     [y0, y1] as arrays xs, ys, column by column (increasing y for each x,
     the x increasing), a block of whole columns of at most ``NODE_BUDGET``
     points, or one column, at a time."""
-    ys = _centres(y0, y1, ny)
-    xs = _centres(x0, x1, nx)
+    ys = cell_centres(y0, y1, ny)
+    xs = cell_centres(x0, x1, nx)
     step = max(1, NODE_BUDGET // ny)
     for k in range(0, nx, step):
         block = xs[k:k + step]

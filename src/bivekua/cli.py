@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .bicomplex import PlanePoint
-from .calculus import RegionGrid, grid_columns
+from .calculus import RegionGrid, cell_centres, grid_columns
 from .fields import BicomplexArray, Field, kernel_in_z
 from .pairs import GeneratingSequence, make_pair, separable_pair, vekua_residual
 from .powers import (
@@ -64,9 +64,10 @@ TWO_PI = 2 * math.pi
 
 CSV_HEADER = "x,y,sc_re,sc_im,vec_re,vec_im"
 
-
-# a CSV_HEADER row, each number with 17 significant digits
-_ROW = ",".join(["%.17g"] * 6)
+# a CSV number: "%.17g" text, which reads back as the same double.  Each one
+# is a bignum conversion of about 1 us, so ``_csv_rows`` formats each grid
+# coordinate once per command and a column of one bit pattern once per block
+_G = "%.17g".__mod__
 
 
 # ---------------------------------------------------------------------------
@@ -328,20 +329,37 @@ def _random_point_pairs(cfg: dict, count: int):
     raise ConfigError(too_small)
 
 
+def _grid_texts(x0: float, x1: float, y0: float, y1: float, nx: int, ny: int) -> dict[int, str]:
+    """The text of each x and y centre of the grid, keyed by its bits."""
+    centres = np.array(cell_centres(x0, x1, nx) + cell_centres(y0, y1, ny))
+    return dict(zip(centres.view(np.int64).tolist(), map(_G, centres.tolist())))
+
+
+def _csv_rows(texts: dict[int, str], xs: np.ndarray, ys: np.ndarray, *values: np.ndarray) -> list[str]:
+    """The CSV rows "x,y,value,...": x and y from texts (``_grid_texts``), and
+    a value column of one bit pattern formatted once (-0.0 and 0.0 differ)."""
+    cells = [list(map(texts.__getitem__, c.view(np.int64).tolist())) for c in (xs, ys)]
+    for col in values:
+        bits = col.view(np.int64)
+        constant = col.size and bits.min() == bits.max()
+        cells.append([_G(float(col[0]))] * col.size if constant else map(_G, col.tolist()))
+    return list(map(",".join, zip(*cells)))
+
+
 def _grid_csv(two_point, zeta: PlanePoint, grid: dict, seen=None) -> tuple[list[str], int]:
     """The CSV lines of z -> two_point(zeta, z), by its face, at the grid's
     points off zeta, and the number of those points: a block of columns
     (``grid_columns``) at a time, as arrays of the whole grid would raise
     peak memory.  seen(xs, ys, sc, vec), when given, sees each block."""
     field, lines, points = kernel_in_z(two_point, zeta), [CSV_HEADER], 0
+    texts = _grid_texts(**grid)
     for xs, ys in grid_columns(**grid):
         off = np.hypot(xs - zeta.x, ys - zeta.y) > 1e-9
         xs, ys = xs[off], ys[off]
         sc, vec = field.on(xs, ys)
         if seen is not None:
             seen(xs, ys, sc, vec)
-        table = np.stack([xs, ys, sc.real, sc.imag, vec.real, vec.imag], axis=1)
-        lines += [_ROW % tuple(row) for row in table.tolist()]
+        lines += _csv_rows(texts, xs, ys, sc.real, sc.imag, vec.real, vec.imag)
         points += xs.size
     return lines, points
 
@@ -454,7 +472,7 @@ def cmd_residual_scan(cfg: dict):
         u = Field.from_exprs(fld["sc"])
         q = Field.from_exprs(cfg["q"])
         residuals = schroedinger_residual(u, q, (xs, ys), cfg["h"])
-    rows = ["%.17g,%.17g,%.17g" % row for row in zip(xs.tolist(), ys.tolist(), residuals.tolist())]
+    rows = _csv_rows(_grid_texts(**cfg["region"], nx=cfg["samples"], ny=cfg["samples"]), xs, ys, residuals)
     checks = [_check("max_residual", residuals.max(), 0.0, cfg["tol"])]
     return checks, {"residuals.csv": ["x,y,residual"] + rows}, {}
 

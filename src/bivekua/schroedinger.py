@@ -171,27 +171,24 @@ def _walks(face, start, end: int, forms: int, one_form, xi, eta, x, y) -> np.nda
     """Per 1-form of one_form(xs, ys, dz, *other), ``other`` the coordinates
     of each pair's other point at every node, the row of its integrals over
     the detour path from start(zeta) to the pair's point ``end`` (0: zeta,
-    1: z) around the other point, divided by face.f there, 0 where the path
-    is empty: ``forms`` rows, all paths run as array jobs
-    (``detour_integrals``, face.side).  A pair on the diagonal, f = 0 at a
-    path end or a value past the double range raises."""
+    1: z) around the other point, divided by f there (face.f, called once
+    on all path ends), 0 where the path is empty: ``forms`` rows, all paths
+    run as array jobs (``detour_integrals``, face.side).  A pair on the
+    diagonal, f = 0 at a path end or a value past the double range raises."""
     pairs = pairs_of(xi, eta, x, y)
-    walked = []  # (pair index, path start, f at the path end) of each path
-    for k, pair in enumerate(pairs):
-        if pair[0].dist(pair[1]) == 0:
-            raise SingularPointError(f"two-point function evaluated on the diagonal at {pair[1]}")
-        a, b = start(pair[0]), pair[end]
-        if b.dist(a) != 0:
-            fend = face.f(b).sc
-            if fend == 0:
-                raise CalculusError(f"f vanishes at path endpoint {b}")
-            walked.append((k, a.as_complex, fend))
+    for zeta, z in pairs:
+        if zeta.dist(z) == 0:
+            raise SingularPointError(f"two-point function evaluated on the diagonal at {z}")
+    paths = [(start(p[0]), p[end], p[1 - end]) for p in pairs]  # start, end, avoided point
+    walk = [k for k, (a, b, _) in enumerate(paths) if b.dist(a) != 0]  # the pairs with a path
     out = np.zeros((forms, len(pairs)), dtype=complex)
-    if walked:
-        walk, starts, fends = map(list, zip(*walked))
-        ends, avoid = (np.array([pairs[k][i].as_complex for k in walk]) for i in (end, 1 - end))
+    if walk:
+        starts, ends, avoid = (np.array([paths[k][i].as_complex for k in walk]) for i in range(3))
+        fends = face.f.on(ends.real, ends.imag)[0].tolist()
+        if 0 in fends:
+            raise CalculusError(f"f vanishes at path endpoint {paths[walk[fends.index(0)]][1]}")
         frozen = tuple(_per_walk(v, walk, len(pairs)) for v in ((x, y), (xi, eta))[end])
-        totals = detour_integrals(np.array(starts), ends, avoid, one_form, frozen, face.side)
+        totals = detour_integrals(starts, ends, avoid, one_form, frozen, face.side)
         # Python's complex division, which rounds unlike numpy's
         out[:, walk] = [[t / fend for t, fend in zip(row.tolist(), fends)] for row in totals]
         # not .all(): its reduction loop alone adds 0.1 MB of resident memory

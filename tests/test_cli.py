@@ -8,7 +8,10 @@ import re
 import signal
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bivekua import __version__, calculus, cli, expr, fields, schroedinger
 from bivekua.cli import CONFIG_SCHEMA, REQUIRED, ConfigError, main, run
@@ -229,15 +232,28 @@ def test_build_fundamental_table_is_the_same_in_any_blocks(tmp_path, monkeypatch
 
 
 def test_build_fundamental_f_vanishing_at_z_is_a_calculus_error(tmp_path, capsys):
-    # S1 divides by f(z), and f = x vanishes at the one grid point (0, 0.6)
+    # S1 divides by f(z), and f = x vanishes at both points of the grid's
+    # middle column: the error names the first of them in pair order, which
+    # is not the first pair walked
     cfg = _write(tmp_path, "c.json", {
         "f": "1*x", "zeta0": [0.5, 0], "zeta": [1, 0.1], "z0": [2, 0],
-        "grid": {"x0": -0.5, "x1": 0.5, "y0": 0.5, "y1": 0.7, "nx": 1, "ny": 1},
+        "grid": {"x0": -1.5, "x1": 1.5, "y0": 0.5, "y1": 0.9, "nx": 3, "ny": 2},
     })
     assert main(["build-fundamental", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 2
+    first = PlanePoint(calculus.cell_centres(-1.5, 1.5, 3)[1], calculus.cell_centres(0.5, 0.9, 2)[0])
+    assert first.x == 0
     err = capsys.readouterr().err
-    assert "CalculusError" in err and "f vanishes at path endpoint" in err
+    assert f"CalculusError: f vanishes at path endpoint {first}\n" in err
     assert "ZeroDivisionError" not in err
+
+
+def test_catalog_build_fundamental_calls_no_cmath_program(tmp_path, cmath_calls):
+    # f at the path ends is one array call, as is the closed-form check
+    (cfg,) = [c for _, command, c in _workloads().generate("closed-form", 1) if command == "build-fundamental"]
+    assert cfg["f"] == "x" and (cfg["grid"]["nx"], cfg["grid"]["ny"]) == (10, 10)
+    config = _write(tmp_path, "c.json", cfg)
+    assert main(["build-fundamental", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    assert cmath_calls == []
 
 
 def test_build_powers_parses_f_that_only_selects_the_mode(tmp_path, capsys):
@@ -844,12 +860,46 @@ def test_eval_kernel_csv_is_the_per_point_rows(tmp_path, alpha):
     header, *rows = (tmp_path / "kernel.csv").read_text().splitlines()
     assert header == cli.CSV_HEADER
     assert len(rows) == len(points)
+    # byte for byte, the face's values formatted one number at a time
+    xs, ys = np.array([p.x for p in points]), np.array([p.y for p in points])
+    sc, vec = coef.on(zeta.x, zeta.y, xs, ys)
+    assert rows == _old_rows(xs, ys, sc.real, sc.imag, vec.real, vec.imag)
     for row, p in zip(rows, points):
         w = coef(zeta, p)
         want = [p.x, p.y, w.sc.real, w.sc.imag, w.vec.real, w.vec.imag]
         got = [float(v) for v in row.split(",")]
         assert got[:2] == want[:2]
         assert all(abs(g - v) <= 1e-15 * max(1.0, abs(v)) for g, v in zip(got, want))
+
+
+def _old_rows(*columns) -> list[str]:
+    """CSV rows as the writer once made them: each number of each row
+    formatted with "%.17g" on its own."""
+    return [",".join("%.17g" % v for v in row) for row in zip(*(np.asarray(c).tolist() for c in columns))]
+
+
+# zeros of both signs, subnormals, the ends of the double range and numbers
+# that "%.17g" prints in exponent form
+_CELLS = [0.0, -0.0, 5e-324, -2.5e-310, 1.7976931348623157e308, -1.7976931348623157e308, 1e-7, 1e17, -3e22]
+_cell = st.one_of(st.sampled_from(_CELLS), st.floats(allow_nan=False, allow_infinity=False))
+_zero = st.sampled_from([0.0, -0.0])
+_bound = st.floats(-1e3, 1e3)
+
+
+@given(st.tuples(_bound, _bound, _bound, _bound, st.integers(1, 4), st.integers(1, 4)), st.data())
+def test_csv_rows_are_the_per_number_text(grid, data):
+    # the writer's lines are, as text, the numbers formatted one by one:
+    # coordinates of any grid (bounds in either order, or equal), a row
+    # left out, columns that mix 0.0 and -0.0, and constant columns
+    x0, x1, y0, y1, nx, ny = grid
+    ((xs, ys),) = calculus.grid_columns(x0, x1, y0, y1, nx, ny)
+    keep = np.arange(xs.size) != data.draw(st.integers(-1, xs.size - 1))
+    xs, ys, n = xs[keep], ys[keep], int(keep.sum())
+    drawn = [np.array(data.draw(st.lists(c, min_size=n, max_size=n))) for c in (_cell, _cell, _zero)]
+    constant = np.full(n, data.draw(st.sampled_from(_CELLS)))
+    columns = [*drawn, constant, np.full(n, -0.0)]
+    got = cli._csv_rows(cli._grid_texts(x0, x1, y0, y1, nx, ny), xs, ys, *columns)
+    assert got == _old_rows(xs, ys, *columns)
 
 
 @pytest.fixture
