@@ -491,21 +491,14 @@ def _diff(e: Expr, var: str, memo: dict, simple: dict) -> Expr:
 # Compilation
 
 
-# Deepest inline nesting in generated code; Python's parser refuses more
-# than 200 nested parentheses, so a deeper subexpression gets a local.
-_MAX_NESTING = 50
-
-
-def _straight_line(e: Union[Expr, tuple]) -> tuple[list[str], str]:
-    """Python code for e, or for a tuple of expressions as a tuple, as
-    (assignments, result): each distinct subexpression appears once, bound
-    to a local when the walk reaches it more than once (or it nests too
-    deep) and written inline otherwise.  Nodes are keyed on structure,
-    looked up through node identity."""
+def _straight_line(e: Union[Expr, tuple]) -> tuple[list[tuple], list[int]]:
+    """The distinct subexpressions of e, or of a tuple of expressions, as
+    (keys, roots): keys[k] is (type, payload, *indices of its children in
+    keys), children first, and roots the index of e, or of each expression
+    of the tuple.  Nodes are keyed on structure, looked up through node
+    identity, so each distinct subexpression appears once."""
     number: dict[int, int] = {}  # id(node) -> index of its structure
-    index: dict[tuple, int] = {}  # structure -> index
-    keys: list[tuple] = []  # (type, payload, *child indices), children first
-    shared: set[int] = set()  # structures reached more than once
+    index: dict[tuple, int] = {}  # structure -> index, in the order of keys
 
     def visit(n: Expr) -> int:
         k = number.get(id(n))
@@ -520,41 +513,11 @@ def _straight_line(e: Union[Expr, tuple]) -> tuple[list[str], str]:
                 key = (Num, n.value)
             else:
                 key = (Var, n.name)
-            k = index.get(key)
-            if k is None:
-                k = index[key] = len(keys)
-                keys.append(key)
-            else:
-                shared.add(k)
-            number[id(n)] = k
-        else:
-            shared.add(k)
+            k = number[id(n)] = index.setdefault(key, len(index))
         return k
 
-    roots = [visit(r) for r in e] if isinstance(e, tuple) else visit(e)
-    lines: list[str] = []
-    text: list[str] = []
-    depth: list[int] = []  # parentheses nested in text[k]
-    for k, key in enumerate(keys):
-        kind, payload = key[0], key[1]
-        if kind is BinOp:
-            left, right = key[2], key[3]
-            code = f"({text[left]} {payload} {text[right]})"
-            nesting = 1 + max(depth[left], depth[right])
-        elif kind is Pow:
-            code, nesting = f"({text[key[2]]})**({payload})", 1 + depth[key[2]]
-        elif kind is Call:
-            code, nesting = f"_{payload}({text[key[2]]})", 1 + depth[key[2]]
-        else:
-            code, nesting = (repr(payload) if kind is Num else payload), 0
-        if nesting and (k in shared or nesting > _MAX_NESTING):
-            lines.append(f"_t{k} = {code}")
-            code, nesting = f"_t{k}", 0
-        text.append(code)
-        depth.append(nesting)
-    if isinstance(e, tuple):
-        return lines, f"({''.join(text[r] + ', ' for r in roots)})"
-    return lines, text[roots]
+    roots = [visit(r) for r in (e if isinstance(e, tuple) else (e,))]
+    return list(index), roots
 
 
 def _safe_log(v):
@@ -568,15 +531,15 @@ def _abs2(v):
 
 
 def _error(exc: Exception, point: tuple) -> EvaluationError:
-    """The EvaluationError for ``exc``, raised by compiled code at ``point``."""
+    """The EvaluationError for ``exc``, raised by a program at ``point``."""
     message = "division by zero" if isinstance(exc, ZeroDivisionError) else str(exc)
     return EvaluationError(message, point)
 
 
-# The function tables one generated source is bound to (``jets.TABLE`` binds
-# it to Taylor jets).  Numpy code catches nothing itself: its callers
-# evaluate it under np.errstate and, on a fault, re-run the cmath code point
-# by point (see fields.Field.on).
+# The function tables a program runs on (``jets.TABLE`` runs it on Taylor
+# jets), and the faults it turns into EvaluationError.  A numpy program
+# catches nothing itself: its callers run it under np.errstate and, on a
+# fault, re-run the cmath program point by point (see fields.Field.on).
 CMATH = {
     "_exp": cmath.exp,
     "_log": _safe_log,
@@ -587,8 +550,6 @@ CMATH = {
     "_sqrt": cmath.sqrt,
     "_abs2": _abs2,
     "_errors": (ZeroDivisionError, EvaluationError, ValueError, OverflowError),
-    "_error": _error,
-    "__builtins__": {},
 }
 
 
@@ -607,26 +568,64 @@ NUMPY = {
 
 
 def compile_expr(e: Union[Expr, tuple], variables: tuple[str, ...] = ("x", "y"), table: dict = CMATH):
-    """Compile to a fast positional callable over the given variables; a
-    tuple of expressions to one that returns the tuple of their values.
+    """Compile to a positional callable over the given variables; a tuple of
+    expressions to one that returns the tuple of their values.
 
-    The generated code computes each repeated subexpression once.  It is
-    bound to the function ``table``: cmath, for numbers, by default;
+    The program is a list of steps ``(dest, fn, a, b)``, one for each
+    distinct subexpression, children first; each call runs them once on a
+    fresh list of registers that holds the point's coordinates, the
+    constants and ``Pow`` exponents, and the values computed so far.  A
+    register takes a new value once no later step reads its old one.  The
+    steps' functions come from ``table``: cmath, for numbers, by default;
     ``NUMPY``, for arrays (and numbers) that broadcast together, which
     agrees with it entry by entry to rounding; ``jets.TABLE``, for Taylor
-    jets.  In the cmath code, division by zero and log(0) surface as
-    EvaluationError carrying the evaluation point rather than NaN/Inf.  The
-    numpy code leaves faults to numpy's error state.
+    jets.  Under cmath, division by zero and log(0) surface as
+    EvaluationError carrying the evaluation point rather than NaN/Inf;
+    under numpy, faults are left to numpy's error state.
     """
-    lines, result = _straight_line(e)
-    body = "".join(f"        {line}\n" for line in lines)
-    point = f"({''.join(f'{v}, ' for v in variables)})"
-    source = (
-        f"def _f({', '.join(variables)}):\n"
-        f"    try:\n{body}        return {result}\n"
-        f"    except _errors as exc:\n"
-        f"        raise _error(exc, {point}) from None\n"
-    )
-    env = dict(table)
-    exec(source, env)  # noqa: S102 - closed environment
-    return env["_f"]
+    keys, roots = _straight_line(e)
+    # the step that reads each value last, after which its register is free
+    last = {c: k for k, key in enumerate(keys) for c in key[2:]}
+    last.update(dict.fromkeys(roots, len(keys)))  # the results outlive the steps
+    arity = len(variables)
+    template: list = []  # the registers after the point's
+    place: list[int] = []  # the register of keys[k]
+    free, steps = [], []
+    for k, key in enumerate(keys):
+        kind, payload = key[0], key[1]
+        for c in key[2:]:
+            if last.get(c) == k:
+                del last[c]  # a value read twice by one step is freed once
+                free.append(place[c])
+        if kind is Var:
+            dest = variables.index(payload)
+        elif kind is Num:
+            dest = arity + len(template)
+            template.append(payload)
+        else:
+            if not free:
+                free.append(arity + len(template))
+                template.append(None)
+            dest, a = free.pop(), place[key[2]]
+            if kind is BinOp:
+                steps.append((dest, _ARITHMETIC[payload], a, place[key[3]]))
+            elif kind is Pow:
+                steps.append((dest, operator.pow, a, arity + len(template)))
+                template.append(payload)
+            else:
+                steps.append((dest, table[f"_{payload}"], a, None))
+        place.append(dest)
+    out, many = [place[r] for r in roots], isinstance(e, tuple)
+
+    def program(*point):
+        if len(point) != arity:
+            raise TypeError(f"the program takes {arity} arguments, not {len(point)}")
+        r = [*point, *template]
+        try:
+            for dest, fn, a, b in steps:
+                r[dest] = fn(r[a]) if b is None else fn(r[a], r[b])
+        except table["_errors"] as exc:
+            raise _error(exc, point) from None
+        return tuple([r[i] for i in out]) if many else r[out[0]]
+
+    return program

@@ -5,12 +5,12 @@ ed., 2008, ch. 13).
 A ``Jet`` is the Taylor polynomial of a function at a point (x, y), in
 the offsets (dx, dy), truncated at a total degree d: the coefficient of
 dx^a dy^b is the partial d^(a+b)/dx^a dy^b over a! b!.  Its coefficients
-are numpy arrays over many points at once.  ``TABLE`` binds the source
-``expr.compile_expr`` generates to jets: ``+ - * /`` and integer ``**``
-act on jets, and each name of ``expr.FUNCTIONS`` composes its univariate
-Taylor series with the jet.  So one expression program, run on the jets
-of x and y, gives every partial up to degree d at the cost of O(d^4)
-array operations per operation of the program.
+are numpy arrays over many points at once.  ``TABLE`` runs the programs
+of ``expr.compile_expr`` on jets: ``+ - * /`` and integer ``**`` act on
+jets, and each name of ``expr.FUNCTIONS`` composes its univariate Taylor
+series with the jet.  So one expression program, run on the jets of x
+and y, gives every partial up to degree d at the cost of O(d^4) array
+operations per operation of the program.
 
 Jet arithmetic raises on faults only where a value is singular: the
 inverse and the logarithm of a jet whose value is 0 raise
@@ -268,6 +268,6 @@ def _on_jets(name: str):
     return lambda v: series(v) if isinstance(v, Jet) else plain(np.asarray(v) + 0j)
 
 
-# The function table ``expr.compile_expr`` binds its generated source to;
+# The function table that runs an ``expr.compile_expr`` program on jets;
 # abs2, v * v, is numpy's, which jets share.
 TABLE = {**NUMPY, **{f"_{name}": _on_jets(name) for name in _SERIES}}

@@ -3,15 +3,36 @@ kept here so that the tests compare against it."""
 
 from __future__ import annotations
 
+import operator
 from typing import Optional
 
 import numpy as np
 
 from bivekua.bicomplex import Bicomplex, PlanePoint
 from bivekua.calculus import Path, RegionGrid, detour_walks, grid_columns
+from bivekua.expr import CMATH, Call, Expr, Num, Pow, Var
 from bivekua.fields import Field, d_zbar
 from bivekua.pairs import GeneratingPair, pair_operator
 from bivekua.schroedinger import MainVekuaProblem
+
+
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def evaluate(e: Expr, point: dict, table: dict = CMATH):
+    """e at ``point`` (variable name -> value), node by node down the tree:
+    a subtree reached twice is evaluated twice.  Each Call takes its
+    function from ``table``, as ``expr.compile_expr`` does, and + - * / and
+    integer powers are Python's operators."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return point[e.name]
+    if isinstance(e, Pow):
+        return evaluate(e.base, point, table) ** e.exponent
+    if isinstance(e, Call):
+        return table[f"_{e.func}"](evaluate(e.arg, point, table))
+    return _ARITHMETIC[e.op](evaluate(e.left, point, table), evaluate(e.right, point, table))
 
 
 def isclose(a: Bicomplex, b: Bicomplex, tol: float = 1e-12) -> bool:

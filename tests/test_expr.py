@@ -1,7 +1,6 @@
-import cmath
 import math
-import operator
 import random
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +8,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from bivekua.expr import (
+    CMATH,
     FUNCTIONS,
     NUMPY,
     BinOp,
@@ -20,12 +20,14 @@ from bivekua.expr import (
     Pow,
     UnknownIdentifierError,
     Var,
+    _error,
     binop,
     compile_expr,
     diff,
     parse,
     simplify,
 )
+from oracles import evaluate
 
 
 # Parseable printing, which the round-trip tests below use.
@@ -312,21 +314,6 @@ def test_diff_keeps_sharing():
     assert compile_expr(e)(0.5, 2.0) == 4096
 
 
-def _walk(e, env):
-    """Test-only evaluator: walks the tree, every repeat included."""
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Pow):
-        return _walk(e.base, env) ** e.exponent
-    if isinstance(e, Call):
-        v = _walk(e.arg, env)
-        return v * v if e.func == "abs2" else getattr(cmath, e.func)(v)
-    ops = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-    return ops[e.op](_walk(e.left, env), _walk(e.right, env))
-
-
 def test_compiled_repeats_match_tree_walk():
     u = parse("sin(x*y) + exp(x)/(1 + y^2)")
     v = parse("sqrt(abs2(x - 1) + abs2(y)) * log(x + 2)")
@@ -334,7 +321,7 @@ def test_compiled_repeats_match_tree_walk():
     e = binop("+", e, binop("/", diff(e, "x"), binop("+", Num(3 + 0j), diff(e, "y"))))
     f = compile_expr(e)
     for x, y in _random_points(50, lo=-0.9, hi=1.9, seed=5):
-        assert f(x, y) == _walk(e, {"x": x, "y": y})
+        assert f(x, y) == evaluate(e, {"x": x, "y": y})
 
 
 def test_singular_shared_subterm_carries_point():
@@ -362,8 +349,8 @@ _coordinate = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-3, 3))
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=6))
 def test_numpy_table_matches_cmath(points):
-    # the numpy binding of the one generated source gives the cmath
-    # binding's value at every entry, and faults where it raises
+    # a program run on the numpy table gives its value on the cmath table
+    # at every entry, and faults where that raises
     xs, ys = np.array(points).T
     for scalar, arrays in _BOUND:
         with np.errstate(divide="raise", invalid="raise", over="raise"):
@@ -382,3 +369,92 @@ def test_long_chain_compiles():
     e = parse(" + ".join(["x*y"] * 600))
     assert compile_expr(e)(1.0, 2.0) == 1200
     assert compile_expr(diff(e, "x"))(1.0, 2.0) == 1200
+
+
+# Small trees over every node kind: + - * /, integer powers, every function,
+# and subtrees reached twice through one node object (a shared node) or
+# through two equal ones.
+_leaves = st.one_of(
+    st.sampled_from([Var("x"), Var("y")]),
+    st.sampled_from([0j, 0.5 + 0j, -1.5 + 0j, 2 + 0j, 1j, -0.25 - 2j]).map(Num),
+)
+_ops = st.sampled_from("+-*/")
+
+
+def _extend(kids):
+    return st.one_of(
+        st.builds(BinOp, _ops, kids, kids),
+        st.builds(Pow, kids, st.integers(-3, 3)),
+        st.builds(Call, st.sampled_from(FUNCTIONS), kids),
+        st.builds(lambda op, kid: BinOp(op, kid, kid), _ops, kids),
+        st.builds(lambda op, a, b: BinOp(op, BinOp("*", a, b), Call("exp", a)), _ops, kids, kids),
+    )
+
+
+_trees = st.recursive(_leaves, _extend, max_leaves=10)
+# coordinates at which arguments, divisors and bases vanish
+_VALUES = (-1.5, -0.5, 0.0, 0.5, 2.0)
+
+
+def _assert_program_is_the_oracle(e):
+    """compile_expr(e), e a tree or a tuple of them, gives the oracle's value
+    of each tree bit for bit: on the cmath table at every point, where it
+    raises the oracle's first fault with the point, and on the numpy table
+    at all the points at once."""
+    trees = e if isinstance(e, tuple) else (e,)
+
+    def bits(values):
+        return [np.asarray(v, dtype=complex).tobytes() for v in values]
+
+    def parts(value):
+        return value if isinstance(e, tuple) else (value,)
+
+    scalar, arrays = compile_expr(e), compile_expr(e, table=NUMPY)
+    for x in _VALUES:
+        for y in _VALUES:
+            try:
+                want = [evaluate(t, {"x": x, "y": y}) for t in trees]
+            except CMATH["_errors"] as exc:
+                with pytest.raises(EvaluationError) as info:
+                    scalar(x, y)
+                assert str(info.value) == str(_error(exc, (x, y)))
+                continue
+            assert bits(parts(scalar(x, y))) == bits(want)
+    xs, ys = (np.array(c) for c in zip(*[(x, y) for x in _VALUES for y in _VALUES]))
+    with np.errstate(all="ignore"):
+        try:
+            want = [evaluate(t, {"x": xs, "y": ys}, NUMPY) for t in trees]
+        except CMATH["_errors"] as exc:  # a subtree of constants runs on Python numbers
+            with pytest.raises(type(exc), match=re.escape(str(exc))):
+                arrays(xs, ys)
+            return
+        assert bits(parts(arrays(xs, ys))) == bits(want)
+
+
+@settings(max_examples=150)
+@given(st.lists(_trees, min_size=1, max_size=3))
+def test_program_is_the_node_by_node_oracle(trees):
+    _assert_program_is_the_oracle(trees[0])
+    _assert_program_is_the_oracle(tuple(trees))
+
+
+def test_deep_chain_is_the_node_by_node_oracle():
+    # 300 nested operations, built without the parser's depth limit: a
+    # program runs a chain of any depth the tree walk reaches
+    e = Var("x")
+    for k in range(300):
+        e = binop("*+"[k % 2], e, Var("y") if k % 3 else Call("sin", Var("x")))
+    _assert_program_is_the_oracle(e)
+
+
+def test_each_distinct_subexpression_runs_once_per_call():
+    calls = []
+
+    def counting_exp(v):
+        calls.append(v)
+        return NUMPY["_exp"](v)
+
+    # the two parts share exp(x) by structure, not by node object
+    program = compile_expr((parse("exp(x) + y"), parse("y * exp(x)")), table={**NUMPY, "_exp": counting_exp})
+    program(np.array([0.5, 1.0]), np.array([2.0, 3.0]))
+    assert len(calls) == 1

@@ -59,3 +59,17 @@ def test_every_private_name_is_used():
         for path, tree in zip(MODULES, trees)
     }
     assert {k: v for k, v in unused.items() if v} == {}
+
+
+def test_no_runtime_code_generation():
+    # expression programs are interpreted (expr.compile_expr): the package
+    # builds no Python source at run time and calls none of the builtins
+    # that would run it
+    calls = [
+        f"{path.name}:{node.lineno} {node.func.id}"
+        for path in sorted((ROOT / "src" / "bivekua").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in {"exec", "eval", "compile"}
+    ]
+    assert calls == []
