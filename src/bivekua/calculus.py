@@ -375,8 +375,8 @@ class RegionGrid:
 
 def tf_densities(u: tuple, f: tuple, dz: np.ndarray) -> tuple:
     """-(f^2 d(u/f)/dy) dx + (f^2 d(u/f)/dx) dy at every node for u = u1
-    and for u = u2 of u1 + j u2, u and the scalar f each a ``partials_on``
-    triple of node values."""
+    and for u = u2 of u1 + j u2, u and the scalar f each a (value, d/dx,
+    d/dy) triple of (sc, vec) node values (``partials_on``)."""
     (f0, _), (fx, _), (fy, _) = f
     return tuple(-(uy * f0 - v * fy) * dz.real + (ux * f0 - v * fx) * dz.imag for v, ux, uy in zip(*u))
 

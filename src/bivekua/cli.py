@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .bicomplex import PlanePoint
 from .calculus import RegionGrid, cell_centres, grid_columns
-from .fields import BicomplexArray, Field, kernel_in_z
+from .fields import BicomplexArray, Field
 from .pairs import GeneratingSequence, make_pair, separable_pair, vekua_residual
 from .powers import (
     ContourSpec,
@@ -351,12 +351,12 @@ def _grid_csv(two_point, zeta: PlanePoint, grid: dict, seen=None) -> tuple[list[
     points off zeta, and the number of those points: a block of columns
     (``grid_columns``) at a time, as arrays of the whole grid would raise
     peak memory.  seen(xs, ys, sc, vec), when given, sees each block."""
-    field, lines, points = kernel_in_z(two_point, zeta), [CSV_HEADER], 0
+    lines, points = [CSV_HEADER], 0
     texts = _grid_texts(**grid)
     for xs, ys in grid_columns(**grid):
         off = np.hypot(xs - zeta.x, ys - zeta.y) > 1e-9
         xs, ys = xs[off], ys[off]
-        sc, vec = field.on(xs, ys)
+        sc, vec = two_point.on(zeta.x, zeta.y, xs, ys)
         if seen is not None:
             seen(xs, ys, sc, vec)
         lines += _csv_rows(texts, xs, ys, sc.real, sc.imag, vec.real, vec.imag)

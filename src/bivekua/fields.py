@@ -5,12 +5,12 @@ numeric (``Bicomplex``) values share one ring interface, so a formula
 written on it (``d_z``, ``d_zbar`` here, ``pairs.pair_operator``) runs on
 either.
 
-The fields f, the pairs and the potentials are built from expressions,
-and their partials are the exact partials of those expressions;
-``partials`` reads exact partials only.  ``central_difference`` differences
-on arrays, for the Laplacian ``schroedinger_residual`` takes at a given
-step ``h``.  A two-point function without exact partials is differenced in
-``powers``, by one five-point stencil on arrays.
+The fields f, the pairs and the potentials are built from expressions;
+``partials`` reads the exact partials of those.  ``central_difference``
+differences on arrays, for the Laplacian ``schroedinger_residual`` takes
+at a given step ``h``.  A two-point function gives its partials in zeta or
+in z by ``partials`` (``powers.partials_at``): exact, but for the nested
+differences of ``powers``.
 
 A symbolic value is compiled on its first call, to one program for its
 (sc, vec) parts: a formula builds many fields, and few of them are ever
@@ -264,6 +264,10 @@ class BicomplexArray:
         self.sc = sc
         self.vec = vec
 
+    def __iter__(self):
+        """sc, then vec: the parts unpack as a pair of ``Values`` does."""
+        return iter((self.sc, self.vec))
+
     def __add__(self, other: "BicomplexArray") -> "BicomplexArray":
         return BicomplexArray(self.sc + other.sc, self.vec + other.vec)
 
@@ -432,26 +436,25 @@ class Kernel(PairFace):
             _pair_shape(xi, eta, x, y),
         )
 
-    def center_trees(self, variables: tuple[str, str] = ("xi", "eta")) -> tuple:
-        """The (sc, vec) trees of K and of its partials in the two
-        ``variables``, in that order: by default the center's."""
-        return tuple(t for k in self._center_kernels(variables) for t in (k.sym.sc, k.sym.vec))
-
-    def _center_kernels(self, variables: tuple[str, str]) -> tuple:
-        return (self,) + tuple(self.diff_z(v) for v in variables)
-
-    def center_partials_on(self, xi, eta, x, y) -> tuple[Values, Values, Values]:
-        """(K, dK/dxi, dK/deta) at every pair, as ``on`` gives each, from one
-        program that computes their shared subexpressions once."""
-        program = self.__dict__.get("_center_partials")
-        if program is None:
-            program = self.__dict__["_center_partials"] = ex.compile_expr(self.center_trees(), KERNEL_VARS, ex.NUMPY)
+    def partials(self, arg: str, xi, eta, x, y) -> tuple["BicomplexArray", ...]:
+        """K and its partials in ``arg`` ("zeta": in (xi, eta), "z": in
+        (x, y)) at every pair, as ``on`` gives each, from one program per
+        argument that computes their shared subexpressions once."""
+        kernels = self.partial_kernels(arg)
+        programs = self.__dict__.setdefault("_programs", {})
+        if arg not in programs:
+            trees = tuple(t for k in kernels for t in (k.sym.sc, k.sym.vec))
+            programs[arg] = ex.compile_expr(trees, KERNEL_VARS, ex.NUMPY)
         parts = _checked(
-            lambda: program(xi, eta, x, y),
-            lambda: tuple(v for k in self._center_kernels(("xi", "eta")) for v in k.on(xi, eta, x, y)),
+            lambda: programs[arg](xi, eta, x, y),
+            lambda: tuple(v for k in kernels for v in k.on(xi, eta, x, y)),
             _pair_shape(xi, eta, x, y),
         )
-        return parts[0:2], parts[2:4], parts[4:6]
+        return tuple(BicomplexArray(*parts[i : i + 2]) for i in (0, 2, 4))
+
+    def partial_kernels(self, arg: str) -> tuple["Kernel", ...]:
+        """K and its partial kernels in ``arg``."""
+        return (self,) + tuple(self.diff_z(v) for v in {"zeta": ("xi", "eta"), "z": ("x", "y")}[arg])
 
     def diff_z(self, var: str) -> "Kernel":
         """The partial derivative kernel in ``var``, built once per kernel."""
@@ -519,11 +522,3 @@ def in_pair_order(batch: Callable[..., object], xi, eta, x, y):
                 batch(zeta.x, zeta.y, z.x, z.y)
         raise
 
-
-def kernel_in_z(coef, zeta: PlanePoint) -> Field:
-    """z -> coef(zeta, z) as a Field: a Kernel's binding, with exact partials
-    and array code, else the evaluator, on arrays by its pair face if any."""
-    if isinstance(coef, Kernel):
-        return coef.field_in_z(zeta)
-    arrays = (lambda xs, ys: coef.on(zeta.x, zeta.y, xs, ys)) if isinstance(coef, PairFace) else None
-    return Field(lambda z: coef(zeta, z), arrays)

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -23,8 +23,8 @@ from .fields import (
     Values,
     d_z,
     in_pair_order,
+    pairs_of,
     pairwise,
-    partials_on,
 )
 from .pairs import (
     GeneratingPair,
@@ -81,6 +81,18 @@ def coefficients_at(k: KernelFamily, xi, eta, x, y) -> tuple[BicomplexArray, Bic
     return BicomplexArray(*on[0]), BicomplexArray(*on[1])
 
 
+def partials_at(k: KernelFamily, arg: str, xi, eta, x, y) -> list[tuple]:
+    """For each slot of k, the ``BicomplexArray``s of its value and its
+    partials in ``arg`` ("zeta": in (xi, eta), "z": in (x, y)) at every pair,
+    as ``coefficients_at`` gives the values: the two ``_Slot``s of one
+    source from one run of its ``partials``, any other slot by its own."""
+    source = _shared_source(k)
+    if source is not None:
+        parts = source.partials(arg, xi, eta, x, y)
+        return [parts[c.slot] for c in (k.coef1, k.coefj)]
+    return [c.partials(arg, xi, eta, x, y) for c in (k.coef1, k.coefj)]
+
+
 class _Slot(PairFace):
     """Slot ``slot`` (0: alpha = 1, 1: alpha = j) of ``source``, whose
     ``both(xi, eta, x, y)`` gives Z(1) and Z(j) at every pair at once."""
@@ -110,6 +122,12 @@ class _Swap:
     def both(self, xi, eta, x, y) -> tuple[BicomplexArray, BicomplexArray]:
         swapped = coefficients_at(self.family, x, y, xi, eta)
         return _recombined(0, *swapped), _recombined(1, *swapped)
+
+    def partials(self, arg: str, xi, eta, x, y) -> list[tuple]:
+        """Each slot's value and partials in ``arg``: the family's in the
+        other argument at the swapped pairs, recombined."""
+        swapped = partials_at(self.family, {"zeta": "z", "z": "zeta"}[arg], x, y, xi, eta)
+        return [tuple(_recombined(slot, a, b) for a, b in zip(*swapped)) for slot in (0, 1)]
 
 
 def _recombined(slot: int, a, b):
@@ -370,25 +388,38 @@ class _Differences:
     def both(self, xi, eta, x, y) -> tuple[BicomplexArray, BicomplexArray]:
         """Z(1) and Z(j) at every pair, a number standing for every pair."""
         columns = np.broadcast_arrays(*(np.atleast_1d(np.asarray(c, dtype=float)) for c in (xi, eta, x, y)))
-        w = self._level(self.n - 1, *columns).scale(1 / math.factorial(self.n - 1))
+        w = self._stacked(*columns)
         return BicomplexArray(w.sc[0], w.vec[0]), BicomplexArray(w.sc[1], w.vec[1])
+
+    def partials(self, arg: str, xi, eta, x, y) -> list[tuple]:
+        """Each slot's value and its partials in zeta (``arg`` is "zeta") at
+        every pair, by a ``_five_point`` stencil in zeta of step 1e-4
+        (1 + |zeta|) per pair: one stencil of all pairs holds every level of
+        every pair at once, which doubled a scan's peak memory at n = 3."""
+        # the stencil moves the last two places, here each pair's zeta
+        swapped = lambda x, y, xi, eta: self._stacked(xi, eta, x, y)  # noqa: E731
+        stencils = [
+            _five_point(swapped, *np.array([[z.x], [z.y], [zeta.x], [zeta.y]]), 1e-4 * (1 + abs(zeta.as_complex)))
+            for zeta, z in pairs_of(xi, eta, x, y)
+        ]
+        # value, d/dxi and d/deta: both slots on the first axis, the pairs on the second
+        parts = [BicomplexArray(*(np.concatenate(p, 1) for p in zip(*part))) for part in zip(*stencils)]
+        return [tuple(BicomplexArray(v.sc[i], v.vec[i]) for v in parts) for i in (0, 1)]
+
+    def _stacked(self, xi, eta, x, y) -> BicomplexArray:
+        """Z(1) and Z(j) at every pair, stacked on the first axis."""
+        return self._level(self.n - 1, xi, eta, x, y).scale(1 / math.factorial(self.n - 1))
 
     def _level(self, m: int, xi, eta, x, y) -> BicomplexArray:
         """The m-th derivatives at every pair, of Z(1) and of Z(j) on the
         first axis: both slots in each array operation."""
         if m == 0:
-            return _stacked(self.hat, xi, eta, x, y)
+            z1, zj = coefficients_at(self.hat, xi, eta, x, y)
+            return BicomplexArray(np.stack([z1.sc, zj.sc]), np.stack([z1.vec, zj.vec]))
         pair, h = self.seq.pair_at(m - 1), 1e-3 * 2.0 ** (1 - m)
         value, fx, fy = _five_point(lambda *stencil: self._level(m - 1, *stencil), xi, eta, x, y, h)
         a, b = (BicomplexArray(*c.on(x, y)) for c in (pair.A, pair.B))
         return pair_operator(d_z(fx, fy), a, b, value)
-
-
-def _stacked(k: KernelFamily, xi, eta, x, y) -> BicomplexArray:
-    """Z(1) and Z(j) of k at every pair (``coefficients_at``), stacked on
-    the first axis."""
-    z1, zj = coefficients_at(k, xi, eta, x, y)
-    return BicomplexArray(np.stack([z1.sc, zj.sc]), np.stack([z1.vec, zj.vec]))
 
 
 def _five_point(values, xi, eta, x, y, h) -> tuple[BicomplexArray, BicomplexArray, BicomplexArray]:
@@ -421,8 +452,8 @@ class _BersChain:
     the jets, each one degree lower, on all kernels and pairs at once: no
     expression tree grows with n.  The chain is linear in the kernel, and A
     and B do not depend on the center, so the same chain of the base
-    kernels' partials in their argument (x, y), the adjoint side's center,
-    gives the center partials of the family (``center_partials``).
+    kernels' partials in z, the adjoint side's center, gives the family's
+    partials in zeta (``partials``), and its transfer's in z.
 
     The jets hold numpy's extended precision (a 64-bit significand on
     x86-64), and the values are rounded to doubles once, at the end: the
@@ -446,12 +477,14 @@ class _BersChain:
         trees = lambda: tuple(t for k in self.kernels for t in (k.sym.sc, k.sym.vec))  # noqa: E731
         return tuple(in_pair_order(lambda *pair: self._run("values", trees, *pair), xi, eta, x, y))
 
-    def center_partials(self, xi, eta, x, y) -> list[BicomplexArray]:
-        """Z(1), dZ(1)/dxi, dZ(1)/deta, Z(j), dZ(j)/dxi, dZ(j)/deta at every
-        pair, from one chain run on the base kernels' trees of
-        ``Kernel.center_trees`` in (x, y)."""
-        trees = lambda: tuple(t for k in self.kernels for t in k.center_trees(("x", "y")))  # noqa: E731
-        return in_pair_order(lambda *pair: self._run("center", trees, *pair), xi, eta, x, y)
+    def partials(self, arg: str, xi, eta, x, y) -> list[tuple]:
+        """Each slot's value and its partials in zeta (``arg`` is "zeta") at
+        every pair, from one chain run on the base kernels'
+        ``Kernel.partial_kernels`` in z."""
+        kernels = [p for k in self.kernels for p in k.partial_kernels("z")]
+        trees = lambda: tuple(t for k in kernels for t in (k.sym.sc, k.sym.vec))  # noqa: E731
+        parts = in_pair_order(lambda *pair: self._run("partials", trees, *pair), xi, eta, x, y)
+        return [tuple(parts[:3]), tuple(parts[3:])]
 
     def _run(self, key: str, trees, xi, eta, x, y) -> list[BicomplexArray]:
         """The chain of each adjoint-side kernel, the recombination of the
@@ -507,65 +540,15 @@ def power_residual_scan(
     zeta: PlanePoint,
 ) -> ResidualReport:
     """Max Vekua residual of both coefficients over a 10-by-10 sample grid
-    of the region, punctured within 0.1 of the kernel center, on arrays; a
-    closed-form coefficient, or a Bers chain of one, is differentiated
-    exactly."""
+    of the region, punctured within 0.1 of the kernel center, on arrays,
+    from the family's partials in z (``partials_at``)."""
     xs, ys = region.sample_columns(10)
     keep = np.hypot(xs - zeta.x, ys - zeta.y) > 0.1
     if not keep.any():
         return ResidualReport(0.0, 0.0)
     xs, ys = xs[keep], ys[keep]
-    r1, rj = (float(vekua_residual_of(pair, xs, ys, *slot).max()) for slot in _z_partials(k, zeta, xs, ys))
-    return ResidualReport(r1, rj)
-
-
-def _z_partials(k: KernelFamily, zeta: PlanePoint, xs: np.ndarray, ys: np.ndarray) -> list[tuple]:
-    """For each slot of k, the ``BicomplexArray``s of its value, d/dx and
-    d/dy in z at every node (xs[k], ys[k]), the center frozen at zeta: the
-    transfer of a family with exact center partials (``_center_partials``)
-    from those (z is that family's center), a ``Kernel`` slot by
-    ``partials_on`` of ``Kernel.field_in_z``, and any other slot by central
-    differences of step 1e-4 (1 + |z|), both slots at a node from one
-    ``_five_point`` call."""
-    swap = _shared_source(k)
-    center = _center_partials(swap.family) if isinstance(swap, _Swap) else None
-    if center is not None:
-        z1, z1x, z1y, zj, zjx, zjy = center(xs, ys, zeta.x, zeta.y)
-        parts = ((z1, zj), (z1x, zjx), (z1y, zjy))
-        return [tuple(_recombined(c.slot, a, b) for a, b in parts) for c in (k.coef1, k.coefj)]
-    slots = (k.coef1, k.coefj)
-    if not all(isinstance(c, Kernel) for c in slots):
-        stencils = [
-            _five_point(
-                lambda *stencil: _stacked(k, *stencil),
-                *(np.array([c]) for c in (zeta.x, zeta.y, x, y)),
-                1e-4 * (1 + math.hypot(x, y)),
-            )
-            for x, y in zip(xs.tolist(), ys.tolist())
-        ]
-        # value, d/dx and d/dy: both slots on the first axis, the nodes on the second
-        differenced = [
-            BicomplexArray(np.concatenate([v.sc for v in part], 1), np.concatenate([v.vec for v in part], 1))
-            for part in zip(*stencils)
-        ]
-    return [
-        tuple(BicomplexArray(*v) for v in partials_on(c.field_in_z(zeta), xs, ys)) if isinstance(c, Kernel)
-        else tuple(BicomplexArray(v.sc[i], v.vec[i]) for v in differenced)
-        for i, c in enumerate(slots)
-    ]
-
-
-def _center_partials(k: KernelFamily) -> Optional[Callable[..., list[BicomplexArray]]]:
-    """The exact Z(1), dZ(1)/dxi, dZ(1)/deta, Z(j), dZ(j)/dxi, dZ(j)/deta
-    of k at every pair (xi, eta, x, y), for a Bers chain or two closed-form
-    kernels; None for any other family."""
-    chain = _shared_source(k)
-    if isinstance(chain, _BersChain):
-        return chain.center_partials
-    if isinstance(k.coef1, Kernel) and isinstance(k.coefj, Kernel):
-        kernels = (k.coef1, k.coefj)
-        return lambda *pair: [BicomplexArray(*v) for c in kernels for v in c.center_partials_on(*pair)]
-    return None
+    slots = partials_at(k, "z", zeta.x, zeta.y, xs, ys)
+    return ResidualReport(*(float(vekua_residual_of(pair, xs, ys, *slot).max()) for slot in slots))
 
 
 # Building blocks of the closed-form kernels over (xi, eta, x, y).

@@ -211,12 +211,33 @@ class SuccessorCoefj(PairFace):
     def on(self, xi, eta, x, y) -> Values:
         return in_pair_order(self._batch, xi, eta, x, y)
 
-    def _batch(self, xi, eta, x, y) -> Values:
-        def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray, zx, zy) -> tuple:
-            u = self.integrand.center_partials_on(xs, ys, zx, zy)
-            return tf_densities(u, partials_on(self.f, xs, ys), dz)
+    def partials(self, arg: str, xi, eta, x, y) -> tuple[BicomplexArray, ...]:
+        """The value V = I/f and its exact partials in ``arg`` at every pair.
+        The 1-form is closed away from z, so a walk may stay fixed near z:
+        in z, one walk per pair integrates the integrand and its partial
+        kernels in z.  In zeta, the walk's end, V_xi = (I_xi - V f_xi)/f and
+        alike in eta, I_xi and I_eta the 1-form's coefficients at zeta."""
+        if arg == "z":
+            kernels = self.integrand.partial_kernels("z")
+            rows = in_pair_order(lambda *pair: self._batch(*pair, kernels), xi, eta, x, y)
+            return tuple(BicomplexArray(*rows[i : i + 2]) for i in (0, 2, 4))
+        value = BicomplexArray(*self.on(xi, eta, x, y))
+        f = partials_on(self.f, *np.broadcast_arrays(*np.atleast_1d(xi, eta, x, y))[:2])
+        u = self.integrand.partials("zeta", xi, eta, x, y)
+        # I_xi and I_eta are the 1-form at zeta on dz = 1 and on dz = i
+        ends = (BicomplexArray(*tf_densities(u, f, dz)) - value.scale(fd) for dz, (fd, _) in zip((1, 1j), f[1:]))
+        return (value, *(end.scale(1 / f[0][0]) for end in ends))
 
-        return tuple(_walks(self, lambda zeta: self.zeta0, 0, 2, one_form, xi, eta, x, y))
+    def _batch(self, xi, eta, x, y, kernels: tuple = ()) -> Values:
+        """T_f over the walks of all pairs, of each of ``kernels`` (by default
+        the integrand), two rows (u1, u2) per kernel."""
+        kernels = kernels or (self.integrand,)
+
+        def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray, zx, zy) -> tuple:
+            f = partials_on(self.f, xs, ys)
+            return tuple(d for k in kernels for d in tf_densities(k.partials("zeta", xs, ys, zx, zy), f, dz))
+
+        return tuple(_walks(self, lambda zeta: self.zeta0, 0, 2 * len(kernels), one_form, xi, eta, x, y))
 
 
 class DarbouxFundamental(PairFace):

@@ -983,11 +983,12 @@ def test_pipeline_build_powers_shares_derivatives_between_slots(tmp_path, succes
     assert len(successor_coefj_calls) == 10
 
 
-def test_pipeline_residual_scan_shares_one_stencil_per_point(tmp_path, monkeypatch, successor_coefj_calls):
-    # the order -1 main kernels are differenced at each of the 97 scan
-    # points by one successor coefj face call, for both slots at the
-    # point's five stencil points
-    cfg = {
+def test_pipeline_residual_scan_is_exact_from_one_walk_batch(tmp_path, monkeypatch, central_differences):
+    # the order -1 kernels' partials in z at the 97 scan points come from
+    # one batch of successor coefj walks: of the values for the main kind,
+    # whose partials in z are the successor's at the walk's end, and of the
+    # integrand with its partials in z for the successor kind
+    m1 = {
         "kernel": "pipeline",
         "f": "1*x",
         "zeta0": [0.5, 0],
@@ -996,13 +997,17 @@ def test_pipeline_residual_scan_shares_one_stencil_per_point(tmp_path, monkeypat
         "region": {"x0": 1.5, "x1": 2.5, "y0": -0.5, "y1": 0.5},
         "tol": 1e-6,
     }
-    faces = []
-    on = SuccessorCoefj.on
-    monkeypatch.setattr(SuccessorCoefj, "on", lambda self, *pair: faces.append(pair) or on(self, *pair))
-    config = _write(tmp_path, "c.json", cfg)
-    # the anchored kernel's differenced residual is about 1e-3
-    assert main(["build-powers", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 1
-    assert (len(faces), len(successor_coefj_calls)) == (97, 485)
+    s1 = {**m1, "kernel_kind": "successor", "pair": {"F_sc": "1/x", "G_sc": "0", "G_vec": "x"}}
+    batch = SuccessorCoefj._batch
+    for cfg in (m1, s1):
+        batches = []
+        monkeypatch.setattr(
+            SuccessorCoefj, "_batch", lambda self, *args: batches.append(len(pairs_of(*args[:4]))) or batch(self, *args)
+        )
+        config = _write(tmp_path, "c.json", cfg)
+        assert main(["build-powers", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+        assert batches == [97]
+    assert central_differences == []
 
 
 def _readme_config_keys() -> dict[tuple[str, str], object]:

@@ -8,7 +8,7 @@ from bivekua import calculus, fields, powers, schroedinger
 from bivekua.bicomplex import Bicomplex, PlanePoint
 from bivekua.calculus import PathThroughSingularityError, RegionGrid, detour_walks, tf_transform
 from bivekua.expr import EvaluationError
-from bivekua.fields import Field, Kernel, kernel_in_z
+from bivekua.fields import BicomplexArray, Field, Kernel
 from bivekua.pairs import GeneratingSequence, vekua_residual
 from bivekua.powers import (
     SingularPointError,
@@ -284,7 +284,7 @@ def test_main_faces_are_their_calls_bit_for_bit(successor):
     taus = [PlanePoint(2 + 0.3 * math.cos(t), 0.3 * math.sin(t)) for t in (0.1, 1.9, 4.0)]
     xs, ys = np.array([t.x for t in taus]), np.array([t.y for t in taus])
     z1, zj = coefficients_at(main, xs, ys, z0.x, z0.y)
-    grid = kernel_in_z(main.coef1, z0).on(xs, ys)
+    grid = main.coef1.on(z0.x, z0.y, xs, ys)
     for k, tau in enumerate(taus):
         a, b = main.coef1(tau, z0), main.coefj(tau, z0)
         assert (z1.sc[k], z1.vec[k], zj.sc[k], zj.vec[k]) == (a.sc, a.vec, b.sc, b.vec)
@@ -369,18 +369,41 @@ def test_transferred_main_family_residual_scan_is_exact(central_differences):
 
 
 def test_pipeline_residual_partials_are_the_scalar_differences_bit_for_bit():
-    # one five-point stencil of both slots at a point gives each slot's
-    # value and its scalar central differences at the step 1e-4 (1 + |z|)
-    main = adjoint_kernel_transfer(pipeline_successor(F_X))
+    # the order -2 pipeline family is differenced in z: one five-point
+    # stencil of both slots per point gives each slot's value and its
+    # scalar central differences at the step 1e-4 (1 + |z|)
+    seq = hat_sequence(GeneratingSequence.separable("x", "1"))
+    fam = negative_powers(adjoint_kernel_transfer(pipeline_successor(F_X)), seq, 2)
     zeta = PlanePoint(1.8, 0.1)
     points = [PlanePoint(1.6, -0.3), PlanePoint(2.2, 0.4), PlanePoint(2.45, 0.05)]
     xs, ys = np.array([p.x for p in points]), np.array([p.y for p in points])
-    for slot, got in zip((main.coef1, main.coefj), powers._z_partials(main, zeta, xs, ys)):
-        field = kernel_in_z(slot, zeta)
+    for slot, got in zip((fam.coef1, fam.coefj), powers.partials_at(fam, "z", zeta.x, zeta.y, xs, ys)):
+        in_z = lambda p: slot(zeta, p)  # noqa: E731
         for i, p in enumerate(points):
             h = 1e-4 * (1 + math.hypot(p.x, p.y))
-            want = (field(p), *(central_difference(field, p, h, axis) for axis in "xy"))
+            want = (in_z(p), *(central_difference(in_z, p, h, axis) for axis in "xy"))
             assert [(v.sc[i], v.vec[i]) for v in got] == [(v.sc, v.vec) for v in want]
+
+
+@pytest.mark.parametrize("f", [F_X, F_EXP], ids=["x", "exp(x)cos(y)"])
+def test_successor_coefj_partials_are_its_differences(f):
+    # exact partials in zeta (the walk's end) and in z (the walks of the
+    # integrand's partials), against central differences of the face
+    coefj = pipeline_successor(f).coefj
+    zetas = [PlanePoint(1.6, -0.3), PlanePoint(2.2, 0.4), ZETA0]
+    zs = [PlanePoint(1.2, 0.3), PlanePoint(1.9, -0.2), PlanePoint(1.5, 0.1)]
+    xi, eta, x, y = columns(list(zip(zetas, zs)))
+    faces = {
+        "zeta": lambda a, b: BicomplexArray(*coefj.on(a, b, x, y)),
+        "z": lambda a, b: BicomplexArray(*coefj.on(xi, eta, a, b)),
+    }
+    for arg, face in faces.items():
+        value, *got = coefj.partials(arg, xi, eta, x, y)
+        at = (xi, eta) if arg == "zeta" else (x, y)
+        assert [c.tolist() for c in value] == [c.tolist() for c in coefj.on(xi, eta, x, y)]
+        for axis, d in zip("xy", got):
+            want = fields.central_difference(face, *at, 1e-5, axis)
+            assert (d - want).norm.max() <= 1e-8
 
 
 def test_successor_family_residual_scan():
