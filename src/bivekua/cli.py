@@ -455,6 +455,13 @@ def cmd_build_fundamental(cfg: dict):
     return checks, {"fundamental.csv": lines}, extra
 
 
+def _moves_every_sample(h: float, xs: np.ndarray, ys: np.ndarray) -> bool:
+    """x + h, x - h, y + h and y - h differ from x and y at every sample, and
+    the second difference's factor 1/h^2 is a finite number."""
+    coords = np.concatenate([xs, ys])
+    return h * h > 0 and math.isfinite(1 / (h * h)) and bool(np.all((coords + h != coords) & (coords - h != coords)))
+
+
 def cmd_residual_scan(cfg: dict):
     xs, ys = RegionGrid(**cfg["region"]).sample_columns(cfg["samples"])
     fld = cfg["field"]
@@ -469,6 +476,8 @@ def cmd_residual_scan(cfg: dict):
         _unread(fld, _FIELD, "vec", why=why, prefix="field.")
         _unread(cfg, schema, "pair", "f", why=why)
         _need(cfg, "q")
+        if cfg["h"] is not None and not _moves_every_sample(cfg["h"], xs, ys):
+            raise ConfigError("config key 'h' is too small to move every sample point")
         u = Field.from_exprs(fld["sc"])
         q = Field.from_exprs(cfg["q"])
         residuals = schroedinger_residual(u, q, (xs, ys), cfg["h"])

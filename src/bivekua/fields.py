@@ -6,11 +6,11 @@ written on it (``d_z``, ``d_zbar`` here, ``pairs.pair_operator``) runs on
 either.
 
 The fields f, the pairs and the potentials are built from expressions;
-``partials`` reads the exact partials of those.  ``central_difference``
-differences on arrays, for the Laplacian ``schroedinger_residual`` takes
-at a given step ``h``.  A two-point function gives its partials in zeta or
-in z by ``partials`` (``powers.partials_at``): exact, but for the nested
-differences of ``powers``.
+``partials`` reads the exact partials of those.  ``five_point`` is the one
+finite-difference stencil: the Laplacian ``schroedinger_residual`` takes
+at a given step ``h``, and the nested differences of ``powers``.  A
+two-point function gives its partials in zeta or in z by ``partials``
+(``powers.partials_at``): exact, but for those nested differences.
 
 A symbolic value is compiled on its first call, to one program for its
 (sc, vec) parts: a formula builds many fields, and few of them are ever
@@ -150,17 +150,22 @@ def d_zbar(fx, fy):
     return (fx + fy.mul_j()).scale(0.5)
 
 
-def central_difference(
-    values: Callable[[np.ndarray, np.ndarray], "BicomplexArray"], xs: np.ndarray, ys: np.ndarray, h: float, axis: str
-) -> "BicomplexArray":
-    """d/d axis (axis "x" or "y") at every node (xs[k], ys[k]), by the
-    central difference with step h of the values values(xs, ys) gives
-    there; it rounds as the same difference of ``Bicomplex`` values."""
-    if axis == "x":
-        plus, minus = values(xs + h, ys), values(xs - h, ys)
-    else:
-        plus, minus = values(xs, ys + h), values(xs, ys - h)
-    return (plus - minus).scale(1 / (2 * h))
+def five_point(values: Callable[..., Values], columns: Sequence[np.ndarray], h: float) -> tuple["BicomplexArray", ...]:
+    """The value, the first differences and the second differences of step
+    h in the last two columns (x, y), at every node of the columns: one call
+    of values(*columns) at every node's five points (the node, then x + h
+    and x - h, then y + h and y - h).  values may stack several functions on
+    leading axes; the nodes are on the last.  Returns (value, d/dx, d/dy,
+    d2/dx2, d2/dy2), each rounded as the same difference of ``Bicomplex``
+    values: (plus - minus)/(2h) and ((plus - value) - (value - minus))/h^2."""
+    *rest, x, y = columns
+    stencil = [np.tile(c, 5) for c in rest]
+    stencil += [np.concatenate([x, x + h, x - h, x, x]), np.concatenate([y, y, y, y + h, y - h])]
+    parts = (np.moveaxis(np.reshape(p, np.shape(p)[:-1] + (5, -1)), -2, 0) for p in values(*stencil))
+    value, xp, xm, yp, ym = (BicomplexArray(sc, vec) for sc, vec in zip(*parts))
+    first = [(p - m).scale(1 / (2 * h)) for p, m in ((xp, xm), (yp, ym))]
+    second = [((p - value) - (value - m)).scale(1 / (h * h)) for p, m in ((xp, xm), (yp, ym))]
+    return (value, *first, *second)
 
 
 def partials(w: "Field", z: PlanePoint) -> tuple[Bicomplex, Bicomplex, Bicomplex]:
@@ -462,29 +467,6 @@ class Kernel(PairFace):
         if var not in cache:
             cache[var] = Kernel(self.sym.diff(var))
         return cache[var]
-
-    def field_in_z(self, zeta: PlanePoint) -> Field:
-        """Freeze zeta: a Field of z with exact first partials."""
-        return self._bind(lambda z: (zeta, z), lambda xs, ys: (zeta.x, zeta.y, xs, ys), "x", "y")
-
-    def field_in_zeta(self, z: PlanePoint) -> Field:
-        """Freeze z: a Field of zeta with exact first partials."""
-        return self._bind(lambda zeta: (zeta, z), lambda xs, ys: (xs, ys, z.x, z.y), "xi", "eta")
-
-    def _bind(self, points, arrays, dx_var: str, dy_var: str) -> Field:
-        """p -> K(*points(p)) and its partials in (dx_var, dy_var), each
-        calling a kernel's own compiled function, on numbers or, with the
-        kernel arguments arrays(xs, ys), on arrays; a partial kernel is
-        built on the first read of its field."""
-
-        def bound(k: "Kernel") -> tuple:
-            return (
-                lambda p: k(*points(p)),
-                lambda xs, ys: k.sym.compiled_arrays()(*arrays(xs, ys)),
-            )
-
-        var = {"x": dx_var, "y": dy_var}
-        return Field(*bound(self), lambda axis: Field(*bound(self.diff_z(var[axis]))))
 
 
 def _pair_shape(*columns) -> tuple:

@@ -22,6 +22,7 @@ from .fields import (
     PairFace,
     Values,
     d_z,
+    five_point,
     in_pair_order,
     pairs_of,
     pairwise,
@@ -377,10 +378,10 @@ class _Differences:
     of the pairs 0..n-2 of ``seq``, the one of pair m by central
     differences of step 1e-3 2^-m.
 
-    A level takes the partials of the level below by ``_five_point``, both
-    slots in one batch of all the stencils' points.  Its arithmetic rounds
-    as ``pairs.fg_derivative`` on ``Bicomplex`` values does; A and B run as
-    numpy code."""
+    A level takes the partials of the level below by ``fields.five_point``,
+    both slots in one batch of all the stencils' points.  Its arithmetic
+    rounds as ``pairs.fg_derivative`` on ``Bicomplex`` values does; A and B
+    run as numpy code."""
 
     def __init__(self, hat: KernelFamily, seq: GeneratingSequence, n: int):
         self.hat, self.seq, self.n = hat, seq, n
@@ -393,13 +394,13 @@ class _Differences:
 
     def partials(self, arg: str, xi, eta, x, y) -> list[tuple]:
         """Each slot's value and its partials in zeta (``arg`` is "zeta") at
-        every pair, by a ``_five_point`` stencil in zeta of step 1e-4
+        every pair, by a ``fields.five_point`` stencil in zeta of step 1e-4
         (1 + |zeta|) per pair: one stencil of all pairs holds every level of
         every pair at once, which doubled a scan's peak memory at n = 3."""
         # the stencil moves the last two places, here each pair's zeta
         swapped = lambda x, y, xi, eta: self._stacked(xi, eta, x, y)  # noqa: E731
         stencils = [
-            _five_point(swapped, *np.array([[z.x], [z.y], [zeta.x], [zeta.y]]), 1e-4 * (1 + abs(zeta.as_complex)))
+            five_point(swapped, np.array([[z.x], [z.y], [zeta.x], [zeta.y]]), 1e-4 * (1 + abs(zeta.as_complex)))[:3]
             for zeta, z in pairs_of(xi, eta, x, y)
         ]
         # value, d/dxi and d/deta: both slots on the first axis, the pairs on the second
@@ -417,24 +418,9 @@ class _Differences:
             z1, zj = coefficients_at(self.hat, xi, eta, x, y)
             return BicomplexArray(np.stack([z1.sc, zj.sc]), np.stack([z1.vec, zj.vec]))
         pair, h = self.seq.pair_at(m - 1), 1e-3 * 2.0 ** (1 - m)
-        value, fx, fy = _five_point(lambda *stencil: self._level(m - 1, *stencil), xi, eta, x, y, h)
+        value, fx, fy = five_point(lambda *stencil: self._level(m - 1, *stencil), (xi, eta, x, y), h)[:3]
         a, b = (BicomplexArray(*c.on(x, y)) for c in (pair.A, pair.B))
         return pair_operator(d_z(fx, fy), a, b, value)
-
-
-def _five_point(values, xi, eta, x, y, h) -> tuple[BicomplexArray, BicomplexArray, BicomplexArray]:
-    """The value and the partials in x and y, by central differences of
-    step h, of both slots at every pair, where values(xi, eta, x, y) gives
-    both slots stacked on the first axis: one call of it at the five-point
-    stencil of every pair (z, then z + h and z - h in x, then in y).  The
-    differences round as ``fields.central_difference``, and the same
-    differences of ``Bicomplex`` values, do."""
-    stencil = (np.concatenate([x, x + h, x - h, x, x]), np.concatenate([y, y, y, y + h, y - h]))
-    w = values(np.tile(xi, 5), np.tile(eta, 5), *stencil)
-    points = zip(*(p.reshape(2, 5, -1).swapaxes(0, 1) for p in (w.sc, w.vec)))
-    value, xp, xm, yp, ym = (BicomplexArray(sc, vec) for sc, vec in points)
-    fx, fy = ((p - q).scale(1 / (2 * h)) for p, q in ((xp, xm), (yp, ym)))
-    return value, fx, fy
 
 
 class _BersChain:

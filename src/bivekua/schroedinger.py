@@ -9,7 +9,7 @@ expressions, so the successor Z(1) is a closed-form ``Kernel``; Z(j) and
 the Darboux S1 are path integrals of closed-form integrands with exact
 partials.  ``schroedinger_residual`` runs on arrays, at every node of a
 scan at once or at one point as one node; the one finite difference here
-is the 5-point Laplacian it takes at a given step h.
+is the 5-point Laplacian it takes at a given step h (``fields.five_point``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .fields import (
     SymBC,
     Values,
     at_nodes,
-    central_difference,
+    five_point,
     in_pair_order,
     pairs_of,
     pairwise,
@@ -59,18 +59,11 @@ def laplace_fundamental() -> Kernel:
 
 def _laplacian(u: Field, xs: np.ndarray, ys: np.ndarray, h: Optional[float]) -> BicomplexArray:
     """Laplacian u at every node (xs[k], ys[k]): exact without a step, else
-    the 5-point stencil."""
+    the second differences of step h of ``fields.five_point``."""
     if h is None:
         return BicomplexArray(*u.dx.dx.on(xs, ys)) + BicomplexArray(*u.dy.dy.on(xs, ys))
-    values = lambda xs, ys: BicomplexArray(*u.on(xs, ys))  # noqa: E731
-
-    def second(axis: str) -> BicomplexArray:
-        # a difference of differences at step h/2: the 5-point stencil's
-        # second difference with step h
-        first = lambda xs, ys: central_difference(values, xs, ys, h / 2, axis)  # noqa: E731
-        return central_difference(first, xs, ys, h / 2, axis)
-
-    return second("x") + second("y")
+    *_, fxx, fyy = five_point(u.on, (xs, ys), h)
+    return fxx + fyy
 
 
 def potential_from_f(f: Field) -> Field:

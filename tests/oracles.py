@@ -11,7 +11,7 @@ import numpy as np
 from bivekua.bicomplex import Bicomplex, PlanePoint
 from bivekua.calculus import Path, RegionGrid, detour_walks, grid_columns
 from bivekua.expr import CMATH, Call, Expr, Num, Pow, Var
-from bivekua.fields import Field, d_zbar
+from bivekua.fields import Field, Kernel, d_zbar
 from bivekua.pairs import GeneratingPair, pair_operator
 from bivekua.schroedinger import MainVekuaProblem
 
@@ -74,14 +74,26 @@ def midpoints(x0: float, x1: float, y0: float, y1: float, nx: int, ny: int) -> l
     return [PlanePoint(x, y) for xs, ys in columns for x, y in zip(xs.tolist(), ys.tolist())]
 
 
+def _steps(z: PlanePoint, h: float, axis: str) -> tuple[PlanePoint, PlanePoint]:
+    """z + h and z - h in ``axis`` ("x" or "y")."""
+    if axis == "x":
+        return PlanePoint(z.x + h, z.y), PlanePoint(z.x - h, z.y)
+    return PlanePoint(z.x, z.y + h), PlanePoint(z.x, z.y - h)
+
+
 def central_difference(func, z: PlanePoint, h: float, axis: str) -> Bicomplex:
     """d func / d axis at z (axis "x" or "y"), by the central difference of
     ``Bicomplex`` values with step h."""
-    if axis == "x":
-        plus, minus = PlanePoint(z.x + h, z.y), PlanePoint(z.x - h, z.y)
-    else:
-        plus, minus = PlanePoint(z.x, z.y + h), PlanePoint(z.x, z.y - h)
+    plus, minus = _steps(z, h, axis)
     return (func(plus) - func(minus)).scale(1 / (2 * h))
+
+
+def second_difference(func, z: PlanePoint, h: float, axis: str) -> Bicomplex:
+    """d2 func / d axis2 at z (axis "x" or "y"), by the second difference
+    of ``Bicomplex`` values with step h."""
+    plus, minus = _steps(z, h, axis)
+    value = func(z)
+    return ((func(plus) - value) - (value - func(minus))).scale(1 / (h * h))
 
 
 def at_point(w: Field, z: PlanePoint) -> Bicomplex:
@@ -103,18 +115,24 @@ def scalar_vekua_residual(w: Field, pair: GeneratingPair, z: PlanePoint, h: Opti
 def scalar_schroedinger_residual(u: Field, q: Field, z: PlanePoint, h: Optional[float] = None) -> float:
     """|Laplacian u - q u| at z, point by point on ``Bicomplex`` values
     (``at_point``): exact from the partials of u, or given a step h, by
-    second differences at step h/2, nested as the library nests them."""
+    second differences at z + h and z - h in x and in y."""
     u_at = lambda p: at_point(u, p)  # noqa: E731
     if h is None:
         laplacian = at_point(u.dx.dx, z) + at_point(u.dy.dy, z)
     else:
-
-        def second(axis: str) -> Bicomplex:
-            first = lambda p: central_difference(u_at, p, h / 2, axis)  # noqa: E731
-            return central_difference(first, z, h / 2, axis)
-
-        laplacian = second("x") + second("y")
+        laplacian = second_difference(u_at, z, h, "x") + second_difference(u_at, z, h, "y")
     return (laplacian - at_point(q, z) * u_at(z)).norm
+
+
+def kernel_in_zeta(k: Kernel, z: PlanePoint) -> Field:
+    """zeta -> k(zeta, z), z held: a Field of zeta on the kernel's own calls
+    and array face, with exact partials from its partial kernels in xi and
+    eta (``Kernel.diff_z``)."""
+
+    def held(kernel: Kernel, partial=None) -> Field:
+        return Field(lambda zeta: kernel(zeta, z), lambda xs, ys: kernel.on(xs, ys, z.x, z.y), partial)
+
+    return held(k, {"x": held(k.diff_z("xi")), "y": held(k.diff_z("eta"))}.__getitem__)
 
 
 def is_successor(candidate: GeneratingPair, base: GeneratingPair, region: RegionGrid) -> bool:

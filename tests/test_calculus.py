@@ -14,7 +14,7 @@ from bivekua.calculus import (
 from bivekua.bicomplex import InvalidValueError
 from bivekua.expr import EvaluationError
 from bivekua.fields import Field, Kernel, d_z, d_zbar, partials, partials_on
-from oracles import abar_antiderivative, detour_path, isclose
+from oracles import abar_antiderivative, detour_path, isclose, kernel_in_zeta
 
 
 Z_FIELD = Field.from_exprs("x", "y")
@@ -163,7 +163,7 @@ def test_kernel_fault_on_a_path_raises_at_its_node():
     k = Kernel.make("1/(x - xi)")
     path = Path.polyline([PlanePoint(-0.125, 0.5), PlanePoint(0.125, 0.5)], nodes_per_segment=3)
     with pytest.raises(EvaluationError) as walk:
-        tf_transform(Field.from_exprs("1"), k.field_in_zeta(PlanePoint(0.0, 2.0)), path)
+        tf_transform(Field.from_exprs("1"), kernel_in_zeta(k, PlanePoint(0.0, 2.0)), path)
     assert walk.value.point == (0.0, 0.5, 0.0, 2.0)
 
 

@@ -534,6 +534,15 @@ _FUNDAMENTAL = {
     "grid": {"x0": 1.2, "x1": 3.0, "y0": -0.8, "y1": 0.8, "nx": 1, "ny": 1},
 }
 
+# the symbolic workload's Schroedinger scan at seed 1, on 3 x 3 samples
+_SCHROEDINGER_SCAN = {
+    "kind": "schroedinger",
+    "field": {"sc": "1.041928*exp(x)*(cos(y) + 2)"},
+    "q": "2/(cos(y) + 2)",
+    "region": {"x0": -0.721448, "x1": 0.778552, "y0": -0.373463, "y1": 1.126537},
+    "samples": 3,
+}
+
 
 @pytest.mark.parametrize(
     "command, path, value",
@@ -783,6 +792,17 @@ def test_contour_commands_refuse_a_constant_past_the_double_range(tmp_path, caps
             "build-fundamental",
             dict(_FUNDAMENTAL, z0=[3, 0.5], tol=1e-3),
             "config key 'tol' is not read without a closed-form check",
+        ),
+        # a step h that leaves a sample point in place, or whose square
+        # underflows (the one sample (0, 0) moves by any h)
+        *(
+            ("residual-scan", dict(_SCHROEDINGER_SCAN, **step), "config key 'h' is too small to move every sample point")
+            for step in (
+                {"h": 5e-324},
+                {"h": 1e-320},
+                {"h": 1e-300},
+                {"h": 1e-300, "samples": 1, "region": {"x0": -1, "x1": 1, "y0": -1, "y1": 1}},
+            )
         ),
     ],
 )
@@ -1091,13 +1111,25 @@ def test_symbolic_build_powers_compiles_only_what_it_evaluates(tmp_path, compile
     assert len(compiles) <= 4
 
 
-@pytest.mark.parametrize("name", ["residual-scan-m0", "residual-scan-m1", "residual-scan-schroedinger"])
-def test_symbolic_residual_scan_is_one_array_check(tmp_path, cmath_calls, name):
+@pytest.mark.parametrize(
+    "name, step",
+    [
+        pytest.param("residual-scan-m0", {}, id="residual-scan-m0"),
+        pytest.param("residual-scan-m1", {}, id="residual-scan-m1"),
+        pytest.param("residual-scan-schroedinger", {}, id="residual-scan-schroedinger"),
+        pytest.param("residual-scan-schroedinger", {"h": 1e-3, "tol": 1e-5}, id="residual-scan-schroedinger-h"),
+    ],
+)
+def test_symbolic_residual_scan_is_one_array_check(tmp_path, cmath_calls, monkeypatch, name, step):
     # the scan runs no cmath program, and each row is the point-by-point
-    # residual of Bicomplex values to rounding
-    cfg = {run: c for run, _, c in _workloads().generate("symbolic", 1)}[name]
+    # residual of Bicomplex values to rounding; with a step h, a
+    # Schroedinger scan evaluates u at the stencil and at the nodes
+    cfg = {run: c for run, _, c in _workloads().generate("symbolic", 1)}[name] | step
     config = _write(tmp_path, "r.json", cfg)
+    on, evaluated = Field.on, []
+    monkeypatch.setattr(Field, "on", lambda self, xs, ys: evaluated.append(self.sym) or on(self, xs, ys))
     assert main(["residual-scan", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    monkeypatch.undo()
     assert cmath_calls == []
     values = cli._validate(cfg, CONFIG_SCHEMA["residual-scan"])
     if values["kind"] == "vekua":
@@ -1106,6 +1138,8 @@ def test_symbolic_residual_scan_is_one_array_check(tmp_path, cmath_calls, name):
     else:
         u, q = Field.from_exprs(values["field"]["sc"]), Field.from_exprs(values["q"])
         oracle = lambda p: scalar_schroedinger_residual(u, q, p, values["h"])  # noqa: E731
+        if values["h"] is not None:
+            assert evaluated.count(u.sym) == 2
     header, *rows = (tmp_path / "residuals.csv").read_text().splitlines()
     assert header == "x,y,residual" and len(rows) == values["samples"] ** 2
     for row in rows:

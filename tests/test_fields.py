@@ -10,7 +10,6 @@ from bivekua.calculus import PathThroughSingularityError
 from bivekua.expr import EvaluationError
 from bivekua.fields import BicomplexArray, Field, Kernel, SymBC, d_z, d_zbar
 from bivekua.pairs import adjoint_fields, make_pair, separable_pair
-from bivekua.schroedinger import x_main_family
 from oracles import detour_path, isclose
 
 
@@ -106,32 +105,11 @@ def test_field_partials_match_fd():
     assert (f.dx(z) - fd_x).norm < 1e-8
 
 
-def test_kernel_freeze():
-    k = Kernel.make("(x - xi)^2", "y*eta")
-    zeta, z = PlanePoint(1.0, 2.0), PlanePoint(3.0, 5.0)
-    fz = k.field_in_z(zeta)
-    fzeta = k.field_in_zeta(z)
-    assert isclose(fz(z), k(zeta, z))
-    assert isclose(fzeta(PlanePoint(zeta.x, zeta.y)), k(zeta, z))
-    # exact partial in z
-    assert math.isclose(fz.dx(z).sc.real, 2 * (z.x - zeta.x))
-
-
 def test_kernel_diff_z():
     k = Kernel.make("(x - xi)^3")
     zeta, z = PlanePoint(1.0, 0.0), PlanePoint(2.5, 0.0)
     dk = k.diff_z("x")
     assert math.isclose(dk(zeta, z).sc.real, 3 * (z.x - zeta.x) ** 2)
-
-
-def test_freezing_compiles_each_kernel_once(compiles):
-    k = x_main_family().coef1
-    z = PlanePoint(2.5, -0.3)
-    for i in range(10):
-        w = k.field_in_z(PlanePoint(1.0 + 0.1 * i, 0.2))
-        w(z), w.dx(z), w.dy(z)
-    # the kernel and its two partial kernels, one (sc, vec) program each
-    assert len(compiles) <= 3
 
 
 def test_building_fields_and_pairs_compiles_nothing(compiles):
@@ -180,23 +158,12 @@ def test_constant_trees_are_not_compiled(compiles):
     assert len(compiles) == 1
 
 
-def test_frozen_partials_are_the_partial_kernels():
-    k = Kernel.make("(x - xi)/((x - xi)^2 + (y - eta)^2) + log(x*xi)", "y*eta^2 - x*exp(eta)")
-    zeta, z = PlanePoint(1.3, -0.4), PlanePoint(2.2, 0.7)
-    in_z, in_zeta = k.field_in_z(zeta), k.field_in_zeta(z)
-    assert in_z(z) == in_zeta(zeta) == k(zeta, z)
-    assert in_z.dx(z) == k.diff_z("x")(zeta, z)
-    assert in_z.dy(z) == k.diff_z("y")(zeta, z)
-    assert in_zeta.dx(zeta) == k.diff_z("xi")(zeta, z)
-    assert in_zeta.dy(zeta) == k.diff_z("eta")(zeta, z)
-
-
-def test_singular_frozen_kernel_carries_point():
+def test_singular_kernel_carries_point():
     k = Kernel.make("1/(x - xi)")
-    w = k.field_in_z(PlanePoint(1.0, 2.0))
-    for evaluate in (w, w.dx):
+    zeta, z = PlanePoint(1.0, 2.0), PlanePoint(1.0, 5.0)
+    for evaluate in (k, k.diff_z("x")):
         with pytest.raises(EvaluationError) as info:
-            evaluate(PlanePoint(1.0, 5.0))
+            evaluate(zeta, z)
         assert info.value.point == (1.0, 2.0, 1.0, 5.0)
 
 

@@ -8,7 +8,7 @@ from bivekua import calculus, fields, powers, schroedinger
 from bivekua.bicomplex import Bicomplex, PlanePoint
 from bivekua.calculus import PathThroughSingularityError, RegionGrid, detour_walks, tf_transform
 from bivekua.expr import EvaluationError
-from bivekua.fields import BicomplexArray, Field, Kernel
+from bivekua.fields import Field, Kernel
 from bivekua.pairs import GeneratingSequence, vekua_residual
 from bivekua.powers import (
     SingularPointError,
@@ -36,7 +36,15 @@ from bivekua.schroedinger import (
     x_negative_power,
     x_successor_family,
 )
-from oracles import central_difference, detour_path, is_successor, isclose, scalar_vekua_residual, x_problem
+from oracles import (
+    central_difference,
+    detour_path,
+    is_successor,
+    isclose,
+    kernel_in_zeta,
+    scalar_vekua_residual,
+    x_problem,
+)
 
 F_X = Field.from_exprs("x")
 F_EXP = Field.from_exprs("exp(x)*cos(y)")
@@ -168,24 +176,6 @@ def test_coefj_compiles_per_family_not_per_point(compiles):
     assert compiles_for(points) <= compiles_for(points[:1])
 
 
-def test_coefj_binds_no_kernel_per_value(monkeypatch):
-    # the integrand kernel's own array code runs on the nodes of every walk
-    # at once, so no value, alone or in a batch, binds a frozen kernel
-    binds = []
-    field_in_zeta = Kernel.field_in_zeta
-
-    def counted(self, z):
-        binds.append(z)
-        return field_in_zeta(self, z)
-
-    monkeypatch.setattr(Kernel, "field_in_zeta", counted)
-    k1 = successor_kernel_coef1(laplace_fundamental(), F_X)
-    fam = successor_kernel_coefj(k1, F_X, PlanePoint(0.5, 0.0))
-    fam.coefj(PlanePoint(2.4, 0.1), PlanePoint(1.5, 0.05))
-    fam.coefj.on(np.array([2.4, 1.2]), np.array([0.1, -0.6]), 1.5, 0.05)
-    assert binds == []
-
-
 def test_main_coefficients_share_one_successor_coefj():
     k1 = successor_kernel_coef1(laplace_fundamental(), F_X)
     successor = successor_kernel_coefj(k1, F_X, PlanePoint(0.5, 0.0))
@@ -225,7 +215,7 @@ def test_coefj_face_is_the_per_walk_transform_bit_for_bit(f, monkeypatch):
         if zeta == ZETA0:
             assert one == Bicomplex(0, 0)
         else:
-            assert one == tf_transform(f, minus.field_in_zeta(z), detour_path(ZETA0, zeta, z))
+            assert one == tf_transform(f, kernel_in_zeta(minus, z), detour_path(ZETA0, zeta, z))
 
 
 def test_coefj_face_with_one_point_for_every_pair():
@@ -257,7 +247,7 @@ def test_coefj_face_raises_the_faulty_walks_own_error():
         fam.coefj.on(*columns(pairs))
     minus = fam.coefj.integrand
     with pytest.raises(EvaluationError) as per_walk:
-        tf_transform(F_X, minus.field_in_zeta(z), path)
+        tf_transform(F_X, kernel_in_zeta(minus, z), path)
     assert batch.value.point == alone.value.point == per_walk.value.point == (bad.x, bad.y, z.x, z.y)
     assert str(batch.value) == str(per_walk.value)
 
@@ -393,16 +383,15 @@ def test_successor_coefj_partials_are_its_differences(f):
     zetas = [PlanePoint(1.6, -0.3), PlanePoint(2.2, 0.4), ZETA0]
     zs = [PlanePoint(1.2, 0.3), PlanePoint(1.9, -0.2), PlanePoint(1.5, 0.1)]
     xi, eta, x, y = columns(list(zip(zetas, zs)))
+    # the stencil moves the last two columns: zeta's for "zeta"
     faces = {
-        "zeta": lambda a, b: BicomplexArray(*coefj.on(a, b, x, y)),
-        "z": lambda a, b: BicomplexArray(*coefj.on(xi, eta, a, b)),
+        "zeta": (lambda x, y, xi, eta: coefj.on(xi, eta, x, y), (x, y, xi, eta)),
+        "z": (coefj.on, (xi, eta, x, y)),
     }
-    for arg, face in faces.items():
+    for arg, (face, at) in faces.items():
         value, *got = coefj.partials(arg, xi, eta, x, y)
-        at = (xi, eta) if arg == "zeta" else (x, y)
         assert [c.tolist() for c in value] == [c.tolist() for c in coefj.on(xi, eta, x, y)]
-        for axis, d in zip("xy", got):
-            want = fields.central_difference(face, *at, 1e-5, axis)
+        for d, want in zip(got, fields.five_point(face, at, 1e-5)[1:3]):
             assert (d - want).norm.max() <= 1e-8
 
 

@@ -1,11 +1,13 @@
 """Compare the artifacts of the benchmark configs under two `src/` trees.
 
-Runs seeds 1-3 of the three benchmark workloads (bench/workloads.py)
+Runs seeds 1-3 of the three benchmark workloads (bench/workloads.py),
+then the fixed configs of EXTRA that no benchmark config reaches,
 through the `vekua` CLI, once under each tree, and prints for every
 report.json and CSV either "byte-identical" or the largest absolute and
 relative difference of any number in it, and an artifact that only the head
-writes.  Ends with one summary line: how many of the base's artifacts are
-byte-identical, and the largest relative difference.  For each workload and seed it also prints
+writes.  Ends with two summary lines, for the benchmark's artifacts and
+for EXTRA's: how many of the base's are byte-identical, and the largest
+relative difference.  For each workload and seed it also prints
 the benchmark's ``margin_digits`` (the least margin of any run) under each
 tree, so that a change to the rounding of a checked result shows before
 the benchmark runs.  Exits 1 if any check's pass/fail, or any run's exit
@@ -31,6 +33,40 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
+
+# Configs that no benchmark config reaches, run as well: the pipeline
+# negative powers m2, s2 and e2 of ROADMAP item 2 (nested differences of a
+# base without closed forms) and the symbolic workload's seed-1 Schroedinger
+# scan with a step h (the differenced Laplacian).
+_PIPELINE_POWERS = {
+    "kernel": "pipeline", "f": "1*x", "zeta0": [0.5, 0], "separable": {"phi": "x", "psi": "1"}, "n": 2,
+    "region": {"x0": 1.5, "x1": 2.5, "y0": -0.5, "y1": 0.5}, "tol": 1e-6,
+}
+EXTRA = [
+    ("build-powers-m2", "build-powers", _PIPELINE_POWERS),
+    ("build-powers-s2", "build-powers", {
+        **_PIPELINE_POWERS, "kernel_kind": "successor", "pair": {"F_sc": "1/x", "G_sc": "0", "G_vec": "x"},
+    }),
+    ("build-powers-e2", "build-powers", {
+        **_PIPELINE_POWERS, "f": "exp(x)*cos(y)", "separable": {"phi": "exp(x)", "psi": "cos(y)"},
+        "region": {"x0": 1.0, "x1": 2.0, "y0": -0.5, "y1": 0.5},
+    }),
+    ("residual-scan-h", "residual-scan", {
+        **{name: c for name, _, c in workloads.generate("symbolic", 1)}["residual-scan-schroedinger"],
+        "h": 1e-3, "tol": 1e-5,
+    }),
+]
+
+
+def write_extra(directory: Path) -> list[dict]:
+    """Write one config file per run of EXTRA; return the manifest of runs."""
+    directory.mkdir(parents=True, exist_ok=True)
+    manifest = []
+    for name, command, config in EXTRA:
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(config, indent=2, sort_keys=True) + "\n")
+        manifest.append({"name": name, "command": command, "config": str(path)})
+    return manifest
 
 
 def run_all(src: Path, manifest: list[dict], out: Path) -> dict[str, int]:
@@ -118,48 +154,69 @@ def least_margin(out: Path, manifest: list[dict]) -> float | None:
     return min(margins, default=None)
 
 
+def compare(label: str, manifest: list[dict], case: Path, base_src: Path, head_src: Path) -> tuple[bool, list]:
+    """Run the manifest under both trees and print each artifact's
+    difference and the least margin under each tree.  Returns whether a
+    run's exit code or a check's pass/fail changed, and for each of the
+    base's artifacts whether it is byte-identical and its largest relative
+    difference (None when the head did not write it)."""
+    changed = False
+    results = []
+    base_codes = run_all(base_src, manifest, case / "base")
+    head_codes = run_all(head_src, manifest, case / "head")
+    for run in manifest:
+        name = run["name"]
+        base, head = case / "base" / name, case / "head" / name
+        if base_codes[name] != head_codes[name]:
+            changed = True
+            print(f"{label} {name}: exit code {base_codes[name]} -> {head_codes[name]}")
+        if verdicts(base / "report.json") != verdicts(head / "report.json"):
+            changed = True
+            print(f"{label} {name}: check pass/fail changed")
+        for artifact in sorted(p.name for p in base.glob("*")):
+            if not (head / artifact).exists():
+                changed = True
+                results.append((False, None))
+                print(f"{label} {name}/{artifact}: missing")
+                continue
+            text, rel = difference(base / artifact, head / artifact)
+            results.append((text == "byte-identical", rel))
+            print(f"{label} {name}/{artifact}: {text}")
+        for artifact in sorted(p.name for p in head.glob("*") if not (base / p.name).exists()):
+            print(f"{label} {name}/{artifact}: written by the head only")
+    margins = [least_margin(case / tree, manifest) for tree in ("base", "head")]
+    print(f"{label} margin_digits: " + " -> ".join("none" if m is None else f"{m:.4f}" for m in margins))
+    return changed, results
+
+
+def summary(what: str, results: list) -> str:
+    """How many of the artifacts are byte-identical, and the largest
+    relative difference."""
+    worst = max((rel for _, rel in results if rel is not None), default=0.0)
+    return f"{sum(same for same, _ in results)} of {len(results)} {what} byte-identical, max rel diff {worst:.3g}"
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, type=Path, help="the src/ tree compared against")
     parser.add_argument("--head", required=True, type=Path, help="the src/ tree under test")
     args = parser.parse_args()
     changed = False
-    total = identical = 0
-    worst_rel = 0.0
+    bench_results = []
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
+        base, head = args.base.resolve(), args.head.resolve()
         for workload in sorted(workloads.WORKLOADS):
             for seed in SEEDS:
                 case = root / f"{workload}-{seed}"
                 manifest = workloads.write(workload, seed, case / "configs")
-                base_codes = run_all(args.base.resolve(), manifest, case / "base")
-                head_codes = run_all(args.head.resolve(), manifest, case / "head")
-                for run in manifest:
-                    name = run["name"]
-                    base, head = case / "base" / name, case / "head" / name
-                    if base_codes[name] != head_codes[name]:
-                        changed = True
-                        print(f"{workload} seed {seed} {name}: exit code "
-                              f"{base_codes[name]} -> {head_codes[name]}")
-                    if verdicts(base / "report.json") != verdicts(head / "report.json"):
-                        changed = True
-                        print(f"{workload} seed {seed} {name}: check pass/fail changed")
-                    for artifact in sorted(p.name for p in base.glob("*")):
-                        total += 1
-                        if not (head / artifact).exists():
-                            changed = True
-                            print(f"{workload} seed {seed} {name}/{artifact}: missing")
-                            continue
-                        text, rel = difference(base / artifact, head / artifact)
-                        identical += text == "byte-identical"
-                        worst_rel = max(worst_rel, rel)
-                        print(f"{workload} seed {seed} {name}/{artifact}: {text}")
-                    for artifact in sorted(p.name for p in head.glob("*") if not (base / p.name).exists()):
-                        print(f"{workload} seed {seed} {name}/{artifact}: written by the head only")
-                margins = [least_margin(case / tree, manifest) for tree in ("base", "head")]
-                print(f"{workload} seed {seed} margin_digits: "
-                      + " -> ".join("none" if m is None else f"{m:.4f}" for m in margins))
-    print(f"{identical} of {total} artifacts byte-identical, max rel diff {worst_rel:.3g}")
+                case_changed, results = compare(f"{workload} seed {seed}", manifest, case, base, head)
+                changed |= case_changed
+                bench_results += results
+        case_changed, extra_results = compare("extra", write_extra(root / "extra" / "configs"), root / "extra", base, head)
+        changed |= case_changed
+    print(summary("benchmark artifacts", bench_results))
+    print(summary("extra artifacts", extra_results))
     if changed:
         print("a check's pass/fail or a run's exit code changed")
     return 1 if changed else 0
