@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .bicomplex import PlanePoint
 from .calculus import RegionGrid, cell_centres, grid_columns
-from .fields import BicomplexArray, Field
+from .fields import BicomplexArray, Field, StepError
 from .pairs import GeneratingSequence, make_pair, separable_pair, vekua_residual
 from .powers import (
     ContourSpec,
@@ -455,13 +455,6 @@ def cmd_build_fundamental(cfg: dict):
     return checks, {"fundamental.csv": lines}, extra
 
 
-def _moves_every_sample(h: float, xs: np.ndarray, ys: np.ndarray) -> bool:
-    """x + h, x - h, y + h and y - h differ from x and y at every sample, and
-    the second difference's factor 1/h^2 is a finite number."""
-    coords = np.concatenate([xs, ys])
-    return h * h > 0 and math.isfinite(1 / (h * h)) and bool(np.all((coords + h != coords) & (coords - h != coords)))
-
-
 def cmd_residual_scan(cfg: dict):
     xs, ys = RegionGrid(**cfg["region"]).sample_columns(cfg["samples"])
     fld = cfg["field"]
@@ -476,11 +469,12 @@ def cmd_residual_scan(cfg: dict):
         _unread(fld, _FIELD, "vec", why=why, prefix="field.")
         _unread(cfg, schema, "pair", "f", why=why)
         _need(cfg, "q")
-        if cfg["h"] is not None and not _moves_every_sample(cfg["h"], xs, ys):
-            raise ConfigError("config key 'h' is too small to move every sample point")
         u = Field.from_exprs(fld["sc"])
         q = Field.from_exprs(cfg["q"])
-        residuals = schroedinger_residual(u, q, (xs, ys), cfg["h"])
+        try:
+            residuals = schroedinger_residual(u, q, (xs, ys), cfg["h"])
+        except StepError as e:
+            raise ConfigError("config key 'h' is too small to move every sample point") from e
     rows = _csv_rows(_grid_texts(**cfg["region"], nx=cfg["samples"], ny=cfg["samples"]), xs, ys, residuals)
     checks = [_check("max_residual", residuals.max(), 0.0, cfg["tol"])]
     return checks, {"residuals.csv": ["x,y,residual"] + rows}, {}

@@ -531,8 +531,15 @@ def _abs2(v):
 
 
 def _error(exc: Exception, point: tuple) -> EvaluationError:
-    """The EvaluationError for ``exc``, raised by a program at ``point``."""
-    message = "division by zero" if isinstance(exc, ZeroDivisionError) else str(exc)
+    """The EvaluationError for ``exc``, raised by a program at ``point``, in
+    plain text: cmath's OverflowError carries an errno tuple, (34, 'Numerical
+    result out of range'), as its text."""
+    if isinstance(exc, ZeroDivisionError):
+        message = "division by zero"
+    elif isinstance(exc, OverflowError) and len(exc.args) > 1:
+        message = "result outside the double range"
+    else:
+        message = str(exc)
     return EvaluationError(message, point)
 
 

@@ -30,6 +30,7 @@ at once by ``on``; other evaluators run pair by pair (``pairwise``).
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
@@ -150,6 +151,17 @@ def d_zbar(fx, fy):
     return (fx + fy.mul_j()).scale(0.5)
 
 
+class StepError(ValueError):
+    """A difference step too small for the nodes it is taken at."""
+
+
+def _moves_every_node(h: float, xs: np.ndarray, ys: np.ndarray) -> bool:
+    """x + h, x - h, y + h and y - h differ from x and y at every node, and
+    the second difference's factor 1/h^2 is a finite number."""
+    coords = np.concatenate([xs, ys])
+    return h * h > 0 and math.isfinite(1 / (h * h)) and bool(np.all((coords + h != coords) & (coords - h != coords)))
+
+
 def five_point(values: Callable[..., Values], columns: Sequence[np.ndarray], h: float) -> tuple["BicomplexArray", ...]:
     """The value, the first differences and the second differences of step
     h in the last two columns (x, y), at every node of the columns: one call
@@ -157,8 +169,12 @@ def five_point(values: Callable[..., Values], columns: Sequence[np.ndarray], h: 
     and x - h, then y + h and y - h).  values may stack several functions on
     leading axes; the nodes are on the last.  Returns (value, d/dx, d/dy,
     d2/dx2, d2/dy2), each rounded as the same difference of ``Bicomplex``
-    values: (plus - minus)/(2h) and ((plus - value) - (value - minus))/h^2."""
+    values: (plus - minus)/(2h) and ((plus - value) - (value - minus))/h^2.
+    A step that leaves a node in place, or whose 1/h^2 is not finite,
+    raises StepError (``_moves_every_node``)."""
     *rest, x, y = columns
+    if not _moves_every_node(h, x, y):
+        raise StepError(f"step h = {h!r} is too small to move every node")
     stencil = [np.tile(c, 5) for c in rest]
     stencil += [np.concatenate([x, x + h, x - h, x, x]), np.concatenate([y, y, y, y + h, y - h])]
     parts = (np.moveaxis(np.reshape(p, np.shape(p)[:-1] + (5, -1)), -2, 0) for p in values(*stencil))

@@ -3,7 +3,7 @@ import sys
 import pytest
 from hypothesis import settings
 
-from bivekua import expr, fields
+from bivekua import calculus, expr, fields
 
 # every run draws the same examples: a property's failure reproduces, and a
 # pass does not depend on the run
@@ -57,3 +57,24 @@ def central_differences(monkeypatch):
         if name.startswith("bivekua.") and getattr(module, "five_point", None) is five_point:
             monkeypatch.setattr(module, "five_point", counted)
     return stencils
+
+
+@pytest.fixture
+def walk_jobs(monkeypatch):
+    """(paths, nodes, 1-forms) of every array job of ``detour_walks`` that
+    ``Walks.integrate`` runs while the test runs (a ``Path``'s one walk is
+    not a job of it)."""
+    jobs = []
+    integrate = calculus.Walks.integrate
+
+    def counted(self, one_form):
+        def recorded(xs, ys, dz):
+            values = one_form(xs, ys, dz)
+            if not isinstance(self, calculus.Path):
+                jobs.append((self.sizes.size, dz.size, len(values) if isinstance(values, tuple) else 1))
+            return values
+
+        return integrate(self, recorded)
+
+    monkeypatch.setattr(calculus.Walks, "integrate", counted)
+    return jobs

@@ -218,12 +218,12 @@ def test_build_fundamental_vanishes_at_path_base(tmp_path, cfg):
     ids=["catalog", "pipeline"],
 )
 def test_build_fundamental_table_is_the_same_in_any_blocks(tmp_path, monkeypatch, cfg):
-    # a node budget of 1 cuts the table into blocks of one column each, and
+    # a value budget of 1 cuts the table into blocks of one column each, and
     # every walk into its own array job
     config = _write(tmp_path, "c.json", cfg)
     artifacts = []
-    for budget, out in ((calculus.NODE_BUDGET, tmp_path / "one"), (1, tmp_path / "many")):
-        monkeypatch.setattr(calculus, "NODE_BUDGET", budget)
+    for budget, out in ((calculus.VALUE_BUDGET, tmp_path / "one"), (1, tmp_path / "many")):
+        monkeypatch.setattr(calculus, "VALUE_BUDGET", budget)
         blocks = list(calculus.grid_columns(**cfg["grid"]))
         assert len(blocks) == (1 if budget > 1 else cfg["grid"]["nx"])
         assert main(["build-fundamental", "--config", str(config), "--out", str(out), "--quiet"]) == 0
@@ -403,6 +403,21 @@ def test_cauchy_with_pipeline_main_kernel(tmp_path):
     rep = _report(tmp_path)
     assert [c["name"] for c in rep["checks"]] == ["interior_deviation", "exterior_deviation"]
     assert all(c["pass"] for c in rep["checks"])
+
+
+def test_pipeline_cauchy_walk_jobs(tmp_path, walk_jobs):
+    # the benchmark's 32-node pipeline cauchy walks 64 paths over 20,672
+    # nodes, with two 1-forms each: 12 array jobs of at most 2,048 nodes
+    cfg = _write(tmp_path, "c.json", {
+        "kernel": "pipeline", "f": "x", "zeta0": [0.5, 0], "formula": "second",
+        "contour": {"center": [2, 0], "radius": 0.3, "nodes": 32},
+        "interior": [[2.05, 0.05]], "exterior": [[2.9, 0.1]], "tol": 1e-6,
+    })
+    assert main(["cauchy", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
+    assert len(walk_jobs) == 12
+    assert sum(paths for paths, _, _ in walk_jobs) == 64
+    assert sum(nodes for _, nodes, _ in walk_jobs) == 20672
+    assert {forms for _, _, forms in walk_jobs} == {2}
 
 
 def test_invalid_json_is_config_error(tmp_path):
@@ -638,6 +653,17 @@ def test_contour_commands_refuse_a_constant_past_the_double_range(tmp_path, caps
     assert main([command, "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 2
     err = capsys.readouterr().err
     assert error in err and "OverflowError" not in err and "NameError" not in err
+
+
+def test_contour_past_the_double_range_is_a_plain_text_evaluation_error(tmp_path, capsys):
+    # a kernel value at a node of a radius-1e300 contour overflows in cmath,
+    # whose OverflowError text is an errno tuple
+    cfg = {"kernel": "x-main", "f": "x", "contour": {"center": [3, 0], "radius": 1e300, "nodes": 16}, "tol": 1e-6}
+    config = _write(tmp_path, "c.json", cfg)
+    assert main(["verify-reproducing", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error (verify-reproducing): EvaluationError: result outside the double range at (")
+    assert "Numerical result" not in err and "(34" not in err
 
 
 @pytest.mark.parametrize(

@@ -99,6 +99,16 @@ def test_schroedinger_residual_examples():
     assert schroedinger_residual(u, zero, z, h=1e-3) <= 1e-5
 
 
+@pytest.mark.parametrize("h", [1e-300, 1e-200])
+def test_schroedinger_residual_step_whose_square_underflows_is_a_step_error(h):
+    # h moves (0, 0), but h^2 is 0: a typed error, not a ZeroDivisionError
+    u = Field.from_exprs("exp(x)*(cos(y) + 2)")
+    q = Field.from_exprs("2/(cos(y) + 2)")
+    for z in (PlanePoint(0, 0), (np.zeros(3), np.zeros(3))):
+        with pytest.raises(fields.StepError, match="too small to move every node"):
+            schroedinger_residual(u, q, z, h)
+
+
 # -- problem bundle ----------------------------------------------------------
 
 
@@ -202,11 +212,11 @@ def test_main_coefficients_share_one_successor_coefj():
 def test_coefj_face_is_the_per_walk_transform_bit_for_bit(f, monkeypatch):
     fam = pipeline_successor(f)
     pairs = rand_pairs(10, seed=11) + [(ZETA0, PlanePoint(1.5, 0.05))]
-    # a budget that cuts the batch into several array jobs
-    monkeypatch.setattr(calculus, "NODE_BUDGET", 500)
+    # a budget that cuts the batch of 2-form walks into several array jobs
+    monkeypatch.setattr(calculus, "VALUE_BUDGET", 1000)
     ends = np.array([a.as_complex for a, _ in pairs[:-1]])
     avoid = np.array([b.as_complex for _, b in pairs[:-1]])
-    assert len(list(detour_walks(ZETA0.as_complex, ends, avoid))) >= 2
+    assert len(list(detour_walks(ZETA0.as_complex, ends, avoid, forms=2))) >= 2
     sc, vec = fam.coefj.on(*columns(pairs))
     minus = fam.coefj.integrand
     for k, (zeta, z) in enumerate(pairs):
@@ -216,6 +226,27 @@ def test_coefj_face_is_the_per_walk_transform_bit_for_bit(f, monkeypatch):
             assert one == Bicomplex(0, 0)
         else:
             assert one == tf_transform(f, kernel_in_zeta(minus, z), detour_path(ZETA0, zeta, z))
+
+
+def test_walk_jobs_hold_at_most_the_value_budget(walk_jobs, monkeypatch):
+    # 2-form values, 6-form z-partials and 1-form Darboux walks, each batch
+    # cut into several jobs: a job of more than one path never holds more
+    # values than the budget, and the z-partials are the same bit for bit
+    # with every path in its own job
+    fam = pipeline_successor(F_EXP)
+    at = columns(rand_pairs(40, seed=7))
+    z_partials = fam.coefj.partials("z", *at)
+    fam.coefj.on(*at)
+    darboux_fundamental(x_successor_family(), F_X, lambda zeta: PlanePoint(zeta.x + 1, zeta.y)).on(*at)
+    for forms in (1, 2, 6):
+        jobs = [(paths, nodes) for paths, nodes, k in walk_jobs if k == forms]
+        assert len(jobs) >= 2, forms
+        assert all(paths == 1 or nodes * forms <= calculus.VALUE_BUDGET for paths, nodes in jobs)
+    monkeypatch.setattr(calculus, "VALUE_BUDGET", 1)
+    walk_jobs.clear()
+    for got, want in zip(fam.coefj.partials("z", *at), z_partials):
+        assert np.array_equal(got.sc, want.sc) and np.array_equal(got.vec, want.vec)
+    assert len(walk_jobs) == 40 and all(paths == 1 for paths, _, _ in walk_jobs)
 
 
 def test_coefj_face_with_one_point_for_every_pair():

@@ -35,9 +35,15 @@ import workloads  # noqa: E402
 SEEDS = (1, 2, 3)
 
 # Configs that no benchmark config reaches, run as well: the pipeline
-# negative powers m2, s2 and e2 of ROADMAP item 2 (nested differences of a
-# base without closed forms) and the symbolic workload's seed-1 Schroedinger
-# scan with a step h (the differenced Laplacian).
+# negative powers m2, s2 and e2 (nested differences of a base without
+# closed forms), the symbolic workload's seed-1 Schroedinger scan with a
+# step h (the differenced Laplacian), and the 512-node pipeline
+# verify-reproducing of both kinds, each 4,608 walks in hundreds of array
+# jobs.
+_PIPELINE_CONTOUR = {
+    "kernel": "pipeline", "f": "x", "zeta0": [0.5, 0],
+    "contour": {"center": [2, 0], "radius": 0.3, "nodes": 512}, "tol": 1e-6,
+}
 _PIPELINE_POWERS = {
     "kernel": "pipeline", "f": "1*x", "zeta0": [0.5, 0], "separable": {"phi": "x", "psi": "1"}, "n": 2,
     "region": {"x0": 1.5, "x1": 2.5, "y0": -0.5, "y1": 0.5}, "tol": 1e-6,
@@ -54,6 +60,10 @@ EXTRA = [
     ("residual-scan-h", "residual-scan", {
         **{name: c for name, _, c in workloads.generate("symbolic", 1)}["residual-scan-schroedinger"],
         "h": 1e-3, "tol": 1e-5,
+    }),
+    ("verify-reproducing-main-512", "verify-reproducing", _PIPELINE_CONTOUR),
+    ("verify-reproducing-successor-512", "verify-reproducing", {
+        **_PIPELINE_CONTOUR, "kernel_kind": "successor", "pair": {"F_sc": "1/x", "G_sc": "0", "G_vec": "x"},
     }),
 ]
 
