@@ -5,8 +5,7 @@ A path holds its nodes and weights as numpy arrays.  A path integral
 evaluates its integrand on all nodes at once and sums the values in node
 order (``Path.integrate``).  Many detour paths are built together and laid
 end to end (``detour_walks``), so that one array job evaluates and sums
-them all (``Walks.integrate``).  A job is sized by the values it holds,
-its nodes times the 1-forms integrated there, at most ``VALUE_BUDGET``.
+them all (``Walks.integrate``), at most ``NODE_BUDGET`` nodes at a time.
 """
 
 from __future__ import annotations
@@ -35,12 +34,16 @@ class PathThroughSingularityError(CalculusError):
 
 _GL_NODES_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
-# The most values one array job of ``detour_walks`` holds, counted as nodes
-# times the 1-forms integrated at each node, and the most points of a block
-# of ``grid_columns``.  A job's cost is mostly per job, not per node: 2,048
-# nodes of a 2-form job run the pipeline faster than 1,024 and keep peak
-# memory flat, while 4,096 raise it with no further gain.
-VALUE_BUDGET = 4096
+# The most nodes one array job of ``detour_walks`` holds, so that many paths
+# at once do not raise peak memory.  A job's cost is mostly per job, not per
+# node: 2,048 nodes run the pipeline faster than 1,024 with peak memory flat,
+# while 4,096 raise it with no further gain.
+NODE_BUDGET = 2048
+
+# The most points of a block of ``grid_columns``: blocks of 2,048 points
+# raise the peak memory of a 100-by-100 ``eval-kernel`` grid, with no gain
+# in time over 1,024.
+GRID_BUDGET = 1024
 
 
 def _legval(x: np.ndarray, c: list[float]) -> np.ndarray:
@@ -206,15 +209,14 @@ class Walks:
 
 def detour_walks(
     start, end, avoid, radius: Optional[float] = None, side: float = 1.0,
-    nodes_per_segment: int = 16, forms: int = 1,
+    nodes_per_segment: int = 16,
 ) -> Iterator[Walks]:
     """The detour paths (``Path.detour``) from start[k] to end[k] around
     avoid[k] (complex arrays that broadcast), cut in order into batches of
-    whole paths that hold at most ``VALUE_BUDGET`` values when ``forms``
-    1-forms are integrated over them, that is VALUE_BUDGET // forms nodes,
-    or one longer path.  Each plan has the scalar arithmetic of one detour;
-    then all legs are halved in one bisection and each batch's lines and
-    arcs are built as arrays, bit for bit the nodes of one detour each."""
+    whole paths of at most ``NODE_BUDGET`` nodes, or one longer
+    path.  Each plan has the scalar arithmetic of one detour; then all legs
+    are halved in one bisection and each batch's lines and arcs are built
+    as arrays, bit for bit the nodes of one detour each."""
     t, w = _gauss_legendre(nodes_per_segment)
     columns = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (start, end, avoid)))
     legs, arcs, parts = [], [], [0]  # parts[k]: the parts of the paths before path k
@@ -246,11 +248,10 @@ def detour_walks(
     bounds = np.concatenate([[0], np.cumsum(np.bincount(part, minlength=parts[-1]))])[parts]
     sizes = np.diff(bounds) * len(t)
     ends = np.cumsum(sizes)
-    budget = VALUE_BUDGET // forms
     first = 0
     while first < sizes.size:
         done = ends[first - 1] if first else 0
-        last = max(first + 1, int(np.searchsorted(ends, done + budget, side="right")))
+        last = max(first + 1, int(np.searchsorted(ends, done + NODE_BUDGET, side="right")))
         rows = order[bounds[first]:bounds[last]]
         line = rows < lines
         i, j = rows[line], rows[~line] - lines  # line pieces, arc pieces
@@ -264,13 +265,13 @@ def detour_walks(
         first = last
 
 
-def detour_integrals(start, end, avoid, one_form: Callable, frozen: tuple, forms: int, side: float = 1.0) -> list:
+def detour_integrals(start, end, avoid, one_form: Callable, frozen: tuple, side: float = 1.0) -> list:
     """Per 1-form, the integrals over each detour path of ``detour_walks`` of
-    the tuple of ``forms`` 1-forms one_form(xs, ys, dz, *columns) gives, one
-    array job per batch: ``frozen`` holds values per path (a number for
-    every path), and ``columns`` holds them at every node."""
+    the tuple of 1-forms one_form(xs, ys, dz, *columns) gives, one array
+    job per batch: ``frozen`` holds values per path (a number for every
+    path), and ``columns`` holds them at every node."""
     totals = []
-    for walks in detour_walks(start, end, avoid, side=side, forms=forms):
+    for walks in detour_walks(start, end, avoid, side=side):
         columns = [v if np.ndim(v) == 0 else np.repeat(v[walks.index], walks.sizes) for v in frozen]
         totals.append(walks.integrate(lambda xs, ys, dz: one_form(xs, ys, dz, *columns)))
     return [np.concatenate(t) for t in zip(*totals)]
@@ -351,11 +352,11 @@ def grid_columns(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """The centres of the nx-by-ny grid of equal cells over [x0, x1] x
     [y0, y1] as arrays xs, ys, column by column (increasing y for each x,
-    the x increasing), a block of whole columns of at most ``VALUE_BUDGET``
+    the x increasing), a block of whole columns of at most ``GRID_BUDGET``
     points, or one column, at a time."""
     ys = cell_centres(y0, y1, ny)
     xs = cell_centres(x0, x1, nx)
-    step = max(1, VALUE_BUDGET // ny)
+    step = max(1, GRID_BUDGET // ny)
     for k in range(0, nx, step):
         block = xs[k:k + step]
         yield np.repeat(block, ny), np.tile(ys, len(block))

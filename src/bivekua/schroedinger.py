@@ -181,7 +181,7 @@ def _walks(face, start, end: int, forms: int, one_form, xi, eta, x, y) -> np.nda
         if 0 in fends:
             raise CalculusError(f"f vanishes at path endpoint {paths[walk[fends.index(0)]][1]}")
         frozen = tuple(_per_walk(v, walk, len(pairs)) for v in ((x, y), (xi, eta))[end])
-        totals = detour_integrals(starts, ends, avoid, one_form, frozen, forms, face.side)
+        totals = detour_integrals(starts, ends, avoid, one_form, frozen, face.side)
         # Python's complex division, which rounds unlike numpy's
         out[:, walk] = [[t / fend for t, fend in zip(row.tolist(), fends)] for row in totals]
         # not .all(): its reduction loop alone adds 0.1 MB of resident memory

@@ -209,7 +209,7 @@ def test_detour_walks_are_the_detours_path_by_path(monkeypatch):
     columns = [np.array([c[i].as_complex for c in cases]) for i in range(3)]
     for side in (1.0, -1.0):
         for budget in (10**6, 100):
-            monkeypatch.setattr(calculus, "VALUE_BUDGET", budget)
+            monkeypatch.setattr(calculus, "NODE_BUDGET", budget)
             jobs = list(detour_walks(*columns, side=side))
             assert len(jobs) == (1 if budget > 100 else len(cases))
             xs, ys, dz = (np.concatenate([getattr(w, k) for w in jobs]) for k in ("xs", "ys", "dz"))

@@ -218,14 +218,16 @@ def test_build_fundamental_vanishes_at_path_base(tmp_path, cfg):
     ids=["catalog", "pipeline"],
 )
 def test_build_fundamental_table_is_the_same_in_any_blocks(tmp_path, monkeypatch, cfg):
-    # a value budget of 1 cuts the table into blocks of one column each, and
-    # every walk into its own array job
+    # budgets of 1 cut the table into blocks of one column each, and every
+    # walk into its own array job
     config = _write(tmp_path, "c.json", cfg)
     artifacts = []
-    for budget, out in ((calculus.VALUE_BUDGET, tmp_path / "one"), (1, tmp_path / "many")):
-        monkeypatch.setattr(calculus, "VALUE_BUDGET", budget)
+    budgets = (calculus.GRID_BUDGET, calculus.NODE_BUDGET)
+    for (grid, nodes), out in ((budgets, tmp_path / "one"), ((1, 1), tmp_path / "many")):
+        monkeypatch.setattr(calculus, "GRID_BUDGET", grid)
+        monkeypatch.setattr(calculus, "NODE_BUDGET", nodes)
         blocks = list(calculus.grid_columns(**cfg["grid"]))
-        assert len(blocks) == (1 if budget > 1 else cfg["grid"]["nx"])
+        assert len(blocks) == (1 if grid > 1 else cfg["grid"]["nx"])
         assert main(["build-fundamental", "--config", str(config), "--out", str(out), "--quiet"]) == 0
         artifacts.append([(out / name).read_bytes() for name in ("fundamental.csv", "report.json")])
     assert artifacts[0] == artifacts[1]

@@ -212,11 +212,11 @@ def test_main_coefficients_share_one_successor_coefj():
 def test_coefj_face_is_the_per_walk_transform_bit_for_bit(f, monkeypatch):
     fam = pipeline_successor(f)
     pairs = rand_pairs(10, seed=11) + [(ZETA0, PlanePoint(1.5, 0.05))]
-    # a budget that cuts the batch of 2-form walks into several array jobs
-    monkeypatch.setattr(calculus, "VALUE_BUDGET", 1000)
+    # a budget that cuts the batch into several array jobs
+    monkeypatch.setattr(calculus, "NODE_BUDGET", 500)
     ends = np.array([a.as_complex for a, _ in pairs[:-1]])
     avoid = np.array([b.as_complex for _, b in pairs[:-1]])
-    assert len(list(detour_walks(ZETA0.as_complex, ends, avoid, forms=2))) >= 2
+    assert len(list(detour_walks(ZETA0.as_complex, ends, avoid))) >= 2
     sc, vec = fam.coefj.on(*columns(pairs))
     minus = fam.coefj.integrand
     for k, (zeta, z) in enumerate(pairs):
@@ -228,11 +228,11 @@ def test_coefj_face_is_the_per_walk_transform_bit_for_bit(f, monkeypatch):
             assert one == tf_transform(f, kernel_in_zeta(minus, z), detour_path(ZETA0, zeta, z))
 
 
-def test_walk_jobs_hold_at_most_the_value_budget(walk_jobs, monkeypatch):
+def test_walk_jobs_hold_at_most_the_node_budget(walk_jobs, monkeypatch):
     # 2-form values, 6-form z-partials and 1-form Darboux walks, each batch
     # cut into several jobs: a job of more than one path never holds more
-    # values than the budget, and the z-partials are the same bit for bit
-    # with every path in its own job
+    # nodes than the budget, whatever its 1-forms, and the z-partials are the
+    # same bit for bit with every path in its own job
     fam = pipeline_successor(F_EXP)
     at = columns(rand_pairs(40, seed=7))
     z_partials = fam.coefj.partials("z", *at)
@@ -241,8 +241,8 @@ def test_walk_jobs_hold_at_most_the_value_budget(walk_jobs, monkeypatch):
     for forms in (1, 2, 6):
         jobs = [(paths, nodes) for paths, nodes, k in walk_jobs if k == forms]
         assert len(jobs) >= 2, forms
-        assert all(paths == 1 or nodes * forms <= calculus.VALUE_BUDGET for paths, nodes in jobs)
-    monkeypatch.setattr(calculus, "VALUE_BUDGET", 1)
+        assert all(paths == 1 or nodes <= calculus.NODE_BUDGET for paths, nodes in jobs)
+    monkeypatch.setattr(calculus, "NODE_BUDGET", 1)
     walk_jobs.clear()
     for got, want in zip(fam.coefj.partials("z", *at), z_partials):
         assert np.array_equal(got.sc, want.sc) and np.array_equal(got.vec, want.vec)
