@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Optional, Sequence
 import numpy as np
 
 from .bicomplex import Bicomplex, InvalidValueError, PlanePoint
-from .fields import Field, partials_on
+from .fields import Field
 
 
 class CalculusError(Exception):
@@ -207,17 +207,15 @@ class Walks:
         return totals
 
 
-def detour_walks(
-    start, end, avoid, radius: Optional[float] = None, side: float = 1.0,
-    nodes_per_segment: int = 16,
-) -> Iterator[Walks]:
+def detour_walks(start, end, avoid, radius: Optional[float] = None, side: float = 1.0) -> Iterator[Walks]:
     """The detour paths (``Path.detour``) from start[k] to end[k] around
     avoid[k] (complex arrays that broadcast), cut in order into batches of
     whole paths of at most ``NODE_BUDGET`` nodes, or one longer
     path.  Each plan has the scalar arithmetic of one detour; then all legs
     are halved in one bisection and each batch's lines and arcs are built
-    as arrays, bit for bit the nodes of one detour each."""
-    t, w = _gauss_legendre(nodes_per_segment)
+    as arrays of 16 nodes a piece, bit for bit the nodes of one detour
+    each."""
+    t, w = _gauss_legendre(16)
     columns = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (start, end, avoid)))
     legs, arcs, parts = [], [], [0]  # parts[k]: the parts of the paths before path k
     for a, b, c in zip(*(v.ravel().tolist() for v in columns)):
@@ -303,21 +301,12 @@ class Path(Walks):
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def polyline(
-        points: Sequence[PlanePoint],
-        nodes_per_segment: int = 16,
-        grade_toward: Optional[PlanePoint] = None,
-    ) -> "Path":
-        """Composite Gauss-Legendre quadrature over a polyline.
-
-        Segments longer than 0.25 are subdivided; when grade_toward is
-        given, subdivision is refined geometrically near that point (for
-        integrands singular there).
-        """
+    def polyline(points: Sequence[PlanePoint], nodes_per_segment: int = 16) -> "Path":
+        """Composite Gauss-Legendre quadrature over a polyline, its segments
+        halved until each piece is at most 0.25 long (``_bisect``)."""
         pts = np.array([p.as_complex for p in points], dtype=complex)
         a, b = pts[:-1][pts[:-1] != pts[1:]], pts[1:][pts[:-1] != pts[1:]]
-        toward = None if grade_toward is None else np.full(a.size, grade_toward.as_complex)
-        starts, ends, _ = _bisect(a, b, toward)
+        starts, ends, _ = _bisect(a, b)
         nodes, dz = _on_segments(starts, ends - starts, *_gauss_legendre(nodes_per_segment))
         return Path._of(nodes.ravel(), dz.ravel(), points[0], points[-1])
 
@@ -383,7 +372,7 @@ class RegionGrid:
 def tf_densities(u: tuple, f: tuple, dz: np.ndarray) -> tuple:
     """-(f^2 d(u/f)/dy) dx + (f^2 d(u/f)/dx) dy at every node for u = u1
     and for u = u2 of u1 + j u2, u and the scalar f each a (value, d/dx,
-    d/dy) triple of (sc, vec) node values (``partials_on``)."""
+    d/dy) triple of node values (``Field.partials``)."""
     (f0, _), (fx, _), (fy, _) = f
     return tuple(-(uy * f0 - v * fy) * dz.real + (ux * f0 - v * fx) * dz.imag for v, ux, uy in zip(*u))
 
@@ -401,7 +390,7 @@ def tf_transform(f: Field, u: Field, path: Path) -> Bicomplex:
     """
 
     def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> tuple:
-        return tf_densities(partials_on(u, xs, ys), partials_on(f, xs, ys), dz)
+        return tf_densities(u.partials(xs, ys), f.partials(xs, ys), dz)
 
     t1, t2 = path.integrate(one_form)
     fend = f(path.end).sc

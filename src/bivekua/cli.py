@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .bicomplex import PlanePoint
 from .calculus import RegionGrid, cell_centres, grid_columns
-from .fields import BicomplexArray, Field, StepError
+from .fields import Field, StepError
 from .pairs import GeneratingSequence, make_pair, separable_pair, vekua_residual
 from .powers import (
     ContourSpec,
@@ -350,16 +350,16 @@ def _grid_csv(two_point, zeta: PlanePoint, grid: dict, seen=None) -> tuple[list[
     """The CSV lines of z -> two_point(zeta, z), by its face, at the grid's
     points off zeta, and the number of those points: a block of columns
     (``grid_columns``) at a time, as arrays of the whole grid would raise
-    peak memory.  seen(xs, ys, sc, vec), when given, sees each block."""
+    peak memory.  seen(xs, ys, values), when given, sees each block."""
     lines, points = [CSV_HEADER], 0
     texts = _grid_texts(**grid)
     for xs, ys in grid_columns(**grid):
         off = np.hypot(xs - zeta.x, ys - zeta.y) > 1e-9
         xs, ys = xs[off], ys[off]
-        sc, vec = two_point.on(zeta.x, zeta.y, xs, ys)
+        values = two_point.on(zeta.x, zeta.y, xs, ys)
         if seen is not None:
-            seen(xs, ys, sc, vec)
-        lines += _csv_rows(texts, xs, ys, sc.real, sc.imag, vec.real, vec.imag)
+            seen(xs, ys, values)
+        lines += _csv_rows(texts, xs, ys, values.sc.real, values.sc.imag, values.vec.real, values.vec.imag)
         points += xs.size
     return lines, points
 
@@ -440,10 +440,9 @@ def cmd_build_fundamental(cfg: dict):
         z0 = lambda zt: PlanePoint(zt.x + 1, zt.y)  # noqa: E731
     dev = 0.0
 
-    def deviation(xs, ys, sc, vec) -> None:
+    def deviation(xs, ys, values) -> None:
         nonlocal dev
-        closed = BicomplexArray(*oracle.on(zeta.x, zeta.y, xs, ys))
-        dev = max(dev, float((BicomplexArray(sc, vec) - closed).norm.max(initial=0.0)))
+        dev = max(dev, float((values - oracle.on(zeta.x, zeta.y, xs, ys)).norm.max(initial=0.0)))
 
     s1 = darboux_fundamental(kj, f, z0)
     lines, points = _grid_csv(s1, zeta, cfg["grid"], None if oracle is None else deviation)

@@ -1,30 +1,26 @@
-"""Bicomplex-valued fields over the plane.
+"""Bicomplex-valued closed forms and fields.
 
-A Field maps plane points to bicomplex values.  Symbolic (``SymBC``) and
-numeric (``Bicomplex``) values share one ring interface, so a formula
-written on it (``d_z``, ``d_zbar`` here, ``pairs.pair_operator``) runs on
-either.
+A ``Field`` is a bicomplex function of one plane point z, over (x, y), or
+of two, zeta and z, over (xi, eta, x, y): a ``Kernel``.  Symbolic
+(``SymBC``) and numeric (``Bicomplex``) values share one ring interface, so
+a formula written on it (``d_z``, ``d_zbar`` here, ``pairs.pair_operator``)
+runs on either.
 
-The fields f, the pairs and the potentials are built from expressions;
-``partials`` reads the exact partials of those.  ``five_point`` is the one
-finite-difference stencil: the Laplacian ``schroedinger_residual`` takes
-at a given step ``h``, and the nested differences of ``powers``.  A
-two-point function gives its partials in zeta or in z by ``partials``
-(``powers.partials_at``): exact, but for those nested differences.
-
-A symbolic value is compiled on its first call, to one program for its
-(sc, vec) parts: a formula builds many fields, and few of them are ever
-evaluated.  ``Field.on`` (``partials_on`` for the exact partials)
-evaluates a field at every node of a path at once: compiled to numpy when
-it has closed forms, else point by point in ``pointwise``.
-``BicomplexArray`` is the ring interface on such node values, so a formula
-written on it runs on all nodes at once: the checks (``pairs.vekua_residual``,
+One face evaluates every field: a call takes the points, and ``on`` one
+column per variable, a number standing for every node.  A closed form is
+compiled on its first use, to one program for its (sc, vec) parts, which
+``on`` runs on numpy, falling back to the calls node by node
+(``pointwise``) on a fault.  ``diff`` builds the exact partial field in a
+variable, once, and ``partials`` gives the value and the first partials
+from one program.  Every ``on`` gives a ``BicomplexArray``, the ring
+interface on node values, so a formula written on it runs on all nodes at
+once: the checks (``pairs.vekua_residual``,
 ``schroedinger.schroedinger_residual``) do, at one point as at many
-(``at_nodes``).
+(``at_nodes``).  ``five_point`` is the one finite-difference stencil.
 
-A two-point function with a pair face (``PairFace``: a ``Kernel``, a path
-kernel, a slot of a transfer or of a chain) evaluates many pairs (zeta, z)
-at once by ``on``; other evaluators run pair by pair (``pairwise``).
+Any other two-point function (a path kernel, a slot of a transfer or of a
+chain) has a pair face (``PairFace``) that evaluates many pairs (zeta, z)
+at once; plain evaluators run pair by pair (``pointwise``).
 """
 
 from __future__ import annotations
@@ -38,6 +34,15 @@ import numpy as np
 
 from . import expr as ex
 from .bicomplex import Bicomplex, PlanePoint
+
+
+def _program(trees: tuple, variables: tuple[str, ...], table: dict) -> Callable[..., tuple]:
+    """The values of trees as one program bound to ``table``, computing their
+    shared subexpressions once; constants need no code."""
+    if all(isinstance(t, ex.Num) for t in trees):
+        values = tuple(t.value for t in trees)
+        return lambda *args: values
+    return ex.compile_expr(trees, variables, table)
 
 
 def _as_expr(v: Union[str, ex.Expr, float, complex], variables) -> ex.Expr:
@@ -64,12 +69,8 @@ class SymBC:
     # -- evaluation -------------------------------------------------------
 
     def _program(self, table: dict) -> Callable[..., tuple]:
-        """The (sc, vec) values as one program bound to ``table``, computing
-        the parts' shared subexpressions once; a constant needs no code."""
-        if isinstance(self.sc, ex.Num) and isinstance(self.vec, ex.Num):
-            value = (self.sc.value, self.vec.value)
-            return lambda *args: value
-        return ex.compile_expr((self.sc, self.vec), self.variables, table)
+        """The (sc, vec) values as one program bound to ``table``."""
+        return _program((self.sc, self.vec), self.variables, table)
 
     def compiled(self) -> Callable[..., Bicomplex]:
         """The value as a function of the variables, built on first use."""
@@ -162,7 +163,7 @@ def _moves_every_node(h: float, xs: np.ndarray, ys: np.ndarray) -> bool:
     return h * h > 0 and math.isfinite(1 / (h * h)) and bool(np.all((coords + h != coords) & (coords - h != coords)))
 
 
-def five_point(values: Callable[..., Values], columns: Sequence[np.ndarray], h: float) -> tuple["BicomplexArray", ...]:
+def five_point(values: Callable[..., BicomplexArray], columns: Sequence, h: float) -> tuple[BicomplexArray, ...]:
     """The value, the first differences and the second differences of step
     h in the last two columns (x, y), at every node of the columns: one call
     of values(*columns) at every node's five points (the node, then x + h
@@ -189,15 +190,6 @@ def partials(w: "Field", z: PlanePoint) -> tuple[Bicomplex, Bicomplex, Bicomplex
     return w(z), w.dx(z), w.dy(z)
 
 
-Values = tuple[np.ndarray, np.ndarray]  # (sc, vec) at every node
-
-
-def partials_on(w: "Field", xs: np.ndarray, ys: np.ndarray) -> tuple[Values, Values, Values]:
-    """The exact (value, d/dx, d/dy) of w at every node (xs[k], ys[k]) at
-    once, each as its (sc, vec) arrays."""
-    return w.on(xs, ys), w.dx.on(xs, ys), w.dy.on(xs, ys)
-
-
 def at_nodes(check: Callable[[np.ndarray, np.ndarray], np.ndarray], z) -> Union[float, np.ndarray]:
     """check(xs, ys), one number at every node (xs[k], ys[k]), at the
     columns z = (xs, ys); at a point z, the one number there, as a float:
@@ -205,6 +197,13 @@ def at_nodes(check: Callable[[np.ndarray, np.ndarray], np.ndarray], z) -> Union[
     if isinstance(z, PlanePoint):
         return float(check(np.array([z.x]), np.array([z.y]))[0])
     return check(*z)
+
+
+def _shape(columns: Sequence) -> tuple:
+    """The shape of the nodes the columns give, a number standing for every
+    node; numbers alone give one node."""
+    shapes = set(map(np.shape, columns))
+    return (shapes.pop() if len(shapes) == 1 else np.broadcast_shapes(*shapes)) or (1,)
 
 
 def _spread(values, shape: tuple) -> np.ndarray:
@@ -219,36 +218,45 @@ def _finite(*parts) -> bool:
     return cmath.isfinite(sum(np.sum(p) for p in parts))
 
 
-def _checked(arrays: Callable[[], tuple], scalar: Callable[[], tuple], shape: tuple) -> tuple:
-    """The arrays arrays() gives, each spread to ``shape``, computed with
-    division by zero, invalid operations and overflow raising.  On such a
-    fault (a constant 0 to a negative power raises ZeroDivisionError, and a
-    constant past the double range OverflowError, in Python arithmetic), or
-    a non-finite value, scalar() instead: the scalar code, point by point,
-    so a bad point raises the scalar call's own error (EvaluationError,
-    InvalidValueError, ...) with that point."""
+def _checked(arrays: Callable[[], tuple], scalar: Callable[[], list], columns: Sequence) -> list[BicomplexArray]:
+    """The values of the (sc, vec) parts arrays() gives, each spread to the
+    nodes of ``columns``, computed with division by zero, invalid operations
+    and overflow raising.  On such a fault (a constant 0 to a negative power
+    raises ZeroDivisionError, and a constant past the double range
+    OverflowError, in Python arithmetic), or a non-finite value, scalar()
+    instead: the scalar code, point by point, so a bad point raises the
+    scalar call's own error (EvaluationError, InvalidValueError, ...) with
+    that point."""
     with np.errstate(divide="raise", invalid="raise", over="raise"):
         try:
             parts = arrays()
             finite = _finite(*parts)
         except (FloatingPointError, ZeroDivisionError, OverflowError):
             finite = False
-    if finite:
-        return tuple(_spread(p, shape) for p in parts)
-    return scalar()
+    if not finite:
+        return scalar()
+    shape = _shape(columns)
+    parts = [_spread(p, shape) for p in parts]
+    return [BicomplexArray(*parts[i : i + 2]) for i in range(0, len(parts), 2)]
 
 
-def pointwise(
-    funcs: Sequence[Callable[..., Bicomplex]], xs: np.ndarray, ys: np.ndarray, *columns
-) -> list[Values]:
-    """The (sc, vec) arrays of each func(PlanePoint(x, y), *column entries)
-    at every node: the one loop that evaluates scalar callables on arrays.
-    Node by node in node order, and at each node the funcs in turn, back
-    to back."""
-    nodes = zip(xs.tolist(), ys.tolist(), *(c.tolist() for c in columns))
-    rows = [[func(PlanePoint(x, y), *rest) for func in funcs] for x, y, *rest in nodes]
+def _points(columns: Sequence):
+    """The points at every node of the columns, in node order, as points of
+    Python floats, a number standing for every node: (z,) from (x, y),
+    (zeta, z) from (xi, eta, x, y)."""
+    shape = _shape(columns)
+    coords = [np.broadcast_to(np.asarray(c, dtype=float), shape).ravel().tolist() for c in columns]
+    return zip(*(map(PlanePoint, a, b) for a, b in zip(coords[::2], coords[1::2])))
+
+
+def pointwise(funcs: Sequence[Callable[..., Bicomplex]], *columns) -> list[BicomplexArray]:
+    """Each func at every node of the columns (``_points``): func(z), or
+    func(zeta, z).  The one loop that evaluates scalar callables on arrays:
+    node by node in node order, and at each node the funcs in turn, back to
+    back."""
+    rows = [[func(*points) for func in funcs] for points in _points(columns)]
     return [
-        (
+        BicomplexArray(
             np.array([row[i].sc for row in rows], dtype=complex),
             np.array([row[i].vec for row in rows], dtype=complex),
         )
@@ -286,7 +294,7 @@ class BicomplexArray:
         self.vec = vec
 
     def __iter__(self):
-        """sc, then vec: the parts unpack as a pair of ``Values`` does."""
+        """sc, then vec: the parts unpack as ``sc, vec = values``."""
         return iter((self.sc, self.vec))
 
     def __add__(self, other: "BicomplexArray") -> "BicomplexArray":
@@ -341,36 +349,42 @@ class BicomplexArray:
         return out
 
 
-class Field:
-    """Map PlanePoint -> Bicomplex, optionally with exact partials.
+KERNEL_VARS = ("xi", "eta", "x", "y")
 
-    ``sym`` is set only by ``from_sym``, whose evaluator is that closed form
-    over (x, y), compiled on its first call.  ``partial``, when given,
-    builds the exact partial field in "x" or "y", on the first ``dx``/``dy``
-    read; without it they are None.
-    ``arrays``, when given, evaluates the same values on arrays of x and y,
-    as a pair (sc, vec) (see ``on``).
+
+class Field:
+    """A bicomplex function of plane points: of z over the variables
+    (x, y), or of (zeta, z) over (xi, eta, x, y).
+
+    ``sym`` is set only by ``from_sym``, whose evaluator is that closed form,
+    compiled on its first call.  ``partial``, when given, builds the exact
+    partial field in a variable, on the first ``diff`` in it; without it
+    the partials are None.  ``arrays``, when given, evaluates the same
+    values on one array per variable, as its (sc, vec) parts (see ``on``).
     """
 
     def __init__(
         self,
-        func: Callable[[PlanePoint], Bicomplex],
-        arrays: Optional[Callable[[np.ndarray, np.ndarray], tuple]] = None,
+        func: Callable[..., Bicomplex],
+        arrays: Optional[Callable[..., tuple]] = None,
         partial: Optional[Callable[[str], "Field"]] = None,
     ):
         self._func = func
         self._arrays = arrays
         self._partial = partial
-        self._partials: dict[str, "Field"] = {}
+        self._diffs: dict[str, "Field"] = {}
+        self._programs: dict[tuple[str, ...], Callable[..., tuple]] = {}
         self.sym: Optional[SymBC] = None
 
-    @staticmethod
-    def from_sym(sym: SymBC) -> "Field":
-        out = Field(
-            lambda z: sym.compiled()(z.x, z.y),
-            lambda xs, ys: sym.compiled_arrays()(xs, ys),
-            lambda axis: Field.from_sym(sym.diff(axis)),
-        )
+    @classmethod
+    def from_sym(cls, sym: SymBC) -> "Field":
+        """The closed form sym, over its variables; its partials are the
+        same class."""
+        if len(sym.variables) == 2:
+            func = lambda z: sym.compiled()(z.x, z.y)  # noqa: E731
+        else:
+            func = lambda zeta, z: sym.compiled()(zeta.x, zeta.y, z.x, z.y)  # noqa: E731
+        out = cls(func, lambda *columns: sym.compiled_arrays()(*columns), lambda var: cls.from_sym(sym.diff(var)))
         out.sym = sym
         return out
 
@@ -389,38 +403,58 @@ class Field:
         form even though the values themselves are not."""
         return Field(func, partial={"x": dx, "y": dy}.__getitem__)
 
-    def __call__(self, z: PlanePoint) -> Bicomplex:
-        return self._func(z)
+    def __call__(self, *points: PlanePoint) -> Bicomplex:
+        return self._func(*points)
 
-    def on(self, xs: np.ndarray, ys: np.ndarray) -> Values:
-        """The (sc, vec) arrays of the field at every node (xs[k], ys[k]): its
-        array code, ``_checked``, or without any, its calls node by node."""
-        scalar = lambda: pointwise([self._func], xs, ys)[0]  # noqa: E731
+    def on(self, *columns) -> BicomplexArray:
+        """The field at every node of the columns, one per variable, a number
+        standing for every node: its array code, ``_checked``, or without
+        any, its calls node by node."""
+        scalar = lambda: pointwise([self._func], *columns)  # noqa: E731
         if self._arrays is None:
-            return scalar()
-        return _checked(lambda: self._arrays(xs, ys), scalar, xs.shape)
+            return scalar()[0]
+        return _checked(lambda: self._arrays(*columns), scalar, columns)[0]
 
-    def _derivative(self, axis: str) -> Optional["Field"]:
-        if axis not in self._partials and self._partial is not None:
-            self._partials[axis] = self._partial(axis)
-        return self._partials.get(axis)
+    def partials(self, *columns) -> tuple[BicomplexArray, ...]:
+        """The field, d/dx and d/dy at every node of the columns, each as
+        ``on`` gives it (``_partials``)."""
+        return self._partials(("x", "y"), columns)
+
+    def _partials(self, variables: tuple[str, ...], columns: Sequence) -> tuple[BicomplexArray, ...]:
+        """The field and its partials in ``variables`` at every node of the
+        columns, each as ``on`` gives it.  A closed form runs one program of
+        them all, which computes their shared subexpressions once, and
+        falls back to their separate ``on`` calls on a fault; a field
+        without one runs those calls."""
+        fields = (self, *map(self.diff, variables))
+        separate = lambda: [w.on(*columns) for w in fields]  # noqa: E731
+        if self.sym is None:
+            return tuple(separate())
+        program = self._programs.get(variables)
+        if program is None:
+            trees = tuple(t for w in fields for t in (w.sym.sc, w.sym.vec))
+            program = self._programs[variables] = _program(trees, self.sym.variables, ex.NUMPY)
+        return tuple(_checked(lambda: program(*columns), separate, columns))
+
+    def diff(self, var: str) -> Optional["Field"]:
+        """The exact partial field in ``var``, built once."""
+        if var not in self._diffs and self._partial is not None:
+            self._diffs[var] = self._partial(var)
+        return self._diffs.get(var)
 
     @property
     def dx(self) -> Optional["Field"]:
-        return self._derivative("x")
+        return self.diff("x")
 
     @property
     def dy(self) -> Optional["Field"]:
-        return self._derivative("y")
+        return self.diff("y")
 
     def bc_inv(self) -> "Field":
         return Field.from_sym(self.sym.inv())
 
     def mul_j(self) -> "Field":
         return Field.from_sym(self.sym.mul_j())
-
-
-KERNEL_VARS = ("xi", "eta", "x", "y")
 
 
 class PairFace:
@@ -431,80 +465,35 @@ class PairFace:
     which its face falls back on a fault)."""
 
     def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-        sc, vec = self.on(zeta.x, zeta.y, z.x, z.y)
-        return Bicomplex(sc[0], vec[0])
+        value = self.on(zeta.x, zeta.y, z.x, z.y)
+        return Bicomplex(value.sc[0], value.vec[0])
 
 
-@dataclass
-class Kernel(PairFace):
-    """A two-point symbolic function K(zeta, z) over (xi, eta, x, y)."""
+# the variables of each argument of a two-point function
+_ARGUMENTS = {"zeta": ("xi", "eta"), "z": ("x", "y")}
 
-    sym: SymBC
+
+class Kernel(Field, PairFace):
+    """A two-point closed form K(zeta, z): the ``Field`` of its ``sym`` over
+    (xi, eta, x, y), called at (zeta, z)."""
 
     @staticmethod
     def make(sc, vec=0j) -> "Kernel":
-        return Kernel(SymBC.make(sc, vec, KERNEL_VARS))
+        return Kernel.from_sym(SymBC.make(sc, vec, KERNEL_VARS))
 
-    def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
-        return self.sym.compiled()(zeta.x, zeta.y, z.x, z.y)
-
-    def on(self, xi, eta, x, y) -> Values:
-        """K at every pair ((xi[k], eta[k]), (x[k], y[k])) as numpy code,
-        ``_checked``; a number stands for every pair."""
-        return _checked(
-            lambda: self.sym.compiled_arrays()(xi, eta, x, y),
-            lambda: pairwise([self], xi, eta, x, y)[0],
-            _pair_shape(xi, eta, x, y),
-        )
-
-    def partials(self, arg: str, xi, eta, x, y) -> tuple["BicomplexArray", ...]:
+    def partials(self, arg: str, xi, eta, x, y) -> tuple[BicomplexArray, ...]:
         """K and its partials in ``arg`` ("zeta": in (xi, eta), "z": in
-        (x, y)) at every pair, as ``on`` gives each, from one program per
-        argument that computes their shared subexpressions once."""
-        kernels = self.partial_kernels(arg)
-        programs = self.__dict__.setdefault("_programs", {})
-        if arg not in programs:
-            trees = tuple(t for k in kernels for t in (k.sym.sc, k.sym.vec))
-            programs[arg] = ex.compile_expr(trees, KERNEL_VARS, ex.NUMPY)
-        parts = _checked(
-            lambda: programs[arg](xi, eta, x, y),
-            lambda: tuple(v for k in kernels for v in k.on(xi, eta, x, y)),
-            _pair_shape(xi, eta, x, y),
-        )
-        return tuple(BicomplexArray(*parts[i : i + 2]) for i in (0, 2, 4))
+        (x, y)) at every pair, from one program per argument."""
+        return self._partials(_ARGUMENTS[arg], (xi, eta, x, y))
 
     def partial_kernels(self, arg: str) -> tuple["Kernel", ...]:
         """K and its partial kernels in ``arg``."""
-        return (self,) + tuple(self.diff_z(v) for v in {"zeta": ("xi", "eta"), "z": ("x", "y")}[arg])
-
-    def diff_z(self, var: str) -> "Kernel":
-        """The partial derivative kernel in ``var``, built once per kernel."""
-        cache = self.__dict__.setdefault("_partials", {})
-        if var not in cache:
-            cache[var] = Kernel(self.sym.diff(var))
-        return cache[var]
-
-
-def _pair_shape(*columns) -> tuple:
-    """The shape of the pairs the columns give; numbers give one pair."""
-    return np.broadcast_shapes(*(np.shape(c) for c in columns)) or (1,)
-
-
-def pairwise(coefs: Sequence[Callable[..., Bicomplex]], xi, eta, x, y) -> list[Values]:
-    """The (sc, vec) arrays of each evaluator coef(zeta, z) at every pair
-    ((xi[k], eta[k]), (x[k], y[k])), a number standing for every pair:
-    ``pointwise`` over the pairs, all evaluators at one pair back to back."""
-    shape = _pair_shape(xi, eta, x, y)
-    xi, eta, x, y = (np.broadcast_to(np.asarray(c, dtype=float), shape) for c in (xi, eta, x, y))
-    funcs = [lambda p, u, v, c=c: c(p, PlanePoint(u, v)) for c in coefs]
-    return pointwise(funcs, xi, eta, x, y)
+        return (self, *map(self.diff, _ARGUMENTS[arg]))
 
 
 def pairs_of(xi, eta, x, y) -> list[tuple[PlanePoint, PlanePoint]]:
-    """The pairs (zeta, z) the columns give, as points of Python floats."""
-    shape = _pair_shape(xi, eta, x, y)
-    columns = (np.broadcast_to(np.asarray(c, dtype=float), shape).ravel().tolist() for c in (xi, eta, x, y))
-    return [(PlanePoint(a, b), PlanePoint(c, d)) for a, b, c, d in zip(*columns)]
+    """The pairs (zeta, z) the columns give (``_points``)."""
+    return list(_points((xi, eta, x, y)))
 
 
 def in_pair_order(batch: Callable[..., object], xi, eta, x, y):
@@ -519,4 +508,3 @@ def in_pair_order(batch: Callable[..., object], xi, eta, x, y):
             for zeta, z in pairs:
                 batch(zeta.x, zeta.y, z.x, z.y)
         raise
-

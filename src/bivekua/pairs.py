@@ -18,7 +18,7 @@ import numpy as np
 from . import expr as ex
 from .bicomplex import Bicomplex, PlanePoint
 from .calculus import RegionGrid
-from .fields import BicomplexArray, Field, SymBC, at_nodes, d_z, d_zbar, partials, partials_on
+from .fields import Field, SymBC, at_nodes, d_z, d_zbar, partials
 
 
 class PairError(Exception):
@@ -71,7 +71,7 @@ def make_pair(F: Field, G: Field, region: Optional[RegionGrid] = None) -> Genera
     of it: Vec(conj_j(F) G) != 0 at every sample point."""
     if region is not None:
         xs, ys = region.sample_columns()
-        product = BicomplexArray(*F.on(xs, ys)).conj() * BicomplexArray(*G.on(xs, ys))
+        product = F.on(xs, ys).conj() * G.on(xs, ys)
         bad = np.flatnonzero(np.hypot(product.vec.real, product.vec.imag) < 1e-14)
         if bad.size:
             raise DegeneratePairError(f"Vec(conj_j(F) G) = 0 at {PlanePoint(float(xs[bad[0]]), float(ys[bad[0]]))}")
@@ -90,7 +90,7 @@ def vekua_residual(w: Field, pair: GeneratingPair, z) -> Union[float, np.ndarray
     (``fields.at_nodes``)."""
 
     def residual(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return vekua_residual_of(pair, xs, ys, *(BicomplexArray(*v) for v in partials_on(w, xs, ys)))
+        return vekua_residual_of(pair, xs, ys, *w.partials(xs, ys))
 
     return at_nodes(residual, z)
 
@@ -98,7 +98,7 @@ def vekua_residual(w: Field, pair: GeneratingPair, z) -> Union[float, np.ndarray
 def vekua_residual_of(pair: GeneratingPair, xs: np.ndarray, ys: np.ndarray, w, wx, wy) -> np.ndarray:
     """|d_zbar W - a W - b conj_j(W)| at every node (xs[k], ys[k]), from the
     ``BicomplexArray``s of W, dW/dx and dW/dy there."""
-    a, b = (BicomplexArray(*c.on(xs, ys)) for c in (pair.a, pair.b))
+    a, b = (c.on(xs, ys) for c in (pair.a, pair.b))
     return pair_operator(d_zbar(wx, wy), a, b, w).norm
 
 

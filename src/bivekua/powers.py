@@ -1,6 +1,10 @@
 """Formal powers and Cauchy kernels: asymptotics checks, both Cauchy
 integral formulas by contour quadrature, the base/adjoint kernel transfer,
 the reproducing-kernel certification, and the negative-power algorithm.
+
+A family's two coefficients are ``Kernel``s (``fields.Field``s over (xi,
+eta, x, y)), other pair faces, or plain evaluators; ``coefficients_at``
+and ``partials_at`` give both as ``BicomplexArray``s at every pair.
 """
 
 from __future__ import annotations
@@ -20,12 +24,11 @@ from .fields import (
     Field,
     Kernel,
     PairFace,
-    Values,
     d_z,
     five_point,
     in_pair_order,
     pairs_of,
-    pairwise,
+    pointwise,
 )
 from .pairs import (
     GeneratingPair,
@@ -77,9 +80,8 @@ def coefficients_at(k: KernelFamily, xi, eta, x, y) -> tuple[BicomplexArray, Bic
         both = source.both(xi, eta, x, y)
         return both[c1.slot], both[cj.slot]
     called = [c for c in (c1, cj) if not isinstance(c, PairFace)]
-    looped = iter(pairwise(called, xi, eta, x, y) if called else ())
-    on = [c.on(xi, eta, x, y) if isinstance(c, PairFace) else next(looped) for c in (c1, cj)]
-    return BicomplexArray(*on[0]), BicomplexArray(*on[1])
+    looped = iter(pointwise(called, xi, eta, x, y) if called else ())
+    return tuple(c.on(xi, eta, x, y) if isinstance(c, PairFace) else next(looped) for c in (c1, cj))
 
 
 def partials_at(k: KernelFamily, arg: str, xi, eta, x, y) -> list[tuple]:
@@ -101,9 +103,18 @@ class _Slot(PairFace):
     def __init__(self, source, slot: int):
         self.source, self.slot = source, slot
 
-    def on(self, xi, eta, x, y) -> Values:
-        value = self.source.both(xi, eta, x, y)[self.slot]
-        return value.sc, value.vec
+    def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
+        """The slot at one pair.  The source keeps both slots of its last
+        pair, keyed by the identity of the two points, so that 0.0 and -0.0
+        never share: Z(1) and then Z(j) at a pair run the source once."""
+        last = getattr(self.source, "_last", None)
+        if last is None or last[0] is not zeta or last[1] is not z:
+            last = self.source._last = (zeta, z, self.source.both(zeta.x, zeta.y, z.x, z.y))
+        value = last[2][self.slot]
+        return Bicomplex(value.sc[0], value.vec[0])
+
+    def on(self, xi, eta, x, y) -> BicomplexArray:
+        return self.source.both(xi, eta, x, y)[self.slot]
 
 
 def _shared_source(k: KernelFamily):
@@ -242,7 +253,7 @@ def first_cauchy(
     coefficients, so each node asks the family for both at one point pair."""
 
     def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> tuple:
-        wv, dzj = BicomplexArray(*w.on(xs, ys)), BicomplexArray(dz.real, dz.imag)
+        wv, dzj = w.on(xs, ys), BicomplexArray(dz.real, dz.imag)
         z1, zj = coefficients_at(adjoint_kernels, z0.x, z0.y, xs, ys)
         return (wv * z1 * dzj).vec, (wv * zj * dzj).vec
 
@@ -269,7 +280,7 @@ def formal_contour_integral(
         dzj = BicomplexArray(dz.real, dz.imag)
         out = []
         for field in fields:
-            alpha = _J * BicomplexArray(*field.on(xs, ys)) * dzj
+            alpha = _J * field.on(xs, ys) * dzj
             value = z1.scale(alpha.sc) + zj.scale(alpha.vec)
             out += [value.sc, value.vec]
         return tuple(out)
@@ -419,7 +430,7 @@ class _Differences:
             return BicomplexArray(np.stack([z1.sc, zj.sc]), np.stack([z1.vec, zj.vec]))
         pair, h = self.seq.pair_at(m - 1), 1e-3 * 2.0 ** (1 - m)
         value, fx, fy = five_point(lambda *stencil: self._level(m - 1, *stencil), (xi, eta, x, y), h)[:3]
-        a, b = (BicomplexArray(*c.on(x, y)) for c in (pair.A, pair.B))
+        a, b = (c.on(x, y) for c in (pair.A, pair.B))
         return pair_operator(d_z(fx, fy), a, b, value)
 
 

@@ -31,14 +31,12 @@ from .fields import (
     Kernel,
     PairFace,
     SymBC,
-    Values,
     at_nodes,
     five_point,
     in_pair_order,
     pairs_of,
-    pairwise,
     partials,
-    partials_on,
+    pointwise,
 )
 from .pairs import GeneratingPair, adjoint_pair, make_pair
 from .powers import LOG_RHO, RHO2, KernelFamily, SingularPointError
@@ -61,7 +59,7 @@ def _laplacian(u: Field, xs: np.ndarray, ys: np.ndarray, h: Optional[float]) -> 
     """Laplacian u at every node (xs[k], ys[k]): exact without a step, else
     the second differences of step h of ``fields.five_point``."""
     if h is None:
-        return BicomplexArray(*u.dx.dx.on(xs, ys)) + BicomplexArray(*u.dy.dy.on(xs, ys))
+        return u.dx.dx.on(xs, ys) + u.dy.dy.on(xs, ys)
     *_, fxx, fyy = five_point(u.on, (xs, ys), h)
     return fxx + fyy
 
@@ -87,7 +85,7 @@ def schroedinger_residual(
     every node of the columns z = (xs, ys) at once (``fields.at_nodes``)."""
 
     def residual(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        return (_laplacian(u, xs, ys, h) - BicomplexArray(*q.on(xs, ys)) * BicomplexArray(*u.on(xs, ys))).norm
+        return (_laplacian(u, xs, ys, h) - q.on(xs, ys) * u.on(xs, ys)).norm
 
     return at_nodes(residual, z)
 
@@ -136,7 +134,7 @@ def successor_kernel_coef1(S: Kernel, f: Field) -> Kernel:
     ratio_y = ex.binop("/", ex.diff(fe, "y"), fe)
     sc = ex.binop("-", sx, ex.binop("*", ratio_x, s))
     vec = ex.binop("-", ex.binop("*", ratio_y, s), sy)
-    return Kernel(SymBC(KERNEL_VARS, sc, vec))
+    return Kernel.from_sym(SymBC(KERNEL_VARS, sc, vec))
 
 
 def successor_kernel_coefj(coef1: Kernel, f: Field, zeta0: PlanePoint, side: float = 1.0) -> KernelFamily:
@@ -150,7 +148,7 @@ def successor_kernel_coefj(coef1: Kernel, f: Field, zeta0: PlanePoint, side: flo
     evaluator is a Cauchy kernel whenever the coefficient-1 input is.
     """
     s = coef1.sym
-    minus = Kernel(SymBC(KERNEL_VARS, ex.neg(s.sc), ex.neg(s.vec)))  # -Z(1) over (xi, eta, x, y)
+    minus = Kernel.from_sym(SymBC(KERNEL_VARS, ex.neg(s.sc), ex.neg(s.vec)))  # -Z(1) over (xi, eta, x, y)
     return KernelFamily(order=-1, coef1=coef1, coefj=SuccessorCoefj(minus, f, zeta0, side))
 
 
@@ -177,7 +175,7 @@ def _walks(face, start, end: int, forms: int, one_form, xi, eta, x, y) -> np.nda
     out = np.zeros((forms, len(pairs)), dtype=complex)
     if walk:
         starts, ends, avoid = (np.array([paths[k][i].as_complex for k in walk]) for i in range(3))
-        fends = face.f.on(ends.real, ends.imag)[0].tolist()
+        fends = face.f.on(ends.real, ends.imag).sc.tolist()
         if 0 in fends:
             raise CalculusError(f"f vanishes at path endpoint {paths[walk[fends.index(0)]][1]}")
         frozen = tuple(_per_walk(v, walk, len(pairs)) for v in ((x, y), (xi, eta))[end])
@@ -201,8 +199,8 @@ class SuccessorCoefj(PairFace):
     def __init__(self, integrand: Kernel, f: Field, zeta0: PlanePoint, side: float = 1.0):
         self.integrand, self.f, self.zeta0, self.side = integrand, f, zeta0, side
 
-    def on(self, xi, eta, x, y) -> Values:
-        return in_pair_order(self._batch, xi, eta, x, y)
+    def on(self, xi, eta, x, y) -> BicomplexArray:
+        return BicomplexArray(*in_pair_order(self._batch, xi, eta, x, y))
 
     def partials(self, arg: str, xi, eta, x, y) -> tuple[BicomplexArray, ...]:
         """The value V = I/f and its exact partials in ``arg`` at every pair.
@@ -214,20 +212,20 @@ class SuccessorCoefj(PairFace):
             kernels = self.integrand.partial_kernels("z")
             rows = in_pair_order(lambda *pair: self._batch(*pair, kernels), xi, eta, x, y)
             return tuple(BicomplexArray(*rows[i : i + 2]) for i in (0, 2, 4))
-        value = BicomplexArray(*self.on(xi, eta, x, y))
-        f = partials_on(self.f, *np.broadcast_arrays(*np.atleast_1d(xi, eta, x, y))[:2])
+        value = self.on(xi, eta, x, y)
+        f = self.f.partials(*np.broadcast_arrays(*np.atleast_1d(xi, eta, x, y))[:2])
         u = self.integrand.partials("zeta", xi, eta, x, y)
         # I_xi and I_eta are the 1-form at zeta on dz = 1 and on dz = i
-        ends = (BicomplexArray(*tf_densities(u, f, dz)) - value.scale(fd) for dz, (fd, _) in zip((1, 1j), f[1:]))
-        return (value, *(end.scale(1 / f[0][0]) for end in ends))
+        ends = (BicomplexArray(*tf_densities(u, f, dz)) - value.scale(fd.sc) for dz, fd in zip((1, 1j), f[1:]))
+        return (value, *(end.scale(1 / f[0].sc) for end in ends))
 
-    def _batch(self, xi, eta, x, y, kernels: tuple = ()) -> Values:
+    def _batch(self, xi, eta, x, y, kernels: tuple = ()) -> tuple:
         """T_f over the walks of all pairs, of each of ``kernels`` (by default
         the integrand), two rows (u1, u2) per kernel."""
         kernels = kernels or (self.integrand,)
 
         def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray, zx, zy) -> tuple:
-            f = partials_on(self.f, xs, ys)
+            f = self.f.partials(xs, ys)
             return tuple(d for k in kernels for d in tf_densities(k.partials("zeta", xs, ys, zx, zy), f, dz))
 
         return tuple(_walks(self, lambda zeta: self.zeta0, 0, 2 * len(kernels), one_form, xi, eta, x, y))
@@ -247,17 +245,17 @@ class DarbouxFundamental(PairFace):
         (value,) = self._batch(zeta.x, zeta.y, z.x, z.y)
         return value
 
-    def on(self, xi, eta, x, y) -> Values:
+    def on(self, xi, eta, x, y) -> BicomplexArray:
         """S1 at every pair ((xi[k], eta[k]), (x[k], y[k]))."""
         pairs, regular = pairs_of(xi, eta, x, y), in_pair_order(self._batch, xi, eta, x, y)
         sc = np.array([math.log(zeta.dist(z)) + r for (zeta, z), r in zip(pairs, regular)], dtype=complex)
-        return sc, np.zeros(sc.shape, dtype=complex)
+        return BicomplexArray(sc, np.zeros(sc.shape, dtype=complex))
 
     def _batch(self, xi, eta, x, y) -> list[complex]:
         def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray, cx, cy) -> tuple:
             c = self.family.coefj
-            k_sc, k_vec = c.on(cx, cy, xs, ys) if isinstance(c, PairFace) else pairwise([c], cx, cy, xs, ys)[0]
-            return (self.f.on(xs, ys)[0] * (k_sc * dz.imag + k_vec * dz.real),)
+            k = c.on(cx, cy, xs, ys) if isinstance(c, PairFace) else pointwise([c], cx, cy, xs, ys)[0]
+            return (self.f.on(xs, ys).sc * (k.sc * dz.imag + k.vec * dz.real),)
 
         (values,) = _walks(self, self.base_of, 1, 1, one_form, xi, eta, x, y).tolist()
         return [v - math.log(zeta.dist(z)) for v, (zeta, z) in zip(values, pairs_of(xi, eta, x, y))]
@@ -352,10 +350,14 @@ def x_main_family() -> KernelFamily:
 
 
 class _Formula(PairFace):
-    """A two-point function given by its pair face, the numpy function on."""
+    """A two-point function given by the numpy function ``parts`` of the
+    (sc, vec) parts of its pair face."""
 
-    def __init__(self, on: Callable[..., Values]):
-        self.on = on
+    def __init__(self, parts: Callable[..., tuple]):
+        self.parts = parts
+
+    def on(self, xi, eta, x, y) -> BicomplexArray:
+        return BicomplexArray(*self.parts(xi, eta, x, y))
 
 
 def x_negative_power(n: int) -> KernelFamily:
@@ -368,14 +370,14 @@ def x_negative_power(n: int) -> KernelFamily:
         d = np.atleast_1d(np.subtract(x, xi) + 1j * np.subtract(y, eta))
         return d, 1 / d**n, 1 / d ** (n - 1), 1 / d ** (n - 2)
 
-    def coef1(xi, eta, x, y) -> Values:
+    def coef1(xi, eta, x, y) -> tuple:
         d, dn, dn1, dn2 = parts(xi, eta, x, y)
         if n % 2 == 0:
             return dn.real, dn.imag + dn1.imag / ((n - 1) * x)
         c = -dn1.imag + dn2.imag / ((n - 2) * xi)
         return dn.real - dn1.real / ((n - 1) * xi), dn.imag - dn1.imag / ((n - 1) * xi) - c / ((n - 1) * x)
 
-    def coefj(xi, eta, x, y) -> Values:
+    def coefj(xi, eta, x, y) -> tuple:
         d, dn, dn1, dn2 = parts(xi, eta, x, y)
         if n % 2 == 1:
             return -dn.imag, dn.real + dn1.real / ((n - 1) * x)

@@ -46,14 +46,11 @@ def detour_path(
     avoid: PlanePoint,
     radius: Optional[float] = None,
     side: float = 1.0,
-    nodes_per_segment: int = 16,
 ) -> Path:
     """Straight path from start to end with a circular-arc detour
     around ``avoid`` when the segment passes too close to it (the path
     of ``detour_walks`` for these points)."""
-    (walks,) = detour_walks(
-        start.as_complex, end.as_complex, avoid.as_complex, radius, side, nodes_per_segment
-    )
+    (walks,) = detour_walks(start.as_complex, end.as_complex, avoid.as_complex, radius, side)
     return Path(walks.xs, walks.ys, walks.dz, start, end)
 
 
@@ -127,12 +124,12 @@ def scalar_schroedinger_residual(u: Field, q: Field, z: PlanePoint, h: Optional[
 def kernel_in_zeta(k: Kernel, z: PlanePoint) -> Field:
     """zeta -> k(zeta, z), z held: a Field of zeta on the kernel's own calls
     and array face, with exact partials from its partial kernels in xi and
-    eta (``Kernel.diff_z``)."""
+    eta (``Field.diff``)."""
 
     def held(kernel: Kernel, partial=None) -> Field:
         return Field(lambda zeta: kernel(zeta, z), lambda xs, ys: kernel.on(xs, ys, z.x, z.y), partial)
 
-    return held(k, {"x": held(k.diff_z("xi")), "y": held(k.diff_z("eta"))}.__getitem__)
+    return held(k, {"x": held(k.diff("xi")), "y": held(k.diff("eta"))}.__getitem__)
 
 
 def is_successor(candidate: GeneratingPair, base: GeneratingPair, region: RegionGrid) -> bool:

@@ -13,7 +13,7 @@ from bivekua.calculus import (
 )
 from bivekua.bicomplex import InvalidValueError
 from bivekua.expr import EvaluationError
-from bivekua.fields import Field, Kernel, d_z, d_zbar, partials, partials_on
+from bivekua.fields import Field, Kernel, d_z, d_zbar, partials
 from oracles import abar_antiderivative, detour_path, isclose, kernel_in_zeta
 
 
@@ -183,7 +183,7 @@ def test_array_partials_match_scalar_partials():
     w = Field.from_exprs("exp(x)*cos(y) + i*x", "x*y^2")
     path = detour_path(PlanePoint(0.2, -0.4), PlanePoint(1.5, 0.6), PlanePoint(0.9, 0.15))
     points = [PlanePoint(x, y) for x, y in zip(path.xs.tolist(), path.ys.tolist())]
-    arrays = partials_on(w, path.xs, path.ys)
+    arrays = w.partials(path.xs, path.ys)
     for k, p in enumerate(points):
         for (sc, vec), want in zip(arrays, partials(w, p)):
             assert abs(sc[k] - want.sc) <= 1e-15 * max(1.0, abs(want.sc))
@@ -245,8 +245,14 @@ def test_polyline_pieces_are_the_recursive_halving(seed):
     ]
     a = np.array([p for p, _ in pieces])
     d = np.array([q for _, q in pieces]) - a
+    if toward is not None:
+        # graded toward a point, as the legs of a detour are
+        ends = np.array([p.as_complex for p in points])
+        starts, stops, _ = calculus._bisect(ends[:-1], ends[1:], np.full(3, toward.as_complex))
+        assert np.array_equal(starts, a) and np.array_equal(stops, np.array([q for _, q in pieces]))
+        return
     t, w = (np.polynomial.legendre.leggauss(16)[i] for i in (0, 1))
-    path = Path.polyline(points, grade_toward=toward)
+    path = Path.polyline(points)
     assert np.array_equal(path.nodes, (a[:, None] + (t + 1) / 2 * d[:, None]).ravel())
     assert np.array_equal(path.dz, (w / 2 * d[:, None]).ravel())
 
@@ -281,7 +287,7 @@ def test_path_nodes_are_float_and_complex_arrays():
     a, b, avoid = PlanePoint(0, 0), PlanePoint(1, 0), PlanePoint(0.5, 0.0)
     paths = [
         Path.polyline([a, b]),
-        Path.polyline([a, PlanePoint(0.5, 0.4), b], grade_toward=avoid),
+        Path.polyline([a, PlanePoint(0.5, 0.4), b]),
         Path.circle(avoid, 0.3, nodes=16),
         detour_path(a, b, avoid, radius=0.2),  # around avoid
         detour_path(a, PlanePoint(1, 1), avoid, radius=0.2),  # straight past it

@@ -1,16 +1,20 @@
+import importlib.util
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bivekua import expr as ex
 from bivekua.bicomplex import Bicomplex, BicomplexError, PlanePoint
-from bivekua.calculus import PathThroughSingularityError
+from bivekua.calculus import PathThroughSingularityError, RegionGrid
 from bivekua.expr import EvaluationError
 from bivekua.fields import BicomplexArray, Field, Kernel, SymBC, d_z, d_zbar
 from bivekua.pairs import adjoint_fields, make_pair, separable_pair
 from oracles import detour_path, isclose
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_symbc_eval():
@@ -108,7 +112,7 @@ def test_field_partials_match_fd():
 def test_kernel_diff_z():
     k = Kernel.make("(x - xi)^3")
     zeta, z = PlanePoint(1.0, 0.0), PlanePoint(2.5, 0.0)
-    dk = k.diff_z("x")
+    dk = k.diff("x")
     assert math.isclose(dk(zeta, z).sc.real, 3 * (z.x - zeta.x) ** 2)
 
 
@@ -159,12 +163,49 @@ def test_constant_trees_are_not_compiled(compiles):
 
 
 def test_singular_kernel_carries_point():
+    # a call, and the cmath fallback of a face on arrays, of a field of one
+    # point and of a kernel of two
     k = Kernel.make("1/(x - xi)")
     zeta, z = PlanePoint(1.0, 2.0), PlanePoint(1.0, 5.0)
-    for evaluate in (k, k.diff_z("x")):
+    for evaluate in (k, k.diff("x")):
         with pytest.raises(EvaluationError) as info:
             evaluate(zeta, z)
         assert info.value.point == (1.0, 2.0, 1.0, 5.0)
+        with pytest.raises(EvaluationError) as info:
+            evaluate.on(zeta.x, zeta.y, np.array([2.0, z.x]), np.array([0.0, z.y]))
+        assert info.value.point == (1.0, 2.0, 1.0, 5.0)
+    w = Field.from_exprs("1/(x - 1)")
+    for evaluate in (w, w.dx):
+        with pytest.raises(EvaluationError) as info:
+            evaluate(z)
+        assert info.value.point == (1.0, 5.0)
+        with pytest.raises(EvaluationError) as info:
+            evaluate.on(np.array([2.0, z.x]), np.array([0.0, z.y]))
+        assert info.value.point == (1.0, 5.0)
+
+
+def _symbolic_workload_fields() -> list[str]:
+    """The field and potential expressions of the benchmark's symbolic
+    workload (bench/workloads.py), seed 1."""
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    configs = [cfg for _, _, cfg in workloads.generate("symbolic", 1)]
+    return [cfg["field"]["sc"] for cfg in configs if "field" in cfg] + [cfg["q"] for cfg in configs if "q" in cfg]
+
+
+@pytest.mark.parametrize("sc", [*_symbolic_workload_fields(), "exp(x)*cos(y)", "x"])
+def test_field_partials_are_its_separate_faces_bit_for_bit(sc, compiles):
+    # one program of the value and both partials gives each as its own
+    # face does, and its partials in x and y are compiled with it, once
+    w = Field.from_exprs(sc, f"0.5*{sc}")
+    xs, ys = RegionGrid(-1.5, 1.5, -1.0, 1.0).sample_columns(7)
+    got = w.partials(xs, ys)
+    assert len(compiles) == 1
+    assert w.partials(xs, ys) and len(compiles) == 1
+    for value, want in zip(got, (w.on(xs, ys), w.dx.on(xs, ys), w.dy.on(xs, ys))):
+        for part, wanted in zip(value, want):
+            assert part.shape == xs.shape and part.tobytes() == np.asarray(wanted, dtype=complex).tobytes()
 
 
 def test_division_and_degenerate_detour():

@@ -325,6 +325,52 @@ def test_negative_powers_fd_chain_shares_derivatives_between_slots():
     assert (vj - Bicomplex(0, 1) * e).norm <= 1e-5 * max(1.0, e.norm)
 
 
+def test_criterion_5_loops_run_each_pair_once():
+    # acceptance criterion 5 asks for Z(1) and then Z(j) at each of its 50
+    # pairs; the two calls share one run of the nested differences, which
+    # evaluates both base slots at 5^(n-1) stencil points per pair:
+    # 50 x 2 x (25 + 125) base calls for n = 3 and 4
+    base = x_main_family()
+    calls = []
+    counted = KernelFamily(
+        -1, *(lambda zeta, z, c=c: calls.append(1) or c(zeta, z) for c in (base.coef1, base.coefj))
+    )
+    seq = hat_sequence(GeneratingSequence.separable("x", "1"))
+    rng = random.Random(5)
+    pairs = []
+    while len(pairs) < 50:
+        zeta = PlanePoint(rng.uniform(1, 3), rng.uniform(-1, 1))
+        z = PlanePoint(rng.uniform(1, 3), rng.uniform(-1, 1))
+        if zeta.dist(z) > 0.3:
+            pairs.append((zeta, z))
+    for n in (3, 4):
+        fam = negative_powers(counted, seq, n)
+        for zeta, z in pairs:
+            fam.coef1(zeta, z), fam.coefj(zeta, z)
+    assert len(calls) == 15_000
+
+
+def test_slot_calls_share_a_run_only_at_the_same_points():
+    # a pair of equal points that are other objects runs the source again,
+    # so a point with -0.0 never reads the run of the same point with 0.0
+    base = as_callable_only(analytic_kernel())
+    calls = []
+    c1, cj = base.coef1, base.coefj
+    counted = KernelFamily(
+        -1, lambda zeta, z: calls.append(1) or c1(zeta, z), lambda zeta, z: calls.append(1) or cj(zeta, z)
+    )
+    k = negative_powers(counted, CONST_SEQ, 2)
+    zeta, z = PlanePoint(0.3, 0.0), PlanePoint(-0.4, 0.5)
+    k.coef1(zeta, z)
+    once = len(calls)
+    k.coefj(zeta, z)
+    assert len(calls) == once
+    k.coefj(PlanePoint(0.3, 0.0), z)
+    assert len(calls) == 2 * once
+    plus, minus = k.coef1(zeta, z), k.coef1(PlanePoint(0.3, -0.0), z)
+    assert plus == minus and len(calls) == 4 * once
+
+
 def test_negative_powers_jet_chain_shares_one_run_between_slots(monkeypatch):
     # both slots of a batch of pairs come from one run of the hat kernels'
     # jet program, as one slot alone does; a single pair gives the batch's

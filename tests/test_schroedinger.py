@@ -309,7 +309,7 @@ def test_main_faces_are_their_calls_bit_for_bit(successor):
     for k, tau in enumerate(taus):
         a, b = main.coef1(tau, z0), main.coefj(tau, z0)
         assert (z1.sc[k], z1.vec[k], zj.sc[k], zj.vec[k]) == (a.sc, a.vec, b.sc, b.vec)
-        assert (grid[0][k], grid[1][k]) == (main.coef1(z0, tau).sc, main.coef1(z0, tau).vec)
+        assert (grid.sc[k], grid.vec[k]) == (main.coef1(z0, tau).sc, main.coef1(z0, tau).vec)
 
 
 @pytest.mark.parametrize("catalog", [True, False], ids=["x", "pipeline exp(x)cos(y)"])

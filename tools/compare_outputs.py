@@ -37,9 +37,10 @@ SEEDS = (1, 2, 3)
 # Configs that no benchmark config reaches, run as well: the pipeline
 # negative powers m2, s2 and e2 (nested differences of a base without
 # closed forms), the symbolic workload's seed-1 Schroedinger scan with a
-# step h (the differenced Laplacian), and the 512-node pipeline
+# step h (the differenced Laplacian), the 512-node pipeline
 # verify-reproducing of both kinds, each 4,608 walks in hundreds of array
-# jobs.
+# jobs, and the first Cauchy formula over a swapped pipeline family whose f
+# has partials that are not constant.
 _PIPELINE_CONTOUR = {
     "kernel": "pipeline", "f": "x", "zeta0": [0.5, 0],
     "contour": {"center": [2, 0], "radius": 0.3, "nodes": 512}, "tol": 1e-6,
@@ -64,6 +65,10 @@ EXTRA = [
     ("verify-reproducing-main-512", "verify-reproducing", _PIPELINE_CONTOUR),
     ("verify-reproducing-successor-512", "verify-reproducing", {
         **_PIPELINE_CONTOUR, "kernel_kind": "successor", "pair": {"F_sc": "1/x", "G_sc": "0", "G_vec": "x"},
+    }),
+    ("cauchy-first-pipeline", "cauchy", {
+        "kernel": "pipeline", "f": "exp(x)*cos(y)", "zeta0": [0.5, 0], "formula": "first",
+        "contour": {"center": [1.5, 0], "radius": 0.3, "nodes": 128}, "tol": 1e-6,
     }),
 ]
 
