@@ -2,5 +2,3 @@
 Cauchy kernels and formal powers, and the Schroedinger main-Vekua bridge."""
 
 __version__ = "0.1.0"
-
-from .bicomplex import Bicomplex, PlanePoint  # noqa: F401

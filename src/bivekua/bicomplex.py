@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 
 class BicomplexError(Exception):
@@ -99,7 +98,6 @@ class PlanePoint:
         return math.hypot(self.x - other.x, self.y - other.y)
 
 
-@dataclass(frozen=True)
 class IdempotentPair:
     """Idempotent coordinates (W+, W-) of a bicomplex number.
 
@@ -108,10 +106,10 @@ class IdempotentPair:
     ``from_idempotent(idempotent_split(W)) == W`` exactly.
     """
 
-    plus: complex
-    minus: complex
-    err_plus: complex = 0j
-    err_minus: complex = 0j
+    __slots__ = ("plus", "minus", "err_plus", "err_minus")
+
+    def __init__(self, plus: complex, minus: complex, err_plus: complex, err_minus: complex):
+        self.plus, self.minus, self.err_plus, self.err_minus = plus, minus, err_plus, err_minus
 
 
 class Bicomplex:

@@ -28,6 +28,10 @@ class PathThroughSingularityError(CalculusError):
     pass
 
 
+class ContourError(CalculusError, ValueError):
+    """A contour argument outside the bounds the CLI's contour keys have."""
+
+
 # ---------------------------------------------------------------------------
 # Paths and quadrature
 
@@ -312,7 +316,12 @@ class Path(Walks):
 
     @staticmethod
     def circle(center: PlanePoint, radius: float, nodes: int = 512) -> "Path":
-        """Closed circle, trapezoid rule (spectrally accurate when periodic)."""
+        """Closed circle, trapezoid rule (spectrally accurate when periodic):
+        ``nodes`` an integer of at least 1, ``radius`` finite and positive."""
+        if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 1:
+            raise ContourError(f"nodes must be an integer of at least 1, got {nodes!r}")
+        if not (math.isfinite(radius) and radius > 0):
+            raise ContourError(f"radius must be a finite positive number, got {radius!r}")
         c = center.as_complex
         dt = 2 * math.pi / nodes
         e = np.exp(1j * (np.arange(nodes) * dt))

@@ -6,9 +6,19 @@ Usage: vekua <command> --config path.json [--out dir] [--quiet]
 
 Commands: eval-kernel, verify-reproducing, build-powers, build-fundamental,
 residual-scan, cauchy.  Exit code 0 iff every declared tolerance was met.
+
+The process asks numpy's OpenBLAS for one thread unless OPENBLAS_NUM_THREADS
+is set: its only LAPACK call is one 16-by-16 eigenvalue problem, and the
+worker thread OpenBLAS starts on load does no work but can slow the start
+(by about 70 ms on a 2-CPU machine).
 """
 
 from __future__ import annotations
+
+import os
+
+# before numpy loads: OpenBLAS reads it once, when numpy first imports it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import argparse
 import hashlib

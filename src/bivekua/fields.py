@@ -156,6 +156,10 @@ class StepError(ValueError):
     """A difference step too small for the nodes it is taken at."""
 
 
+class MissingPartialError(ValueError):
+    """An exact partial asked of a field built without partials."""
+
+
 def _moves_every_node(h: float, xs: np.ndarray, ys: np.ndarray) -> bool:
     """x + h, x - h, y + h and y - h differ from x and y at every node, and
     the second difference's factor 1/h^2 is a finite number."""
@@ -358,9 +362,10 @@ class Field:
 
     ``sym`` is set only by ``from_sym``, whose evaluator is that closed form,
     compiled on its first call.  ``partial``, when given, builds the exact
-    partial field in a variable, on the first ``diff`` in it; without it
-    the partials are None.  ``arrays``, when given, evaluates the same
-    values on one array per variable, as its (sc, vec) parts (see ``on``).
+    partial field in a variable, on the first ``diff`` in it; without it,
+    asking for a partial raises MissingPartialError.  ``arrays``, when
+    given, evaluates the same values on one array per variable, as its
+    (sc, vec) parts (see ``on``).
     """
 
     def __init__(
@@ -425,7 +430,8 @@ class Field:
         columns, each as ``on`` gives it.  A closed form runs one program of
         them all, which computes their shared subexpressions once, and
         falls back to their separate ``on`` calls on a fault; a field
-        without one runs those calls."""
+        without one runs those calls.  A missing partial raises before
+        anything is evaluated (``diff``)."""
         fields = (self, *map(self.diff, variables))
         separate = lambda: [w.on(*columns) for w in fields]  # noqa: E731
         if self.sym is None:
@@ -436,18 +442,20 @@ class Field:
             program = self._programs[variables] = _program(trees, self.sym.variables, ex.NUMPY)
         return tuple(_checked(lambda: program(*columns), separate, columns))
 
-    def diff(self, var: str) -> Optional["Field"]:
+    def diff(self, var: str) -> "Field":
         """The exact partial field in ``var``, built once."""
-        if var not in self._diffs and self._partial is not None:
+        if var not in self._diffs:
+            if self._partial is None:
+                raise MissingPartialError(f"the field has no exact partial in {var!r}")
             self._diffs[var] = self._partial(var)
-        return self._diffs.get(var)
+        return self._diffs[var]
 
     @property
-    def dx(self) -> Optional["Field"]:
+    def dx(self) -> "Field":
         return self.diff("x")
 
     @property
-    def dy(self) -> Optional["Field"]:
+    def dy(self) -> "Field":
         return self.diff("y")
 
     def bc_inv(self) -> "Field":

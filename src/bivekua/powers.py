@@ -10,7 +10,7 @@ and ``partials_at`` give both as ``BicomplexArray``s at every pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -152,11 +152,13 @@ def _recombined(slot: int, a, b):
 # Contours
 
 
-@dataclass
 class ContourSpec:
-    path: Path
-    interior: list[PlanePoint] = dc_field(default_factory=list)
-    exterior: list[PlanePoint] = dc_field(default_factory=list)
+    """A closed path with probe points inside and outside it."""
+
+    __slots__ = ("path", "interior", "exterior")
+
+    def __init__(self, path: Path, interior: list[PlanePoint], exterior: list[PlanePoint]):
+        self.path, self.interior, self.exterior = path, interior, exterior
 
     @staticmethod
     def circle(
@@ -182,15 +184,16 @@ class ContourSpec:
 # Asymptotics
 
 
-@dataclass
 class AsymptoticsReport:
-    radii: list[float]
-    errors_1: list[float]  # |(z-zeta) Z(1) - 1|, max over probe angles
-    errors_j: list[float]
-    ratio_dev: list[float]  # | |conj_j(Z)/Z| - 1 | for alpha = 1
-    fitted_constant: float  # max |Z - alpha/(z-zeta)| / |log r|
-    monotone: bool
-    passed: bool
+    """Per radius: errors_1 = max |(z-zeta) Z(1) - 1| over the probe angles,
+    errors_j the same for Z(j), and ratio_dev = max | |conj_j(Z)/Z| - 1 |
+    for alpha = 1; fitted_constant = max |Z - alpha/(z-zeta)| / |log r|."""
+
+    __slots__ = ("radii", "errors_1", "errors_j", "ratio_dev", "fitted_constant", "monotone", "passed")
+
+    def __init__(self, radii, errors_1, errors_j, ratio_dev, fitted_constant: float, monotone: bool, passed: bool):
+        self.radii, self.errors_1, self.errors_j, self.ratio_dev = radii, errors_1, errors_j, ratio_dev
+        self.fitted_constant, self.monotone, self.passed = fitted_constant, monotone, passed
 
 
 def asymptotics_check(

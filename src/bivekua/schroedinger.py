@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -94,16 +93,14 @@ def schroedinger_residual(
 # Main Vekua problem bundle
 
 
-@dataclass
 class MainVekuaProblem:
     """A nonvanishing solution f of the q-equation together with the derived
     potentials and the generating pairs (f, j/f) and its successor."""
 
-    f: Field
-    q: Field
-    q1: Field
-    pair: GeneratingPair
-    successor: GeneratingPair
+    __slots__ = ("f", "q", "q1", "pair", "successor")
+
+    def __init__(self, f: Field, q: Field, q1: Field, pair: GeneratingPair, successor: GeneratingPair):
+        self.f, self.q, self.q1, self.pair, self.successor = f, q, q1, pair, successor
 
     @staticmethod
     def from_f(f: Field, region=None) -> "MainVekuaProblem":

@@ -6,6 +6,7 @@ import pytest
 from bivekua import calculus
 from bivekua.bicomplex import Bicomplex, PlanePoint
 from bivekua.calculus import (
+    ContourError,
     Path,
     PathThroughSingularityError,
     detour_walks,
@@ -106,6 +107,18 @@ def test_circle_path_closes():
     assert abs(total) < 1e-12
     val = c.integrate(lambda xs, ys, dz: dz / (xs + 1j * ys))
     assert abs(val - 2j * math.pi) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "radius, nodes, name",
+    [(1.0, 0, "nodes"), (1.0, -1, "nodes"), (1.0, 2.5, "nodes"), (0.0, 16, "radius")],
+)
+def test_circle_refuses_what_the_cli_refuses(radius, nodes, name):
+    # the bounds of the CLI's contour keys: nodes an integer >= 1, radius
+    # finite and > 0
+    with pytest.raises(ContourError, match=name) as info:
+        Path.circle(PlanePoint(0, 0), radius, nodes)
+    assert isinstance(info.value, ValueError)
 
 
 def test_detour_avoids_point():

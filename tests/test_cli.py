@@ -4,8 +4,11 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import re
 import signal
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -1248,3 +1251,41 @@ def test_pipeline_walks_are_array_jobs(tmp_path, monkeypatch):
         assert main([command, "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
     assert per_walk == [] and node_by_node == []
     assert set(jobs) == {SuccessorCoefj, DarbouxFundamental}
+
+
+def _fresh(code: str, **env) -> str:
+    """The standard output of code run by a fresh interpreter on src/, with
+    OPENBLAS_NUM_THREADS removed from its environment and env added."""
+    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=environ | env, capture_output=True, text=True, timeout=60, check=True
+    )
+    return done.stdout.strip()
+
+
+def test_cli_runs_openblas_on_one_thread():
+    # the CLI chooses one OpenBLAS thread before numpy loads, so OpenBLAS
+    # starts no worker: one task where /proc/self/task shows them
+    code = (
+        "import os, bivekua.cli; t = '/proc/self/task'; "
+        "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir(t)) if os.path.isdir(t) else 1)"
+    )
+    assert _fresh(code) == "1 1"
+
+
+def test_cli_keeps_the_thread_count_the_user_set():
+    assert _fresh("import os, bivekua.cli; print(os.environ['OPENBLAS_NUM_THREADS'])", OPENBLAS_NUM_THREADS="2") == "2"
+
+
+def test_package_import_loads_no_numpy():
+    # so that nothing loads OpenBLAS before bivekua.cli sets its default
+    assert _fresh("import sys, bivekua; print('numpy' in sys.modules)") == "False"
+
+
+def test_library_modules_leave_the_environment_alone():
+    # only the vekua program chooses its BLAS threads; a host program that
+    # imports the library keeps its own environment
+    modules = "bicomplex, calculus, expr, fields, jets, pairs, powers, schroedinger"
+    code = f"import os; before = dict(os.environ); from bivekua import {modules}; print(dict(os.environ) == before)"
+    assert _fresh(code) == "True"

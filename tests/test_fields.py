@@ -10,8 +10,8 @@ from bivekua import expr as ex
 from bivekua.bicomplex import Bicomplex, BicomplexError, PlanePoint
 from bivekua.calculus import PathThroughSingularityError, RegionGrid
 from bivekua.expr import EvaluationError
-from bivekua.fields import BicomplexArray, Field, Kernel, SymBC, d_z, d_zbar
-from bivekua.pairs import adjoint_fields, make_pair, separable_pair
+from bivekua.fields import BicomplexArray, Field, Kernel, MissingPartialError, SymBC, d_z, d_zbar
+from bivekua.pairs import adjoint_fields, make_pair, separable_pair, vekua_residual
 from oracles import detour_path, isclose
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -206,6 +206,19 @@ def test_field_partials_are_its_separate_faces_bit_for_bit(sc, compiles):
     for value, want in zip(got, (w.on(xs, ys), w.dx.on(xs, ys), w.dy.on(xs, ys))):
         for part, wanted in zip(value, want):
             assert part.shape == xs.shape and part.tobytes() == np.asarray(wanted, dtype=complex).tobytes()
+
+
+def test_field_without_partials_refuses_them_before_evaluating():
+    # a callable field built without partials names the partial it lacks,
+    # directly and through the residual of the pair (1, j), and is never called
+    calls = []
+    w = Field(lambda z: calls.append(z) or Bicomplex(z.x, 0))
+    with pytest.raises(MissingPartialError, match="'x'"):
+        w.partials(np.array([0.5]), np.array([0.5]))
+    pair = make_pair(Field.from_exprs("1"), Field.from_exprs("0", "1"))
+    with pytest.raises(MissingPartialError, match="'x'"):
+        vekua_residual(w, pair, PlanePoint(0.5, 0.5))
+    assert calls == []
 
 
 def test_division_and_degenerate_detour():

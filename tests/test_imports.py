@@ -2,8 +2,7 @@ import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# the package's __init__ imports names to re-export them
-MODULES = [p for p in sorted((ROOT / "src" / "bivekua").glob("*.py")) if p.name != "__init__.py"]
+MODULES = sorted((ROOT / "src" / "bivekua").glob("*.py"))
 
 
 def _unused_imports(tree: ast.Module) -> set[str]:
