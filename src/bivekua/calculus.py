@@ -4,8 +4,9 @@ with the path quadrature and the region grids it and the checks need.
 A path holds its nodes and weights as numpy arrays.  A path integral
 evaluates its integrand on all nodes at once and sums the values in node
 order (``Path.integrate``).  Many detour paths are built together and laid
-end to end (``detour_walks``), so that one array job evaluates and sums
-them all (``Walks.integrate``), at most ``NODE_BUDGET`` nodes at a time.
+end to end (``detour_walks``), as are copies of one contour (``copies``),
+so that one array job evaluates and sums them all (``Walks.integrate``),
+whole paths of at most ``NODE_BUDGET`` nodes at a time.
 """
 
 from __future__ import annotations
@@ -249,11 +250,7 @@ def detour_walks(start, end, avoid, radius: Optional[float] = None, side: float 
     order = np.lexsort((np.concatenate([np.arange(lines), k]), part))
     bounds = np.concatenate([[0], np.cumsum(np.bincount(part, minlength=parts[-1]))])[parts]
     sizes = np.diff(bounds) * len(t)
-    ends = np.cumsum(sizes)
-    first = 0
-    while first < sizes.size:
-        done = ends[first - 1] if first else 0
-        last = max(first + 1, int(np.searchsorted(ends, done + NODE_BUDGET, side="right")))
+    for first, last in _jobs(sizes):
         rows = order[bounds[first]:bounds[last]]
         line = rows < lines
         i, j = rows[line], rows[~line] - lines  # line pieces, arc pieces
@@ -264,7 +261,25 @@ def detour_walks(start, end, avoid, radius: Optional[float] = None, side: float 
         nodes[~line], dz[~line] = arc_c[arc[j]][:, None] + r * e, dth * 1j * r * e
         nodes = nodes.ravel()
         yield Walks(nodes.real.copy(), nodes.imag.copy(), dz.ravel(), sizes[first:last], np.arange(first, last))
+
+
+def _jobs(sizes: np.ndarray) -> Iterator[tuple[int, int]]:
+    """The paths first..last - 1 of each array job, of paths of sizes[k]
+    nodes: whole paths of at most ``NODE_BUDGET`` nodes, or one longer one."""
+    ends, first = np.cumsum(sizes), 0
+    while first < sizes.size:
+        last = max(first + 1, int(np.searchsorted(ends, (ends[first - 1] if first else 0) + NODE_BUDGET, "right")))
+        yield first, last
         first = last
+
+
+def copies(path: "Path", count: int) -> Iterator[Walks]:
+    """``count`` copies of ``path`` laid end to end, cut into array jobs as
+    ``detour_walks`` cuts its paths: copy k is path k of the batch."""
+    sizes = np.full(count, path.xs.size)
+    for first, last in _jobs(sizes):
+        xs, ys, dz = (np.tile(v, last - first) for v in (path.xs, path.ys, path.dz))
+        yield Walks(xs, ys, dz, sizes[first:last], np.arange(first, last))
 
 
 def detour_integrals(start, end, avoid, one_form: Callable, frozen: tuple, side: float = 1.0) -> list:
@@ -317,11 +332,14 @@ class Path(Walks):
     @staticmethod
     def circle(center: PlanePoint, radius: float, nodes: int = 512) -> "Path":
         """Closed circle, trapezoid rule (spectrally accurate when periodic):
-        ``nodes`` an integer of at least 1, ``radius`` finite and positive."""
+        ``nodes`` an integer of at least 1, ``radius`` finite, positive and
+        not lost at ``center`` (center.x + radius != center.x, and in y)."""
         if isinstance(nodes, bool) or not isinstance(nodes, int) or nodes < 1:
             raise ContourError(f"nodes must be an integer of at least 1, got {nodes!r}")
         if not (math.isfinite(radius) and radius > 0):
             raise ContourError(f"radius must be a finite positive number, got {radius!r}")
+        if center.x + radius == center.x or center.y + radius == center.y:
+            raise ContourError(f"radius {radius!r} is lost at center {center}: the nodes would round onto it")
         c = center.as_complex
         dt = 2 * math.pi / nodes
         e = np.exp(1j * (np.arange(nodes) * dt))

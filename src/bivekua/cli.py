@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .bicomplex import PlanePoint
-from .calculus import RegionGrid, cell_centres, grid_columns
+from .calculus import ContourError, RegionGrid, cell_centres, grid_columns
 from .fields import Field, StepError
 from .pairs import GeneratingSequence, make_pair, separable_pair, vekua_residual
 from .powers import (
@@ -49,7 +49,6 @@ from .powers import (
     hat_sequence,
     negative_powers,
     power_residual_scan,
-    reproducing_deviations,
     reproducing_example_kernel,
 )
 from .schroedinger import (
@@ -386,20 +385,37 @@ def cmd_eval_kernel(cfg: dict):
     return checks, {"kernel.csv": lines}, {}
 
 
+def _contour(cfg: dict, *probe_keys: str) -> ContourSpec:
+    """The contour of a contour command: a radius lost at the center, and a
+    pipeline's 'zeta0' or a point of the ``probe_keys`` on a node, are
+    config errors."""
+    try:
+        contour = ContourSpec.circle(**cfg["contour"])
+    except ContourError as e:  # the one the schema's bounds leave
+        raise ConfigError(f"config key 'contour.radius' is refused: {e}") from e
+    points = [("zeta0", cfg["zeta0"])] if cfg["kernel"] == "pipeline" else []
+    for key, z in points + [(key, z) for key in probe_keys for z in cfg[key]]:
+        if contour.on_node(z):
+            raise ConfigError(f"config key '{key}' holds [{z.x!r}, {z.y!r}], a node of the contour")
+    return contour
+
+
 def cmd_verify_reproducing(cfg: dict):
     fam = _build_kernel(cfg)
     _unread_f(cfg)
     pair = _build_pair(cfg)
-    contour = ContourSpec.circle(**cfg["contour"])
+    contour = _contour(cfg)
     tol = cfg["tol"]
     center = cfg["contour"]["center"]
-    vc = formal_contour_integral(fam, pair.F, contour, center)
+    # the center's F in the same walk as the probes' F and G
+    fields = (pair.F, pair.G)
+    (vc, _), *values = formal_contour_integral(fam, fields, contour, [center, *contour.interior, *contour.exterior])
     checks = [
         _check(
             "center_integral_sc", vc.sc.real, TWO_PI * pair.F(center).sc.real, tol
         )
     ]
-    dev_in, dev_out = reproducing_deviations(fam, pair, contour)
+    dev_in, dev_out = cauchy_deviations(lambda points: values, fields, contour.interior, contour.exterior)
     checks.append(_check("interior_deviation", dev_in, 0.0, tol))
     checks.append(_check("exterior_deviation", dev_out, 0.0, tol))
     return checks, {}, {}
@@ -493,17 +509,17 @@ def cmd_cauchy(cfg: dict):
     fam = _build_kernel(cfg)
     _unread_f(cfg)
     pair = _build_pair(cfg)
-    contour = ContourSpec.circle(**cfg["contour"])
+    contour = _contour(cfg, "interior", "exterior")
     tol = cfg["tol"]
     fld = cfg["field"]
     w = pair.F if fld is None else Field.from_exprs(fld["sc"], fld["vec"])
     interior = cfg["interior"] or contour.interior
     exterior = cfg["exterior"] or contour.exterior
     if cfg["formula"] == "second":
-        evaluate = lambda z0: formal_contour_integral(fam, [w], contour, z0)  # noqa: E731
+        evaluate = lambda points: formal_contour_integral(fam, [w], contour, points)  # noqa: E731
     else:
         hat = adjoint_kernel_transfer(fam)
-        evaluate = lambda z0: [first_cauchy(w, hat, contour, z0)]  # noqa: E731
+        evaluate = lambda points: [[v] for v in first_cauchy(w, hat, contour, points)]  # noqa: E731
     dev_in, dev_out = cauchy_deviations(evaluate, [w], interior, exterior)
     checks = [
         _check("interior_deviation", dev_in, 0.0, tol),

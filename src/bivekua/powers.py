@@ -1,6 +1,8 @@
 """Formal powers and Cauchy kernels: asymptotics checks, both Cauchy
 integral formulas by contour quadrature, the base/adjoint kernel transfer,
 the reproducing-kernel certification, and the negative-power algorithm.
+A formula at many points walks one copy of the contour per point, in
+array jobs of whole copies (``calculus.copies``).
 
 A family's two coefficients are ``Kernel``s (``fields.Field``s over (xi,
 eta, x, y)), other pair faces, or plain evaluators; ``coefficients_at``
@@ -17,7 +19,7 @@ import numpy as np
 
 from . import expr as ex
 from .bicomplex import Bicomplex, J, PlanePoint, from_cj
-from .calculus import Path
+from .calculus import Path, copies
 from .fields import (
     KERNEL_VARS,
     BicomplexArray,
@@ -179,6 +181,10 @@ class ContourSpec:
         exterior = ring(3, 1.5, 0.75, 0.81)
         return ContourSpec(Path.circle(center, radius, nodes), interior, exterior)
 
+    def on_node(self, z: PlanePoint) -> bool:
+        """Whether z is a node of the contour."""
+        return bool(np.any((self.path.xs == z.x) & (self.path.ys == z.y)))
+
 
 # ---------------------------------------------------------------------------
 # Asymptotics
@@ -237,49 +243,66 @@ def asymptotics_check(
 # Cauchy integral formulas
 
 
-def _contour_integral(
-    contour: ContourSpec, z0: PlanePoint, one_form: Callable[..., tuple]
-) -> tuple:
-    """The integrals of the 1-forms one_form(xs, ys, dz) gives, one walk
-    over the contour, refusing a probe z0 on a node."""
-    path = contour.path
-    if np.any((path.xs == z0.x) & (path.ys == z0.y)):
-        raise SingularPointError("probe lies on the contour")
-    return path.integrate(one_form)
+Points = Union[PlanePoint, Sequence[PlanePoint]]
 
 
-def first_cauchy(
-    w: Field, adjoint_kernels: KernelFamily, contour: ContourSpec, z0: PlanePoint
-) -> Bicomplex:
+def _contour_integral(contour: ContourSpec, z0: Points, one_form: Callable[..., tuple], value: Callable):
+    """value(totals) of the integrals of the 1-forms one_form(xs, ys, dz, x0,
+    y0) gives at the point z0, or the list of them at each of a sequence of
+    points: x0 and y0 are the point's coordinates at every node of its copy
+    of the contour, the copies walked in array jobs of whole copies
+    (``calculus.copies``).  A point on a node raises before anything is
+    evaluated.  On an error the copies of the job run again one at a time,
+    in order, so that the first point that fails raises its own error."""
+    probes = [z0] if isinstance(z0, PlanePoint) else list(z0)
+    for p in probes:
+        if contour.on_node(p):
+            raise SingularPointError(f"probe {p} lies on the contour")
+    x0, y0 = np.array([(p.x, p.y) for p in probes], dtype=float).reshape(-1, 2).T
+    totals = []
+    for walks in copies(contour.path, len(probes)):
+        at = [np.repeat(c[walks.index], walks.sizes) for c in (x0, y0)]
+        try:
+            totals.append(walks.integrate(lambda xs, ys, dz: one_form(xs, ys, dz, *at)))
+        except Exception:  # any error of a probe's walk; always re-raised
+            for k in walks.index.tolist() if walks.sizes.size > 1 else ():
+                _contour_integral(contour, probes[k], one_form, value)
+            raise
+    values = [value(t) for t in zip(*(np.concatenate(t).tolist() for t in zip(*totals)))]
+    return values[0] if isinstance(z0, PlanePoint) else values
+
+
+def first_cauchy(w: Field, adjoint_kernels: KernelFamily, contour: ContourSpec, z0: Points):
     """Vec ∫ W Zhat(1, z0, tau) dtau - j Vec ∫ W Zhat(j, z0, tau) dtau:
     2*pi*W(z0) inside the contour, 0 outside.  One walk integrates both
-    coefficients, so each node asks the family for both at one point pair."""
+    coefficients, so each node asks the family for both at one point pair.
+    Given a sequence of points, one walk integrates at all of them, and the
+    list of the values is returned."""
 
-    def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> tuple:
+    def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray, x0: np.ndarray, y0: np.ndarray) -> tuple:
         wv, dzj = w.on(xs, ys), BicomplexArray(dz.real, dz.imag)
-        z1, zj = coefficients_at(adjoint_kernels, z0.x, z0.y, xs, ys)
+        z1, zj = coefficients_at(adjoint_kernels, x0, y0, xs, ys)
         return (wv * z1 * dzj).vec, (wv * zj * dzj).vec
 
-    i1, ij = _contour_integral(contour, z0, one_form)
-    return Bicomplex(i1, -ij)
+    return _contour_integral(contour, z0, one_form, lambda t: Bicomplex(t[0], -t[1]))
 
 
 _J = BicomplexArray(J.sc, J.vec)
 
 
-def formal_contour_integral(
-    k: KernelFamily, w: Union[Field, Sequence[Field]], contour: ContourSpec, z0: PlanePoint
-) -> Union[Bicomplex, list[Bicomplex]]:
+def formal_contour_integral(k: KernelFamily, w: Union[Field, Sequence[Field]], contour: ContourSpec, z0: Points):
     """∫ Z^(n)(j W(tau) dtau, tau, z0), with Z(alpha) = Sc(alpha) Z(1) +
     Vec(alpha) Z(j): the kernel center runs along the contour while the
     argument stays at z0.
 
     Given a sequence of fields, one walk integrates each of them over the
-    same kernel values and the list of their integrals is returned."""
+    same kernel values and the list of their integrals is returned.  Given
+    a sequence of points, one walk integrates at all of them, and the list
+    of the point's results is returned."""
     fields = [w] if isinstance(w, Field) else list(w)
 
-    def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> tuple:
-        z1, zj = coefficients_at(k, xs, ys, z0.x, z0.y)
+    def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray, x0: np.ndarray, y0: np.ndarray) -> tuple:
+        z1, zj = coefficients_at(k, xs, ys, x0, y0)
         dzj = BicomplexArray(dz.real, dz.imag)
         out = []
         for field in fields:
@@ -288,43 +311,40 @@ def formal_contour_integral(
             out += [value.sc, value.vec]
         return tuple(out)
 
-    totals = _contour_integral(contour, z0, one_form)
-    values = [Bicomplex(sc, vec) for sc, vec in zip(totals[::2], totals[1::2])]
-    return values[0] if isinstance(w, Field) else values
+    def value(totals: tuple):
+        values = [Bicomplex(sc, vec) for sc, vec in zip(totals[::2], totals[1::2])]
+        return values[0] if isinstance(w, Field) else values
+
+    return _contour_integral(contour, z0, one_form, value)
 
 
 def cauchy_deviations(
-    evaluate: Callable[[PlanePoint], list[Bicomplex]],
+    evaluate: Callable[[list[PlanePoint]], list[list[Bicomplex]]],
     fields: Sequence[Field],
     interior: list[PlanePoint],
     exterior: list[PlanePoint],
 ) -> tuple[float, float]:
     """How far a Cauchy integral formula is from reproducing each W of
-    ``fields``, where evaluate(z0) gives the formula's value for each:
-    max |value - 2 pi W(z0)| over the interior probes and max |value| over
-    the exterior ones, each the max over the fields (0 without probes)."""
-    two_pi = 2 * math.pi
-    dev_in = max(
-        (
-            (v - w(z0).scale(two_pi)).norm
-            for z0 in interior
-            for w, v in zip(fields, evaluate(z0))
-        ),
-        default=0.0,
-    )
-    dev_out = max((v.norm for z0 in exterior for v in evaluate(z0)), default=0.0)
-    return dev_in, dev_out
+    ``fields``, where evaluate(points) gives its value for each at each of
+    the interior probes, then the exterior ones (one call, none without
+    probes): max |value - 2 pi W(z0)| over the interior probes and max
+    |value| over the exterior ones, each the max over the fields."""
+    two_pi, probes = 2 * math.pi, [*interior, *exterior]
+    values = evaluate(probes) if probes else []
+    inside = ((v - w(z0).scale(two_pi)).norm for z0, row in zip(interior, values) for w, v in zip(fields, row))
+    dev_out = max((v.norm for row in values[len(interior) :] for v in row), default=0.0)
+    return max(inside, default=0.0), dev_out
 
 
 def reproducing_deviations(
     k: KernelFamily, pair: GeneratingPair, contour: ContourSpec
 ) -> tuple[float, float]:
     """How far the second Cauchy formula is from reproducing F and G:
-    ``cauchy_deviations`` at the contour's probes, one walk per probe for
-    both."""
+    ``cauchy_deviations`` at the contour's probes, one walk of all probes
+    for both."""
     fields = (pair.F, pair.G)
     return cauchy_deviations(
-        lambda z0: formal_contour_integral(k, fields, contour, z0),
+        lambda points: formal_contour_integral(k, fields, contour, points),
         fields, contour.interior, contour.exterior,
     )
 

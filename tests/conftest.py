@@ -61,9 +61,10 @@ def central_differences(monkeypatch):
 
 @pytest.fixture
 def walk_jobs(monkeypatch):
-    """(paths, nodes, 1-forms) of every array job of ``detour_walks`` that
-    ``Walks.integrate`` runs while the test runs (a ``Path``'s one walk is
-    not a job of it)."""
+    """(paths, nodes, 1-forms) of every array job of ``detour_walks`` or
+    ``calculus.copies`` that ``Walks.integrate`` runs while the test runs,
+    each recorded when its 1-form returns (a ``Path``'s one walk is not a
+    job of it)."""
     jobs = []
     integrate = calculus.Walks.integrate
 

@@ -121,6 +121,29 @@ def test_circle_refuses_what_the_cli_refuses(radius, nodes, name):
     assert isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("center", [PlanePoint(1e300, 0), PlanePoint(1e17, 0), PlanePoint(0, -1e17)])
+def test_circle_refuses_a_radius_lost_at_its_center(center):
+    # center + radius rounds back to the center, so nodes would round onto
+    # it; a radius just large enough is kept
+    with pytest.raises(ContourError, match=r"radius 1\.0 .*center") as info:
+        Path.circle(center, 1.0, 16)
+    assert str(center) in str(info.value)
+    Path.circle(center, 4 * math.ulp(max(abs(center.x), abs(center.y))), 16)
+
+
+def test_copies_cut_whole_copies_into_jobs(monkeypatch):
+    # as detour_walks cuts paths: whole copies of at most NODE_BUDGET nodes
+    # in a job, or one longer copy
+    path = Path.circle(PlanePoint(0, 0), 1.0, 512)
+    jobs = list(calculus.copies(path, 9))
+    assert [w.index.tolist() for w in jobs] == [[0, 1, 2, 3], [4, 5, 6, 7], [8]]
+    assert all(np.array_equal(w.xs, np.tile(path.xs, w.sizes.size)) for w in jobs)
+    assert all(np.array_equal(w.dz, np.tile(path.dz, w.sizes.size)) for w in jobs)
+    assert list(calculus.copies(path, 0)) == []
+    monkeypatch.setattr(calculus, "NODE_BUDGET", 100)
+    assert [w.sizes.tolist() for w in calculus.copies(path, 2)] == [[512], [512]]
+
+
 def test_detour_avoids_point():
     avoid = PlanePoint(0.5, 0.0)
     path = detour_path(PlanePoint(0, 0), PlanePoint(1, 0), avoid, radius=0.2)

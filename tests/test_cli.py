@@ -411,18 +411,71 @@ def test_cauchy_with_pipeline_main_kernel(tmp_path):
 
 
 def test_pipeline_cauchy_walk_jobs(tmp_path, walk_jobs):
-    # the benchmark's 32-node pipeline cauchy walks 64 paths over 20,672
-    # nodes, with two 1-forms each: 12 array jobs of at most 2,048 nodes
+    # the benchmark's 32-node pipeline cauchy walks both probes' copies of
+    # the contour in one job, recorded after the jobs its 1-form runs: 64
+    # detour paths over 20,672 nodes, with two 1-forms each, in 12 array
+    # jobs of at most 2,048 nodes
     cfg = _write(tmp_path, "c.json", {
         "kernel": "pipeline", "f": "x", "zeta0": [0.5, 0], "formula": "second",
         "contour": {"center": [2, 0], "radius": 0.3, "nodes": 32},
         "interior": [[2.05, 0.05]], "exterior": [[2.9, 0.1]], "tol": 1e-6,
     })
     assert main(["cauchy", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
-    assert len(walk_jobs) == 12
-    assert sum(paths for paths, _, _ in walk_jobs) == 64
-    assert sum(nodes for _, nodes, _ in walk_jobs) == 20672
-    assert {forms for _, _, forms in walk_jobs} == {2}
+    *detours, contour = walk_jobs
+    assert contour == (2, 64, 2)
+    assert len(detours) == 12
+    assert sum(paths for paths, _, _ in detours) == 64
+    assert sum(nodes for _, nodes, _ in detours) == 20672
+    assert {forms for _, _, forms in detours} == {2}
+
+
+@pytest.mark.parametrize("run, jobs", [("verify-reproducing", [4, 4, 1]), ("cauchy-first", [4, 4])])
+def test_closed_form_contour_checks_walk_whole_contours_per_job(tmp_path, walk_jobs, run, jobs):
+    # seed 1 of the closed-form benchmark: 512-node copies of the contour,
+    # four to a job; verify-reproducing walks the center and its 8 probes,
+    # cauchy-first its 8 probes
+    ((command, cfg),) = [(command, c) for name, command, c in _workloads().generate("closed-form", 1) if name == run]
+    path = _write(tmp_path, "c.json", cfg)
+    assert main([command, "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+    assert [(paths, nodes) for paths, nodes, _ in walk_jobs] == [(n, 512 * n) for n in jobs]
+
+
+_ON_CONTOUR = {
+    "kernel": "pipeline", "f": "x", "zeta0": [0.5, 0],
+    "contour": {"center": [2, 0], "radius": 0.3, "nodes": 16}, "tol": 1e-6,
+}
+
+
+@pytest.mark.parametrize("command", ["verify-reproducing", "cauchy"])
+def test_pipeline_zeta0_on_the_contour_is_config_error(tmp_path, capsys, command):
+    # (2.3, 0) is node 0 of the circle: the detour paths would start there
+    path = _write(tmp_path, "c.json", dict(_ON_CONTOUR, zeta0=[2.3, 0]))
+    assert main([command, "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config key 'zeta0' holds [2.3, 0.0], a node of the contour")
+
+
+@pytest.mark.parametrize("key", ["interior", "exterior"])
+def test_cauchy_probe_on_the_contour_is_config_error(tmp_path, capsys, key):
+    cfg = dict(_ON_CONTOUR, interior=[[2.05, 0.05]], exterior=[[2.9, 0.1]])
+    cfg[key] = cfg[key] + [[2.3, 0]]
+    path = _write(tmp_path, "c.json", cfg)
+    assert main(["cauchy", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: config key '{key}' holds [2.3, 0.0], a node")
+
+
+@pytest.mark.parametrize(
+    "command, center",
+    [("verify-reproducing", [1e300, 0]), ("cauchy", [1e17, 0]), ("verify-reproducing", [0, 1e17])],
+)
+def test_radius_lost_at_the_center_is_config_error(tmp_path, capsys, command, center):
+    # at (1e300, 0) node 0 rounds onto the center probe; at (1e17, 0) the
+    # nodes round to a few points and the deviations read 7e17
+    cfg = {"kernel": "x-main", "f": "x", "contour": {"center": center, "radius": 1}, "tol": 1e-6}
+    path = _write(tmp_path, "c.json", cfg)
+    assert main([command, "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config key 'contour.radius' is refused: radius 1.0 is lost at center")
 
 
 def test_invalid_json_is_config_error(tmp_path):
@@ -1005,7 +1058,7 @@ def test_pipeline_verify_reproducing_walks_f_and_g_together(tmp_path, successor_
     contour = ContourSpec.circle(**values["contour"])
     devs = [
         cauchy_deviations(
-            lambda z0: [formal_contour_integral(fam, w, contour, z0)],
+            lambda points: [[v] for v in formal_contour_integral(fam, w, contour, points)],
             [w], contour.interior, contour.exterior,
         )
         for w in (pair.F, pair.G)

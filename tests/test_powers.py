@@ -1,12 +1,13 @@
 import math
 import random
+import re
 
 import numpy as np
 import pytest
 
-from bivekua import expr, jets, powers
+from bivekua import calculus, expr, jets, powers
 
-from bivekua.bicomplex import J, Bicomplex, PlanePoint, from_cj
+from bivekua.bicomplex import J, Bicomplex, InvalidValueError, PlanePoint, from_cj
 from bivekua.calculus import RegionGrid
 from bivekua.expr import EvaluationError
 from bivekua.fields import KERNEL_VARS, Field, Kernel
@@ -18,6 +19,7 @@ from bivekua.powers import (
     adjoint_kernel_transfer,
     analytic_kernel,
     asymptotics_check,
+    cauchy_deviations,
     coefficients_at,
     counterexample_kernel,
     first_cauchy,
@@ -28,7 +30,13 @@ from bivekua.powers import (
     reproducing_deviations,
     reproducing_example_kernel,
 )
-from bivekua.schroedinger import x_main_family, x_negative_power
+from bivekua.schroedinger import (
+    laplace_fundamental,
+    successor_kernel_coef1,
+    successor_kernel_coefj,
+    x_main_family,
+    x_negative_power,
+)
 from oracles import isclose
 
 ONE = Field.constant(Bicomplex(1, 0))
@@ -96,9 +104,104 @@ def test_contour_integrals_match_the_node_by_node_sums():
 @pytest.mark.parametrize("callable_only", [False, True])
 def test_formal_contour_integral_probe_on_contour_raises(callable_only):
     fam = as_callable_only(analytic_kernel()) if callable_only else analytic_kernel()
-    node = node_points(UNIT.path)[3]
-    with pytest.raises(SingularPointError):
+    node, other = node_points(UNIT.path)[3], node_points(UNIT.path)[7]
+    with pytest.raises(SingularPointError, match=re.escape(f"probe {node} lies on the contour")):
         formal_contour_integral(fam, ONE, UNIT, node)
+    # among many probes, the first on a node, before any is evaluated
+    with pytest.raises(SingularPointError, match=re.escape(f"probe {node} lies")):
+        formal_contour_integral(fam, ONE, UNIT, [PlanePoint(0.1, 0.2), node, other])
+
+
+def _pipeline_main_family():
+    f = Field.from_exprs("x")
+    successor = successor_kernel_coefj(successor_kernel_coef1(laplace_fundamental(), f), f, PlanePoint(0.5, 0))
+    return adjoint_kernel_transfer(successor)
+
+
+def _per_probe_walks(k, hat, fields, contour, z0):
+    """Both formulas at z0 as one walk of the contour with z0 a number at
+    every node: the second for each of ``fields``, then the first for the
+    first of them."""
+
+    def second(xs, ys, dz):
+        z1, zj = coefficients_at(k, xs, ys, z0.x, z0.y)
+        dzj, out = powers.BicomplexArray(dz.real, dz.imag), []
+        for w in fields:
+            alpha = powers._J * w.on(xs, ys) * dzj
+            value = z1.scale(alpha.sc) + zj.scale(alpha.vec)
+            out += [value.sc, value.vec]
+        return tuple(out)
+
+    def first(xs, ys, dz):
+        wv, dzj = fields[0].on(xs, ys), powers.BicomplexArray(dz.real, dz.imag)
+        z1, zj = coefficients_at(hat, z0.x, z0.y, xs, ys)
+        return (wv * z1 * dzj).vec, (wv * zj * dzj).vec
+
+    t = contour.path.integrate(second)
+    i1, ij = contour.path.integrate(first)
+    return [Bicomplex(sc, vec) for sc, vec in zip(t[::2], t[1::2])], Bicomplex(i1, -ij)
+
+
+def _bits(values) -> list[str]:
+    return [f"{v.sc!r} {v.vec!r}" for v in values]
+
+
+@pytest.mark.parametrize("family", ["x-main", "callable-only", "pipeline"])
+def test_batched_contour_integrals_equal_the_walks_per_probe(family, monkeypatch):
+    # 16-node copies, three to a job: 1 probe, a partial job of 2, and 7
+    # probes in jobs of 3, 3 and 1; each copy is summed in its own row
+    monkeypatch.setattr(calculus, "NODE_BUDGET", 48)
+    k = {"x-main": x_main_family, "callable-only": lambda: as_callable_only(x_main_family()),
+         "pipeline": _pipeline_main_family}[family]()
+    hat = adjoint_kernel_transfer(k)
+    fields = [Field.from_exprs("x^2 - y^2 + 3", "2*x*y - x"), Field.from_exprs("1/x", "y")]
+    contour = ContourSpec.circle(PlanePoint(2.0, 0.1), 0.3, nodes=16)
+    probes = contour.interior + contour.exterior[:2]
+    assert [w.sizes.tolist() for w in calculus.copies(contour.path, 7)] == [[16] * 3, [16] * 3, [16]]
+    want = [_per_probe_walks(k, hat, fields, contour, z0) for z0 in probes]
+    for count in (1, 2, 7):
+        second = formal_contour_integral(k, fields, contour, probes[:count])
+        first = first_cauchy(fields[0], hat, contour, probes[:count])
+        assert [_bits(v) for v in second] == [_bits(w[0]) for w in want[:count]]
+        assert _bits(first) == _bits(w[1] for w in want[:count])
+    # one point gives its value, not a list of one
+    assert _bits([formal_contour_integral(k, fields[0], contour, probes[0])]) == _bits(want[0][0][:1])
+    assert _bits([first_cauchy(fields[0], hat, contour, probes[0])]) == _bits([want[0][1]])
+
+
+def test_cauchy_deviations_evaluates_all_probes_in_one_call():
+    calls = []
+
+    def evaluate(points):
+        calls.append(points)
+        return [[ONE(z0).scale(2 * math.pi)] for z0 in points[:1]] + [[Bicomplex(0.5, 0)]]
+
+    inside, outside = PlanePoint(0.1, 0.2), PlanePoint(3, 0)
+    assert cauchy_deviations(evaluate, [ONE], [inside], [outside]) == (0.0, 0.5)
+    assert calls == [[inside, outside]]
+    # no probes: nothing is evaluated
+    assert cauchy_deviations(evaluate, [ONE], [], []) == (0.0, 0.0)
+    assert len(calls) == 1
+
+
+def test_first_failing_probe_raises_its_own_error():
+    # probe 0's values are finite but their sum passes the double range;
+    # probe 1 divides by zero.  A job of both falls back node by node, where
+    # probe 1 raises first, so its copies run again one at a time and probe
+    # 0 raises its own error, as a walk per probe in order would
+    contour = ContourSpec.circle(PlanePoint(0, 0), 1.0, nodes=8)
+    fam = KernelFamily(-1, analytic_kernel().coef1, Kernel.make("1e308*x + 1/(x - 0.5)"))
+    probes = [PlanePoint(1.5, 0.1), PlanePoint(0.5, 0.3)]
+    errors = []
+    for run in (lambda: formal_contour_integral(fam, ONE, contour, probes),
+                lambda: [formal_contour_integral(fam, ONE, contour, z0) for z0 in probes]):
+        with pytest.raises(Exception) as info:
+            run()
+        errors.append((type(info.value), str(info.value)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] is InvalidValueError and "non-finite integral" in errors[0][1]
+    with pytest.raises(EvaluationError):
+        formal_contour_integral(fam, ONE, contour, probes[1:])
 
 
 def test_kernel_fault_at_a_contour_node_raises_at_that_node():
@@ -110,9 +213,13 @@ def test_kernel_fault_at_a_contour_node_raises_at_that_node():
     analytic = analytic_kernel()
     second = KernelFamily(-1, Kernel.make("1/(xi - 1)"), analytic.coefj)
     first = KernelFamily(-1, Kernel.make("1/(x - 1)"), analytic.coefj)
+    # among many probes, the first one's error: here every probe faults
+    probes = [z0, PlanePoint(-0.3, 0.1)]
     runs = [
         (lambda: formal_contour_integral(second, ONE, contour, z0), lambda: second.coef1(tau, z0)),
         (lambda: first_cauchy(ONE, first, contour, z0), lambda: first.coef1(z0, tau)),
+        (lambda: formal_contour_integral(second, ONE, contour, probes), lambda: second.coef1(tau, z0)),
+        (lambda: first_cauchy(ONE, first, contour, probes), lambda: first.coef1(z0, tau)),
     ]
     for walk, scalar in runs:
         with pytest.raises(EvaluationError) as on_nodes:

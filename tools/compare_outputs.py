@@ -39,8 +39,10 @@ SEEDS = (1, 2, 3)
 # closed forms), the symbolic workload's seed-1 Schroedinger scan with a
 # step h (the differenced Laplacian), the 512-node pipeline
 # verify-reproducing of both kinds, each 4,608 walks in hundreds of array
-# jobs, and the first Cauchy formula over a swapped pipeline family whose f
-# has partials that are not constant.
+# jobs, the first Cauchy formula over a swapped pipeline family whose f
+# has partials that are not constant, and a closed-form second formula at 12
+# user probes: 12 copies of the 512-node contour, in array jobs of 4, 4 and 4
+# copies.
 _PIPELINE_CONTOUR = {
     "kernel": "pipeline", "f": "x", "zeta0": [0.5, 0],
     "contour": {"center": [2, 0], "radius": 0.3, "nodes": 512}, "tol": 1e-6,
@@ -69,6 +71,12 @@ EXTRA = [
     ("cauchy-first-pipeline", "cauchy", {
         "kernel": "pipeline", "f": "exp(x)*cos(y)", "zeta0": [0.5, 0], "formula": "first",
         "contour": {"center": [1.5, 0], "radius": 0.3, "nodes": 128}, "tol": 1e-6,
+    }),
+    ("cauchy-second-user-probes", "cauchy", {
+        "kernel": "x-main", "f": "x", "formula": "second",
+        "contour": {"center": [3.1, 0.2], "radius": 1, "nodes": 512},
+        "interior": [[3.3, 0.25], [2.8, 0.5], [3.0, -0.4], [3.6, 0.1], [2.6, 0.0], [3.15, 0.85]],
+        "exterior": [[4.8, 0.2], [3.1, 2.0], [1.5, -0.6], [4.5, -1.3], [2.0, 1.6], [3.4, -1.9]], "tol": 1e-6,
     }),
 ]
 
