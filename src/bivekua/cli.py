@@ -49,6 +49,7 @@ from .powers import (
     hat_sequence,
     negative_powers,
     power_residual_scan,
+    reproducing_deviations,
     reproducing_example_kernel,
 )
 from .schroedinger import (
@@ -407,15 +408,13 @@ def cmd_verify_reproducing(cfg: dict):
     contour = _contour(cfg)
     tol = cfg["tol"]
     center = cfg["contour"]["center"]
-    # the center's F in the same walk as the probes' F and G
-    fields = (pair.F, pair.G)
-    (vc, _), *values = formal_contour_integral(fam, fields, contour, [center, *contour.interior, *contour.exterior])
+    vc = formal_contour_integral(fam, pair.F, contour, center)
     checks = [
         _check(
             "center_integral_sc", vc.sc.real, TWO_PI * pair.F(center).sc.real, tol
         )
     ]
-    dev_in, dev_out = cauchy_deviations(lambda points: values, fields, contour.interior, contour.exterior)
+    dev_in, dev_out = reproducing_deviations(fam, pair, contour)
     checks.append(_check("interior_deviation", dev_in, 0.0, tol))
     checks.append(_check("exterior_deviation", dev_out, 0.0, tol))
     return checks, {}, {}

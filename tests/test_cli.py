@@ -429,10 +429,10 @@ def test_pipeline_cauchy_walk_jobs(tmp_path, walk_jobs):
     assert {forms for _, _, forms in detours} == {2}
 
 
-@pytest.mark.parametrize("run, jobs", [("verify-reproducing", [4, 4, 1]), ("cauchy-first", [4, 4])])
+@pytest.mark.parametrize("run, jobs", [("verify-reproducing", [1, 4, 4]), ("cauchy-first", [4, 4])])
 def test_closed_form_contour_checks_walk_whole_contours_per_job(tmp_path, walk_jobs, run, jobs):
     # seed 1 of the closed-form benchmark: 512-node copies of the contour,
-    # four to a job; verify-reproducing walks the center and its 8 probes,
+    # four to a job; verify-reproducing walks the center, then its 8 probes,
     # cauchy-first its 8 probes
     ((command, cfg),) = [(command, c) for name, command, c in _workloads().generate("closed-form", 1) if name == run]
     path = _write(tmp_path, "c.json", cfg)
