@@ -3,17 +3,17 @@ with the path quadrature and the region grids it and the checks need.
 
 A path holds its nodes and weights as numpy arrays.  A path integral
 evaluates its integrand on all nodes at once and sums the values in node
-order (``Path.integrate``).  Many detour paths are built together and laid
-end to end (``detour_walks``), as are copies of one contour (``copies``),
-so that one array job evaluates and sums them all (``Walks.integrate``),
-whole paths of at most ``NODE_BUDGET`` nodes at a time.
+order (``Walks.integrate``).  Detour paths (``detour_walks``) and copies of
+one contour (``copies``) are laid end to end, so that one array job
+evaluates and sums many, whole paths of at most ``NODE_BUDGET`` nodes at a
+time: ``integrals`` is the one loop over the jobs.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -44,6 +44,9 @@ _GL_NODES_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 # node: 2,048 nodes run the pipeline faster than 1,024 with peak memory flat,
 # while 4,096 raise it with no further gain.
 NODE_BUDGET = 2048
+
+# A detour refuses a path end within this distance of the point it avoids.
+EXCLUSION = 1e-12
 
 # The most points of a block of ``grid_columns``: blocks of 2,048 points
 # raise the peak memory of a 100-by-100 ``eval-kernel`` grid, with no gain
@@ -130,16 +133,12 @@ def _bisect(a: np.ndarray, b: np.ndarray, toward: Optional[np.ndarray] = None):
     return starts[order], ends[order], seg.astype(int)[order]
 
 
-def _detour_plan(a: complex, b: complex, c: complex, radius: Optional[float], side: float):
-    """The detour from a to b around c (``Path.detour``) and its radius: the
-    legs (p, q) in path order, with the arc's angles (th1, th2) in place."""
-    if abs(a - c) < 1e-12 or abs(b - c) < 1e-12:
-        raise PathThroughSingularityError(
-            "path endpoint coincides with the excluded point"
-        )
-    if radius is None:
-        radius = max(1e-3, 0.5 * abs(b - c))
-    radius = min(radius, 0.5 * abs(a - c), 0.5 * abs(b - c))
+def _detour_plan(a: complex, b: complex, c: complex, side: float):
+    """The detour from a to b around c and its radius: the legs (p, q) in
+    path order, with the arc's angles (th1, th2) in place."""
+    if abs(a - c) < EXCLUSION or abs(b - c) < EXCLUSION:
+        raise PathThroughSingularityError("path endpoint coincides with the excluded point")
+    radius = min(0.5 * abs(a - c), 0.5 * abs(b - c))
     d = b - a
     length = abs(d)
     if length == 0:
@@ -181,20 +180,17 @@ class Walks:
     def __init__(self, xs: np.ndarray, ys: np.ndarray, dz: np.ndarray, sizes: np.ndarray, index: np.ndarray):
         self.xs, self.ys, self.dz, self.sizes, self.index = xs, ys, dz, sizes, index
 
-    def integrate(self, one_form: Callable[[np.ndarray, np.ndarray, np.ndarray], object]):
-        """The integral over each path of a 1-form whose values at all nodes
-        one_form(xs, ys, dz) gives, summed in node order: one total per
-        path.  A tuple of arrays integrates that many 1-forms, each summed
-        as it would be alone.  A non-finite total raises InvalidValueError
-        at the first node of its path with a non-finite partial sum.  This
-        is the one summation over a path."""
+    def integrate(self, one_form: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]) -> tuple:
+        """The integrals over each path of the 1-forms whose values at all
+        nodes one_form(xs, ys, dz) gives as a tuple of arrays: per 1-form,
+        one total per path, summed in node order as it would be alone.  A
+        non-finite total raises InvalidValueError at the first node of its
+        path with a non-finite partial sum.  The one summation over a path."""
         # a fault in the 1-form's own sums and products, or in the summation,
         # leaves a non-finite partial sum, refused by _totals
         with np.errstate(over="ignore", invalid="ignore"):
             values = one_form(self.xs, self.ys, self.dz)
-            parts = values if isinstance(values, tuple) else (values,)
-            totals = [self._totals(np.broadcast_to(v, self.dz.shape)) for v in parts]
-        return tuple(totals) if isinstance(values, tuple) else totals[0]
+            return tuple(self._totals(np.broadcast_to(v, self.dz.shape)) for v in values)
 
     def _totals(self, values: np.ndarray) -> np.ndarray:
         """Each path's sum of ``values``, added in node order (cumsum, where
@@ -212,9 +208,9 @@ class Walks:
         return totals
 
 
-def detour_walks(start, end, avoid, radius: Optional[float] = None, side: float = 1.0) -> Iterator[Walks]:
-    """The detour paths (``Path.detour``) from start[k] to end[k] around
-    avoid[k] (complex arrays that broadcast), cut in order into batches of
+def detour_walks(start, end, avoid, side: float = 1.0) -> Iterator[Walks]:
+    """The detour paths from start[k] to end[k] around avoid[k] (complex
+    arrays that broadcast), arcs on ``side``, cut in order into batches of
     whole paths of at most ``NODE_BUDGET`` nodes, or one longer
     path.  Each plan has the scalar arithmetic of one detour; then all legs
     are halved in one bisection and each batch's lines and arcs are built
@@ -224,7 +220,7 @@ def detour_walks(start, end, avoid, radius: Optional[float] = None, side: float 
     columns = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (start, end, avoid)))
     legs, arcs, parts = [], [], [0]  # parts[k]: the parts of the paths before path k
     for a, b, c in zip(*(v.ravel().tolist() for v in columns)):
-        plan, r = _detour_plan(a, b, c, radius, side)
+        plan, r = _detour_plan(a, b, c, side)
         for part in plan:
             if isinstance(part[0], complex):
                 legs.append((*part, c, len(legs) + len(arcs)))
@@ -282,15 +278,15 @@ def copies(path: "Path", count: int) -> Iterator[Walks]:
         yield Walks(xs, ys, dz, sizes[first:last], np.arange(first, last))
 
 
-def detour_integrals(start, end, avoid, one_form: Callable, frozen: tuple, side: float = 1.0) -> list:
-    """Per 1-form, the integrals over each detour path of ``detour_walks`` of
-    the tuple of 1-forms one_form(xs, ys, dz, *columns) gives, one array
-    job per batch: ``frozen`` holds values per path (a number for every
-    path), and ``columns`` holds them at every node."""
+def integrals(jobs: Iterable[Walks], one_form: Callable, columns: Sequence) -> list[np.ndarray]:
+    """Per 1-form, the integrals over each path of the array jobs ``jobs`` of
+    the tuple of 1-forms one_form(xs, ys, dz, *at) gives, ``at`` holding
+    ``columns`` at every node: a column holds one value per path, or is a
+    number for every path.  The one loop over array jobs."""
     totals = []
-    for walks in detour_walks(start, end, avoid, side=side):
-        columns = [v if np.ndim(v) == 0 else np.repeat(v[walks.index], walks.sizes) for v in frozen]
-        totals.append(walks.integrate(lambda xs, ys, dz: one_form(xs, ys, dz, *columns)))
+    for walks in jobs:
+        at = [v if np.ndim(v) == 0 else np.repeat(v[walks.index], walks.sizes) for v in columns]
+        totals.append(walks.integrate(lambda xs, ys, dz: one_form(xs, ys, dz, *at)))
     return [np.concatenate(t) for t in zip(*totals)]
 
 
@@ -348,10 +344,9 @@ class Path(Walks):
 
     # -- integration --------------------------------------------------------
 
-    def integrate(self, one_form: Callable[[np.ndarray, np.ndarray, np.ndarray], object]):
-        """∫ of a 1-form over the path: ``Walks.integrate``, its one total."""
-        totals = super().integrate(one_form)
-        return tuple(complex(t[0]) for t in totals) if isinstance(totals, tuple) else complex(totals[0])
+    def integrate(self, one_form: Callable[[np.ndarray, np.ndarray, np.ndarray], tuple]) -> tuple:
+        """∫ of each 1-form over the path: ``Walks.integrate``, one total each."""
+        return tuple(complex(t[0]) for t in super().integrate(one_form))
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .bicomplex import PlanePoint
-from .calculus import ContourError, RegionGrid, cell_centres, grid_columns
+from .calculus import EXCLUSION, ContourError, RegionGrid, cell_centres, grid_columns
 from .fields import Field, StepError
 from .pairs import GeneratingSequence, make_pair, separable_pair, vekua_residual
 from .powers import (
@@ -378,24 +378,34 @@ def _grid_csv(two_point, zeta: PlanePoint, grid: dict, seen=None) -> tuple[list[
 # Commands
 
 
+def _apart(cfg: dict, key: str, points, what: str) -> None:
+    """Refuse the point of ``key`` within ``EXCLUSION`` of a complex ``points``: no detour passes it."""
+    z = cfg[key]
+    if np.min(np.abs(points - z.as_complex)) < EXCLUSION:
+        raise ConfigError(f"config key '{key}' holds [{z.x!r}, {z.y!r}], {what} to within {EXCLUSION!r}")
+
+
 def cmd_eval_kernel(cfg: dict):
     fam = _build_kernel(cfg)
     _unread_f(cfg)
+    if cfg["kernel"] == "pipeline" and cfg["kernel_kind"] == "main":
+        _apart(cfg, "zeta", cfg["zeta0"].as_complex, "the point of 'zeta0'")
     lines, points = _grid_csv(fam.coef1 if cfg["alpha"] == "1" else fam.coefj, cfg["zeta"], cfg["grid"])
     checks = [_check("rows", len(lines) - 1, points, 0)]
     return checks, {"kernel.csv": lines}, {}
 
 
 def _contour(cfg: dict, *probe_keys: str) -> ContourSpec:
-    """The contour of a contour command: a radius lost at the center, and a
-    pipeline's 'zeta0' or a point of the ``probe_keys`` on a node, are
-    config errors."""
+    """The contour of a contour command: a radius lost at the center, a
+    pipeline's 'zeta0' near a node (``_apart``) and a point of the
+    ``probe_keys`` on a node are config errors."""
     try:
         contour = ContourSpec.circle(**cfg["contour"])
     except ContourError as e:  # the one the schema's bounds leave
         raise ConfigError(f"config key 'contour.radius' is refused: {e}") from e
-    points = [("zeta0", cfg["zeta0"])] if cfg["kernel"] == "pipeline" else []
-    for key, z in points + [(key, z) for key in probe_keys for z in cfg[key]]:
+    if cfg["kernel"] == "pipeline":
+        _apart(cfg, "zeta0", contour.path.nodes, "a node of the contour")
+    for key, z in [(key, z) for key in probe_keys for z in cfg[key]]:
         if contour.on_node(z):
             raise ConfigError(f"config key '{key}' holds [{z.x!r}, {z.y!r}], a node of the contour")
     return contour

@@ -244,12 +244,15 @@ def _checked(arrays: Callable[[], tuple], scalar: Callable[[], list], columns: S
     return [BicomplexArray(*parts[i : i + 2]) for i in range(0, len(parts), 2)]
 
 
-def _points(columns: Sequence):
-    """The points at every node of the columns, in node order, as points of
-    Python floats, a number standing for every node: (z,) from (x, y),
-    (zeta, z) from (xi, eta, x, y)."""
+def _coordinates(columns: Sequence) -> list[list[float]]:
+    """Each column at every node as Python floats, a number standing for every node."""
     shape = _shape(columns)
-    coords = [np.broadcast_to(np.asarray(c, dtype=float), shape).ravel().tolist() for c in columns]
+    return [np.broadcast_to(np.asarray(c, dtype=float), shape).ravel().tolist() for c in columns]
+
+
+def _points(columns: Sequence):
+    """The points of ``_coordinates``: (z,) from (x, y), (zeta, z) from (xi, eta, x, y)."""
+    coords = _coordinates(columns)
     return zip(*(map(PlanePoint, a, b) for a, b in zip(coords[::2], coords[1::2])))
 
 
@@ -504,15 +507,15 @@ def pairs_of(xi, eta, x, y) -> list[tuple[PlanePoint, PlanePoint]]:
     return list(_points((xi, eta, x, y)))
 
 
-def in_pair_order(batch: Callable[..., object], xi, eta, x, y):
-    """batch(xi, eta, x, y), a pair face's array job.  When it raises, the
-    pairs run again one at a time, in order, so that the first pair that
-    fails raises its own error, as calls pair by pair would."""
+def in_order(batch: Callable[..., object], *columns):
+    """batch(*columns), an array job over the nodes of the columns.  When it
+    raises, the nodes run again one at a time as numbers (``_coordinates``),
+    in order, so that the first that fails raises its own error."""
     try:
-        return batch(xi, eta, x, y)
-    except Exception:  # any error of a pair's evaluation; always re-raised
-        pairs = pairs_of(xi, eta, x, y)
-        if len(pairs) > 1:
-            for zeta, z in pairs:
-                batch(zeta.x, zeta.y, z.x, z.y)
+        return batch(*columns)
+    except Exception:  # any error of a node's evaluation; always re-raised
+        nodes = list(zip(*_coordinates(columns)))
+        if len(nodes) > 1:
+            for node in nodes:
+                batch(*node)
         raise

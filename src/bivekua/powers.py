@@ -2,7 +2,8 @@
 integral formulas by contour quadrature, the base/adjoint kernel transfer,
 the reproducing-kernel certification, and the negative-power algorithm.
 A formula at many points walks one copy of the contour per point, in
-array jobs of whole copies (``calculus.copies``).
+``calculus.integrals``, the one loop over array jobs, retried point by
+point on an error in ``fields.in_order``, the one in-order retry.
 
 A family's two coefficients are ``Kernel``s (``fields.Field``s over (xi,
 eta, x, y)), other pair faces, or plain evaluators; ``coefficients_at``
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import expr as ex
 from .bicomplex import Bicomplex, J, PlanePoint, from_cj
-from .calculus import Path, copies
+from .calculus import Path, copies, integrals
 from .fields import (
     KERNEL_VARS,
     BicomplexArray,
@@ -28,7 +29,7 @@ from .fields import (
     PairFace,
     d_z,
     five_point,
-    in_pair_order,
+    in_order,
     pairs_of,
     pointwise,
 )
@@ -251,24 +252,15 @@ def _contour_integral(contour: ContourSpec, z0: Points, one_form: Callable[..., 
     y0) gives at the point z0, or the list of them at each of a sequence of
     points: x0 and y0 are the point's coordinates at every node of its copy
     of the contour, the copies walked in array jobs of whole copies
-    (``calculus.copies``).  A point on a node raises before anything is
-    evaluated.  On an error the copies of the job run again one at a time,
-    in order, so that the first point that fails raises its own error."""
+    (``calculus.copies``) and retried point by point (``fields.in_order``).
+    A point on a node raises before anything is evaluated."""
     probes = [z0] if isinstance(z0, PlanePoint) else list(z0)
     for p in probes:
         if contour.on_node(p):
             raise SingularPointError(f"probe {p} lies on the contour")
     x0, y0 = np.array([(p.x, p.y) for p in probes], dtype=float).reshape(-1, 2).T
-    totals = []
-    for walks in copies(contour.path, len(probes)):
-        at = [np.repeat(c[walks.index], walks.sizes) for c in (x0, y0)]
-        try:
-            totals.append(walks.integrate(lambda xs, ys, dz: one_form(xs, ys, dz, *at)))
-        except Exception:  # any error of a probe's walk; always re-raised
-            for k in walks.index.tolist() if walks.sizes.size > 1 else ():
-                _contour_integral(contour, probes[k], one_form, value)
-            raise
-    values = [value(t) for t in zip(*(np.concatenate(t).tolist() for t in zip(*totals)))]
+    totals = in_order(lambda x0, y0: integrals(copies(contour.path, np.size(x0)), one_form, (x0, y0)), x0, y0)
+    values = [value(t) for t in zip(*(t.tolist() for t in totals))]
     return values[0] if isinstance(z0, PlanePoint) else values
 
 
@@ -495,7 +487,7 @@ class _BersChain:
     def both(self, xi, eta, x, y) -> tuple[BicomplexArray, BicomplexArray]:
         """Z(1) and Z(j) at every pair, a number standing for every pair."""
         trees = lambda: tuple(t for k in self.kernels for t in (k.sym.sc, k.sym.vec))  # noqa: E731
-        return tuple(in_pair_order(lambda *pair: self._run("values", trees, *pair), xi, eta, x, y))
+        return tuple(in_order(lambda *pair: self._run("values", trees, *pair), xi, eta, x, y))
 
     def partials(self, arg: str, xi, eta, x, y) -> list[tuple]:
         """Each slot's value and its partials in zeta (``arg`` is "zeta") at
@@ -503,7 +495,7 @@ class _BersChain:
         ``Kernel.partial_kernels`` in z."""
         kernels = [p for k in self.kernels for p in k.partial_kernels("z")]
         trees = lambda: tuple(t for k in kernels for t in (k.sym.sc, k.sym.vec))  # noqa: E731
-        parts = in_pair_order(lambda *pair: self._run("partials", trees, *pair), xi, eta, x, y)
+        parts = in_order(lambda *pair: self._run("partials", trees, *pair), xi, eta, x, y)
         return [tuple(parts[:3]), tuple(parts[3:])]
 
     def _run(self, key: str, trees, xi, eta, x, y) -> list[BicomplexArray]:

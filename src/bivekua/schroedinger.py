@@ -22,7 +22,7 @@ import numpy as np
 
 from . import expr as ex
 from .bicomplex import Bicomplex, InvalidValueError, PlanePoint
-from .calculus import CalculusError, Path, detour_integrals, tf_densities, tf_transform
+from .calculus import CalculusError, Path, detour_walks, integrals, tf_densities, tf_transform
 from .fields import (
     KERNEL_VARS,
     BicomplexArray,
@@ -32,7 +32,7 @@ from .fields import (
     SymBC,
     at_nodes,
     five_point,
-    in_pair_order,
+    in_order,
     pairs_of,
     partials,
     pointwise,
@@ -149,20 +149,15 @@ def successor_kernel_coefj(coef1: Kernel, f: Field, zeta0: PlanePoint, side: flo
     return KernelFamily(order=-1, coef1=coef1, coefj=SuccessorCoefj(minus, f, zeta0, side))
 
 
-def _per_walk(v, walk: list[int], n: int):
-    """A coordinate of each walk's frozen point, of n pairs; a number stays
-    one, as a single call freezes it."""
-    return float(v) if np.ndim(v) == 0 else np.broadcast_to(v, (n,))[walk]
-
-
 def _walks(face, start, end: int, forms: int, one_form, xi, eta, x, y) -> np.ndarray:
     """Per 1-form of one_form(xs, ys, dz, *other), ``other`` the coordinates
     of each pair's other point at every node, the row of its integrals over
     the detour path from start(zeta) to the pair's point ``end`` (0: zeta,
     1: z) around the other point, divided by f there (face.f, called once
     on all path ends), 0 where the path is empty: ``forms`` rows, all paths
-    run as array jobs (``detour_integrals``, face.side).  A pair on the
-    diagonal, f = 0 at a path end or a value past the double range raises."""
+    run as array jobs (``detour_walks`` on face.side, ``integrals``).  A
+    pair on the diagonal, f = 0 at a path end or a value past the double
+    range raises."""
     pairs = pairs_of(xi, eta, x, y)
     for zeta, z in pairs:
         if zeta.dist(z) == 0:
@@ -175,8 +170,10 @@ def _walks(face, start, end: int, forms: int, one_form, xi, eta, x, y) -> np.nda
         fends = face.f.on(ends.real, ends.imag).sc.tolist()
         if 0 in fends:
             raise CalculusError(f"f vanishes at path endpoint {paths[walk[fends.index(0)]][1]}")
-        frozen = tuple(_per_walk(v, walk, len(pairs)) for v in ((x, y), (xi, eta))[end])
-        totals = detour_integrals(starts, ends, avoid, one_form, frozen, face.side)
+        # each walk's other point, a number staying one, as a single call freezes it
+        other = [float(v) if np.ndim(v) == 0 else np.broadcast_to(v, (len(pairs),))[walk]
+                 for v in ((x, y), (xi, eta))[end]]
+        totals = integrals(detour_walks(starts, ends, avoid, face.side), one_form, other)
         # Python's complex division, which rounds unlike numpy's
         out[:, walk] = [[t / fend for t, fend in zip(row.tolist(), fends)] for row in totals]
         # not .all(): its reduction loop alone adds 0.1 MB of resident memory
@@ -197,7 +194,7 @@ class SuccessorCoefj(PairFace):
         self.integrand, self.f, self.zeta0, self.side = integrand, f, zeta0, side
 
     def on(self, xi, eta, x, y) -> BicomplexArray:
-        return BicomplexArray(*in_pair_order(self._batch, xi, eta, x, y))
+        return BicomplexArray(*in_order(self._batch, xi, eta, x, y))
 
     def partials(self, arg: str, xi, eta, x, y) -> tuple[BicomplexArray, ...]:
         """The value V = I/f and its exact partials in ``arg`` at every pair.
@@ -207,7 +204,7 @@ class SuccessorCoefj(PairFace):
         alike in eta, I_xi and I_eta the 1-form's coefficients at zeta."""
         if arg == "z":
             kernels = self.integrand.partial_kernels("z")
-            rows = in_pair_order(lambda *pair: self._batch(*pair, kernels), xi, eta, x, y)
+            rows = in_order(lambda *pair: self._batch(*pair, kernels), xi, eta, x, y)
             return tuple(BicomplexArray(*rows[i : i + 2]) for i in (0, 2, 4))
         value = self.on(xi, eta, x, y)
         f = self.f.partials(*np.broadcast_arrays(*np.atleast_1d(xi, eta, x, y))[:2])
@@ -244,7 +241,7 @@ class DarbouxFundamental(PairFace):
 
     def on(self, xi, eta, x, y) -> BicomplexArray:
         """S1 at every pair ((xi[k], eta[k]), (x[k], y[k]))."""
-        pairs, regular = pairs_of(xi, eta, x, y), in_pair_order(self._batch, xi, eta, x, y)
+        pairs, regular = pairs_of(xi, eta, x, y), in_order(self._batch, xi, eta, x, y)
         sc = np.array([math.log(zeta.dist(z)) + r for (zeta, z), r in zip(pairs, regular)], dtype=complex)
         return BicomplexArray(sc, np.zeros(sc.shape, dtype=complex))
 

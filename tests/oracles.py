@@ -40,17 +40,11 @@ def isclose(a: Bicomplex, b: Bicomplex, tol: float = 1e-12) -> bool:
     return (a - b).norm <= tol * max(1.0, a.norm, b.norm)
 
 
-def detour_path(
-    start: PlanePoint,
-    end: PlanePoint,
-    avoid: PlanePoint,
-    radius: Optional[float] = None,
-    side: float = 1.0,
-) -> Path:
+def detour_path(start: PlanePoint, end: PlanePoint, avoid: PlanePoint, side: float = 1.0) -> Path:
     """Straight path from start to end with a circular-arc detour
     around ``avoid`` when the segment passes too close to it (the path
     of ``detour_walks`` for these points)."""
-    (walks,) = detour_walks(start.as_complex, end.as_complex, avoid.as_complex, radius, side)
+    (walks,) = detour_walks(start.as_complex, end.as_complex, avoid.as_complex, side)
     return Path(walks.xs, walks.ys, walks.dz, start, end)
 
 
@@ -58,11 +52,12 @@ def abar_antiderivative(w: Field, path: Path) -> complex:
     """2 ∫ (u dx + v dy) for W = u + jv; solves d_zbar(phi) = W when the
     compatibility condition u_y = v_x holds."""
 
-    def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> np.ndarray:
+    def one_form(xs: np.ndarray, ys: np.ndarray, dz: np.ndarray) -> tuple:
         sc, vec = w.on(xs, ys)
-        return sc * dz.real + vec * dz.imag
+        return (sc * dz.real + vec * dz.imag,)
 
-    return 2 * path.integrate(one_form)
+    (total,) = path.integrate(one_form)
+    return 2 * total
 
 
 def midpoints(x0: float, x1: float, y0: float, y1: float, nx: int, ny: int) -> list[PlanePoint]:

@@ -105,7 +105,7 @@ def test_circle_path_closes():
     # ∮ dz = 0 and ∮ dz/z = 2πi
     total = sum(c.dz.tolist())
     assert abs(total) < 1e-12
-    val = c.integrate(lambda xs, ys, dz: dz / (xs + 1j * ys))
+    (val,) = c.integrate(lambda xs, ys, dz: (dz / (xs + 1j * ys),))
     assert abs(val - 2j * math.pi) < 1e-12
 
 
@@ -146,10 +146,11 @@ def test_copies_cut_whole_copies_into_jobs(monkeypatch):
 
 def test_detour_avoids_point():
     avoid = PlanePoint(0.5, 0.0)
-    path = detour_path(PlanePoint(0, 0), PlanePoint(1, 0), avoid, radius=0.2)
+    # the default radius, half the distance of avoid from the nearer end: 0.25
+    path = detour_path(PlanePoint(0, 0), PlanePoint(1, 0), avoid)
     assert path.start == PlanePoint(0, 0)
     assert path.end == PlanePoint(1, 0)
-    assert np.all(np.hypot(path.xs - avoid.x, path.ys - avoid.y) > 0.19)
+    assert np.all(np.hypot(path.xs - avoid.x, path.ys - avoid.y) > 0.24)
 
 
 def test_detour_endpoint_on_singularity():
@@ -161,11 +162,11 @@ def test_detour_winding_consistency():
     # ∫ dz/(z - avoid) along both detour sides differ by 2πi (full loop)
     avoid = PlanePoint(0.5, 0.0)
     a, b = PlanePoint(0, 0), PlanePoint(1, 0)
-    up = detour_path(a, b, avoid, radius=0.2, side=+1)
-    dn = detour_path(a, b, avoid, radius=0.2, side=-1)
+    up = detour_path(a, b, avoid, side=+1)
+    dn = detour_path(a, b, avoid, side=-1)
     c = avoid.as_complex
-    iu = up.integrate(lambda xs, ys, dz: dz / (xs + 1j * ys - c))
-    idn = dn.integrate(lambda xs, ys, dz: dz / (xs + 1j * ys - c))
+    (iu,) = up.integrate(lambda xs, ys, dz: (dz / (xs + 1j * ys - c),))
+    (idn,) = dn.integrate(lambda xs, ys, dz: (dz / (xs + 1j * ys - c),))
     assert abs((iu - idn) - (-2j * math.pi)) < 1e-10 or abs(
         (iu - idn) - (2j * math.pi)
     ) < 1e-10
@@ -176,7 +177,7 @@ def test_path_node_count_is_the_length_of_nodes():
     # four segments of 0.25, 16 nodes each
     assert len(Path.polyline([a, b]).nodes) == 64
     assert len(Path.circle(avoid, 0.3, nodes=16).nodes) == 16
-    detour = detour_path(a, b, avoid, radius=0.2)
+    detour = detour_path(a, b, avoid)
     assert len(detour.nodes) == detour.xs.size == detour.dz.size > 64
     assert np.array_equal(detour.nodes, detour.xs + 1j * detour.ys)
 
@@ -211,7 +212,7 @@ def test_non_finite_values_on_a_path_are_refused():
         abar_antiderivative(Field.from_exprs("1e200*x*1e200"), path)
     # finite node values whose sum overflows, first at the second node
     with pytest.raises(InvalidValueError) as info:
-        path.integrate(lambda xs, ys, dz: np.full(xs.shape, 1e308 + 0j))
+        path.integrate(lambda xs, ys, dz: (np.full(xs.shape, 1e308 + 0j),))
     assert f"node {PlanePoint(float(path.xs[1]), 0.0)}" in str(info.value)
 
 
@@ -231,7 +232,7 @@ def test_polyline_of_one_repeated_point_is_empty():
     for points in ([p], [p, p]):
         path = Path.polyline(points)
         assert path.xs.size == 0
-        assert path.integrate(lambda xs, ys, dz: np.ones(xs.shape, dtype=complex)) == 0j
+        assert path.integrate(lambda xs, ys, dz: (np.ones(xs.shape, dtype=complex),)) == (0j,)
 
 
 def test_detour_walks_are_the_detours_path_by_path(monkeypatch):
@@ -314,7 +315,7 @@ def test_walk_sums_are_the_path_integrals():
     # its second node
     second = np.arange(walks.xs.size) >= walks.sizes[0]
     with pytest.raises(InvalidValueError) as info:
-        walks.integrate(lambda xs, ys, dz: np.where(second, 1e308, 0) + 0j)
+        walks.integrate(lambda xs, ys, dz: (np.where(second, 1e308, 0) + 0j,))
     node = PlanePoint(float(walks.xs[walks.sizes[0] + 1]), float(walks.ys[walks.sizes[0] + 1]))
     assert f"node {node}" in str(info.value)
 
@@ -325,8 +326,8 @@ def test_path_nodes_are_float_and_complex_arrays():
         Path.polyline([a, b]),
         Path.polyline([a, PlanePoint(0.5, 0.4), b]),
         Path.circle(avoid, 0.3, nodes=16),
-        detour_path(a, b, avoid, radius=0.2),  # around avoid
-        detour_path(a, PlanePoint(1, 1), avoid, radius=0.2),  # straight past it
+        detour_path(a, b, avoid),  # around avoid
+        detour_path(a, PlanePoint(1, 1), avoid),  # straight past it
     ]
     for path in paths:
         assert len(path.nodes) > 0

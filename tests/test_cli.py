@@ -888,6 +888,24 @@ def test_contour_past_the_double_range_is_a_plain_text_evaluation_error(tmp_path
                 {"h": 1e-300, "samples": 1, "region": {"x0": -1, "x1": 1, "y0": -1, "y1": 1}},
             )
         ),
+        # a detour path's start within calculus.EXCLUSION of the point it
+        # avoids: a pipeline zeta0 by a contour node, a main-kind zeta by zeta0
+        *(
+            (
+                command,
+                dict(_ON_CONTOUR, zeta0=[2.3000000000001, 0]),
+                "config key 'zeta0' holds [2.3000000000001, 0.0], a node of the contour to within 1e-12",
+            )
+            for command in ("verify-reproducing", "cauchy")
+        ),
+        *(
+            (
+                "eval-kernel",
+                dict(_NUMBERS["eval-kernel"], kernel_kind="main", zeta=[x, 0]),
+                f"config key 'zeta' holds [{x!r}, 0.0], the point of 'zeta0' to within 1e-12",
+            )
+            for x in (0.5, 0.5000000000001)
+        ),
     ],
 )
 def test_unknown_key_is_config_error(tmp_path, capsys, command, cfg, message):

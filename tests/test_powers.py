@@ -184,24 +184,31 @@ def test_cauchy_deviations_evaluates_all_probes_in_one_call():
     assert len(calls) == 1
 
 
-def test_first_failing_probe_raises_its_own_error():
+def test_first_failing_probe_raises_its_own_error(monkeypatch):
     # probe 0's values are finite but their sum passes the double range;
     # probe 1 divides by zero.  A job of both falls back node by node, where
-    # probe 1 raises first, so its copies run again one at a time and probe
-    # 0 raises its own error, as a walk per probe in order would
+    # probe 1 raises first, so the probes run again one at a time and probe
+    # 0 raises its own error, as a walk per probe in order would: in one job
+    # of the two, and with jobs of two 8-node copies, in the second job,
+    # after a job of two good probes that succeeds
     contour = ContourSpec.circle(PlanePoint(0, 0), 1.0, nodes=8)
     fam = KernelFamily(-1, analytic_kernel().coef1, Kernel.make("1e308*x + 1/(x - 0.5)"))
-    probes = [PlanePoint(1.5, 0.1), PlanePoint(0.5, 0.3)]
-    errors = []
-    for run in (lambda: formal_contour_integral(fam, ONE, contour, probes),
-                lambda: [formal_contour_integral(fam, ONE, contour, z0) for z0 in probes]):
-        with pytest.raises(Exception) as info:
-            run()
-        errors.append((type(info.value), str(info.value)))
-    assert errors[0] == errors[1]
-    assert errors[0][0] is InvalidValueError and "non-finite integral" in errors[0][1]
-    with pytest.raises(EvaluationError):
-        formal_contour_integral(fam, ONE, contour, probes[1:])
+    bad = [PlanePoint(1.5, 0.1), PlanePoint(0.5, 0.3)]
+    for budget, good in ((calculus.NODE_BUDGET, []), (16, [PlanePoint(0.0, 0.1), PlanePoint(0.0, -0.1)])):
+        monkeypatch.setattr(calculus, "NODE_BUDGET", budget)
+        probes = good + bad
+        assert [w.index.tolist() for w in calculus.copies(contour.path, len(probes))][-1] == [len(good), len(good) + 1]
+        assert len(formal_contour_integral(fam, ONE, contour, good)) == len(good)
+        errors = []
+        for run in (lambda: formal_contour_integral(fam, ONE, contour, probes),
+                    lambda: [formal_contour_integral(fam, ONE, contour, z0) for z0 in probes]):
+            with pytest.raises(Exception) as info:
+                run()
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
+        assert errors[0][0] is InvalidValueError and "non-finite integral" in errors[0][1]
+        with pytest.raises(EvaluationError):
+            formal_contour_integral(fam, ONE, contour, bad[1:])
 
 
 def test_kernel_fault_at_a_contour_node_raises_at_that_node():
