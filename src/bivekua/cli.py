@@ -390,6 +390,15 @@ def cmd_eval_kernel(cfg: dict):
     _unread_f(cfg)
     if cfg["kernel"] == "pipeline" and cfg["kernel_kind"] == "main":
         _apart(cfg, "zeta", cfg["zeta0"].as_complex, "the point of 'zeta0'")
+    elif cfg["kernel"] == "pipeline" and cfg["alpha"] == "j":
+        # Z(j) walks from zeta0 around each grid point off zeta
+        g, zeta0, zeta = cfg["grid"], cfg["zeta0"], cfg["zeta"]
+        xs = np.array(cell_centres(g["x0"], g["x1"], g["nx"]))
+        ys = np.array(cell_centres(g["y0"], g["y1"], g["ny"]))
+        near = (xs[np.abs(xs - zeta0.x) < EXCLUSION, None] + 1j * ys[np.abs(ys - zeta0.y) < EXCLUSION]).ravel()
+        near = near[np.abs(near - zeta.as_complex) > 1e-9]
+        if near.size:
+            _apart(cfg, "zeta0", near, "a point of the grid")
     lines, points = _grid_csv(fam.coef1 if cfg["alpha"] == "1" else fam.coefj, cfg["zeta"], cfg["grid"])
     checks = [_check("rows", len(lines) - 1, points, 0)]
     return checks, {"kernel.csv": lines}, {}

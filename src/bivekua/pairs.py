@@ -108,9 +108,8 @@ def adjoint_fields(pair: GeneratingPair) -> tuple[Field, Field]:
     return Field.from_sym(Fc.scale(-2) * Dinv), Field.from_sym(Gc.scale(2) * Dinv)
 
 
-def adjoint_pair(pair: GeneratingPair, region: Optional[RegionGrid] = None) -> GeneratingPair:
-    Fs, Gs = adjoint_fields(pair)
-    return make_pair(Fs, Gs, region)
+def adjoint_pair(pair: GeneratingPair) -> GeneratingPair:
+    return make_pair(*adjoint_fields(pair))
 
 
 # ---------------------------------------------------------------------------

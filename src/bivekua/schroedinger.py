@@ -230,14 +230,13 @@ class DarbouxFundamental(PairFace):
     the ``family``'s, along the detour path from base_of(zeta) to z around
     zeta: log|z - zeta| plus a regular part R.  ``_batch`` gives the
     regular parts at many pairs, running their walks as array jobs
-    (``_walks``); the pair face ``on`` adds log|z - zeta| to them."""
+    (``_walks``, arcs on side 1); the pair face ``on`` adds log|z - zeta|
+    to them."""
 
-    def __init__(self, family: KernelFamily, f: Field, base_of: Callable[[PlanePoint], PlanePoint], side: float):
-        self.family, self.f, self.base_of, self.side = family, f, base_of, side
+    side = 1.0
 
-    def regular(self, zeta: PlanePoint, z: PlanePoint) -> complex:
-        (value,) = self._batch(zeta.x, zeta.y, z.x, z.y)
-        return value
+    def __init__(self, family: KernelFamily, f: Field, base_of: Callable[[PlanePoint], PlanePoint]):
+        self.family, self.f, self.base_of = family, f, base_of
 
     def on(self, xi, eta, x, y) -> BicomplexArray:
         """S1 at every pair ((xi[k], eta[k]), (x[k], y[k]))."""
@@ -256,17 +255,14 @@ class DarbouxFundamental(PairFace):
 
 
 def darboux_fundamental(
-    kj: KernelFamily,
-    f: Field,
-    z0: Union[PlanePoint, Callable[[PlanePoint], PlanePoint]],
-    side: float = 1.0,
+    kj: KernelFamily, f: Field, z0: Union[PlanePoint, Callable[[PlanePoint], PlanePoint]]
 ) -> DarbouxFundamental:
     """Fundamental solution of the Darboux-transformed equation:
     S1(zeta, z) = (1/f(z)) Vec ∫_{z0}^{z} f(tau) Z(j, zeta, tau) dtau.
 
     z0 may be a fixed point or a map zeta -> z0 (e.g. zeta + 1); S1 is 0 at
     z = z0, where the path is empty."""
-    return DarbouxFundamental(kj, f, z0 if callable(z0) else (lambda zeta: z0), side)
+    return DarbouxFundamental(kj, f, z0 if callable(z0) else (lambda zeta: z0))
 
 
 # ---------------------------------------------------------------------------

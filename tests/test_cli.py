@@ -906,6 +906,16 @@ def test_contour_past_the_double_range_is_a_plain_text_evaluation_error(tmp_path
             )
             for x in (0.5, 0.5000000000001)
         ),
+        # a successor Z(j) grid point by zeta0, where each walk starts
+        *(
+            (
+                "eval-kernel",
+                {"kernel": "pipeline", "f": "x", "zeta0": [x, 0], "zeta": [1, 0], "kernel_kind": "successor",
+                 "alpha": "j", "grid": {"x0": 1.9, "x1": 2.1, "y0": -0.1, "y1": 0.1, "nx": 1, "ny": 1}},
+                f"config key 'zeta0' holds [{x!r}, 0.0], a point of the grid to within 1e-12",
+            )
+            for x in (2.0, 2.0000000000001)
+        ),
     ],
 )
 def test_unknown_key_is_config_error(tmp_path, capsys, command, cfg, message):
@@ -992,6 +1002,17 @@ def test_eval_kernel_csv_is_the_per_point_rows(tmp_path, alpha):
         got = [float(v) for v in row.split(",")]
         assert got[:2] == want[:2]
         assert all(abs(g - v) <= 1e-15 * max(1.0, abs(v)) for g, v in zip(got, want))
+
+
+def test_successor_zj_grid_point_at_zeta_by_zeta0_is_left_out(tmp_path):
+    # the table leaves out the grid point (2, 0) at zeta, so no walk starts
+    # by it although it lies within calculus.EXCLUSION of zeta0
+    grid = {"x0": 1.7, "x1": 2.3, "y0": -0.1, "y1": 0.1, "nx": 3, "ny": 1}
+    cfg = {"kernel": "pipeline", "f": "x", "zeta0": [2.0000000000001, 0], "zeta": [2, 0],
+           "kernel_kind": "successor", "alpha": "j", "grid": grid}
+    config = _write(tmp_path, "c.json", cfg)
+    assert main(["eval-kernel", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    assert len((tmp_path / "kernel.csv").read_text().splitlines()) == 3
 
 
 def _old_rows(*columns) -> list[str]:

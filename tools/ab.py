@@ -34,6 +34,13 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 from run import pass_wall, speed  # noqa: E402
 
+
+def margin(p: dict) -> float:
+    """The least margin of a pass's runs, as bench/run.py takes its
+    ``margin_digits`` (nan when no run has one)."""
+    return min((r["margin"] for r in p["runs"] if r["margin"] is not None), default=math.nan)
+
+
 # name, unit, better, value of a pass (bench/one_pass.py's result)
 METRICS = (
     ("wall_s", "s", "lower", lambda p: pass_wall(p) * speed(p)),
@@ -41,15 +48,15 @@ METRICS = (
     ("pass_wall_s", "s", "lower", pass_wall),
     ("setup_raw_s", "s", "lower", lambda p: p["setup_s"]),
     ("peak_rss_mb", "MB", "lower", lambda p: p["rss_mb"]),
-    ("margin_digits", "digits", "higher",
-     lambda p: min((r["margin"] for r in p["runs"] if r["margin"] is not None), default=math.nan)),
+    ("margin_digits", "digits", "higher", margin),
 )
 
 
-def one_pass(src: Path, manifest: Path, out: Path) -> dict:
-    """One bench/one_pass.py pass with bivekua from ``src``."""
+def one_pass(src: Path, manifest: Path, out: Path, spans: Path | None = None) -> dict:
+    """One bench/one_pass.py pass with bivekua from ``src``, traced into
+    ``spans`` when given, as bench/run.py --trace 1 traces."""
     cmd = [sys.executable, str(ROOT / "bench" / "one_pass.py"), "--manifest", str(manifest),
-           "--out", str(out), "--src", str(src)]
+           "--out", str(out), "--src", str(src), *(["--spans", str(spans)] if spans else [])]
     proc = subprocess.run(cmd, capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), cwd=ROOT)
     if proc.returncode != 0:
         raise SystemExit(f"pass under {src} exited {proc.returncode}:\n{proc.stderr}")

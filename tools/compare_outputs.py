@@ -1,17 +1,23 @@
-"""Compare the artifacts of the benchmark configs under two `src/` trees.
+"""Compare the artifacts of the benchmark's passes under two `src/` trees.
 
 Runs seeds 1-3 of the three benchmark workloads (bench/workloads.py),
-then the fixed configs of EXTRA that no benchmark config reaches,
-through the `vekua` CLI, once under each tree, and prints for every
-report.json and CSV either "byte-identical" or the largest absolute and
-relative difference of any number in it, and an artifact that only the head
-writes.  Ends with two summary lines, for the benchmark's artifacts and
-for EXTRA's: how many of the base's are byte-identical, and the largest
-relative difference.  For each workload and seed it also prints
-the benchmark's ``margin_digits`` (the least margin of any run) under each
-tree, so that a change to the rounding of a checked result shows before
-the benchmark runs.  Exits 1 if any check's pass/fail, or any run's exit
-code, differs between the trees.
+then the fixed configs of EXTRA that no benchmark config reaches, each
+manifest as one bench/one_pass.py pass under each tree (tools/ab.py's
+runner), so the CLI runs in process, one after the other, as the
+benchmark runs them.  It prints for every report.json and CSV either
+"byte-identical" or the largest absolute and relative difference of any
+number in it, and an artifact that only the head writes.  Each benchmark
+manifest also runs once traced under the head, as bench/run.py --trace 1
+runs it, and a traced run that exits or writes otherwise than the head's
+untraced run is named; EXTRA, which the benchmark never traces, is not.
+Ends with three summary lines: for the benchmark's artifacts and for
+EXTRA's, how many of the base's are byte-identical and the largest
+relative difference, and how many traced runs match.  For each workload
+and seed it also prints the benchmark's ``margin_digits`` (the least
+margin of any run) under each tree, so that a change to the rounding of
+a checked result shows before the benchmark runs.  Exits 1 if any
+check's pass/fail, or any run's exit code, differs between the trees, or
+if a traced run differs from its untraced run.
 
     python3 tools/compare_outputs.py --base /path/to/base/src --head src
 """
@@ -23,14 +29,13 @@ import csv
 import io
 import json
 import math
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 import workloads  # noqa: E402
+from ab import margin, one_pass  # noqa: E402
 
 SEEDS = (1, 2, 3)
 
@@ -92,18 +97,6 @@ def write_extra(directory: Path) -> list[dict]:
     return manifest
 
 
-def run_all(src: Path, manifest: list[dict], out: Path) -> dict[str, int]:
-    """Each run of the manifest through the CLI with ``src`` on the path;
-    its artifacts go to out/<run name>.  Returns the exit code of each."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    codes = {}
-    for run in manifest:
-        cmd = [sys.executable, "-m", "bivekua.cli", run["command"], "--config", run["config"],
-               "--out", str(out / run["name"]), "--quiet"]
-        codes[run["name"]] = subprocess.run(cmd, env=env, capture_output=True).returncode
-    return codes
-
-
 def numbers(path: Path) -> list[float]:
     """Every number of a report.json or CSV, in file order."""
     if path.suffix == ".json":
@@ -128,11 +121,9 @@ def numbers(path: Path) -> list[float]:
 
 
 def difference(a: Path, b: Path) -> tuple[str, float]:
-    """How far artifact b is from artifact a, and the largest relative
-    difference of its numbers (0 when byte-identical, inf when the shapes
+    """How far artifact b, whose bytes differ, is from artifact a, and the
+    largest relative difference of its numbers (inf when the shapes
     differ)."""
-    if a.read_bytes() == b.read_bytes():
-        return "byte-identical", 0.0
     x, y = numbers(a), numbers(b)
     if len(x) != len(y):
         return f"differs in shape ({len(x)} vs {len(y)} numbers)", float("inf")
@@ -149,67 +140,53 @@ def verdicts(report: Path) -> list:
     return [c["pass"] for c in data["checks"]] + [data["pass"]]
 
 
-def margin_digits(checks) -> float | None:
-    """Min over checks with tol > 0 of log10(tol / max(|value - expected|,
-    1e-16 tol)): bench/one_pass.margin_digits (that module imports the
-    program when it loads, so it is not imported here)."""
-    out = None
-    for c in checks:
-        tol = c.get("tol", 0)
-        err = abs(c.get("value", math.nan) - c.get("expected", math.nan))
-        if not tol > 0 or not math.isfinite(err):
-            continue
-        m = math.log10(tol / max(err, 1e-16 * tol))
-        out = m if out is None else min(out, m)
-    return out
-
-
-def least_margin(out: Path, manifest: list[dict]) -> float | None:
-    """The least ``margin_digits`` of the manifest's runs written to out, as
-    the benchmark takes a pass's margin."""
-    margins = []
-    for run in manifest:
-        report = out / run["name"] / "report.json"
-        if report.exists():
-            margin = margin_digits(json.loads(report.read_text()).get("checks", []))
-            if margin is not None:
-                margins.append(margin)
-    return min(margins, default=None)
-
-
-def compare(label: str, manifest: list[dict], case: Path, base_src: Path, head_src: Path) -> tuple[bool, list]:
-    """Run the manifest under both trees and print each artifact's
-    difference and the least margin under each tree.  Returns whether a
-    run's exit code or a check's pass/fail changed, and for each of the
-    base's artifacts whether it is byte-identical and its largest relative
-    difference (None when the head did not write it)."""
+def compare(label: str, manifest: list[dict], case: Path, base_src: Path, head_src: Path,
+            traced: bool = False) -> tuple[bool, list, list]:
+    """Run the manifest as one pass under each tree and print each
+    artifact's difference and the least margin under each tree; with
+    ``traced``, also one traced pass of the head, naming each run that
+    exits or writes otherwise than the head's untraced run.  Returns
+    whether a run's exit code or a check's pass/fail changed or a traced
+    run differed; for each of the base's artifacts whether it is
+    byte-identical and its largest relative difference (None when the head
+    did not write it); and for each traced run whether it matched."""
     changed = False
     results = []
-    base_codes = run_all(base_src, manifest, case / "base")
-    head_codes = run_all(head_src, manifest, case / "head")
-    for run in manifest:
-        name = run["name"]
+    path = case / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    passes = {tree: one_pass(src, path, case / tree) for tree, src in (("base", base_src), ("head", head_src))}
+    for b, h in zip(passes["base"]["runs"], passes["head"]["runs"]):
+        name = b["name"]
         base, head = case / "base" / name, case / "head" / name
-        if base_codes[name] != head_codes[name]:
+        if b["exit"] != h["exit"]:
             changed = True
-            print(f"{label} {name}: exit code {base_codes[name]} -> {head_codes[name]}")
+            print(f"{label} {name}: exit code {b['exit']} -> {h['exit']}")
         if verdicts(base / "report.json") != verdicts(head / "report.json"):
             changed = True
             print(f"{label} {name}: check pass/fail changed")
-        for artifact in sorted(p.name for p in base.glob("*")):
-            if not (head / artifact).exists():
+        for artifact, digest in b["digests"].items():
+            if artifact not in h["digests"]:
                 changed = True
                 results.append((False, None))
                 print(f"{label} {name}/{artifact}: missing")
                 continue
-            text, rel = difference(base / artifact, head / artifact)
-            results.append((text == "byte-identical", rel))
+            same = h["digests"][artifact] == digest
+            text, rel = ("byte-identical", 0.0) if same else difference(base / artifact, head / artifact)
+            results.append((same, rel))
             print(f"{label} {name}/{artifact}: {text}")
-        for artifact in sorted(p.name for p in head.glob("*") if not (base / p.name).exists()):
+        for artifact in sorted(h["digests"].keys() - b["digests"].keys()):
             print(f"{label} {name}/{artifact}: written by the head only")
-    margins = [least_margin(case / tree, manifest) for tree in ("base", "head")]
-    print(f"{label} margin_digits: " + " -> ".join("none" if m is None else f"{m:.4f}" for m in margins))
-    return changed, results
+    matched = []
+    if traced:
+        runs = one_pass(head_src, path, case / "traced", case / "spans.npz")["runs"]
+        for plain, r in zip(passes["head"]["runs"], runs):
+            matched.append((r["exit"], r["digests"]) == (plain["exit"], plain["digests"]))
+            if not matched[-1]:
+                changed = True
+                print(f"{label} {r['name']}: the traced run exits or writes otherwise than the untraced run")
+    margins = [margin(passes[tree]) for tree in ("base", "head")]
+    print(f"{label} margin_digits: " + " -> ".join("none" if math.isnan(m) else f"{m:.4f}" for m in margins))
+    return changed, results, matched
 
 
 def summary(what: str, results: list) -> str:
@@ -225,7 +202,7 @@ def main() -> int:
     parser.add_argument("--head", required=True, type=Path, help="the src/ tree under test")
     args = parser.parse_args()
     changed = False
-    bench_results = []
+    bench_results, traced = [], []
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         base, head = args.base.resolve(), args.head.resolve()
@@ -233,15 +210,17 @@ def main() -> int:
             for seed in SEEDS:
                 case = root / f"{workload}-{seed}"
                 manifest = workloads.write(workload, seed, case / "configs")
-                case_changed, results = compare(f"{workload} seed {seed}", manifest, case, base, head)
+                case_changed, results, matched = compare(f"{workload} seed {seed}", manifest, case, base, head, True)
                 changed |= case_changed
                 bench_results += results
-        case_changed, extra_results = compare("extra", write_extra(root / "extra" / "configs"), root / "extra", base, head)
+                traced += matched
+        case_changed, extra_results, _ = compare("extra", write_extra(root / "extra" / "configs"), root / "extra", base, head)
         changed |= case_changed
     print(summary("benchmark artifacts", bench_results))
     print(summary("extra artifacts", extra_results))
+    print(f"{sum(traced)} of {len(traced)} traced benchmark runs exit and write as untraced")
     if changed:
-        print("a check's pass/fail or a run's exit code changed")
+        print("a check's pass/fail or a run's exit code changed, or a traced run differed")
     return 1 if changed else 0
 
 
