@@ -26,11 +26,11 @@ from .fields import (
     BicomplexArray,
     Field,
     Kernel,
+    MissingPartialError,
     PairFace,
     d_z,
     five_point,
     in_order,
-    pairs_of,
     pointwise,
 )
 from .pairs import (
@@ -91,11 +91,16 @@ def partials_at(k: KernelFamily, arg: str, xi, eta, x, y) -> list[tuple]:
     """For each slot of k, the ``BicomplexArray``s of its value and its
     partials in ``arg`` ("zeta": in (xi, eta), "z": in (x, y)) at every pair,
     as ``coefficients_at`` gives the values: the two ``_Slot``s of one
-    source from one run of its ``partials``, any other slot by its own."""
+    source from one run of its ``partials``, any other slot by its own.  A
+    slot without exact partials (a plain evaluator, a pair face with no
+    ``partials``) raises ``fields.MissingPartialError``."""
     source = _shared_source(k)
     if source is not None:
         parts = source.partials(arg, xi, eta, x, y)
         return [parts[c.slot] for c in (k.coef1, k.coefj)]
+    for c in (k.coef1, k.coefj):
+        if not hasattr(c, "partials"):
+            raise MissingPartialError(f"a slot of type {type(c).__name__} has no exact partials in {arg!r}")
     return [c.partials(arg, xi, eta, x, y) for c in (k.coef1, k.coefj)]
 
 
@@ -405,46 +410,43 @@ class _Differences:
     differences of step 1e-3 2^-m.
 
     A level takes the partials of the level below by ``fields.five_point``,
-    both slots in one batch of all the stencils' points.  Its arithmetic
-    rounds as ``pairs.fg_derivative`` on ``Bicomplex`` values does; A and B
-    run as numpy code."""
+    every function of the level-0 source in one batch of all the stencils'
+    points.  Its arithmetic rounds as ``pairs.fg_derivative`` on
+    ``Bicomplex`` values does; A and B run as numpy code.  The chain is
+    linear in the kernel, and A and B do not depend on the center, so the
+    same chain of the hat's exact partials in zeta gives the family's
+    (``partials``), as in ``_BersChain``."""
 
     def __init__(self, hat: KernelFamily, seq: GeneratingSequence, n: int):
         self.hat, self.seq, self.n = hat, seq, n
 
     def both(self, xi, eta, x, y) -> tuple[BicomplexArray, BicomplexArray]:
         """Z(1) and Z(j) at every pair, a number standing for every pair."""
-        columns = np.broadcast_arrays(*(np.atleast_1d(np.asarray(c, dtype=float)) for c in (xi, eta, x, y)))
-        w = self._stacked(*columns)
-        return BicomplexArray(w.sc[0], w.vec[0]), BicomplexArray(w.sc[1], w.vec[1])
+        return tuple(self._chain(lambda *pair: coefficients_at(self.hat, *pair), xi, eta, x, y))
 
     def partials(self, arg: str, xi, eta, x, y) -> list[tuple]:
         """Each slot's value and its partials in zeta (``arg`` is "zeta") at
-        every pair, by a ``fields.five_point`` stencil in zeta of step 1e-4
-        (1 + |zeta|) per pair: one stencil of all pairs holds every level of
-        every pair at once, which doubled a scan's peak memory at n = 3."""
-        # the stencil moves the last two places, here each pair's zeta
-        swapped = lambda x, y, xi, eta: self._stacked(xi, eta, x, y)  # noqa: E731
-        stencils = [
-            five_point(swapped, np.array([[z.x], [z.y], [zeta.x], [zeta.y]]), 1e-4 * (1 + abs(zeta.as_complex)))[:3]
-            for zeta, z in pairs_of(xi, eta, x, y)
-        ]
-        # value, d/dxi and d/deta: both slots on the first axis, the pairs on the second
-        parts = [BicomplexArray(*(np.concatenate(p, 1) for p in zip(*part))) for part in zip(*stencils)]
-        return [tuple(BicomplexArray(v.sc[i], v.vec[i]) for v in parts) for i in (0, 1)]
+        every pair, from one chain of the hat's value and exact partials in
+        zeta (``partials_at``)."""
+        hat = lambda *pair: [p for slot in partials_at(self.hat, "zeta", *pair) for p in slot]  # noqa: E731
+        parts = self._chain(hat, xi, eta, x, y)
+        return [tuple(parts[:3]), tuple(parts[3:])]
 
-    def _stacked(self, xi, eta, x, y) -> BicomplexArray:
-        """Z(1) and Z(j) at every pair, stacked on the first axis."""
-        return self._level(self.n - 1, xi, eta, x, y).scale(1 / math.factorial(self.n - 1))
+    def _chain(self, source, xi, eta, x, y) -> list[BicomplexArray]:
+        """1/(n-1)! times the n-1 nested derivatives of each function
+        source(xi, eta, x, y) gives, at every pair."""
+        columns = np.broadcast_arrays(*(np.atleast_1d(np.asarray(c, dtype=float)) for c in (xi, eta, x, y)))
+        w = self._level(self.n - 1, source, *columns).scale(1 / math.factorial(self.n - 1))
+        return [BicomplexArray(sc, vec) for sc, vec in zip(w.sc, w.vec)]
 
-    def _level(self, m: int, xi, eta, x, y) -> BicomplexArray:
-        """The m-th derivatives at every pair, of Z(1) and of Z(j) on the
-        first axis: both slots in each array operation."""
+    def _level(self, m: int, source, xi, eta, x, y) -> BicomplexArray:
+        """The m-th derivatives at every pair, of each function of the
+        source on the first axis: all of them in each array operation."""
         if m == 0:
-            z1, zj = coefficients_at(self.hat, xi, eta, x, y)
-            return BicomplexArray(np.stack([z1.sc, zj.sc]), np.stack([z1.vec, zj.vec]))
+            values = source(xi, eta, x, y)
+            return BicomplexArray(np.stack([v.sc for v in values]), np.stack([v.vec for v in values]))
         pair, h = self.seq.pair_at(m - 1), 1e-3 * 2.0 ** (1 - m)
-        value, fx, fy = five_point(lambda *stencil: self._level(m - 1, *stencil), (xi, eta, x, y), h)[:3]
+        value, fx, fy = five_point(lambda *stencil: self._level(m - 1, source, *stencil), (xi, eta, x, y), h)[:3]
         a, b = (c.on(x, y) for c in (pair.A, pair.B))
         return pair_operator(d_z(fx, fy), a, b, value)
 

@@ -1126,23 +1126,37 @@ def test_pipeline_build_powers_shares_derivatives_between_slots(tmp_path, succes
     assert len(successor_coefj_calls) == 10
 
 
+# Pipeline build-powers configs: the main kind of f = x (m), its successor
+# kind with the successor pair (s), and the main kind of f = exp(x) cos(y)
+# (e), at orders -1 to -3; "1*x" avoids the catalog mode of "x".
+_M1 = {
+    "kernel": "pipeline",
+    "f": "1*x",
+    "zeta0": [0.5, 0],
+    "separable": {"phi": "x", "psi": "1"},
+    "n": 1,
+    "region": {"x0": 1.5, "x1": 2.5, "y0": -0.5, "y1": 0.5},
+    "tol": 1e-6,
+}
+_S1 = {**_M1, "kernel_kind": "successor", "pair": {"F_sc": "1/x", "G_sc": "0", "G_vec": "x"}}
+_E1 = {
+    **_M1, "f": "exp(x)*cos(y)", "separable": {"phi": "exp(x)", "psi": "cos(y)"},
+    "region": {"x0": 1.0, "x1": 2.0, "y0": -0.5, "y1": 0.5},
+}
+_PIPELINE_POWERS = {
+    f"{name}{n}": {**cfg, "n": n}
+    for name, cfg, orders in (("m", _M1, (1, 2, 3)), ("s", _S1, (1, 2)), ("e", _E1, (1, 2, 3)))
+    for n in orders
+}
+
+
 def test_pipeline_residual_scan_is_exact_from_one_walk_batch(tmp_path, monkeypatch, central_differences):
     # the order -1 kernels' partials in z at the 97 scan points come from
     # one batch of successor coefj walks: of the values for the main kind,
     # whose partials in z are the successor's at the walk's end, and of the
     # integrand with its partials in z for the successor kind
-    m1 = {
-        "kernel": "pipeline",
-        "f": "1*x",
-        "zeta0": [0.5, 0],
-        "separable": {"phi": "x", "psi": "1"},
-        "n": 1,
-        "region": {"x0": 1.5, "x1": 2.5, "y0": -0.5, "y1": 0.5},
-        "tol": 1e-6,
-    }
-    s1 = {**m1, "kernel_kind": "successor", "pair": {"F_sc": "1/x", "G_sc": "0", "G_vec": "x"}}
     batch = SuccessorCoefj._batch
-    for cfg in (m1, s1):
+    for cfg in (_PIPELINE_POWERS["m1"], _PIPELINE_POWERS["s1"]):
         batches = []
         monkeypatch.setattr(
             SuccessorCoefj, "_batch", lambda self, *args: batches.append(len(pairs_of(*args[:4]))) or batch(self, *args)
@@ -1151,6 +1165,17 @@ def test_pipeline_residual_scan_is_exact_from_one_walk_batch(tmp_path, monkeypat
         assert main(["build-powers", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
         assert batches == [97]
     assert central_differences == []
+
+
+@pytest.mark.parametrize("name", sorted(_PIPELINE_POWERS))
+def test_pipeline_build_powers_pass(tmp_path, name):
+    # each order's partials are the chain of the base's exact partials, so
+    # the residual stays near rounding at every n
+    config = _write(tmp_path, "c.json", _PIPELINE_POWERS[name])
+    assert main(["build-powers", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    (check,) = _report(tmp_path)["checks"]
+    assert check["name"] == "max_vekua_residual"
+    assert check["value"] <= 1e-6
 
 
 def _readme_config_keys() -> dict[tuple[str, str], object]:

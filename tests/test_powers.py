@@ -10,7 +10,7 @@ from bivekua import calculus, expr, jets, powers
 from bivekua.bicomplex import J, Bicomplex, InvalidValueError, PlanePoint, from_cj
 from bivekua.calculus import RegionGrid
 from bivekua.expr import EvaluationError
-from bivekua.fields import KERNEL_VARS, Field, Kernel
+from bivekua.fields import KERNEL_VARS, Field, Kernel, MissingPartialError
 from bivekua.pairs import GeneratingSequence, make_pair, separable_pair
 from bivekua.powers import (
     ContourSpec,
@@ -437,6 +437,21 @@ def test_negative_powers_fd_chain_shares_derivatives_between_slots():
     e = expected_pow(zeta, z, 2)
     assert (v1 - e).norm <= 1e-5 * max(1.0, e.norm)
     assert (vj - Bicomplex(0, 1) * e).norm <= 1e-5 * max(1.0, e.norm)
+
+
+def test_residual_scan_of_plain_evaluators_is_refused_with_a_typed_error():
+    # a plain evaluator has no exact partials, and no stencil stands in
+    with pytest.raises(MissingPartialError, match="function has no exact partials in 'z'"):
+        power_residual_scan(as_callable_only(analytic_kernel()), ANALYTIC_PAIR, RegionGrid(-1, 1, -1, 1), PlanePoint(0.3, 0))
+
+
+def test_negative_power_of_plain_evaluators_has_no_partials():
+    # its values are the nested z-differences of the base's values, but its
+    # partials are the chain of the base's exact partials, which it lacks
+    k = negative_powers(as_callable_only(analytic_kernel()), CONST_SEQ, 2)
+    assert coefficients_at(k, 0.3, -0.2, -0.4, 0.5)
+    with pytest.raises(MissingPartialError, match="function has no exact partials in 'z'"):
+        powers.partials_at(k, "z", 0.3, -0.2, -0.4, 0.5)
 
 
 def test_criterion_5_loops_run_each_pair_once():

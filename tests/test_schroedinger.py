@@ -9,7 +9,7 @@ from bivekua.bicomplex import Bicomplex, PlanePoint
 from bivekua.calculus import PathThroughSingularityError, RegionGrid, detour_walks, tf_transform
 from bivekua.expr import EvaluationError
 from bivekua.fields import Field, Kernel
-from bivekua.pairs import GeneratingSequence, vekua_residual
+from bivekua.pairs import GeneratingSequence, vekua_residual, vekua_residual_of
 from bivekua.powers import (
     SingularPointError,
     asymptotics_check,
@@ -37,7 +37,6 @@ from bivekua.schroedinger import (
     x_successor_family,
 )
 from oracles import (
-    central_difference,
     detour_path,
     is_successor,
     isclose,
@@ -389,21 +388,37 @@ def test_transferred_main_family_residual_scan_is_exact(central_differences):
     assert rep.max_residual <= 1e-12
 
 
-def test_pipeline_residual_partials_are_the_scalar_differences_bit_for_bit():
-    # the order -2 pipeline family is differenced in z: one five-point
-    # stencil of both slots per point gives each slot's value and its
-    # scalar central differences at the step 1e-4 (1 + |z|)
+def pipeline_power(n):
+    """The order -n power of the pipeline main family of f = x."""
     seq = hat_sequence(GeneratingSequence.separable("x", "1"))
-    fam = negative_powers(adjoint_kernel_transfer(pipeline_successor(F_X)), seq, 2)
-    zeta = PlanePoint(1.8, 0.1)
-    points = [PlanePoint(1.6, -0.3), PlanePoint(2.2, 0.4), PlanePoint(2.45, 0.05)]
-    xs, ys = np.array([p.x for p in points]), np.array([p.y for p in points])
-    for slot, got in zip((fam.coef1, fam.coefj), powers.partials_at(fam, "z", zeta.x, zeta.y, xs, ys)):
-        in_z = lambda p: slot(zeta, p)  # noqa: E731
-        for i, p in enumerate(points):
-            h = 1e-4 * (1 + math.hypot(p.x, p.y))
-            want = (in_z(p), *(central_difference(in_z, p, h, axis) for axis in "xy"))
-            assert [(v.sc[i], v.vec[i]) for v in got] == [(v.sc, v.vec) for v in want]
+    return negative_powers(adjoint_kernel_transfer(pipeline_successor(F_X)), seq, n)
+
+
+def test_pipeline_power_partials_take_only_the_stencils_of_its_values(central_differences):
+    # the partials in z of the order -2 pipeline power are the chain of the
+    # hat's exact partials: the nested z-differences of its values, with no
+    # stencil in zeta
+    fam = pipeline_power(2)
+    zeta, xs, ys = PlanePoint(1.8, 0.1), np.array([1.6, 2.2, 2.45]), np.array([-0.3, 0.4, 0.05])
+    coefficients_at(fam, zeta.x, zeta.y, xs, ys)
+    values = len(central_differences)
+    parts = powers.partials_at(fam, "z", zeta.x, zeta.y, xs, ys)
+    assert 0 < len(central_differences) - values <= values
+    # the value rows are the values bit for bit
+    for (value, *_), want in zip(parts, coefficients_at(fam, zeta.x, zeta.y, xs, ys)):
+        assert (value.sc.tolist(), value.vec.tolist()) == (want.sc.tolist(), want.vec.tolist())
+
+
+def test_pipeline_power_partials_solve_the_main_equation():
+    # over the residual scan of the pipeline order -2 power at f = x, with
+    # the pair (f, j/f), the chain's partials leave a residual near rounding
+    region, zeta = RegionGrid(1.5, 2.5, -0.5, 0.5), PlanePoint(1.8, 0.1)
+    xs, ys = region.sample_columns(10)
+    keep = np.hypot(xs - zeta.x, ys - zeta.y) > 0.1
+    xs, ys = xs[keep], ys[keep]
+    pair = x_problem().pair
+    for slot in powers.partials_at(pipeline_power(2), "z", zeta.x, zeta.y, xs, ys):
+        assert vekua_residual_of(pair, xs, ys, *slot).max() <= 1e-10
 
 
 @pytest.mark.parametrize("f", [F_X, F_EXP], ids=["x", "exp(x)cos(y)"])

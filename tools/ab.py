@@ -1,17 +1,19 @@
 """Paired benchmark passes of two `src/` trees, base and head, alternating.
 
 Runs bench/one_pass.py passes of one workload's seeded manifest
-(bench/workloads.py) under each tree as it stands, base and head back to
-back in fresh interpreters, so that the two passes of a pair see the same
-machine load; which side runs first alternates from pair to pair.  For
-each end-to-end metric it prints both medians, the median paired
-difference (head - base), the head's wins out of the pairs (ties count for
-neither side) and the base's interquartile range.  `wall_s` and `setup_s`
-are scaled by each pass's reference job as bench/run.py scales them;
-`pass_wall_s` and `setup_raw_s` are the same times as measured.  It also
-counts the runs that failed (non-zero exit or a failed check) and the pairs
-whose artifacts are byte-identical.  --json writes the rows, with every
-pass's values.  Exits 1 if a run failed.
+(bench/workloads.py) under a copy of each tree as it stands, base and head
+back to back in fresh interpreters, so that the two passes of a pair see
+the same machine load; which side runs first alternates from pair to pair.
+The copies sit at paths of one length (base/src and head/src in a
+temporary directory), since a pass's peak RSS moves with the length of its
+tree's path.  For each end-to-end metric it prints both medians, the
+median paired difference (head - base), the head's wins out of the pairs
+(ties count for neither side) and the base's interquartile range.
+`wall_s` and `setup_s` are scaled by each pass's reference job as
+bench/run.py scales them; `pass_wall_s` and `setup_raw_s` are the same
+times as measured.  It also counts the runs that failed (non-zero exit or
+a failed check) and the pairs whose artifacts are byte-identical.  --json
+writes the rows, with every pass's values.  Exits 1 if a run failed.
 
     python3 tools/ab.py --base /path/to/base/src --head src --workload closed-form \\
         [--seed 1] [--pairs 10] [--json rows.json]
@@ -23,6 +25,7 @@ import argparse
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
@@ -97,9 +100,11 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         manifest = Path(tmp) / "manifest.json"
         manifest.write_text(json.dumps(workloads.write(args.workload, args.seed, Path(tmp) / "configs")))
+        ignore = shutil.ignore_patterns("__pycache__")
+        copies = {side: shutil.copytree(tree, Path(tmp) / side / "src", ignore=ignore) for side, tree in trees.items()}
         for pair in range(args.pairs):
             for side in ("base", "head") if pair % 2 == 0 else ("head", "base"):
-                passes[side].append(one_pass(trees[side], manifest, Path(tmp) / side))
+                passes[side].append(one_pass(copies[side], manifest, Path(tmp) / side))
     identical = sum(
         [r["digests"] for r in b["runs"]] == [r["digests"] for r in h["runs"]]
         for b, h in zip(passes["base"], passes["head"])
