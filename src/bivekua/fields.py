@@ -16,7 +16,8 @@ from one program.  Every ``on`` gives a ``BicomplexArray``, the ring
 interface on node values, so a formula written on it runs on all nodes at
 once: the checks (``pairs.vekua_residual``,
 ``schroedinger.schroedinger_residual``) do, at one point as at many
-(``at_nodes``).  ``five_point`` is the one finite-difference stencil.
+(``at_nodes``).  ``differences``, a table of Taylor coefficients by central
+differences, is the one finite-difference stencil.
 
 Any other two-point function (a path kernel, a slot of a transfer or of a
 chain) has a pair face (``PairFace``) that evaluates many pairs (zeta, z)
@@ -160,33 +161,55 @@ class MissingPartialError(ValueError):
     """An exact partial asked of a field built without partials."""
 
 
-def _moves_every_node(h: float, xs: np.ndarray, ys: np.ndarray) -> bool:
+def _moves_every_node(h: float, xs: np.ndarray, ys: np.ndarray, degree: int) -> bool:
     """x + h, x - h, y + h and y - h differ from x and y at every node, and
-    the second difference's factor 1/h^2 is a finite number."""
-    coords = np.concatenate([xs, ys])
-    return h * h > 0 and math.isfinite(1 / (h * h)) and bool(np.all((coords + h != coords) & (coords - h != coords)))
+    the highest differences' factor 1/h^degree is a finite number."""
+    coords, power = np.concatenate([xs, ys]), math.prod([h] * degree)
+    return power != 0 and math.isfinite(1 / power) and bool(np.all((coords + h != coords) & (coords - h != coords)))
 
 
-def five_point(values: Callable[..., BicomplexArray], columns: Sequence, h: float) -> tuple[BicomplexArray, ...]:
-    """The value, the first differences and the second differences of step
-    h in the last two columns (x, y), at every node of the columns: one call
-    of values(*columns) at every node's five points (the node, then x + h
-    and x - h, then y + h and y - h).  values may stack several functions on
-    leading axes; the nodes are on the last.  Returns (value, d/dx, d/dy,
-    d2/dx2, d2/dy2), each rounded as the same difference of ``Bicomplex``
-    values: (plus - minus)/(2h) and ((plus - value) - (value - minus))/h^2.
-    A step that leaves a node in place, or whose 1/h^2 is not finite,
-    raises StepError (``_moves_every_node``)."""
+def _central(a: int, at: Callable[[int], BicomplexArray]) -> BicomplexArray:
+    """The central difference of unit step at offset 0, delta^a for even a
+    and 2 mu delta^a for odd a, from at(k), the values at the integer
+    offsets k, as repeated differences of neighbours: plus - minus for
+    a = 1, (plus - value) - (value - minus) for a = 2."""
+    if a % 2:
+        return _central(a - 1, lambda k: at(k + 1)) - _central(a - 1, lambda k: at(k - 1))
+    row = [at(k) for k in range(-a // 2, a // 2 + 1)]
+    for _ in range(a):
+        row = [q - p for p, q in zip(row, row[1:])]
+    return row[0]
+
+
+def differences(
+    values: Callable[..., BicomplexArray], columns: Sequence, h: float, degree: int
+) -> list[BicomplexArray]:
+    """The Taylor coefficients in the last two columns (x, y) up to total
+    degree ``degree`` at every node of the columns, in the graded order of
+    ``jets`` (by total degree, then by the power of y): the partial
+    d^(a+b)/dx^a dy^b over a! b!, as the product of the central differences
+    of step h in x and in y (``_central``, each O(h^2)).  One call of
+    values(*columns) evaluates every node at each offset (i h, j h) that a
+    product weighs (5, 9 and 13 at degree 1, 2 and 3); values may stack
+    several functions on leading axes, the nodes are on the last.  A step
+    that leaves a node in place, or whose 1/h^degree is not finite, raises
+    StepError (``_moves_every_node``)."""
     *rest, x, y = columns
-    if not _moves_every_node(h, x, y):
+    if not _moves_every_node(h, x, y, degree):
         raise StepError(f"step h = {h!r} is too small to move every node")
-    stencil = [np.tile(c, 5) for c in rest]
-    stencil += [np.concatenate([x, x + h, x - h, x, x]), np.concatenate([y, y, y, y + h, y - h])]
-    parts = (np.moveaxis(np.reshape(p, np.shape(p)[:-1] + (5, -1)), -2, 0) for p in values(*stencil))
-    value, xp, xm, yp, ym = (BicomplexArray(sc, vec) for sc, vec in zip(*parts))
-    first = [(p - m).scale(1 / (2 * h)) for p, m in ((xp, xm), (yp, ym))]
-    second = [((p - value) - (value - m)).scale(1 / (h * h)) for p, m in ((xp, xm), (yp, ym))]
-    return (value, *first, *second)
+    monomials = [(s - b, b) for s in range(degree + 1) for b in range(s + 1)]
+    reach = [range(-((a + 1) // 2), (a + 1) // 2 + 1) for a in range(degree + 1)]
+    offsets = sorted({(i, j) for a, b in monomials for i in reach[a] for j in reach[b]})
+    stencil = [np.tile(c, len(offsets)) for c in rest]
+    stencil += [np.concatenate([c if k == 0 else c + k * h for k in ks]) for c, ks in zip((x, y), zip(*offsets))]
+    parts = (np.moveaxis(np.reshape(p, np.shape(p)[:-1] + (len(offsets), -1)), -2, 0) for p in values(*stencil))
+    at = dict(zip(offsets, (BicomplexArray(sc, vec) for sc, vec in zip(*parts))))
+    table = []
+    for a, b in monomials:
+        d = _central(b, lambda j: _central(a, lambda i: at[i, j]))
+        scale = 2 ** (a % 2 + b % 2) * math.prod([h] * (a + b)) * math.factorial(a) * math.factorial(b)
+        table.append(d if a + b == 0 else d.scale(1 / scale))
+    return table
 
 
 def partials(w: "Field", z: PlanePoint) -> tuple[Bicomplex, Bicomplex, Bicomplex]:

@@ -29,7 +29,7 @@ from .fields import (
     MissingPartialError,
     PairFace,
     d_z,
-    five_point,
+    differences,
     in_order,
     pointwise,
 )
@@ -387,87 +387,39 @@ def negative_powers(
 
     The adjoint-side kernel (the base/adjoint transfer of the base) is
     differentiated n-1 times in the sense of the pairs of ``adjoint_seq``,
-    scaled by 1/(n-1)!, and carried back by the transfer.  Closed-form base
-    kernels are differentiated exactly, by Taylor jets (``_BersChain``); any
-    other base by nested central differences (``_Differences``).  Either
-    way the two slots share one run per batch of pairs."""
-    if n < 1:
-        raise ValueError("order must satisfy n >= 1")
+    scaled by 1/(n-1)!, and carried back by the transfer (``_BersChain``):
+    exactly for closed-form base kernels, from central differences in z
+    for any other base.  The two slots share one run per batch of pairs.
+    An order that is not an ``int`` of at least 1 raises ValueError."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ValueError(f"order must be an int n >= 1, not {n!r}")
     if n == 1:
         return base_kernel
-    if isinstance(base_kernel.coef1, Kernel) and isinstance(base_kernel.coefj, Kernel):
-        source = _BersChain(base_kernel, adjoint_seq, n)
-    else:
-        source = _Differences(adjoint_kernel_transfer(base_kernel), adjoint_seq, n)
+    source = _BersChain(base_kernel, adjoint_seq, n)
     return adjoint_kernel_transfer(KernelFamily(-n, _Slot(source, 0), _Slot(source, 1)))
-
-
-class _Differences:
-    """The order -n family on the adjoint side of a base without closed
-    forms, at many pairs at once (``both``): 1/(n-1)! times the n-1 nested
-    Bers derivatives in z of the adjoint-side kernels ``hat``, in the sense
-    of the pairs 0..n-2 of ``seq``, the one of pair m by central
-    differences of step 1e-3 2^-m.
-
-    A level takes the partials of the level below by ``fields.five_point``,
-    every function of the level-0 source in one batch of all the stencils'
-    points.  Its arithmetic rounds as ``pairs.fg_derivative`` on
-    ``Bicomplex`` values does; A and B run as numpy code.  The chain is
-    linear in the kernel, and A and B do not depend on the center, so the
-    same chain of the hat's exact partials in zeta gives the family's
-    (``partials``), as in ``_BersChain``."""
-
-    def __init__(self, hat: KernelFamily, seq: GeneratingSequence, n: int):
-        self.hat, self.seq, self.n = hat, seq, n
-
-    def both(self, xi, eta, x, y) -> tuple[BicomplexArray, BicomplexArray]:
-        """Z(1) and Z(j) at every pair, a number standing for every pair."""
-        return tuple(self._chain(lambda *pair: coefficients_at(self.hat, *pair), xi, eta, x, y))
-
-    def partials(self, arg: str, xi, eta, x, y) -> list[tuple]:
-        """Each slot's value and its partials in zeta (``arg`` is "zeta") at
-        every pair, from one chain of the hat's value and exact partials in
-        zeta (``partials_at``)."""
-        hat = lambda *pair: [p for slot in partials_at(self.hat, "zeta", *pair) for p in slot]  # noqa: E731
-        parts = self._chain(hat, xi, eta, x, y)
-        return [tuple(parts[:3]), tuple(parts[3:])]
-
-    def _chain(self, source, xi, eta, x, y) -> list[BicomplexArray]:
-        """1/(n-1)! times the n-1 nested derivatives of each function
-        source(xi, eta, x, y) gives, at every pair."""
-        columns = np.broadcast_arrays(*(np.atleast_1d(np.asarray(c, dtype=float)) for c in (xi, eta, x, y)))
-        w = self._level(self.n - 1, source, *columns).scale(1 / math.factorial(self.n - 1))
-        return [BicomplexArray(sc, vec) for sc, vec in zip(w.sc, w.vec)]
-
-    def _level(self, m: int, source, xi, eta, x, y) -> BicomplexArray:
-        """The m-th derivatives at every pair, of each function of the
-        source on the first axis: all of them in each array operation."""
-        if m == 0:
-            values = source(xi, eta, x, y)
-            return BicomplexArray(np.stack([v.sc for v in values]), np.stack([v.vec for v in values]))
-        pair, h = self.seq.pair_at(m - 1), 1e-3 * 2.0 ** (1 - m)
-        value, fx, fy = five_point(lambda *stencil: self._level(m - 1, source, *stencil), (xi, eta, x, y), h)[:3]
-        a, b = (c.on(x, y) for c in (pair.A, pair.B))
-        return pair_operator(d_z(fx, fy), a, b, value)
 
 
 class _BersChain:
     """The order -n family on the adjoint side, 1/(n-1)! times the n-1 Bers
-    derivatives in z of the adjoint-side kernels of the closed-form family
-    ``base``, in the sense of the pairs 0..n-2 of ``seq``, at many pairs at
-    once (``both``).
+    derivatives in z of the adjoint-side kernels of ``base``, in the sense
+    of the pairs 0..n-2 of ``seq``, at many pairs at once (``both``).
 
-    The adjoint-side kernels at (zeta, z) are the base kernels at (z, zeta),
-    recombined (``adjoint_kernel_transfer``).  So the base kernels' one
-    program runs on the Taylor jets of z, of degree n-1, put in the center
-    places (xi, eta), at every pair, and its four parts are recombined as
-    ``_recombined`` does.  The A and B programs of each distinct pair run at
-    the degree their step needs.  The chain then takes n-1 Bers steps on
-    the jets, each one degree lower, on all kernels and pairs at once: no
-    expression tree grows with n.  The chain is linear in the kernel, and A
-    and B do not depend on the center, so the same chain of the base
-    kernels' partials in z, the adjoint side's center, gives the family's
-    partials in zeta (``partials``), and its transfer's in z.
+    The chain runs on the Taylor jets in z, of degree n-1, of the
+    adjoint-side kernels at every pair, which level 0 gives (``_level0``).
+    The adjoint-side kernels at (zeta, z) are the base kernels at (z,
+    zeta), recombined (``adjoint_kernel_transfer``).  So for closed-form
+    base kernels their one program runs on the jets of z put in the center
+    places (xi, eta), and its four parts are recombined as ``_recombined``
+    does.  For any other base the jets are the table of central
+    differences in z of step 1e-3 of the adjoint-side kernels' values
+    (``fields.differences``).  The A and B programs of each distinct pair
+    run at the degree their step needs.  The chain then takes n-1 Bers
+    steps on the jets, each one degree lower, on all kernels and pairs at
+    once: no expression tree grows with n.  The chain is linear in the
+    kernel, and A and B do not depend on the center, so the same chain of
+    the adjoint-side kernels' partials in zeta (the base kernels' partials
+    in z) gives the family's partials in zeta (``partials``), and its
+    transfer's in z.
 
     The jets hold numpy's extended precision (a 64-bit significand on
     x86-64), and the values are rounded to doubles once, at the end: the
@@ -477,10 +429,12 @@ class _BersChain:
     def __init__(self, base: KernelFamily, seq: GeneratingSequence, n: int):
         self.kernels, self.seq, self.n = (base.coef1, base.coefj), seq, n
         self._programs: dict = {}
+        closed = all(isinstance(k, Kernel) for k in self.kernels)
+        self.hat = None if closed else adjoint_kernel_transfer(base)
 
     def _program(self, key, trees: Callable[[], tuple], variables: tuple[str, ...], table: dict):
         """The program of trees() bound to ``table``, compiled on first use
-        of ``key``: a kind of kernel trees, or a pair."""
+        of ``key``: the kernel trees with partials or without, or a pair."""
         program = self._programs.get(key)
         if program is None:
             program = self._programs[key] = ex.compile_expr(trees(), variables, table=table)
@@ -488,23 +442,47 @@ class _BersChain:
 
     def both(self, xi, eta, x, y) -> tuple[BicomplexArray, BicomplexArray]:
         """Z(1) and Z(j) at every pair, a number standing for every pair."""
-        trees = lambda: tuple(t for k in self.kernels for t in (k.sym.sc, k.sym.vec))  # noqa: E731
-        return tuple(in_order(lambda *pair: self._run("values", trees, *pair), xi, eta, x, y))
+        return tuple(in_order(lambda *pair: self._run(False, *pair), xi, eta, x, y))
 
     def partials(self, arg: str, xi, eta, x, y) -> list[tuple]:
         """Each slot's value and its partials in zeta (``arg`` is "zeta") at
-        every pair, from one chain run on the base kernels'
-        ``Kernel.partial_kernels`` in z."""
-        kernels = [p for k in self.kernels for p in k.partial_kernels("z")]
-        trees = lambda: tuple(t for k in kernels for t in (k.sym.sc, k.sym.vec))  # noqa: E731
-        parts = in_order(lambda *pair: self._run("partials", trees, *pair), xi, eta, x, y)
+        every pair, from one chain run."""
+        parts = in_order(lambda *pair: self._run(True, *pair), xi, eta, x, y)
         return [tuple(parts[:3]), tuple(parts[3:])]
 
-    def _run(self, key: str, trees, xi, eta, x, y) -> list[BicomplexArray]:
-        """The chain of each adjoint-side kernel, the recombination of the
-        base kernels' (sc, vec) trees trees() gives (Z(1)'s, then Z(j)'s),
-        at every pair; a fault raises ``EvaluationError``, with the pair when
-        there is one."""
+    def _level0(self, partials: bool, zx, zy, xi, eta) -> tuple:
+        """The (sc, vec) jets in z of the adjoint-side kernels (Z(1)'s, then
+        Z(j)'s), each with its partials in zeta if ``partials``.  Of
+        closed-form base kernels: their program (of their
+        ``Kernel.partial_kernels`` in z) on the jets of z in the center
+        places, recombined.  Of any other base: the table of central
+        differences in z of step 1e-3 (``fields.differences``) of the
+        values of the adjoint-side kernels ``hat``, and of their exact
+        partials in zeta (``partials_at``)."""
+        from . import jets
+
+        if self.hat is None:
+            kernels = [p for k in self.kernels for p in k.partial_kernels("z")] if partials else self.kernels
+            trees = lambda: tuple(t for k in kernels for t in (k.sym.sc, k.sym.vec))  # noqa: E731
+            parts = self._program(partials, trees, KERNEL_VARS, jets.TABLE)(zx, zy, xi, eta)
+            values = [BicomplexArray(*parts[i : i + 2]) for i in range(0, len(parts), 2)]
+            ones, js = values[: len(values) // 2], values[len(values) // 2 :]
+            hat = [_recombined(slot, a, b) for slot in (0, 1) for a, b in zip(ones, js)]
+            return tuple(p for h in hat for p in (h.sc, h.vec))
+
+        def values(*pair) -> BicomplexArray:
+            slots = partials_at(self.hat, "zeta", *pair) if partials else [coefficients_at(self.hat, *pair)]
+            functions = [v for slot in slots for v in slot]
+            return BicomplexArray(np.stack([v.sc for v in functions]), np.stack([v.vec for v in functions]))
+
+        table = differences(values, [c.astype(float) for c in (xi, eta, zx.value.real, zy.value.real)], 1e-3, zx.degree)
+        sc, vec = (np.stack([getattr(t, part) for t in table]).astype(zx.c.dtype) for part in ("sc", "vec"))
+        return tuple(jets.Jet(c[:, f], zx.degree) for f in range(sc.shape[1]) for c in (sc, vec))
+
+    def _run(self, partials: bool, xi, eta, x, y) -> list[BicomplexArray]:
+        """The chain of each adjoint-side kernel of ``_level0``, with its
+        partials in zeta if ``partials``, at every pair; a fault raises
+        ``EvaluationError``, with the pair when there is one."""
         from . import jets  # on first use: at module level, every start would compile it
 
         n = self.n
@@ -512,12 +490,7 @@ class _BersChain:
         try:
             with np.errstate(divide="raise", invalid="raise", over="raise"):
                 zx, zy = jets.Jet.variable(x, 0, n - 1), jets.Jet.variable(y, 1, n - 1)
-                # the base kernels at (z, zeta): the jets of z in the center places
-                parts = self._program(key, trees, KERNEL_VARS, jets.TABLE)(zx, zy, xi, eta)
-                values = [BicomplexArray(*parts[i : i + 2]) for i in range(0, len(parts), 2)]
-                ones, js = values[: len(values) // 2], values[len(values) // 2 :]
-                hat = [_recombined(slot, a, b) for slot in (0, 1) for a, b in zip(ones, js)]
-                w = jets.BicomplexJet.stack(tuple(p for h in hat for p in (h.sc, h.vec)), zx)
+                w = jets.BicomplexJet.stack(self._level0(partials, zx, zy, xi, eta), zx)
                 for m in range(n - 1):
                     pair = self.seq.pair_at(m)
                     coefs = lambda: (pair.A.sym.sc, pair.A.sym.vec, pair.B.sym.sc, pair.B.sym.vec)  # noqa: E731

@@ -9,7 +9,8 @@ expressions, so the successor Z(1) is a closed-form ``Kernel``; Z(j) and
 the Darboux S1 are path integrals of closed-form integrands with exact
 partials.  ``schroedinger_residual`` runs on arrays, at every node of a
 scan at once or at one point as one node; the one finite difference here
-is the 5-point Laplacian it takes at a given step h (``fields.five_point``).
+is the Laplacian it takes at a given step h from the second central
+differences of ``fields.differences``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .fields import (
     PairFace,
     SymBC,
     at_nodes,
-    five_point,
+    differences,
     in_order,
     pairs_of,
     partials,
@@ -56,11 +57,12 @@ def laplace_fundamental() -> Kernel:
 
 def _laplacian(u: Field, xs: np.ndarray, ys: np.ndarray, h: Optional[float]) -> BicomplexArray:
     """Laplacian u at every node (xs[k], ys[k]): exact without a step, else
-    the second differences of step h of ``fields.five_point``."""
+    twice the sum of the (2, 0) and (0, 2) entries of the degree-2 table of
+    step h of ``fields.differences``, the second differences over 2."""
     if h is None:
         return u.dx.dx.on(xs, ys) + u.dy.dy.on(xs, ys)
-    *_, fxx, fyy = five_point(u.on, (xs, ys), h)
-    return fxx + fyy
+    *_, cxx, _, cyy = differences(u.on, (xs, ys), h, 2)
+    return (cxx + cyy).scale(2)
 
 
 def potential_from_f(f: Field) -> Field:
@@ -80,7 +82,7 @@ def schroedinger_residual(
     u: Field, q: Field, z, h: Optional[float] = None
 ) -> Union[float, np.ndarray]:
     """|Laplacian u - q u|, exact from the partials of u when no step is
-    given, else via the 5-point stencil with step h: at the point z, or at
+    given, else via central differences of step h: at the point z, or at
     every node of the columns z = (xs, ys) at once (``fields.at_nodes``)."""
 
     def residual(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:

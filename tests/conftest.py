@@ -1,5 +1,6 @@
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -44,19 +45,23 @@ def cmath_calls(monkeypatch):
 
 @pytest.fixture
 def central_differences(monkeypatch):
-    """"five-point" for every ``fields.five_point`` stencil taken while the
-    test runs, through any module that imports it."""
-    stencils = []
-    five_point = fields.five_point
+    """For every ``fields.differences`` table taken while the test runs,
+    through any module that imports it, the offsets per node it evaluates:
+    the nodes of its one call of ``values`` over the nodes of its columns."""
+    tables = []
+    differences = fields.differences
 
-    def counted(*args):
-        stencils.append("five-point")
-        return five_point(*args)
+    def counted(values, columns, *args):
+        def recorded(*stencil):
+            tables.append(np.size(stencil[-1]) // np.size(columns[-1]))
+            return values(*stencil)
+
+        return differences(recorded, columns, *args)
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("bivekua.") and getattr(module, "five_point", None) is five_point:
-            monkeypatch.setattr(module, "five_point", counted)
-    return stencils
+        if name.startswith("bivekua.") and getattr(module, "differences", None) is differences:
+            monkeypatch.setattr(module, "differences", counted)
+    return tables
 
 
 @pytest.fixture

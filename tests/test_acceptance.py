@@ -165,7 +165,8 @@ def test_criterion_05_negative_powers_oracle():
         return d
 
     dev2 = deviation(negative_powers(base, seq, 2), x_negative_power(2))
-    # bound methods are plain evaluators: no closed form, so nested FD
+    # bound methods are plain evaluators: no closed form, so the chain runs
+    # on central differences in z
     base_cb = dataclasses.replace(base, coef1=base.coef1.__call__, coefj=base.coefj.__call__)
     dev3 = deviation(negative_powers(base_cb, seq, 3), x_negative_power(3))
     dev4 = deviation(negative_powers(base_cb, seq, 4), x_negative_power(4))
@@ -174,7 +175,7 @@ def test_criterion_05_negative_powers_oracle():
         "negative powers n=2,3,4 match closed forms",
         dev2 <= 1e-5 and dev3 <= 1e-3 and dev4 <= 1e-3,
         f"n=2 dev={dev2:.2e} tol=1e-5 (exact partials); "
-        f"n=3 dev={dev3:.2e}, n=4 dev={dev4:.2e} tol=1e-3 (nested FD); 50 points",
+        f"n=3 dev={dev3:.2e}, n=4 dev={dev4:.2e} tol=1e-3 (central differences in z); 50 points",
     )
 
 

@@ -1109,8 +1109,8 @@ def test_pipeline_verify_reproducing_walks_f_and_g_together(tmp_path, successor_
 def test_pipeline_build_powers_shares_derivatives_between_slots(tmp_path, successor_coefj_calls):
     # the anchored pipeline kernel differs from the closed form by a regular
     # solution, so the deviation check is not the point here (tol 1); each
-    # sample pair evaluates both slots, and both share one five-point
-    # stencil of the derivative: 2 samples x 5 stencil points
+    # sample pair evaluates both slots, and both share one table of central
+    # differences of degree 1: 2 samples x 5 offsets
     cfg = {
         "kernel": "pipeline",
         "f": "x",
@@ -1128,7 +1128,7 @@ def test_pipeline_build_powers_shares_derivatives_between_slots(tmp_path, succes
 
 # Pipeline build-powers configs: the main kind of f = x (m), its successor
 # kind with the successor pair (s), and the main kind of f = exp(x) cos(y)
-# (e), at orders -1 to -3; "1*x" avoids the catalog mode of "x".
+# (e), at orders -1 to -4; "1*x" avoids the catalog mode of "x".
 _M1 = {
     "kernel": "pipeline",
     "f": "1*x",
@@ -1145,7 +1145,7 @@ _E1 = {
 }
 _PIPELINE_POWERS = {
     f"{name}{n}": {**cfg, "n": n}
-    for name, cfg, orders in (("m", _M1, (1, 2, 3)), ("s", _S1, (1, 2)), ("e", _E1, (1, 2, 3)))
+    for name, cfg, orders in (("m", _M1, (1, 2, 3, 4)), ("s", _S1, (1, 2)), ("e", _E1, (1, 2, 3)))
     for n in orders
 }
 

@@ -10,7 +10,17 @@ from bivekua import expr as ex
 from bivekua.bicomplex import Bicomplex, BicomplexError, PlanePoint
 from bivekua.calculus import PathThroughSingularityError, RegionGrid
 from bivekua.expr import EvaluationError
-from bivekua.fields import BicomplexArray, Field, Kernel, MissingPartialError, SymBC, d_z, d_zbar
+from bivekua.fields import (
+    BicomplexArray,
+    Field,
+    Kernel,
+    MissingPartialError,
+    StepError,
+    SymBC,
+    d_z,
+    d_zbar,
+    differences,
+)
 from bivekua.pairs import adjoint_fields, make_pair, separable_pair, vekua_residual
 from oracles import detour_path, isclose
 
@@ -107,6 +117,51 @@ def test_field_partials_match_fd():
         1 / (2 * h)
     )
     assert (f.dx(z) - fd_x).norm < 1e-8
+
+
+def _biquadratic(x, y) -> BicomplexArray:
+    # (1 + 2x - 3x^2)(2 - y + 4y^2) + j i (x^2 - y): degree 2 in x and in y
+    return BicomplexArray((1 + 2 * x - 3 * x**2) * (2 - y + 4 * y**2) + 0j, 1j * (x**2 - y))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_differences_are_exact_on_polynomials_they_differentiate_exactly(degree):
+    # every central difference differentiates a polynomial of degree two in
+    # each variable exactly; at dyadic nodes and step only the last scaling
+    # by 1/(2^e h^(a+b) a! b!) rounds, so each Taylor coefficient is right
+    # to rounding, and each beyond the polynomial's degrees is 0
+    xs, ys, h = np.array([0.5, -0.25, 1.75]), np.array([0.125, 1.5, -0.75]), 2.0**-6
+    taylor_x = [1 + 2 * xs - 3 * xs**2, 2 - 6 * xs, -3 + 0 * xs, 0 * xs]
+    taylor_y = [2 - ys + 4 * ys**2, -1 + 8 * ys, 4 + 0 * ys, 0 * ys]
+    vec = {(0, 0): xs**2 - ys, (1, 0): 2 * xs, (0, 1): -1 + 0 * ys, (2, 0): 1 + 0 * xs}
+    table = differences(_biquadratic, (xs, ys), h, degree)
+    monomials = [(s - b, b) for s in range(degree + 1) for b in range(s + 1)]
+    assert len(table) == len(monomials)
+    for (a, b), got in zip(monomials, table):
+        np.testing.assert_allclose(got.sc, taylor_x[a] * taylor_y[b], rtol=1e-15, atol=0)
+        np.testing.assert_allclose(got.vec, 1j * vec.get((a, b), 0 * xs), rtol=1e-15, atol=0)
+
+
+@pytest.mark.parametrize(
+    "h, degree, xs",
+    [
+        (1e-3, 1, np.array([0.5, 1e20])),  # x + h rounds back to x at 1e20
+        (1e-110, 3, np.array([0.0, 0.5e-100])),  # moves every node, but h^3 underflows to 0
+    ],
+)
+def test_differences_refuse_a_step_too_small_with_a_typed_error(h, degree, xs):
+    # a StepError, never a ZeroDivisionError or an OverflowError, before
+    # any value is evaluated
+    calls = []
+    with pytest.raises(StepError, match="too small to move every node"):
+        differences(lambda *c: calls.append(c) or _biquadratic(*c[-2:]), (xs, 0 * xs), h, degree)
+    assert calls == []
+
+
+def test_differences_take_a_step_whose_power_is_finite():
+    # the same step as above at degree 2: 1/h^2 is finite, so the table is taken
+    xs = np.array([0.0, 0.5e-100])
+    assert len(differences(_biquadratic, (xs, 0 * xs), 1e-110, 2)) == 6
 
 
 def test_kernel_diff_z():

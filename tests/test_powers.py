@@ -393,6 +393,31 @@ def test_negative_powers_rejects_bad_order():
         negative_powers(analytic_kernel(), CONST_SEQ, 0)
 
 
+@pytest.mark.parametrize("n", [2.5, 2.0, True], ids=["2.5", "2.0", "True"])
+@pytest.mark.parametrize("closed", [False, True], ids=["plain", "closed-form"])
+def test_negative_powers_refuses_an_order_that_is_no_int(n, closed):
+    # a ValueError naming the order, before anything is evaluated: not a
+    # chain of a fractional order, a TypeError of range, or True read as 1
+    calls, base = [], analytic_kernel()
+    if not closed:
+        slots = (lambda zeta, z, c=c: calls.append(1) or c(zeta, z) for c in (base.coef1, base.coefj))
+        base = KernelFamily(-1, *slots)
+    with pytest.raises(ValueError, match=re.escape(f"not {n!r}")):
+        negative_powers(base, CONST_SEQ, n)
+    assert calls == []
+
+
+@pytest.mark.parametrize("n, offsets", [(2, 5), (3, 9), (4, 13)])
+def test_chain_of_plain_evaluators_takes_one_table_of_offsets_per_pair(n, offsets, central_differences):
+    # the order -n power of a base without closed forms evaluates the hat at
+    # 5, 9 and 13 offsets per pair for n = 2, 3 and 4, in one table of
+    # central differences of degree n - 1
+    k = negative_powers(as_callable_only(analytic_kernel()), CONST_SEQ, n)
+    zeta, z = rand_pairs(1, seed=n)[0]
+    coefficients_at(k, *(np.array(c) for c in ([zeta.x, 0.3], [zeta.y, -0.2], [z.x, -0.4], [z.y, 0.5])))
+    assert central_differences == [offsets]
+
+
 def test_negative_powers_analytic_symbolic():
     base = analytic_kernel()
     for n in (2, 3, 4):
@@ -446,8 +471,9 @@ def test_residual_scan_of_plain_evaluators_is_refused_with_a_typed_error():
 
 
 def test_negative_power_of_plain_evaluators_has_no_partials():
-    # its values are the nested z-differences of the base's values, but its
-    # partials are the chain of the base's exact partials, which it lacks
+    # its values are the chain of central differences in z of the base's
+    # values, but its partials are the chain of the base's exact partials,
+    # which it lacks
     k = negative_powers(as_callable_only(analytic_kernel()), CONST_SEQ, 2)
     assert coefficients_at(k, 0.3, -0.2, -0.4, 0.5)
     with pytest.raises(MissingPartialError, match="function has no exact partials in 'z'"):
@@ -456,9 +482,10 @@ def test_negative_power_of_plain_evaluators_has_no_partials():
 
 def test_criterion_5_loops_run_each_pair_once():
     # acceptance criterion 5 asks for Z(1) and then Z(j) at each of its 50
-    # pairs; the two calls share one run of the nested differences, which
-    # evaluates both base slots at 5^(n-1) stencil points per pair:
-    # 50 x 2 x (25 + 125) base calls for n = 3 and 4
+    # pairs; the two calls share one run of the chain, whose table of
+    # central differences evaluates both base slots at 9 offsets per pair for
+    # n = 3 and 13 for n = 4: 50 x 2 x (9 + 13) base calls, where a run per
+    # call would take twice as many
     base = x_main_family()
     calls = []
     counted = KernelFamily(
@@ -476,7 +503,7 @@ def test_criterion_5_loops_run_each_pair_once():
         fam = negative_powers(counted, seq, n)
         for zeta, z in pairs:
             fam.coef1(zeta, z), fam.coefj(zeta, z)
-    assert len(calls) == 15_000
+    assert len(calls) == 2_200
 
 
 def test_slot_calls_share_a_run_only_at_the_same_points():

@@ -396,8 +396,8 @@ def pipeline_power(n):
 
 def test_pipeline_power_partials_take_only_the_stencils_of_its_values(central_differences):
     # the partials in z of the order -2 pipeline power are the chain of the
-    # hat's exact partials: the nested z-differences of its values, with no
-    # stencil in zeta
+    # hat's exact partials: one more table of central differences in z, as
+    # for its values, with no stencil in zeta
     fam = pipeline_power(2)
     zeta, xs, ys = PlanePoint(1.8, 0.1), np.array([1.6, 2.2, 2.45]), np.array([-0.3, 0.4, 0.05])
     coefficients_at(fam, zeta.x, zeta.y, xs, ys)
@@ -437,7 +437,7 @@ def test_successor_coefj_partials_are_its_differences(f):
     for arg, (face, at) in faces.items():
         value, *got = coefj.partials(arg, xi, eta, x, y)
         assert [c.tolist() for c in value] == [c.tolist() for c in coefj.on(xi, eta, x, y)]
-        for d, want in zip(got, fields.five_point(face, at, 1e-5)[1:3]):
+        for d, want in zip(got, fields.differences(face, at, 1e-5, 1)[1:3]):
             assert (d - want).norm.max() <= 1e-8
 
 

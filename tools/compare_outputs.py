@@ -40,14 +40,15 @@ from ab import margin, one_pass  # noqa: E402
 SEEDS = (1, 2, 3)
 
 # Configs that no benchmark config reaches, run as well: the pipeline
-# negative powers m2, m3, s2, e2 and e3 (nested z-differences of a base
-# without closed forms, at n = 2 and 3), the symbolic workload's seed-1
-# Schroedinger scan with a step h (the differenced Laplacian), the 512-node
-# pipeline verify-reproducing of both kinds, each 4,608 walks in hundreds
-# of array jobs, the first Cauchy formula over a swapped pipeline family
-# whose f has partials that are not constant, and a closed-form second
-# formula at 12 user probes: 12 copies of the 512-node contour, in array
-# jobs of 4, 4 and 4 copies.
+# negative powers m2, m3, m4, s2, e2 and e3 (the Bers chain on a table of
+# central differences in z of a base without closed forms, at n = 2 to 4;
+# m4 is the first order whose table takes the wider third differences),
+# the symbolic workload's seed-1 Schroedinger scan with a step h (the
+# differenced Laplacian), the 512-node pipeline verify-reproducing of both
+# kinds, each 4,608 walks in hundreds of array jobs, the first Cauchy
+# formula over a swapped pipeline family whose f has partials that are not
+# constant, and a closed-form second formula at 12 user probes: 12 copies
+# of the 512-node contour, in array jobs of 4, 4 and 4 copies.
 _PIPELINE_CONTOUR = {
     "kernel": "pipeline", "f": "x", "zeta0": [0.5, 0],
     "contour": {"center": [2, 0], "radius": 0.3, "nodes": 512}, "tol": 1e-6,
@@ -66,6 +67,7 @@ EXTRA = [
         "region": {"x0": 1.0, "x1": 2.0, "y0": -0.5, "y1": 0.5},
     }),
     ("build-powers-m3", "build-powers", {**_PIPELINE_POWERS, "n": 3}),
+    ("build-powers-m4", "build-powers", {**_PIPELINE_POWERS, "n": 4}),
     ("build-powers-e3", "build-powers", {
         **_PIPELINE_POWERS, "f": "exp(x)*cos(y)", "separable": {"phi": "exp(x)", "psi": "cos(y)"},
         "region": {"x0": 1.0, "x1": 2.0, "y0": -0.5, "y1": 0.5}, "n": 3,
