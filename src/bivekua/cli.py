@@ -20,8 +20,6 @@ import os
 # before numpy loads: OpenBLAS reads it once, when numpy first imports it
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-import argparse
-import hashlib
 import json
 import math
 import random
@@ -30,6 +28,14 @@ from pathlib import Path as FSPath
 from typing import Optional
 
 import numpy as np
+
+try:  # the builtin SHA-256, as random.py takes _sha512: hashlib loads OpenSSL, 3 ms and 3.6 MB
+    from _sha256 import sha256
+except ImportError:
+    try:  # its name from Python 3.12
+        from _sha2 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from . import __version__
 from .bicomplex import PlanePoint
@@ -573,7 +579,7 @@ def run(command: str, config_path: str, out_dir: Optional[str] = None, quiet: bo
     checks, artifacts, extra = _COMMANDS[command](_validate(cfg, CONFIG_SCHEMA[command]))
     report = {
         "command": command,
-        "config_hash": hashlib.sha256(raw).hexdigest(),
+        "config_hash": sha256(raw).hexdigest(),
         "version": __version__,
         **extra,
         "checks": checks,
@@ -590,23 +596,51 @@ def run(command: str, config_path: str, out_dir: Optional[str] = None, quiet: bo
     return 0 if report["pass"] else 1
 
 
+_USAGE = f"usage: vekua {{{','.join(_COMMANDS)}}} --config PATH [--out DIR] [--quiet]\n"
+
+
+def _refuse(message: str):
+    sys.stderr.write(f"{_USAGE}vekua: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _arguments(argv: list[str]) -> tuple[str, str, Optional[str], bool]:
+    """(command, config, out, quiet) from ``<command> --config PATH [--out
+    DIR] [--quiet]`` in any order, a value also as ``--key=value``: -h or
+    --help prints the usage and exits 0, any other argv exits 2 with the
+    usage and an error, as argparse does."""
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_USAGE)
+        raise SystemExit(0)
+    command, values, args = None, {"--out": None, "--quiet": False}, iter(argv)
+    for arg in args:
+        key, eq, value = arg.partition("=")
+        if key in ("--config", "--out"):
+            values[key] = value = value if eq else next(args, None)
+            if value is None or (not eq and value.startswith("-")):
+                _refuse(f"argument {key}: expected one argument")
+        elif arg == "--quiet":
+            values[arg] = True
+        elif arg.startswith("-") or command is not None:
+            _refuse(f"unrecognized arguments: {arg}")
+        elif arg not in _COMMANDS:
+            _refuse(f"argument command: invalid choice: {arg!r}")
+        else:
+            command = arg
+    if command is None or "--config" not in values:
+        _refuse(f"the following arguments are required: {'command' if command is None else '--config'}")
+    return command, values["--config"], values["--out"], values["--quiet"]
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="vekua",
-        description="Bicomplex Vekua/Schrödinger pipelines with JSON reports.",
-    )
-    parser.add_argument("command", choices=_COMMANDS)
-    parser.add_argument("--config", required=True)
-    parser.add_argument("--out", default=None)
-    parser.add_argument("--quiet", action="store_true")
-    args = parser.parse_args(argv)
+    command, config, out, quiet = _arguments(sys.argv[1:] if argv is None else argv)
     try:
-        return run(args.command, args.config, args.out, args.quiet)
+        return run(command, config, out, quiet)
     except ConfigError as e:
         sys.stderr.write(f"config error: {e}\n")
         return 2
     except Exception as e:  # domain errors, with command context
-        sys.stderr.write(f"error ({args.command}): {type(e).__name__}: {e}\n")
+        sys.stderr.write(f"error ({command}): {type(e).__name__}: {e}\n")
         return 2
 
 

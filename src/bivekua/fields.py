@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -54,13 +53,16 @@ def _as_expr(v: Union[str, ex.Expr, float, complex], variables) -> ex.Expr:
     return v
 
 
-@dataclass(frozen=True)
-class SymBC:
-    """A bicomplex-valued symbolic function: sc(vars) + j * vec(vars)."""
+class SymBC(ex.Record):
+    """A bicomplex-valued symbolic function: sc(vars) + j * vec(vars); its
+    fields are never assigned after construction, which keeps the hash valid."""
 
     variables: tuple[str, ...]
     sc: ex.Expr
-    vec: ex.Expr = ex.ZERO
+    vec: ex.Expr
+
+    def __init__(self, variables: tuple[str, ...], sc: ex.Expr, vec: ex.Expr):
+        self.variables, self.sc, self.vec = variables, sc, vec
 
     @staticmethod
     def make(sc, vec=0j, variables=("x", "y")) -> "SymBC":
@@ -79,7 +81,7 @@ class SymBC:
         if cache is None:
             program = self._program(ex.CMATH)
             cache = lambda *a: Bicomplex(*program(*a))  # noqa: E731
-            object.__setattr__(self, "_compiled", cache)
+            self._compiled = cache
         return cache
 
     def compiled_arrays(self) -> Callable[..., tuple]:
@@ -88,7 +90,7 @@ class SymBC:
         cache = self.__dict__.get("_compiled_arrays")
         if cache is None:
             cache = self._program(ex.NUMPY)
-            object.__setattr__(self, "_compiled_arrays", cache)
+            self._compiled_arrays = cache
         return cache
 
     def __call__(self, *args) -> Bicomplex:

@@ -13,7 +13,6 @@ and ``partials_at`` give both as ``BicomplexArray``s at every pair.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -54,7 +53,6 @@ class SingularPointError(PowersError):
 KernelEval = Callable[[PlanePoint, PlanePoint], Bicomplex]
 
 
-@dataclass
 class KernelFamily:
     """Formal powers Z^(order)(alpha, zeta, z) of one order, represented by
     the two coefficient kernels for alpha = 1 and alpha = j.
@@ -65,9 +63,10 @@ class KernelFamily:
     ``negative_powers``, whose partials in z that chain gives exactly; or a
     plain evaluator (zeta, z) -> Bicomplex."""
 
-    order: int
-    coef1: KernelEval
-    coefj: KernelEval
+    __slots__ = ("order", "coef1", "coefj")
+
+    def __init__(self, order: int, coef1: KernelEval, coefj: KernelEval):
+        self.order, self.coef1, self.coefj = order, coef1, coefj
 
 
 def coefficients_at(k: KernelFamily, xi, eta, x, y) -> tuple[BicomplexArray, BicomplexArray]:

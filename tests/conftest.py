@@ -1,4 +1,7 @@
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +13,25 @@ from bivekua import calculus, expr, fields
 # pass does not depend on the run
 settings.register_profile("tier1", derandomize=True, deadline=None)
 settings.load_profile("tier1")
+
+SRC = Path(__file__).parents[1] / "src"
+
+
+@pytest.fixture
+def fresh():
+    """Runs a fresh interpreter on src/ with the given arguments, with
+    OPENBLAS_NUM_THREADS removed from its environment and ``env`` added, and
+    gives its standard output, stripped; a non-zero exit fails the test."""
+
+    def run(*args: str, **env: str) -> str:
+        environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, *args], env=environ | env, capture_output=True, text=True, timeout=60, check=True
+        )
+        return done.stdout.strip()
+
+    return run
 
 
 @pytest.fixture

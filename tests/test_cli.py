@@ -4,11 +4,8 @@ import hashlib
 import importlib.util
 import json
 import math
-import os
 import re
 import signal
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -1295,12 +1292,40 @@ def test_symbolic_residual_scan_is_one_array_check(tmp_path, cmath_calls, monkey
         assert abs(residual - oracle(PlanePoint(x, y))) <= 1e-15
 
 
-@pytest.mark.parametrize("argv", [["no-such-command", "--config", "c.json"], ["cauchy", "--quiet"]])
+@pytest.mark.parametrize("argv", [
+    ["no-such-command", "--config", "c.json"],
+    ["cauchy", "--quiet"],
+    [],
+    ["cauchy", "--config"],
+    ["cauchy", "--config", "--quiet"],
+    ["cauchy", "--config", "c.json", "--verbose"],
+    ["cauchy", "--config", "c.json", "--quiet=yes"],
+    ["cauchy", "eval-kernel", "--config", "c.json"],
+    ["cauchy", "--conf", "c.json"],  # argparse took abbreviations; vekua does not
+])
 def test_bad_arguments_exit_2_with_usage(argv, capsys):
     with pytest.raises(SystemExit) as info:
         main(argv)
     assert info.value.code == 2
-    assert capsys.readouterr().err.startswith("usage: vekua")
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: vekua") and error.startswith("vekua: error: ")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_usage_and_exits_0(flag, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["cauchy", flag])
+    assert info.value.code == 0
+    usage = capsys.readouterr().out.splitlines()[0]
+    assert usage.startswith("usage: vekua") and all(command in usage for command in cli._COMMANDS)
+
+
+def test_option_values_may_follow_an_equals_sign(tmp_path):
+    cfg = {"kernel": "x-main", "zeta": [1.0, 0.1],
+           "grid": {"x0": 1.5, "x1": 3.0, "y0": -1.0, "y1": 1.0, "nx": 3, "ny": 3}}
+    config, out = _write(tmp_path, "c.json", cfg), tmp_path / "out"
+    assert main(["eval-kernel", f"--config={config}", f"--out={out}", "--quiet"]) == 0
+    assert _report(out)["pass"] is True
 
 
 def test_closed_form_eval_kernel_builds_no_partial_kernel(tmp_path, compiles, monkeypatch):
@@ -1370,39 +1395,34 @@ def test_pipeline_walks_are_array_jobs(tmp_path, monkeypatch):
     assert set(jobs) == {SuccessorCoefj, DarbouxFundamental}
 
 
-def _fresh(code: str, **env) -> str:
-    """The standard output of code run by a fresh interpreter on src/, with
-    OPENBLAS_NUM_THREADS removed from its environment and env added."""
-    environ = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
-    environ["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), environ.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=environ | env, capture_output=True, text=True, timeout=60, check=True
-    )
-    return done.stdout.strip()
-
-
-def test_cli_runs_openblas_on_one_thread():
+def test_cli_runs_openblas_on_one_thread(fresh):
     # the CLI chooses one OpenBLAS thread before numpy loads, so OpenBLAS
     # starts no worker: one task where /proc/self/task shows them
     code = (
         "import os, bivekua.cli; t = '/proc/self/task'; "
         "print(os.environ['OPENBLAS_NUM_THREADS'], len(os.listdir(t)) if os.path.isdir(t) else 1)"
     )
-    assert _fresh(code) == "1 1"
+    assert fresh("-c", code) == "1 1"
 
 
-def test_cli_keeps_the_thread_count_the_user_set():
-    assert _fresh("import os, bivekua.cli; print(os.environ['OPENBLAS_NUM_THREADS'])", OPENBLAS_NUM_THREADS="2") == "2"
+def test_cli_keeps_the_thread_count_the_user_set(fresh):
+    code = "import os, bivekua.cli; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert fresh("-c", code, OPENBLAS_NUM_THREADS="2") == "2"
 
 
-def test_package_import_loads_no_numpy():
+def test_module_run_reads_its_arguments(fresh):
+    # main() without argv parses sys.argv
+    assert fresh("-m", "bivekua.cli", "--help").startswith("usage: vekua")
+
+
+def test_package_import_loads_no_numpy(fresh):
     # so that nothing loads OpenBLAS before bivekua.cli sets its default
-    assert _fresh("import sys, bivekua; print('numpy' in sys.modules)") == "False"
+    assert fresh("-c", "import sys, bivekua; print('numpy' in sys.modules)") == "False"
 
 
-def test_library_modules_leave_the_environment_alone():
+def test_library_modules_leave_the_environment_alone(fresh):
     # only the vekua program chooses its BLAS threads; a host program that
     # imports the library keeps its own environment
     modules = "bicomplex, calculus, expr, fields, jets, pairs, powers, schroedinger"
     code = f"import os; before = dict(os.environ); from bivekua import {modules}; print(dict(os.environ) == before)"
-    assert _fresh(code) == "True"
+    assert fresh("-c", code) == "True"

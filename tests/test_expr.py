@@ -458,3 +458,14 @@ def test_each_distinct_subexpression_runs_once_per_call():
     program = compile_expr((parse("exp(x) + y"), parse("y * exp(x)")), table={**NUMPY, "_exp": counting_exp})
     program(np.array([0.5, 1.0]), np.array([2.0, 3.0]))
     assert len(calls) == 1
+
+
+def test_nodes_compare_hash_and_print_as_dataclasses():
+    # expr.Record gives the nodes what @dataclass(unsafe_hash=True) generated
+    x, one = Var("x"), Num(1)
+    e = BinOp("+", x, Pow(Call("exp", x), 2))
+    assert e == BinOp("+", Var("x"), Pow(Call("exp", Var("x")), 2)) and e != BinOp("-", x, one)
+    assert hash(e) == hash(("+", x, Pow(Call("exp", x), 2))) and hash(one) == hash((1 + 0j,))
+    assert repr(e) == "BinOp(op='+', left=Var(name='x'), right=Pow(base=Call(func='exp', arg=Var(name='x')), exponent=2))"
+    assert (one == Var("x"), one.__eq__(x)) == (False, NotImplemented)
+    assert simplify(e).__dict__.get("_simplified") and simplify(e) == e  # the mark is not a field

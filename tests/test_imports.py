@@ -1,4 +1,6 @@
 import ast
+import hashlib
+import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -72,3 +74,27 @@ def test_no_runtime_code_generation():
         and node.func.id in {"exec", "eval", "compile"}
     ]
     assert calls == []
+
+
+def test_cli_import_loads_no_heavy_stdlib_module(fresh):
+    # hashlib loads OpenSSL (3 ms and 3.6 MB a start); dataclasses, argparse
+    # and gettext cost milliseconds that a vekua run never uses
+    heavy = {"hashlib", "_hashlib", "dataclasses", "argparse", "gettext"}
+    assert fresh("-c", f"import sys, bivekua.cli; print(sorted({heavy!r} & set(sys.modules)))") == "[]"
+
+
+def test_config_hash_without_the_builtin_digest(fresh, tmp_path):
+    # an interpreter without _sha256 or _sha2 hashes the config by hashlib
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({
+        "kernel": "x-main", "zeta": [1.0, 0.1],
+        "grid": {"x0": 1.5, "x1": 3.0, "y0": -1.0, "y1": 1.0, "nx": 2, "ny": 2},
+    }))
+    argv = ["eval-kernel", "--config", str(config), "--out", str(tmp_path), "--quiet"]
+    code = (
+        "import sys; sys.modules['_sha256'] = sys.modules['_sha2'] = None; "
+        f"from bivekua.cli import main; code = main({argv!r}); print(code, 'hashlib' in sys.modules)"
+    )
+    assert fresh("-c", code) == "0 True"
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["config_hash"] == hashlib.sha256(config.read_bytes()).hexdigest()
