@@ -7,6 +7,10 @@ order (``Walks.integrate``).  Detour paths (``detour_walks``) and copies of
 one contour (``copies``) are laid end to end, so that one array job
 evaluates and sums many, whole paths of at most ``NODE_BUDGET`` nodes at a
 time: ``integrals`` is the one loop over the jobs.
+
+Lines and arcs take the one 16-point Gauss-Legendre rule, held as literals
+(``GL_NODES``, ``GL_WEIGHTS``): no path computes a rule, so no run makes a
+LAPACK call.
 """
 
 from __future__ import annotations
@@ -37,8 +41,6 @@ class ContourError(CalculusError, ValueError):
 # Paths and quadrature
 
 
-_GL_NODES_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
 # The most nodes one array job of ``detour_walks`` holds, so that many paths
 # at once do not raise peak memory.  A job's cost is mostly per job, not per
 # node: 2,048 nodes run the pipeline faster than 1,024 with peak memory flat,
@@ -54,41 +56,22 @@ EXCLUSION = 1e-12
 GRID_BUDGET = 1024
 
 
-def _legval(x: np.ndarray, c: list[float]) -> np.ndarray:
-    """The Legendre series c at x by Clenshaw recursion, operation for
-    operation as numpy.polynomial.legendre.legval."""
-    if len(c) == 1:
-        return c[0] + 0 * x
-    c0, c1 = c[-2], c[-1]
-    for nd in range(len(c) - 1, 1, -1):
-        c0, c1 = c[nd - 2] - c1 * ((nd - 1) / nd), c0 + c1 * x * ((2 * nd - 1) / nd)
-    return c0 + c1 * x
-
-
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the n-point rule mapped to [0, 1].  The rule is
-    numpy.polynomial.legendre.leggauss(n) bit for bit, computed as it is
-    there: importing numpy.polynomial would cost every run 3-4 ms."""
-    if n not in _GL_NODES_CACHE:
-        # the roots of P_n: the eigenvalues of its symmetric companion matrix,
-        # improved by one Newton step
-        scl = 1.0 / np.sqrt(2 * np.arange(n) + 1)
-        off = np.arange(1, n) * scl[: n - 1] * scl[1:]
-        x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
-        pn = [0.0] * n + [1.0]
-        dpn = [float(2 * k + 1) if (n - 1 - k) % 2 == 0 else 0.0 for k in range(n)]  # P_n'
-        dy, df = _legval(x, pn), _legval(x, dpn)
-        x -= dy / df
-        # weights c / (P_n'(x) P_{n-1}(x)), scaled to sum to 2, and symmetrized
-        fm = _legval(x, pn[1:])
-        fm /= np.abs(fm).max()
-        df /= np.abs(df).max()
-        w = 1 / (fm * df)
-        w = (w + w[::-1]) / 2
-        x = (x - x[::-1]) / 2
-        w *= 2.0 / w.sum()
-        _GL_NODES_CACHE[n] = ((x + 1) / 2, w / 2)
-    return _GL_NODES_CACHE[n]
+# The 16-point Gauss-Legendre rule mapped to [0, 1]: the literals are
+# numpy.polynomial.legendre.leggauss(16) bit for bit.  Computing it takes an
+# eigenvalue solve, which starts LAPACK (0.9 MB and about 1 ms a process),
+# and importing numpy.polynomial would cost every run 3-4 ms.
+GL_NODES = (np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+]) + 1) / 2
+GL_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+]) / 2
 
 
 def _on_segments(a: np.ndarray, d: np.ndarray, t: np.ndarray, w: np.ndarray):
@@ -216,7 +199,7 @@ def detour_walks(start, end, avoid, side: float = 1.0) -> Iterator[Walks]:
     are halved in one bisection and each batch's lines and arcs are built
     as arrays of 16 nodes a piece, bit for bit the nodes of one detour
     each."""
-    t, w = _gauss_legendre(16)
+    t, w = GL_NODES, GL_WEIGHTS
     columns = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (start, end, avoid)))
     legs, arcs, parts = [], [], [0]  # parts[k]: the parts of the paths before path k
     for a, b, c in zip(*(v.ravel().tolist() for v in columns)):
@@ -316,13 +299,13 @@ class Path(Walks):
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def polyline(points: Sequence[PlanePoint], nodes_per_segment: int = 16) -> "Path":
-        """Composite Gauss-Legendre quadrature over a polyline, its segments
-        halved until each piece is at most 0.25 long (``_bisect``)."""
+    def polyline(points: Sequence[PlanePoint]) -> "Path":
+        """Composite 16-point Gauss-Legendre quadrature over a polyline, its
+        segments halved until each piece is at most 0.25 long (``_bisect``)."""
         pts = np.array([p.as_complex for p in points], dtype=complex)
         a, b = pts[:-1][pts[:-1] != pts[1:]], pts[1:][pts[:-1] != pts[1:]]
         starts, ends, _ = _bisect(a, b)
-        nodes, dz = _on_segments(starts, ends - starts, *_gauss_legendre(nodes_per_segment))
+        nodes, dz = _on_segments(starts, ends - starts, GL_NODES, GL_WEIGHTS)
         return Path._of(nodes.ravel(), dz.ravel(), points[0], points[-1])
 
     @staticmethod

@@ -7,10 +7,14 @@ Usage: vekua <command> --config path.json [--out dir] [--quiet]
 Commands: eval-kernel, verify-reproducing, build-powers, build-fundamental,
 residual-scan, cauchy.  Exit code 0 iff every declared tolerance was met.
 
+A grid command writes its CSV as it makes each block of rows, to
+<name>.part, renamed to <name> once report.json is written; a failed run
+leaves no file.
+
 The process asks numpy's OpenBLAS for one thread unless OPENBLAS_NUM_THREADS
-is set: its only LAPACK call is one 16-by-16 eigenvalue problem, and the
-worker thread OpenBLAS starts on load does no work but can slow the start
-(by about 70 ms on a 2-CPU machine).
+is set: a run makes no BLAS or LAPACK call, and the worker thread OpenBLAS
+starts on load does no work but can slow the start (by about 70 ms on a
+2-CPU machine).
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import math
 import random
 import sys
 from pathlib import Path as FSPath
-from typing import Optional
+from typing import IO, Optional
 
 import numpy as np
 
@@ -83,6 +87,7 @@ CSV_HEADER = "x,y,sc_re,sc_im,vec_re,vec_im"
 # a CSV number: "%.17g" text, which reads back as the same double.  Each one
 # is a bignum conversion of about 1 us, so ``_csv_rows`` formats each grid
 # coordinate once per command and a column of one bit pattern once per block
+# of rows, and the commands write each block's text as they make it
 _G = "%.17g".__mod__
 
 
@@ -351,23 +356,26 @@ def _grid_texts(x0: float, x1: float, y0: float, y1: float, nx: int, ny: int) ->
     return dict(zip(centres.view(np.int64).tolist(), map(_G, centres.tolist())))
 
 
-def _csv_rows(texts: dict[int, str], xs: np.ndarray, ys: np.ndarray, *values: np.ndarray) -> list[str]:
-    """The CSV rows "x,y,value,...": x and y from texts (``_grid_texts``), and
-    a value column of one bit pattern formatted once (-0.0 and 0.0 differ)."""
+def _csv_rows(texts: dict[int, str], xs: np.ndarray, ys: np.ndarray, *values: np.ndarray) -> str:
+    """The text of the CSV rows "x,y,value,...", each ended by a newline: x
+    and y from texts (``_grid_texts``), and a value column of one bit
+    pattern formatted once (-0.0 and 0.0 differ)."""
     cells = [list(map(texts.__getitem__, c.view(np.int64).tolist())) for c in (xs, ys)]
     for col in values:
         bits = col.view(np.int64)
         constant = col.size and bits.min() == bits.max()
         cells.append([_G(float(col[0]))] * col.size if constant else map(_G, col.tolist()))
-    return list(map(",".join, zip(*cells)))
+    rows = list(map(",".join, zip(*cells)))
+    return "\n".join(rows) + "\n" if rows else ""
 
 
-def _grid_csv(two_point, zeta: PlanePoint, grid: dict, seen=None) -> tuple[list[str], int]:
-    """The CSV lines of z -> two_point(zeta, z), by its face, at the grid's
-    points off zeta, and the number of those points: a block of columns
-    (``grid_columns``) at a time, as arrays of the whole grid would raise
-    peak memory.  seen(xs, ys, values), when given, sees each block."""
-    lines, points = [CSV_HEADER], 0
+def _grid_csv(two_point, zeta: PlanePoint, grid: dict, csv: IO[str], seen=None) -> tuple[int, int]:
+    """Writes to csv the rows of z -> two_point(zeta, z), by its face, at the
+    grid's points off zeta, a block of columns (``grid_columns``) at a time
+    as it makes them, since arrays or text of the whole grid would make
+    peak memory grow with the grid; returns the rows written and the points
+    evaluated.  seen(xs, ys, values), when given, sees each block."""
+    rows = points = 0
     texts = _grid_texts(**grid)
     for xs, ys in grid_columns(**grid):
         off = np.hypot(xs - zeta.x, ys - zeta.y) > 1e-9
@@ -375,9 +383,44 @@ def _grid_csv(two_point, zeta: PlanePoint, grid: dict, seen=None) -> tuple[list[
         values = two_point.on(zeta.x, zeta.y, xs, ys)
         if seen is not None:
             seen(xs, ys, values)
-        lines += _csv_rows(texts, xs, ys, values.sc.real, values.sc.imag, values.vec.real, values.vec.imag)
+        text = _csv_rows(texts, xs, ys, values.sc.real, values.sc.imag, values.vec.real, values.vec.imag)
+        csv.write(text)
+        rows += text.count("\n")
         points += xs.size
-    return lines, points
+    return rows, points
+
+
+class _Outputs:
+    """The files of one run in its out directory.  ``csv`` opens a CSV
+    artifact as <name>.part, for the command to write as it makes the rows;
+    ``commit`` renames each part file to <name>, and ``discard``, after a
+    failure, deletes the part files and the directories the run made."""
+
+    def __init__(self, out: FSPath):
+        self.out, self.parts = out, {}
+        self.made = [d for d in (out, *out.parents) if not d.is_dir()]  # deepest first
+
+    def csv(self, name: str, header: str) -> IO[str]:
+        self.out.mkdir(parents=True, exist_ok=True)
+        part = self.out / f"{name}.part"
+        self.parts[name] = f = part.open("w")
+        f.write(header + "\n")
+        return f
+
+    def commit(self) -> None:
+        for name, f in self.parts.items():
+            f.close()
+            FSPath(f.name).replace(self.out / name)
+
+    def discard(self) -> None:
+        for f in self.parts.values():
+            f.close()
+            FSPath(f.name).unlink(missing_ok=True)
+        for d in self.made:
+            try:
+                d.rmdir()
+            except OSError:  # not empty, or never made
+                break
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +434,7 @@ def _apart(cfg: dict, key: str, points, what: str) -> None:
         raise ConfigError(f"config key '{key}' holds [{z.x!r}, {z.y!r}], {what} to within {EXCLUSION!r}")
 
 
-def cmd_eval_kernel(cfg: dict):
+def cmd_eval_kernel(cfg: dict, outputs: _Outputs):
     fam = _build_kernel(cfg)
     _unread_f(cfg)
     if cfg["kernel"] == "pipeline" and cfg["kernel_kind"] == "main":
@@ -405,9 +448,9 @@ def cmd_eval_kernel(cfg: dict):
         near = near[np.abs(near - zeta.as_complex) > 1e-9]
         if near.size:
             _apart(cfg, "zeta0", near, "a point of the grid")
-    lines, points = _grid_csv(fam.coef1 if cfg["alpha"] == "1" else fam.coefj, cfg["zeta"], cfg["grid"])
-    checks = [_check("rows", len(lines) - 1, points, 0)]
-    return checks, {"kernel.csv": lines}, {}
+    face = fam.coef1 if cfg["alpha"] == "1" else fam.coefj
+    rows, points = _grid_csv(face, cfg["zeta"], cfg["grid"], outputs.csv("kernel.csv", CSV_HEADER))
+    return [_check("rows", rows, points, 0)], {}
 
 
 def _contour(cfg: dict, *probe_keys: str) -> ContourSpec:
@@ -426,7 +469,7 @@ def _contour(cfg: dict, *probe_keys: str) -> ContourSpec:
     return contour
 
 
-def cmd_verify_reproducing(cfg: dict):
+def cmd_verify_reproducing(cfg: dict, outputs: _Outputs):
     fam = _build_kernel(cfg)
     _unread_f(cfg)
     pair = _build_pair(cfg)
@@ -442,10 +485,10 @@ def cmd_verify_reproducing(cfg: dict):
     dev_in, dev_out = reproducing_deviations(fam, pair, contour)
     checks.append(_check("interior_deviation", dev_in, 0.0, tol))
     checks.append(_check("exterior_deviation", dev_out, 0.0, tol))
-    return checks, {}, {}
+    return checks, {}
 
 
-def cmd_build_powers(cfg: dict):
+def cmd_build_powers(cfg: dict, outputs: _Outputs):
     n, sep, tol = cfg["n"], cfg["separable"], cfg["tol"]
     # f is parsed even where it only selects the mode
     Field.from_exprs(cfg["f"])
@@ -471,10 +514,10 @@ def cmd_build_powers(cfg: dict):
         pair = _build_pair(cfg)
         rep = power_residual_scan(fam, pair, RegionGrid(**cfg["region"]), pairs[0][0])
         checks = [_check("max_vekua_residual", rep.max_residual, 0.0, tol)]
-    return checks, {}, extra
+    return checks, extra
 
 
-def cmd_build_fundamental(cfg: dict):
+def cmd_build_fundamental(cfg: dict, outputs: _Outputs):
     f = Field.from_exprs(cfg["f"])
     zeta, z0 = cfg["zeta"], cfg["z0"]
     catalog = cfg["f"].strip() == "x"
@@ -495,41 +538,49 @@ def cmd_build_fundamental(cfg: dict):
         dev = max(dev, float((values - oracle.on(zeta.x, zeta.y, xs, ys)).norm.max(initial=0.0)))
 
     s1 = darboux_fundamental(kj, f, z0)
-    lines, points = _grid_csv(s1, zeta, cfg["grid"], None if oracle is None else deviation)
-    checks = [_check("rows", len(lines) - 1, points, 0)]
+    csv = outputs.csv("fundamental.csv", CSV_HEADER)
+    rows, points = _grid_csv(s1, zeta, cfg["grid"], csv, None if oracle is None else deviation)
+    checks = [_check("rows", rows, points, 0)]
     extra = {}
     if oracle is not None:
         checks.append(_check("max_deviation_from_closed_form", dev, 0.0, cfg["tol"]))
         extra["closed_form"] = "x-darboux-fundamental"
-    return checks, {"fundamental.csv": lines}, extra
+    return checks, extra
 
 
-def cmd_residual_scan(cfg: dict):
-    xs, ys = RegionGrid(**cfg["region"]).sample_columns(cfg["samples"])
+def cmd_residual_scan(cfg: dict, outputs: _Outputs):
     fld = cfg["field"]
     schema, why = CONFIG_SCHEMA["residual-scan"], f"by a '{cfg['kind']}' scan"
     if cfg["kind"] == "vekua":
         _unread(cfg, schema, "q", "h", why=why)
         if cfg["pair"] is not None:
             _unread(cfg, schema, "f", why=f"{why} given a 'pair'")
-        w = Field.from_exprs(fld["sc"], fld["vec"])
-        residuals = vekua_residual(w, _build_pair(cfg), (xs, ys))
+        w, pair = Field.from_exprs(fld["sc"], fld["vec"]), _build_pair(cfg)
+        scan = lambda xs, ys: vekua_residual(w, pair, (xs, ys))  # noqa: E731
     else:
         _unread(fld, _FIELD, "vec", why=why, prefix="field.")
         _unread(cfg, schema, "pair", "f", why=why)
         _need(cfg, "q")
-        u = Field.from_exprs(fld["sc"])
-        q = Field.from_exprs(cfg["q"])
-        try:
-            residuals = schroedinger_residual(u, q, (xs, ys), cfg["h"])
-        except StepError as e:
-            raise ConfigError("config key 'h' is too small to move every sample point") from e
-    rows = _csv_rows(_grid_texts(**cfg["region"], nx=cfg["samples"], ny=cfg["samples"]), xs, ys, residuals)
-    checks = [_check("max_residual", residuals.max(), 0.0, cfg["tol"])]
-    return checks, {"residuals.csv": ["x,y,residual"] + rows}, {}
+        u, q = Field.from_exprs(fld["sc"]), Field.from_exprs(cfg["q"])
+
+        def scan(xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+            try:
+                return schroedinger_residual(u, q, (xs, ys), cfg["h"])
+            except StepError as e:
+                raise ConfigError("config key 'h' is too small to move every sample point") from e
+
+    # the sample grid a block of columns at a time, each block's rows written
+    # as they are made (``_grid_csv``)
+    grid = {**cfg["region"], "nx": cfg["samples"], "ny": cfg["samples"]}
+    texts, csv, peaks = _grid_texts(**grid), outputs.csv("residuals.csv", "x,y,residual"), []
+    for xs, ys in grid_columns(**grid):
+        residuals = scan(xs, ys)
+        csv.write(_csv_rows(texts, xs, ys, residuals))
+        peaks.append(residuals.max())
+    return [_check("max_residual", np.max(peaks), 0.0, cfg["tol"])], {}
 
 
-def cmd_cauchy(cfg: dict):
+def cmd_cauchy(cfg: dict, outputs: _Outputs):
     fam = _build_kernel(cfg)
     _unread_f(cfg)
     pair = _build_pair(cfg)
@@ -549,7 +600,7 @@ def cmd_cauchy(cfg: dict):
         _check("interior_deviation", dev_in, 0.0, tol),
         _check("exterior_deviation", dev_out, 0.0, tol),
     ]
-    return checks, {}, {}
+    return checks, {}
 
 
 _COMMANDS = {
@@ -564,7 +615,8 @@ _COMMANDS = {
 
 def run(command: str, config_path: str, out_dir: Optional[str] = None, quiet: bool = False) -> int:
     """Execute one command against a JSON config; write the report (and any
-    CSV artifacts) and return the process exit code."""
+    CSV artifacts) and return the process exit code.  A run that raises
+    leaves no file: not its CSVs' part files, nor an out directory it made."""
     path = FSPath(config_path)
     try:
         raw = path.read_bytes()
@@ -576,21 +628,25 @@ def run(command: str, config_path: str, out_dir: Optional[str] = None, quiet: bo
         raise ConfigError(f"config is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    checks, artifacts, extra = _COMMANDS[command](_validate(cfg, CONFIG_SCHEMA[command]))
-    report = {
-        "command": command,
-        "config_hash": sha256(raw).hexdigest(),
-        "version": __version__,
-        **extra,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
-    out = FSPath(out_dir) if out_dir else FSPath.cwd()
-    out.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(report, indent=2) + "\n"
-    (out / "report.json").write_text(text)
-    for name, lines in artifacts.items():
-        (out / name).write_text("\n".join(lines) + "\n")
+    values = _validate(cfg, CONFIG_SCHEMA[command])
+    outputs = _Outputs(FSPath(out_dir) if out_dir else FSPath.cwd())
+    try:
+        checks, extra = _COMMANDS[command](values, outputs)
+        report = {
+            "command": command,
+            "config_hash": sha256(raw).hexdigest(),
+            "version": __version__,
+            **extra,
+            "checks": checks,
+            "pass": all(c["pass"] for c in checks),
+        }
+        outputs.out.mkdir(parents=True, exist_ok=True)
+        text = json.dumps(report, indent=2) + "\n"
+        (outputs.out / "report.json").write_text(text)
+    except BaseException:
+        outputs.discard()
+        raise
+    outputs.commit()
     if not quiet:
         sys.stdout.write(text)
     return 0 if report["pass"] else 1

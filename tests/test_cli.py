@@ -1039,7 +1039,7 @@ def test_csv_rows_are_the_per_number_text(grid, data):
     constant = np.full(n, data.draw(st.sampled_from(_CELLS)))
     columns = [*drawn, constant, np.full(n, -0.0)]
     got = cli._csv_rows(cli._grid_texts(x0, x1, y0, y1, nx, ny), xs, ys, *columns)
-    assert got == _old_rows(xs, ys, *columns)
+    assert got == "".join(f"{row}\n" for row in _old_rows(xs, ys, *columns))
 
 
 @pytest.fixture
@@ -1426,3 +1426,75 @@ def test_library_modules_leave_the_environment_alone(fresh):
     modules = "bicomplex, calculus, expr, fields, jets, pairs, powers, schroedinger"
     code = f"import os; before = dict(os.environ); from bivekua import {modules}; print(dict(os.environ) == before)"
     assert fresh("-c", code) == "True"
+
+
+def test_failed_grid_run_leaves_no_file(tmp_path, capsys):
+    # the middle column, x = 0, faults in the second block of one column,
+    # after the first block is written: the run leaves neither the part
+    # file nor the out directory it made, and keeps one it did not make
+    cfg = {"kernel": "x-main", "zeta": [0.9, -0.3],
+           "grid": {"x0": -1.5, "x1": 1.5, "y0": 0.5, "y1": 1.5, "nx": 3, "ny": 1000}}
+    assert len(list(calculus.grid_columns(**cfg["grid"]))) == 3
+    config = _write(tmp_path, "c.json", cfg)
+    kept = tmp_path / "kept"
+    kept.mkdir()
+    (kept / "kernel.csv").write_text("an earlier table\n")
+    for out in (tmp_path / "out" / "deeper", kept):
+        assert main(["eval-kernel", "--config", str(config), "--out", str(out), "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error (eval-kernel): EvaluationError: division by zero at (0.9, -0.3, 0.0, 0.5005)\n"
+    assert not (tmp_path / "out").exists()
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.json", "kept", "kernel.csv"]
+    assert (kept / "kernel.csv").read_text() == "an earlier table\n"
+
+
+def _peak_kb(fresh, tmp_path, command: str, cfg: dict) -> int:
+    """The peak RSS, in kB, of a fresh process that runs one command: its
+    VmHWM, since the ru_maxrss of a process started by fork and exec keeps
+    the high-water mark of the process that forked it, here pytest's."""
+    if not Path("/proc/self/status").is_file():
+        pytest.skip("no /proc/self/status to read a process's peak RSS from")
+    config = _write(tmp_path, "c.json", cfg)
+    argv = [command, "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]
+    code = (
+        f"from bivekua.cli import main; code = main({argv!r}); "
+        "print(code, *[s.split()[1] for s in open('/proc/self/status') if s.startswith('VmHWM:')])"
+    )
+    exit_code, peak = map(int, fresh("-c", code).split())
+    assert exit_code == 0
+    return peak
+
+
+def test_eval_kernel_memory_does_not_grow_with_the_grid(fresh, tmp_path):
+    # the table is written block by block: 100 times the points add less
+    # than 5 MB (holding the table added 47 MB)
+    grid = {"x0": 1.5, "x1": 3.0, "y0": -1.0, "y1": 1.0}
+    peaks = [
+        _peak_kb(fresh, tmp_path, "eval-kernel", {"kernel": "x-main", "zeta": [1.0, 0.1],
+                                                  "grid": {**grid, "nx": n, "ny": n}})
+        for n in (40, 400)
+    ]
+    assert peaks[1] - peaks[0] < 5 * 1024
+
+
+def test_residual_scan_memory_does_not_grow_with_the_samples(fresh, tmp_path):
+    # the scan is made and written block by block (at 400 samples a side,
+    # one array scan peaked at 79 MB)
+    (cfg,) = [c for run, _, c in _workloads().generate("symbolic", 1) if run == "residual-scan-m0"]
+    peaks = [_peak_kb(fresh, tmp_path, "residual-scan", cfg | {"samples": n}) for n in (40, 400)]
+    assert peaks[1] - peaks[0] < 5 * 1024
+
+
+def test_pipeline_run_makes_no_eigenvalue_solve(fresh, tmp_path):
+    # the Gauss-Legendre rule is a constant: a run works with LAPACK's
+    # symmetric eigensolver refused
+    command, cfg = _PIPELINE_RUNS[0]
+    config = _write(tmp_path, "c.json", cfg)
+    argv = [command, "--config", str(config), "--out", str(tmp_path), "--quiet"]
+    code = (
+        "import numpy as np, bivekua.cli\n"
+        "def refuse(*args, **kwargs):\n"
+        "    raise RuntimeError('numpy.linalg.eigvalsh called')\n"
+        f"np.linalg.eigvalsh = refuse\nprint(bivekua.cli.main({argv!r}))"
+    )
+    assert fresh("-c", code) == "0"
