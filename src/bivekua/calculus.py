@@ -47,6 +47,16 @@ class ContourError(CalculusError, ValueError):
 # while 4,096 raise it with no further gain.
 NODE_BUDGET = 2048
 
+# Every piece of a detour, leg or arc, is at most PIECE_LENGTH long and at
+# most PIECE_RATIO times its distance from the avoided point.  The 16-point
+# Gauss-Legendre error on a piece is at most (64/15) M rho^-32 / (rho^2 - 1),
+# rho the Bernstein ellipse parameter of the nearest singularity: a pole a
+# piece's length from its midpoint gives rho >= 2 + sqrt(3), so rho^-32 is
+# about 5e-19.  The length cap guards against singularities the walk does
+# not know, such as zeros of f.
+PIECE_LENGTH = 0.25
+PIECE_RATIO = 1.0
+
 # A detour refuses a path end within this distance of the point it avoids.
 EXCLUSION = 1e-12
 
@@ -82,10 +92,11 @@ def _on_segments(a: np.ndarray, d: np.ndarray, t: np.ndarray, w: np.ndarray):
 
 def _bisect(a: np.ndarray, b: np.ndarray, toward: Optional[np.ndarray] = None):
     """The pieces of the segments [a[i], b[i]], each halved until it is at
-    most 0.25 long and, given ``toward``, at most half its midpoint's
-    distance from toward[i] (but not below 1e-6), or 40 times: all segments
-    a level at a time, with Python's complex rounding.  Returns the pieces'
-    starts, ends and segments, in segment order and along each segment."""
+    most ``PIECE_LENGTH`` long and, given ``toward``, at most
+    ``PIECE_RATIO`` times its midpoint's distance from toward[i] (but not
+    below 1e-6), or 40 times: all segments a level at a time, with Python's
+    complex rounding.  Returns the pieces' starts, ends and segments, in
+    segment order and along each segment."""
     n = a.size
     t = np.zeros(n, dtype=complex) if toward is None else toward
     # one row per quantity, one column per piece still being halved
@@ -98,9 +109,9 @@ def _bisect(a: np.ndarray, b: np.ndarray, toward: Optional[np.ndarray] = None):
         sr, si = ar + br, ai + bi
         # (a + b) / 2 as Python divides a complex number by 2
         mr, mi = (sr + si * 0.0) / 2.0, (si - sr * 0.0) / 2.0
-        limit = 0.25
+        limit = PIECE_LENGTH
         if toward is not None:
-            limit = np.minimum(limit, np.maximum(0.5 * np.hypot(mr - tr, mi - ti), 1e-6))
+            limit = np.minimum(limit, np.maximum(PIECE_RATIO * np.hypot(mr - tr, mi - ti), 1e-6))
         done = (length <= limit) | (depth >= 40)
         pieces.append(rows[:, done])
         go = ~done
@@ -198,7 +209,12 @@ def detour_walks(start, end, avoid, side: float = 1.0) -> Iterator[Walks]:
     path.  Each plan has the scalar arithmetic of one detour; then all legs
     are halved in one bisection and each batch's lines and arcs are built
     as arrays of 16 nodes a piece, bit for bit the nodes of one detour
-    each."""
+    each.  Every piece, leg or arc, is at most ``PIECE_LENGTH`` long and at
+    most ``PIECE_RATIO`` times its distance from avoid[k], which puts the
+    16-point rule's error bound far below rounding (rho^-32 about 5e-19):
+    a leg is halved until its midpoint is that far (``_bisect``), and an
+    arc of radius r is cut into equal pieces of at most min(PIECE_RATIO
+    rad, PIECE_LENGTH / r)."""
     t, w = GL_NODES, GL_WEIGHTS
     columns = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (start, end, avoid)))
     legs, arcs, parts = [], [], [0]  # parts[k]: the parts of the paths before path k
@@ -217,8 +233,11 @@ def detour_walks(start, end, avoid, side: float = 1.0) -> Iterator[Walks]:
     leg_a, leg_b, leg_c, leg_part = table(legs, (complex, complex, complex, int))
     arc_th1, arc_th2, arc_c, arc_r, arc_part = table(arcs, (float, float, complex, float, int))
     line_a, line_b, leg = _bisect(leg_a, leg_b, leg_c)
-    # each arc in equal pieces of at most 0.2 rad, from angle arc_a to arc_b
-    pieces = np.maximum(1, np.ceil(np.abs(arc_th2 - arc_th1) / 0.2)).astype(int)
+    # each arc of radius r in equal pieces, from angle arc_a to arc_b, of at
+    # most PIECE_RATIO rad (a piece of t rad is t r long and r from the
+    # avoided point) and at most PIECE_LENGTH long
+    step = np.minimum(PIECE_RATIO, PIECE_LENGTH / arc_r)
+    pieces = np.maximum(1, np.ceil(np.abs(arc_th2 - arc_th1) / step)).astype(int)
     arc = np.repeat(np.arange(pieces.size), pieces)
     k = np.arange(arc.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
     span, n, th0 = (arc_th2 - arc_th1)[arc], pieces[arc], arc_th1[arc]

@@ -359,14 +359,22 @@ def _grid_texts(x0: float, x1: float, y0: float, y1: float, nx: int, ny: int) ->
 def _csv_rows(texts: dict[int, str], xs: np.ndarray, ys: np.ndarray, *values: np.ndarray) -> str:
     """The text of the CSV rows "x,y,value,...", each ended by a newline: x
     and y from texts (``_grid_texts``), and a value column of one bit
-    pattern formatted once (-0.0 and 0.0 differ)."""
-    cells = [list(map(texts.__getitem__, c.view(np.int64).tolist())) for c in (xs, ys)]
+    pattern formatted once, into the row template (-0.0 and 0.0 differ).
+    One % operation formats the block: the row template n times, applied
+    to the cells row by row."""
+    columns = [list(map(texts.__getitem__, c.view(np.int64).tolist())) for c in (xs, ys)]
+    row = ["%s", "%s"]
     for col in values:
         bits = col.view(np.int64)
-        constant = col.size and bits.min() == bits.max()
-        cells.append([_G(float(col[0]))] * col.size if constant else map(_G, col.tolist()))
-    rows = list(map(",".join, zip(*cells)))
-    return "\n".join(rows) + "\n" if rows else ""
+        if col.size and bits.min() == bits.max():
+            row.append(_G(float(col[0])))
+        else:
+            row.append("%.17g")
+            columns.append(col.tolist())
+    cells = [None] * (xs.size * len(columns))
+    for k, column in enumerate(columns):
+        cells[k::len(columns)] = column
+    return (",".join(row) + "\n") * xs.size % tuple(cells)
 
 
 def _grid_csv(two_point, zeta: PlanePoint, grid: dict, csv: IO[str], seen=None) -> tuple[int, int]:

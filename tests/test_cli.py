@@ -410,7 +410,7 @@ def test_cauchy_with_pipeline_main_kernel(tmp_path):
 def test_pipeline_cauchy_walk_jobs(tmp_path, walk_jobs):
     # the benchmark's 32-node pipeline cauchy walks both probes' copies of
     # the contour in one job, recorded after the jobs its 1-form runs: 64
-    # detour paths over 20,672 nodes, with two 1-forms each, in 12 array
+    # detour paths over 12,992 nodes, with two 1-forms each, in 7 array
     # jobs of at most 2,048 nodes
     cfg = _write(tmp_path, "c.json", {
         "kernel": "pipeline", "f": "x", "zeta0": [0.5, 0], "formula": "second",
@@ -420,10 +420,57 @@ def test_pipeline_cauchy_walk_jobs(tmp_path, walk_jobs):
     assert main(["cauchy", "--config", str(cfg), "--out", str(tmp_path), "--quiet"]) == 0
     *detours, contour = walk_jobs
     assert contour == (2, 64, 2)
-    assert len(detours) == 12
+    assert len(detours) == 7
     assert sum(paths for paths, _, _ in detours) == 64
-    assert sum(nodes for _, nodes, _ in detours) == 20672
+    assert sum(nodes for _, nodes, _ in detours) == 12992
     assert {forms for _, _, forms in detours} == {2}
+
+
+def test_pipeline_eval_kernel_walk_nodes(tmp_path, walk_jobs):
+    # seed 1 of the pipeline benchmark: every detour piece at most its
+    # distance from the avoided point (calculus.PIECE_RATIO)
+    (cfg,) = [c for _, command, c in _workloads().generate("pipeline", 1) if command == "eval-kernel"]
+    path = _write(tmp_path, "c.json", cfg)
+    assert main(["eval-kernel", "--config", str(path), "--out", str(tmp_path), "--quiet"]) == 0
+    assert walk_jobs and sum(nodes for _, nodes, _ in walk_jobs) <= 2896
+
+
+def test_walk_values_agree_with_a_four_times_finer_rule(tmp_path, monkeypatch):
+    # the successor and Darboux walk values of the pipeline cauchy and
+    # eval-kernel geometry and of the closed-form build-fundamental grid,
+    # agree with a rule whose detour pieces are at most a quarter of the
+    # length cap and of their distance from the avoided point, to within
+    # 1e-13 of the largest value
+    (fundamental,) = [c for _, command, c in _workloads().generate("closed-form", 1) if command == "build-fundamental"]
+    runs = [
+        ("cauchy", dict(_PIPELINE_RUNS[0][1], contour={"center": [2.0, 0.0], "radius": 0.3, "nodes": 32})),
+        ("eval-kernel", dict(_PIPELINE_RUNS[1][1], grid={"x0": 1.5, "x1": 3.0, "y0": -1.0, "y1": 1.0, "nx": 4, "ny": 4})),
+        ("build-fundamental", fundamental),
+    ]
+    faces = (SuccessorCoefj, DarbouxFundamental)
+    values = {}
+    for face in faces:
+        batch = face._batch
+
+        def recorded(self, *args, batch=batch):
+            out = batch(self, *args)
+            values[type(self)].append(np.array(out, dtype=complex).ravel())
+            return out
+
+        monkeypatch.setattr(face, "_batch", recorded)
+    results, length, ratio = [], calculus.PIECE_LENGTH, calculus.PIECE_RATIO
+    for scale in (1, 4):
+        monkeypatch.setattr(calculus, "PIECE_LENGTH", length / scale)
+        monkeypatch.setattr(calculus, "PIECE_RATIO", ratio / scale)
+        values.update((face, []) for face in faces)
+        for command, cfg in runs:
+            config = _write(tmp_path, "c.json", cfg)
+            assert main([command, "--config", str(config), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        results.append({face: np.concatenate(v) for face, v in values.items()})
+    ours, finer = results
+    for face in faces:
+        assert ours[face].size == finer[face].size > 0
+        assert np.max(np.abs(ours[face] - finer[face])) <= 1e-13 * np.max(np.abs(finer[face])), face
 
 
 @pytest.mark.parametrize("run, jobs", [("verify-reproducing", [1, 4, 4]), ("cauchy-first", [4, 4])])

@@ -11,9 +11,13 @@ median paired difference (head - base), the head's wins out of the pairs
 (ties count for neither side) and the base's interquartile range.
 `wall_s` and `setup_s` are scaled by each pass's reference job as
 bench/run.py scales them; `pass_wall_s` and `setup_raw_s` are the same
-times as measured.  It also counts the runs that failed (non-zero exit or
-a failed check) and the pairs whose artifacts are byte-identical.  --json
-writes the rows, with every pass's values.  Exits 1 if a run failed.
+times as measured.  Beside them it prints each run's median wall time, as
+measured, under each tree and the head's wins.  It also counts the runs
+that failed (non-zero exit or a failed check) and the pairs whose
+artifacts are byte-identical.  --json writes the rows, with every pass's
+values.  Exits 1 if a run failed.  The workload ``extra`` runs, as one
+manifest, the fixed configs of tools/compare_outputs.py's EXTRA, which no
+benchmark config reaches (it takes no seed).
 
     python3 tools/ab.py --base /path/to/base/src --head src --workload closed-form \\
         [--seed 1] [--pairs 10] [--json rows.json]
@@ -88,7 +92,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", required=True, type=Path, help="the src/ tree compared against")
     parser.add_argument("--head", required=True, type=Path, help="the src/ tree under test")
-    parser.add_argument("--workload", choices=sorted(workloads.WORKLOADS), required=True)
+    parser.add_argument("--workload", choices=[*sorted(workloads.WORKLOADS), "extra"], required=True)
     parser.add_argument("--seed", type=int, default=workloads.DEFAULT_SEED)
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--json", type=Path, default=None, help="write the rows here")
@@ -99,7 +103,13 @@ def main(argv=None) -> int:
     passes: dict[str, list[dict]] = {"base": [], "head": []}
     with tempfile.TemporaryDirectory() as tmp:
         manifest = Path(tmp) / "manifest.json"
-        manifest.write_text(json.dumps(workloads.write(args.workload, args.seed, Path(tmp) / "configs")))
+        if args.workload == "extra":
+            from compare_outputs import write_extra
+
+            entries = write_extra(Path(tmp) / "configs")
+        else:
+            entries = workloads.write(args.workload, args.seed, Path(tmp) / "configs")
+        manifest.write_text(json.dumps(entries))
         ignore = shutil.ignore_patterns("__pycache__")
         copies = {side: shutil.copytree(tree, Path(tmp) / side / "src", ignore=ignore) for side, tree in trees.items()}
         for pair in range(args.pairs):
@@ -114,8 +124,13 @@ def main(argv=None) -> int:
     for name, unit, better, value in METRICS:
         runs = {side: [value(p) for p in ps] for side, ps in passes.items()}
         rows[name] = {"unit": unit, "better": better, **row(runs["base"], runs["head"], better), "runs": runs}
+    run_rows = {}
+    for k, r in enumerate(passes["base"][0]["runs"]):
+        runs = {side: [p["runs"][k]["wall_s"] for p in ps] for side, ps in passes.items()}
+        run_rows[r["name"]] = {**row(runs["base"], runs["head"], "lower"), "runs": runs}
 
-    print(f"{args.workload} seed {args.seed}, {args.pairs} pairs; base {trees['base']}, head {trees['head']}")
+    label = args.workload if args.workload == "extra" else f"{args.workload} seed {args.seed}"
+    print(f"{label}, {args.pairs} pairs; base {trees['base']}, head {trees['head']}")
     print(f"failed runs: base {failed['base']}, head {failed['head']}; "
           f"artifacts byte-identical in {identical} of {args.pairs} pairs")
     print(f"{'metric':<14} {'base median':>12} {'head median':>12} {'change':>8} {'paired diff':>12} "
@@ -125,11 +140,16 @@ def main(argv=None) -> int:
         print(f"{name:<14} {r['base_median']:>12.6g} {r['head_median']:>12.6g} {change:>+8.1%} "
               f"{r['median_paired_diff']:>+12.4g} {r['head_wins']:>5}/{args.pairs:<4} {r['base_iqr']:>10.4g}  "
               f"{r['unit']}, {r['better']} is better")
+    print(f"{'run wall_s':<34} {'base median':>12} {'head median':>12} {'change':>8} {'head wins':>10}")
+    for name, r in run_rows.items():
+        change = (r["head_median"] - r["base_median"]) / r["base_median"]
+        print(f"{name:<34} {r['base_median']:>12.6g} {r['head_median']:>12.6g} {change:>+8.1%} "
+              f"{r['head_wins']:>5}/{args.pairs:<4}")
     if args.json is not None:
         args.json.write_text(json.dumps({
             "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
             "base": str(trees["base"]), "head": str(trees["head"]),
-            "failed": failed, "identical_pairs": identical, "metrics": rows,
+            "failed": failed, "identical_pairs": identical, "metrics": rows, "run_wall_s": run_rows,
         }, indent=1) + "\n")
     return 1 if any(failed.values()) else 0
 
