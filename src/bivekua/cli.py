@@ -296,9 +296,10 @@ def _build_pair(cfg: dict):
 def _pipeline_successor(cfg: dict) -> KernelFamily:
     _need(cfg, "f", "zeta0")
     f = Field.from_exprs(cfg["f"])
-    q = potential_from_f(f)
-    for p in (PlanePoint(1.1, 0.2), PlanePoint(1.7, -0.5)):
-        if q(p).norm > 1e-10:
+    points = (PlanePoint(1.1, 0.2), PlanePoint(1.7, -0.5))
+    norms = potential_from_f(f).on(np.array([p.x for p in points]), np.array([p.y for p in points])).norm
+    for p, norm in zip(points, norms.tolist()):
+        if norm > 1e-10:
             raise ConfigError(
                 "the built-in fundamental solution covers potential 0 only; "
                 f"the potential of f does not vanish at {p}"

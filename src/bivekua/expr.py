@@ -533,75 +533,119 @@ def _straight_line(e: Union[Expr, tuple]) -> tuple[list[tuple], list[int]]:
     return list(index), roots
 
 
-def _safe_log(v):
-    if v == 0:
-        raise EvaluationError("log of 0")
-    return cmath.log(v)
-
-
 def _abs2(v):
     return v * v  # real-argument semantics; see module docstring
 
 
-def _error(exc: Exception, point: tuple) -> EvaluationError:
-    """The EvaluationError for ``exc``, raised by a program at ``point``, in
-    plain text: cmath's OverflowError carries an errno tuple, (34, 'Numerical
-    result out of range'), as its text."""
+def _message(exc: Exception) -> str:
+    """The text of the EvaluationError for ``exc``, a fault of Python's
+    arithmetic or a cmath function, in plain text: an OverflowError of a
+    float power carries an errno tuple, (34, 'Numerical result out of
+    range'), as its text."""
     if isinstance(exc, ZeroDivisionError):
-        message = "division by zero"
-    elif isinstance(exc, OverflowError) and len(exc.args) > 1:
-        message = "result outside the double range"
-    else:
-        message = str(exc)
-    return EvaluationError(message, point)
-
-
-# The function tables a program runs on (``jets.TABLE`` runs it on Taylor
-# jets), and the faults it turns into EvaluationError.  A numpy program
-# catches nothing itself: its callers run it under np.errstate and, on a
-# fault, re-run the cmath program point by point (see fields.Field.on).
-CMATH = {
-    "_exp": cmath.exp,
-    "_log": _safe_log,
-    "_sin": cmath.sin,
-    "_cos": cmath.cos,
-    "_sinh": cmath.sinh,
-    "_cosh": cmath.cosh,
-    "_sqrt": cmath.sqrt,
-    "_abs2": _abs2,
-    "_errors": (ZeroDivisionError, EvaluationError, ValueError, OverflowError),
-}
+        return "division by zero"
+    if isinstance(exc, OverflowError) and len(exc.args) > 1:
+        return "result outside the double range"
+    return str(exc)
 
 
 def _of_complex(ufunc):
     """ufunc on complex values: like cmath's functions, it takes a real
     argument as complex with a +0 imaginary part, so real and complex values
-    flow through numpy code as they do through cmath code."""
+    flow through a program as they do through cmath code."""
     return lambda v: ufunc(np.asarray(v, dtype=complex))
 
 
+# The function table a program runs on (``jets.TABLE`` runs it on Taylor
+# jets): numpy's, on numbers and on arrays that broadcast together.
 NUMPY = {
-    **CMATH,
     **{f"_{name}": _of_complex(getattr(np, name)) for name in FUNCTIONS if name != "abs2"},
-    "_errors": (),
+    "_abs2": _abs2,
 }
 
 
-def compile_expr(e: Union[Expr, tuple], variables: tuple[str, ...] = ("x", "y"), table: dict = CMATH):
-    """Compile to a positional callable over the given variables; a tuple of
+class Program:
+    """A compiled expression, or tuple of them (``compile_expr``): a list of
+    steps ``(dest, fn, a, b)``, one for each distinct subexpression,
+    children first, run on a fresh list of registers that holds the point's
+    coordinates, the constants and ``Pow`` exponents, and the values
+    computed so far.  A register takes a new value once no later step reads
+    its old one."""
+
+    __slots__ = ("arity", "template", "steps", "out", "many", "located")
+
+    def __init__(self, arity: int, template: list, steps: list, out: list, many: bool, located: bool = True):
+        self.arity, self.template, self.steps, self.out, self.many = arity, template, steps, out, many
+        self.located = located
+
+    def __call__(self, *point):
+        """The values at the point, one number or array per variable.  On
+        numpy, the first node, in node order, where a step faults as Python's
+        arithmetic or a cmath function faults at one point raises
+        EvaluationError with the node's point (``checked``); on jets, the
+        jets raise their own faults."""
+        if not self.located:
+            return self.run(point)
+        values, faults = self.checked(*point)
+        bad = [] if faults is None else np.flatnonzero(faults != "")
+        if len(bad):
+            raise EvaluationError(faults.flat[bad[0]], node(point, bad[0]))
+        return values
+
+    def checked(self, *point) -> tuple:
+        """The values at the point, and None when numpy meets no fault and
+        every value is finite.  Else the values and faults of a second run
+        that locates the faults (``faults.locate``)."""
+        with np.errstate(divide="raise", invalid="raise", over="raise"):
+            try:
+                values = self.run(point)
+                if finite(*(values if self.many else [values])):
+                    return values, None
+            except (FloatingPointError, ZeroDivisionError, OverflowError):
+                pass
+        from . import faults  # on a fault only: at module level, every start would compile it
+
+        return faults.locate(self, point)
+
+    def run(self, point: tuple):
+        """The values at the point, its faults left to numpy's error state."""
+        r = self.registers(point)
+        for dest, fn, a, b in self.steps:
+            r[dest] = fn(r[a]) if b is None else fn(r[a], r[b])
+        return self.values(r)
+
+    def registers(self, point: tuple) -> list:
+        """Fresh registers: the point's coordinates, then the constants."""
+        if len(point) != self.arity:
+            raise TypeError(f"the program takes {self.arity} arguments, not {len(point)}")
+        return [*point, *self.template]
+
+    def values(self, r: list):
+        """The results in the registers r."""
+        return tuple([r[i] for i in self.out]) if self.many else r[self.out[0]]
+
+
+def finite(*values) -> bool:
+    """Every entry of the values is finite.  A non-finite entry makes the
+    sum non-finite; an overflow of the sum alone only reads as not finite."""
+    return cmath.isfinite(sum(np.sum(v) for v in values))
+
+
+def node(point: tuple, k: int) -> tuple[float, ...]:
+    """The coordinates of node k, in node order, of the columns of
+    ``point`` broadcast together."""
+    shape = np.broadcast_shapes(*map(np.shape, point))
+    return tuple(float(np.broadcast_to(c, shape).flat[k]) for c in point)
+
+
+def compile_expr(e: Union[Expr, tuple], variables: tuple[str, ...] = ("x", "y"), table: dict = NUMPY) -> Program:
+    """Compile to a ``Program`` over the given variables; a tuple of
     expressions to one that returns the tuple of their values.
 
-    The program is a list of steps ``(dest, fn, a, b)``, one for each
-    distinct subexpression, children first; each call runs them once on a
-    fresh list of registers that holds the point's coordinates, the
-    constants and ``Pow`` exponents, and the values computed so far.  A
-    register takes a new value once no later step reads its old one.  The
-    steps' functions come from ``table``: cmath, for numbers, by default;
-    ``NUMPY``, for arrays (and numbers) that broadcast together, which
-    agrees with it entry by entry to rounding; ``jets.TABLE``, for Taylor
-    jets.  Under cmath, division by zero and log(0) surface as
-    EvaluationError carrying the evaluation point rather than NaN/Inf;
-    under numpy, faults are left to numpy's error state.
+    The steps' functions come from ``table``: ``NUMPY`` by default, on
+    numbers and arrays that broadcast together, whose faults the program
+    locates at their nodes (``Program.__call__``); ``jets.TABLE``, on
+    Taylor jets, whose faults the jets raise.
     """
     keys, roots = _straight_line(e)
     # the step that reads each value last, after which its register is free
@@ -635,17 +679,4 @@ def compile_expr(e: Union[Expr, tuple], variables: tuple[str, ...] = ("x", "y"),
             else:
                 steps.append((dest, table[f"_{payload}"], a, None))
         place.append(dest)
-    out, many = [place[r] for r in roots], isinstance(e, tuple)
-
-    def program(*point):
-        if len(point) != arity:
-            raise TypeError(f"the program takes {arity} arguments, not {len(point)}")
-        r = [*point, *template]
-        try:
-            for dest, fn, a, b in steps:
-                r[dest] = fn(r[a]) if b is None else fn(r[a], r[b])
-        except table["_errors"] as exc:
-            raise _error(exc, point) from None
-        return tuple([r[i] for i in out]) if many else r[out[0]]
-
-    return program
+    return Program(arity, template, steps, [place[r] for r in roots], isinstance(e, tuple), table is NUMPY)

@@ -6,13 +6,15 @@ of two, zeta and z, over (xi, eta, x, y): a ``Kernel``.  Symbolic
 a formula written on it (``d_z``, ``d_zbar`` here, ``pairs.pair_operator``)
 runs on either.
 
-One face evaluates every field: a call takes the points, and ``on`` one
-column per variable, a number standing for every node.  A closed form is
-compiled on its first use, to one program for its (sc, vec) parts, which
-``on`` runs on numpy, falling back to the calls node by node
-(``pointwise``) on a fault.  ``diff`` builds the exact partial field in a
-variable, once, and ``partials`` gives the value and the first partials
-from one program.  Every ``on`` gives a ``BicomplexArray``, the ring
+One face evaluates every field: ``on`` takes one column per variable, a
+number standing for every node, and a call the points.  A closed form is
+compiled on its first use, to one numpy program for its (sc, vec) parts,
+which ``on`` runs on all nodes at once; a call is that face at one node.
+A node that faults, or whose value is not finite, raises its error with
+its point, the first in node order, as evaluating node by node would
+(``_checked``).  ``diff`` builds the exact partial field in a variable,
+once, and ``partials`` gives the value and the first partials from one
+program.  Every ``on`` gives a ``BicomplexArray``, the ring
 interface on node values, so a formula written on it runs on all nodes at
 once: the checks (``pairs.vekua_residual``,
 ``schroedinger.schroedinger_residual``) do, at one point as at many
@@ -26,23 +28,22 @@ at once; plain evaluators run pair by pair (``pointwise``).
 
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from . import expr as ex
-from .bicomplex import Bicomplex, PlanePoint
+from .bicomplex import Bicomplex, InvalidValueError, PlanePoint
 
 
-def _program(trees: tuple, variables: tuple[str, ...], table: dict) -> Callable[..., tuple]:
-    """The values of trees as one program bound to ``table``, computing their
-    shared subexpressions once; constants need no code."""
+def _program(trees: tuple, variables: tuple[str, ...]) -> ex.Program:
+    """The values of trees as one program, computing their shared
+    subexpressions once; constants need no code."""
     if all(isinstance(t, ex.Num) for t in trees):
-        values = tuple(t.value for t in trees)
-        return lambda *args: values
-    return ex.compile_expr(trees, variables, table)
+        arity = len(variables)
+        return ex.Program(arity, [t.value for t in trees], [], list(range(arity, arity + len(trees))), True)
+    return ex.compile_expr(trees, variables)
 
 
 def _as_expr(v: Union[str, ex.Expr, float, complex], variables) -> ex.Expr:
@@ -69,32 +70,14 @@ class SymBC(ex.Record):
         variables = tuple(variables)
         return SymBC(variables, _as_expr(sc, variables), _as_expr(vec, variables))
 
-    # -- evaluation -------------------------------------------------------
-
-    def _program(self, table: dict) -> Callable[..., tuple]:
-        """The (sc, vec) values as one program bound to ``table``."""
-        return _program((self.sc, self.vec), self.variables, table)
-
-    def compiled(self) -> Callable[..., Bicomplex]:
-        """The value as a function of the variables, built on first use."""
-        cache = self.__dict__.get("_compiled")
+    def program(self) -> ex.Program:
+        """The (sc, vec) values as one program (``_program``), built on first
+        use: numbers or arrays in, one per variable; a constant part stays a
+        number."""
+        cache = self.__dict__.get("_program")
         if cache is None:
-            program = self._program(ex.CMATH)
-            cache = lambda *a: Bicomplex(*program(*a))  # noqa: E731
-            self._compiled = cache
+            cache = self._program = _program((self.sc, self.vec), self.variables)
         return cache
-
-    def compiled_arrays(self) -> Callable[..., tuple]:
-        """compiled() bound to numpy, built on first use: arrays in, the
-        (sc, vec) values out; a constant part stays a number."""
-        cache = self.__dict__.get("_compiled_arrays")
-        if cache is None:
-            cache = self._program(ex.NUMPY)
-            self._compiled_arrays = cache
-        return cache
-
-    def __call__(self, *args) -> Bicomplex:
-        return self.compiled()(*args)
 
     # -- algebra (bicomplex ring on expressions) --------------------------
 
@@ -214,11 +197,6 @@ def differences(
     return table
 
 
-def partials(w: "Field", z: PlanePoint) -> tuple[Bicomplex, Bicomplex, Bicomplex]:
-    """The exact (value, d/dx, d/dy) of w at z."""
-    return w(z), w.dx(z), w.dy(z)
-
-
 def at_nodes(check: Callable[[np.ndarray, np.ndarray], np.ndarray], z) -> Union[float, np.ndarray]:
     """check(xs, ys), one number at every node (xs[k], ys[k]), at the
     columns z = (xs, ys); at a point z, the one number there, as a float:
@@ -241,30 +219,33 @@ def _spread(values, shape: tuple) -> np.ndarray:
     return values if values.shape == shape else np.broadcast_to(values, shape)
 
 
-def _finite(*parts) -> bool:
-    """Every entry of the parts is finite.  A non-finite entry makes the sum
-    non-finite; an overflow of the sum alone only reads as not finite."""
-    return cmath.isfinite(sum(np.sum(p) for p in parts))
+def _require_finite(*parts) -> None:
+    """Raise InvalidValueError, as ``Bicomplex`` does, at the first node
+    where a part is not finite, naming the first such part there; the
+    parts broadcast together."""
+    parts = np.broadcast_arrays(*(np.asarray(p, dtype=complex) for p in parts))
+    bad = ~np.isfinite(np.reshape(parts, (len(parts), -1)))
+    if bad.any():
+        node = np.argmax(bad.any(axis=0))
+        raise InvalidValueError(f"non-finite component: {complex(parts[np.argmax(bad[:, node])].flat[node])!r}")
 
 
-def _checked(arrays: Callable[[], tuple], scalar: Callable[[], list], columns: Sequence) -> list[BicomplexArray]:
-    """The values of the (sc, vec) parts arrays() gives, each spread to the
-    nodes of ``columns``, computed with division by zero, invalid operations
-    and overflow raising.  On such a fault (a constant 0 to a negative power
-    raises ZeroDivisionError, and a constant past the double range
-    OverflowError, in Python arithmetic), or a non-finite value, scalar()
-    instead: the scalar code, point by point, so a bad point raises the
-    scalar call's own error (EvaluationError, InvalidValueError, ...) with
-    that point."""
-    with np.errstate(divide="raise", invalid="raise", over="raise"):
-        try:
-            parts = arrays()
-            finite = _finite(*parts)
-        except (FloatingPointError, ZeroDivisionError, OverflowError):
-            finite = False
-    if not finite:
-        return scalar()
+def _checked(program: ex.Program, columns: Sequence) -> list[BicomplexArray]:
+    """The values of the (sc, vec) parts program(*columns) gives, each
+    spread to the nodes of ``columns``.  The first node, in node order,
+    that faults or has a value that is not finite raises, as the program
+    run at each node in turn would: its EvaluationError with its point, or
+    InvalidValueError as ``Bicomplex`` raises it (``expr.Program.checked``
+    locates the faults)."""
     shape = _shape(columns)
+    parts, faults = program.checked(*columns)
+    if faults is not None:
+        faults = np.broadcast_to(faults, shape).ravel()
+        bad = np.flatnonzero(faults != "")
+        stop = bad[0] if bad.size else None
+        _require_finite(*(np.broadcast_to(p, shape).ravel()[:stop] for p in parts))
+        if stop is not None:
+            raise ex.EvaluationError(faults[stop], ex.node(columns, stop))
     parts = [_spread(p, shape) for p in parts]
     return [BicomplexArray(*parts[i : i + 2]) for i in range(0, len(parts), 2)]
 
@@ -296,6 +277,14 @@ def pointwise(funcs: Sequence[Callable[..., Bicomplex]], *columns) -> list[Bicom
     ]
 
 
+def _norm(sc: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """(|W+| + |W-|)/2 at every node, rounded as ``Bicomplex.norm`` rounds
+    it: hypot, as abs of a Python complex (numpy's complex abs differs from
+    it in last bits), halved after the sum unless that overflows."""
+    a, b = (np.hypot(p.real, p.imag) for p in (sc - 1j * vec, sc + 1j * vec))
+    return np.where(a + b < np.inf, 0.5 * (a + b), 0.5 * a + 0.5 * b)
+
+
 def _product(a, b) -> np.ndarray:
     """a * b for complex arrays or numbers, each part rounded as Python rounds
     a complex product: numpy's own complex multiply may fuse a product into
@@ -314,10 +303,10 @@ class BicomplexArray:
 
     The operations are those of ``Bicomplex``, op for op and rounded alike,
     so each node gets the value ``Bicomplex`` arithmetic gives it: ``*``
-    forms the idempotent products as ``Bicomplex.__mul__`` does.  Where one
-    of its results is not finite it multiplies node by node as ``Bicomplex``
-    values instead, so that a product near the end of the double range, or
-    a non-finite factor, behaves as it does on one node."""
+    forms the idempotent products as ``Bicomplex.__mul__`` does, and at the
+    nodes where one of its results is not finite it takes them of the
+    halved factors, as that does, so that a product near the end of the
+    double range, or a non-finite factor, behaves as it does on one node."""
 
     __slots__ = ("sc", "vec")
 
@@ -335,25 +324,29 @@ class BicomplexArray:
     def __sub__(self, other: "BicomplexArray") -> "BicomplexArray":
         return BicomplexArray(self.sc - other.sc, self.vec - other.vec)
 
+    def _idempotent_products(self, other: "BicomplexArray") -> tuple:
+        """W+ V+ and W- V-, each as Python rounds it."""
+        p, m = self.sc - 1j * self.vec, self.sc + 1j * self.vec
+        q, n = other.sc - 1j * other.vec, other.sc + 1j * other.vec
+        return _product(p, q), _product(m, n)
+
     def __mul__(self, other: "BicomplexArray") -> "BicomplexArray":
         with np.errstate(over="ignore", invalid="ignore"):
-            p, m = self.sc - 1j * self.vec, self.sc + 1j * self.vec
-            q, n = other.sc - 1j * other.vec, other.sc + 1j * other.vec
-            pq, mn = _product(p, q), _product(m, n)
+            pq, mn = self._idempotent_products(other)
             sc, vec = 0.5 * (pq + mn), 0.5j * (pq - mn)
-            finite = _finite(sc, vec)
-        if finite:
-            return BicomplexArray(sc, vec)
-        parts = np.broadcast_arrays(self.sc, self.vec, other.sc, other.vec)
-        values = [
-            Bicomplex(a, b) * Bicomplex(c, d)
-            for a, b, c, d in zip(*(np.asarray(v, dtype=complex).ravel().tolist() for v in parts))
-        ]
-        shape = parts[0].shape
-        return BicomplexArray(
-            np.array([v.sc for v in values], dtype=complex).reshape(shape),
-            np.array([v.vec for v in values], dtype=complex).reshape(shape),
-        )
+            if ex.finite(sc, vec):
+                return BicomplexArray(sc, vec)
+            # as Bicomplex.__mul__: W+- can pass the double range while W
+            # does not; (W/2)+- cannot, and WV = 4 (W/2)(V/2)
+            parts = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (*self, *other, sc, vec)))
+            edge = ~(np.isfinite(parts[4]) & np.isfinite(parts[5]))
+            half = [0.5 * v[edge] for v in parts[:4]]
+            pq, mn = BicomplexArray(*half[:2])._idempotent_products(BicomplexArray(*half[2:]))
+            sc, vec = parts[4].copy(), parts[5].copy()
+            sc[edge], vec[edge] = 2 * (pq + mn), 2j * (pq - mn)
+        # a factor, then the product, that is not finite at a node is refused there
+        _require_finite(*(v[edge] for v in parts[:4]), sc[edge], vec[edge])
+        return BicomplexArray(sc, vec)
 
     def scale(self, c) -> "BicomplexArray":
         """Multiplication by a C_i scalar, or by one at every node."""
@@ -369,15 +362,14 @@ class BicomplexArray:
     def norm(self) -> np.ndarray:
         """|W| = (|W+| + |W-|)/2 at every node, as ``Bicomplex.norm`` gives
         it; where that passes the double range on the way (a W+- or |W+-|
-        past it), node by node as ``Bicomplex`` values."""
+        past it), 2 |W/2|, as that gives it."""
         sc, vec = np.broadcast_arrays(np.asarray(self.sc, dtype=complex), np.asarray(self.vec, dtype=complex))
         with np.errstate(over="ignore", invalid="ignore"):
-            # hypot, as abs of a Python complex: numpy's complex abs differs
-            # from it in last bits
-            a, b = (np.hypot(p.real, p.imag) for p in (sc - 1j * vec, sc + 1j * vec))
-            out = np.where(a + b < np.inf, 0.5 * (a + b), 0.5 * a + 0.5 * b)
-        edge = ~np.isfinite(out)
-        out[edge] = [Bicomplex(*parts).norm for parts in zip(sc[edge].tolist(), vec[edge].tolist())]
+            out = _norm(sc, vec)
+            edge = ~np.isfinite(out)
+            if edge.any():
+                _require_finite(sc[edge], vec[edge])
+                out[edge] = 2 * _norm(0.5 * sc[edge], 0.5 * vec[edge])
         return out
 
 
@@ -388,36 +380,27 @@ class Field:
     """A bicomplex function of plane points: of z over the variables
     (x, y), or of (zeta, z) over (xi, eta, x, y).
 
-    ``sym`` is set only by ``from_sym``, whose evaluator is that closed form,
-    compiled on its first call.  ``partial``, when given, builds the exact
-    partial field in a variable, on the first ``diff`` in it; without it,
-    asking for a partial raises MissingPartialError.  ``arrays``, when
-    given, evaluates the same values on one array per variable, as its
-    (sc, vec) parts (see ``on``).
+    A closed form is made by ``from_sym``, which sets ``sym``: its
+    program, compiled on first use, is its face ``on``, and a call is
+    that face at one node.  Any other field is a plain evaluator ``func``
+    of the points, called node by node (``pointwise``).  ``partial``, when
+    given, builds the exact partial field in a variable, on the first
+    ``diff`` in it; without it, asking for a partial raises
+    MissingPartialError.
     """
 
-    def __init__(
-        self,
-        func: Callable[..., Bicomplex],
-        arrays: Optional[Callable[..., tuple]] = None,
-        partial: Optional[Callable[[str], "Field"]] = None,
-    ):
+    def __init__(self, func: Optional[Callable[..., Bicomplex]], partial: Optional[Callable[[str], "Field"]] = None):
         self._func = func
-        self._arrays = arrays
         self._partial = partial
         self._diffs: dict[str, "Field"] = {}
-        self._programs: dict[tuple[str, ...], Callable[..., tuple]] = {}
+        self._programs: dict[tuple[str, ...], ex.Program] = {}
         self.sym: Optional[SymBC] = None
 
     @classmethod
     def from_sym(cls, sym: SymBC) -> "Field":
         """The closed form sym, over its variables; its partials are the
         same class."""
-        if len(sym.variables) == 2:
-            func = lambda z: sym.compiled()(z.x, z.y)  # noqa: E731
-        else:
-            func = lambda zeta, z: sym.compiled()(zeta.x, zeta.y, z.x, z.y)  # noqa: E731
-        out = cls(func, lambda *columns: sym.compiled_arrays()(*columns), lambda var: cls.from_sym(sym.diff(var)))
+        out = cls(None, lambda var: cls.from_sym(sym.diff(var)))
         out.sym = sym
         return out
 
@@ -437,16 +420,20 @@ class Field:
         return Field(func, partial={"x": dx, "y": dy}.__getitem__)
 
     def __call__(self, *points: PlanePoint) -> Bicomplex:
-        return self._func(*points)
+        """The field at the points: a closed form's face at a one-node
+        array, so the call has the value of that node in any batch."""
+        if self.sym is None:
+            return self._func(*points)
+        sc, vec = self.on(*(np.array([c]) for p in points for c in (p.x, p.y)))
+        return Bicomplex(sc[0], vec[0])
 
     def on(self, *columns) -> BicomplexArray:
         """The field at every node of the columns, one per variable, a number
-        standing for every node: its array code, ``_checked``, or without
-        any, its calls node by node."""
-        scalar = lambda: pointwise([self._func], *columns)  # noqa: E731
-        if self._arrays is None:
-            return scalar()[0]
-        return _checked(lambda: self._arrays(*columns), scalar, columns)[0]
+        standing for every node: a closed form's program (``_checked``), a
+        plain evaluator called node by node."""
+        if self.sym is None:
+            return pointwise([self._func], *columns)[0]
+        return _checked(self.sym.program(), columns)[0]
 
     def partials(self, *columns) -> tuple[BicomplexArray, ...]:
         """The field, d/dx and d/dy at every node of the columns, each as
@@ -456,19 +443,21 @@ class Field:
     def _partials(self, variables: tuple[str, ...], columns: Sequence) -> tuple[BicomplexArray, ...]:
         """The field and its partials in ``variables`` at every node of the
         columns, each as ``on`` gives it.  A closed form runs one program of
-        them all, which computes their shared subexpressions once, and
-        falls back to their separate ``on`` calls on a fault; a field
-        without one runs those calls.  A missing partial raises before
-        anything is evaluated (``diff``)."""
+        them all, which computes their shared subexpressions once; a node
+        that fails there raises as their separate ``on`` calls, in turn,
+        raise.  A field without one runs those calls.  A missing partial
+        raises before anything is evaluated (``diff``)."""
         fields = (self, *map(self.diff, variables))
-        separate = lambda: [w.on(*columns) for w in fields]  # noqa: E731
         if self.sym is None:
-            return tuple(separate())
+            return tuple(w.on(*columns) for w in fields)
         program = self._programs.get(variables)
         if program is None:
             trees = tuple(t for w in fields for t in (w.sym.sc, w.sym.vec))
-            program = self._programs[variables] = _program(trees, self.sym.variables, ex.NUMPY)
-        return tuple(_checked(lambda: program(*columns), separate, columns))
+            program = self._programs[variables] = _program(trees, self.sym.variables)
+        try:
+            return tuple(_checked(program, columns))
+        except (ex.EvaluationError, InvalidValueError):
+            return tuple(w.on(*columns) for w in fields)
 
     def diff(self, var: str) -> "Field":
         """The exact partial field in ``var``, built once."""
@@ -496,9 +485,8 @@ class Field:
 class PairFace:
     """A two-point function with a pair face ``on(xi, eta, x, y)``: its
     values at every pair ((xi[k], eta[k]), (x[k], y[k])), a number standing
-    for every pair.  A call is the face at one pair, so a value is the same
-    bit for bit in any batch (a ``Kernel``'s call is its cmath program, to
-    which its face falls back on a fault)."""
+    for every pair.  A call is the face at one pair, its coordinates as
+    numbers (a ``Kernel``'s call is its face at a one-node array)."""
 
     def __call__(self, zeta: PlanePoint, z: PlanePoint) -> Bicomplex:
         value = self.on(zeta.x, zeta.y, z.x, z.y)

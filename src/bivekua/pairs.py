@@ -18,7 +18,7 @@ import numpy as np
 from . import expr as ex
 from .bicomplex import Bicomplex, PlanePoint
 from .calculus import RegionGrid
-from .fields import Field, SymBC, at_nodes, d_z, d_zbar, partials
+from .fields import Field, SymBC, at_nodes, d_z, d_zbar
 
 
 class PairError(Exception):
@@ -79,8 +79,9 @@ def make_pair(F: Field, G: Field, region: Optional[RegionGrid] = None) -> Genera
 
 
 def fg_derivative(w: Field, pair: GeneratingPair, z: PlanePoint) -> Bicomplex:
-    """The derivative in the sense of the pair: d_z W - A W - B conj_j(W)."""
-    value, fx, fy = partials(w, z)
+    """The derivative in the sense of the pair: d_z W - A W - B conj_j(W),
+    from the value and exact partials of W at z as one node."""
+    value, fx, fy = (Bicomplex(v.sc[0], v.vec[0]) for v in w.partials(z.x, z.y))
     return pair_operator(d_z(fx, fy), pair.A(z), pair.B(z), value)
 
 

@@ -73,9 +73,9 @@ def coefficients_at(k: KernelFamily, xi, eta, x, y) -> tuple[BicomplexArray, Bic
     """Z(1) and Z(j) at every pair ((xi[k], eta[k]), (x[k], y[k])), a number
     standing for every pair: the two ``_Slot``s of one source (a transfer,
     a chain of ``negative_powers``) from one evaluation of it, a slot with a
-    ``PairFace`` by its face (a ``Kernel`` as numpy code, which differs from
-    its call in last bits), and any other slot called pair by pair, both
-    slots at one pair back to back."""
+    ``PairFace`` (a ``Kernel``, whose call is its face at one pair) by its
+    face, and any other slot called pair by pair, both slots at one pair
+    back to back."""
     c1, cj = k.coef1, k.coefj
     source = _shared_source(k)
     if source is not None:
@@ -84,6 +84,11 @@ def coefficients_at(k: KernelFamily, xi, eta, x, y) -> tuple[BicomplexArray, Bic
     called = [c for c in (c1, cj) if not isinstance(c, PairFace)]
     looped = iter(pointwise(called, xi, eta, x, y) if called else ())
     return tuple(c.on(xi, eta, x, y) if isinstance(c, PairFace) else next(looped) for c in (c1, cj))
+
+
+def _bicomplex(values: BicomplexArray) -> list[Bicomplex]:
+    """The value at each node as a ``Bicomplex``."""
+    return [Bicomplex(sc, vec) for sc, vec in zip(values.sc.tolist(), values.vec.tolist())]
 
 
 def partials_at(k: KernelFamily, arg: str, xi, eta, x, y) -> list[tuple]:
@@ -215,17 +220,19 @@ def asymptotics_check(
     """Certify the Cauchy-kernel asymptotics at the center zeta:
     (z-zeta) Z(alpha) -> alpha, |conj_j(Z)/Z| -> 1, and log-bounded
     deviation from the analytic kernel; at the last radius the deviation
-    must be at most 1e-4 |log r|."""
+    must be at most 1e-4 |log r|.  Both coefficients are evaluated once,
+    at every radius and angle (``coefficients_at``)."""
     angles = [0.3, 1.7, 2.9, 4.4]
+    points = [PlanePoint(zeta.x + r * math.cos(th), zeta.y + r * math.sin(th)) for r in radii for th in angles]
+    values = coefficients_at(k, zeta.x, zeta.y, np.array([z.x for z in points]), np.array([z.y for z in points]))
+    z1s, zjs = map(_bicomplex, values)
     errors_1, errors_j, ratio_dev = [], [], []
     fitted = 0.0
-    for r in radii:
+    for i, r in enumerate(radii):
         e1 = ej = rd = 0.0
-        for th in angles:
-            z = PlanePoint(zeta.x + r * math.cos(th), zeta.y + r * math.sin(th))
+        for n in range(i * len(angles), (i + 1) * len(angles)):
+            z, z1, zj = points[n], z1s[n], zjs[n]
             dz = from_cj(complex(z.x - zeta.x, z.y - zeta.y))
-            z1 = k.coef1(zeta, z)
-            zj = k.coefj(zeta, z)
             e1 = max(e1, (dz * z1 - Bicomplex(1, 0)).norm)
             ej = max(ej, (dz * zj - Bicomplex(0, 1)).norm)
             rd = max(rd, abs((z1.conj() * z1.inv()).norm - 1.0))
@@ -324,10 +331,13 @@ def cauchy_deviations(
     ``fields``, where evaluate(points) gives its value for each at each of
     the interior probes, then the exterior ones (one call, none without
     probes): max |value - 2 pi W(z0)| over the interior probes and max
-    |value| over the exterior ones, each the max over the fields."""
+    |value| over the exterior ones, each the max over the fields, each
+    field evaluated once at all interior probes."""
     two_pi, probes = 2 * math.pi, [*interior, *exterior]
     values = evaluate(probes) if probes else []
-    inside = ((v - w(z0).scale(two_pi)).norm for z0, row in zip(interior, values) for w, v in zip(fields, row))
+    xs, ys = np.array([z.x for z in interior]), np.array([z.y for z in interior])
+    at = [_bicomplex(w.on(xs, ys)) for w in fields]
+    inside = ((v - w[k].scale(two_pi)).norm for k, row in enumerate(values[: len(interior)]) for w, v in zip(at, row))
     dev_out = max((v.norm for row in values[len(interior) :] for v in row), default=0.0)
     return max(inside, default=0.0), dev_out
 
@@ -500,7 +510,7 @@ class _BersChain:
                 sc, vec = (v[0] / math.factorial(n - 1) for v in w.parts())
         except (FloatingPointError, ZeroDivisionError, ex.EvaluationError) as exc:
             point = tuple(float(c[0]) for c in (xi, eta, x, y)) if xi.size == 1 else None
-            raise ex._error(exc, point) from None
+            raise ex.EvaluationError(ex._message(exc), point) from None
         return [BicomplexArray(*parts) for parts in zip(sc.astype(complex), vec.astype(complex))]
 
 

@@ -35,7 +35,6 @@ from .fields import (
     differences,
     in_order,
     pairs_of,
-    partials,
     pointwise,
 )
 from .pairs import GeneratingPair, adjoint_pair, make_pair
@@ -293,15 +292,14 @@ def conjugate_pair_build(f: Field, u: Field, path_base: PlanePoint) -> Field:
 
     @functools.lru_cache(maxsize=1)
     def grads(z: PlanePoint) -> tuple[Bicomplex, Bicomplex]:
-        # one call serves both partials at z
-        uv, ux, uy = partials(u, z)
-        fv, fx, fy = partials(f, z)
+        # one call serves both partials at z, each of u and f at z as one node
+        (uv, ux, uy), (fv, fx, fy) = ([complex(p.sc[0]) for p in w.partials(z.x, z.y)] for w in (u, f))
         v = v_val(z)
-        gx = ux.sc * fv.sc - uv.sc * fx.sc
-        gy = uy.sc * fv.sc - uv.sc * fy.sc
-        vx = (-gy - v * fx.sc) / fv.sc
-        vy = (gx - v * fy.sc) / fv.sc
-        return Bicomplex(ux.sc, vx), Bicomplex(uy.sc, vy)
+        gx = ux * fv - uv * fx
+        gy = uy * fv - uv * fy
+        vx = (-gy - v * fx) / fv
+        vy = (gx - v * fy) / fv
+        return Bicomplex(ux, vx), Bicomplex(uy, vy)
 
     dx = Field(lambda z: grads(z)[0])
     dy = Field(lambda z: grads(z)[1])

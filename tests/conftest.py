@@ -50,18 +50,18 @@ def compiles(monkeypatch):
 
 
 @pytest.fixture
-def cmath_calls(monkeypatch):
-    """The arguments of every call of a cmath-bound program (the programs
-    ``SymBC.compiled`` gives, behind every field and kernel call) while the
-    test runs."""
+def point_calls(monkeypatch):
+    """The points of every one-point call of a closed form (a field's or a
+    kernel's call, its face at one node) while the test runs."""
     calls = []
-    compiled = fields.SymBC.compiled
+    call = fields.Field.__call__
 
-    def counted(self):
-        program = compiled(self)
-        return lambda *args: calls.append(args) or program(*args)
+    def counted(self, *points):
+        if self.sym is not None:
+            calls.append(points)
+        return call(self, *points)
 
-    monkeypatch.setattr(fields.SymBC, "compiled", counted)
+    monkeypatch.setattr(fields.Field, "__call__", counted)
     return calls
 
 

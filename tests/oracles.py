@@ -3,6 +3,7 @@ kept here so that the tests compare against it."""
 
 from __future__ import annotations
 
+import cmath
 import operator
 from typing import Optional
 
@@ -10,7 +11,7 @@ import numpy as np
 
 from bivekua.bicomplex import Bicomplex, PlanePoint
 from bivekua.calculus import Path, RegionGrid, detour_walks, grid_columns
-from bivekua.expr import CMATH, Call, Expr, Num, Pow, Var
+from bivekua.expr import Call, Expr, Num, Pow, Var
 from bivekua.fields import Field, Kernel, d_zbar
 from bivekua.pairs import GeneratingPair, pair_operator
 from bivekua.schroedinger import MainVekuaProblem
@@ -19,10 +20,42 @@ from bivekua.schroedinger import MainVekuaProblem
 _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
+def _log(v):
+    if v == 0:
+        raise ValueError("log of 0")
+    return cmath.log(v)
+
+
+# The functions of a tree at one point: cmath's, with log of 0 a fault, and
+# abs2(v) = v * v (real-argument semantics).  FAULTS are the errors they and
+# Python's arithmetic raise there.
+CMATH = {
+    "exp": cmath.exp, "log": _log, "sin": cmath.sin, "cos": cmath.cos,
+    "sinh": cmath.sinh, "cosh": cmath.cosh, "sqrt": cmath.sqrt, "abs2": lambda v: v * v,
+}
+FAULTS = (ZeroDivisionError, OverflowError, ValueError)
+# The same functions on numpy, a real argument taken as complex.
+NUMPY = {
+    **{name: (lambda f: lambda v: f(np.asarray(v, dtype=complex)))(getattr(np, name)) for name in CMATH if name != "abs2"},
+    "abs2": CMATH["abs2"],
+}
+
+
+def fault_message(exc: Exception) -> str:
+    """The text of a fault of ``CMATH`` or of Python's arithmetic, as an
+    EvaluationError gives it: an overflow of a float power carries an errno
+    tuple as its text."""
+    if isinstance(exc, ZeroDivisionError):
+        return "division by zero"
+    if isinstance(exc, OverflowError) and len(exc.args) > 1:
+        return "result outside the double range"
+    return str(exc)
+
+
 def evaluate(e: Expr, point: dict, table: dict = CMATH):
     """e at ``point`` (variable name -> value), node by node down the tree:
     a subtree reached twice is evaluated twice.  Each Call takes its
-    function from ``table``, as ``expr.compile_expr`` does, and + - * / and
+    function from ``table`` (``CMATH`` or ``NUMPY``), and + - * / and
     integer powers are Python's operators."""
     if isinstance(e, Num):
         return e.value
@@ -31,7 +64,7 @@ def evaluate(e: Expr, point: dict, table: dict = CMATH):
     if isinstance(e, Pow):
         return evaluate(e.base, point, table) ** e.exponent
     if isinstance(e, Call):
-        return table[f"_{e.func}"](evaluate(e.arg, point, table))
+        return table[e.func](evaluate(e.arg, point, table))
     return _ARITHMETIC[e.op](evaluate(e.left, point, table), evaluate(e.right, point, table))
 
 
@@ -89,8 +122,8 @@ def second_difference(func, z: PlanePoint, h: float, axis: str) -> Bicomplex:
 
 
 def at_point(w: Field, z: PlanePoint) -> Bicomplex:
-    """w at z by its array face at one node: the value a check on arrays
-    sees there (a cmath call of a closed form rounds otherwise)."""
+    """w at z by its array face at a one-node array: the value a check on
+    arrays sees there (a call, on numbers, may round otherwise)."""
     sc, vec = w.on(np.array([z.x]), np.array([z.y]))
     return Bicomplex(sc[0], vec[0])
 
@@ -116,15 +149,22 @@ def scalar_schroedinger_residual(u: Field, q: Field, z: PlanePoint, h: Optional[
     return (laplacian - at_point(q, z) * u_at(z)).norm
 
 
+class _Held(Field):
+    """zeta -> kernel(zeta, z), z held: the kernel's own call and face."""
+
+    def __init__(self, kernel: Kernel, z: PlanePoint, partial=None):
+        super().__init__(lambda zeta: kernel(zeta, z), partial)
+        self.kernel, self.z = kernel, z
+
+    def on(self, xs, ys):
+        return self.kernel.on(xs, ys, self.z.x, self.z.y)
+
+
 def kernel_in_zeta(k: Kernel, z: PlanePoint) -> Field:
     """zeta -> k(zeta, z), z held: a Field of zeta on the kernel's own calls
     and array face, with exact partials from its partial kernels in xi and
     eta (``Field.diff``)."""
-
-    def held(kernel: Kernel, partial=None) -> Field:
-        return Field(lambda zeta: kernel(zeta, z), lambda xs, ys: kernel.on(xs, ys, z.x, z.y), partial)
-
-    return held(k, {"x": held(k.diff("xi")), "y": held(k.diff("eta"))}.__getitem__)
+    return _Held(k, z, {"x": _Held(k.diff("xi"), z), "y": _Held(k.diff("eta"), z)}.__getitem__)
 
 
 def is_successor(candidate: GeneratingPair, base: GeneratingPair, region: RegionGrid) -> bool:

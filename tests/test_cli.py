@@ -249,13 +249,13 @@ def test_build_fundamental_f_vanishing_at_z_is_a_calculus_error(tmp_path, capsys
     assert "ZeroDivisionError" not in err
 
 
-def test_catalog_build_fundamental_calls_no_cmath_program(tmp_path, cmath_calls):
+def test_catalog_build_fundamental_makes_no_point_call(tmp_path, point_calls):
     # f at the path ends is one array call, as is the closed-form check
     (cfg,) = [c for _, command, c in _workloads().generate("closed-form", 1) if command == "build-fundamental"]
     assert cfg["f"] == "x" and (cfg["grid"]["nx"], cfg["grid"]["ny"]) == (10, 10)
     config = _write(tmp_path, "c.json", cfg)
     assert main(["build-fundamental", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
-    assert cmath_calls == []
+    assert point_calls == []
 
 
 def test_build_powers_parses_f_that_only_selects_the_mode(tmp_path, capsys):
@@ -1312,8 +1312,8 @@ def test_symbolic_build_powers_compiles_only_what_it_evaluates(tmp_path, compile
         pytest.param("residual-scan-schroedinger", {"h": 1e-3, "tol": 1e-5}, id="residual-scan-schroedinger-h"),
     ],
 )
-def test_symbolic_residual_scan_is_one_array_check(tmp_path, cmath_calls, monkeypatch, name, step):
-    # the scan runs no cmath program, and each row is the point-by-point
+def test_symbolic_residual_scan_is_one_array_check(tmp_path, point_calls, monkeypatch, name, step):
+    # the scan makes no one-point call, and each row is the point-by-point
     # residual of Bicomplex values to rounding; with a step h, a
     # Schroedinger scan evaluates u at the stencil and at the nodes
     cfg = {run: c for run, _, c in _workloads().generate("symbolic", 1)}[name] | step
@@ -1321,8 +1321,8 @@ def test_symbolic_residual_scan_is_one_array_check(tmp_path, cmath_calls, monkey
     on, evaluated = Field.on, []
     monkeypatch.setattr(Field, "on", lambda self, xs, ys: evaluated.append(self.sym) or on(self, xs, ys))
     assert main(["residual-scan", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+    assert point_calls == []
     monkeypatch.undo()
-    assert cmath_calls == []
     values = cli._validate(cfg, CONFIG_SCHEMA["residual-scan"])
     if values["kind"] == "vekua":
         w, pair = Field.from_exprs(values["field"]["sc"]), cli._build_pair(values)

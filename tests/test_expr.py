@@ -1,6 +1,5 @@
 import math
 import random
-import re
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from bivekua.expr import (
-    CMATH,
     FUNCTIONS,
     NUMPY,
     BinOp,
@@ -20,13 +18,13 @@ from bivekua.expr import (
     Pow,
     UnknownIdentifierError,
     Var,
-    _error,
     binop,
     compile_expr,
     diff,
     parse,
     simplify,
 )
+import oracles
 from oracles import evaluate
 
 
@@ -321,7 +319,7 @@ def test_compiled_repeats_match_tree_walk():
     e = binop("+", e, binop("/", diff(e, "x"), binop("+", Num(3 + 0j), diff(e, "y"))))
     f = compile_expr(e)
     for x, y in _random_points(50, lo=-0.9, hi=1.9, seed=5):
-        assert f(x, y) == evaluate(e, {"x": x, "y": y})
+        assert f(x, y) == evaluate(e, {"x": x, "y": y}, oracles.NUMPY)
 
 
 def test_singular_shared_subterm_carries_point():
@@ -336,7 +334,7 @@ def test_singular_shared_subterm_carries_point():
 # both arguments vanish at some points, where the cmath code raises.
 _ARGS = ("x*y - 0.5", "x - i*y")
 _BOUND = [
-    (compile_expr(e), compile_expr(e, table=NUMPY))
+    (e, compile_expr(e))
     for e in map(parse, [
         *(f"{name}({arg})" for name in FUNCTIONS for arg in _ARGS),
         *(f"({arg})^{k}" for k in (-7, -3, -2, -1, 0, 2, 3, 5) for arg in _ARGS),
@@ -345,22 +343,33 @@ _BOUND = [
 _coordinate = st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(-3, 3))
 
 
+def _first_fault(e, points):
+    """The cmath oracle's values of e at the points, in order, or the
+    EvaluationError text and point of its first fault."""
+    values = []
+    for x, y in points:
+        try:
+            values.append(evaluate(e, {"x": x, "y": y}))
+        except oracles.FAULTS as exc:
+            return None, (oracles.fault_message(exc), (x, y))
+    return values, None
+
+
 @seed(20261018)
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(_coordinate, _coordinate), min_size=1, max_size=6))
 def test_numpy_table_matches_cmath(points):
-    # a program run on the numpy table gives its value on the cmath table
-    # at every entry, and faults where that raises
+    # the program gives the cmath oracle's value at every entry, and raises
+    # its first fault, with its point
     xs, ys = np.array(points).T
-    for scalar, arrays in _BOUND:
-        with np.errstate(divide="raise", invalid="raise", over="raise"):
-            try:
-                want = [scalar(x, y) for x, y in points]
-            except EvaluationError:
-                with pytest.raises(FloatingPointError):
-                    arrays(xs, ys)
-                continue
-            got = np.broadcast_to(arrays(xs, ys), xs.shape).tolist()
+    for e, program in _BOUND:
+        want, fault = _first_fault(e, points)
+        if fault is not None:
+            with pytest.raises(EvaluationError) as info:
+                program(xs, ys)
+            assert (str(info.value), info.value.point) == (f"{fault[0]} at {fault[1]}", fault[1])
+            continue
+        got = np.broadcast_to(program(xs, ys), xs.shape).tolist()
         for a, b in zip(got, want):
             assert abs(a - b) <= 1e-14 * abs(b)
 
@@ -397,10 +406,11 @@ _VALUES = (-1.5, -0.5, 0.0, 0.5, 2.0)
 
 
 def _assert_program_is_the_oracle(e):
-    """compile_expr(e), e a tree or a tuple of them, gives the oracle's value
-    of each tree bit for bit: on the cmath table at every point, where it
-    raises the oracle's first fault with the point, and on the numpy table
-    at all the points at once."""
+    """compile_expr(e), e a tree or a tuple of them, faults as the cmath
+    oracle does node by node: at each point, and at all the points at once,
+    it raises the oracle's first fault, at the first point where that
+    faults, with that point.  Elsewhere it gives the oracle's value of each
+    tree on numpy bit for bit: at each point, and at all of them at once."""
     trees = e if isinstance(e, tuple) else (e,)
 
     def bits(values):
@@ -409,26 +419,36 @@ def _assert_program_is_the_oracle(e):
     def parts(value):
         return value if isinstance(e, tuple) else (value,)
 
-    scalar, arrays = compile_expr(e), compile_expr(e, table=NUMPY)
-    for x in _VALUES:
-        for y in _VALUES:
-            try:
-                want = [evaluate(t, {"x": x, "y": y}) for t in trees]
-            except CMATH["_errors"] as exc:
-                with pytest.raises(EvaluationError) as info:
-                    scalar(x, y)
-                assert str(info.value) == str(_error(exc, (x, y)))
-                continue
-            assert bits(parts(scalar(x, y))) == bits(want)
-    xs, ys = (np.array(c) for c in zip(*[(x, y) for x in _VALUES for y in _VALUES]))
-    with np.errstate(all="ignore"):
+    def fault(point):
         try:
-            want = [evaluate(t, {"x": xs, "y": ys}, NUMPY) for t in trees]
-        except CMATH["_errors"] as exc:  # a subtree of constants runs on Python numbers
-            with pytest.raises(type(exc), match=re.escape(str(exc))):
-                arrays(xs, ys)
-            return
-        assert bits(parts(arrays(xs, ys))) == bits(want)
+            for t in trees:
+                evaluate(t, point)
+        except oracles.FAULTS as exc:
+            return f"{oracles.fault_message(exc)} at {(point['x'], point['y'])}", (point["x"], point["y"])
+        return None
+
+    program = compile_expr(e)
+    points = [{"x": x, "y": y} for x in _VALUES for y in _VALUES]
+    faults = [fault(p) for p in points]
+    for p, found in zip(points, faults):
+        if found is None:
+            with np.errstate(all="ignore"):
+                want = [evaluate(t, p, oracles.NUMPY) for t in trees]
+            assert bits(parts(program(p["x"], p["y"]))) == bits(want)
+        else:
+            with pytest.raises(EvaluationError) as info:
+                program(p["x"], p["y"])
+            assert (str(info.value), info.value.point) == found
+    xs, ys = (np.array(c) for c in zip(*[(p["x"], p["y"]) for p in points]))
+    first = next((found for found in faults if found is not None), None)
+    if first is None:
+        with np.errstate(all="ignore"):
+            want = [evaluate(t, {"x": xs, "y": ys}, oracles.NUMPY) for t in trees]
+        assert bits(parts(program(xs, ys))) == bits(want)
+    else:
+        with pytest.raises(EvaluationError) as info:
+            program(xs, ys)
+        assert (str(info.value), info.value.point) == first
 
 
 @settings(max_examples=150)

@@ -1,3 +1,4 @@
+import cmath
 import importlib.util
 import math
 import random
@@ -27,9 +28,14 @@ from oracles import detour_path, isclose
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def at(s: SymBC, x: float, y: float) -> Bicomplex:
+    """s at (x, y), as its field's call."""
+    return Field.from_sym(s)(PlanePoint(x, y))
+
+
 def test_symbc_eval():
     f = SymBC.make("x^2 + y", "x*y")
-    assert isclose(f(2.0, 3.0), Bicomplex(7, 6))
+    assert isclose(at(f, 2.0, 3.0), Bicomplex(7, 6))
 
 
 RING_OPS = {
@@ -50,7 +56,7 @@ def test_symbc_ring_matches_bicomplex(name):
     a = SymBC.make("x + i*y", "y")
     b = SymBC.make("y", "2*x - i")
     z = (1.5, -0.75)
-    assert isclose(op(a, b)(*z), op(a(*z), b(*z)))
+    assert isclose(at(op(a, b), *z), op(at(a, *z), at(b, *z)))
 
 
 @pytest.mark.parametrize("name", [name for name in RING_OPS if name not in ("-", "neg", "conj", "inv", "mul_j")])
@@ -76,7 +82,7 @@ def test_symbc_inv():
     w = SymBC.make("x + 1", "y")
     winv = w.inv()
     z = (1.2, 0.4)
-    assert isclose(w(*z) * winv(*z), Bicomplex(1, 0), tol=1e-12)
+    assert isclose(at(w, *z) * at(winv, *z), Bicomplex(1, 0), tol=1e-12)
 
 
 @pytest.mark.parametrize("w", [Bicomplex(0, 0), Bicomplex(1, 1j), Bicomplex(2j, -2)])
@@ -93,20 +99,20 @@ def test_constant_symbc_inv_raises_as_bicomplex_inv(w):
 
 def test_constant_symbc_inv_whose_norm_square_underflows():
     # 1e-200^2 folds to 0, yet 1e-200 is invertible
-    assert SymBC.make(1e-200).inv()(0.0, 0.0) == Bicomplex(1e-200, 0).inv()
+    assert at(SymBC.make(1e-200).inv(), 0.0, 0.0) == Bicomplex(1e-200, 0).inv()
 
 
 def test_symbc_dzbar_of_z_is_zero():
     # z = x + j y is holomorphic: d_zbar z = 0, d_z z = 1
     z = SymBC.make("x", "y")
-    assert isclose(d_zbar(z.diff("x"), z.diff("y"))(0.3, 0.7), Bicomplex(0, 0))
-    assert isclose(d_z(z.diff("x"), z.diff("y"))(0.3, 0.7), Bicomplex(1, 0))
+    assert isclose(at(d_zbar(z.diff("x"), z.diff("y")), 0.3, 0.7), Bicomplex(0, 0))
+    assert isclose(at(d_z(z.diff("x"), z.diff("y")), 0.3, 0.7), Bicomplex(1, 0))
 
 
 def test_symbc_dzbar_of_conj():
     zbar = SymBC.make("x", "y").conj()
-    assert isclose(d_zbar(zbar.diff("x"), zbar.diff("y"))(0.3, 0.7), Bicomplex(1, 0))
-    assert isclose(d_z(zbar.diff("x"), zbar.diff("y"))(0.3, 0.7), Bicomplex(0, 0))
+    assert isclose(at(d_zbar(zbar.diff("x"), zbar.diff("y")), 0.3, 0.7), Bicomplex(1, 0))
+    assert isclose(at(d_z(zbar.diff("x"), zbar.diff("y")), 0.3, 0.7), Bicomplex(0, 0))
 
 
 def test_field_partials_match_fd():
@@ -185,7 +191,7 @@ def test_building_fields_and_pairs_compiles_nothing(compiles):
 
 def test_joint_program_is_the_part_programs_bit_for_bit():
     # one (sc, vec) program per SymBC: each part's value is the one its own
-    # program gives, on numbers (cmath) and on arrays (numpy)
+    # program gives, on numbers (one node at a time) and on arrays
     pair = separable_pair("exp(x)", "cos(y) + 2", 1)
     syms = [pair.a.sym, pair.B.sym, *(w.sym for w in adjoint_fields(pair)), SymBC.make("x*y", "x*y + 1")]
     rng = np.random.default_rng(7)
@@ -193,11 +199,21 @@ def test_joint_program_is_the_part_programs_bit_for_bit():
     for s in syms:
         sc, vec = (ex.compile_expr(e, s.variables) for e in (s.sc, s.vec))
         for x, y in zip(xs.tolist(), ys.tolist()):
-            v = s.compiled()(x, y)
-            assert (v.sc, v.vec) == (sc(x, y), vec(x, y))
-        sc, vec = (ex.compile_expr(e, s.variables, table=ex.NUMPY) for e in (s.sc, s.vec))
-        joint = s.compiled_arrays()(xs, ys)
+            v = s.program()(x, y)
+            assert (complex(v[0]), complex(v[1])) == (sc(x, y), vec(x, y))
+        joint = s.program()(xs, ys)
         assert np.array_equal(joint[0], sc(xs, ys)) and np.array_equal(joint[1], vec(xs, ys))
+
+
+def test_kernel_call_is_its_face_bit_for_bit():
+    # a closed form's call is its face at one pair, here in a batch of two:
+    # at x - xi = 1.7383439417747188 numpy's log and cmath's differ in the
+    # last bit
+    assert np.log(complex(1.7383439417747188)) != cmath.log(1.7383439417747188)
+    k = Kernel.make("log(x - xi)", "x*eta")
+    zeta, z = PlanePoint(0.0, 0.5), PlanePoint(1.7383439417747188, -0.25)
+    face = k.on(np.array([zeta.x, 1.0]), np.array([zeta.y, 0.5]), np.array([z.x, 2.5]), np.array([z.y, 0.0]))
+    assert k(zeta, z) == Bicomplex(face.sc[0], face.vec[0])
 
 
 def test_joint_program_division_by_zero_carries_the_point():

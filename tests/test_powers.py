@@ -534,7 +534,7 @@ def test_negative_powers_jet_chain_shares_one_run_between_slots(monkeypatch):
     runs = []
     compile_expr = expr.compile_expr
 
-    def counted(e, variables=("x", "y"), table=expr.CMATH):
+    def counted(e, variables=("x", "y"), table=expr.NUMPY):
         program = compile_expr(e, variables, table)
         if table is not jets.TABLE or variables != KERNEL_VARS:
             return program
@@ -588,7 +588,7 @@ def test_hat_sequence_builds_one_member_per_distinct_pair(monkeypatch):
     built, jet_programs = [], []
     make, compile_expr = powers.make_pair, expr.compile_expr
 
-    def counted(e, variables=("x", "y"), table=expr.CMATH):
+    def counted(e, variables=("x", "y"), table=expr.NUMPY):
         if table is jets.TABLE:
             jet_programs.append(variables)
         return compile_expr(e, variables, table)

@@ -13,9 +13,12 @@ median paired difference (head - base), the head's wins out of the pairs
 bench/run.py scales them; `pass_wall_s` and `setup_raw_s` are the same
 times as measured.  Beside them it prints each run's median wall time, as
 measured, under each tree and the head's wins.  It also counts the runs
-that failed (non-zero exit or a failed check) and the pairs whose
-artifacts are byte-identical.  --json writes the rows, with every pass's
-values.  Exits 1 if a run failed.  The workload ``extra`` runs, as one
+that failed (non-zero exit or a failed check) under each tree, the runs
+whose exit code or verdict under the head differs from the base's in the
+same pair, and the pairs whose artifacts are byte-identical.  --json
+writes the rows, with every pass's values.  Exits 1 if a run's exit code
+or verdict differs from the base's: a run that fails under both trees
+does not count.  The workload ``extra`` runs, as one
 manifest, the fixed configs of tools/compare_outputs.py's EXTRA, which no
 benchmark config reaches (it takes no seed).
 
@@ -74,6 +77,12 @@ def failures(p: dict) -> int:
     return sum(r["exit"] != 0 or not r["pass"] for r in p["runs"])
 
 
+def changed(base: dict, head: dict) -> int:
+    """The runs of one pair whose exit code or verdict under the head
+    differs from the base's."""
+    return sum((b["exit"], b["pass"]) != (h["exit"], h["pass"]) for b, h in zip(base["runs"], head["runs"]))
+
+
 def row(base: list[float], head: list[float], better: str) -> dict:
     """Both medians, the median paired difference, the head's wins and the
     base's interquartile range."""
@@ -120,6 +129,7 @@ def main(argv=None) -> int:
         for b, h in zip(passes["base"], passes["head"])
     )
     failed = {side: sum(map(failures, ps)) for side, ps in passes.items()}
+    differ = sum(map(changed, passes["base"], passes["head"]))
     rows = {}
     for name, unit, better, value in METRICS:
         runs = {side: [value(p) for p in ps] for side, ps in passes.items()}
@@ -131,7 +141,7 @@ def main(argv=None) -> int:
 
     label = args.workload if args.workload == "extra" else f"{args.workload} seed {args.seed}"
     print(f"{label}, {args.pairs} pairs; base {trees['base']}, head {trees['head']}")
-    print(f"failed runs: base {failed['base']}, head {failed['head']}; "
+    print(f"failed runs: base {failed['base']}, head {failed['head']}; exit or verdict changed in {differ} runs; "
           f"artifacts byte-identical in {identical} of {args.pairs} pairs")
     print(f"{'metric':<14} {'base median':>12} {'head median':>12} {'change':>8} {'paired diff':>12} "
           f"{'head wins':>10} {'base IQR':>10}")
@@ -149,9 +159,9 @@ def main(argv=None) -> int:
         args.json.write_text(json.dumps({
             "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
             "base": str(trees["base"]), "head": str(trees["head"]),
-            "failed": failed, "identical_pairs": identical, "metrics": rows, "run_wall_s": run_rows,
+            "failed": failed, "changed": differ, "identical_pairs": identical, "metrics": rows, "run_wall_s": run_rows,
         }, indent=1) + "\n")
-    return 1 if any(failed.values()) else 0
+    return 1 if differ else 0
 
 
 if __name__ == "__main__":
